@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barycentric import (
+    _REL_EPS,
     BarycentricPoint,
     Hyperplane,
     SimplexModel,
@@ -41,8 +42,6 @@ from .errors import (
     ParallelLine,
     ZeroCoordinate,
 )
-
-_REL_EPS = 1e-13
 
 # Discriminant window (relative to squared circumradius) inside which the
 # axis-sphere intersection is reported as a single tangency point.

@@ -31,6 +31,10 @@ from .errors import (
 # sums, coordinates and volumes.  Chosen two orders above double epsilon.
 _REL_EPS = 1e-13
 
+# Bound on lambda_min / lambda_max of a simplex's Gram matrix (edge vectors
+# with condition number above 1e6); round-off in the eigenvalues is ~1e-16.
+_GRAM_REL_TOL = 1e-12
+
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
@@ -96,6 +100,23 @@ def facet_volumes_of_points(points: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(dets, 0.0, None)) / math.factorial(m - 2)
 
 
+def _gram_defect(gram: np.ndarray) -> NotEmbeddable | Degenerate | None:
+    """The error a Gram matrix of edge vectors from one vertex calls for, if any.
+
+    By Schoenberg's theorem the simplex exists iff the Gram matrix is
+    positive semidefinite, and has positive volume iff it is definite:
+    ``NotEmbeddable`` below ``-_GRAM_REL_TOL * lambda_max``, ``Degenerate``
+    within that scale-invariant tolerance of zero.
+    """
+    lam = np.linalg.eigvalsh(gram)
+    floor = _GRAM_REL_TOL * lam[-1]
+    if lam[0] < -floor:
+        return NotEmbeddable(f"no Euclidean simplex (Gram eigenvalue {lam[0]:.3e})")
+    if lam[0] <= floor:
+        return Degenerate("vertices are affinely dependent")
+    return None
+
+
 # ---------------------------------------------------------------------------
 # edge length table
 # ---------------------------------------------------------------------------
@@ -149,26 +170,20 @@ class EdgeLengthTable:
         keep = list(keep)
         return EdgeLengthTable.from_matrix(self.d[np.ix_(keep, keep)])
 
-    def validate_embeddable(self, rel_tol: float = 1e-10) -> None:
-        """Check that every vertex subset spans a positive-volume simplex.
+    def validate_embeddable(self) -> np.ndarray:
+        """Check that the table is realized by a positive-volume simplex.
 
-        Raises ``Degenerate`` for vanishing sub-volumes and ``NotEmbeddable``
-        when a Cayley-Menger determinant has the wrong sign.
+        One scale-invariant O(n^3) test on the spectrum of the vertex-0 Gram
+        matrix G_ij = (d_0i^2 + d_0j^2 - d_ij^2) / 2, which is returned.
+        Raises ``NotEmbeddable`` or ``Degenerate``; a definite G gives every
+        vertex subset positive volume.
         """
-        scale = float(self.d.max())
-        for size in range(3, self.n + 2):
-            k = size - 1
-            vol_tol = (rel_tol * scale ** k) ** 2
-            for subset in itertools.combinations(range(self.n + 1), size):
-                sub = self.d[np.ix_(subset, subset)]
-                v2 = squared_volume_from_distances(sub)
-                if v2 < -vol_tol:
-                    raise NotEmbeddable(
-                        f"vertex subset {subset} has negative squared "
-                        f"{k}-volume {v2:.3e}")
-                if v2 <= vol_tol:
-                    raise Degenerate(
-                        f"vertex subset {subset} spans zero {k}-volume")
+        sq = self.d ** 2
+        gram = 0.5 * (sq[0, 1:, None] + sq[0, None, 1:] - sq[1:, 1:])
+        defect = _gram_defect(gram)
+        if defect is not None:
+            raise defect
+        return gram
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +285,10 @@ class SimplexModel:
     """An embedded n-simplex with cached edge lengths and volumes.
 
     Instances are immutable after construction and safe to share across
-    threads.  ``validate=False`` skips the positive-volume requirement and
-    is used internally for derived simplices (pedal figures may collapse).
+    threads.  ``validate=True`` raises ``Degenerate`` unless the Gram spectrum
+    of the edge vectors from vertex 0 passes the scale-invariant O(n^3) test
+    of edge-length tables.  ``validate=False`` skips the requirement and is
+    used internally for derived simplices (pedal figures may collapse).
     """
 
     def __init__(self, vertices, *, edges: EdgeLengthTable | None = None,
@@ -294,8 +311,11 @@ class SimplexModel:
         self.diameter = float(self.edges.d.max())
 
         self.total_volume = simplex_volume(vertices)
-        if validate and self.total_volume <= (_REL_EPS * self.diameter) ** self.n:
-            raise Degenerate("vertices are affinely dependent")
+        if validate:
+            edge_vectors = vertices[1:] - vertices[0]
+            defect = _gram_defect(edge_vectors @ edge_vectors.T)
+            if defect is not None:
+                raise defect
         self.facet_volumes = _readonly(np.array([
             volume_from_distances(np.delete(np.delete(self.edges.d, i, 0), i, 1))
             for i in range(self.n + 1)
@@ -466,13 +486,9 @@ def embed_from_edge_lengths(table: EdgeLengthTable) -> SimplexModel:
     every further vertex with positive last nonzero coordinate, so equal
     tables always embed to identical vertex arrays.
     """
-    table.validate_embeddable()
+    gram = table.validate_embeddable()
     n = table.n
     d = table.d
-    gram = np.empty((n, n))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            gram[i - 1, j - 1] = 0.5 * (d[0, i] ** 2 + d[0, j] ** 2 - d[i, j] ** 2)
     try:
         lower = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:

@@ -33,7 +33,7 @@ from .documents import (
     round12,
 )
 from .errors import MaxIterationsExceeded, SimplexError
-from .fermat import fermat_point, total_distance
+from .fermat import distance_sum_gradient, fermat_point, total_distance
 from .isogonic import enumerate_isogonic
 from .verify import run_reference_checks
 
@@ -129,13 +129,7 @@ def cmd_fermat(doc: SimplexDocument, options: dict) -> dict:
 
     point, trace = fermat_point(model, start=start, method=method,
                                 tol=tol, max_iter=max_iter)
-    x = model.bary_to_cart(point)
-    gradient = np.zeros(model.n)
-    for v in model.vertices:
-        gap = x - v
-        norm = np.linalg.norm(gap)
-        if norm > 0:
-            gradient += gap / norm
+    gradient = distance_sum_gradient(model, model.bary_to_cart(point))
     results = {
         "dimension": model.n,
         "method": method,

@@ -20,10 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barycentric import BarycentricPoint, SimplexModel, as_point
+from .barycentric import _REL_EPS, BarycentricPoint, SimplexModel, as_point
 from .errors import AtVertex, MaxIterationsExceeded, ZeroCoordinate
-
-_REL_EPS = 1e-13
 
 METHODS = ("q", "r", "classic")
 
@@ -43,6 +41,18 @@ class IterationTrace:
 def total_distance(p, model: SimplexModel) -> float:
     """Sum of distances from a point to all vertices."""
     return float(model.vertex_distances(p).sum())
+
+
+def distance_sum_gradient(model: SimplexModel, x: np.ndarray) -> np.ndarray:
+    """Gradient of the distance sum at a Cartesian point, skipping vertices
+    at zero distance (at a vertex: the gradient over the other vertices)."""
+    g = np.zeros(model.n)
+    for v in model.vertices:
+        gap = x - v
+        norm = np.linalg.norm(gap)
+        if norm > 0:
+            g += gap / norm
+    return g
 
 
 def z_correspondent(p, z_star, model: SimplexModel | None = None) -> BarycentricPoint:
@@ -97,17 +107,6 @@ def weiszfeld_step_r(p, model: SimplexModel) -> BarycentricPoint:
     return BarycentricPoint.homogeneous(1.0 / (np.abs(coords) * dv ** 2))
 
 
-def _vertex_gradient_norm(model: SimplexModel, k: int) -> float:
-    """Norm of the distance-sum gradient at vertex k, omitting vertex k."""
-    vk = model.vertices[k]
-    g = np.zeros(model.n)
-    for i, v in enumerate(model.vertices):
-        if i == k:
-            continue
-        g += (vk - v) / np.linalg.norm(vk - v)
-    return float(np.linalg.norm(g))
-
-
 def _iterate_once(p: BarycentricPoint, dv: np.ndarray, method: str) -> BarycentricPoint:
     if method == "q":
         return BarycentricPoint.homogeneous(1.0 / dv)
@@ -121,13 +120,9 @@ def _iterate_once(p: BarycentricPoint, dv: np.ndarray, method: str) -> Barycentr
 
 def _displaced_from_vertex(model: SimplexModel, k: int) -> BarycentricPoint:
     """Nudge off a non-optimal vertex along the descent direction."""
-    x = model.vertices[k].copy()
-    g = np.zeros(model.n)
-    for i, v in enumerate(model.vertices):
-        if i != k:
-            g += (x - v) / np.linalg.norm(x - v)
-    x -= (1e-6 * model.diameter) * g / np.linalg.norm(g)
-    return model.cart_to_bary(x)
+    x = model.vertices[k]
+    g = distance_sum_gradient(model, x)
+    return model.cart_to_bary(x - (1e-6 * model.diameter) * g / np.linalg.norm(g))
 
 
 def fermat_point(model: SimplexModel, start=None, method: str = "q",
@@ -159,7 +154,7 @@ def fermat_point(model: SimplexModel, start=None, method: str = "q",
         dv = model.vertex_distances(p)
         k = int(np.argmin(dv))
         if dv[k] < near_vertex_cut:
-            if _vertex_gradient_norm(model, k) <= 1.0:
+            if np.linalg.norm(distance_sum_gradient(model, model.vertices[k])) <= 1.0:
                 p = BarycentricPoint.vertex(k, model.n)
                 trace.iterates.append(p)
                 trace.objective_values.append(total_distance(p, model))
@@ -186,7 +181,8 @@ def fermat_point(model: SimplexModel, start=None, method: str = "q",
                 # the vertex satisfies the first-order condition, otherwise
                 # the small step is an artifact of starting too close to a
                 # repelling vertex
-                if _vertex_gradient_norm(model, top) <= 1.0:
+                grad = distance_sum_gradient(model, model.vertices[top])
+                if np.linalg.norm(grad) <= 1.0:
                     if model.vertex_distances(p)[top] <= 1e-9 * model.diameter:
                         p = BarycentricPoint.vertex(top, model.n)
                         trace.iterates.append(p)

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .barycentric import (
+    _REL_EPS,
     BarycentricPoint,
     SimplexModel,
     as_point,
@@ -35,8 +36,6 @@ from .errors import (
     ZeroCoordinate,
 )
 from .pedal import antipedal_simplex, equiareal_deviation, pedal_simplex
-
-_REL_EPS = 1e-13
 
 # consecutive gap increases tolerated before the step damping is halved
 _OSCILLATION_LIMIT = 5

@@ -11,15 +11,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barycentric import (
+    _REL_EPS,
     BarycentricPoint,
     SimplexModel,
+    _gram_defect,
     as_point,
     facet_volumes_of_points,
-    simplex_volume,
 )
 from .errors import AtVertex, CenterAtVertex, OnSideplane, UnboundedAntipedal
-
-_REL_EPS = 1e-13
 
 # Condition-number cutoff beyond which an antipedal vertex system is treated
 # as singular (two construction normals effectively coincide).
@@ -32,7 +31,9 @@ class PedalResult:
 
     ``feet_or_vertices`` holds the Cartesian points; ``simplex`` is built
     without the positive-volume check, since pedal figures may legitimately
-    collapse (``degenerate`` is then set instead of raising).
+    collapse.  ``degenerate`` is set, instead of raising, exactly when
+    ``SimplexModel`` validation would raise ``Degenerate``: one
+    scale-invariant O(n^3) test on the Gram spectrum of the edge vectors.
     """
 
     kind: str                       # pedal | antipedal | polar | inversive
@@ -47,11 +48,10 @@ class PedalResult:
         object.__setattr__(self, "feet_or_vertices", pts)
 
 
-def _result(kind: str, points: np.ndarray, source: BarycentricPoint,
-            parent: SimplexModel) -> PedalResult:
+def _result(kind: str, points: np.ndarray, source: BarycentricPoint) -> PedalResult:
     model = SimplexModel(points, validate=False)
-    vol = simplex_volume(points)
-    degenerate = vol <= (_REL_EPS * max(parent.diameter, 1.0)) ** parent.n
+    edge_vectors = points[1:] - points[0]
+    degenerate = _gram_defect(edge_vectors @ edge_vectors.T) is not None
     return PedalResult(kind=kind, feet_or_vertices=points, source=source,
                        simplex=model, degenerate=degenerate)
 
@@ -75,7 +75,7 @@ def pedal_simplex(p, model: SimplexModel) -> PedalResult:
         raise AtVertex("pedal simplex is undefined at a vertex")
     x = model.bary_to_cart(pt)
     feet = model.pedal_feet(x)
-    return _result("pedal", feet, pt, model)
+    return _result("pedal", feet, pt)
 
 
 def antipedal_simplex(p, model: SimplexModel) -> PedalResult:
@@ -100,7 +100,7 @@ def antipedal_simplex(p, model: SimplexModel) -> PedalResult:
             raise UnboundedAntipedal(
                 f"antipedal vertex {i} is unbounded for this point")
         out[i] = np.linalg.solve(a, b)
-    return _result("antipedal", out, pt, model)
+    return _result("antipedal", out, pt)
 
 
 def polar_simplex(p, model: SimplexModel, radius: float = 1.0) -> PedalResult:
@@ -124,7 +124,7 @@ def polar_simplex(p, model: SimplexModel, radius: float = 1.0) -> PedalResult:
     for i, foot in enumerate(feet):
         w = foot - x
         out[i] = x + radius ** 2 * w / (w @ w)
-    return _result("polar", out, pt, model)
+    return _result("polar", out, pt)
 
 
 def inversive_image(model: SimplexModel, center, radius: float) -> PedalResult:
@@ -139,7 +139,7 @@ def inversive_image(model: SimplexModel, center, radius: float) -> PedalResult:
         if norm2 <= (_REL_EPS * model.diameter) ** 2:
             raise CenterAtVertex(f"inversion center coincides with vertex {i}")
         out[i] = center + radius ** 2 * w / norm2
-    return _result("inversive", out, model.cart_to_bary(center), model)
+    return _result("inversive", out, model.cart_to_bary(center))
 
 
 def equiareal_deviation(obj) -> float:

@@ -33,7 +33,7 @@ from .barycentric import (
     embed_from_edge_lengths,
 )
 from .documents import parse_document
-from .fermat import fermat_point, total_distance, z_correspondent
+from .fermat import distance_sum_gradient, fermat_point, total_distance, z_correspondent
 from .isogonic import enumerate_isogonic, isogonal_conjugate
 from .pedal import antipedal_simplex, pedal_simplex, polar_simplex
 
@@ -265,13 +265,6 @@ def _random_triangle_sides(rng: np.random.Generator,
         return float(sides[2]), float(sides[1]), float(sides[0])  # d12, d13, d23
 
 
-def _distance_sum_gradient(model: SimplexModel, x: np.ndarray) -> np.ndarray:
-    g = np.zeros(model.n)
-    for v in model.vertices:
-        g += (x - v) / np.linalg.norm(x - v)
-    return g
-
-
 def _fd_gradient(model: SimplexModel, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     g = np.empty(model.n)
     for k in range(model.n):
@@ -300,7 +293,7 @@ def solver_suite_checks() -> list[CheckRow]:
             worst_coord = max(worst_coord,
                               float(np.abs(point.normalized_coords - target).max()))
             x = model.bary_to_cart(point)
-            grad = _distance_sum_gradient(model, x)
+            grad = distance_sum_gradient(model, x)
             worst_grad = max(worst_grad, float(np.linalg.norm(grad)))
             worst_fd = max(worst_fd,
                            float(np.abs(grad - _fd_gradient(model, x)).max()))

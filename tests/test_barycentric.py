@@ -15,6 +15,7 @@ from simplexcenters import (
     Hyperplane,
     NotEmbeddable,
     PointAtInfinity,
+    SimplexModel,
     barycentric_square,
     bary_to_cart,
     cart_to_bary,
@@ -66,9 +67,35 @@ class TestEmbedding:
         assert np.abs(gap_model.facet_volumes
                       / np.array(golden.GAP_FACET_AREAS) - 1).max() < 1e-10
 
-    def test_collinear_triangle_degenerate(self):
+    @pytest.mark.parametrize("n", [2, 3, 8, 12, 16])
+    def test_collinear_triangle_degenerate(self, n):
+        # the last vertex is an affine combination of two others, so the
+        # simplex is flat at every dimension and every scale
+        rng = np.random.default_rng(100 + n)
+        verts = rng.standard_normal((n + 1, n))
+        verts[n] = 0.25 * verts[0] + 0.75 * verts[1]
         with pytest.raises(Degenerate):
-            embed_from_edge_lengths(EdgeLengthTable.from_flat(2, [1, 1, 2]))
+            SimplexModel(verts)
+        if n <= 12:
+            dist = np.linalg.norm(verts[:, None, :] - verts[None, :, :], axis=2)
+            with pytest.raises(Degenerate):
+                embed_from_edge_lengths(EdgeLengthTable.from_matrix(dist))
+
+    def test_accepts_every_dimension_scale_and_pose(self):
+        # 45 Gaussian simplices, n = 2..16, each scaled and rotated: all are
+        # accepted from vertices and from edge lengths, and the embedding
+        # realizes the edge lengths
+        rng = np.random.default_rng(1935)
+        for n in range(2, 17):
+            for scale in (1e-9, 1.0, 1e9):
+                rotation, _ = np.linalg.qr(rng.standard_normal((n, n)))
+                verts = scale * rng.standard_normal((n + 1, n)) @ rotation
+                source = SimplexModel(verts)
+                model = embed_from_edge_lengths(source.edges)
+                realized = np.linalg.norm(
+                    model.vertices[:, None, :] - model.vertices[None, :, :], axis=2)
+                assert np.abs(realized - source.edges.d).max() \
+                    <= 1e-10 * source.diameter
 
     def test_not_embeddable_tetrahedron(self):
         # every face is a valid triangle, yet no apex closes the tetrahedron

@@ -239,10 +239,13 @@ class TestReportContracts:
 
 
 def test_module_entry_point():
+    import os
     import subprocess
     import sys
+    # the child imports the package from wherever this process found it
     proc = subprocess.run(
         [sys.executable, "-m", "simplexcenters.cli", "centers", "-"],
-        input=json.dumps(FIVE_DOC), capture_output=True, text=True)
+        input=json.dumps(FIVE_DOC), capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     assert proc.returncode == 0
     assert "48.000000000000" in proc.stdout

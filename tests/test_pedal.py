@@ -12,6 +12,7 @@ from simplexcenters import (
     BarycentricPoint,
     CenterAtVertex,
     OnSideplane,
+    SimplexModel,
     UnboundedAntipedal,
     antipedal_simplex,
     circumcenter_cart,
@@ -67,6 +68,12 @@ class TestPedalSimplex:
         on_circle = gap_triangle.cart_to_bary(center + radius * rotated)
         result = pedal_simplex(on_circle, gap_triangle)
         assert result.degenerate
+
+    def test_tiny_triangle_incenter_pedal_not_degenerate(self, gap_triangle):
+        # degeneracy is judged relative to the figure's own size
+        tiny = SimplexModel(1e-14 * gap_triangle.vertices)
+        result = pedal_simplex(classical_centers(tiny)["I"], tiny)
+        assert not result.degenerate
 
     def test_vertex_rejected(self, five_model):
         with pytest.raises(AtVertex):
