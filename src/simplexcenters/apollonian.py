@@ -23,10 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barycentric import (
-    _REL_EPS,
     BarycentricPoint,
     Hyperplane,
     SimplexModel,
+    _all_equal,
+    _zero_entries,
+    _zero_sum,
     as_point,
     barycentric_square,
     circumcenter_cart,
@@ -106,14 +108,13 @@ def _slot_point(n: int, i: int, j: int, vi: float, vj: float) -> BarycentricPoin
 def apollonian_sphere(p, i: int, j: int, model: SimplexModel) -> ApollonianSphere:
     """Sphere of the vertex pair (i, j) for the given point (0-based indices)."""
     coords = as_point(p, model.n).coords
-    pi, pj = float(coords[i]), float(coords[j])
-    scale = float(np.abs(coords).max())
-    if abs(pi) <= _REL_EPS * scale or abs(pj) <= _REL_EPS * scale:
+    if _zero_entries(coords)[[i, j]].any():
         raise ZeroCoordinate("Apollonian sphere needs nonzero coordinates at both vertices")
+    pi, pj = float(coords[i]), float(coords[j])
 
     end_in = _slot_point(model.n, i, j, pi, pj)
     end_out = _slot_point(model.n, i, j, -pi, pj)
-    if abs(abs(pi) - abs(pj)) <= _REL_EPS * max(abs(pi), abs(pj)):
+    if _all_equal(np.abs(coords[[i, j]])):
         # equal-magnitude coordinates: the locus is the perpendicular
         # bisector of edge (i, j)
         vi, vj = model.vertices[i], model.vertices[j]
@@ -164,15 +165,13 @@ def isodynamic_points(p, model: SimplexModel) -> IsodynamicResult:
     """
     pt = as_point(p, model.n)
     coords = pt.coords
-    scale = float(np.abs(coords).max())
-    if np.abs(coords).min() <= _REL_EPS * scale:
+    if _zero_entries(coords).any():
         raise ZeroCoordinate("isodynamic points need all coordinates nonzero")
 
     center, radius = circumcenter_cart(model)
     center_bary = model.cart_to_bary(center)
 
-    sq = coords ** 2
-    if float(np.ptp(sq)) <= _REL_EPS * float(sq.max()):
+    if _all_equal(coords ** 2):
         # every sphere degenerates to a perpendicular bisector; the family
         # meets exactly at the circumcenter and the axis has no direction
         return IsodynamicResult(
@@ -191,7 +190,8 @@ def isodynamic_points(p, model: SimplexModel) -> IsodynamicResult:
         raise AxisUndefined(str(exc)) from exc
     direction = axis_plane.cart_normal
 
-    spheres = sphere_family(pt, model)
+    spheres = (apollonian_sphere(pt, i, j, model)
+               for i, j in itertools.combinations(range(model.n + 1), 2))
     solving = next((s for s in spheres if not s.is_degenerate), None)
     if solving is None:  # pragma: no cover - excluded by the ptp check
         raise AxisUndefined("all spheres degenerate")
@@ -292,12 +292,11 @@ def restrict_to_facet(p, model: SimplexModel,
     pt = as_point(p, model.n)
     coords = pt.coords
     i = facet_index
-    others = np.abs(np.delete(coords, i)).max()
-    if others <= _REL_EPS * float(np.abs(coords).max()):
+    if np.delete(_zero_entries(coords), i).all():
         raise AtVertex("point coincides with the opposite vertex")
     # line A_i + span(P): zero out slot i, keep remaining coordinates
     hit = np.delete(coords, i)
-    if abs(hit.sum()) <= _REL_EPS * float(np.abs(hit).sum()):
+    if _zero_sum(hit):
         raise ParallelLine("line through the opposite vertex misses the facet")
     keep = [j for j in range(model.n + 1) if j != i]
     facet_model = embed_from_edge_lengths(model.edges.subtable(keep))

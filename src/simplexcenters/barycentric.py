@@ -9,6 +9,10 @@ barycentric coordinates:
     d^2(P, Q) = - sum_{i<j} d_ij^2 (p_i - q_i)(p_j - q_j)
 
 for normalized coordinate vectors p, q.
+
+Near-zero policy: one tolerance, eps = 1e-13 relative to each input's own
+scale, decides where a construction stops being defined, in four predicates:
+``_zero_entries``, ``_zero_sum``, ``_all_equal`` and ``SimplexModel._vertex_at``.
 """
 
 from __future__ import annotations
@@ -27,8 +31,7 @@ from .errors import (
     PointAtInfinity,
 )
 
-# Relative tolerance used for "is effectively zero" decisions on coordinate
-# sums, coordinates and volumes.  Chosen two orders above double epsilon.
+# The near-zero tolerance eps: two orders above double epsilon.
 _REL_EPS = 1e-13
 
 # Bound on lambda_min / lambda_max of a simplex's Gram matrix (edge vectors
@@ -40,6 +43,18 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=float)
     a.flags.writeable = False
     return a
+
+
+def _zero_entries(c: np.ndarray) -> np.ndarray:
+    return np.abs(c) <= _REL_EPS * np.abs(c).max()
+
+
+def _zero_sum(c: np.ndarray) -> bool:
+    return abs(c.sum()) <= _REL_EPS * np.abs(c).sum()
+
+
+def _all_equal(c: np.ndarray) -> bool:
+    return float(np.ptp(c)) <= _REL_EPS * float(np.abs(c).max())
 
 
 # ---------------------------------------------------------------------------
@@ -223,10 +238,9 @@ class BarycentricPoint:
     @classmethod
     def normalized_from(cls, coords) -> "BarycentricPoint":
         coords = np.asarray(coords, float)
-        s = coords.sum()
-        if abs(s) <= _REL_EPS * np.abs(coords).sum():
+        if _zero_sum(coords):
             raise PointAtInfinity("coordinate sum is zero")
-        return cls(coords=coords / s, mode="normalized")
+        return cls(coords=coords / coords.sum(), mode="normalized")
 
     @classmethod
     def vertex(cls, i: int, n: int) -> "BarycentricPoint":
@@ -239,7 +253,7 @@ class BarycentricPoint:
         return self.coords.size - 1
 
     def is_finite(self) -> bool:
-        return abs(self.coords.sum()) > _REL_EPS * np.abs(self.coords).sum()
+        return not _zero_sum(self.coords)
 
     def normalized(self) -> "BarycentricPoint":
         if self.mode == "normalized":
@@ -269,12 +283,6 @@ def as_point(obj, n: int | None = None) -> BarycentricPoint:
     if n is not None and pt.dim != n:
         raise ValueError(f"expected {n + 1} coordinates, got {pt.dim + 1}")
     return pt
-
-
-def require_nonzero_coords(p: np.ndarray, what: str = "operation") -> None:
-    scale = float(np.abs(p).max())
-    if np.abs(p).min() <= _REL_EPS * scale:
-        raise OnSideplane(f"{what} requires all coordinates nonzero")
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +386,11 @@ class SimplexModel:
         base = -0.5 * float(p @ dp)
         return np.sqrt(np.clip(base + dp, 0.0, None))
 
+    def _vertex_at(self, dist: np.ndarray) -> int | None:
+        """Nearest vertex if within _REL_EPS * diameter, given the distances."""
+        k = int(np.argmin(dist))
+        return k if dist[k] <= _REL_EPS * self.diameter else None
+
     # -- sideplanes -------------------------------------------------------
 
     def sideplane(self, i: int) -> "Hyperplane":
@@ -421,10 +434,9 @@ class Hyperplane:
     @classmethod
     def from_bary_coeffs(cls, coeffs, model: SimplexModel) -> "Hyperplane":
         coeffs = np.asarray(coeffs, dtype=float)
-        scale = float(np.abs(coeffs).max())
-        if scale == 0.0:
+        if not coeffs.any():
             raise ValueError("hyperplane coefficients must not all vanish")
-        if float(np.ptp(coeffs)) <= _REL_EPS * scale:
+        if _all_equal(coeffs):
             raise AtInfinity("all-equal coefficients encode the hyperplane at infinity")
         w = model._affine_inv.T @ coeffs
         grad, off = w[:-1], w[-1]
@@ -559,5 +571,6 @@ def sigma_polar_plane(p, model: SimplexModel) -> Hyperplane:
     meets the line through vertices i and j at [-p_i : p_j] (slots i, j).
     """
     coords = as_point(p, model.n).coords
-    require_nonzero_coords(coords, "polar hyperplane")
+    if _zero_entries(coords).any():
+        raise OnSideplane("polar hyperplane requires all coordinates nonzero")
     return Hyperplane.from_bary_coeffs(1.0 / coords, model)

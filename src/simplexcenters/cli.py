@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -27,13 +28,14 @@ from .documents import (
     fmt,
     fmt_list,
     load_document,
+    parse_number,
     parse_point_arg,
     point_payload,
     render_point_lines,
     round12,
 )
 from .errors import MaxIterationsExceeded, SimplexError
-from .fermat import distance_sum_gradient, fermat_point, total_distance
+from .fermat import distance_sum_gradient, fermat_point
 from .isogonic import enumerate_isogonic
 from .verify import run_reference_checks
 
@@ -135,7 +137,7 @@ def cmd_fermat(doc: SimplexDocument, options: dict) -> dict:
         "method": method,
         "point": point_payload(point, residual=float(np.linalg.norm(gradient)),
                                iterations=trace.iterations_used),
-        "objective": round12(total_distance(point, model)),
+        "objective": round12(trace.objective_values[-1]),
         "converged": trace.converged,
         "vertex_optimum": trace.vertex_optimum,
     }
@@ -187,7 +189,6 @@ def cmd_isogonic(doc: SimplexDocument, options: dict) -> dict:
 
 
 def _parse_seeds(spec: str, n: int) -> list[BarycentricPoint]:
-    import os
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -197,7 +198,6 @@ def _parse_seeds(spec: str, n: int) -> list[BarycentricPoint]:
         for k, row in enumerate(data):
             if not isinstance(row, list) or len(row) != n + 1:
                 raise DocumentError(f"seed[{k}]: expected {n + 1} coordinates")
-            from .documents import parse_number
             out.append(BarycentricPoint.homogeneous(
                 [parse_number(v, f"seed[{k}]") for v in row]))
         return out

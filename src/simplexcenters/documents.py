@@ -13,6 +13,7 @@ Numbers may be written as JSON numbers or as exact fraction strings
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -127,7 +128,6 @@ def parse_document(obj) -> SimplexDocument:
 
 
 def load_document(path: str) -> SimplexDocument:
-    import sys
     if path == "-":
         return parse_document(sys.stdin.read())
     try:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .barycentric import _REL_EPS, BarycentricPoint, SimplexModel, as_point
+from .barycentric import BarycentricPoint, SimplexModel, _zero_entries, as_point
 from .errors import AtVertex, MaxIterationsExceeded, ZeroCoordinate
 
 METHODS = ("q", "r", "classic")
@@ -66,18 +66,9 @@ def z_correspondent(p, z_star, model: SimplexModel | None = None) -> Barycentric
     n = model.n if model is not None else None
     pc = as_point(p, n).coords
     zc = as_point(z_star, len(pc) - 1).coords
-    scale_p = float(np.abs(pc).max())
-    scale_z = float(np.abs(zc).max())
-    if np.abs(pc).min() <= _REL_EPS * scale_p or np.abs(zc).min() <= _REL_EPS * scale_z:
+    if _zero_entries(pc).any() or _zero_entries(zc).any():
         raise ZeroCoordinate("correspondent needs all coordinates nonzero")
     return BarycentricPoint.homogeneous(pc / zc)
-
-
-def _vertex_distances_checked(p: BarycentricPoint, model: SimplexModel) -> np.ndarray:
-    dv = model.vertex_distances(p)
-    if dv.min() <= _REL_EPS * model.diameter:
-        raise AtVertex("step is undefined at a vertex (zero distance)")
-    return dv
 
 
 def weiszfeld_step_q(p, model: SimplexModel) -> BarycentricPoint:
@@ -88,7 +79,9 @@ def weiszfeld_step_q(p, model: SimplexModel) -> BarycentricPoint:
     simplex.
     """
     pt = as_point(p, model.n).normalized()
-    dv = _vertex_distances_checked(pt, model)
+    dv = model.vertex_distances(pt)
+    if model._vertex_at(dv) is not None:
+        raise AtVertex("step is undefined at a vertex (zero distance)")
     return BarycentricPoint.homogeneous(np.sign(pt.coords) / dv)
 
 
@@ -101,9 +94,11 @@ def weiszfeld_step_r(p, model: SimplexModel) -> BarycentricPoint:
     """
     pt = as_point(p, model.n).normalized()
     coords = pt.coords
-    if np.abs(coords).min() <= _REL_EPS * float(np.abs(coords).max()):
+    if _zero_entries(coords).any():
         raise ZeroCoordinate("square-root-free step needs nonzero coordinates")
-    dv = _vertex_distances_checked(pt, model)
+    dv = model.vertex_distances(pt)
+    if model._vertex_at(dv) is not None:
+        raise AtVertex("step is undefined at a vertex (zero distance)")
     return BarycentricPoint.homogeneous(1.0 / (np.abs(coords) * dv ** 2))
 
 
@@ -142,18 +137,19 @@ def fermat_point(model: SimplexModel, start=None, method: str = "q",
     if start is None:
         start = np.ones(model.n + 1)
     p = as_point(start, model.n).normalized()
-    if np.abs(p.coords).min() <= _REL_EPS * float(np.abs(p.coords).max()):
+    if _zero_entries(p.coords).any():
         raise ZeroCoordinate("start point must have all coordinates nonzero")
 
+    # objective_values[k] of iterates[k] is read off the distances its step
+    # computes; only an iterate that leaves the loop costs one more call
     trace = IterationTrace(method=method)
     trace.iterates.append(p)
-    trace.objective_values.append(total_distance(p, model))
-    near_vertex_cut = _REL_EPS * model.diameter
 
     for it in range(1, max_iter + 1):
         dv = model.vertex_distances(p)
-        k = int(np.argmin(dv))
-        if dv[k] < near_vertex_cut:
+        trace.objective_values.append(float(dv.sum()))
+        k = model._vertex_at(dv)
+        if k is not None:
             if np.linalg.norm(distance_sum_gradient(model, model.vertices[k])) <= 1.0:
                 p = BarycentricPoint.vertex(k, model.n)
                 trace.iterates.append(p)
@@ -166,15 +162,15 @@ def fermat_point(model: SimplexModel, start=None, method: str = "q",
             # interior along the descent direction (classical safeguard)
             p = _displaced_from_vertex(model, k)
             trace.iterates.append(p)
-            trace.objective_values.append(total_distance(p, model))
             continue
 
         nxt = _iterate_once(p, dv, method).normalized()
         trace.iterates.append(nxt)
-        trace.objective_values.append(total_distance(nxt, model))
         step = float(np.abs(nxt.coords - p.coords).max())
         p = nxt
         if step < tol:
+            dv = model.vertex_distances(p)
+            trace.objective_values.append(float(dv.sum()))
             top = int(np.argmax(p.coords))
             if p.coords[top] >= 1.0 - 1e-9:
                 # the stop fired essentially at a vertex: accept only when
@@ -183,7 +179,7 @@ def fermat_point(model: SimplexModel, start=None, method: str = "q",
                 # repelling vertex
                 grad = distance_sum_gradient(model, model.vertices[top])
                 if np.linalg.norm(grad) <= 1.0:
-                    if model.vertex_distances(p)[top] <= 1e-9 * model.diameter:
+                    if dv[top] <= 1e-9 * model.diameter:
                         p = BarycentricPoint.vertex(top, model.n)
                         trace.iterates.append(p)
                         trace.objective_values.append(total_distance(p, model))
@@ -193,12 +189,12 @@ def fermat_point(model: SimplexModel, start=None, method: str = "q",
                     return p, trace
                 p = _displaced_from_vertex(model, top)
                 trace.iterates.append(p)
-                trace.objective_values.append(total_distance(p, model))
                 continue
             trace.converged = True
             trace.iterations_used = it
             return p, trace
 
+    trace.objective_values.append(total_distance(p, model))
     trace.iterations_used = max_iter
     raise MaxIterationsExceeded(
         f"no convergence within {max_iter} iterations (method {method!r})",

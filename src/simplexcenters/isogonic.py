@@ -21,17 +21,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .apollonian import isodynamic_points
 from .barycentric import (
-    _REL_EPS,
     BarycentricPoint,
     SimplexModel,
+    _zero_entries,
     as_point,
+    classical_centers,
     facet_volumes_of_points,
 )
 from .errors import (
     AtVertex,
     DegeneratePedalEncountered,
     MaxIterationsExceeded,
+    SimplexError,
     UnboundedAntipedal,
     ZeroCoordinate,
 )
@@ -81,7 +84,7 @@ def isogonal_conjugate(p, model: SimplexModel) -> BarycentricPoint:
     incenter is fixed.
     """
     coords = as_point(p, model.n).coords
-    if np.abs(coords).min() <= _REL_EPS * float(np.abs(coords).max()):
+    if _zero_entries(coords).any():
         raise ZeroCoordinate("isogonal conjugate needs all coordinates nonzero")
     return BarycentricPoint.homogeneous(model.facet_volumes ** 2 / coords)
 
@@ -173,11 +176,9 @@ def default_seeds(model: SimplexModel) -> list[BarycentricPoint]:
         c[k] = -1.0
         seeds.append(BarycentricPoint.homogeneous(c))
     if model.n == 2:
-        from .apollonian import isodynamic_points
-        from .barycentric import classical_centers
         try:
             found = isodynamic_points(classical_centers(model)["I"], model)
-        except Exception:
+        except SimplexError:
             return seeds
         for point in found.points:
             if np.abs(point.coords).min() > 1e-9 * np.abs(point.coords).max():
@@ -279,7 +280,7 @@ def triad_angle_check(p, model: SimplexModel, tol: float = 1e-7,
     x = model.bary_to_cart(pt)
     rays = model.vertices - x[None, :]
     norms = np.linalg.norm(rays, axis=1)
-    if norms.min() <= _REL_EPS * model.diameter:
+    if model._vertex_at(norms) is not None:
         raise AtVertex("triad angles are undefined at a vertex")
     units = rays / norms[:, None]
 

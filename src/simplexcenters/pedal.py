@@ -11,10 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barycentric import (
-    _REL_EPS,
     BarycentricPoint,
     SimplexModel,
     _gram_defect,
+    _zero_entries,
     as_point,
     facet_volumes_of_points,
 )
@@ -56,14 +56,6 @@ def _result(kind: str, points: np.ndarray, source: BarycentricPoint) -> PedalRes
                        simplex=model, degenerate=degenerate)
 
 
-def _vertex_index_if_at_vertex(p: BarycentricPoint, model: SimplexModel) -> int | None:
-    dv = model.vertex_distances(p)
-    i = int(np.argmin(dv))
-    if dv[i] <= _REL_EPS * model.diameter:
-        return i
-    return None
-
-
 def pedal_simplex(p, model: SimplexModel) -> PedalResult:
     """Simplex of orthogonal projections of a point onto the sideplanes.
 
@@ -71,7 +63,7 @@ def pedal_simplex(p, model: SimplexModel) -> PedalResult:
     to the sideplane opposite vertex i.
     """
     pt = as_point(p, model.n).normalized()
-    if _vertex_index_if_at_vertex(pt, model) is not None:
+    if model._vertex_at(model.vertex_distances(pt)) is not None:
         raise AtVertex("pedal simplex is undefined at a vertex")
     x = model.bary_to_cart(pt)
     feet = model.pedal_feet(x)
@@ -86,7 +78,7 @@ def antipedal_simplex(p, model: SimplexModel) -> PedalResult:
     original simplex.
     """
     pt = as_point(p, model.n).normalized()
-    if _vertex_index_if_at_vertex(pt, model) is not None:
+    if model._vertex_at(model.vertex_distances(pt)) is not None:
         raise AtVertex("antipedal simplex is undefined at a vertex")
     x = model.bary_to_cart(pt)
     v = model.vertices
@@ -115,8 +107,7 @@ def polar_simplex(p, model: SimplexModel, radius: float = 1.0) -> PedalResult:
     if not radius > 0.0:
         raise ValueError("radius must be positive")
     pt = as_point(p, model.n).normalized()
-    coords = pt.coords
-    if np.abs(coords).min() <= _REL_EPS * np.abs(coords).max():
+    if _zero_entries(pt.coords).any():
         raise OnSideplane("polar simplex needs all coordinates nonzero")
     x = model.bary_to_cart(pt)
     feet = model.pedal_feet(x)
@@ -132,13 +123,12 @@ def inversive_image(model: SimplexModel, center, radius: float) -> PedalResult:
     if not radius > 0.0:
         raise ValueError("radius must be positive")
     center = np.asarray(center, dtype=float)
-    out = np.empty_like(model.vertices)
-    for i, v in enumerate(model.vertices):
-        w = v - center
-        norm2 = float(w @ w)
-        if norm2 <= (_REL_EPS * model.diameter) ** 2:
-            raise CenterAtVertex(f"inversion center coincides with vertex {i}")
-        out[i] = center + radius ** 2 * w / norm2
+    w = model.vertices - center
+    norm2 = np.array([float(row @ row) for row in w])
+    i = model._vertex_at(np.sqrt(norm2))
+    if i is not None:
+        raise CenterAtVertex(f"inversion center coincides with vertex {i}")
+    out = center + radius ** 2 * w / norm2[:, None]
     return _result("inversive", out, model.cart_to_bary(center))
 
 

@@ -24,6 +24,7 @@ from simplexcenters import (
     sphere_family,
     yiu_triangle_test,
 )
+from simplexcenters import apollonian
 
 
 class TestApollonianSphere:
@@ -126,6 +127,20 @@ class TestIsodynamicPoints:
         assert np.abs(result.points[1].normalized_coords
                       - golden.ISODYNAMIC_TABLE[1]).max() < 1e-8
         assert max(result.residuals) < 1e-8
+
+    def test_builds_only_the_first_proper_sphere(self, five_model, monkeypatch):
+        # with all coordinate magnitudes distinct, the first pair's sphere is
+        # proper and is the only one the axis intersection needs
+        built = []
+
+        def counted(p, i, j, model):
+            built.append((i, j))
+            return apollonian_sphere(p, i, j, model)
+
+        monkeypatch.setattr(apollonian, "apollonian_sphere", counted)
+        result = isodynamic_points(classical_centers(five_model)["I"], five_model)
+        assert built == [(0, 1)]
+        assert len(result.points) == 2
 
     def test_gap_tetrahedron_empty(self, gap_model):
         result = isodynamic_points(classical_centers(gap_model)["I"], gap_model)

@@ -83,8 +83,8 @@ class TestEmbedding:
 
     def test_accepts_every_dimension_scale_and_pose(self):
         # 45 Gaussian simplices, n = 2..16, each scaled and rotated: all are
-        # accepted from vertices and from edge lengths, and the embedding
-        # realizes the edge lengths
+        # accepted from vertices and from edge lengths, the embedding
+        # realizes the edge lengths, and both give the same centers
         rng = np.random.default_rng(1935)
         for n in range(2, 17):
             for scale in (1e-9, 1.0, 1e9):
@@ -96,6 +96,11 @@ class TestEmbedding:
                     model.vertices[:, None, :] - model.vertices[None, :, :], axis=2)
                 assert np.abs(realized - source.edges.d).max() \
                     <= 1e-10 * source.diameter
+                embedded = classical_centers(model)
+                for key, center in classical_centers(source).items():
+                    want = center.normalized_coords
+                    got = embedded[key].normalized_coords
+                    assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), key
 
     def test_not_embeddable_tetrahedron(self):
         # every face is a valid triangle, yet no apex closes the tetrahedron

@@ -11,6 +11,7 @@ from simplexcenters import (
     BarycentricPoint,
     EdgeLengthTable,
     MaxIterationsExceeded,
+    SimplexModel,
     ZeroCoordinate,
     embed_from_edge_lengths,
     fermat_point,
@@ -210,6 +211,25 @@ class TestFermatPoint:
         assert trace is not None
         assert trace.iterations_used == 3
         assert len(trace.iterates) == 4  # start plus three steps
+
+    def test_one_distance_evaluation_per_iteration(self):
+        # the objective of each iterate is read off the distances its step
+        # computes; only the point that leaves the loop needs one more
+        model = SimplexModel(golden.FIVE_VERTICES)
+        kernel = model.vertex_distances
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return kernel(p)
+
+        model.vertex_distances = counted
+        for method in ("q", "r"):
+            calls.clear()
+            _, trace = fermat_point(model, method=method)
+            assert len(calls) <= trace.iterations_used + 2
+            assert trace.objective_values == [
+                total_distance(p, model) for p in trace.iterates]
 
     def test_start_with_zero_coordinate_rejected(self, five_model):
         with pytest.raises(ZeroCoordinate):

@@ -8,9 +8,11 @@ import golden
 from conftest import make_random_model, random_nonzero_point
 
 from simplexcenters import (
+    AxisUndefined,
     BarycentricPoint,
     ZeroCoordinate,
     classical_centers,
+    default_seeds,
     enumerate_isogonic,
     equiareal_deviation,
     fermat_point,
@@ -22,6 +24,7 @@ from simplexcenters import (
     pedal_simplex,
     triad_angle_check,
 )
+from simplexcenters import isogonic
 
 
 class TestIsogonalConjugate:
@@ -182,6 +185,23 @@ class TestEnumerateIsogonic:
             gap = np.abs(catalog.isogonic_points[a].normalized_coords
                          - catalog.isogonic_points[b].normalized_coords).max()
             assert gap > 1e-6
+
+
+class TestDefaultSeeds:
+    def test_programming_errors_propagate(self, gap_triangle, monkeypatch):
+        def broken(p, model):
+            raise TypeError("broken")
+
+        monkeypatch.setattr(isogonic, "isodynamic_points", broken)
+        with pytest.raises(TypeError):
+            default_seeds(gap_triangle)
+
+    def test_geometric_errors_leave_orthant_seeds(self, gap_triangle, monkeypatch):
+        def undefined(p, model):
+            raise AxisUndefined("no axis")
+
+        monkeypatch.setattr(isogonic, "isodynamic_points", undefined)
+        assert len(default_seeds(gap_triangle)) == 4
 
 
 class TestIsIsogonic:
