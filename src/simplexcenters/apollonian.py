@@ -30,10 +30,8 @@ from .barycentric import (
     _zero_entries,
     _zero_sum,
     as_point,
-    barycentric_square,
     circumcenter_cart,
     embed_from_edge_lengths,
-    sigma_polar_plane,
     EdgeLengthTable,
     Sphere,
 )
@@ -147,12 +145,8 @@ def membership_residual(p, x: np.ndarray, model: SimplexModel) -> float:
     coords = np.abs(as_point(p, model.n).coords)
     dv = np.linalg.norm(model.vertices - np.asarray(x, float)[None, :], axis=1)
     w = dv * coords
-    worst = 0.0
-    for i, j in itertools.combinations(range(model.n + 1), 2):
-        hi = max(w[i], w[j])
-        if hi > 0:
-            worst = max(worst, abs(w[i] - w[j]) / hi)
-    return worst
+    hi = w.max()
+    return float((hi - w.min()) / hi) if hi > 0 else 0.0
 
 
 def isodynamic_points(p, model: SimplexModel) -> IsodynamicResult:
@@ -184,11 +178,9 @@ def isodynamic_points(p, model: SimplexModel) -> IsodynamicResult:
                  "perpendicular bisectors meeting at the circumcenter",
         )
 
-    try:
-        axis_plane = sigma_polar_plane(barycentric_square(pt), model)
-    except Exception as exc:  # pragma: no cover - guarded by the ptp check
-        raise AxisUndefined(str(exc)) from exc
-    direction = axis_plane.cart_normal
+    # polar plane of the componentwise square; its coefficients 1/p_i^2 need
+    # no second zero test, the entry test above covers them
+    direction = Hyperplane.from_bary_coeffs(1.0 / coords ** 2, model).cart_normal
 
     spheres = (apollonian_sphere(pt, i, j, model)
                for i, j in itertools.combinations(range(model.n + 1), 2))

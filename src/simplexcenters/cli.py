@@ -128,6 +128,7 @@ def cmd_fermat(doc: SimplexDocument, options: dict) -> dict:
     method = options.get("method", "q")
     tol = options.get("tolerance") or doc.tolerance or 1e-12
     max_iter = options.get("max_iter") or 10000
+    options = {**options, "tolerance": tol, "max_iter": max_iter}
 
     point, trace = fermat_point(model, start=start, method=method,
                                 tol=tol, max_iter=max_iter)
@@ -161,6 +162,7 @@ def cmd_isogonic(doc: SimplexDocument, options: dict) -> dict:
         seeds = _parse_seeds(options["seeds"], model.n)
     budget = options.get("budget") or 20000
     tol = options.get("tolerance") or doc.tolerance or 1e-13
+    options = {**options, "budget": budget, "tolerance": tol}
     catalog = enumerate_isogonic(model, seeds=seeds, budget=budget, tol=tol)
 
     entries = []
@@ -329,15 +331,17 @@ def build_parser() -> argparse.ArgumentParser:
     add_doc(p)
     p.add_argument("--method", choices=["q", "r", "classic"], default="q")
     p.add_argument("--start", help="start point, e.g. '1:1:1:1'")
-    p.add_argument("--tolerance", type=float, default=1e-12)
-    p.add_argument("--max-iter", type=int, default=10000)
+    p.add_argument("--tolerance", type=float,
+                   help="default: the document's tolerance, else 1e-12")
+    p.add_argument("--max-iter", type=int, help="default: 10000")
     p.add_argument("--trace", action="store_true", help="include the full iterate trace")
 
     p = sub.add_parser("isogonic", help="enumerate points with equiareal antipedal simplex")
     add_doc(p)
     p.add_argument("--seeds", help="extra seeds: 'p1,p2,...;q1,q2,...' or a JSON file")
-    p.add_argument("--budget", type=int, default=20000, help="iterations per seed")
-    p.add_argument("--tolerance", type=float, default=1e-13)
+    p.add_argument("--budget", type=int, help="iterations per seed (default: 20000)")
+    p.add_argument("--tolerance", type=float,
+                   help="default: the document's tolerance, else 1e-13")
 
     p = sub.add_parser("verify", help="recompute the built-in reference tables")
     p.add_argument("--json", action="store_true")

@@ -3,15 +3,24 @@
 The point minimizing the sum of distances to the vertices is computed by
 fixed-point iterations expressed purely in barycentric coordinates:
 
-    method "q":       next = [1/d_1 : ... : 1/d_{n+1}]
+    method "q":       next = [sgn(p_1)/d_1 : ... : sgn(p_{n+1})/d_{n+1}]
     method "r":       next = [1/(|p_1| d_1^2) : ... : 1/(|p_{n+1}| d_{n+1}^2)]
     method "classic": next = [p_1/d_1 : ... : p_{n+1}/d_{n+1}]
 
-with d_i the distance from the current iterate to vertex i.  Both "q" and
-"r" enter the interior after one step and share their interior fixed point
-(coordinates proportional to the reciprocal vertex distances); "classic" is
-retained for comparison only, as its fixed points are equidistant points
-rather than distance-sum minimizers.
+with d_i the distance from the current iterate to vertex i.  The public
+steps apply these maps to signed coordinates; :func:`fermat_point` feeds
+"q" and "r" the coordinate magnitudes, so both enter the interior after one
+step and share their interior fixed point (coordinates proportional to the
+reciprocal vertex distances); "classic" is retained for comparison only, as
+its fixed points are equidistant points rather than distance-sum
+minimizers.
+
+The distance sum is convex, so Kuhn's first-order test decides before the
+first step whether the minimizer is a vertex: vertex k is the minimizer iff
+the gradient over the other vertices has norm <= 1 there (H. W. Kuhn,
+Math. Programming 4, 1973).  Past that test no vertex is optimal, and an
+iterate that comes within ``_NEAR_VERTEX`` of the diameter to a vertex is
+moved off it along the descent direction.
 """
 
 from __future__ import annotations
@@ -25,10 +34,18 @@ from .errors import AtVertex, MaxIterationsExceeded, ZeroCoordinate
 
 METHODS = ("q", "r", "classic")
 
+# An iterate this close to a vertex, relative to the diameter, is moved off.
+_NEAR_VERTEX = 1e-9
+
 
 @dataclass
 class IterationTrace:
-    """Record of one minimization run."""
+    """Record of one minimization run.
+
+    ``objective_values[k]`` is the distance sum at ``iterates[k]``.  For a
+    vertex optimum, ``iterations_used == 0`` and the iterates are the start
+    and the vertex.
+    """
 
     method: str
     iterates: list[BarycentricPoint] = field(default_factory=list)
@@ -71,6 +88,15 @@ def z_correspondent(p, z_star, model: SimplexModel | None = None) -> Barycentric
     return BarycentricPoint.homogeneous(pc / zc)
 
 
+def _step(coords: np.ndarray, dv: np.ndarray, method: str) -> np.ndarray:
+    """Homogeneous coordinates of the next iterate (see the module docstring)."""
+    if method == "q":
+        return np.sign(coords) / dv
+    if method == "r":
+        return 1.0 / (np.abs(coords) * dv ** 2)
+    return coords / dv
+
+
 def weiszfeld_step_q(p, model: SimplexModel) -> BarycentricPoint:
     """One reciprocal-distance step: [sgn(p_i)/d(P, A_i)].
 
@@ -82,7 +108,7 @@ def weiszfeld_step_q(p, model: SimplexModel) -> BarycentricPoint:
     dv = model.vertex_distances(pt)
     if model._vertex_at(dv) is not None:
         raise AtVertex("step is undefined at a vertex (zero distance)")
-    return BarycentricPoint.homogeneous(np.sign(pt.coords) / dv)
+    return BarycentricPoint.homogeneous(_step(pt.coords, dv, "q"))
 
 
 def weiszfeld_step_r(p, model: SimplexModel) -> BarycentricPoint:
@@ -93,24 +119,12 @@ def weiszfeld_step_r(p, model: SimplexModel) -> BarycentricPoint:
     as for the "q" step.  Output coordinates are always positive.
     """
     pt = as_point(p, model.n).normalized()
-    coords = pt.coords
-    if _zero_entries(coords).any():
+    if _zero_entries(pt.coords).any():
         raise ZeroCoordinate("square-root-free step needs nonzero coordinates")
     dv = model.vertex_distances(pt)
     if model._vertex_at(dv) is not None:
         raise AtVertex("step is undefined at a vertex (zero distance)")
-    return BarycentricPoint.homogeneous(1.0 / (np.abs(coords) * dv ** 2))
-
-
-def _iterate_once(p: BarycentricPoint, dv: np.ndarray, method: str) -> BarycentricPoint:
-    if method == "q":
-        return BarycentricPoint.homogeneous(1.0 / dv)
-    if method == "r":
-        mags = np.abs(p.coords)
-        return BarycentricPoint.homogeneous(1.0 / (mags * dv ** 2))
-    if method == "classic":
-        return BarycentricPoint.homogeneous(p.coords / dv)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    return BarycentricPoint.homogeneous(_step(pt.coords, dv, "r"))
 
 
 def _displaced_from_vertex(model: SimplexModel, k: int) -> BarycentricPoint:
@@ -125,12 +139,12 @@ def fermat_point(model: SimplexModel, start=None, method: str = "q",
                  ) -> tuple[BarycentricPoint, IterationTrace]:
     """Minimize the distance sum to the vertices.
 
-    Iterates from ``start`` (default: centroid; all coordinates must be
-    nonzero) until successive normalized iterates differ by less than
-    ``tol`` per coordinate.  Vertex optima are detected via the first-order
-    condition (gradient over the remaining vertices has norm <= 1) and
-    returned exactly.  Raises :class:`MaxIterationsExceeded` with the trace
-    attached if the budget runs out.
+    A vertex that passes Kuhn's first-order test (gradient over the other
+    vertices of norm <= 1) is returned exactly, after zero iterations.
+    Otherwise iterates from ``start`` (default: centroid; all coordinates
+    must be nonzero) until successive normalized iterates differ by less
+    than ``tol`` per coordinate.  Raises :class:`MaxIterationsExceeded`
+    with the trace attached if the budget runs out.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -140,56 +154,35 @@ def fermat_point(model: SimplexModel, start=None, method: str = "q",
     if _zero_entries(p.coords).any():
         raise ZeroCoordinate("start point must have all coordinates nonzero")
 
+    trace = IterationTrace(method=method, iterates=[p])
+    for k, v in enumerate(model.vertices):
+        if np.linalg.norm(distance_sum_gradient(model, v)) <= 1.0:
+            vertex = BarycentricPoint.vertex(k, model.n)
+            trace.iterates.append(vertex)
+            trace.objective_values = [total_distance(p, model),
+                                      total_distance(vertex, model)]
+            trace.converged = trace.vertex_optimum = True
+            return vertex, trace
+
     # objective_values[k] of iterates[k] is read off the distances its step
     # computes; only an iterate that leaves the loop costs one more call
-    trace = IterationTrace(method=method)
-    trace.iterates.append(p)
-
     for it in range(1, max_iter + 1):
         dv = model.vertex_distances(p)
         trace.objective_values.append(float(dv.sum()))
-        k = model._vertex_at(dv)
-        if k is not None:
-            if np.linalg.norm(distance_sum_gradient(model, model.vertices[k])) <= 1.0:
-                p = BarycentricPoint.vertex(k, model.n)
-                trace.iterates.append(p)
-                trace.objective_values.append(total_distance(p, model))
-                trace.converged = True
-                trace.vertex_optimum = True
-                trace.iterations_used = it
-                return p, trace
-            # vertex is not optimal: restart slightly displaced toward the
-            # interior along the descent direction (classical safeguard)
+        k = int(np.argmin(dv))
+        if dv[k] <= _NEAR_VERTEX * model.diameter:
+            # past Kuhn's test this vertex is not optimal, but the step
+            # would leave it only slowly
             p = _displaced_from_vertex(model, k)
             trace.iterates.append(p)
             continue
-
-        nxt = _iterate_once(p, dv, method).normalized()
+        coords = p.coords if method == "classic" else np.abs(p.coords)
+        nxt = BarycentricPoint.homogeneous(_step(coords, dv, method)).normalized()
         trace.iterates.append(nxt)
         step = float(np.abs(nxt.coords - p.coords).max())
         p = nxt
         if step < tol:
-            dv = model.vertex_distances(p)
-            trace.objective_values.append(float(dv.sum()))
-            top = int(np.argmax(p.coords))
-            if p.coords[top] >= 1.0 - 1e-9:
-                # the stop fired essentially at a vertex: accept only when
-                # the vertex satisfies the first-order condition, otherwise
-                # the small step is an artifact of starting too close to a
-                # repelling vertex
-                grad = distance_sum_gradient(model, model.vertices[top])
-                if np.linalg.norm(grad) <= 1.0:
-                    if dv[top] <= 1e-9 * model.diameter:
-                        p = BarycentricPoint.vertex(top, model.n)
-                        trace.iterates.append(p)
-                        trace.objective_values.append(total_distance(p, model))
-                        trace.vertex_optimum = True
-                    trace.converged = True
-                    trace.iterations_used = it
-                    return p, trace
-                p = _displaced_from_vertex(model, top)
-                trace.iterates.append(p)
-                continue
+            trace.objective_values.append(total_distance(p, model))
             trace.converged = True
             trace.iterations_used = it
             return p, trace

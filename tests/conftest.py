@@ -1,3 +1,4 @@
+import copy
 import math
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from simplexcenters import EdgeLengthTable, SimplexModel, embed_from_edge_lengths
+from simplexcenters import cli, verify
 
 import golden
 
@@ -36,6 +38,18 @@ def regular_tetrahedron() -> SimplexModel:
 @pytest.fixture(scope="session")
 def equilateral_triangle() -> SimplexModel:
     return embed_from_edge_lengths(EdgeLengthTable.from_flat(2, [1.0, 1.0, 1.0]))
+
+
+@pytest.fixture(scope="session")
+def reference_rows():
+    return verify.run_reference_checks()
+
+
+@pytest.fixture
+def cached_reference_checks(reference_rows, monkeypatch):
+    """The verify command reads a fresh copy of rows computed once per session."""
+    monkeypatch.setattr(cli, "run_reference_checks",
+                        lambda: copy.deepcopy(reference_rows))
 
 
 def make_random_model(rng: np.random.Generator, n: int) -> SimplexModel:

@@ -11,6 +11,7 @@ import itertools
 import time
 
 import numpy as np
+import pytest
 
 import golden
 from conftest import make_random_model, random_nonzero_point
@@ -236,6 +237,7 @@ def test_criterion_6_structural_invariants():
                "and 50/50 circle-criterion agreement")
 
 
+@pytest.mark.usefixtures("cached_reference_checks")
 def test_criterion_7_verify_command():
     report, code = cmd_verify({})
     assert code == 0

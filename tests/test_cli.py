@@ -5,7 +5,7 @@ import pytest
 
 import golden
 
-from simplexcenters.cli import main
+from simplexcenters.cli import cmd_fermat, main
 from simplexcenters.documents import parse_document
 
 
@@ -138,6 +138,16 @@ class TestFermatCommand:
         assert len(trace["iterates"]) == len(trace["objective_values"])
         assert len(trace["iterates"]) > 2
 
+    def test_document_tolerance_reaches_solver(self, doc_path, capsys):
+        doc = dict(FIVE_DOC, tolerance=1e-3)
+        code, out, _ = run_cli(capsys, "fermat", doc_path(doc), "--json")
+        assert code == 0
+        report = json.loads(out)
+        direct = cmd_fermat(parse_document(doc), {})
+        assert (report["results"]["point"]["iterations"]
+                == direct["results"]["point"]["iterations"])
+        assert report["request"]["options"]["tolerance"] == 1e-3
+
     def test_budget_exhaustion_exit_4(self, doc_path, capsys):
         code, out, err = run_cli(capsys, "fermat", doc_path(FIVE_DOC),
                                  "--max-iter", "3")
@@ -191,6 +201,7 @@ class TestIsogonicCommand:
         assert json.loads(out)["results"]["count"] == 5
 
 
+@pytest.mark.usefixtures("cached_reference_checks")
 class TestVerifyCommand:
     def test_fresh_build_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify")

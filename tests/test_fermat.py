@@ -23,6 +23,19 @@ from simplexcenters import (
 )
 
 
+def _count_distance_calls(model: SimplexModel) -> list:
+    """Record every call of the model's distance kernel in the returned list."""
+    kernel = model.vertex_distances
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return kernel(p)
+
+    model.vertex_distances = counted
+    return calls
+
+
 class TestCorrespondent:
     def test_all_ones_is_identity(self):
         rng = np.random.default_rng(3)
@@ -194,15 +207,16 @@ class TestFermatPoint:
                 assert np.abs(point.normalized_coords - target).max() < 1e-9
 
     def test_escape_from_nonoptimal_vertex(self, equilateral_triangle):
-        # a start microscopically close to a vertex of the equilateral
+        # starts microscopically close to a vertex of the equilateral
         # triangle; the vertex fails the first-order condition (gradient
         # norm sqrt(3) > 1), so iterates must escape to the centroid
-        # rather than stick
-        start = np.array([1.0 - 6e-13, 3e-13, 3e-13])
-        point, trace = fermat_point(equilateral_triangle, start=start)
-        assert trace.converged
-        assert not trace.vertex_optimum
-        assert np.abs(point.normalized_coords - 1 / 3).max() < 1e-10
+        # rather than stick.  [1 - 2s, s, s] lies s * sqrt(3) from vertex 0.
+        for s in (3e-13, 1e-10 / math.sqrt(3)):
+            start = np.array([1.0 - 2 * s, s, s])
+            point, trace = fermat_point(equilateral_triangle, start=start)
+            assert trace.converged
+            assert not trace.vertex_optimum
+            assert np.abs(point.normalized_coords - 1 / 3).max() < 1e-10
 
     def test_max_iterations_raises_with_trace(self, five_model):
         with pytest.raises(MaxIterationsExceeded) as info:
@@ -216,20 +230,43 @@ class TestFermatPoint:
         # the objective of each iterate is read off the distances its step
         # computes; only the point that leaves the loop needs one more
         model = SimplexModel(golden.FIVE_VERTICES)
-        kernel = model.vertex_distances
-        calls = []
-
-        def counted(p):
-            calls.append(p)
-            return kernel(p)
-
-        model.vertex_distances = counted
+        calls = _count_distance_calls(model)
         for method in ("q", "r"):
             calls.clear()
             _, trace = fermat_point(model, method=method)
             assert len(calls) <= trace.iterations_used + 2
             assert trace.objective_values == [
                 total_distance(p, model) for p in trace.iterates]
+
+    @pytest.mark.parametrize("model, vertex", [
+        # the angle at vertex 0 exceeds 120 degrees
+        (lambda: embed_from_edge_lengths(EdgeLengthTable.from_flat(2, [1, 1, 1.95])), 0),
+        # the unit pulls from vertex 2 toward the others sum to norm ~0.29
+        (lambda: SimplexModel([[1, 0, 0], [-0.5, 0.866, 0], [0, 0, 0],
+                               [-0.5, -0.866, 0.3]]), 2),
+    ], ids=["obtuse-triangle", "tetrahedron"])
+    @pytest.mark.parametrize("method", ["q", "r", "classic"])
+    def test_vertex_optimum_decided_before_iterating(self, model, vertex, method):
+        model = model()
+        calls = _count_distance_calls(model)
+        point, trace = fermat_point(model, method=method)
+        assert np.array_equal(point.coords, BarycentricPoint.vertex(vertex, model.n).coords)
+        assert trace.vertex_optimum and trace.converged
+        assert trace.iterations_used == 0
+        assert len(trace.iterates) == 2
+        assert len(calls) <= 2
+        assert trace.objective_values == [
+            total_distance(p, model) for p in trace.iterates]
+
+    def test_first_iterate_is_the_public_step(self, five_model):
+        # from an interior start the magnitudes fermat_point feeds the
+        # step kernel are the signed coordinates themselves
+        start = np.array([0.2, 0.3, 0.1, 0.4])
+        for method, step in (("q", weiszfeld_step_q), ("r", weiszfeld_step_r)):
+            with pytest.raises(MaxIterationsExceeded) as info:
+                fermat_point(five_model, start=start, method=method, max_iter=1)
+            first = info.value.trace.iterates[1].coords
+            assert np.array_equal(first, step(start, five_model).normalized_coords)
 
     def test_start_with_zero_coordinate_rejected(self, five_model):
         with pytest.raises(ZeroCoordinate):

@@ -95,11 +95,6 @@ SITES = {
                         CenterAtVertex),
 }
 
-# a second coordinate of 1e-12 passes the entry test, but its square is
-# below the tolerance of the polar plane that gives the axis direction
-ACCEPTED = sorted(set(SITES) - {"isodynamic_points"})
-
-
 @pytest.mark.parametrize("site", sorted(SITES))
 def test_rejects_below_tolerance(site):
     call, error = SITES[site]
@@ -107,7 +102,7 @@ def test_rejects_below_tolerance(site):
         call(BELOW)
 
 
-@pytest.mark.parametrize("site", ACCEPTED)
+@pytest.mark.parametrize("site", sorted(SITES))
 def test_accepts_above_tolerance(site):
     call, _ = SITES[site]
     call(ABOVE)
