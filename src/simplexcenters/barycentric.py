@@ -145,6 +145,7 @@ class EdgeLengthTable:
 
     @classmethod
     def from_matrix(cls, d) -> "EdgeLengthTable":
+        """A table given as input: square, symmetric, zero diagonal, positive edges."""
         d = np.asarray(d, dtype=float)
         if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] < 3:
             raise ValueError("edge table must be a square matrix of size >= 3")
@@ -293,10 +294,12 @@ class SimplexModel:
     """An embedded n-simplex with cached edge lengths and volumes.
 
     Instances are immutable after construction and safe to share across
-    threads.  ``validate=True`` raises ``Degenerate`` unless the Gram spectrum
-    of the edge vectors from vertex 0 passes the scale-invariant O(n^3) test
-    of edge-length tables.  ``validate=False`` skips the requirement and is
-    used internally for derived simplices (pedal figures may collapse).
+    threads.  One test decides validity: ``_gram_defect`` on the edge
+    vectors from vertex 0, evaluated once and kept as ``_defect``.
+    ``validate=True`` raises it (``Degenerate``, coincident vertices
+    included); ``validate=False`` is for pedal figures, which may collapse,
+    and for tables ``edges`` that passed the test and that the vertices
+    already realize (see ``embed_from_edge_lengths``).
     """
 
     def __init__(self, vertices, *, edges: EdgeLengthTable | None = None,
@@ -306,38 +309,30 @@ class SimplexModel:
             raise ValueError("vertices must be an (n+1) x n array")
         self.vertices = _readonly(vertices)
         self.n = vertices.shape[1]
-        diff = vertices[:, None, :] - vertices[None, :, :]
-        dist = np.linalg.norm(diff, axis=2)
-        if edges is not None:
-            scale = max(dist.max(), edges.d.max())
-            if np.abs(dist - edges.d).max() > 1e-10 * scale:
-                raise ValueError("cached edge table disagrees with vertices")
-            self.edges = edges
-        else:
-            self.edges = EdgeLengthTable.from_matrix(dist)
+        if edges is None:
+            # symmetric with a zero diagonal bit for bit: |a - b| == |b - a|
+            diff = vertices[:, None, :] - vertices[None, :, :]
+            edges = EdgeLengthTable(n=self.n, d=_readonly(np.linalg.norm(diff, axis=2)))
+        self.edges = edges
         self.sq_edges = _readonly(self.edges.d ** 2)
         self.diameter = float(self.edges.d.max())
 
         self.total_volume = simplex_volume(vertices)
-        if validate:
-            edge_vectors = vertices[1:] - vertices[0]
-            defect = _gram_defect(edge_vectors @ edge_vectors.T)
-            if defect is not None:
-                raise defect
+        edge_vectors = vertices[1:] - vertices[0]
+        self._defect = _gram_defect(edge_vectors @ edge_vectors.T)
+        if validate and self._defect is not None:
+            raise self._defect
         self.facet_volumes = _readonly(np.array([
             volume_from_distances(np.delete(np.delete(self.edges.d, i, 0), i, 1))
             for i in range(self.n + 1)
         ]))
 
-        # affine system [vertices^T; 1 ... 1] mapping normalized barycentrics
-        # to (x, 1); its inverse drives cart_to_bary and hyperplane duals
-        m = np.vstack([vertices.T, np.ones(self.n + 1)])
-        self._affine = _readonly(m)
+        # inverse of the affine system [vertices^T; 1 ... 1], which maps
+        # normalized barycentrics to (x, 1): drives cart_to_bary and duals
         try:
-            self._affine_inv = _readonly(np.linalg.inv(m))
-        except np.linalg.LinAlgError:
-            if validate:
-                raise Degenerate("vertices are affinely dependent")
+            self._affine_inv = _readonly(
+                np.linalg.inv(np.vstack([vertices.T, np.ones(self.n + 1)])))
+        except np.linalg.LinAlgError:  # a collapsed figure, built unvalidated
             self._affine_inv = None
 
         # unit sideplane normals / offsets: row i is the plane x_i = 0
@@ -350,10 +345,6 @@ class SimplexModel:
         else:
             self._side_normals = None
             self._side_offsets = None
-
-    @classmethod
-    def from_edge_lengths(cls, table: EdgeLengthTable) -> "SimplexModel":
-        return embed_from_edge_lengths(table)
 
     # -- conversions ------------------------------------------------------
 
@@ -496,23 +487,22 @@ def embed_from_edge_lengths(table: EdgeLengthTable) -> SimplexModel:
 
     Pose: vertex 0 at the origin, vertex 1 on the positive first axis, and
     every further vertex with positive last nonzero coordinate, so equal
-    tables always embed to identical vertex arrays.
+    tables always embed to identical vertex arrays.  Raises what the Gram
+    test of the table calls for, and ``NotEmbeddable`` if the vertices miss
+    an edge length by more than 1e-10 of the longest.
     """
     gram = table.validate_embeddable()
     n = table.n
-    d = table.d
     try:
         lower = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         raise NotEmbeddable("Gram matrix is not positive definite") from None
     vertices = np.zeros((n + 1, n))
     vertices[1:] = lower
-    model = SimplexModel(vertices, edges=table)
-    realized = np.linalg.norm(
-        vertices[:, None, :] - vertices[None, :, :], axis=2)
-    if np.abs(realized - d).max() > 1e-10 * d.max():
+    realized = np.linalg.norm(vertices[:, None, :] - vertices[None, :, :], axis=2)
+    if np.abs(realized - table.d).max() > 1e-10 * table.d.max():
         raise NotEmbeddable("embedding failed to realize the edge lengths")
-    return model
+    return SimplexModel(vertices, edges=table, validate=False)
 
 
 def squared_distance(p, q, model: SimplexModel) -> float:

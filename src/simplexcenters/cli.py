@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -35,7 +36,7 @@ from .documents import (
     round12,
 )
 from .errors import MaxIterationsExceeded, SimplexError
-from .fermat import distance_sum_gradient, fermat_point
+from .fermat import METHODS, distance_sum_gradient, fermat_point
 from .isogonic import enumerate_isogonic
 from .verify import run_reference_checks
 
@@ -120,14 +121,19 @@ def cmd_isodynamic(doc: SimplexDocument, options: dict) -> dict:
             "results": results, "warnings": warnings}
 
 
+def _resolved(*values):
+    """The first value that is given (not None): flag, document, default."""
+    return next(v for v in values if v is not None)
+
+
 def cmd_fermat(doc: SimplexDocument, options: dict) -> dict:
     model = doc.build_model()
     start = None
     if options.get("start"):
         start = parse_point_arg(options["start"], model.n)
     method = options.get("method", "q")
-    tol = options.get("tolerance") or doc.tolerance or 1e-12
-    max_iter = options.get("max_iter") or 10000
+    tol = _resolved(options.get("tolerance"), doc.tolerance, 1e-12)
+    max_iter = _resolved(options.get("max_iter"), 10000)
     options = {**options, "tolerance": tol, "max_iter": max_iter}
 
     point, trace = fermat_point(model, start=start, method=method,
@@ -160,8 +166,8 @@ def cmd_isogonic(doc: SimplexDocument, options: dict) -> dict:
     seeds = None
     if options.get("seeds"):
         seeds = _parse_seeds(options["seeds"], model.n)
-    budget = options.get("budget") or 20000
-    tol = options.get("tolerance") or doc.tolerance or 1e-13
+    budget = _resolved(options.get("budget"), 20000)
+    tol = _resolved(options.get("tolerance"), doc.tolerance, 1e-13)
     options = {**options, "budget": budget, "tolerance": tol}
     catalog = enumerate_isogonic(model, seeds=seeds, budget=budget, tol=tol)
 
@@ -308,6 +314,17 @@ def render_report(report: dict) -> str:
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+def _positive(kind):
+    """argparse type: a finite ``kind`` above zero."""
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value) and value > 0):
+            raise argparse.ArgumentTypeError(f"must be finite and positive, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="simplexcenters",
@@ -329,18 +346,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fermat", help="minimize the distance sum to the vertices")
     add_doc(p)
-    p.add_argument("--method", choices=["q", "r", "classic"], default="q")
+    p.add_argument("--method", choices=METHODS, default="q")
     p.add_argument("--start", help="start point, e.g. '1:1:1:1'")
-    p.add_argument("--tolerance", type=float,
+    p.add_argument("--tolerance", type=_positive(float),
                    help="default: the document's tolerance, else 1e-12")
-    p.add_argument("--max-iter", type=int, help="default: 10000")
+    p.add_argument("--max-iter", type=_positive(int), help="default: 10000")
     p.add_argument("--trace", action="store_true", help="include the full iterate trace")
 
     p = sub.add_parser("isogonic", help="enumerate points with equiareal antipedal simplex")
     add_doc(p)
     p.add_argument("--seeds", help="extra seeds: 'p1,p2,...;q1,q2,...' or a JSON file")
-    p.add_argument("--budget", type=int, help="iterations per seed (default: 20000)")
-    p.add_argument("--tolerance", type=float,
+    p.add_argument("--budget", type=_positive(int), help="iterations per seed (default: 20000)")
+    p.add_argument("--tolerance", type=_positive(float),
                    help="default: the document's tolerance, else 1e-13")
 
     p = sub.add_parser("verify", help="recompute the built-in reference tables")

@@ -13,6 +13,7 @@ Numbers may be written as JSON numbers or as exact fraction strings
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,16 +28,18 @@ class DocumentError(ValueError):
 
 
 def parse_number(value, where: str = "value") -> float:
+    """A finite float from a JSON number or an exact fraction string."""
     if isinstance(value, bool):
         raise DocumentError(f"{where}: expected a number, got a boolean")
-    if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
-        try:
-            return float(Fraction(value))
-        except (ValueError, ZeroDivisionError):
-            raise DocumentError(f"{where}: cannot parse number {value!r}") from None
-    raise DocumentError(f"{where}: expected a number, got {type(value).__name__}")
+    if not isinstance(value, (int, float, str)):
+        raise DocumentError(f"{where}: expected a number, got {type(value).__name__}")
+    try:
+        number = float(Fraction(value) if isinstance(value, str) else value)
+    except (ValueError, ZeroDivisionError, OverflowError):
+        raise DocumentError(f"{where}: cannot parse number {value!r}") from None
+    if not math.isfinite(number):
+        raise DocumentError(f"{where}: number is not finite")
+    return number
 
 
 @dataclass(frozen=True)
@@ -163,13 +166,12 @@ def fmt_list(values) -> str:
     return "[" + ", ".join(fmt(v) for v in values) + "]"
 
 
-def fraction_strings(values, max_den: int = 10 ** 6,
-                     rel_tol: float = 1e-13) -> list[str] | None:
-    """Exact-looking fraction renderings, or None unless every entry snaps."""
+def fraction_strings(values) -> list[str] | None:
+    """Fraction renderings (denominator <= 10^6, error <= 1e-13), or None unless all snap."""
     out = []
     for v in values:
-        frac = Fraction(float(v)).limit_denominator(max_den)
-        if abs(float(frac) - float(v)) > rel_tol * max(1.0, abs(float(v))):
+        frac = Fraction(float(v)).limit_denominator(10 ** 6)
+        if abs(float(frac) - float(v)) > 1e-13 * max(1.0, abs(float(v))):
             return None
         out.append(f"{frac.numerator}/{frac.denominator}"
                    if frac.denominator != 1 else f"{frac.numerator}")

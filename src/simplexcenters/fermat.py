@@ -3,17 +3,14 @@
 The point minimizing the sum of distances to the vertices is computed by
 fixed-point iterations expressed purely in barycentric coordinates:
 
-    method "q":       next = [sgn(p_1)/d_1 : ... : sgn(p_{n+1})/d_{n+1}]
-    method "r":       next = [1/(|p_1| d_1^2) : ... : 1/(|p_{n+1}| d_{n+1}^2)]
-    method "classic": next = [p_1/d_1 : ... : p_{n+1}/d_{n+1}]
+    method "q": next = [sgn(p_1)/d_1 : ... : sgn(p_{n+1})/d_{n+1}]
+    method "r": next = [1/(|p_1| d_1^2) : ... : 1/(|p_{n+1}| d_{n+1}^2)]
 
 with d_i the distance from the current iterate to vertex i.  The public
 steps apply these maps to signed coordinates; :func:`fermat_point` feeds
-"q" and "r" the coordinate magnitudes, so both enter the interior after one
-step and share their interior fixed point (coordinates proportional to the
-reciprocal vertex distances); "classic" is retained for comparison only, as
-its fixed points are equidistant points rather than distance-sum
-minimizers.
+both the coordinate magnitudes, so both enter the interior after one step
+and share their interior fixed point (coordinates proportional to the
+reciprocal vertex distances).
 
 The distance sum is convex, so Kuhn's first-order test decides before the
 first step whether the minimizer is a vertex: vertex k is the minimizer iff
@@ -32,7 +29,7 @@ import numpy as np
 from .barycentric import BarycentricPoint, SimplexModel, _zero_entries, as_point
 from .errors import AtVertex, MaxIterationsExceeded, ZeroCoordinate
 
-METHODS = ("q", "r", "classic")
+METHODS = ("q", "r")
 
 # An iterate this close to a vertex, relative to the diameter, is moved off.
 _NEAR_VERTEX = 1e-9
@@ -92,9 +89,7 @@ def _step(coords: np.ndarray, dv: np.ndarray, method: str) -> np.ndarray:
     """Homogeneous coordinates of the next iterate (see the module docstring)."""
     if method == "q":
         return np.sign(coords) / dv
-    if method == "r":
-        return 1.0 / (np.abs(coords) * dv ** 2)
-    return coords / dv
+    return 1.0 / (np.abs(coords) * dv ** 2)
 
 
 def weiszfeld_step_q(p, model: SimplexModel) -> BarycentricPoint:
@@ -176,8 +171,7 @@ def fermat_point(model: SimplexModel, start=None, method: str = "q",
             p = _displaced_from_vertex(model, k)
             trace.iterates.append(p)
             continue
-        coords = p.coords if method == "classic" else np.abs(p.coords)
-        nxt = BarycentricPoint.homogeneous(_step(coords, dv, method)).normalized()
+        nxt = BarycentricPoint.homogeneous(_step(np.abs(p.coords), dv, method)).normalized()
         trace.iterates.append(nxt)
         step = float(np.abs(nxt.coords - p.coords).max())
         p = nxt

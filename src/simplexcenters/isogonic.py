@@ -90,21 +90,20 @@ def isogonal_conjugate(p, model: SimplexModel) -> BarycentricPoint:
 
 
 def pedal_equiareal_iteration(p0, model: SimplexModel, tol: float = 1e-13,
-                              max_iter: int = 20000, damping: float = 1.0,
-                              ) -> tuple[BarycentricPoint, SearchTrace]:
+                              max_iter: int = 20000) -> tuple[BarycentricPoint, SearchTrace]:
     """Drive a point until its pedal simplex becomes equiareal.
 
     Applies the Cartesian displacement (pedal centroid - pedal incenter)
     each step, stopping when the displacement norm drops below
-    ``tol * diameter``.  The damping factor is halved automatically after
+    ``tol * diameter``.  The damping factor starts at 1 and is halved after
     five consecutive gap increases so divergent starts are recovered.
     """
     pt = as_point(p0, model.n).normalized()
-    trace = SearchTrace(seed=pt, damping_used=damping)
+    trace = SearchTrace(seed=pt)
     x = model.bary_to_cart(pt)
     gap_limit = tol * model.diameter
     escape_limit = 1e6 * model.diameter
-    stall_limit = 1e-8 * damping
+    damping = 1.0
     prev_gap = None
     increases = 0
 
@@ -130,7 +129,7 @@ def pedal_equiareal_iteration(p0, model: SimplexModel, tol: float = 1e-13,
                 damping *= 0.5
                 trace.damping_used = damping
                 increases = 0
-                if damping < stall_limit:
+                if damping < 1e-8:
                     # damping collapsed without the gap closing: divergent
                     raise MaxIterationsExceeded(
                         f"iteration stalled after {it} iterations "
@@ -198,14 +197,13 @@ def _canonical_order(points: list[BarycentricPoint]) -> list[int]:
 
 
 def enumerate_isogonic(model: SimplexModel, seeds=None, budget: int = 20000,
-                       tol: float = 1e-13, verify_tol: float = 1e-7,
-                       dedup_tol: float = 1e-6) -> IsogonicCatalog:
+                       tol: float = 1e-13) -> IsogonicCatalog:
     """Collect isogonic points reachable from a seed set.
 
     ``seeds`` extends the default seed set.  Limits of the pedal-equiareal
-    iteration are conjugated, re-verified against the antipedal
-    equiareality test, deduplicated at ``dedup_tol`` in normalized
-    coordinates and sorted canonically.  Seeds that fail to converge are
+    iteration are deduplicated at 1e-6 in normalized coordinates,
+    conjugated, re-verified by :func:`is_isogonic` at its default tolerance
+    and sorted canonically.  Seeds that fail to converge are
     reported in ``failed_seeds`` rather than raising.
     """
     seed_list = default_seeds(model)
@@ -219,7 +217,7 @@ def enumerate_isogonic(model: SimplexModel, seeds=None, budget: int = 20000,
         try:
             limit, trace = pedal_equiareal_iteration(
                 seed, model, tol=tol, max_iter=budget)
-        except (MaxIterationsExceeded, DegeneratePedalEncountered, AtVertex) as exc:
+        except (MaxIterationsExceeded, DegeneratePedalEncountered) as exc:
             failed = getattr(exc, "trace", None) or SearchTrace(seed=seed)
             catalog.failed_seeds.append(failed)
             continue
@@ -231,7 +229,7 @@ def enumerate_isogonic(model: SimplexModel, seeds=None, budget: int = 20000,
     unique_traces: list[SearchTrace] = []
     for pt, tr in zip(found, traces):
         c = pt.normalized_coords
-        if any(np.abs(c - q.normalized_coords).max() <= dedup_tol for q in unique):
+        if any(np.abs(c - q.normalized_coords).max() <= 1e-6 for q in unique):
             continue
         unique.append(pt)
         unique_traces.append(tr)
@@ -244,8 +242,7 @@ def enumerate_isogonic(model: SimplexModel, seeds=None, budget: int = 20000,
         except ZeroCoordinate:
             catalog.failed_seeds.append(tr)
             continue
-        ok, deviation = is_isogonic(conj, model, tol=verify_tol)
-        if not ok:
+        if not is_isogonic(conj, model)[0]:
             catalog.failed_seeds.append(tr)
             continue
         pedal_area = float(np.mean(

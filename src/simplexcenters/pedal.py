@@ -13,7 +13,6 @@ import numpy as np
 from .barycentric import (
     BarycentricPoint,
     SimplexModel,
-    _gram_defect,
     _zero_entries,
     as_point,
     facet_volumes_of_points,
@@ -30,10 +29,10 @@ class PedalResult:
     """A derived simplex together with its provenance.
 
     ``feet_or_vertices`` holds the Cartesian points; ``simplex`` is built
-    without the positive-volume check, since pedal figures may legitimately
-    collapse.  ``degenerate`` is set, instead of raising, exactly when
-    ``SimplexModel`` validation would raise ``Degenerate``: one
-    scale-invariant O(n^3) test on the Gram spectrum of the edge vectors.
+    without raising on a failed positive-volume check, since pedal figures
+    may legitimately collapse, down to coincident points.  ``degenerate``
+    is the verdict of that check, kept by the model: set exactly when
+    ``SimplexModel`` validation would raise ``Degenerate``.
     """
 
     kind: str                       # pedal | antipedal | polar | inversive
@@ -50,10 +49,8 @@ class PedalResult:
 
 def _result(kind: str, points: np.ndarray, source: BarycentricPoint) -> PedalResult:
     model = SimplexModel(points, validate=False)
-    edge_vectors = points[1:] - points[0]
-    degenerate = _gram_defect(edge_vectors @ edge_vectors.T) is not None
     return PedalResult(kind=kind, feet_or_vertices=points, source=source,
-                       simplex=model, degenerate=degenerate)
+                       simplex=model, degenerate=model._defect is not None)
 
 
 def pedal_simplex(p, model: SimplexModel) -> PedalResult:

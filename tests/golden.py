@@ -1,9 +1,10 @@
-"""Frozen expected values and independent oracle helpers shared by the tests.
+"""Expected values and independent oracle helpers shared by the tests.
 
-Coordinate tables are normalized (sum 1).  Oracle helpers are deliberately
-written from first principles (cross products, Heron's formula, direct
-circle intersection) so they stay independent of the library code paths
-they check.
+The tables are float and array views of the one copy in
+``simplexcenters.verify``; coordinate tables are normalized (sum 1).
+Oracle helpers are deliberately written from first principles (cross
+products, Heron's formula, direct circle intersection) so they stay
+independent of the library code paths they check.
 """
 
 import itertools
@@ -11,49 +12,36 @@ import math
 
 import numpy as np
 
+from simplexcenters import verify
+
 # ---------------------------------------------------------------------------
 # reference configuration: tetrahedron with edge lengths (13,11,9,12,5,11)
 # whose Apollonian spheres share no point
 # ---------------------------------------------------------------------------
 
-GAP_EDGES = (13.0, 11.0, 9.0, 12.0, 5.0, 11.0)  # (d12, d13, d14, d23, d24, d34)
-GAP_FACET_AREAS = (6 * math.sqrt(21), 2.25 * math.sqrt(403),
-                   2.25 * math.sqrt(51), 6 * math.sqrt(105))
-GAP_TRIANGLE_EDGES = (13.0, 11.0, 12.0)  # (d12, d13, d23) of the first facet
-GAP_TRIANGLE_CIRCUMCENTER = (73 / 210, 121 / 315, 169 / 630)
-GAP_TRIANGLE_CIRCUMRADIUS = 1716 / (24 * math.sqrt(105))
-GAP_WITNESS = (3326952 / 4504043, 25180529 / 27024258, -18117983 / 27024258)
+# (d12, d13, d14, d23, d24, d34)
+GAP_EDGES = tuple(float(v) for v in verify.GAP_TETRAHEDRON_DOC["edge_lengths"]["values"])
+GAP_FACET_AREAS = verify.GAP_FACET_AREAS
+# (d12, d13, d23) of the first facet
+GAP_TRIANGLE_EDGES = tuple(
+    float(v) for v in verify.GAP_FACET_TRIANGLE_DOC["edge_lengths"]["values"])
+GAP_TRIANGLE_CIRCUMCENTER = tuple(float(f) for f in verify.GAP_FACET_CIRCUMCENTER)
+GAP_TRIANGLE_CIRCUMRADIUS = verify.GAP_FACET_CIRCUMRADIUS
+GAP_WITNESS = tuple(float(f) for f in verify.GAP_WITNESS)
 
 # ---------------------------------------------------------------------------
 # reference configuration: tetrahedron with five isogonic points
 # ---------------------------------------------------------------------------
 
-FIVE_VERTICES = np.array([[0, 0, 0], [6, 0, 0], [0, 8, 0], [2, 2, 6]], dtype=float)
-FIVE_FACET_VOLUMES = (10 * math.sqrt(10), 8 * math.sqrt(10), 6 * math.sqrt(10), 24.0)
+FIVE_VERTICES = np.array(verify.FIVE_ISOGONIC_DOC["vertices"], dtype=float)
+FIVE_FACET_VOLUMES = verify.FIVE_FACET_VOLUMES
 FIVE_VOLUME = 48.0
 
-CONJUGATE_TABLE = np.array([
-    [0.266996565955, 0.275481800939, 0.217355830792, 0.240165802314],
-    [-4.180629474014, 2.569387212447, 1.602113038329, 1.009129223238],
-    [1.193250865914, -1.252645952150, 0.354761022780, 0.704634063455],
-    [0.713260932730, 0.358215195120, -0.616627271982, 0.545151144132],
-    [0.657546390333, 0.802131717931, 0.639088262811, -1.098766371077],
-])
-PEDAL_AREA_TABLE = (2.404772767371, 122.125536031480, 19.392997370805,
-                    9.848601171111, 18.965046082427)
-ISOGONIC_TABLE = np.array([
-    [0.369979160947, 0.229493293826, 0.163611619856, 0.236915925371],
-    [-0.297000489955, 0.309278164652, 0.279002561033, 0.708719764270],
-    [0.388102931405, -0.236608485604, 0.469943106828, 0.378562447371],
-    [0.382915343108, 0.487963317698, -0.159452369671, 0.288573708865],
-    [0.645021938255, 0.338403751068, 0.238914519123, -0.222340208446],
-])
-ANTIPEDAL_AREA_TABLE = (241.637142362610, 60.087819904352, 31.387257487815,
-                        5.647726265255, 31.003305976553)
-ISODYNAMIC_TABLE = np.array([
-    [0.206439675828, 0.327649375007, 0.263085414624, 0.20282553454],
-    [2.954833710960, -0.575606610593, -1.403778427224, 0.024551326857],
-])
+CONJUGATE_TABLE = np.array(verify.CONJUGATE_TABLE)
+PEDAL_AREA_TABLE = verify.PEDAL_AREA_TABLE
+ISOGONIC_TABLE = np.array(verify.ISOGONIC_TABLE)
+ANTIPEDAL_AREA_TABLE = verify.ANTIPEDAL_AREA_TABLE
+ISODYNAMIC_TABLE = np.array(verify.ISODYNAMIC_TABLE)
 
 
 # ---------------------------------------------------------------------------

@@ -70,12 +70,16 @@ class TestEmbedding:
     @pytest.mark.parametrize("n", [2, 3, 8, 12, 16])
     def test_collinear_triangle_degenerate(self, n):
         # the last vertex is an affine combination of two others, so the
-        # simplex is flat at every dimension and every scale
+        # simplex is flat at every dimension and every scale; so it is when
+        # the last vertex coincides with the first
         rng = np.random.default_rng(100 + n)
         verts = rng.standard_normal((n + 1, n))
         verts[n] = 0.25 * verts[0] + 0.75 * verts[1]
-        with pytest.raises(Degenerate):
-            SimplexModel(verts)
+        coincident = verts.copy()
+        coincident[n] = verts[0]
+        for flat in (verts, coincident):
+            with pytest.raises(Degenerate):
+                SimplexModel(flat)
         if n <= 12:
             dist = np.linalg.norm(verts[:, None, :] - verts[None, :, :], axis=2)
             with pytest.raises(Degenerate):
@@ -107,6 +111,13 @@ class TestEmbedding:
         with pytest.raises(NotEmbeddable):
             embed_from_edge_lengths(
                 EdgeLengthTable.from_flat(3, [1, 1, 1, 1, 1, 1.95]))
+
+    def test_unrealized_edge_lengths_not_embeddable(self, monkeypatch):
+        # the table passes the Gram test; the factor misses its lengths
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda g: 1.01 * cholesky(g))
+        with pytest.raises(NotEmbeddable, match="realize"):
+            embed_from_edge_lengths(EdgeLengthTable.from_flat(3, golden.GAP_EDGES))
 
     def test_canonical_pose(self, gap_model):
         v = gap_model.vertices

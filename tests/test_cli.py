@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -68,6 +69,18 @@ class TestCentersCommand:
         assert code == 0
         assert json.loads(out)["results"]["circumradius"] == pytest.approx(
             golden.GAP_TRIANGLE_CIRCUMRADIUS, rel=1e-12)
+
+    @pytest.mark.parametrize("doc, where", [
+        ({"vertices": [[0, 0], [math.nan, 0], [0, 1]]}, "vertices[1][0]"),
+        ({"edge_lengths": {"dimension": 2, "values": [1, math.inf, 1]}},
+         "edge_lengths.values[1]"),
+    ], ids=["NaN", "Infinity"])
+    def test_non_finite_number_exit_2(self, doc_path, capsys, doc, where):
+        # json reads the literals NaN and Infinity as floats
+        code, out, err = run_cli(capsys, "centers", doc_path(doc))
+        assert code == 2
+        assert out == ""
+        assert where in err and "not finite" in err
 
     def test_geometric_error_exit_3(self, doc_path, capsys):
         code, out, err = run_cli(
@@ -153,6 +166,26 @@ class TestFermatCommand:
                                  "--max-iter", "3")
         assert code == 4
         assert "converge" in err
+
+
+@pytest.mark.parametrize("args", [
+    "fermat --method classic",
+    "fermat --max-iter 0",
+    "fermat --max-iter -5",
+    "fermat --tolerance 0",
+    "fermat --tolerance -1",
+    "fermat --tolerance nan",
+    "isogonic --budget -3",
+    "isogonic --tolerance inf",
+])
+def test_bad_flag_value_exit_2(doc_path, capsys, args):
+    command, flag, value = args.split()
+    with pytest.raises(SystemExit) as info:
+        main([command, doc_path(FIVE_DOC), flag, value])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
 
 
 class TestIsogonicCommand:

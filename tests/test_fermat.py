@@ -245,7 +245,7 @@ class TestFermatPoint:
         (lambda: SimplexModel([[1, 0, 0], [-0.5, 0.866, 0], [0, 0, 0],
                                [-0.5, -0.866, 0.3]]), 2),
     ], ids=["obtuse-triangle", "tetrahedron"])
-    @pytest.mark.parametrize("method", ["q", "r", "classic"])
+    @pytest.mark.parametrize("method", ["q", "r"])
     def test_vertex_optimum_decided_before_iterating(self, model, vertex, method):
         model = model()
         calls = _count_distance_calls(model)
@@ -272,27 +272,9 @@ class TestFermatPoint:
         with pytest.raises(ZeroCoordinate):
             fermat_point(five_model, start=[0, 1, 1, 1])
 
-    def test_classic_method_step_contract(self, five_model):
-        # the comparison-only variant divides each coordinate by its vertex
-        # distance; projective fixed points with nonzero coordinates would
-        # have to be equidistant from all vertices, so it is not a
-        # distance-sum minimizer and never the default
-        try:
-            _, trace = fermat_point(five_model, method="classic", max_iter=25)
-        except MaxIterationsExceeded as exc:
-            trace = exc.trace
-        p0 = trace.iterates[0]
-        p1 = trace.iterates[1]
-        dv = five_model.vertex_distances(p0)
-        expected = p0.normalized_coords / dv
-        expected /= expected.sum()
-        assert np.abs(p1.normalized_coords - expected).max() < 1e-12
-        # the distance-sum minimizer is not a fixed point of this step
-        f0 = BarycentricPoint.homogeneous(golden.ISOGONIC_TABLE[0])
-        dv = five_model.vertex_distances(f0)
-        stepped = f0.normalized_coords / dv
-        stepped /= stepped.sum()
-        assert np.abs(stepped - f0.normalized_coords).max() > 1e-3
+    def test_unknown_method_rejected(self, five_model):
+        with pytest.raises(ValueError, match="classic"):
+            fermat_point(five_model, method="classic")
 
 
 class TestTotalDistance:

@@ -69,6 +69,13 @@ class TestPedalSimplex:
         result = pedal_simplex(on_circle, gap_triangle)
         assert result.degenerate
 
+    def test_degenerate_flag_at_edge_point(self, five_model):
+        # on edge A_0 A_1 the feet on sideplanes 2 and 3 are the point itself
+        result = pedal_simplex([1, 1, 0, 0], five_model)
+        assert result.degenerate
+        feet = result.feet_or_vertices
+        assert np.abs(feet[2] - feet[3]).max() <= 1e-12 * five_model.diameter
+
     def test_tiny_triangle_incenter_pedal_not_degenerate(self, gap_triangle):
         # degeneracy is judged relative to the figure's own size
         tiny = SimplexModel(1e-14 * gap_triangle.vertices)
