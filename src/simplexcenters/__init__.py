@@ -28,7 +28,6 @@ from .barycentric import (
     barycentric_square,
     bary_to_cart,
     cart_to_bary,
-    cayley_menger_det,
     circumcenter_cart,
     circumsphere,
     classical_centers,
@@ -36,10 +35,7 @@ from .barycentric import (
     facet_volumes,
     facet_volumes_of_points,
     sigma_polar_plane,
-    simplex_volume,
     squared_distance,
-    squared_volume_from_distances,
-    volume_from_distances,
 )
 from .errors import (
     AtInfinity,
@@ -92,11 +88,10 @@ __all__ = [
     "collinear_cross_ratio", "isodynamic_points", "membership_residual",
     "restrict_to_facet", "sphere_family", "yiu_triangle_test",
     "BarycentricPoint", "EdgeLengthTable", "Hyperplane", "SimplexModel", "Sphere",
-    "barycentric_square", "bary_to_cart", "cart_to_bary", "cayley_menger_det",
-    "circumcenter_cart", "circumsphere", "classical_centers",
-    "embed_from_edge_lengths", "facet_volumes", "facet_volumes_of_points",
-    "sigma_polar_plane", "simplex_volume", "squared_distance",
-    "squared_volume_from_distances", "volume_from_distances",
+    "barycentric_square", "bary_to_cart", "cart_to_bary", "circumcenter_cart",
+    "circumsphere", "classical_centers", "embed_from_edge_lengths",
+    "facet_volumes", "facet_volumes_of_points", "sigma_polar_plane",
+    "squared_distance",
     "AtInfinity", "AtVertex", "AxisUndefined", "CenterAtVertex", "Degenerate",
     "DegeneratePedalEncountered", "MaxIterationsExceeded", "NotATriangle",
     "NotEmbeddable", "OnSideplane", "ParallelLine", "PointAtInfinity",

@@ -1,10 +1,10 @@
 """Barycentric/Cartesian engine for n-simplices.
 
 A simplex is described either by vertex coordinates or by its table of
-pairwise edge lengths; the two views are kept consistent on every model.
-Distances between barycentric points are evaluated directly from the edge
-lengths, so all metric quantities are available without ever leaving
-barycentric coordinates:
+pairwise edge lengths, which is embedded first; every model is measured
+from its vertices.  Distances between barycentric points are evaluated
+from the model's edge lengths, so all metric quantities are available
+without ever leaving barycentric coordinates:
 
     d^2(P, Q) = - sum_{i<j} d_ij^2 (p_i - q_i)(p_j - q_j)
 
@@ -13,10 +13,15 @@ for normalized coordinate vectors p, q.
 Near-zero policy: one tolerance, eps = 1e-13 relative to each input's own
 scale, decides where a construction stops being defined, in four predicates:
 ``_zero_entries``, ``_zero_sum``, ``_all_equal`` and ``SimplexModel._vertex_at``.
+
+Volume policy: one kernel, ``facet_volumes_of_points``, measures facets by
+Gram determinants of edge vectors from vertex coordinates; a model's total
+volume comes from the Gram matrix that its validity test reads.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -58,43 +63,15 @@ def _all_equal(c: np.ndarray) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# volumes from squared distances (Cayley-Menger) and from coordinates (Gram)
+# volumes from vertex coordinates (Gram)
 # ---------------------------------------------------------------------------
 
-def cayley_menger_det(sq_dist: np.ndarray) -> float:
-    """Determinant of the bordered squared-distance matrix."""
-    m = sq_dist.shape[0]
-    cm = np.ones((m + 1, m + 1))
-    cm[0, 0] = 0.0
-    cm[1:, 1:] = sq_dist
-    return float(np.linalg.det(cm))
-
-
-def squared_volume_from_distances(dist: np.ndarray) -> float:
-    """Squared k-volume of a simplex given its (k+1)x(k+1) distance matrix.
-
-    May be negative for non-embeddable data; callers decide how to treat
-    the sign.
-    """
-    k = dist.shape[0] - 1
-    cm = cayley_menger_det(np.asarray(dist, float) ** 2)
-    return (-1) ** (k + 1) * cm / (2 ** k * math.factorial(k) ** 2)
-
-
-def volume_from_distances(dist: np.ndarray) -> float:
-    """k-volume of a simplex from its distance matrix (0 if degenerate)."""
-    return math.sqrt(max(squared_volume_from_distances(dist), 0.0))
-
-
-def simplex_volume(points: np.ndarray) -> float:
-    """k-volume of the simplex spanned by k+1 Cartesian points (Gram route)."""
-    points = np.asarray(points, float)
-    edges = points[1:] - points[0]
-    k = edges.shape[0]
-    if k == 0:
-        return 0.0
-    gram = edges @ edges.T
-    return math.sqrt(max(float(np.linalg.det(gram)), 0.0)) / math.factorial(k)
+@functools.cache
+def _leave_one_out(m: int) -> np.ndarray:
+    """Read-only index table whose row i lists 0..m-1 without i."""
+    keep = np.array([[j for j in range(m) if j != i] for i in range(m)])
+    keep.flags.writeable = False
+    return keep
 
 
 def facet_volumes_of_points(points: np.ndarray) -> np.ndarray:
@@ -107,8 +84,7 @@ def facet_volumes_of_points(points: np.ndarray) -> np.ndarray:
     m = points.shape[0]
     if m == 2:
         return np.array([1.0, 1.0])  # facets of a segment are points
-    keep = np.array([[j for j in range(m) if j != i] for i in range(m)])
-    facets = points[keep]                       # (m, m-1, dim)
+    facets = points[_leave_one_out(m)]          # (m, m-1, dim)
     edges = facets[:, 1:, :] - facets[:, :1, :]  # (m, m-2, dim)
     gram = edges @ edges.transpose(0, 2, 1)
     dets = np.linalg.det(gram)
@@ -291,41 +267,41 @@ def as_point(obj, n: int | None = None) -> BarycentricPoint:
 # ---------------------------------------------------------------------------
 
 class SimplexModel:
-    """An embedded n-simplex with cached edge lengths and volumes.
+    """An embedded n-simplex, measured from its vertices alone.
 
+    Edge table, validity and volumes all come from the vertex coordinates;
+    an edge-length input is embedded first (see ``embed_from_edge_lengths``).
     Instances are immutable after construction and safe to share across
-    threads.  One test decides validity: ``_gram_defect`` on the edge
-    vectors from vertex 0, evaluated once and kept as ``_defect``.
+    threads.  Non-finite coordinates raise ``Degenerate``.  One Gram matrix
+    of the edge vectors from vertex 0 gives ``total_volume`` and the one
+    validity test, ``_gram_defect``, whose verdict is kept as ``_defect``.
     ``validate=True`` raises it (``Degenerate``, coincident vertices
     included); ``validate=False`` is for pedal figures, which may collapse,
-    and for tables ``edges`` that passed the test and that the vertices
-    already realize (see ``embed_from_edge_lengths``).
+    and for embeddings of tables that passed the same test.
     """
 
-    def __init__(self, vertices, *, edges: EdgeLengthTable | None = None,
-                 validate: bool = True):
+    def __init__(self, vertices, *, validate: bool = True):
         vertices = np.asarray(vertices, dtype=float)
         if vertices.ndim != 2 or vertices.shape[0] != vertices.shape[1] + 1:
             raise ValueError("vertices must be an (n+1) x n array")
+        if not np.isfinite(vertices).all():
+            raise Degenerate("vertex coordinates must be finite")
         self.vertices = _readonly(vertices)
         self.n = vertices.shape[1]
-        if edges is None:
-            # symmetric with a zero diagonal bit for bit: |a - b| == |b - a|
-            diff = vertices[:, None, :] - vertices[None, :, :]
-            edges = EdgeLengthTable(n=self.n, d=_readonly(np.linalg.norm(diff, axis=2)))
-        self.edges = edges
+        # symmetric with a zero diagonal bit for bit: |a - b| == |b - a|
+        diff = vertices[:, None, :] - vertices[None, :, :]
+        self.edges = EdgeLengthTable(n=self.n, d=_readonly(np.linalg.norm(diff, axis=2)))
         self.sq_edges = _readonly(self.edges.d ** 2)
         self.diameter = float(self.edges.d.max())
 
-        self.total_volume = simplex_volume(vertices)
         edge_vectors = vertices[1:] - vertices[0]
-        self._defect = _gram_defect(edge_vectors @ edge_vectors.T)
+        gram = edge_vectors @ edge_vectors.T
+        self._defect = _gram_defect(gram)
         if validate and self._defect is not None:
             raise self._defect
-        self.facet_volumes = _readonly(np.array([
-            volume_from_distances(np.delete(np.delete(self.edges.d, i, 0), i, 1))
-            for i in range(self.n + 1)
-        ]))
+        self.total_volume = (math.sqrt(max(float(np.linalg.det(gram)), 0.0))
+                             / math.factorial(self.n))
+        self.facet_volumes = _readonly(facet_volumes_of_points(vertices))
 
         # inverse of the affine system [vertices^T; 1 ... 1], which maps
         # normalized barycentrics to (x, 1): drives cart_to_bary and duals
@@ -488,8 +464,8 @@ def embed_from_edge_lengths(table: EdgeLengthTable) -> SimplexModel:
     Pose: vertex 0 at the origin, vertex 1 on the positive first axis, and
     every further vertex with positive last nonzero coordinate, so equal
     tables always embed to identical vertex arrays.  Raises what the Gram
-    test of the table calls for, and ``NotEmbeddable`` if the vertices miss
-    an edge length by more than 1e-10 of the longest.
+    test of the table calls for, and ``NotEmbeddable`` if the model's own
+    edge table misses an input length by more than 1e-10 of the longest.
     """
     gram = table.validate_embeddable()
     n = table.n
@@ -499,10 +475,10 @@ def embed_from_edge_lengths(table: EdgeLengthTable) -> SimplexModel:
         raise NotEmbeddable("Gram matrix is not positive definite") from None
     vertices = np.zeros((n + 1, n))
     vertices[1:] = lower
-    realized = np.linalg.norm(vertices[:, None, :] - vertices[None, :, :], axis=2)
-    if np.abs(realized - table.d).max() > 1e-10 * table.d.max():
+    model = SimplexModel(vertices, validate=False)
+    if np.abs(model.edges.d - table.d).max() > 1e-10 * table.d.max():
         raise NotEmbeddable("embedding failed to realize the edge lengths")
-    return SimplexModel(vertices, edges=table, validate=False)
+    return model
 
 
 def squared_distance(p, q, model: SimplexModel) -> float:

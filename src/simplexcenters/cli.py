@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="recompute the built-in reference tables")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--tolerance", type=float,
+    p.add_argument("--tolerance", type=_positive(float),
                    help="override every numeric tolerance (for report demos)")
     return parser
 

@@ -6,7 +6,7 @@ class SimplexError(Exception):
 
 
 class NotEmbeddable(SimplexError):
-    """Edge lengths admit no Euclidean realization (wrong Cayley-Menger sign)."""
+    """Edge lengths admit no Euclidean realization (negative Gram eigenvalue)."""
 
 
 class Degenerate(SimplexError):

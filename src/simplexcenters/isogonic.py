@@ -34,6 +34,7 @@ from .errors import (
     AtVertex,
     DegeneratePedalEncountered,
     MaxIterationsExceeded,
+    PointAtInfinity,
     SimplexError,
     UnboundedAntipedal,
     ZeroCoordinate,
@@ -203,8 +204,9 @@ def enumerate_isogonic(model: SimplexModel, seeds=None, budget: int = 20000,
     ``seeds`` extends the default seed set.  Limits of the pedal-equiareal
     iteration are deduplicated at 1e-6 in normalized coordinates,
     conjugated, re-verified by :func:`is_isogonic` at its default tolerance
-    and sorted canonically.  Seeds that fail to converge are
-    reported in ``failed_seeds`` rather than raising.
+    and sorted canonically.  Seeds that fail to converge, and limits whose
+    conjugate is undefined (on a sideplane or at infinity) or fails the
+    re-verification, are reported in ``failed_seeds`` rather than raising.
     """
     seed_list = default_seeds(model)
     if seeds is not None:
@@ -239,16 +241,15 @@ def enumerate_isogonic(model: SimplexModel, seeds=None, budget: int = 20000,
     for pt, tr in zip(unique, unique_traces):
         try:
             conj = isogonal_conjugate(pt, model)
-        except ZeroCoordinate:
+            verified = is_isogonic(conj, model)[0]
+        except (ZeroCoordinate, PointAtInfinity):  # limit on a sideplane, conjugate at infinity
+            verified = False
+        if not verified:
             catalog.failed_seeds.append(tr)
             continue
-        if not is_isogonic(conj, model)[0]:
-            catalog.failed_seeds.append(tr)
-            continue
-        pedal_area = float(np.mean(
-            facet_volumes_of_points(pedal_simplex(pt, model).feet_or_vertices)))
-        antipedal_area = float(np.mean(facet_volumes_of_points(
-            antipedal_simplex(conj, model).feet_or_vertices)))
+        pedal_area = float(np.mean(pedal_simplex(pt, model).simplex.facet_volumes))
+        antipedal_area = float(np.mean(
+            antipedal_simplex(conj, model).simplex.facet_volumes))
         kept.append((pt, conj, pedal_area, antipedal_area, tr))
 
     order = _canonical_order([conj for _, conj, _, _, _ in kept])

@@ -136,7 +136,7 @@ def equiareal_deviation(obj) -> float:
     PedalResult or a raw vertex array.
     """
     if isinstance(obj, PedalResult):
-        vols = facet_volumes_of_points(obj.feet_or_vertices)
+        vols = obj.simplex.facet_volumes
     elif isinstance(obj, SimplexModel):
         vols = obj.facet_volumes
     else:

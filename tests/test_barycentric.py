@@ -85,6 +85,12 @@ class TestEmbedding:
             with pytest.raises(Degenerate):
                 embed_from_edge_lengths(EdgeLengthTable.from_matrix(dist))
 
+    @pytest.mark.parametrize("validate", [True, False])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_vertices_degenerate(self, bad, validate):
+        with pytest.raises(Degenerate, match="finite"):
+            SimplexModel([[bad, 0], [1, 0], [0, 1]], validate=validate)
+
     def test_accepts_every_dimension_scale_and_pose(self):
         # 45 Gaussian simplices, n = 2..16, each scaled and rotated: all are
         # accepted from vertices and from edge lengths, the embedding

@@ -177,11 +177,14 @@ class TestFermatCommand:
     "fermat --tolerance nan",
     "isogonic --budget -3",
     "isogonic --tolerance inf",
+    "verify --tolerance nan",
+    "verify --tolerance -1",
 ])
 def test_bad_flag_value_exit_2(doc_path, capsys, args):
     command, flag, value = args.split()
+    document = [] if command == "verify" else [doc_path(FIVE_DOC)]
     with pytest.raises(SystemExit) as info:
-        main([command, doc_path(FIVE_DOC), flag, value])
+        main([command, *document, flag, value])
     assert info.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -232,6 +235,16 @@ class TestIsogonicCommand:
                                "--seeds", str(seed_file), "--json")
         assert code == 0
         assert json.loads(out)["results"]["count"] == 5
+
+    def test_seed_with_conjugate_at_infinity_warns(self, doc_path, capsys):
+        doc = {"name": "t", "vertices": [[0, 0], [4, 0], [1, 3]]}
+        code, out, err = run_cli(capsys, "isogonic", doc_path(doc),
+                                 "--seeds", "9,5,-4", "--json")
+        assert code == 0 and err == ""
+        report = json.loads(out)
+        assert report["results"]["count"] == 2
+        assert report["warnings"][-1].endswith(
+            "[0.900000000000, 0.500000000000, -0.400000000000]")
 
 
 @pytest.mark.usefixtures("cached_reference_checks")

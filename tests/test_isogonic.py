@@ -10,6 +10,7 @@ from conftest import make_random_model, random_nonzero_point
 from simplexcenters import (
     AxisUndefined,
     BarycentricPoint,
+    SimplexModel,
     ZeroCoordinate,
     classical_centers,
     default_seeds,
@@ -185,6 +186,16 @@ class TestEnumerateIsogonic:
             gap = np.abs(catalog.isogonic_points[a].normalized_coords
                          - catalog.isogonic_points[b].normalized_coords).max()
             assert gap > 1e-6
+
+    def test_conjugate_at_infinity_is_a_failed_seed(self):
+        # [9 : 5 : -4] is a circumcircle root of the pedal map: the iteration
+        # stops on it at once, and its conjugate lies at infinity
+        model = SimplexModel([[0, 0], [4, 0], [1, 3]])
+        catalog = enumerate_isogonic(model, seeds=[[9, 5, -4]])
+        assert len(catalog) == len(enumerate_isogonic(model)) == 2
+        last = catalog.failed_seeds[-1]
+        assert last.converged and last.iterations_used == 1
+        assert np.array_equal(last.seed.coords, [0.9, 0.5, -0.4])
 
 
 class TestDefaultSeeds:
