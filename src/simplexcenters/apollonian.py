@@ -279,7 +279,8 @@ def restrict_to_facet(p, model: SimplexModel,
 
     Returns the facet as its own (n-1)-model in canonical pose, together
     with the intersection of the line (vertex ``facet_index``) -- P with the
-    facet's sideplane, expressed in the facet's own coordinates.
+    facet's sideplane, expressed in the facet's own coordinates.  A
+    triangle's facet is a segment, and the point on it is [p_j : p_k].
     """
     pt = as_point(p, model.n)
     coords = pt.coords

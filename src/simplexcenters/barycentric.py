@@ -97,11 +97,12 @@ def _gram_defect(gram: np.ndarray) -> NotEmbeddable | Degenerate | None:
     By Schoenberg's theorem the simplex exists iff the Gram matrix is
     positive semidefinite, and has positive volume iff it is definite:
     ``NotEmbeddable`` below ``-_GRAM_REL_TOL * lambda_max``, ``Degenerate``
-    within that scale-invariant tolerance of zero.
+    within that scale-invariant tolerance of zero.  A spectrum that is not
+    finite (a table whose squares overflow) is ``NotEmbeddable`` too.
     """
     lam = np.linalg.eigvalsh(gram)
     floor = _GRAM_REL_TOL * lam[-1]
-    if lam[0] < -floor:
+    if not lam[0] >= -floor:
         return NotEmbeddable(f"no Euclidean simplex (Gram eigenvalue {lam[0]:.3e})")
     if lam[0] <= floor:
         return Degenerate("vertices are affinely dependent")
@@ -121,10 +122,11 @@ class EdgeLengthTable:
 
     @classmethod
     def from_matrix(cls, d) -> "EdgeLengthTable":
-        """A table given as input: square, symmetric, zero diagonal, positive edges."""
+        """A table given as input: square of size >= 2 (a segment or more),
+        symmetric, zero diagonal, positive edges."""
         d = np.asarray(d, dtype=float)
-        if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] < 3:
-            raise ValueError("edge table must be a square matrix of size >= 3")
+        if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] < 2:
+            raise ValueError("edge table must be a square matrix of size >= 2")
         n = d.shape[0] - 1
         scale = float(np.abs(d).max())
         if scale <= 0.0:
@@ -161,21 +163,6 @@ class EdgeLengthTable:
     def subtable(self, keep) -> "EdgeLengthTable":
         keep = list(keep)
         return EdgeLengthTable.from_matrix(self.d[np.ix_(keep, keep)])
-
-    def validate_embeddable(self) -> np.ndarray:
-        """Check that the table is realized by a positive-volume simplex.
-
-        One scale-invariant O(n^3) test on the spectrum of the vertex-0 Gram
-        matrix G_ij = (d_0i^2 + d_0j^2 - d_ij^2) / 2, which is returned.
-        Raises ``NotEmbeddable`` or ``Degenerate``; a definite G gives every
-        vertex subset positive volume.
-        """
-        sq = self.d ** 2
-        gram = 0.5 * (sq[0, 1:, None] + sq[0, None, 1:] - sq[1:, 1:])
-        defect = _gram_defect(gram)
-        if defect is not None:
-            raise defect
-        return gram
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +254,7 @@ def as_point(obj, n: int | None = None) -> BarycentricPoint:
 # ---------------------------------------------------------------------------
 
 class SimplexModel:
-    """An embedded n-simplex, measured from its vertices alone.
+    """An embedded n-simplex (n >= 1), measured from its vertices alone.
 
     Edge table, validity and volumes all come from the vertex coordinates;
     an edge-length input is embedded first (see ``embed_from_edge_lengths``).
@@ -276,14 +263,17 @@ class SimplexModel:
     of the edge vectors from vertex 0 gives ``total_volume`` and the one
     validity test, ``_gram_defect``, whose verdict is kept as ``_defect``.
     ``validate=True`` raises it (``Degenerate``, coincident vertices
-    included); ``validate=False`` is for pedal figures, which may collapse,
-    and for embeddings of tables that passed the same test.
+    included); ``validate=False`` is for figures that may collapse, such
+    as pedal figures.  A collapsed figure keeps its volumes and verdict but
+    has no affine frame: ``cart_to_bary``, ``sideplane``,
+    ``project_to_sideplane`` and ``pedal_feet`` raise ``Degenerate`` on it.
     """
 
     def __init__(self, vertices, *, validate: bool = True):
         vertices = np.asarray(vertices, dtype=float)
-        if vertices.ndim != 2 or vertices.shape[0] != vertices.shape[1] + 1:
-            raise ValueError("vertices must be an (n+1) x n array")
+        if (vertices.ndim != 2 or vertices.shape[1] < 1
+                or vertices.shape[0] != vertices.shape[1] + 1):
+            raise ValueError("vertices must be an (n+1) x n array with n >= 1")
         if not np.isfinite(vertices).all():
             raise Degenerate("vertex coordinates must be finite")
         self.vertices = _readonly(vertices)
@@ -303,24 +293,23 @@ class SimplexModel:
                              / math.factorial(self.n))
         self.facet_volumes = _readonly(facet_volumes_of_points(vertices))
 
-        # inverse of the affine system [vertices^T; 1 ... 1], which maps
-        # normalized barycentrics to (x, 1): drives cart_to_bary and duals
-        try:
+        if self._defect is None:
+            # inverse of the affine system [vertices^T; 1 ... 1], which maps
+            # normalized barycentrics to (x, 1): drives cart_to_bary and duals
             self._affine_inv = _readonly(
                 np.linalg.inv(np.vstack([vertices.T, np.ones(self.n + 1)])))
-        except np.linalg.LinAlgError:  # a collapsed figure, built unvalidated
-            self._affine_inv = None
-
-        # unit sideplane normals / offsets: row i is the plane x_i = 0
-        if self._affine_inv is not None:
+            # unit sideplane normals / offsets: row i is the plane x_i = 0
             grads = self._affine_inv[:, :self.n]
             offs = -self._affine_inv[:, self.n]
             norms = np.linalg.norm(grads, axis=1)
             self._side_normals = _readonly(grads / norms[:, None])
             self._side_offsets = _readonly(offs / norms)
-        else:
-            self._side_normals = None
-            self._side_offsets = None
+
+    def _frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Affine inverse, unit sideplane normals and their offsets."""
+        if self._defect is not None:
+            raise Degenerate("a collapsed simplex has no affine frame")
+        return self._affine_inv, self._side_normals, self._side_offsets
 
     # -- conversions ------------------------------------------------------
 
@@ -331,7 +320,7 @@ class SimplexModel:
     def cart_to_bary(self, x) -> BarycentricPoint:
         x = np.asarray(x, dtype=float)
         rhs = np.append(x, 1.0)
-        coords = self._affine_inv @ rhs
+        coords = self._frame()[0] @ rhs
         return BarycentricPoint(coords=coords, mode="normalized")
 
     # -- metric -----------------------------------------------------------
@@ -366,13 +355,14 @@ class SimplexModel:
         return Hyperplane.from_bary_coeffs(coeffs, self)
 
     def project_to_sideplane(self, x: np.ndarray, i: int) -> np.ndarray:
-        nrm = self._side_normals[i]
-        return x - (nrm @ x - self._side_offsets[i]) * nrm
+        _, normals, offsets = self._frame()
+        return x - (normals[i] @ x - offsets[i]) * normals[i]
 
     def pedal_feet(self, x: np.ndarray) -> np.ndarray:
         """Orthogonal projections of a Cartesian point onto all sideplanes."""
-        resid = self._side_normals @ x - self._side_offsets
-        return x[None, :] - resid[:, None] * self._side_normals
+        _, normals, offsets = self._frame()
+        resid = normals @ x - offsets
+        return x[None, :] - resid[:, None] * normals
 
     def __repr__(self):
         return f"SimplexModel(n={self.n}, volume={self.total_volume:.6g})"
@@ -405,7 +395,7 @@ class Hyperplane:
             raise ValueError("hyperplane coefficients must not all vanish")
         if _all_equal(coeffs):
             raise AtInfinity("all-equal coefficients encode the hyperplane at infinity")
-        w = model._affine_inv.T @ coeffs
+        w = model._frame()[0].T @ coeffs
         grad, off = w[:-1], w[-1]
         ng = float(np.linalg.norm(grad))
         return cls(bary_coeffs=coeffs, cart_normal=grad / ng, cart_offset=float(-off / ng))
@@ -463,19 +453,22 @@ def embed_from_edge_lengths(table: EdgeLengthTable) -> SimplexModel:
 
     Pose: vertex 0 at the origin, vertex 1 on the positive first axis, and
     every further vertex with positive last nonzero coordinate, so equal
-    tables always embed to identical vertex arrays.  Raises what the Gram
-    test of the table calls for, and ``NotEmbeddable`` if the model's own
-    edge table misses an input length by more than 1e-10 of the longest.
+    tables always embed to identical vertex arrays.  The table's vertex-0
+    Gram matrix G_ij = (d_0i^2 + d_0j^2 - d_ij^2) / 2 is factored first; if
+    Cholesky fails, its spectrum decides between ``NotEmbeddable`` and
+    ``Degenerate``, otherwise the validated model's own Gram test does.
+    ``NotEmbeddable`` also if the model's edge table misses an input length
+    by more than 1e-10 of the longest.
     """
-    gram = table.validate_embeddable()
-    n = table.n
+    sq = table.d ** 2
+    gram = 0.5 * (sq[0, 1:, None] + sq[0, None, 1:] - sq[1:, 1:])
     try:
         lower = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
-        raise NotEmbeddable("Gram matrix is not positive definite") from None
-    vertices = np.zeros((n + 1, n))
+        raise _gram_defect(gram) from None
+    vertices = np.zeros((table.n + 1, table.n))
     vertices[1:] = lower
-    model = SimplexModel(vertices, validate=False)
+    model = SimplexModel(vertices)
     if np.abs(model.edges.d - table.d).max() > 1e-10 * table.d.max():
         raise NotEmbeddable("embedding failed to realize the edge lengths")
     return model

@@ -187,8 +187,8 @@ def cmd_isogonic(doc: SimplexDocument, options: dict) -> dict:
     } for t in catalog.traces]
     warnings = []
     for t in catalog.failed_seeds:
-        warnings.append("seed did not converge: "
-                        + fmt_list(t.seed.normalized_coords))
+        reason = "seed limit rejected: " if t.converged else "seed did not converge: "
+        warnings.append(reason + fmt_list(t.seed.normalized_coords))
     results = {"dimension": model.n, "count": len(catalog),
                "entries": entries, "seed_summary": seed_summary}
     return {"command": "isogonic",

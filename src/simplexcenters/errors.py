@@ -68,9 +68,10 @@ class MaxIterationsExceeded(SimplexError):
 class DegeneratePedalEncountered(SimplexError):
     """The pedal iteration reached a point whose pedal simplex collapsed.
 
-    The last usable iterate is attached as ``last_point``.
+    The iteration's trace, up to its last full step, is attached as
+    ``trace``, as for ``MaxIterationsExceeded``.
     """
 
-    def __init__(self, message, last_point=None):
+    def __init__(self, message, trace=None):
         super().__init__(message)
-        self.last_point = last_point
+        self.trace = trace

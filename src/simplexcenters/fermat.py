@@ -171,7 +171,9 @@ def fermat_point(model: SimplexModel, start=None, method: str = "q",
             p = _displaced_from_vertex(model, k)
             trace.iterates.append(p)
             continue
-        nxt = BarycentricPoint.homogeneous(_step(np.abs(p.coords), dv, method)).normalized()
+        # the step has a positive sum by construction: normalize it directly
+        s = _step(np.abs(p.coords), dv, method)
+        nxt = BarycentricPoint(coords=s / s.sum(), mode="normalized")
         trace.iterates.append(nxt)
         step = float(np.abs(nxt.coords - p.coords).max())
         p = nxt

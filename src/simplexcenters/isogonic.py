@@ -114,8 +114,7 @@ def pedal_equiareal_iteration(p0, model: SimplexModel, tol: float = 1e-13,
         total = float(vols.sum())
         if not np.isfinite(total) or total <= 0.0:
             raise DegeneratePedalEncountered(
-                "pedal simplex collapsed during iteration",
-                last_point=model.cart_to_bary(x))
+                "pedal simplex collapsed during iteration", trace=trace)
         centroid = feet.mean(axis=0)
         incenter = (vols[:, None] * feet).sum(axis=0) / total
         gap = float(np.linalg.norm(centroid - incenter))
@@ -220,8 +219,7 @@ def enumerate_isogonic(model: SimplexModel, seeds=None, budget: int = 20000,
             limit, trace = pedal_equiareal_iteration(
                 seed, model, tol=tol, max_iter=budget)
         except (MaxIterationsExceeded, DegeneratePedalEncountered) as exc:
-            failed = getattr(exc, "trace", None) or SearchTrace(seed=seed)
-            catalog.failed_seeds.append(failed)
+            catalog.failed_seeds.append(exc.trace)
             continue
         found.append(limit)
         traces.append(trace)

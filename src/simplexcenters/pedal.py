@@ -13,6 +13,7 @@ import numpy as np
 from .barycentric import (
     BarycentricPoint,
     SimplexModel,
+    _leave_one_out,
     _zero_entries,
     as_point,
     facet_volumes_of_points,
@@ -32,7 +33,8 @@ class PedalResult:
     without raising on a failed positive-volume check, since pedal figures
     may legitimately collapse, down to coincident points.  ``degenerate``
     is the verdict of that check, kept by the model: set exactly when
-    ``SimplexModel`` validation would raise ``Degenerate``.
+    ``SimplexModel`` validation would raise ``Degenerate``.  A degenerate
+    figure's model has volumes but no affine frame (see ``SimplexModel``).
     """
 
     kind: str                       # pedal | antipedal | polar | inversive
@@ -78,17 +80,15 @@ def antipedal_simplex(p, model: SimplexModel) -> PedalResult:
     if model._vertex_at(model.vertex_distances(pt)) is not None:
         raise AtVertex("antipedal simplex is undefined at a vertex")
     x = model.bary_to_cart(pt)
-    v = model.vertices
-    m = model.n + 1
-    out = np.empty_like(v)
-    for i in range(m):
-        rows = [j for j in range(m) if j != i]
-        a = x[None, :] - v[rows]
-        b = np.einsum("ij,ij->i", a, v[rows])
-        if np.linalg.cond(a) > _COND_LIMIT:
-            raise UnboundedAntipedal(
-                f"antipedal vertex {i} is unbounded for this point")
-        out[i] = np.linalg.solve(a, b)
+    # system i: rows j != i of (x - v_j) . y = (x - v_j) . v_j
+    others = model.vertices[_leave_one_out(model.n + 1)]
+    a = x - others
+    b = np.einsum("kij,kij->ki", a, others)
+    unbounded = np.flatnonzero(np.linalg.cond(a) > _COND_LIMIT)
+    if unbounded.size:
+        raise UnboundedAntipedal(
+            f"antipedal vertex {unbounded[0]} is unbounded for this point")
+    out = np.linalg.solve(a, b[..., None])[..., 0]
     return _result("antipedal", out, pt)
 
 

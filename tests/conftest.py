@@ -52,6 +52,23 @@ def cached_reference_checks(reference_rows, monkeypatch):
                         lambda: copy.deepcopy(reference_rows))
 
 
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(owner, name)`` wraps ``owner.name`` and returns the list
+    that records the arguments of each call; undone after the test."""
+    def install(owner, name: str) -> list:
+        original = getattr(owner, name)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+    return install
+
+
 def make_random_model(rng: np.random.Generator, n: int) -> SimplexModel:
     """Well-conditioned random simplex (volume bounded away from zero)."""
     while True:

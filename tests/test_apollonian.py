@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from simplexcenters import (
     EdgeLengthTable,
     NotATriangle,
     ParallelLine,
+    SimplexModel,
     ZeroCoordinate,
     apollonian_sphere,
     circumcenter_cart,
@@ -313,6 +315,13 @@ class TestRestrictToFacet:
         p = BarycentricPoint.homogeneous([1.0, 1.0, -1.0])
         with pytest.raises(ParallelLine):
             restrict_to_facet(p, equilateral_triangle, 0)
+
+    def test_triangle_facet_is_a_segment(self):
+        model = SimplexModel([[0, 0], [4, 0], [1, 3]])
+        facet_model, point = restrict_to_facet([1, 2, 3], model, 0)
+        assert facet_model.n == 1
+        assert facet_model.total_volume == pytest.approx(math.sqrt(18), rel=1e-15)
+        assert np.array_equal(point.coords, [2.0, 3.0])
 
     def test_opposite_vertex_rejected(self, five_model):
         with pytest.raises(AtVertex):

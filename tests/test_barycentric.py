@@ -54,6 +54,17 @@ class TestEdgeLengthTable:
         with pytest.raises(ValueError):
             EdgeLengthTable.from_flat(3, [1, 1, 1])
 
+    def test_segment_table_embeds(self):
+        # the floor is n >= 1 for edge tables as for vertex models
+        model = embed_from_edge_lengths(EdgeLengthTable.from_flat(1, [5.0]))
+        assert model.n == 1
+        assert model.total_volume == 5.0
+        assert np.array_equal(model.vertices, [[0.0], [5.0]])
+
+    def test_zero_simplex_rejected(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            SimplexModel(np.zeros((1, 0)))
+
 
 class TestEmbedding:
     def test_equilateral_triangle(self):
@@ -117,6 +128,29 @@ class TestEmbedding:
         with pytest.raises(NotEmbeddable):
             embed_from_edge_lengths(
                 EdgeLengthTable.from_flat(3, [1, 1, 1, 1, 1, 1.95]))
+
+    @pytest.mark.parametrize("edges, error", [
+        (golden.GAP_EDGES, None),
+        ([1, 1, 1, 1, 1, 1.95], NotEmbeddable),
+        ([1, 2, 3, 1, 2, 1], Degenerate),  # four points on a line
+    ], ids=["model", "not-embeddable", "degenerate"])
+    def test_one_gram_spectrum_per_embedding(self, edges, error, count_calls):
+        spectra = count_calls(np.linalg, "eigvalsh")
+        table = EdgeLengthTable.from_flat(3, edges)
+        if error is None:
+            embed_from_edge_lengths(table)
+        else:
+            with pytest.raises(error):
+                embed_from_edge_lengths(table)
+        assert len(spectra) == 1
+
+    def test_overflowing_table_not_embeddable(self):
+        # the squared lengths overflow, so the Gram spectrum is not finite;
+        # the warnings NumPy gives on the way are not what this test checks
+        table = EdgeLengthTable.from_flat(2, [1.0, 2.0, 1e300])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NotEmbeddable):
+                embed_from_edge_lengths(table)
 
     def test_unrealized_edge_lengths_not_embeddable(self, monkeypatch):
         # the table passes the Gram test; the factor misses its lengths

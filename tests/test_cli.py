@@ -111,6 +111,27 @@ class TestIsodynamicCommand:
         assert np.abs(np.array(witness["normalized"])
                       - np.array(golden.GAP_WITNESS)).max() < 1e-12
 
+    def test_text_report_lists_points(self, doc_path, capsys):
+        _, out, _ = run_cli(capsys, "isodynamic", doc_path(FIVE_DOC))
+        lines = out.splitlines()
+        assert "points found: 2" in lines
+        for k, expected in enumerate(golden.ISODYNAMIC_TABLE, start=1):
+            at = lines.index(f"J_{k}")
+            got = json.loads(lines[at + 1].split(None, 1)[1])
+            assert np.abs(np.array(got) - expected).max() < 1e-9
+            assert lines[at + 3].startswith("  residual ")
+        assert "verdict" not in out
+
+    def test_text_report_verdict_and_witness(self, doc_path, capsys):
+        _, out, _ = run_cli(capsys, "isodynamic", doc_path(GAP_DOC))
+        lines = out.splitlines()
+        assert lines[2:4] == ["points found: 0", "verdict: none exist"]
+        assert lines[4] == "witness point"
+        got = json.loads(lines[5].split(None, 1)[1])
+        assert np.abs(np.array(got) - golden.GAP_WITNESS).max() < 1e-12
+        assert lines[7].startswith("  witness distance ")
+        assert lines[7].endswith(" -> outside (no common points)")
+
     def test_equilateral_single_point_with_note(self, doc_path, capsys):
         code, out, _ = run_cli(capsys, "isodynamic",
                                doc_path(EQUILATERAL_DOC), "--json")
@@ -151,6 +172,20 @@ class TestFermatCommand:
         assert len(trace["iterates"]) == len(trace["objective_values"])
         assert len(trace["iterates"]) > 2
 
+    def test_trace_text_lines(self, doc_path, capsys):
+        _, out, _ = run_cli(capsys, "fermat", doc_path(FIVE_DOC), "--trace", "--json")
+        trace = json.loads(out)["results"]["trace"]
+        _, out, _ = run_cli(capsys, "fermat", doc_path(FIVE_DOC), "--trace")
+        lines = out.splitlines()
+        rows = lines[lines.index("trace:") + 1:-1]
+        assert len(rows) == len(trace["iterates"])
+        for k, row in enumerate(rows):
+            index, rest = row.split(None, 1)
+            point, objective = rest.rsplit(None, 1)
+            assert int(index) == k
+            assert json.loads(point) == trace["iterates"][k]
+            assert float(objective) == trace["objective_values"][k]
+
     def test_document_tolerance_reaches_solver(self, doc_path, capsys):
         doc = dict(FIVE_DOC, tolerance=1e-3)
         code, out, _ = run_cli(capsys, "fermat", doc_path(doc), "--json")
@@ -166,6 +201,18 @@ class TestFermatCommand:
                                  "--max-iter", "3")
         assert code == 4
         assert "converge" in err
+
+    def test_budget_exhaustion_prints_trace(self, doc_path, capsys):
+        code, out, err = run_cli(capsys, "fermat", doc_path(FIVE_DOC),
+                                 "--max-iter", "3", "--trace")
+        assert code == 4 and out == ""
+        lines = err.splitlines()
+        assert lines[0] == ("did not converge: no convergence within 3 "
+                            "iterations (method 'q')")
+        assert len(lines) == 5  # the start and three iterates
+        assert json.loads(lines[1].rsplit(None, 1)[0]) == [0.25] * 4
+        objectives = [float(line.rsplit(None, 1)[1]) for line in lines[1:]]
+        assert objectives == sorted(objectives, reverse=True)
 
 
 @pytest.mark.parametrize("args", [
@@ -243,8 +290,18 @@ class TestIsogonicCommand:
         assert code == 0 and err == ""
         report = json.loads(out)
         assert report["results"]["count"] == 2
-        assert report["warnings"][-1].endswith(
-            "[0.900000000000, 0.500000000000, -0.400000000000]")
+        # the seed converged; its limit was rejected
+        assert report["warnings"][-1] == (
+            "seed limit rejected: [0.900000000000, 0.500000000000, -0.400000000000]")
+
+    def test_unconverged_seeds_warn(self, doc_path, capsys):
+        code, out, _ = run_cli(capsys, "isogonic", doc_path(FIVE_DOC),
+                               "--budget", "3", "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["results"]["count"] == 0
+        assert len(report["warnings"]) == 5
+        assert all(w.startswith("seed did not converge: ") for w in report["warnings"])
 
 
 @pytest.mark.usefixtures("cached_reference_checks")

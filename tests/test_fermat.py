@@ -23,19 +23,6 @@ from simplexcenters import (
 )
 
 
-def _count_distance_calls(model: SimplexModel) -> list:
-    """Record every call of the model's distance kernel in the returned list."""
-    kernel = model.vertex_distances
-    calls = []
-
-    def counted(p):
-        calls.append(p)
-        return kernel(p)
-
-    model.vertex_distances = counted
-    return calls
-
-
 class TestCorrespondent:
     def test_all_ones_is_identity(self):
         rng = np.random.default_rng(3)
@@ -226,11 +213,11 @@ class TestFermatPoint:
         assert trace.iterations_used == 3
         assert len(trace.iterates) == 4  # start plus three steps
 
-    def test_one_distance_evaluation_per_iteration(self):
+    def test_one_distance_evaluation_per_iteration(self, count_calls):
         # the objective of each iterate is read off the distances its step
         # computes; only the point that leaves the loop needs one more
         model = SimplexModel(golden.FIVE_VERTICES)
-        calls = _count_distance_calls(model)
+        calls = count_calls(model, "vertex_distances")
         for method in ("q", "r"):
             calls.clear()
             _, trace = fermat_point(model, method=method)
@@ -246,9 +233,10 @@ class TestFermatPoint:
                                [-0.5, -0.866, 0.3]]), 2),
     ], ids=["obtuse-triangle", "tetrahedron"])
     @pytest.mark.parametrize("method", ["q", "r"])
-    def test_vertex_optimum_decided_before_iterating(self, model, vertex, method):
+    def test_vertex_optimum_decided_before_iterating(self, model, vertex, method,
+                                                     count_calls):
         model = model()
-        calls = _count_distance_calls(model)
+        calls = count_calls(model, "vertex_distances")
         point, trace = fermat_point(model, method=method)
         assert np.array_equal(point.coords, BarycentricPoint.vertex(vertex, model.n).coords)
         assert trace.vertex_optimum and trace.converged
@@ -257,6 +245,16 @@ class TestFermatPoint:
         assert len(calls) <= 2
         assert trace.objective_values == [
             total_distance(p, model) for p in trace.iterates]
+
+    def test_one_point_per_iteration(self, five_model, count_calls):
+        # each step builds its iterate once, already normalized; the start
+        # costs two (homogeneous, then normalized)
+        made = count_calls(BarycentricPoint, "__post_init__")
+        for method in ("q", "r"):
+            made.clear()
+            _, trace = fermat_point(five_model, method=method)
+            assert trace.iterations_used > 2
+            assert len(made) <= trace.iterations_used + 2
 
     def test_first_iterate_is_the_public_step(self, five_model):
         # from an interior start the magnitudes fermat_point feeds the

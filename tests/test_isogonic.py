@@ -10,6 +10,8 @@ from conftest import make_random_model, random_nonzero_point
 from simplexcenters import (
     AxisUndefined,
     BarycentricPoint,
+    DegeneratePedalEncountered,
+    MaxIterationsExceeded,
     SimplexModel,
     ZeroCoordinate,
     classical_centers,
@@ -66,6 +68,18 @@ class TestIsogonalConjugate:
             isogonal_conjugate(BarycentricPoint.homogeneous([1, 0, 1, 1]), five_model)
 
 
+def _collapse_after(steps: int, monkeypatch) -> None:
+    """Make every pedal figure of the iteration after the first ``steps`` collapse."""
+    volumes = isogonic.facet_volumes_of_points
+    calls = []
+
+    def collapsing(points):
+        calls.append(points)
+        return volumes(points) * (len(calls) <= steps)
+
+    monkeypatch.setattr(isogonic, "facet_volumes_of_points", collapsing)
+
+
 class TestPedalEquiarealIteration:
     def test_regular_simplex_centroid_immediate(self, regular_tetrahedron):
         g = BarycentricPoint.homogeneous([1, 1, 1, 1])
@@ -87,6 +101,29 @@ class TestPedalEquiarealIteration:
         assert trace.converged
         assert np.abs(point.normalized_coords
                       - golden.CONJUGATE_TABLE[1]).max() < 1e-9
+
+    def test_budget_exit(self, five_model):
+        with pytest.raises(MaxIterationsExceeded, match="within 3 iterations") as info:
+            pedal_equiareal_iteration([1, 1, 1, 1], five_model, max_iter=3)
+        trace = info.value.trace
+        assert trace.iterations_used == 3 and not trace.converged
+        assert np.array_equal(trace.seed.coords, [0.25, 0.25, 0.25, 0.25])
+
+    def test_escape_exit(self, five_model):
+        # a seed 1e8 edge lengths out is past the escape radius after one step
+        with pytest.raises(MaxIterationsExceeded, match="escaped after 1 ") as info:
+            pedal_equiareal_iteration([1e8, -1e8, 0.5, 0.5], five_model)
+        trace = info.value.trace
+        assert trace.iterations_used == 1 and not trace.converged
+        assert np.isfinite(trace.final_gap)
+
+    def test_degenerate_pedal_exit(self, five_model, monkeypatch):
+        _collapse_after(2, monkeypatch)
+        with pytest.raises(DegeneratePedalEncountered, match="collapsed") as info:
+            pedal_equiareal_iteration([1, 1, 1, 1], five_model)
+        trace = info.value.trace
+        assert trace.iterations_used == 2 and not trace.converged
+        assert np.array_equal(trace.seed.coords, [0.25, 0.25, 0.25, 0.25])
 
     def test_limit_has_equiareal_pedal(self, five_model):
         g = BarycentricPoint.homogeneous([1, 1, 1, 1])
@@ -186,6 +223,17 @@ class TestEnumerateIsogonic:
             gap = np.abs(catalog.isogonic_points[a].normalized_coords
                          - catalog.isogonic_points[b].normalized_coords).max()
             assert gap > 1e-6
+
+    def test_collapsed_seed_keeps_its_trace(self, five_model, monkeypatch):
+        # the first seed fails after two steps, every later one before its first
+        _collapse_after(2, monkeypatch)
+        catalog = enumerate_isogonic(five_model)
+        seeds = default_seeds(five_model)
+        assert len(catalog) == 0
+        assert [t.iterations_used for t in catalog.failed_seeds] == \
+            [2] + [0] * (len(seeds) - 1)
+        for trace, seed in zip(catalog.failed_seeds, seeds):
+            assert np.array_equal(trace.seed.coords, seed.normalized_coords)
 
     def test_conjugate_at_infinity_is_a_failed_seed(self):
         # [9 : 5 : -4] is a circumcircle root of the pedal map: the iteration

@@ -11,6 +11,7 @@ from simplexcenters import (
     AtVertex,
     BarycentricPoint,
     CenterAtVertex,
+    Degenerate,
     OnSideplane,
     SimplexModel,
     UnboundedAntipedal,
@@ -22,6 +23,7 @@ from simplexcenters import (
     pedal_simplex,
     polar_simplex,
 )
+from simplexcenters import pedal
 
 
 class TestPedalSimplex:
@@ -76,6 +78,21 @@ class TestPedalSimplex:
         feet = result.feet_or_vertices
         assert np.abs(feet[2] - feet[3]).max() <= 1e-12 * five_model.diameter
 
+    @pytest.mark.parametrize("x", [(4.5, 1.5), (4.0, 3.0)])
+    def test_collapsed_figure_has_no_frame(self, x):
+        # both points lie on the circumcircle (center (2, 1.5), radius 2.5),
+        # so the feet fall on the Simson line: volumes, but no frame
+        model = SimplexModel([[0, 0], [4, 0], [0, 3]])
+        result = pedal_simplex(model.cart_to_bary(x), model)
+        figure = result.simplex
+        assert result.degenerate and figure.total_volume < 1e-12
+        for use in (lambda: figure.cart_to_bary([1.0, 1.0]),
+                    lambda: figure.pedal_feet(np.ones(2)),
+                    lambda: figure.project_to_sideplane(np.ones(2), 0),
+                    lambda: figure.sideplane(1)):
+            with pytest.raises(Degenerate, match="frame"):
+                use()
+
     def test_tiny_triangle_incenter_pedal_not_degenerate(self, gap_triangle):
         # degeneracy is judged relative to the figure's own size
         tiny = SimplexModel(1e-14 * gap_triangle.vertices)
@@ -128,6 +145,37 @@ class TestAntipedalSimplex:
                 # perpendicular to the line P-A_i
                 gap = (pts[j] - five_model.vertices[i]) @ normal
                 assert abs(gap) < 1e-9 * five_model.diameter ** 2
+
+    def test_batched_solve_matches_vertex_loop(self):
+        # reference: one condition test and one solve per antipedal vertex
+        def per_vertex(pt, model):
+            x, v = model.bary_to_cart(pt), model.vertices
+            out = np.empty_like(v)
+            for i in range(model.n + 1):
+                rows = np.delete(v, i, axis=0)
+                a = x[None, :] - rows
+                if np.linalg.cond(a) > pedal._COND_LIMIT:
+                    return f"antipedal vertex {i} is unbounded for this point"
+                out[i] = np.linalg.solve(a, np.einsum("ij,ij->i", a, rows))
+            return out
+
+        rng = np.random.default_rng(61)
+        unbounded = 0
+        for trial in range(140):
+            n = 2 + trial % 7
+            model = SimplexModel(rng.standard_normal((n + 1, n)))
+            coords = rng.standard_normal(n + 1)
+            if trial % 3 == 0:  # on sideplane 0: system 0 is singular
+                coords[0] = 0.0
+            pt = BarycentricPoint.homogeneous(coords).normalized()
+            want = per_vertex(pt, model)
+            if isinstance(want, str):
+                unbounded += 1
+                with pytest.raises(UnboundedAntipedal, match=want):
+                    antipedal_simplex(pt, model)
+            else:
+                assert np.array_equal(antipedal_simplex(pt, model).feet_or_vertices, want)
+        assert unbounded > 0
 
     def test_unbounded_for_point_on_edge_line(self, equilateral_triangle):
         midpoint = BarycentricPoint.homogeneous([0.0, 1.0, 1.0])
