@@ -26,16 +26,12 @@ from .barycentric import (
     SimplexModel,
     Sphere,
     barycentric_square,
-    bary_to_cart,
-    cart_to_bary,
     circumcenter_cart,
     circumsphere,
     classical_centers,
     embed_from_edge_lengths,
-    facet_volumes,
     facet_volumes_of_points,
     sigma_polar_plane,
-    squared_distance,
 )
 from .errors import (
     AtInfinity,
@@ -73,7 +69,6 @@ from .isogonic import (
     triad_angle_check,
 )
 from .pedal import (
-    PedalResult,
     antipedal_simplex,
     equiareal_deviation,
     inversive_image,
@@ -88,10 +83,9 @@ __all__ = [
     "collinear_cross_ratio", "isodynamic_points", "membership_residual",
     "restrict_to_facet", "sphere_family", "yiu_triangle_test",
     "BarycentricPoint", "EdgeLengthTable", "Hyperplane", "SimplexModel", "Sphere",
-    "barycentric_square", "bary_to_cart", "cart_to_bary", "circumcenter_cart",
-    "circumsphere", "classical_centers", "embed_from_edge_lengths",
-    "facet_volumes", "facet_volumes_of_points", "sigma_polar_plane",
-    "squared_distance",
+    "barycentric_square", "circumcenter_cart", "circumsphere",
+    "classical_centers", "embed_from_edge_lengths", "facet_volumes_of_points",
+    "sigma_polar_plane",
     "AtInfinity", "AtVertex", "AxisUndefined", "CenterAtVertex", "Degenerate",
     "DegeneratePedalEncountered", "MaxIterationsExceeded", "NotATriangle",
     "NotEmbeddable", "OnSideplane", "ParallelLine", "PointAtInfinity",
@@ -101,7 +95,7 @@ __all__ = [
     "IsogonicCatalog", "SearchTrace", "default_seeds", "enumerate_isogonic",
     "is_isogonic", "isogonal_conjugate", "pedal_equiareal_iteration",
     "triad_angle_check",
-    "PedalResult", "antipedal_simplex", "equiareal_deviation", "inversive_image",
+    "antipedal_simplex", "equiareal_deviation", "inversive_image",
     "pedal_simplex", "polar_simplex",
     "__version__",
 ]

@@ -127,6 +127,8 @@ class EdgeLengthTable:
         d = np.asarray(d, dtype=float)
         if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] < 2:
             raise ValueError("edge table must be a square matrix of size >= 2")
+        if not np.isfinite(d).all():
+            raise ValueError("edge lengths must be finite")
         n = d.shape[0] - 1
         scale = float(np.abs(d).max())
         if scale <= 0.0:
@@ -187,6 +189,8 @@ class BarycentricPoint:
         if coords.ndim != 1 or coords.size < 2:
             raise ValueError("coordinates must be a vector of length >= 2")
         norm = float(np.abs(coords).sum())
+        if not math.isfinite(norm):
+            raise ValueError("coordinates must be finite")
         if norm == 0.0:
             raise ValueError("coordinate vector must not be zero")
         if self.mode not in ("homogeneous", "normalized"):
@@ -264,9 +268,11 @@ class SimplexModel:
     validity test, ``_gram_defect``, whose verdict is kept as ``_defect``.
     ``validate=True`` raises it (``Degenerate``, coincident vertices
     included); ``validate=False`` is for figures that may collapse, such
-    as pedal figures.  A collapsed figure keeps its volumes and verdict but
-    has no affine frame: ``cart_to_bary``, ``sideplane``,
-    ``project_to_sideplane`` and ``pedal_feet`` raise ``Degenerate`` on it.
+    as the pedal, antipedal, polar and inversive figures of ``pedal``, and
+    ``degenerate`` then says whether the figure collapsed.  A collapsed
+    figure keeps its volumes but has no affine frame: ``cart_to_bary``,
+    ``sideplane``, ``project_to_sideplane`` and ``pedal_feet`` raise
+    ``Degenerate`` on it.
     """
 
     def __init__(self, vertices, *, validate: bool = True):
@@ -304,6 +310,11 @@ class SimplexModel:
             norms = np.linalg.norm(grads, axis=1)
             self._side_normals = _readonly(grads / norms[:, None])
             self._side_offsets = _readonly(offs / norms)
+
+    @property
+    def degenerate(self) -> bool:
+        """True exactly when ``SimplexModel(vertices)`` raises ``Degenerate``."""
+        return self._defect is not None
 
     def _frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Affine inverse, unit sideplane normals and their offsets."""
@@ -472,24 +483,6 @@ def embed_from_edge_lengths(table: EdgeLengthTable) -> SimplexModel:
     if np.abs(model.edges.d - table.d).max() > 1e-10 * table.d.max():
         raise NotEmbeddable("embedding failed to realize the edge lengths")
     return model
-
-
-def squared_distance(p, q, model: SimplexModel) -> float:
-    """Squared distance between two barycentric points from edge lengths alone."""
-    return model.squared_distance(p, q)
-
-
-def bary_to_cart(p, model: SimplexModel) -> np.ndarray:
-    return model.bary_to_cart(p)
-
-
-def cart_to_bary(x, model: SimplexModel) -> BarycentricPoint:
-    return model.cart_to_bary(x)
-
-
-def facet_volumes(model: SimplexModel) -> np.ndarray:
-    """(n-1)-volume of each facet, entry i opposite vertex i."""
-    return model.facet_volumes
 
 
 def barycentric_square(p) -> BarycentricPoint:

@@ -245,9 +245,8 @@ def enumerate_isogonic(model: SimplexModel, seeds=None, budget: int = 20000,
         if not verified:
             catalog.failed_seeds.append(tr)
             continue
-        pedal_area = float(np.mean(pedal_simplex(pt, model).simplex.facet_volumes))
-        antipedal_area = float(np.mean(
-            antipedal_simplex(conj, model).simplex.facet_volumes))
+        pedal_area = float(np.mean(pedal_simplex(pt, model).facet_volumes))
+        antipedal_area = float(np.mean(antipedal_simplex(conj, model).facet_volumes))
         kept.append((pt, conj, pedal_area, antipedal_area, tr))
 
     order = _canonical_order([conj for _, conj, _, _, _ in kept])

@@ -353,13 +353,13 @@ def triangle_suite_checks(count: int = 100) -> list[CheckRow]:
             products = model.vertex_distances(j) * opposite
             worst_product = max(worst_product,
                                 float(np.ptp(products) / products.mean()))
-            feet = pedal_simplex(j, model).feet_or_vertices
+            feet = pedal_simplex(j, model).vertices
             sides = [np.linalg.norm(feet[a] - feet[b])
                      for a, b in itertools.combinations(range(3), 2)]
             worst_pedal = max(worst_pedal,
                               (max(sides) - min(sides)) / np.mean(sides))
             conj = isogonal_conjugate(j, model)
-            anti = antipedal_simplex(conj, model).feet_or_vertices
+            anti = antipedal_simplex(conj, model).vertices
             sides = [np.linalg.norm(anti[a] - anti[b])
                      for a, b in itertools.combinations(range(3), 2)]
             worst_antipedal = max(worst_antipedal,
@@ -443,7 +443,7 @@ def invariant_suite_checks() -> list[CheckRow]:
 
         interior = BarycentricPoint.homogeneous(rng.dirichlet(np.ones(n + 1)) + 0.05)
         polar = polar_simplex(interior, model)
-        recovered = polar.simplex.cart_to_bary(model.bary_to_cart(interior))
+        recovered = polar.cart_to_bary(model.bary_to_cart(interior))
         worst_orthology = max(worst_orthology, float(np.abs(
             recovered.normalized_coords - interior.normalized_coords).max()))
 
@@ -456,7 +456,7 @@ def invariant_suite_checks() -> list[CheckRow]:
             centroid.normalized_coords - 1.0 / (n + 1)).max()))
 
         anti = antipedal_simplex(interior, model)
-        feet = anti.simplex.pedal_feet(model.bary_to_cart(interior))
+        feet = anti.pedal_feet(model.bary_to_cart(interior))
         worst_inverse = max(worst_inverse, float(
             np.abs(feet - model.vertices).max() / model.diameter))
 

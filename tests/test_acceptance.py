@@ -155,7 +155,7 @@ def test_criterion_5_triangle_property_suite():
         for j in (j1, j2):
             products = model.vertex_distances(j) * opposite
             assert np.ptp(products) <= 1e-8 * products.mean()
-            feet = pedal_simplex(j, model).feet_or_vertices
+            feet = pedal_simplex(j, model).vertices
             sides = [np.linalg.norm(feet[a] - feet[b])
                      for a, b in itertools.combinations(range(3), 2)]
             assert (max(sides) - min(sides)) / np.mean(sides) <= 1e-8
@@ -163,7 +163,7 @@ def test_criterion_5_triangle_property_suite():
         catalog = enumerate_isogonic(model)
         assert len(catalog) == 2
         for f in catalog.isogonic_points:
-            anti = antipedal_simplex(f, model).feet_or_vertices
+            anti = antipedal_simplex(f, model).vertices
             sides = [np.linalg.norm(anti[a] - anti[b])
                      for a, b in itertools.combinations(range(3), 2)]
             assert (max(sides) - min(sides)) / np.mean(sides) <= 1e-8
@@ -205,7 +205,7 @@ def test_criterion_6_structural_invariants():
 
         interior = BarycentricPoint.homogeneous(rng.dirichlet(np.ones(n + 1)) + 0.05)
         polar = polar_simplex(interior, model)
-        recovered = polar.simplex.cart_to_bary(model.bary_to_cart(interior))
+        recovered = polar.cart_to_bary(model.bary_to_cart(interior))
         assert np.abs(recovered.normalized_coords
                       - interior.normalized_coords).max() <= 1e-10
 
@@ -216,7 +216,7 @@ def test_criterion_6_structural_invariants():
         assert np.abs(centroid.normalized_coords - 1 / (n + 1)).max() <= 1e-12
 
         anti = antipedal_simplex(interior, model)
-        feet = anti.simplex.pedal_feet(model.bary_to_cart(interior))
+        feet = anti.pedal_feet(model.bary_to_cart(interior))
         assert np.abs(feet - model.vertices).max() <= 1e-8 * model.diameter
 
     agreement = 0

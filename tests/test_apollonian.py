@@ -241,7 +241,7 @@ class TestIsodynamicPoints:
                 EdgeLengthTable.from_flat(2, [d12, d13, d23]))
             result = isodynamic_points(classical_centers(model)["I"], model)
             for point in result.points:
-                feet = pedal_simplex(point, model).feet_or_vertices
+                feet = pedal_simplex(point, model).vertices
                 sides = [np.linalg.norm(feet[a] - feet[b])
                          for a, b in itertools.combinations(range(3), 2)]
                 assert (max(sides) - min(sides)) / np.mean(sides) <= 1e-8

@@ -17,14 +17,13 @@ from simplexcenters import (
     PointAtInfinity,
     SimplexModel,
     barycentric_square,
-    bary_to_cart,
-    cart_to_bary,
     circumsphere,
     classical_centers,
     embed_from_edge_lengths,
-    facet_volumes,
+    fermat_point,
+    pedal_equiareal_iteration,
     sigma_polar_plane,
-    squared_distance,
+    yiu_triangle_test,
 )
 from simplexcenters.errors import OnSideplane
 
@@ -49,6 +48,11 @@ class TestEdgeLengthTable:
     def test_rejects_nonpositive_edges(self):
         with pytest.raises(ValueError):
             EdgeLengthTable.from_flat(2, [1, 1, 0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_lengths(self, bad):
+        with pytest.raises(ValueError, match="edge lengths must be finite"):
+            EdgeLengthTable.from_flat(2, [bad, 1, 1])
 
     def test_wrong_count(self):
         with pytest.raises(ValueError):
@@ -186,19 +190,19 @@ class TestSquaredDistance:
     def test_vertex_pair_is_edge_length(self, gap_model):
         p = BarycentricPoint.vertex(0, 3)
         q = BarycentricPoint.vertex(1, 3)
-        assert abs(squared_distance(p, q, gap_model) - 13 ** 2) < 1e-10
+        assert abs(gap_model.squared_distance(p, q) - 13 ** 2) < 1e-10
 
     def test_equilateral_centroid_to_vertex(self, equilateral_triangle):
         g = BarycentricPoint.homogeneous([1, 1, 1])
         v = BarycentricPoint.vertex(0, 2)
-        assert abs(squared_distance(g, v, equilateral_triangle) - 1 / 3) < 1e-14
+        assert abs(equilateral_triangle.squared_distance(g, v) - 1 / 3) < 1e-14
 
     def test_witness_point_outside_circumcircle(self, gap_triangle):
         # distance from the witness point to the circumcenter, against a
         # Cartesian oracle, and its position relative to the circumradius
         q = BarycentricPoint.homogeneous(golden.GAP_WITNESS)
         o = BarycentricPoint.homogeneous(golden.GAP_TRIANGLE_CIRCUMCENTER)
-        value = math.sqrt(squared_distance(q, o, gap_triangle))
+        value = math.sqrt(gap_triangle.squared_distance(q, o))
         qc = gap_triangle.bary_to_cart(q)
         oc = gap_triangle.bary_to_cart(o)
         assert abs(value - np.linalg.norm(qc - oc)) < 1e-10 * value
@@ -215,21 +219,21 @@ class TestSquaredDistance:
             pc = model.vertices.T @ (p / p.sum())
             qc = model.vertices.T @ (q / q.sum())
             exact = float((pc - qc) @ (pc - qc))
-            computed = squared_distance(BarycentricPoint.homogeneous(p),
-                                        BarycentricPoint.homogeneous(q), model)
+            computed = model.squared_distance(BarycentricPoint.homogeneous(p),
+                                              BarycentricPoint.homogeneous(q))
             assert abs(computed - exact) <= 1e-9 * max(exact, model.diameter ** 2)
 
     def test_point_at_infinity_rejected(self, equilateral_triangle):
         direction = BarycentricPoint.homogeneous([1.0, -1.0, 0.0])
         with pytest.raises(PointAtInfinity):
-            squared_distance(direction, BarycentricPoint.vertex(0, 2),
-                             equilateral_triangle)
+            equilateral_triangle.squared_distance(direction,
+                                                  BarycentricPoint.vertex(0, 2))
 
 
 class TestConversions:
     def test_unit_vectors_map_to_vertices(self, five_model):
         for i in range(4):
-            x = bary_to_cart(BarycentricPoint.vertex(i, 3), five_model)
+            x = five_model.bary_to_cart(BarycentricPoint.vertex(i, 3))
             assert np.abs(x - five_model.vertices[i]).max() < 1e-12
 
     def test_round_trip(self):
@@ -239,27 +243,27 @@ class TestConversions:
             for _ in range(10):
                 p = random_nonzero_point(rng, n)
                 p = p / p.sum()
-                back = cart_to_bary(bary_to_cart(
-                    BarycentricPoint.homogeneous(p), model), model)
+                back = model.cart_to_bary(model.bary_to_cart(
+                    BarycentricPoint.homogeneous(p)))
                 assert np.abs(back.coords - p).max() < 1e-12
 
     def test_table_point_cartesian_image(self, five_model):
         # the affine combination sum_i f_i A_i is the oracle
         f0 = golden.ISOGONIC_TABLE[0]
         expected = (f0[:, None] * golden.FIVE_VERTICES).sum(axis=0)
-        x = bary_to_cart(BarycentricPoint.homogeneous(f0), five_model)
+        x = five_model.bary_to_cart(BarycentricPoint.homogeneous(f0))
         assert np.abs(x - expected).max() < 1e-12
 
 
 class TestFacetVolumes:
     def test_five_tetrahedron_cross_product_oracle(self, five_model):
         oracle = golden.facet_areas_cross(golden.FIVE_VERTICES)
-        assert np.abs(facet_volumes(five_model) / oracle - 1).max() < 1e-10
-        assert np.abs(facet_volumes(five_model)
+        assert np.abs(five_model.facet_volumes / oracle - 1).max() < 1e-10
+        assert np.abs(five_model.facet_volumes
                       / np.array(golden.FIVE_FACET_VOLUMES) - 1).max() < 1e-10
 
     def test_regular_tetrahedron(self, regular_tetrahedron):
-        assert np.abs(facet_volumes(regular_tetrahedron)
+        assert np.abs(regular_tetrahedron.facet_volumes
                       - math.sqrt(3) / 4).max() < 1e-12
 
     def test_matches_gram_oracle_random(self):
@@ -409,6 +413,14 @@ class TestBarycentricPoint:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             BarycentricPoint.homogeneous([0.0, 0.0, 0.0])
+
+    def test_non_finite_rejected_before_any_solver_runs(self):
+        model = SimplexModel([[0, 0], [4, 0], [1, 3]])
+        for call in (lambda: fermat_point(model, start=[math.nan, 1, 1]),
+                     lambda: pedal_equiareal_iteration([math.nan, 1, 1], model),
+                     lambda: yiu_triangle_test(3, 4, 5, math.nan, 1, 1)):
+            with pytest.raises(ValueError, match="coordinates must be finite"):
+                call()
 
     def test_immutable(self):
         p = BarycentricPoint.homogeneous([1.0, 2.0, 3.0])

@@ -109,7 +109,7 @@ class TestWeiszfeldSteps:
                 continue
             p = BarycentricPoint.homogeneous(coords)
             polar = polar_simplex(p, model)
-            i_star = polar.simplex.facet_volumes
+            i_star = polar.facet_volumes
             via_correspondent = z_correspondent(p, i_star, model)
             direct = weiszfeld_step_q(p, model)
             assert np.abs(via_correspondent.normalized_coords

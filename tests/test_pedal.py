@@ -33,12 +33,12 @@ class TestPedalSimplex:
         v = gap_triangle.vertices
         midpoints = np.array([0.5 * (v[1] + v[2]), 0.5 * (v[0] + v[2]),
                               0.5 * (v[0] + v[1])])
-        assert np.abs(result.feet_or_vertices - midpoints).max() < 1e-12
+        assert np.abs(result.vertices - midpoints).max() < 1e-12
 
     def test_table_point_equal_areas(self, five_model):
         result = pedal_simplex(
             BarycentricPoint.homogeneous(golden.CONJUGATE_TABLE[0]), five_model)
-        areas = golden.facet_areas_cross(result.feet_or_vertices)
+        areas = golden.facet_areas_cross(result.vertices)
         assert (areas.max() - areas.min()) / areas.mean() < 1e-8
         assert abs(areas.mean() / golden.PEDAL_AREA_TABLE[0] - 1) < 1e-6
 
@@ -46,7 +46,7 @@ class TestPedalSimplex:
         incenter = classical_centers(five_model)["I"]
         result = pedal_simplex(incenter, five_model)
         x = five_model.bary_to_cart(incenter)
-        dists = np.linalg.norm(result.feet_or_vertices - x[None, :], axis=1)
+        dists = np.linalg.norm(result.vertices - x[None, :], axis=1)
         inradius = five_model.n * golden.FIVE_VOLUME / sum(golden.FIVE_FACET_VOLUMES)
         assert np.abs(dists - inradius).max() < 1e-12
 
@@ -57,7 +57,7 @@ class TestPedalSimplex:
             model = make_random_model(rng, n)
             p = BarycentricPoint.homogeneous(random_interior_point(rng, n))
             result = pedal_simplex(p, model)
-            for i, foot in enumerate(result.feet_or_vertices):
+            for i, foot in enumerate(result.vertices):
                 bary = model.cart_to_bary(foot).coords
                 assert abs(bary[i]) < 1e-10
 
@@ -75,7 +75,7 @@ class TestPedalSimplex:
         # on edge A_0 A_1 the feet on sideplanes 2 and 3 are the point itself
         result = pedal_simplex([1, 1, 0, 0], five_model)
         assert result.degenerate
-        feet = result.feet_or_vertices
+        feet = result.vertices
         assert np.abs(feet[2] - feet[3]).max() <= 1e-12 * five_model.diameter
 
     @pytest.mark.parametrize("x", [(4.5, 1.5), (4.0, 3.0)])
@@ -83,9 +83,8 @@ class TestPedalSimplex:
         # both points lie on the circumcircle (center (2, 1.5), radius 2.5),
         # so the feet fall on the Simson line: volumes, but no frame
         model = SimplexModel([[0, 0], [4, 0], [0, 3]])
-        result = pedal_simplex(model.cart_to_bary(x), model)
-        figure = result.simplex
-        assert result.degenerate and figure.total_volume < 1e-12
+        figure = pedal_simplex(model.cart_to_bary(x), model)
+        assert figure.degenerate and figure.total_volume < 1e-12
         for use in (lambda: figure.cart_to_bary([1.0, 1.0]),
                     lambda: figure.pedal_feet(np.ones(2)),
                     lambda: figure.project_to_sideplane(np.ones(2), 0),
@@ -108,7 +107,7 @@ class TestAntipedalSimplex:
     def test_equilateral_center_gives_double_side(self, equilateral_triangle):
         g = BarycentricPoint.homogeneous([1, 1, 1])
         result = antipedal_simplex(g, equilateral_triangle)
-        pts = result.feet_or_vertices
+        pts = result.vertices
         sides = [np.linalg.norm(pts[a] - pts[b])
                  for a, b in itertools.combinations(range(3), 2)]
         assert np.abs(np.array(sides) - 2.0).max() < 1e-12
@@ -116,7 +115,7 @@ class TestAntipedalSimplex:
     def test_table_point_equal_areas(self, five_model):
         result = antipedal_simplex(
             BarycentricPoint.homogeneous(golden.ISOGONIC_TABLE[0]), five_model)
-        areas = golden.facet_areas_cross(result.feet_or_vertices)
+        areas = golden.facet_areas_cross(result.vertices)
         assert (areas.max() - areas.min()) / areas.mean() < 1e-8
         assert abs(areas.mean() / golden.ANTIPEDAL_AREA_TABLE[0] - 1) < 1e-6
 
@@ -128,14 +127,14 @@ class TestAntipedalSimplex:
             p = BarycentricPoint.homogeneous(random_interior_point(rng, n))
             anti = antipedal_simplex(p, model)
             x = model.bary_to_cart(p)
-            feet = anti.simplex.pedal_feet(x)
+            feet = anti.pedal_feet(x)
             assert np.abs(feet - model.vertices).max() < 1e-8 * model.diameter
 
     def test_facet_planes_through_vertices(self, five_model):
         p = BarycentricPoint.homogeneous([0.3, 0.3, 0.2, 0.2])
         result = antipedal_simplex(p, five_model)
         x = five_model.bary_to_cart(p)
-        pts = result.feet_or_vertices
+        pts = result.vertices
         for i in range(4):
             normal = x - five_model.vertices[i]
             for j in range(4):
@@ -174,7 +173,7 @@ class TestAntipedalSimplex:
                 with pytest.raises(UnboundedAntipedal, match=want):
                     antipedal_simplex(pt, model)
             else:
-                assert np.array_equal(antipedal_simplex(pt, model).feet_or_vertices, want)
+                assert np.array_equal(antipedal_simplex(pt, model).vertices, want)
         assert unbounded > 0
 
     def test_unbounded_for_point_on_edge_line(self, equilateral_triangle):
@@ -189,9 +188,9 @@ class TestAntipedalSimplex:
         rng = np.random.default_rng(29)
         for _ in range(10):
             p = BarycentricPoint.homogeneous(random_interior_point(rng, 2))
-            anti = antipedal_simplex(p, gap_triangle).feet_or_vertices
+            anti = antipedal_simplex(p, gap_triangle).vertices
             conj = isogonal_conjugate(p, gap_triangle)
-            ped = pedal_simplex(conj, gap_triangle).feet_or_vertices
+            ped = pedal_simplex(conj, gap_triangle).vertices
             pairs = list(itertools.combinations(range(3), 2))
             ratios = np.array([
                 np.linalg.norm(anti[a] - anti[b]) / np.linalg.norm(ped[a] - ped[b])
@@ -203,7 +202,7 @@ class TestPolarSimplex:
     def test_equilateral_center_concentric(self, equilateral_triangle):
         g = BarycentricPoint.homogeneous([1, 1, 1])
         result = polar_simplex(g, equilateral_triangle, radius=1.0)
-        pts = result.feet_or_vertices
+        pts = result.vertices
         sides = [np.linalg.norm(pts[a] - pts[b])
                  for a, b in itertools.combinations(range(3), 2)]
         assert np.ptp(sides) < 1e-12
@@ -216,7 +215,7 @@ class TestPolarSimplex:
         radius = 1.7
         result = polar_simplex(p, five_model, radius=radius)
         x = five_model.bary_to_cart(p)
-        for i, pole in enumerate(result.feet_or_vertices):
+        for i, pole in enumerate(result.vertices):
             foot = five_model.project_to_sideplane(x, i)
             product = np.linalg.norm(pole - x) * np.linalg.norm(foot - x)
             assert abs(product - radius ** 2) < 1e-10
@@ -232,7 +231,7 @@ class TestPolarSimplex:
                 continue
             p = BarycentricPoint.homogeneous(coords)
             result = polar_simplex(p, model)
-            back = result.simplex.cart_to_bary(model.bary_to_cart(p))
+            back = result.cart_to_bary(model.bary_to_cart(p))
             assert np.abs(back.normalized_coords
                           - p.normalized_coords).max() < 1e-10
 
@@ -240,7 +239,7 @@ class TestPolarSimplex:
         p = BarycentricPoint.homogeneous([0.4, 0.3, 0.2, 0.1])
         for radius in (0.5, 1.0, 3.0):
             result = polar_simplex(p, five_model, radius=radius)
-            back = result.simplex.cart_to_bary(five_model.bary_to_cart(p))
+            back = result.cart_to_bary(five_model.bary_to_cart(p))
             assert np.abs(back.normalized_coords
                           - p.normalized_coords).max() < 1e-10
 
@@ -254,7 +253,7 @@ class TestInversiveImage:
         center = np.array([1.0, 1.0, 1.0])
         radius = 2.0
         result = inversive_image(five_model, center, radius)
-        for v, image in zip(five_model.vertices, result.feet_or_vertices):
+        for v, image in zip(five_model.vertices, result.vertices):
             d = np.linalg.norm(v - center)
             assert abs(np.linalg.norm(image - center) - radius ** 2 / d) < 1e-12
             ray = (v - center) / d
@@ -264,8 +263,8 @@ class TestInversiveImage:
     def test_double_inversion_identity(self, five_model):
         center = np.array([0.5, 0.7, 0.9])
         first = inversive_image(five_model, center, 1.3)
-        second = inversive_image(first.simplex, center, 1.3)
-        assert np.abs(second.feet_or_vertices - five_model.vertices).max() < 1e-10
+        second = inversive_image(first, center, 1.3)
+        assert np.abs(second.vertices - five_model.vertices).max() < 1e-10
 
     def test_similar_to_pedal_triangle(self, gap_triangle):
         # in the plane, inverting the vertices about P always yields a
@@ -276,8 +275,8 @@ class TestInversiveImage:
         for _ in range(10):
             p = BarycentricPoint.homogeneous(random_interior_point(rng, 2))
             x = gap_triangle.bary_to_cart(p)
-            inv = inversive_image(gap_triangle, x, 1.0).feet_or_vertices
-            ped = pedal_simplex(p, gap_triangle).feet_or_vertices
+            inv = inversive_image(gap_triangle, x, 1.0).vertices
+            ped = pedal_simplex(p, gap_triangle).vertices
             pairs = list(itertools.combinations(range(3), 2))
             ratios = np.array([
                 np.linalg.norm(ped[a] - ped[b]) / np.linalg.norm(inv[a] - inv[b])
@@ -295,8 +294,8 @@ class TestInversiveImage:
     def test_similar_to_antipedal_claim(self, five_model):
         f0 = BarycentricPoint.homogeneous(golden.ISOGONIC_TABLE[0])
         x = five_model.bary_to_cart(f0)
-        inv = inversive_image(five_model, x, 1.0).feet_or_vertices
-        anti = antipedal_simplex(f0, five_model).feet_or_vertices
+        inv = inversive_image(five_model, x, 1.0).vertices
+        anti = antipedal_simplex(f0, five_model).vertices
         pairs = list(itertools.combinations(range(4), 2))
         ratios = np.array([
             np.linalg.norm(anti[a] - anti[b]) / np.linalg.norm(inv[a] - inv[b])
@@ -306,6 +305,36 @@ class TestInversiveImage:
     def test_center_at_vertex_rejected(self, five_model):
         with pytest.raises(CenterAtVertex):
             inversive_image(five_model, five_model.vertices[2], 1.0)
+
+
+@pytest.mark.parametrize("build", [
+    lambda m: polar_simplex([1, 1, 1, 1], m, radius=math.inf),
+    lambda m: inversive_image(m, [1, 1, 1], math.inf),
+    lambda m: inversive_image(m, [math.nan, 0, 0], 1.0),
+], ids=["polar-radius", "inversive-radius", "inversive-center"])
+def test_non_finite_sphere_rejected(build, five_model):
+    with pytest.raises(ValueError, match="must be finite"):
+        build(five_model)
+
+
+@pytest.mark.parametrize("build, collapsed", [
+    (lambda m: pedal_simplex([1, 2, 3, 4], m), False),
+    (lambda m: antipedal_simplex([1, 2, 3, 4], m), False),
+    (lambda m: polar_simplex([1, 2, 3, 4], m), False),
+    (lambda m: inversive_image(m, [1, 1, 1], 1.0), False),
+    (lambda m: pedal_simplex([1, 1, 0, 0], m), True),
+], ids=["pedal", "antipedal", "polar", "inversive", "pedal-collapsed"])
+def test_figure_is_an_unvalidated_model(build, collapsed, five_model):
+    # the flag is the verdict that validating the same vertices would give
+    figure = build(five_model)
+    assert isinstance(figure, SimplexModel)
+    assert not figure.vertices.flags.writeable
+    try:
+        SimplexModel(figure.vertices)
+        raised = False
+    except Degenerate:
+        raised = True
+    assert figure.degenerate == raised == collapsed
 
 
 class TestEquiarealDeviation:
