@@ -24,10 +24,8 @@ from .barycentric import (
     EdgeLengthTable,
     Hyperplane,
     SimplexModel,
-    Sphere,
     barycentric_square,
     circumcenter_cart,
-    circumsphere,
     classical_centers,
     embed_from_edge_lengths,
     facet_volumes_of_points,
@@ -82,8 +80,8 @@ __all__ = [
     "ApollonianSphere", "IsodynamicResult", "YiuVerdict", "apollonian_sphere",
     "collinear_cross_ratio", "isodynamic_points", "membership_residual",
     "restrict_to_facet", "sphere_family", "yiu_triangle_test",
-    "BarycentricPoint", "EdgeLengthTable", "Hyperplane", "SimplexModel", "Sphere",
-    "barycentric_square", "circumcenter_cart", "circumsphere",
+    "BarycentricPoint", "EdgeLengthTable", "Hyperplane", "SimplexModel",
+    "barycentric_square", "circumcenter_cart",
     "classical_centers", "embed_from_edge_lengths", "facet_volumes_of_points",
     "sigma_polar_plane",
     "AtInfinity", "AtVertex", "AxisUndefined", "CenterAtVertex", "Degenerate",

@@ -4,7 +4,8 @@ For a point P = [p_1 : ... : p_{n+1}] off the sideplanes, the sphere for
 the vertex pair (i, j) has diameter endpoints [p_i : p_j] and [-p_i : p_j]
 (slots i, j) and is the locus where distances to the two vertices satisfy
 d(A_i, X) : d(A_j, X) = 1/|p_i| : 1/|p_j|.  When |p_i| = |p_j| the sphere
-degenerates to the perpendicular bisector hyperplane of the edge.
+degenerates to the perpendicular bisector hyperplane of the edge, which is
+recorded as a sphere with no center and infinite radius.
 
 All sphere centers lie on the polar hyperplane of the componentwise square
 of P, every sphere meets the circumsphere orthogonally, and any common
@@ -27,13 +28,13 @@ from .barycentric import (
     Hyperplane,
     SimplexModel,
     _all_equal,
+    _readonly,
     _zero_entries,
     _zero_sum,
     as_point,
     circumcenter_cart,
     embed_from_edge_lengths,
     EdgeLengthTable,
-    Sphere,
 )
 from .errors import (
     AtVertex,
@@ -50,35 +51,39 @@ _TANGENCY_REL = 1e-12
 
 @dataclass(frozen=True)
 class ApollonianSphere:
-    """One generalized Apollonian sphere of a vertex pair."""
+    """One generalized Apollonian sphere of a vertex pair.
+
+    ``center`` is the midpoint [-p_i^2 : p_j^2] (slots i, j) of the diameter
+    ends, ``cart_center`` the same point as a read-only Cartesian array, and
+    ``radius`` half the distance between the ends.  A perpendicular-bisector
+    sphere (|p_i| = |p_j|) has both centers ``None`` and ``radius`` infinite.
+    """
 
     i: int
     j: int
     diameter_ends: tuple[BarycentricPoint, BarycentricPoint]
-    center: BarycentricPoint | None      # midpoint [-p_i^2 : p_j^2]; None if degenerate
-    sphere: Sphere
+    center: BarycentricPoint | None
+    cart_center: np.ndarray | None
+    radius: float
 
     @property
     def is_degenerate(self) -> bool:
-        return self.sphere.is_degenerate
+        return self.center is None
 
 
 @dataclass(frozen=True)
 class IsodynamicResult:
-    """Common points of all Apollonian spheres of a point, if any."""
+    """Common points of all Apollonian spheres of a point, if any.
+
+    ``residuals`` holds the worst distance-ratio residual of each point.
+    ``degenerate_axis`` marks the all-equal case, where every sphere is a
+    perpendicular bisector and the one point is the circumcenter.
+    """
 
     points: list[BarycentricPoint]
-    axis_point: BarycentricPoint          # circumcenter
-    axis_direction: np.ndarray | None     # unit vector; None if axis undefined
-    residuals: list[float]                # worst ratio residual per point
+    residuals: list[float]
     degenerate_axis: bool = False
     note: str | None = None
-
-    def __post_init__(self):
-        if self.axis_direction is not None:
-            d = np.array(self.axis_direction, dtype=float)
-            d.flags.writeable = False
-            object.__setattr__(self, "axis_direction", d)
 
 
 @dataclass(frozen=True)
@@ -106,6 +111,9 @@ def _slot_point(n: int, i: int, j: int, vi: float, vj: float) -> BarycentricPoin
 def apollonian_sphere(p, i: int, j: int, model: SimplexModel) -> ApollonianSphere:
     """Sphere of the vertex pair (i, j) for the given point (0-based indices)."""
     coords = as_point(p, model.n).coords
+    if i == j or not (0 <= i <= model.n and 0 <= j <= model.n):
+        raise ValueError(f"vertex indices must be distinct and in 0..{model.n}, "
+                         f"got ({i}, {j})")
     if _zero_entries(coords)[[i, j]].any():
         raise ZeroCoordinate("Apollonian sphere needs nonzero coordinates at both vertices")
     pi, pj = float(coords[i]), float(coords[j])
@@ -115,20 +123,15 @@ def apollonian_sphere(p, i: int, j: int, model: SimplexModel) -> ApollonianSpher
     if _all_equal(np.abs(coords[[i, j]])):
         # equal-magnitude coordinates: the locus is the perpendicular
         # bisector of edge (i, j)
-        vi, vj = model.vertices[i], model.vertices[j]
-        normal = vj - vi
-        offset = float(normal @ (vi + vj)) / 2.0
-        plane = Hyperplane.from_cartesian(normal, offset, model)
-        sphere = Sphere(center=None, radius=math.inf, degenerate_hyperplane=plane)
         return ApollonianSphere(i=i, j=j, diameter_ends=(end_in, end_out),
-                                center=None, sphere=sphere)
+                                center=None, cart_center=None, radius=math.inf)
 
     c1 = model.bary_to_cart(end_in)
     c2 = model.bary_to_cart(end_out)
-    center_bary = _slot_point(model.n, i, j, -pi ** 2, pj ** 2)
-    sphere = Sphere(center=0.5 * (c1 + c2), radius=0.5 * float(np.linalg.norm(c1 - c2)))
     return ApollonianSphere(i=i, j=j, diameter_ends=(end_in, end_out),
-                            center=center_bary, sphere=sphere)
+                            center=_slot_point(model.n, i, j, -pi ** 2, pj ** 2),
+                            cart_center=_readonly(0.5 * (c1 + c2)),
+                            radius=0.5 * float(np.linalg.norm(c1 - c2)))
 
 
 def sphere_family(p, model: SimplexModel) -> list[ApollonianSphere]:
@@ -163,15 +166,12 @@ def isodynamic_points(p, model: SimplexModel) -> IsodynamicResult:
         raise ZeroCoordinate("isodynamic points need all coordinates nonzero")
 
     center, radius = circumcenter_cart(model)
-    center_bary = model.cart_to_bary(center)
 
     if _all_equal(coords ** 2):
         # every sphere degenerates to a perpendicular bisector; the family
         # meets exactly at the circumcenter and the axis has no direction
         return IsodynamicResult(
-            points=[center_bary],
-            axis_point=center_bary,
-            axis_direction=None,
+            points=[model.cart_to_bary(center)],
             residuals=[membership_residual(pt, center, model)],
             degenerate_axis=True,
             note="all coordinate magnitudes equal; spheres degenerate to "
@@ -188,15 +188,14 @@ def isodynamic_points(p, model: SimplexModel) -> IsodynamicResult:
     if solving is None:  # pragma: no cover - excluded by the ptp check
         raise AxisUndefined("all spheres degenerate")
 
-    oc = center - solving.sphere.center
+    oc = center - solving.cart_center
     b = 2.0 * float(direction @ oc)
-    c0 = float(oc @ oc) - solving.sphere.radius ** 2
+    c0 = float(oc @ oc) - solving.radius ** 2
     disc = b * b - 4.0 * c0
     window = _TANGENCY_REL * radius ** 2
 
     if disc < -window:
-        return IsodynamicResult(points=[], axis_point=center_bary,
-                                axis_direction=direction, residuals=[])
+        return IsodynamicResult(points=[], residuals=[])
     if disc <= window:
         ts = [-b / 2.0]
     else:
@@ -214,8 +213,6 @@ def isodynamic_points(p, model: SimplexModel) -> IsodynamicResult:
 
     order = sorted(range(len(points)), key=lambda k: sort_key((points[k], pts_cart[k])))
     return IsodynamicResult(points=[points[k] for k in order],
-                            axis_point=center_bary,
-                            axis_direction=direction,
                             residuals=[residuals[k] for k in order])
 
 
@@ -285,6 +282,8 @@ def restrict_to_facet(p, model: SimplexModel,
     pt = as_point(p, model.n)
     coords = pt.coords
     i = facet_index
+    if not 0 <= i <= model.n:
+        raise ValueError(f"facet index must be in 0..{model.n}, got {i}")
     if np.delete(_zero_entries(coords), i).all():
         raise AtVertex("point coincides with the opposite vertex")
     # line A_i + span(P): zero out slot i, keep remaining coordinates

@@ -271,8 +271,7 @@ class SimplexModel:
     as the pedal, antipedal, polar and inversive figures of ``pedal``, and
     ``degenerate`` then says whether the figure collapsed.  A collapsed
     figure keeps its volumes but has no affine frame: ``cart_to_bary``,
-    ``sideplane``, ``project_to_sideplane`` and ``pedal_feet`` raise
-    ``Degenerate`` on it.
+    ``sideplane`` and ``pedal_feet`` raise ``Degenerate`` on it.
     """
 
     def __init__(self, vertices, *, validate: bool = True):
@@ -365,10 +364,6 @@ class SimplexModel:
         coeffs[i] = 1.0
         return Hyperplane.from_bary_coeffs(coeffs, self)
 
-    def project_to_sideplane(self, x: np.ndarray, i: int) -> np.ndarray:
-        _, normals, offsets = self._frame()
-        return x - (normals[i] @ x - offsets[i]) * normals[i]
-
     def pedal_feet(self, x: np.ndarray) -> np.ndarray:
         """Orthogonal projections of a Cartesian point onto all sideplanes."""
         _, normals, offsets = self._frame()
@@ -380,7 +375,7 @@ class SimplexModel:
 
 
 # ---------------------------------------------------------------------------
-# hyperplanes and spheres
+# hyperplanes
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -411,48 +406,8 @@ class Hyperplane:
         ng = float(np.linalg.norm(grad))
         return cls(bary_coeffs=coeffs, cart_normal=grad / ng, cart_offset=float(-off / ng))
 
-    @classmethod
-    def from_cartesian(cls, normal, offset: float, model: SimplexModel) -> "Hyperplane":
-        normal = np.asarray(normal, dtype=float)
-        ng = float(np.linalg.norm(normal))
-        normal = normal / ng
-        offset = float(offset) / ng
-        coeffs = model.vertices @ normal - offset
-        return cls(bary_coeffs=coeffs, cart_normal=normal, cart_offset=offset)
-
-    def evaluate(self, p) -> float:
-        """Barycentric form evaluated on normalized coordinates."""
-        return float(self.bary_coeffs @ as_point(p).normalized_coords)
-
     def signed_distance(self, x) -> float:
         return float(self.cart_normal @ np.asarray(x, float) - self.cart_offset)
-
-
-@dataclass(frozen=True)
-class Sphere:
-    """A sphere, possibly degenerated to a hyperplane (infinite radius)."""
-
-    center: np.ndarray | None
-    radius: float
-    degenerate_hyperplane: Hyperplane | None = None
-
-    def __post_init__(self):
-        if self.center is not None:
-            object.__setattr__(self, "center", _readonly(self.center))
-        if self.degenerate_hyperplane is None and not self.radius > 0.0:
-            raise ValueError("sphere radius must be positive")
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.degenerate_hyperplane is not None
-
-    def power(self, x) -> float:
-        """Power of a point; for a degenerate sphere the signed distance."""
-        x = np.asarray(x, float)
-        if self.is_degenerate:
-            return self.degenerate_hyperplane.signed_distance(x)
-        d = x - self.center
-        return float(d @ d - self.radius ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -497,11 +452,6 @@ def circumcenter_cart(model: SimplexModel) -> tuple[np.ndarray, float]:
     b = (v[1:] ** 2).sum(axis=1) - (v[0] ** 2).sum()
     center = np.linalg.solve(a, b)
     return center, float(np.linalg.norm(center - v[0]))
-
-
-def circumsphere(model: SimplexModel) -> Sphere:
-    center, radius = circumcenter_cart(model)
-    return Sphere(center=center, radius=radius)
 
 
 def classical_centers(model: SimplexModel) -> dict[str, BarycentricPoint]:

@@ -72,8 +72,8 @@ def polar_simplex(p, model: SimplexModel, radius: float = 1.0) -> SimplexModel:
     with respect to the result agree with those with respect to the
     original simplex.
     """
-    if not (math.isfinite(radius) and radius > 0.0):
-        raise ValueError("radius must be finite and positive")
+    if not (radius > 0.0 and math.isfinite(radius * radius)):
+        raise ValueError("radius must be positive and its square must be finite")
     pt = as_point(p, model.n).normalized()
     if _zero_entries(pt.coords).any():
         raise OnSideplane("polar simplex needs all coordinates nonzero")
@@ -88,8 +88,8 @@ def polar_simplex(p, model: SimplexModel, radius: float = 1.0) -> SimplexModel:
 
 def inversive_image(model: SimplexModel, center, radius: float) -> SimplexModel:
     """Image of the simplex vertices under inversion in a sphere."""
-    if not (math.isfinite(radius) and radius > 0.0):
-        raise ValueError("radius must be finite and positive")
+    if not (radius > 0.0 and math.isfinite(radius * radius)):
+        raise ValueError("radius must be positive and its square must be finite")
     center = np.asarray(center, dtype=float)
     if not np.isfinite(center).all():
         raise ValueError("inversion center must be finite")

@@ -437,9 +437,9 @@ def invariant_suite_checks() -> list[CheckRow]:
             p_out = model.bary_to_cart(ends[1])
             worst_harmonic = max(worst_harmonic, abs(
                 collinear_cross_ratio(a_i, a_j, p_in, p_out) + 1.0))
-            center_gap = float(np.linalg.norm(center - sph.sphere.center))
+            center_gap = float(np.linalg.norm(center - sph.cart_center))
             worst_orth = max(worst_orth, abs(
-                center_gap ** 2 - radius ** 2 - sph.sphere.radius ** 2) / radius ** 2)
+                center_gap ** 2 - radius ** 2 - sph.radius ** 2) / radius ** 2)
 
         interior = BarycentricPoint.homogeneous(rng.dirichlet(np.ones(n + 1)) + 0.05)
         polar = polar_simplex(interior, model)

@@ -199,8 +199,8 @@ def test_criterion_6_structural_invariants():
             cr = collinear_cross_ratio(model.vertices[sph.i],
                                        model.vertices[sph.j], inner, outer)
             assert abs(cr + 1.0) <= 1e-12
-            gap = float(np.linalg.norm(center - sph.sphere.center))
-            assert abs(gap ** 2 - radius ** 2 - sph.sphere.radius ** 2) \
+            gap = float(np.linalg.norm(center - sph.cart_center))
+            assert abs(gap ** 2 - radius ** 2 - sph.radius ** 2) \
                 <= 1e-8 * radius ** 2
 
         interior = BarycentricPoint.homogeneous(rng.dirichlet(np.ones(n + 1)) + 0.05)

@@ -39,7 +39,22 @@ class TestApollonianSphere:
         # homogeneous center [-p_i^2 : p_j^2] equals the Cartesian midpoint
         mid = 0.5 * (five_model.bary_to_cart(inner) + five_model.bary_to_cart(outer))
         assert np.abs(five_model.bary_to_cart(sph.center) - mid).max() < 1e-10
-        assert np.abs(sph.sphere.center - mid).max() < 1e-10
+        assert np.abs(sph.cart_center - mid).max() < 1e-10
+
+    def test_cartesian_center_and_radius(self, five_model):
+        p = BarycentricPoint.homogeneous([0.4, 0.3, 0.3, 0.1])
+        proper = apollonian_sphere(p, 0, 1, five_model)
+        assert not proper.is_degenerate
+        assert not proper.cart_center.flags.writeable
+        assert np.abs(proper.cart_center - five_model.bary_to_cart(proper.center)).max() \
+            <= 1e-10 * five_model.diameter
+        inner, outer = (five_model.bary_to_cart(e) for e in proper.diameter_ends)
+        assert proper.radius == pytest.approx(0.5 * np.linalg.norm(inner - outer),
+                                              rel=1e-14)
+        bisector = apollonian_sphere(p, 1, 2, five_model)
+        assert bisector.is_degenerate
+        assert bisector.center is None and bisector.cart_center is None
+        assert bisector.radius == math.inf
 
     def test_locus_ratio_on_sphere(self, five_model):
         rng = np.random.default_rng(3)
@@ -48,8 +63,9 @@ class TestApollonianSphere:
             sph = apollonian_sphere(p, i, j, five_model)
             for _ in range(5):
                 u = rng.standard_normal(3)
-                x = sph.sphere.center + sph.sphere.radius * u / np.linalg.norm(u)
-                assert abs(sph.sphere.power(x)) <= 1e-10 * sph.sphere.radius ** 2
+                x = sph.cart_center + sph.radius * u / np.linalg.norm(u)
+                d = x - sph.cart_center
+                assert abs(d @ d - sph.radius ** 2) <= 1e-10 * sph.radius ** 2
                 di = np.linalg.norm(x - five_model.vertices[i])
                 dj = np.linalg.norm(x - five_model.vertices[j])
                 wi = di * abs(p.coords[i])
@@ -60,16 +76,7 @@ class TestApollonianSphere:
         p = BarycentricPoint.homogeneous([0.3, -0.3, 0.2, 0.2])
         sph = apollonian_sphere(p, 0, 1, five_model)
         assert sph.is_degenerate
-        plane = sph.sphere.degenerate_hyperplane
-        # the perpendicular bisector is equidistant from both vertices
-        for x in (five_model.vertices[2], five_model.vertices[3],
-                  five_model.vertices.mean(axis=0)):
-            d0 = np.linalg.norm(x - five_model.vertices[0])
-            d1 = np.linalg.norm(x - five_model.vertices[1])
-            onplane = abs(plane.signed_distance(x)) < 1e-12
-            assert onplane == (abs(d0 - d1) < 1e-12)
-        mid = 0.5 * (five_model.vertices[0] + five_model.vertices[1])
-        assert abs(plane.signed_distance(mid)) < 1e-12
+        assert sph.radius == math.inf
 
     def test_classical_triangle_division_points(self, gap_triangle):
         # with incenter weights, the sphere through the (0,1) pair has
@@ -110,14 +117,19 @@ class TestApollonianSphere:
             for sph in sphere_family(BarycentricPoint.homogeneous(p), model):
                 if sph.is_degenerate:
                     continue
-                gap = float(np.linalg.norm(center - sph.sphere.center))
-                assert abs(gap ** 2 - radius ** 2 - sph.sphere.radius ** 2) \
+                gap = float(np.linalg.norm(center - sph.cart_center))
+                assert abs(gap ** 2 - radius ** 2 - sph.radius ** 2) \
                     <= 1e-8 * radius ** 2
 
     def test_zero_coordinate_rejected(self, five_model):
         with pytest.raises(ZeroCoordinate):
             apollonian_sphere(BarycentricPoint.homogeneous([0, 1, 1, 1]),
                               0, 1, five_model)
+
+    @pytest.mark.parametrize("i, j", [(1, 1), (0, 9), (-1, 0)])
+    def test_vertex_indices_checked(self, five_model, i, j):
+        with pytest.raises(ValueError, match="vertex indices"):
+            apollonian_sphere([1, 2, 3, 4], i, j, five_model)
 
 
 class TestIsodynamicPoints:
@@ -326,3 +338,8 @@ class TestRestrictToFacet:
     def test_opposite_vertex_rejected(self, five_model):
         with pytest.raises(AtVertex):
             restrict_to_facet(BarycentricPoint.vertex(2, 3), five_model, 2)
+
+    @pytest.mark.parametrize("facet", [7, -1])
+    def test_facet_index_checked(self, five_model, facet):
+        with pytest.raises(ValueError, match="facet index"):
+            restrict_to_facet([1, 2, 3, 4], five_model, facet)

@@ -87,7 +87,6 @@ class TestPedalSimplex:
         assert figure.degenerate and figure.total_volume < 1e-12
         for use in (lambda: figure.cart_to_bary([1.0, 1.0]),
                     lambda: figure.pedal_feet(np.ones(2)),
-                    lambda: figure.project_to_sideplane(np.ones(2), 0),
                     lambda: figure.sideplane(1)):
             with pytest.raises(Degenerate, match="frame"):
                 use()
@@ -215,8 +214,7 @@ class TestPolarSimplex:
         radius = 1.7
         result = polar_simplex(p, five_model, radius=radius)
         x = five_model.bary_to_cart(p)
-        for i, pole in enumerate(result.vertices):
-            foot = five_model.project_to_sideplane(x, i)
+        for pole, foot in zip(result.vertices, five_model.pedal_feet(x)):
             product = np.linalg.norm(pole - x) * np.linalg.norm(foot - x)
             assert abs(product - radius ** 2) < 1e-10
 
@@ -311,7 +309,11 @@ class TestInversiveImage:
     lambda m: polar_simplex([1, 1, 1, 1], m, radius=math.inf),
     lambda m: inversive_image(m, [1, 1, 1], math.inf),
     lambda m: inversive_image(m, [math.nan, 0, 0], 1.0),
-], ids=["polar-radius", "inversive-radius", "inversive-center"])
+    # finite radii whose squares overflow
+    lambda m: polar_simplex([1, 1, 1, 1], m, radius=1e200),
+    lambda m: inversive_image(m, [1, 1, 1], 1e200),
+], ids=["polar-radius", "inversive-radius", "inversive-center",
+        "polar-radius-square", "inversive-radius-square"])
 def test_non_finite_sphere_rejected(build, five_model):
     with pytest.raises(ValueError, match="must be finite"):
         build(five_model)
