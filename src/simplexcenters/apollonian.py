@@ -29,8 +29,8 @@ from .barycentric import (
     SimplexModel,
     _all_equal,
     _readonly,
+    _vertex_index,
     _zero_entries,
-    _zero_sum,
     as_point,
     circumcenter_cart,
     embed_from_edge_lengths,
@@ -105,15 +105,15 @@ def _slot_point(n: int, i: int, j: int, vi: float, vj: float) -> BarycentricPoin
     c = np.zeros(n + 1)
     c[i] = vi
     c[j] = vj
-    return BarycentricPoint.homogeneous(c)
+    return BarycentricPoint(c)
 
 
 def apollonian_sphere(p, i: int, j: int, model: SimplexModel) -> ApollonianSphere:
     """Sphere of the vertex pair (i, j) for the given point (0-based indices)."""
     coords = as_point(p, model.n).coords
-    if i == j or not (0 <= i <= model.n and 0 <= j <= model.n):
-        raise ValueError(f"vertex indices must be distinct and in 0..{model.n}, "
-                         f"got ({i}, {j})")
+    i, j = (_vertex_index(k, model.n, "vertex indices") for k in (i, j))
+    if i == j:
+        raise ValueError(f"vertex indices must be distinct, got ({i}, {j})")
     if _zero_entries(coords)[[i, j]].any():
         raise ZeroCoordinate("Apollonian sphere needs nonzero coordinates at both vertices")
     pi, pj = float(coords[i]), float(coords[j])
@@ -241,7 +241,7 @@ def yiu_triangle_test(d23: float, d13: float, d12: float,
         d13 ** 2 * (t2 - t3 - t1),
         d12 ** 2 * (t3 - t1 - t2),
     ])
-    point = BarycentricPoint.homogeneous(q)
+    point = BarycentricPoint(q)
 
     model = embed_from_edge_lengths(EdgeLengthTable.from_flat(2, [d12, d13, d23]))
     center, radius = circumcenter_cart(model)
@@ -279,17 +279,14 @@ def restrict_to_facet(p, model: SimplexModel,
     facet's sideplane, expressed in the facet's own coordinates.  A
     triangle's facet is a segment, and the point on it is [p_j : p_k].
     """
-    pt = as_point(p, model.n)
-    coords = pt.coords
-    i = facet_index
-    if not 0 <= i <= model.n:
-        raise ValueError(f"facet index must be in 0..{model.n}, got {i}")
+    coords = as_point(p, model.n).coords
+    i = _vertex_index(facet_index, model.n, "facet index")
     if np.delete(_zero_entries(coords), i).all():
         raise AtVertex("point coincides with the opposite vertex")
     # line A_i + span(P): zero out slot i, keep remaining coordinates
-    hit = np.delete(coords, i)
-    if _zero_sum(hit):
+    hit = BarycentricPoint(np.delete(coords, i))
+    if not hit.is_finite():
         raise ParallelLine("line through the opposite vertex misses the facet")
     keep = [j for j in range(model.n + 1) if j != i]
     facet_model = embed_from_edge_lengths(model.edges.subtable(keep))
-    return facet_model, BarycentricPoint.homogeneous(hit)
+    return facet_model, hit

@@ -8,7 +8,9 @@ without ever leaving barycentric coordinates:
 
     d^2(P, Q) = - sum_{i<j} d_ij^2 (p_i - q_i)(p_j - q_j)
 
-for normalized coordinate vectors p, q.
+for normalized coordinate vectors p, q.  A point has one form,
+``BarycentricPoint(coords)``: a finite point is stored normalized, so its
+``coords`` are the p above; a direction (coordinate sum zero) is kept as given.
 
 Near-zero policy: one tolerance, eps = 1e-13 relative to each input's own
 scale, decides where a construction stops being defined, in four predicates:
@@ -24,7 +26,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,8 +57,9 @@ def _zero_entries(c: np.ndarray) -> np.ndarray:
     return np.abs(c) <= _REL_EPS * np.abs(c).max()
 
 
-def _zero_sum(c: np.ndarray) -> bool:
-    return abs(c.sum()) <= _REL_EPS * np.abs(c).sum()
+def _zero_sum(total: float, norm: float) -> bool:
+    """Whether a coordinate sum is zero, given the sum of the magnitudes."""
+    return abs(total) <= _REL_EPS * norm
 
 
 def _all_equal(c: np.ndarray) -> bool:
@@ -171,66 +175,65 @@ class EdgeLengthTable:
 # barycentric points
 # ---------------------------------------------------------------------------
 
+def _vertex_index(i, n: int, name: str = "vertex index") -> int:
+    """``i`` as an int if it is an integer (NumPy's too) in 0..n, else ``ValueError``."""
+    try:
+        k = operator.index(i)
+    except TypeError:
+        k = -1  # not an integer
+    if not 0 <= k <= n:
+        raise ValueError(f"{name} must be an integer in 0..{n}, got {i!r}")
+    return k
+
+
 @dataclass(frozen=True)
 class BarycentricPoint:
-    """Coordinate vector relative to a simplex.
+    """Homogeneous coordinates [p_1 : ... : p_{n+1}] relative to a simplex.
 
-    ``homogeneous`` points are defined up to scale; ``normalized`` points
-    have coordinate sum 1.  A homogeneous vector with coordinate sum zero
-    encodes a direction (point at infinity) and is rejected by any
-    operation that needs an affine point.
+    A point is a class of proportional vectors, held by one member.  A
+    vector whose coordinate sum is zero (``_zero_sum``) is a direction, a
+    point at infinity, and is kept as given; any other vector is a finite
+    point, stored divided by its sum so that ``coords`` sums to 1.
+    ``is_finite`` reads that verdict, and ``normalized_coords`` raises
+    ``PointAtInfinity`` on a direction.
     """
 
     coords: np.ndarray
-    mode: str = "homogeneous"
+    _finite: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        coords = _readonly(self.coords)
+        coords = np.asarray(self.coords, dtype=float)
         if coords.ndim != 1 or coords.size < 2:
             raise ValueError("coordinates must be a vector of length >= 2")
-        norm = float(np.abs(coords).sum())
+        total, norm = float(coords.sum()), float(np.abs(coords).sum())
         if not math.isfinite(norm):
             raise ValueError("coordinates must be finite")
         if norm == 0.0:
             raise ValueError("coordinate vector must not be zero")
-        if self.mode not in ("homogeneous", "normalized"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.mode == "normalized" and abs(coords.sum() - 1.0) > 1e-12 * max(1.0, norm):
-            raise ValueError("normalized coordinates must sum to 1")
+        finite = not _zero_sum(total, norm)
+        coords = coords / total if finite else coords.copy()
+        coords.flags.writeable = False
         object.__setattr__(self, "coords", coords)
-
-    @classmethod
-    def homogeneous(cls, coords) -> "BarycentricPoint":
-        return cls(coords=np.asarray(coords, float), mode="homogeneous")
-
-    @classmethod
-    def normalized_from(cls, coords) -> "BarycentricPoint":
-        coords = np.asarray(coords, float)
-        if _zero_sum(coords):
-            raise PointAtInfinity("coordinate sum is zero")
-        return cls(coords=coords / coords.sum(), mode="normalized")
+        object.__setattr__(self, "_finite", finite)
 
     @classmethod
     def vertex(cls, i: int, n: int) -> "BarycentricPoint":
         e = np.zeros(n + 1)
-        e[i] = 1.0
-        return cls(coords=e, mode="normalized")
+        e[_vertex_index(i, n)] = 1.0
+        return cls(e)
 
     @property
     def dim(self) -> int:
         return self.coords.size - 1
 
     def is_finite(self) -> bool:
-        return not _zero_sum(self.coords)
-
-    def normalized(self) -> "BarycentricPoint":
-        if self.mode == "normalized":
-            return self
-        return BarycentricPoint.normalized_from(self.coords)
+        return self._finite
 
     @property
     def normalized_coords(self) -> np.ndarray:
-        return self.normalized().coords
+        if not self._finite:
+            raise PointAtInfinity("coordinate sum is zero")
+        return self.coords
 
     def report_scaled(self) -> np.ndarray:
         """Homogeneous rendering scaled so the largest-magnitude entry is +1."""
@@ -239,15 +242,12 @@ class BarycentricPoint:
 
     def __repr__(self):
         vals = ", ".join(f"{v:.12g}" for v in self.coords)
-        return f"BarycentricPoint([{vals}], {self.mode})"
+        return f"BarycentricPoint([{vals}])"
 
 
 def as_point(obj, n: int | None = None) -> BarycentricPoint:
     """Coerce an array-like or BarycentricPoint, checking the dimension."""
-    if isinstance(obj, BarycentricPoint):
-        pt = obj
-    else:
-        pt = BarycentricPoint.homogeneous(obj)
+    pt = obj if isinstance(obj, BarycentricPoint) else BarycentricPoint(obj)
     if n is not None and pt.dim != n:
         raise ValueError(f"expected {n + 1} coordinates, got {pt.dim + 1}")
     return pt
@@ -328,10 +328,10 @@ class SimplexModel:
         return self.vertices.T @ p
 
     def cart_to_bary(self, x) -> BarycentricPoint:
+        """The affine solve's coordinates of x, divided by their sum (1 up to rounding)."""
         x = np.asarray(x, dtype=float)
         rhs = np.append(x, 1.0)
-        coords = self._frame()[0] @ rhs
-        return BarycentricPoint(coords=coords, mode="normalized")
+        return BarycentricPoint(self._frame()[0] @ rhs)
 
     # -- metric -----------------------------------------------------------
 
@@ -340,9 +340,6 @@ class SimplexModel:
         q = as_point(q, self.n).normalized_coords
         delta = p - q
         return max(float(-0.5 * delta @ self.sq_edges @ delta), 0.0)
-
-    def distance(self, p, q) -> float:
-        return math.sqrt(self.squared_distance(p, q))
 
     def vertex_distances(self, p) -> np.ndarray:
         """Distances from a point to every vertex, via the edge-length formula."""
@@ -441,8 +438,8 @@ def embed_from_edge_lengths(table: EdgeLengthTable) -> SimplexModel:
 
 
 def barycentric_square(p) -> BarycentricPoint:
-    """Componentwise square, as a homogeneous point."""
-    return BarycentricPoint.homogeneous(as_point(p).coords ** 2)
+    """Componentwise square [p_1^2 : ... : p_{n+1}^2]."""
+    return BarycentricPoint(as_point(p).coords ** 2)
 
 
 def circumcenter_cart(model: SimplexModel) -> tuple[np.ndarray, float]:
@@ -459,9 +456,9 @@ def classical_centers(model: SimplexModel) -> dict[str, BarycentricPoint]:
     a = model.facet_volumes
     center, _ = circumcenter_cart(model)
     return {
-        "G": BarycentricPoint.homogeneous(np.ones(model.n + 1)),
-        "I": BarycentricPoint.homogeneous(a),
-        "K": BarycentricPoint.homogeneous(a ** 2),
+        "G": BarycentricPoint(np.ones(model.n + 1)),
+        "I": BarycentricPoint(a),
+        "K": BarycentricPoint(a ** 2),
         "O": model.cart_to_bary(center),
     }
 

@@ -60,10 +60,9 @@ def _center_residual(key: str, point: BarycentricPoint, model) -> float:
     if key == "K":
         square = barycentric_square(classical_centers(model)["I"])
         return float(np.abs(square.normalized_coords - point.normalized_coords).max())
-    if key == "O":
-        dv = np.linalg.norm(model.vertices - x[None, :], axis=1)
-        return float(np.ptp(dv) / dv.mean())
-    return 0.0
+    # "O": equidistant from the vertices
+    dv = np.linalg.norm(model.vertices - x[None, :], axis=1)
+    return float(np.ptp(dv) / dv.mean())
 
 
 def cmd_centers(doc: SimplexDocument, options: dict) -> dict:
@@ -206,7 +205,7 @@ def _parse_seeds(spec: str, n: int) -> list[BarycentricPoint]:
         for k, row in enumerate(data):
             if not isinstance(row, list) or len(row) != n + 1:
                 raise DocumentError(f"seed[{k}]: expected {n + 1} coordinates")
-            out.append(BarycentricPoint.homogeneous(
+            out.append(BarycentricPoint(
                 [parse_number(v, f"seed[{k}]") for v in row]))
         return out
     return [parse_point_arg(part, n)

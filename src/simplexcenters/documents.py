@@ -147,7 +147,7 @@ def parse_point_arg(text: str, n: int) -> BarycentricPoint:
     if len(parts) != n + 1:
         raise DocumentError(f"point needs {n + 1} coordinates, got {len(parts)}")
     coords = [parse_number(s, f"point[{k}]") for k, s in enumerate(parts)]
-    return BarycentricPoint.homogeneous(coords)
+    return BarycentricPoint(coords)
 
 
 # ---------------------------------------------------------------------------

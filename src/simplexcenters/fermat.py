@@ -82,7 +82,7 @@ def z_correspondent(p, z_star, model: SimplexModel | None = None) -> Barycentric
     zc = as_point(z_star, len(pc) - 1).coords
     if _zero_entries(pc).any() or _zero_entries(zc).any():
         raise ZeroCoordinate("correspondent needs all coordinates nonzero")
-    return BarycentricPoint.homogeneous(pc / zc)
+    return BarycentricPoint(pc / zc)
 
 
 def _step(coords: np.ndarray, dv: np.ndarray, method: str) -> np.ndarray:
@@ -99,11 +99,11 @@ def weiszfeld_step_q(p, model: SimplexModel) -> BarycentricPoint:
     average.  Equals the correspondent of P with the incenter of its polar
     simplex.
     """
-    pt = as_point(p, model.n).normalized()
+    pt = as_point(p, model.n)
     dv = model.vertex_distances(pt)
     if model._vertex_at(dv) is not None:
         raise AtVertex("step is undefined at a vertex (zero distance)")
-    return BarycentricPoint.homogeneous(_step(pt.coords, dv, "q"))
+    return BarycentricPoint(_step(pt.coords, dv, "q"))
 
 
 def weiszfeld_step_r(p, model: SimplexModel) -> BarycentricPoint:
@@ -113,13 +113,13 @@ def weiszfeld_step_r(p, model: SimplexModel) -> BarycentricPoint:
     points have coordinates proportional to reciprocal distances, exactly
     as for the "q" step.  Output coordinates are always positive.
     """
-    pt = as_point(p, model.n).normalized()
-    if _zero_entries(pt.coords).any():
+    pt = as_point(p, model.n)
+    if _zero_entries(pt.normalized_coords).any():
         raise ZeroCoordinate("square-root-free step needs nonzero coordinates")
     dv = model.vertex_distances(pt)
     if model._vertex_at(dv) is not None:
         raise AtVertex("step is undefined at a vertex (zero distance)")
-    return BarycentricPoint.homogeneous(_step(pt.coords, dv, "r"))
+    return BarycentricPoint(_step(pt.coords, dv, "r"))
 
 
 def _displaced_from_vertex(model: SimplexModel, k: int) -> BarycentricPoint:
@@ -145,8 +145,8 @@ def fermat_point(model: SimplexModel, start=None, method: str = "q",
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if start is None:
         start = np.ones(model.n + 1)
-    p = as_point(start, model.n).normalized()
-    if _zero_entries(p.coords).any():
+    p = as_point(start, model.n)
+    if _zero_entries(p.normalized_coords).any():
         raise ZeroCoordinate("start point must have all coordinates nonzero")
 
     trace = IterationTrace(method=method, iterates=[p])
@@ -171,9 +171,7 @@ def fermat_point(model: SimplexModel, start=None, method: str = "q",
             p = _displaced_from_vertex(model, k)
             trace.iterates.append(p)
             continue
-        # the step has a positive sum by construction: normalize it directly
-        s = _step(np.abs(p.coords), dv, method)
-        nxt = BarycentricPoint(coords=s / s.sum(), mode="normalized")
+        nxt = BarycentricPoint(_step(np.abs(p.coords), dv, method))
         trace.iterates.append(nxt)
         step = float(np.abs(nxt.coords - p.coords).max())
         p = nxt

@@ -87,7 +87,7 @@ def isogonal_conjugate(p, model: SimplexModel) -> BarycentricPoint:
     coords = as_point(p, model.n).coords
     if _zero_entries(coords).any():
         raise ZeroCoordinate("isogonal conjugate needs all coordinates nonzero")
-    return BarycentricPoint.homogeneous(model.facet_volumes ** 2 / coords)
+    return BarycentricPoint(model.facet_volumes ** 2 / coords)
 
 
 def pedal_equiareal_iteration(p0, model: SimplexModel, tol: float = 1e-13,
@@ -99,7 +99,7 @@ def pedal_equiareal_iteration(p0, model: SimplexModel, tol: float = 1e-13,
     ``tol * diameter``.  The damping factor starts at 1 and is halved after
     five consecutive gap increases so divergent starts are recovered.
     """
-    pt = as_point(p0, model.n).normalized()
+    pt = as_point(p0, model.n)
     trace = SearchTrace(seed=pt)
     x = model.bary_to_cart(pt)
     gap_limit = tol * model.diameter
@@ -169,11 +169,11 @@ def default_seeds(model: SimplexModel) -> list[BarycentricPoint]:
     directly on it and acts as a verifier.
     """
     m = model.n + 1
-    seeds = [BarycentricPoint.homogeneous(np.ones(m))]
+    seeds = [BarycentricPoint(np.ones(m))]
     for k in range(m):
         c = np.ones(m)
         c[k] = -1.0
-        seeds.append(BarycentricPoint.homogeneous(c))
+        seeds.append(BarycentricPoint(c))
     if model.n == 2:
         try:
             found = isodynamic_points(classical_centers(model)["I"], model)
@@ -271,7 +271,7 @@ def triad_angle_check(p, model: SimplexModel, tol: float = 1e-7,
     """
     if model.n != 3:
         raise ValueError("triad angle check is defined for 3-simplices")
-    pt = as_point(p, model.n).normalized()
+    pt = as_point(p, model.n)
     x = model.bary_to_cart(pt)
     rays = model.vertices - x[None, :]
     norms = np.linalg.norm(rays, axis=1)

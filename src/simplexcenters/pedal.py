@@ -17,7 +17,6 @@ from .barycentric import (
     _leave_one_out,
     _zero_entries,
     as_point,
-    facet_volumes_of_points,
 )
 from .errors import AtVertex, CenterAtVertex, OnSideplane, UnboundedAntipedal
 
@@ -26,13 +25,25 @@ from .errors import AtVertex, CenterAtVertex, OnSideplane, UnboundedAntipedal
 _COND_LIMIT = 1e14
 
 
+def _squared_radius(radius) -> float:
+    """``float(radius) ** 2``; ``ValueError`` unless the radius is positive and
+    its square finite."""
+    try:
+        square = float(radius) ** 2
+    except OverflowError:
+        square = math.inf
+    if not (radius > 0.0 and math.isfinite(square)):
+        raise ValueError("radius must be positive and its square must be finite")
+    return square
+
+
 def pedal_simplex(p, model: SimplexModel) -> SimplexModel:
     """Simplex of orthogonal projections of a point onto the sideplanes.
 
     Vertex i of the result is the foot of the perpendicular from the point
     to the sideplane opposite vertex i.
     """
-    pt = as_point(p, model.n).normalized()
+    pt = as_point(p, model.n)
     if model._vertex_at(model.vertex_distances(pt)) is not None:
         raise AtVertex("pedal simplex is undefined at a vertex")
     x = model.bary_to_cart(pt)
@@ -47,7 +58,7 @@ def antipedal_simplex(p, model: SimplexModel) -> SimplexModel:
     The pedal simplex of the point with respect to the result is the
     original simplex.
     """
-    pt = as_point(p, model.n).normalized()
+    pt = as_point(p, model.n)
     if model._vertex_at(model.vertex_distances(pt)) is not None:
         raise AtVertex("antipedal simplex is undefined at a vertex")
     x = model.bary_to_cart(pt)
@@ -72,24 +83,22 @@ def polar_simplex(p, model: SimplexModel, radius: float = 1.0) -> SimplexModel:
     with respect to the result agree with those with respect to the
     original simplex.
     """
-    if not (radius > 0.0 and math.isfinite(radius * radius)):
-        raise ValueError("radius must be positive and its square must be finite")
-    pt = as_point(p, model.n).normalized()
-    if _zero_entries(pt.coords).any():
+    square = _squared_radius(radius)
+    pt = as_point(p, model.n)
+    if _zero_entries(pt.normalized_coords).any():
         raise OnSideplane("polar simplex needs all coordinates nonzero")
     x = model.bary_to_cart(pt)
     feet = model.pedal_feet(x)
     out = np.empty_like(feet)
     for i, foot in enumerate(feet):
         w = foot - x
-        out[i] = x + radius ** 2 * w / (w @ w)
+        out[i] = x + square * w / (w @ w)
     return SimplexModel(out, validate=False)
 
 
 def inversive_image(model: SimplexModel, center, radius: float) -> SimplexModel:
     """Image of the simplex vertices under inversion in a sphere."""
-    if not (radius > 0.0 and math.isfinite(radius * radius)):
-        raise ValueError("radius must be positive and its square must be finite")
+    square = _squared_radius(radius)
     center = np.asarray(center, dtype=float)
     if not np.isfinite(center).all():
         raise ValueError("inversion center must be finite")
@@ -98,20 +107,17 @@ def inversive_image(model: SimplexModel, center, radius: float) -> SimplexModel:
     i = model._vertex_at(np.sqrt(norm2))
     if i is not None:
         raise CenterAtVertex(f"inversion center coincides with vertex {i}")
-    out = center + radius ** 2 * w / norm2[:, None]
+    out = center + square * w / norm2[:, None]
     return SimplexModel(out, validate=False)
 
 
-def equiareal_deviation(obj) -> float:
-    """Relative spread (max - min) / mean of the facet volumes.
+def equiareal_deviation(model: SimplexModel) -> float:
+    """Relative spread (max - min) / mean of a model's facet volumes.
 
-    Zero exactly when all facets have equal volume.  Accepts a model (a
-    derived figure included) or a raw vertex array.
+    Zero exactly when all facets have equal volume; a derived figure from
+    this module, collapsed or not, is a model too.
     """
-    if isinstance(obj, SimplexModel):
-        vols = obj.facet_volumes
-    else:
-        vols = facet_volumes_of_points(np.asarray(obj, dtype=float))
+    vols = model.facet_volumes
     mean = float(vols.mean())
     if mean <= 0.0:
         return float("inf")

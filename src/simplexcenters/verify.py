@@ -398,8 +398,8 @@ def _circles_meet_brute(model: SimplexModel, weights: np.ndarray) -> bool:
         e = np.zeros(3)
         inner = e.copy(); inner[i] = wi; inner[j] = wj
         outer = e.copy(); outer[i] = -wi; outer[j] = wj
-        c1 = model.bary_to_cart(BarycentricPoint.homogeneous(inner))
-        c2 = model.bary_to_cart(BarycentricPoint.homogeneous(outer))
+        c1 = model.bary_to_cart(BarycentricPoint(inner))
+        c2 = model.bary_to_cart(BarycentricPoint(outer))
         circles.append((0.5 * (c1 + c2), 0.5 * float(np.linalg.norm(c1 - c2))))
     proper = [c for c in circles if c is not None]
     if len(proper) < 2:
@@ -424,7 +424,7 @@ def invariant_suite_checks() -> list[CheckRow]:
         coords = rng.uniform(0.2, 1.5, n + 1) * rng.choice([-1.0, 1.0], n + 1)
         if abs(coords.sum()) < 0.05:
             coords[0] += 0.5
-        point = BarycentricPoint.homogeneous(coords)
+        point = BarycentricPoint(coords)
 
         center, radius = circumcenter_cart(model)
         for sph in sphere_family(point, model):
@@ -441,13 +441,13 @@ def invariant_suite_checks() -> list[CheckRow]:
             worst_orth = max(worst_orth, abs(
                 center_gap ** 2 - radius ** 2 - sph.radius ** 2) / radius ** 2)
 
-        interior = BarycentricPoint.homogeneous(rng.dirichlet(np.ones(n + 1)) + 0.05)
+        interior = BarycentricPoint(rng.dirichlet(np.ones(n + 1)) + 0.05)
         polar = polar_simplex(interior, model)
         recovered = polar.cart_to_bary(model.bary_to_cart(interior))
         worst_orthology = max(worst_orthology, float(np.abs(
             recovered.normalized_coords - interior.normalized_coords).max()))
 
-        ones = BarycentricPoint.homogeneous(np.ones(n + 1))
+        ones = BarycentricPoint(np.ones(n + 1))
         same = z_correspondent(point, ones, model)
         worst_corr = max(worst_corr, float(np.abs(
             same.normalized_coords - point.normalized_coords).max()))

@@ -188,7 +188,7 @@ def test_criterion_6_structural_invariants():
         n = 2 + trial % 3
         model = make_random_model(rng, n)
         coords = random_nonzero_point(rng, n)
-        point = BarycentricPoint.homogeneous(coords)
+        point = BarycentricPoint(coords)
         center, radius = circumcenter_cart(model)
 
         for sph in sphere_family(point, model):
@@ -203,7 +203,7 @@ def test_criterion_6_structural_invariants():
             assert abs(gap ** 2 - radius ** 2 - sph.radius ** 2) \
                 <= 1e-8 * radius ** 2
 
-        interior = BarycentricPoint.homogeneous(rng.dirichlet(np.ones(n + 1)) + 0.05)
+        interior = BarycentricPoint(rng.dirichlet(np.ones(n + 1)) + 0.05)
         polar = polar_simplex(interior, model)
         recovered = polar.cart_to_bary(model.bary_to_cart(interior))
         assert np.abs(recovered.normalized_coords

@@ -31,18 +31,19 @@ from simplexcenters import apollonian
 
 class TestApollonianSphere:
     def test_diameter_endpoints_and_center(self, five_model):
-        p = BarycentricPoint.homogeneous([0.4, 0.3, 0.2, 0.1])
+        p = BarycentricPoint([0.4, 0.3, 0.2, 0.1])
         sph = apollonian_sphere(p, 0, 1, five_model)
         inner, outer = sph.diameter_ends
-        assert np.abs(inner.coords - np.array([0.4, 0.3, 0, 0])).max() < 1e-15
-        assert np.abs(outer.coords - np.array([-0.4, 0.3, 0, 0])).max() < 1e-15
+        # [0.4 : 0.3] and [-0.4 : 0.3] in slots 0, 1, each stored with sum 1
+        assert np.abs(inner.coords - np.array([0.4, 0.3, 0, 0]) / 0.7).max() < 1e-15
+        assert np.abs(outer.coords - np.array([-0.4, 0.3, 0, 0]) / -0.1).max() < 1e-14
         # homogeneous center [-p_i^2 : p_j^2] equals the Cartesian midpoint
         mid = 0.5 * (five_model.bary_to_cart(inner) + five_model.bary_to_cart(outer))
         assert np.abs(five_model.bary_to_cart(sph.center) - mid).max() < 1e-10
         assert np.abs(sph.cart_center - mid).max() < 1e-10
 
     def test_cartesian_center_and_radius(self, five_model):
-        p = BarycentricPoint.homogeneous([0.4, 0.3, 0.3, 0.1])
+        p = BarycentricPoint([0.4, 0.3, 0.3, 0.1])
         proper = apollonian_sphere(p, 0, 1, five_model)
         assert not proper.is_degenerate
         assert not proper.cart_center.flags.writeable
@@ -58,7 +59,7 @@ class TestApollonianSphere:
 
     def test_locus_ratio_on_sphere(self, five_model):
         rng = np.random.default_rng(3)
-        p = BarycentricPoint.homogeneous([0.5, 0.3, 0.15, 0.05])
+        p = BarycentricPoint([0.5, 0.3, 0.15, 0.05])
         for i, j in itertools.combinations(range(4), 2):
             sph = apollonian_sphere(p, i, j, five_model)
             for _ in range(5):
@@ -73,7 +74,7 @@ class TestApollonianSphere:
                 assert abs(wi - wj) <= 1e-9 * max(wi, wj)
 
     def test_degenerate_equal_magnitudes(self, five_model):
-        p = BarycentricPoint.homogeneous([0.3, -0.3, 0.2, 0.2])
+        p = BarycentricPoint([0.3, -0.3, 0.2, 0.2])
         sph = apollonian_sphere(p, 0, 1, five_model)
         assert sph.is_degenerate
         assert sph.radius == math.inf
@@ -98,7 +99,7 @@ class TestApollonianSphere:
             n = 2 + trial % 3
             model = make_random_model(rng, n)
             p = random_nonzero_point(rng, n)
-            sph = apollonian_sphere(BarycentricPoint.homogeneous(p), 0, 1, model)
+            sph = apollonian_sphere(BarycentricPoint(p), 0, 1, model)
             if sph.is_degenerate:
                 continue
             inner = model.bary_to_cart(sph.diameter_ends[0])
@@ -114,7 +115,7 @@ class TestApollonianSphere:
             model = make_random_model(rng, n)
             p = random_nonzero_point(rng, n)
             center, radius = circumcenter_cart(model)
-            for sph in sphere_family(BarycentricPoint.homogeneous(p), model):
+            for sph in sphere_family(BarycentricPoint(p), model):
                 if sph.is_degenerate:
                     continue
                 gap = float(np.linalg.norm(center - sph.cart_center))
@@ -123,10 +124,10 @@ class TestApollonianSphere:
 
     def test_zero_coordinate_rejected(self, five_model):
         with pytest.raises(ZeroCoordinate):
-            apollonian_sphere(BarycentricPoint.homogeneous([0, 1, 1, 1]),
+            apollonian_sphere(BarycentricPoint([0, 1, 1, 1]),
                               0, 1, five_model)
 
-    @pytest.mark.parametrize("i, j", [(1, 1), (0, 9), (-1, 0)])
+    @pytest.mark.parametrize("i, j", [(1, 1), (0, 9), (-1, 0), (0, 1.5)])
     def test_vertex_indices_checked(self, five_model, i, j):
         with pytest.raises(ValueError, match="vertex indices"):
             apollonian_sphere([1, 2, 3, 4], i, j, five_model)
@@ -203,7 +204,7 @@ class TestIsodynamicPoints:
             model = embed_from_edge_lengths(
                 EdgeLengthTable.from_flat(2, [d12, d13, d23]))
             weights = rng.uniform(0.3, 2.0, 3)
-            result = isodynamic_points(BarycentricPoint.homogeneous(weights), model)
+            result = isodynamic_points(BarycentricPoint(weights), model)
             for res in result.residuals:
                 assert res <= 1e-8
 
@@ -260,7 +261,7 @@ class TestIsodynamicPoints:
 
     def test_zero_coordinate_rejected(self, five_model):
         with pytest.raises(ZeroCoordinate):
-            isodynamic_points(BarycentricPoint.homogeneous([0, 1, 1, 1]), five_model)
+            isodynamic_points(BarycentricPoint([0, 1, 1, 1]), five_model)
 
 
 class TestYiuTriangleTest:
@@ -313,18 +314,18 @@ class TestRestrictToFacet:
                       - np.sort(golden.GAP_TRIANGLE_EDGES)).max() < 1e-12
 
     def test_point_already_on_facet(self, five_model):
-        p = BarycentricPoint.homogeneous([0.5, 0.3, 0.2, 0.0])
+        p = BarycentricPoint([0.5, 0.3, 0.2, 0.0])
         _, point = restrict_to_facet(p, five_model, 3)
         assert np.abs(point.normalized_coords - np.array([0.5, 0.3, 0.2])).max() < 1e-14
 
     def test_centroid_projects_to_facet_centroid(self, five_model):
-        g = BarycentricPoint.homogeneous([1, 1, 1, 1])
+        g = BarycentricPoint([1, 1, 1, 1])
         for facet in range(4):
             _, point = restrict_to_facet(g, five_model, facet)
             assert np.abs(point.normalized_coords - 1 / 3).max() < 1e-14
 
     def test_parallel_line(self, equilateral_triangle):
-        p = BarycentricPoint.homogeneous([1.0, 1.0, -1.0])
+        p = BarycentricPoint([1.0, 1.0, -1.0])
         with pytest.raises(ParallelLine):
             restrict_to_facet(p, equilateral_triangle, 0)
 
@@ -333,13 +334,13 @@ class TestRestrictToFacet:
         facet_model, point = restrict_to_facet([1, 2, 3], model, 0)
         assert facet_model.n == 1
         assert facet_model.total_volume == pytest.approx(math.sqrt(18), rel=1e-15)
-        assert np.array_equal(point.coords, [2.0, 3.0])
+        assert np.abs(point.coords - [0.4, 0.6]).max() < 1e-15
 
     def test_opposite_vertex_rejected(self, five_model):
         with pytest.raises(AtVertex):
             restrict_to_facet(BarycentricPoint.vertex(2, 3), five_model, 2)
 
-    @pytest.mark.parametrize("facet", [7, -1])
+    @pytest.mark.parametrize("facet", [7, -1, 1.5])
     def test_facet_index_checked(self, five_model, facet):
         with pytest.raises(ValueError, match="facet index"):
             restrict_to_facet([1, 2, 3, 4], five_model, facet)

@@ -193,15 +193,15 @@ class TestSquaredDistance:
         assert abs(gap_model.squared_distance(p, q) - 13 ** 2) < 1e-10
 
     def test_equilateral_centroid_to_vertex(self, equilateral_triangle):
-        g = BarycentricPoint.homogeneous([1, 1, 1])
+        g = BarycentricPoint([1, 1, 1])
         v = BarycentricPoint.vertex(0, 2)
         assert abs(equilateral_triangle.squared_distance(g, v) - 1 / 3) < 1e-14
 
     def test_witness_point_outside_circumcircle(self, gap_triangle):
         # distance from the witness point to the circumcenter, against a
         # Cartesian oracle, and its position relative to the circumradius
-        q = BarycentricPoint.homogeneous(golden.GAP_WITNESS)
-        o = BarycentricPoint.homogeneous(golden.GAP_TRIANGLE_CIRCUMCENTER)
+        q = BarycentricPoint(golden.GAP_WITNESS)
+        o = BarycentricPoint(golden.GAP_TRIANGLE_CIRCUMCENTER)
         value = math.sqrt(gap_triangle.squared_distance(q, o))
         qc = gap_triangle.bary_to_cart(q)
         oc = gap_triangle.bary_to_cart(o)
@@ -219,12 +219,12 @@ class TestSquaredDistance:
             pc = model.vertices.T @ (p / p.sum())
             qc = model.vertices.T @ (q / q.sum())
             exact = float((pc - qc) @ (pc - qc))
-            computed = model.squared_distance(BarycentricPoint.homogeneous(p),
-                                              BarycentricPoint.homogeneous(q))
+            computed = model.squared_distance(BarycentricPoint(p),
+                                              BarycentricPoint(q))
             assert abs(computed - exact) <= 1e-9 * max(exact, model.diameter ** 2)
 
     def test_point_at_infinity_rejected(self, equilateral_triangle):
-        direction = BarycentricPoint.homogeneous([1.0, -1.0, 0.0])
+        direction = BarycentricPoint([1.0, -1.0, 0.0])
         with pytest.raises(PointAtInfinity):
             equilateral_triangle.squared_distance(direction,
                                                   BarycentricPoint.vertex(0, 2))
@@ -244,14 +244,14 @@ class TestConversions:
                 p = random_nonzero_point(rng, n)
                 p = p / p.sum()
                 back = model.cart_to_bary(model.bary_to_cart(
-                    BarycentricPoint.homogeneous(p)))
+                    BarycentricPoint(p)))
                 assert np.abs(back.coords - p).max() < 1e-12
 
     def test_table_point_cartesian_image(self, five_model):
         # the affine combination sum_i f_i A_i is the oracle
         f0 = golden.ISOGONIC_TABLE[0]
         expected = (f0[:, None] * golden.FIVE_VERTICES).sum(axis=0)
-        x = five_model.bary_to_cart(BarycentricPoint.homogeneous(f0))
+        x = five_model.bary_to_cart(BarycentricPoint(f0))
         assert np.abs(x - expected).max() < 1e-12
 
 
@@ -302,7 +302,7 @@ class TestClassicalCenters:
 
 class TestBarycentricSquare:
     def test_centroid_fixed(self):
-        g = BarycentricPoint.homogeneous([1, 1, 1])
+        g = BarycentricPoint([1, 1, 1])
         assert np.abs(barycentric_square(g).normalized_coords - 1 / 3).max() == 0
 
     def test_incenter_squares_to_symmedian(self, five_model):
@@ -312,14 +312,14 @@ class TestBarycentricSquare:
                       - centers["K"].normalized_coords).max() < 1e-12
 
     def test_componentwise(self):
-        sq = barycentric_square(BarycentricPoint.homogeneous([1, 2, 3]))
+        sq = barycentric_square(BarycentricPoint([1, 2, 3]))
         expected = np.array([1, 4, 9], float)
         assert np.abs(sq.normalized_coords - expected / expected.sum()).max() < 1e-15
 
 
 class TestSigmaPolarPlane:
     def test_coefficients_and_line_intersection(self, equilateral_triangle):
-        plane = sigma_polar_plane(BarycentricPoint.homogeneous([1, 1, 2]),
+        plane = sigma_polar_plane(BarycentricPoint([1, 1, 2]),
                                   equilateral_triangle)
         c = plane.bary_coeffs / plane.bary_coeffs[2]
         assert np.abs(c - np.array([2, 2, 1])).max() < 1e-14
@@ -329,12 +329,12 @@ class TestSigmaPolarPlane:
 
     def test_centroid_rejected(self, equilateral_triangle):
         with pytest.raises(AtInfinity):
-            sigma_polar_plane(BarycentricPoint.homogeneous([1, 1, 1]),
+            sigma_polar_plane(BarycentricPoint([1, 1, 1]),
                               equilateral_triangle)
 
     def test_zero_coordinate_rejected(self, equilateral_triangle):
         with pytest.raises(OnSideplane):
-            sigma_polar_plane(BarycentricPoint.homogeneous([1, 0, 1]),
+            sigma_polar_plane(BarycentricPoint([1, 0, 1]),
                               equilateral_triangle)
 
     def test_incidence_random(self):
@@ -343,7 +343,7 @@ class TestSigmaPolarPlane:
             n = 2 + trial % 3
             model = make_random_model(rng, n)
             p = random_nonzero_point(rng, n)
-            plane = sigma_polar_plane(BarycentricPoint.homogeneous(p), model)
+            plane = sigma_polar_plane(BarycentricPoint(p), model)
             for i, j in itertools.combinations(range(n + 1), 2):
                 probe = np.zeros(n + 1)
                 probe[i], probe[j] = -p[i], p[j]
@@ -356,7 +356,7 @@ class TestSigmaPolarPlane:
         for _ in range(20):
             model = make_random_model(rng, 3)
             p = random_nonzero_point(rng, 3)
-            plane = sigma_polar_plane(BarycentricPoint.homogeneous(p), model)
+            plane = sigma_polar_plane(BarycentricPoint(p), model)
             # a barycentric solution of the plane equation must land on the
             # Cartesian form and vice versa
             coeffs = plane.bary_coeffs
@@ -366,7 +366,7 @@ class TestSigmaPolarPlane:
             probe[3] = -coeffs[2] * 1e-3 / coeffs[3]
             if abs(probe.sum()) < 1e-6:
                 continue
-            x = model.bary_to_cart(BarycentricPoint.homogeneous(probe))
+            x = model.bary_to_cart(BarycentricPoint(probe))
             assert abs(plane.signed_distance(x)) < 1e-10 * model.diameter
 
 
@@ -393,26 +393,26 @@ class TestCircumsphere:
 
 class TestBarycentricPoint:
     def test_normalized_mode_sum(self):
-        p = BarycentricPoint.normalized_from([2.0, 1.0, 1.0])
-        assert abs(p.coords.sum() - 1) < 1e-15
+        p = BarycentricPoint([2.0, 1.0, 1.0])
+        assert abs(p.normalized_coords.sum() - 1) < 1e-15
 
     def test_zero_sum_rejected_on_normalize(self):
-        p = BarycentricPoint.homogeneous([1.0, -1.0, 0.0])
+        p = BarycentricPoint([1.0, -1.0, 0.0])
         with pytest.raises(PointAtInfinity):
-            p.normalized()
+            p.normalized_coords
 
     def test_report_scaling_largest_entry_positive_one(self):
-        p = BarycentricPoint.homogeneous([2.9, -0.5, -1.4, 0.02])
+        p = BarycentricPoint([2.9, -0.5, -1.4, 0.02])
         scaled = p.report_scaled()
         assert scaled[0] == 1.0
-        p = BarycentricPoint.homogeneous([0.5, -2.0, 1.0])
+        p = BarycentricPoint([0.5, -2.0, 1.0])
         scaled = p.report_scaled()
         assert scaled[1] == 1.0  # sign flipped so the largest entry is +1
         assert scaled[0] == -0.25
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
-            BarycentricPoint.homogeneous([0.0, 0.0, 0.0])
+            BarycentricPoint([0.0, 0.0, 0.0])
 
     def test_non_finite_rejected_before_any_solver_runs(self):
         model = SimplexModel([[0, 0], [4, 0], [1, 3]])
@@ -423,9 +423,32 @@ class TestBarycentricPoint:
                 call()
 
     def test_immutable(self):
-        p = BarycentricPoint.homogeneous([1.0, 2.0, 3.0])
+        p = BarycentricPoint([1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             p.coords[0] = 5.0
+
+    def test_one_form_per_point(self):
+        # a finite point is stored with coordinate sum 1, a direction as given
+        p = BarycentricPoint([2, 4, 6])
+        assert p.coords.sum() == pytest.approx(1.0, abs=1e-15)
+        assert np.array_equal(p.coords, np.array([2.0, 4.0, 6.0]) / 12.0)
+        assert p.is_finite() and p.normalized_coords is p.coords
+        with pytest.raises(ValueError):
+            p.coords[0] = 5.0
+        d = BarycentricPoint([1, 1, -2])
+        assert np.array_equal(d.coords, [1.0, 1.0, -2.0])
+        assert not d.is_finite()
+        with pytest.raises(PointAtInfinity):
+            d.normalized_coords
+        for name in ("mode", "homogeneous", "normalized", "normalized_from"):
+            assert not hasattr(BarycentricPoint, name)
+            assert not hasattr(p, name)
+
+    def test_vertex_index_checked(self):
+        assert np.array_equal(BarycentricPoint.vertex(np.int64(2), 3).coords, [0, 0, 1, 0])
+        for i in (-1, 9, 1.5):
+            with pytest.raises(ValueError, match=r"vertex index must be an integer in 0\.\.3"):
+                BarycentricPoint.vertex(i, 3)
 
 
 class TestHyperplane:

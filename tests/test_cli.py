@@ -6,8 +6,13 @@ import pytest
 
 import golden
 
-from simplexcenters.cli import cmd_fermat, main
-from simplexcenters.documents import parse_document
+from simplexcenters.cli import _parse_seeds, cmd_fermat, main
+from simplexcenters.documents import (
+    DocumentError,
+    load_document,
+    parse_document,
+    parse_point_arg,
+)
 
 
 FIVE_DOC = {"name": "five", "vertices": [[0, 0, 0], [6, 0, 0], [0, 8, 0], [2, 2, 6]]}
@@ -236,6 +241,74 @@ def test_bad_flag_value_exit_2(doc_path, capsys, args):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert flag in captured.err
+
+
+TRIANGLE = [[0, 0], [1, 0], [0, 1]]
+
+
+def _file(tmp_path, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    return str(path)
+
+
+def _edges(values, dimension=2):
+    return {"edge_lengths": {"dimension": dimension, "values": values}}
+
+
+# one malformed input per DocumentError raise: (call, message prefix)
+DOCUMENT_ERRORS = {
+    "boolean": (lambda t: parse_document({"vertices": [[0, 0], [True, 0], [0, 1]]}),
+                "vertices[1][0]: expected a number, got a boolean"),
+    "not-a-number": (lambda t: parse_document({"vertices": [[0, 0], [1, None], [0, 1]]}),
+                     "vertices[1][1]: expected a number"),
+    "unparsable": (lambda t: parse_document(_edges([1, 1, "1/0"])),
+                   "edge_lengths.values[2]: cannot parse"),
+    "not-finite": (lambda t: parse_document({"tolerance": math.inf, "vertices": TRIANGLE}),
+                   "tolerance: number is not finite"),
+    "invalid-json": (lambda t: parse_document("{"), "invalid JSON"),
+    "not-an-object": (lambda t: parse_document("[]"), "document must be a JSON object"),
+    "unknown-field": (lambda t: parse_document({"vertex": TRIANGLE}),
+                      "vertex: unknown document field"),
+    "name": (lambda t: parse_document({"name": 3, "vertices": TRIANGLE}), "name:"),
+    "tolerance": (lambda t: parse_document({"tolerance": 0, "vertices": TRIANGLE}),
+                  "tolerance: must be positive"),
+    "no-simplex": (lambda t: parse_document({"name": "x"}), "document needs exactly one"),
+    "few-vertices": (lambda t: parse_document({"vertices": [[0, 0], [1, 0]]}),
+                     "vertices: expected a list"),
+    "vertex-length": (lambda t: parse_document({"vertices": [[0, 0], [1, 0, 0], [0, 1]]}),
+                      "vertices[1]: expected 2 coordinates"),
+    "edges-not-object": (lambda t: parse_document({"edge_lengths": [1, 1, 1]}),
+                         "edge_lengths: expected an object"),
+    "edges-keys": (lambda t: parse_document({"edge_lengths": {"values": [1, 1, 1]}}),
+                   "edge_lengths: needs"),
+    "dimension": (lambda t: parse_document(_edges([1], dimension=1)),
+                  "edge_lengths.dimension:"),
+    "value-count": (lambda t: parse_document(_edges([1, 1])),
+                    "edge_lengths.values: dimension 2 needs 3"),
+    "value-sign": (lambda t: parse_document(_edges([1, 1, -1])),
+                   "edge_lengths.values[2]: must be positive"),
+    "unreadable": (lambda t: load_document(str(t / "missing.json")),
+                   "cannot read document"),
+    "point": (lambda t: parse_point_arg("1,2", 2), "point needs 3 coordinates"),
+    "seed-file": (lambda t: _parse_seeds(_file(t, "{}"), 2), "seed file must hold"),
+    "seed-row": (lambda t: _parse_seeds(_file(t, "[[1, 2]]"), 2),
+                 "seed[0]: expected 3 coordinates"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DOCUMENT_ERRORS))
+def test_document_error_names_its_path(case, tmp_path, capsys):
+    call, prefix = DOCUMENT_ERRORS[case]
+    with pytest.raises(DocumentError) as info:
+        call(tmp_path)
+    assert str(info.value).startswith(prefix)
+    if case == "value-sign":
+        # the same input through the command line is an input error
+        code, out, err = run_cli(capsys, "centers",
+                                 _file(tmp_path, json.dumps(_edges([1, 1, -1]))))
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: " + prefix)
 
 
 class TestIsogonicCommand:

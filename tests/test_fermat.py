@@ -31,7 +31,7 @@ class TestCorrespondent:
             coords = rng.uniform(0.1, 2.0, n + 1) * rng.choice([-1.0, 1.0], n + 1)
             if abs(coords.sum()) < 0.1:
                 continue
-            p = BarycentricPoint.homogeneous(coords)
+            p = BarycentricPoint(coords)
             same = z_correspondent(p, np.ones(n + 1))
             assert np.abs(same.normalized_coords - p.normalized_coords).max() <= 1e-12
 
@@ -40,26 +40,26 @@ class TestCorrespondent:
         for _ in range(100):
             n = int(rng.integers(2, 5))
             coords = rng.uniform(0.1, 2.0, n + 1)
-            p = BarycentricPoint.homogeneous(coords)
+            p = BarycentricPoint(coords)
             centroid = z_correspondent(p, p)
             assert np.abs(centroid.normalized_coords - 1 / (n + 1)).max() <= 1e-12
 
     def test_componentwise_quotient(self):
-        p = BarycentricPoint.homogeneous([0.5, 0.25, 0.25])
-        z = BarycentricPoint.homogeneous([1.0, 2.0, 1.0])
+        p = BarycentricPoint([0.5, 0.25, 0.25])
+        z = BarycentricPoint([1.0, 2.0, 1.0])
         out = z_correspondent(p, z)
         expected = np.array([4.0, 1.0, 2.0])
         assert np.abs(out.normalized_coords - expected / expected.sum()).max() < 1e-15
 
     def test_zero_coordinate_rejected(self):
         with pytest.raises(ZeroCoordinate):
-            z_correspondent(BarycentricPoint.homogeneous([1, 0, 1]),
-                            BarycentricPoint.homogeneous([1, 1, 1]))
+            z_correspondent(BarycentricPoint([1, 0, 1]),
+                            BarycentricPoint([1, 1, 1]))
 
 
 class TestWeiszfeldSteps:
     def test_centroid_fixed_on_regular_simplex(self, regular_tetrahedron):
-        g = BarycentricPoint.homogeneous([1, 1, 1, 1])
+        g = BarycentricPoint([1, 1, 1, 1])
         for step in (weiszfeld_step_q, weiszfeld_step_r):
             out = step(g, regular_tetrahedron)
             assert np.abs(out.normalized_coords - 0.25).max() < 1e-14
@@ -70,7 +70,7 @@ class TestWeiszfeldSteps:
         for trial in range(30):
             n = 2 + trial % 3
             model = make_random_model(rng, n)
-            p = BarycentricPoint.homogeneous(random_interior_point(rng, n))
+            p = BarycentricPoint(random_interior_point(rng, n))
             x = model.bary_to_cart(p)
             dv = np.linalg.norm(model.vertices - x[None, :], axis=1)
             oracle = (model.vertices / dv[:, None]).sum(axis=0) / (1.0 / dv).sum()
@@ -78,7 +78,7 @@ class TestWeiszfeldSteps:
             assert np.abs(stepped - oracle).max() < 1e-10 * model.diameter
 
     def test_q_step_sign_factors(self, five_model):
-        p = BarycentricPoint.homogeneous([-0.2, 0.4, 0.4, 0.4])
+        p = BarycentricPoint([-0.2, 0.4, 0.4, 0.4])
         out = weiszfeld_step_q(p, five_model)
         dv = five_model.vertex_distances(p)
         expected = np.array([-1, 1, 1, 1]) / dv
@@ -86,14 +86,14 @@ class TestWeiszfeldSteps:
                       - expected / expected.sum()).max() < 1e-13
 
     def test_table_point_is_fixed_point(self, five_model):
-        f0 = BarycentricPoint.homogeneous(golden.ISOGONIC_TABLE[0])
+        f0 = BarycentricPoint(golden.ISOGONIC_TABLE[0])
         for step in (weiszfeld_step_q, weiszfeld_step_r):
             out = step(f0, five_model)
             assert np.abs(out.normalized_coords
                           - f0.normalized_coords).max() < 1e-9
 
     def test_r_step_positive_output(self, five_model):
-        p = BarycentricPoint.homogeneous([-0.2, 0.4, 0.4, 0.4])
+        p = BarycentricPoint([-0.2, 0.4, 0.4, 0.4])
         out = weiszfeld_step_r(p, five_model)
         assert np.all(out.coords > 0)
 
@@ -107,7 +107,7 @@ class TestWeiszfeldSteps:
             coords = rng.uniform(0.15, 1.2, n + 1) * rng.choice([-1.0, 1.0], n + 1)
             if abs(coords.sum()) < 0.1:
                 continue
-            p = BarycentricPoint.homogeneous(coords)
+            p = BarycentricPoint(coords)
             polar = polar_simplex(p, model)
             i_star = polar.facet_volumes
             via_correspondent = z_correspondent(p, i_star, model)
@@ -173,7 +173,7 @@ class TestFermatPoint:
             assert np.abs(grad - fd).max() <= 1e-5
 
     def test_exterior_start_enters_interior(self, five_model):
-        start = BarycentricPoint.homogeneous([-0.5, 0.6, 0.5, 0.4])
+        start = BarycentricPoint([-0.5, 0.6, 0.5, 0.4])
         point, trace = fermat_point(five_model, start=start, method="q")
         assert np.abs(point.normalized_coords
                       - golden.ISOGONIC_TABLE[0]).max() < 1e-9
@@ -247,8 +247,7 @@ class TestFermatPoint:
             total_distance(p, model) for p in trace.iterates]
 
     def test_one_point_per_iteration(self, five_model, count_calls):
-        # each step builds its iterate once, already normalized; the start
-        # costs two (homogeneous, then normalized)
+        # the start and each step build their point once
         made = count_calls(BarycentricPoint, "__post_init__")
         for method in ("q", "r"):
             made.clear()
@@ -281,14 +280,14 @@ class TestTotalDistance:
                                   equilateral_triangle) - 2.0) < 1e-14
 
     def test_regular_tetrahedron_centroid(self, regular_tetrahedron):
-        g = BarycentricPoint.homogeneous([1, 1, 1, 1])
+        g = BarycentricPoint([1, 1, 1, 1])
         assert abs(total_distance(g, regular_tetrahedron)
                    - 4 * math.sqrt(3 / 8)) < 1e-12
 
     def test_minimizer_beats_centroid_and_vertices(self, five_model):
-        f0 = BarycentricPoint.homogeneous(golden.ISOGONIC_TABLE[0])
+        f0 = BarycentricPoint(golden.ISOGONIC_TABLE[0])
         best = total_distance(f0, five_model)
         assert best <= total_distance(
-            BarycentricPoint.homogeneous([1, 1, 1, 1]), five_model)
+            BarycentricPoint([1, 1, 1, 1]), five_model)
         for i in range(4):
             assert best <= total_distance(BarycentricPoint.vertex(i, 3), five_model)

@@ -32,7 +32,7 @@ from simplexcenters import isogonic
 
 class TestIsogonalConjugate:
     def test_centroid_maps_to_symmedian(self, five_model):
-        g = BarycentricPoint.homogeneous([1, 1, 1, 1])
+        g = BarycentricPoint([1, 1, 1, 1])
         conj = isogonal_conjugate(g, five_model)
         k = classical_centers(five_model)["K"]
         assert np.abs(conj.normalized_coords - k.normalized_coords).max() < 1e-13
@@ -47,7 +47,7 @@ class TestIsogonalConjugate:
         for trial in range(100):
             n = 2 + trial % 3
             model = make_random_model(rng, n)
-            p = BarycentricPoint.homogeneous(random_nonzero_point(rng, n))
+            p = BarycentricPoint(random_nonzero_point(rng, n))
             back = isogonal_conjugate(isogonal_conjugate(p, model), model)
             assert np.abs(back.normalized_coords
                           - p.normalized_coords).max() <= 1e-12
@@ -59,13 +59,13 @@ class TestIsogonalConjugate:
         assert np.abs(five_model.facet_volumes / oracle - 1).max() < 1e-12
         for k in range(5):
             conj = isogonal_conjugate(
-                BarycentricPoint.homogeneous(golden.CONJUGATE_TABLE[k]), five_model)
+                BarycentricPoint(golden.CONJUGATE_TABLE[k]), five_model)
             assert np.abs(conj.normalized_coords
                           - golden.ISOGONIC_TABLE[k]).max() < 1e-8
 
     def test_zero_coordinate_rejected(self, five_model):
         with pytest.raises(ZeroCoordinate):
-            isogonal_conjugate(BarycentricPoint.homogeneous([1, 0, 1, 1]), five_model)
+            isogonal_conjugate(BarycentricPoint([1, 0, 1, 1]), five_model)
 
 
 def _collapse_after(steps: int, monkeypatch) -> None:
@@ -82,21 +82,21 @@ def _collapse_after(steps: int, monkeypatch) -> None:
 
 class TestPedalEquiarealIteration:
     def test_regular_simplex_centroid_immediate(self, regular_tetrahedron):
-        g = BarycentricPoint.homogeneous([1, 1, 1, 1])
+        g = BarycentricPoint([1, 1, 1, 1])
         point, trace = pedal_equiareal_iteration(g, regular_tetrahedron)
         assert trace.converged
         assert trace.iterations_used == 1
         assert np.abs(point.normalized_coords - 0.25).max() < 1e-12
 
     def test_centroid_start_reaches_first_limit(self, five_model):
-        g = BarycentricPoint.homogeneous([1, 1, 1, 1])
+        g = BarycentricPoint([1, 1, 1, 1])
         point, trace = pedal_equiareal_iteration(g, five_model)
         assert trace.converged
         assert np.abs(point.normalized_coords
                       - golden.CONJUGATE_TABLE[0]).max() < 1e-9
 
     def test_negative_orthant_start_reaches_second_limit(self, five_model):
-        start = BarycentricPoint.homogeneous([-4.0, 2.5, 1.6, 1.0])
+        start = BarycentricPoint([-4.0, 2.5, 1.6, 1.0])
         point, trace = pedal_equiareal_iteration(start, five_model)
         assert trace.converged
         assert np.abs(point.normalized_coords
@@ -126,7 +126,7 @@ class TestPedalEquiarealIteration:
         assert np.array_equal(trace.seed.coords, [0.25, 0.25, 0.25, 0.25])
 
     def test_limit_has_equiareal_pedal(self, five_model):
-        g = BarycentricPoint.homogeneous([1, 1, 1, 1])
+        g = BarycentricPoint([1, 1, 1, 1])
         point, _ = pedal_equiareal_iteration(g, five_model)
         assert equiareal_deviation(pedal_simplex(point, five_model)) <= 1e-7
 
@@ -144,6 +144,16 @@ class TestEnumerateIsogonic:
                        / golden.PEDAL_AREA_TABLE[k] - 1) < 1e-6
             assert abs(catalog.antipedal_areas[k]
                        / golden.ANTIPEDAL_AREA_TABLE[k] - 1) < 1e-6
+
+    def test_benchmark_anchor_iteration_counts(self, five_model):
+        # the per-seed and Fermat iteration counts that bench/run.py pins
+        catalog = enumerate_isogonic(five_model)
+        used = {t.seed.normalized_coords.tobytes(): t.iterations_used
+                for t in catalog.traces + catalog.failed_seeds}
+        assert [used[s.normalized_coords.tobytes()] for s in default_seeds(five_model)] \
+            == [158, 3248, 729, 308, 379]
+        assert [fermat_point(five_model, method=m)[1].iterations_used
+                for m in ("q", "r")] == [35, 47]
 
     def test_canonical_ordering(self, five_model):
         catalog = enumerate_isogonic(five_model)
@@ -181,10 +191,10 @@ class TestEnumerateIsogonic:
             assert np.abs(catalog.conjugate_points[k].normalized_coords
                           - expected_l).max() < 1e-9
         # and the exact rational points themselves verify to near machine level
-        exact_l = BarycentricPoint.homogeneous([-5.0, 3.0, 3.0, 3.0])
+        exact_l = BarycentricPoint([-5.0, 3.0, 3.0, 3.0])
         assert equiareal_deviation(
             pedal_simplex(exact_l, regular_tetrahedron)) < 1e-12
-        exact_f = BarycentricPoint.homogeneous([-3.0, 5.0, 5.0, 5.0])
+        exact_f = BarycentricPoint([-3.0, 5.0, 5.0, 5.0])
         ok, dev = is_isogonic(exact_f, regular_tetrahedron, tol=1e-12)
         assert ok, dev
 
@@ -267,23 +277,23 @@ class TestIsIsogonic:
     def test_table_points_true(self, five_model):
         for k in range(5):
             ok, deviation = is_isogonic(
-                BarycentricPoint.homogeneous(golden.ISOGONIC_TABLE[k]), five_model)
+                BarycentricPoint(golden.ISOGONIC_TABLE[k]), five_model)
             assert ok
             assert deviation <= 1e-7
 
     def test_centroid_false(self, five_model):
         ok, deviation = is_isogonic(
-            BarycentricPoint.homogeneous([1, 1, 1, 1]), five_model)
+            BarycentricPoint([1, 1, 1, 1]), five_model)
         assert not ok
         assert deviation > 1e-3
 
     def test_regular_center_true(self, regular_tetrahedron):
-        ok, _ = is_isogonic(BarycentricPoint.homogeneous([1, 1, 1, 1]),
+        ok, _ = is_isogonic(BarycentricPoint([1, 1, 1, 1]),
                             regular_tetrahedron)
         assert ok
 
     def test_unbounded_antipedal_reports_false(self, five_model):
-        on_edge_line = BarycentricPoint.homogeneous([0.0, 0.0, 1.0, 1.0])
+        on_edge_line = BarycentricPoint([0.0, 0.0, 1.0, 1.0])
         ok, deviation = is_isogonic(on_edge_line, five_model)
         assert not ok
         assert math.isinf(deviation)
@@ -292,18 +302,18 @@ class TestIsIsogonic:
 class TestTriadAngles:
     def test_isogonic_point_passes(self, five_model):
         ok, table = triad_angle_check(
-            BarycentricPoint.homogeneous(golden.ISOGONIC_TABLE[0]), five_model)
+            BarycentricPoint(golden.ISOGONIC_TABLE[0]), five_model)
         assert ok
         assert len(table) == 4
 
     def test_centroid_fails(self, five_model):
         ok, _ = triad_angle_check(
-            BarycentricPoint.homogeneous([1, 1, 1, 1]), five_model)
+            BarycentricPoint([1, 1, 1, 1]), five_model)
         assert not ok
 
     def test_regular_center_angles(self, regular_tetrahedron):
         ok, table = triad_angle_check(
-            BarycentricPoint.homogeneous([1, 1, 1, 1]), regular_tetrahedron)
+            BarycentricPoint([1, 1, 1, 1]), regular_tetrahedron)
         assert ok
         # rays from the center meet at arccos(-1/3); as undirected lines the
         # angle folds into [0, pi/2] as arccos(1/3)
@@ -312,7 +322,7 @@ class TestTriadAngles:
 
     def test_requires_dimension_three(self, gap_triangle):
         with pytest.raises(ValueError):
-            triad_angle_check(BarycentricPoint.homogeneous([1, 1, 1]), gap_triangle)
+            triad_angle_check(BarycentricPoint([1, 1, 1]), gap_triangle)
 
 
 @pytest.mark.xfail(
@@ -325,7 +335,7 @@ class TestTriadAngles:
            "is equiareal to 2e-12")
 def test_inversive_equiareality_equivalence_claim(five_model):
     for k in range(5):
-        point = BarycentricPoint.homogeneous(golden.ISOGONIC_TABLE[k])
+        point = BarycentricPoint(golden.ISOGONIC_TABLE[k])
         ok, _ = is_isogonic(point, five_model)
         assert ok
         x = five_model.bary_to_cart(point)

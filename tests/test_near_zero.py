@@ -79,8 +79,8 @@ SITES = {
     "restrict_to_facet_at_vertex": (lambda t: restrict_to_facet([1, t, t, t], FIVE, 0),
                                     AtVertex),
     # zero sum
-    "normalized_from": (lambda t: BarycentricPoint.normalized_from([1, 1, 1, -3 + 6 * t]),
-                        PointAtInfinity),
+    "normalized_coords": (lambda t: BarycentricPoint([1, 1, 1, -3 + 6 * t]).normalized_coords,
+                          PointAtInfinity),
     "restrict_to_facet_parallel": (lambda t: restrict_to_facet([1, 1, 1, -2 + 4 * t], FIVE, 0),
                                    ParallelLine),
     # all equal
@@ -109,8 +109,8 @@ def test_accepts_above_tolerance(site):
 
 
 def test_is_finite_boundary():
-    assert not BarycentricPoint.homogeneous([1, 1, 1, -3 + 6 * BELOW]).is_finite()
-    assert BarycentricPoint.homogeneous([1, 1, 1, -3 + 6 * ABOVE]).is_finite()
+    assert not BarycentricPoint([1, 1, 1, -3 + 6 * BELOW]).is_finite()
+    assert BarycentricPoint([1, 1, 1, -3 + 6 * ABOVE]).is_finite()
 
 
 def test_equal_magnitudes_make_a_bisector_plane():

@@ -37,7 +37,7 @@ class TestPedalSimplex:
 
     def test_table_point_equal_areas(self, five_model):
         result = pedal_simplex(
-            BarycentricPoint.homogeneous(golden.CONJUGATE_TABLE[0]), five_model)
+            BarycentricPoint(golden.CONJUGATE_TABLE[0]), five_model)
         areas = golden.facet_areas_cross(result.vertices)
         assert (areas.max() - areas.min()) / areas.mean() < 1e-8
         assert abs(areas.mean() / golden.PEDAL_AREA_TABLE[0] - 1) < 1e-6
@@ -55,7 +55,7 @@ class TestPedalSimplex:
         for trial in range(30):
             n = 2 + trial % 3
             model = make_random_model(rng, n)
-            p = BarycentricPoint.homogeneous(random_interior_point(rng, n))
+            p = BarycentricPoint(random_interior_point(rng, n))
             result = pedal_simplex(p, model)
             for i, foot in enumerate(result.vertices):
                 bary = model.cart_to_bary(foot).coords
@@ -104,7 +104,7 @@ class TestPedalSimplex:
 
 class TestAntipedalSimplex:
     def test_equilateral_center_gives_double_side(self, equilateral_triangle):
-        g = BarycentricPoint.homogeneous([1, 1, 1])
+        g = BarycentricPoint([1, 1, 1])
         result = antipedal_simplex(g, equilateral_triangle)
         pts = result.vertices
         sides = [np.linalg.norm(pts[a] - pts[b])
@@ -113,7 +113,7 @@ class TestAntipedalSimplex:
 
     def test_table_point_equal_areas(self, five_model):
         result = antipedal_simplex(
-            BarycentricPoint.homogeneous(golden.ISOGONIC_TABLE[0]), five_model)
+            BarycentricPoint(golden.ISOGONIC_TABLE[0]), five_model)
         areas = golden.facet_areas_cross(result.vertices)
         assert (areas.max() - areas.min()) / areas.mean() < 1e-8
         assert abs(areas.mean() / golden.ANTIPEDAL_AREA_TABLE[0] - 1) < 1e-6
@@ -123,14 +123,14 @@ class TestAntipedalSimplex:
         for trial in range(100):
             n = 2 + trial % 3
             model = make_random_model(rng, n)
-            p = BarycentricPoint.homogeneous(random_interior_point(rng, n))
+            p = BarycentricPoint(random_interior_point(rng, n))
             anti = antipedal_simplex(p, model)
             x = model.bary_to_cart(p)
             feet = anti.pedal_feet(x)
             assert np.abs(feet - model.vertices).max() < 1e-8 * model.diameter
 
     def test_facet_planes_through_vertices(self, five_model):
-        p = BarycentricPoint.homogeneous([0.3, 0.3, 0.2, 0.2])
+        p = BarycentricPoint([0.3, 0.3, 0.2, 0.2])
         result = antipedal_simplex(p, five_model)
         x = five_model.bary_to_cart(p)
         pts = result.vertices
@@ -165,7 +165,7 @@ class TestAntipedalSimplex:
             coords = rng.standard_normal(n + 1)
             if trial % 3 == 0:  # on sideplane 0: system 0 is singular
                 coords[0] = 0.0
-            pt = BarycentricPoint.homogeneous(coords).normalized()
+            pt = BarycentricPoint(coords)
             want = per_vertex(pt, model)
             if isinstance(want, str):
                 unbounded += 1
@@ -176,7 +176,7 @@ class TestAntipedalSimplex:
         assert unbounded > 0
 
     def test_unbounded_for_point_on_edge_line(self, equilateral_triangle):
-        midpoint = BarycentricPoint.homogeneous([0.0, 1.0, 1.0])
+        midpoint = BarycentricPoint([0.0, 1.0, 1.0])
         with pytest.raises(UnboundedAntipedal):
             antipedal_simplex(midpoint, equilateral_triangle)
 
@@ -186,7 +186,7 @@ class TestAntipedalSimplex:
         from simplexcenters import isogonal_conjugate
         rng = np.random.default_rng(29)
         for _ in range(10):
-            p = BarycentricPoint.homogeneous(random_interior_point(rng, 2))
+            p = BarycentricPoint(random_interior_point(rng, 2))
             anti = antipedal_simplex(p, gap_triangle).vertices
             conj = isogonal_conjugate(p, gap_triangle)
             ped = pedal_simplex(conj, gap_triangle).vertices
@@ -199,7 +199,7 @@ class TestAntipedalSimplex:
 
 class TestPolarSimplex:
     def test_equilateral_center_concentric(self, equilateral_triangle):
-        g = BarycentricPoint.homogeneous([1, 1, 1])
+        g = BarycentricPoint([1, 1, 1])
         result = polar_simplex(g, equilateral_triangle, radius=1.0)
         pts = result.vertices
         sides = [np.linalg.norm(pts[a] - pts[b])
@@ -210,7 +210,7 @@ class TestPolarSimplex:
 
     def test_pole_products(self, five_model):
         rng = np.random.default_rng(11)
-        p = BarycentricPoint.homogeneous(random_interior_point(rng, 3))
+        p = BarycentricPoint(random_interior_point(rng, 3))
         radius = 1.7
         result = polar_simplex(p, five_model, radius=radius)
         x = five_model.bary_to_cart(p)
@@ -227,14 +227,14 @@ class TestPolarSimplex:
             coords = rng.uniform(0.1, 1.0, n + 1) * rng.choice([-1.0, 1.0], n + 1)
             if abs(coords.sum()) < 0.1:
                 continue
-            p = BarycentricPoint.homogeneous(coords)
+            p = BarycentricPoint(coords)
             result = polar_simplex(p, model)
             back = result.cart_to_bary(model.bary_to_cart(p))
             assert np.abs(back.normalized_coords
                           - p.normalized_coords).max() < 1e-10
 
     def test_radius_independent_coordinates(self, five_model):
-        p = BarycentricPoint.homogeneous([0.4, 0.3, 0.2, 0.1])
+        p = BarycentricPoint([0.4, 0.3, 0.2, 0.1])
         for radius in (0.5, 1.0, 3.0):
             result = polar_simplex(p, five_model, radius=radius)
             back = result.cart_to_bary(five_model.bary_to_cart(p))
@@ -243,7 +243,7 @@ class TestPolarSimplex:
 
     def test_on_sideplane_rejected(self, five_model):
         with pytest.raises(OnSideplane):
-            polar_simplex(BarycentricPoint.homogeneous([0, 1, 1, 1]), five_model)
+            polar_simplex(BarycentricPoint([0, 1, 1, 1]), five_model)
 
 
 class TestInversiveImage:
@@ -271,7 +271,7 @@ class TestInversiveImage:
         # pedal sides d_jk d_i / (2R), and d_1 d_2 d_3 is symmetric
         rng = np.random.default_rng(19)
         for _ in range(10):
-            p = BarycentricPoint.homogeneous(random_interior_point(rng, 2))
+            p = BarycentricPoint(random_interior_point(rng, 2))
             x = gap_triangle.bary_to_cart(p)
             inv = inversive_image(gap_triangle, x, 1.0).vertices
             ped = pedal_simplex(p, gap_triangle).vertices
@@ -290,7 +290,7 @@ class TestInversiveImage:
                "sidelines), and for the reference tetrahedron the edge "
                "ratios at the first isogonic point spread by ~0.7")
     def test_similar_to_antipedal_claim(self, five_model):
-        f0 = BarycentricPoint.homogeneous(golden.ISOGONIC_TABLE[0])
+        f0 = BarycentricPoint(golden.ISOGONIC_TABLE[0])
         x = five_model.bary_to_cart(f0)
         inv = inversive_image(five_model, x, 1.0).vertices
         anti = antipedal_simplex(f0, five_model).vertices
@@ -312,8 +312,12 @@ class TestInversiveImage:
     # finite radii whose squares overflow
     lambda m: polar_simplex([1, 1, 1, 1], m, radius=1e200),
     lambda m: inversive_image(m, [1, 1, 1], 1e200),
+    # an int radius too large for a float
+    lambda m: polar_simplex([1, 1, 1, 1], m, radius=10 ** 400),
+    lambda m: inversive_image(m, [1, 1, 1], 10 ** 400),
 ], ids=["polar-radius", "inversive-radius", "inversive-center",
-        "polar-radius-square", "inversive-radius-square"])
+        "polar-radius-square", "inversive-radius-square",
+        "polar-radius-int", "inversive-radius-int"])
 def test_non_finite_sphere_rejected(build, five_model):
     with pytest.raises(ValueError, match="must be finite"):
         build(five_model)
@@ -345,7 +349,7 @@ class TestEquiarealDeviation:
 
     def test_pedal_of_table_point_small(self, five_model):
         result = pedal_simplex(
-            BarycentricPoint.homogeneous(golden.CONJUGATE_TABLE[0]), five_model)
+            BarycentricPoint(golden.CONJUGATE_TABLE[0]), five_model)
         assert equiareal_deviation(result) < 1e-8
 
     def test_five_tetrahedron_value(self, five_model):
