@@ -421,16 +421,19 @@ def embed_from_edge_lengths(table: EdgeLengthTable) -> SimplexModel:
     Cholesky fails, its spectrum decides between ``NotEmbeddable`` and
     ``Degenerate``, otherwise the validated model's own Gram test does.
     ``NotEmbeddable`` also if the model's edge table misses an input length
-    by more than 1e-10 of the longest.
+    by more than 1e-10 of the longest.  The lengths are squared after an
+    exact power-of-two scaling that brings the longest into [1/2, 1), so
+    no square overflows.
     """
-    sq = table.d ** 2
+    exponent = math.frexp(table.d.max())[1]
+    sq = np.ldexp(table.d, -exponent) ** 2
     gram = 0.5 * (sq[0, 1:, None] + sq[0, None, 1:] - sq[1:, 1:])
     try:
         lower = np.linalg.cholesky(gram)
     except np.linalg.LinAlgError:
         raise _gram_defect(gram) from None
     vertices = np.zeros((table.n + 1, table.n))
-    vertices[1:] = lower
+    vertices[1:] = np.ldexp(lower, exponent)
     model = SimplexModel(vertices)
     if np.abs(model.edges.d - table.d).max() > 1e-10 * table.d.max():
         raise NotEmbeddable("embedding failed to realize the edge lengths")

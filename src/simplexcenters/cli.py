@@ -147,6 +147,7 @@ def cmd_fermat(doc: SimplexDocument, options: dict) -> dict:
         "converged": trace.converged,
         "vertex_optimum": trace.vertex_optimum,
     }
+    results["point"]["gradient_evaluations"] = trace.gradient_evaluations
     warnings = []
     if trace.vertex_optimum:
         warnings.append("minimizer is a vertex (vertex optimum)")
@@ -178,11 +179,13 @@ def cmd_isogonic(doc: SimplexDocument, options: dict) -> dict:
             "pedal_area": round12(catalog.pedal_areas[k]),
             "antipedal_area": round12(catalog.antipedal_areas[k]),
             "iterations": catalog.traces[k].iterations_used,
+            "gradient_evaluations": catalog.traces[k].gradient_evaluations,
         })
     seed_summary = [{
         "seed": [round12(v) for v in t.seed.normalized_coords],
         "converged": t.converged,
         "iterations": t.iterations_used,
+        "gradient_evaluations": t.gradient_evaluations,
     } for t in catalog.traces]
     warnings = []
     for t in catalog.failed_seeds:

@@ -167,11 +167,23 @@ def fmt_list(values) -> str:
 
 
 def fraction_strings(values) -> list[str] | None:
-    """Fraction renderings (denominator <= 10^6, error <= 1e-13), or None unless all snap."""
+    """Fraction renderings, or None unless all snap.
+
+    A value v snaps to p/q when it lies within tol = 1e-13 * max(1, |v|)
+    and q <= sqrt(1e-3 / tol).  About 3 Q^2 / pi^2 fractions with q <= Q lie
+    in each unit interval, so this bound lets the snapping windows cover
+    about 1e-3 of the reals near v at every magnitude.  Beyond |v| = 1e10
+    the bound is below 1 and no value snaps.
+    """
     out = []
     for v in values:
-        frac = Fraction(float(v)).limit_denominator(10 ** 6)
-        if abs(float(frac) - float(v)) > 1e-13 * max(1.0, abs(float(v))):
+        v = float(v)
+        tol = 1e-13 * max(1.0, abs(v))
+        bound = int(math.sqrt(1e-3 / tol))
+        if bound < 1:
+            return None
+        frac = Fraction(v).limit_denominator(bound)
+        if abs(float(frac) - v) > tol:
             return None
         out.append(f"{frac.numerator}/{frac.denominator}"
                    if frac.denominator != 1 else f"{frac.numerator}")

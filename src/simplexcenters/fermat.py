@@ -1,27 +1,36 @@
-"""Weiszfeld-type iterations for the Fermat-Torricelli point.
+"""The Fermat-Torricelli point, and one Newton kernel on signed distance sums.
 
-The point minimizing the sum of distances to the vertices is computed by
-fixed-point iterations expressed purely in barycentric coordinates:
+The point minimizing the sum of distances to the vertices is reached in two
+phases.  First one step of a Weiszfeld-type map, expressed purely in
+barycentric coordinates:
 
     method "q": next = [sgn(p_1)/d_1 : ... : sgn(p_{n+1})/d_{n+1}]
     method "r": next = [1/(|p_1| d_1^2) : ... : 1/(|p_{n+1}| d_{n+1}^2)]
 
-with d_i the distance from the current iterate to vertex i.  The public
+with d_i the distance from the current point to vertex i.  The public
 steps apply these maps to signed coordinates; :func:`fermat_point` feeds
-both the coordinate magnitudes, so both enter the interior after one step
-and share their interior fixed point (coordinates proportional to the
-reciprocal vertex distances).
+both the coordinate magnitudes, so this approach step puts any start inside
+the simplex.  Both maps have the minimizer as their interior fixed point
+(coordinates proportional to the reciprocal vertex distances).
+
+Then damped Newton on the gradient of the distance sum.  The kernel
+``_newton`` solves the more general g_sigma(x) = sum_i sigma_i u_i = 0,
+with u_i the unit vector from vertex A_i to x and sigma_i = +-1: its
+Jacobian is the n x n matrix J = sum_i sigma_i (I - u_i u_i^T) / d_i, and
+each step backtracks on |g_sigma|.  The minimizer is the root for
+sigma = +1 (M. L. Overton, Math. Programming 27, 1983); every isogonic
+point is a root for sigma equal to its own sign pattern, so
+:mod:`simplexcenters.isogonic` polishes its points with the same kernel.
 
 The distance sum is convex, so Kuhn's first-order test decides before the
 first step whether the minimizer is a vertex: vertex k is the minimizer iff
 the gradient over the other vertices has norm <= 1 there (H. W. Kuhn,
-Math. Programming 4, 1973).  Past that test no vertex is optimal, and an
-iterate that comes within ``_NEAR_VERTEX`` of the diameter to a vertex is
-moved off it along the descent direction.
+Math. Programming 4, 1973).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,17 +40,19 @@ from .errors import AtVertex, MaxIterationsExceeded, ZeroCoordinate
 
 METHODS = ("q", "r")
 
-# An iterate this close to a vertex, relative to the diameter, is moved off.
-_NEAR_VERTEX = 1e-9
+# step halvings before a Newton line search gives up
+_HALVINGS = 40
 
 
 @dataclass
 class IterationTrace:
     """Record of one minimization run.
 
-    ``objective_values[k]`` is the distance sum at ``iterates[k]``.  For a
-    vertex optimum, ``iterations_used == 0`` and the iterates are the start
-    and the vertex.
+    ``objective_values[k]`` is the distance sum at ``iterates[k]``: the
+    start, the approach step, then one entry per Newton step.  For a vertex
+    optimum, ``iterations_used == 0`` and the iterates are the start and
+    the vertex.  ``gradient_evaluations`` counts the Newton kernel's
+    evaluations of the gradient, line-search trials included.
     """
 
     method: str
@@ -50,6 +61,7 @@ class IterationTrace:
     converged: bool = False
     iterations_used: int = 0
     vertex_optimum: bool = False
+    gradient_evaluations: int = 0
 
 
 def total_distance(p, model: SimplexModel) -> float:
@@ -57,16 +69,81 @@ def total_distance(p, model: SimplexModel) -> float:
     return float(model.vertex_distances(p).sum())
 
 
+def _signed_gradient(vertices: np.ndarray, sigma: np.ndarray, x: np.ndarray,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """g_sigma(x) = sum_i sigma_i (x - A_i)/|x - A_i| and its Jacobian.
+
+    Vertices at zero distance from x are left out of both.
+    """
+    gaps = x - vertices
+    dist = np.sqrt(np.einsum("ij,ij->i", gaps, gaps))
+    if not dist.all():
+        keep = dist > 0
+        gaps, dist, sigma = gaps[keep], dist[keep], sigma[keep]
+    units = gaps / dist[:, None]
+    w = sigma / dist
+    jac = -(units.T * w) @ units
+    jac.flat[::len(x) + 1] += w.sum()
+    return sigma @ units, jac
+
+
+def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: float,
+            max_steps: int, residual: float = math.inf,
+            ) -> tuple[list[np.ndarray], int, bool]:
+    """Damped Newton on g_sigma from the point with normalized barycentric
+    coordinates ``coords``.
+
+    It runs with vertex 0 at the origin, so a simplex far from the origin
+    loses no digits.  Each step solves J s = -g and halves s until
+    |g_sigma| falls by the Armijo factor 1 - t/1e4.  A step no longer than
+    ``tol`` is taken whole and ends the run; the run succeeds if |g_sigma|
+    <= ``residual`` at its end (evaluated only for a finite ``residual``).
+    Returns the barycentric coordinates of the accepted iterates (the start
+    excluded), the number of gradient evaluations, and whether the run
+    succeeded; it stops early when J is singular or the line search fails.
+    """
+    local = model.vertices - model.vertices[0]
+    frame = np.linalg.inv(np.vstack([local.T, np.ones(model.n + 1)]))
+    x = local.T @ coords
+    g, jac = _signed_gradient(local, sigma, x)
+    evaluations = 1
+    path: list[np.ndarray] = []
+    ok = False
+    for _ in range(max_steps):
+        try:
+            step = -np.linalg.solve(jac, g)
+        except np.linalg.LinAlgError:
+            break
+        if math.sqrt(step @ step) <= tol:
+            x = x + step
+            path.append(x)
+            if math.isfinite(residual):
+                evaluations += 1
+                g = _signed_gradient(local, sigma, x)[0]
+                ok = math.sqrt(g @ g) <= residual
+            else:
+                ok = True
+            break
+        norm = math.sqrt(g @ g)
+        t = 1.0
+        for _ in range(_HALVINGS):
+            y = x + t * step
+            gy, jy = _signed_gradient(local, sigma, y)
+            evaluations += 1
+            if math.sqrt(gy @ gy) <= (1.0 - 1e-4 * t) * norm:
+                break
+            t *= 0.5
+        else:
+            break
+        x, g, jac = y, gy, jy
+        path.append(x)
+    return [frame @ np.append(y, 1.0) for y in path], evaluations, ok
+
+
 def distance_sum_gradient(model: SimplexModel, x: np.ndarray) -> np.ndarray:
     """Gradient of the distance sum at a Cartesian point, skipping vertices
     at zero distance (at a vertex: the gradient over the other vertices)."""
-    g = np.zeros(model.n)
-    for v in model.vertices:
-        gap = x - v
-        norm = np.linalg.norm(gap)
-        if norm > 0:
-            g += gap / norm
-    return g
+    return _signed_gradient(model.vertices, np.ones(model.n + 1), x)[0]
 
 
 def z_correspondent(p, z_star, model: SimplexModel | None = None) -> BarycentricPoint:
@@ -122,13 +199,6 @@ def weiszfeld_step_r(p, model: SimplexModel) -> BarycentricPoint:
     return BarycentricPoint(_step(pt.coords, dv, "r"))
 
 
-def _displaced_from_vertex(model: SimplexModel, k: int) -> BarycentricPoint:
-    """Nudge off a non-optimal vertex along the descent direction."""
-    x = model.vertices[k]
-    g = distance_sum_gradient(model, x)
-    return model.cart_to_bary(x - (1e-6 * model.diameter) * g / np.linalg.norm(g))
-
-
 def fermat_point(model: SimplexModel, start=None, method: str = "q",
                  tol: float = 1e-12, max_iter: int = 10000,
                  ) -> tuple[BarycentricPoint, IterationTrace]:
@@ -136,10 +206,12 @@ def fermat_point(model: SimplexModel, start=None, method: str = "q",
 
     A vertex that passes Kuhn's first-order test (gradient over the other
     vertices of norm <= 1) is returned exactly, after zero iterations.
-    Otherwise iterates from ``start`` (default: centroid; all coordinates
-    must be nonzero) until successive normalized iterates differ by less
-    than ``tol`` per coordinate.  Raises :class:`MaxIterationsExceeded`
-    with the trace attached if the budget runs out.
+    Otherwise takes one approach step of ``method`` from ``start``
+    (default: centroid; all coordinates must be nonzero), then Newton steps
+    until one moves the point by at most ``tol`` times the diameter.
+    ``max_iter`` bounds the approach step plus the Newton steps.  Raises
+    :class:`MaxIterationsExceeded` with the trace attached if the budget
+    runs out or Newton stalls (a singular Jacobian or a failed line search).
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -150,39 +222,42 @@ def fermat_point(model: SimplexModel, start=None, method: str = "q",
         raise ZeroCoordinate("start point must have all coordinates nonzero")
 
     trace = IterationTrace(method=method, iterates=[p])
-    for k, v in enumerate(model.vertices):
-        if np.linalg.norm(distance_sum_gradient(model, v)) <= 1.0:
-            vertex = BarycentricPoint.vertex(k, model.n)
-            trace.iterates.append(vertex)
-            trace.objective_values = [total_distance(p, model),
-                                      total_distance(vertex, model)]
-            trace.converged = trace.vertex_optimum = True
-            return vertex, trace
+    # row k sums the unit vectors from the other vertices to vertex k: the
+    # gradient there over the other vertices (the diagonal adds zeros)
+    pulls = ((model.vertices[:, None] - model.vertices[None])
+             / (model.edges.d + np.eye(model.n + 1))[..., None]).sum(axis=1)
+    optimal = np.flatnonzero(np.linalg.norm(pulls, axis=1) <= 1.0)
+    if optimal.size:
+        vertex = BarycentricPoint.vertex(int(optimal[0]), model.n)
+        trace.iterates.append(vertex)
+        trace.objective_values = [total_distance(p, model),
+                                  total_distance(vertex, model)]
+        trace.converged = trace.vertex_optimum = True
+        return vertex, trace
 
-    # objective_values[k] of iterates[k] is read off the distances its step
-    # computes; only an iterate that leaves the loop costs one more call
-    for it in range(1, max_iter + 1):
-        dv = model.vertex_distances(p)
-        trace.objective_values.append(float(dv.sum()))
-        k = int(np.argmin(dv))
-        if dv[k] <= _NEAR_VERTEX * model.diameter:
-            # past Kuhn's test this vertex is not optimal, but the step
-            # would leave it only slowly
-            p = _displaced_from_vertex(model, k)
-            trace.iterates.append(p)
-            continue
-        nxt = BarycentricPoint(_step(np.abs(p.coords), dv, method))
-        trace.iterates.append(nxt)
-        step = float(np.abs(nxt.coords - p.coords).max())
-        p = nxt
-        if step < tol:
-            trace.objective_values.append(total_distance(p, model))
-            trace.converged = True
-            trace.iterations_used = it
-            return p, trace
-
+    # each iterate's objective is read off the distances of one call
+    dv = model.vertex_distances(p)
+    trace.objective_values.append(float(dv.sum()))
+    if max_iter < 1:
+        raise MaxIterationsExceeded(
+            f"no convergence within {max_iter} iterations (method {method!r})",
+            trace=trace)
+    p = BarycentricPoint(_step(np.abs(p.coords), dv, method))
+    trace.iterates.append(p)
     trace.objective_values.append(total_distance(p, model))
-    trace.iterations_used = max_iter
+    path, trace.gradient_evaluations, converged = _newton(
+        model, np.ones(model.n + 1), p.normalized_coords,
+        tol * model.diameter, max_iter - 1)
+    for coords in path:
+        p = BarycentricPoint(coords)
+        trace.iterates.append(p)
+        trace.objective_values.append(total_distance(p, model))
+    trace.iterations_used = len(trace.iterates) - 1
+    if converged:
+        trace.converged = True
+        return p, trace
+    reason = ("no convergence within" if trace.iterations_used == max_iter
+              else "Newton stalled after")
     raise MaxIterationsExceeded(
-        f"no convergence within {max_iter} iterations (method {method!r})",
+        f"{reason} {trace.iterations_used} iterations (method {method!r})",
         trace=trace)

@@ -1,16 +1,26 @@
 """Isogonal conjugation and the search for isogonic points.
 
 A point is isogonic when its antipedal simplex is equiareal.  Such points
-are found indirectly: their isogonal conjugates have an equiareal *pedal*
-simplex, and those are fixed points of the displacement iteration
+are found in two steps.  Their isogonal conjugates have an equiareal
+*pedal* simplex, and those are fixed points of the displacement iteration
 
     P  <-  P + (centroid - incenter) of the pedal simplex of P,
 
 since centroid and incenter of a simplex coincide exactly when it is
-equiareal.  The catalog enumerator runs this iteration from a default seed
-set (the centroid plus its reflections into each one-negative-coordinate
-orthant), maps the limits through isogonal conjugation and re-verifies
-every candidate.
+equiareal.  That map converges only linearly, so the catalog enumerator
+runs it from a default seed set (the centroid plus its reflections into
+each one-negative-coordinate orthant) only until its gap is below 1e-3 of
+the diameter.  It then conjugates the point and polishes it with the
+Newton kernel of :mod:`simplexcenters.fermat`: an isogonic point F is a
+root of the signed distance-sum gradient g_sigma(x) = sum_i sigma_i u_i,
+with sigma the sign pattern of F and u_i the unit vector from vertex i,
+because the facet normals of its antipedal simplex are the +-u_i and
+Minkowski's relation weighs them by the equal facet volumes.  A polished
+point is kept only if Newton ends on a short step, |g_sigma| <= 1e-10
+there, F keeps its sign pattern and F lies within the map's escape radius;
+otherwise the map continues to 1e-5 of the diameter and the polish is
+tried once more.  A seed whose polish is never accepted is a failed seed,
+and every polished point is re-verified on its antipedal simplex.
 """
 
 from __future__ import annotations
@@ -39,21 +49,36 @@ from .errors import (
     UnboundedAntipedal,
     ZeroCoordinate,
 )
+from .fermat import _newton
 from .pedal import antipedal_simplex, equiareal_deviation, pedal_simplex
 
 # consecutive gap increases tolerated before the step damping is halved
 _OSCILLATION_LIMIT = 5
+# distance from vertex 0, in diameters, past which an iterate of the map or
+# a polished point has escaped
+_ESCAPE = 1e6
+
+# gaps, relative to the diameter, at which the map stops for a polish
+_POLISH_STAGES = (1e-3, 1e-5)
+# Newton budget and the largest |g_sigma| accepted at its root
+_POLISH_STEPS = 50
+_POLISH_RESIDUAL = 1e-10
 
 
 @dataclass
 class SearchTrace:
-    """Metadata for one run of the pedal-equiareal iteration."""
+    """Metadata for one run of the pedal-equiareal iteration.
+
+    ``iterations_used`` counts steps of the map; ``gradient_evaluations``
+    counts the evaluations of g_sigma by the polish of the catalog search.
+    """
 
     seed: BarycentricPoint
     converged: bool = False
     iterations_used: int = 0
     final_gap: float = math.inf
     damping_used: float = 1.0
+    gradient_evaluations: int = 0
 
 
 @dataclass
@@ -90,20 +115,13 @@ def isogonal_conjugate(p, model: SimplexModel) -> BarycentricPoint:
     return BarycentricPoint(model.facet_volumes ** 2 / coords)
 
 
-def pedal_equiareal_iteration(p0, model: SimplexModel, tol: float = 1e-13,
-                              max_iter: int = 20000) -> tuple[BarycentricPoint, SearchTrace]:
-    """Drive a point until its pedal simplex becomes equiareal.
-
-    Applies the Cartesian displacement (pedal centroid - pedal incenter)
-    each step, stopping when the displacement norm drops below
-    ``tol * diameter``.  The damping factor starts at 1 and is halved after
-    five consecutive gap increases so divergent starts are recovered.
-    """
-    pt = as_point(p0, model.n)
-    trace = SearchTrace(seed=pt)
-    x = model.bary_to_cart(pt)
-    gap_limit = tol * model.diameter
-    escape_limit = 1e6 * model.diameter
+def _pedal_map(x: np.ndarray, model: SimplexModel, trace: SearchTrace,
+               max_iter: int):
+    """Yield each iterate of the displacement iteration from the Cartesian
+    point x with its gap (the displacement norm), counted in ``trace``,
+    until the caller stops; raises with the trace attached when the figure
+    collapses, the damping stalls, an iterate escapes or the budget ends."""
+    escape_limit = _ESCAPE * model.diameter
     damping = 1.0
     prev_gap = None
     increases = 0
@@ -120,9 +138,7 @@ def pedal_equiareal_iteration(p0, model: SimplexModel, tol: float = 1e-13,
         gap = float(np.linalg.norm(centroid - incenter))
         trace.iterations_used = it
         trace.final_gap = gap
-        if gap < gap_limit:
-            trace.converged = True
-            return model.cart_to_bary(x), trace
+        yield x, gap
         if prev_gap is not None and gap > prev_gap:
             increases += 1
             if increases >= _OSCILLATION_LIMIT:
@@ -138,12 +154,85 @@ def pedal_equiareal_iteration(p0, model: SimplexModel, tol: float = 1e-13,
             increases = 0
         prev_gap = gap
         x = x + damping * (centroid - incenter)
-        if not np.isfinite(x).all() or np.linalg.norm(x) > escape_limit:
+        far = np.linalg.norm(x - model.vertices[0])
+        if not np.isfinite(x).all() or far > escape_limit:
             raise MaxIterationsExceeded(
                 f"iterate escaped after {it} iterations", trace=trace)
 
     raise MaxIterationsExceeded(
         f"no convergence within {max_iter} iterations", trace=trace)
+
+
+def pedal_equiareal_iteration(p0, model: SimplexModel, tol: float = 1e-13,
+                              max_iter: int = 20000) -> tuple[BarycentricPoint, SearchTrace]:
+    """Drive a point until its pedal simplex becomes equiareal.
+
+    Applies the Cartesian displacement (pedal centroid - pedal incenter)
+    each step, stopping when the displacement norm drops below
+    ``tol * diameter``.  The damping factor starts at 1 and is halved after
+    five consecutive gap increases so divergent starts are recovered.
+    """
+    pt = as_point(p0, model.n)
+    trace = SearchTrace(seed=pt)
+    gap_limit = tol * model.diameter
+    for x, gap in _pedal_map(model.bary_to_cart(pt), model, trace, max_iter):
+        if gap < gap_limit:
+            trace.converged = True
+            return model.cart_to_bary(x), trace
+
+
+def _polished(x: np.ndarray, model: SimplexModel, trace: SearchTrace, tol: float,
+              ) -> BarycentricPoint | None:
+    """The isogonic point that Newton on g_sigma reaches from the conjugate
+    of the Cartesian point x, or None if the conjugate is undefined or the
+    root is not accepted (see the module docstring).
+
+    The root must also lie within the escape radius of the map: in a class
+    with sum(sigma) = 0, |g_sigma| decays like the inverse square of the
+    distance along one direction, so some 1e7 diameters out it is at the
+    level of rounding, and a Newton step there can be short by chance.
+    """
+    try:
+        start = isogonal_conjugate(model.cart_to_bary(x), model)
+        sigma = np.sign(start.normalized_coords)
+    except (ZeroCoordinate, PointAtInfinity):
+        return None
+    path, evaluations, ok = _newton(
+        model, sigma, start.normalized_coords, tol * model.diameter,
+        _POLISH_STEPS, _POLISH_RESIDUAL)
+    trace.gradient_evaluations += evaluations
+    if (not ok or _zero_entries(path[-1]).any()
+            or not np.array_equal(np.sign(path[-1]), sigma)):
+        return None
+    point = BarycentricPoint(path[-1])
+    far = np.linalg.norm(model.bary_to_cart(point) - model.vertices[0])
+    return None if far > _ESCAPE * model.diameter else point
+
+
+def _search(seed: BarycentricPoint, model: SimplexModel, tol: float, budget: int,
+            ) -> tuple[BarycentricPoint | None, SearchTrace]:
+    """Run the map from one seed in stages and polish at the end of each.
+
+    Returns the first accepted isogonic point, or None if the map reached
+    its last stage (the trace then reads converged) and no polish was
+    accepted, together with the trace.  Raises what the map raises.
+    """
+    trace = SearchTrace(seed=seed)
+    steps = _pedal_map(model.bary_to_cart(seed), model, trace, budget)
+    x, gap = next(steps)
+    tried = 0
+    for stage in _POLISH_STAGES:
+        while gap >= stage * model.diameter:
+            x, gap = next(steps)
+        if trace.iterations_used == tried:
+            continue
+        tried = trace.iterations_used
+        point = _polished(x, model, trace, tol)
+        if point is not None:
+            trace.converged = True
+            return point, trace
+    trace.converged = True
+    return None, trace
 
 
 def is_isogonic(p, model: SimplexModel, tol: float = 1e-7) -> tuple[bool, float]:
@@ -200,11 +289,16 @@ def enumerate_isogonic(model: SimplexModel, seeds=None, budget: int = 20000,
                        tol: float = 1e-13) -> IsogonicCatalog:
     """Collect isogonic points reachable from a seed set.
 
-    ``seeds`` extends the default seed set.  Limits of the pedal-equiareal
-    iteration are deduplicated at 1e-6 in normalized coordinates,
-    conjugated, re-verified by :func:`is_isogonic` at its default tolerance
-    and sorted canonically.  Seeds that fail to converge, and limits whose
-    conjugate is undefined (on a sideplane or at infinity) or fails the
+    ``seeds`` extends the default seed set.  Each seed runs the
+    pedal-equiareal iteration in stages, with a Newton polish of the
+    conjugate after each (see the module docstring); ``budget`` bounds its
+    map steps, and the polish ends on a step of at most ``tol`` times the
+    diameter.  The equiareal-pedal points, the conjugates of the polished
+    points, are deduplicated at 1e-6 in normalized coordinates.  Every
+    isogonic point is re-verified by :func:`is_isogonic` at its default
+    tolerance, and the catalog is sorted canonically.  Seeds that fail to
+    converge, whose polish is never accepted (a limit on a sideplane or
+    with its conjugate at infinity among them), or whose point fails the
     re-verification, are reported in ``failed_seeds`` rather than raising.
     """
     seed_list = default_seeds(model)
@@ -212,37 +306,25 @@ def enumerate_isogonic(model: SimplexModel, seeds=None, budget: int = 20000,
         seed_list = seed_list + [as_point(s, model.n) for s in seeds]
 
     catalog = IsogonicCatalog()
-    found: list[BarycentricPoint] = []
-    traces: list[SearchTrace] = []
+    unique = []
     for seed in seed_list:
         try:
-            limit, trace = pedal_equiareal_iteration(
-                seed, model, tol=tol, max_iter=budget)
+            point, trace = _search(seed, model, tol, budget)
         except (MaxIterationsExceeded, DegeneratePedalEncountered) as exc:
             catalog.failed_seeds.append(exc.trace)
             continue
-        found.append(limit)
-        traces.append(trace)
-
-    # dedupe limits
-    unique: list[BarycentricPoint] = []
-    unique_traces: list[SearchTrace] = []
-    for pt, tr in zip(found, traces):
-        c = pt.normalized_coords
-        if any(np.abs(c - q.normalized_coords).max() <= 1e-6 for q in unique):
+        if point is None:
+            catalog.failed_seeds.append(trace)
             continue
-        unique.append(pt)
-        unique_traces.append(tr)
+        limit = isogonal_conjugate(point, model)
+        c = limit.normalized_coords
+        if not any(np.abs(c - q.normalized_coords).max() <= 1e-6 for q, _, _ in unique):
+            unique.append((limit, point, trace))
 
-    # conjugate, verify, measure
+    # verify, measure
     kept = []
-    for pt, tr in zip(unique, unique_traces):
-        try:
-            conj = isogonal_conjugate(pt, model)
-            verified = is_isogonic(conj, model)[0]
-        except (ZeroCoordinate, PointAtInfinity):  # limit on a sideplane, conjugate at infinity
-            verified = False
-        if not verified:
+    for pt, conj, tr in unique:
+        if not is_isogonic(conj, model)[0]:
             catalog.failed_seeds.append(tr)
             continue
         pedal_area = float(np.mean(pedal_simplex(pt, model).facet_volumes))

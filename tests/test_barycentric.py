@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +154,14 @@ class TestEmbedding:
         # the warnings NumPy gives on the way are not what this test checks
         table = EdgeLengthTable.from_flat(2, [1.0, 2.0, 1e300])
         with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NotEmbeddable):
+                embed_from_edge_lengths(table)
+
+    def test_overflowing_table_raises_without_warning(self):
+        # the lengths are scaled by a power of two before they are squared
+        table = EdgeLengthTable.from_flat(2, [1.0, 2.0, 1e300])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(NotEmbeddable):
                 embed_from_edge_lengths(table)
 

@@ -9,6 +9,7 @@ import golden
 from simplexcenters.cli import _parse_seeds, cmd_fermat, main
 from simplexcenters.documents import (
     DocumentError,
+    fraction_strings,
     load_document,
     parse_document,
     parse_point_arg,
@@ -60,6 +61,21 @@ class TestCentersCommand:
         assert o["normalized_fractions"] == ["73/210", "121/315", "169/630"]
         assert np.abs(np.array(o["normalized"])
                       - np.array(golden.GAP_TRIANGLE_CIRCUMCENTER)).max() < 1e-12
+
+    @pytest.mark.parametrize("center", [100.0, 400.0])
+    def test_random_values_do_not_snap(self, center):
+        # a fraction is shown only where a random value rarely lands
+        values = center + np.random.default_rng(11).uniform(-1, 1, 200)
+        assert [v for v in values if fraction_strings([v]) is not None] == []
+
+    def test_near_flat_triangle_reports_without_fractions(self, doc_path, capsys):
+        # the circumcenter's coordinates are about 1.6e10, where no value snaps
+        doc = {"vertices": [[0, 0], [1, 0], [0.5, 2e-6]]}
+        code, out, _ = run_cli(capsys, "centers", doc_path(doc), "--json")
+        assert code == 0
+        o = json.loads(out)["results"]["points"]["O"]
+        assert abs(o["normalized"][2]) > 1e10
+        assert "normalized_fractions" not in o
 
     def test_malformed_document_exit_2_no_output(self, doc_path, capsys):
         code, out, err = run_cli(capsys, "centers",
@@ -375,6 +391,18 @@ class TestIsogonicCommand:
         assert report["results"]["count"] == 0
         assert len(report["warnings"]) == 5
         assert all(w.startswith("seed did not converge: ") for w in report["warnings"])
+
+
+def test_json_reports_gradient_evaluations(doc_path, capsys):
+    # next to the iteration counts, for the reference tetrahedron
+    _, out, _ = run_cli(capsys, "fermat", doc_path(FIVE_DOC), "--json")
+    point = json.loads(out)["results"]["point"]
+    assert (point["iterations"], point["gradient_evaluations"]) == (5, 4)
+    _, out, _ = run_cli(capsys, "isogonic", doc_path(FIVE_DOC), "--json")
+    results = json.loads(out)["results"]
+    assert [s["iterations"] for s in results["seed_summary"]] == [11, 520, 61, 17, 51]
+    assert [s["gradient_evaluations"] for s in results["seed_summary"]] == [5, 5, 6, 5, 5]
+    assert [e["gradient_evaluations"] for e in results["entries"]] == [5, 5, 6, 5, 5]
 
 
 @pytest.mark.usefixtures("cached_reference_checks")

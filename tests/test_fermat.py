@@ -21,6 +21,7 @@ from simplexcenters import (
     weiszfeld_step_r,
     z_correspondent,
 )
+from simplexcenters.fermat import distance_sum_gradient
 
 
 class TestCorrespondent:
@@ -205,6 +206,15 @@ class TestFermatPoint:
             assert not trace.vertex_optimum
             assert np.abs(point.normalized_coords - 1 / 3).max() < 1e-10
 
+    @pytest.mark.parametrize("method", ["q", "r"])
+    def test_far_translated_simplex(self, five_model, method):
+        # Newton runs with vertex 0 at the origin, so the offset costs no digits
+        far = SimplexModel(golden.FIVE_VERTICES + 1e8)
+        point, trace = fermat_point(far, method=method)
+        near, _ = fermat_point(five_model, method=method)
+        assert trace.converged
+        assert np.abs(point.normalized_coords - near.normalized_coords).max() <= 1e-12
+
     def test_max_iterations_raises_with_trace(self, five_model):
         with pytest.raises(MaxIterationsExceeded) as info:
             fermat_point(five_model, max_iter=3)
@@ -212,6 +222,13 @@ class TestFermatPoint:
         assert trace is not None
         assert trace.iterations_used == 3
         assert len(trace.iterates) == 4  # start plus three steps
+
+    def test_zero_budget_takes_no_step(self, five_model):
+        with pytest.raises(MaxIterationsExceeded, match="within 0 iterations") as info:
+            fermat_point(five_model, max_iter=0)
+        trace = info.value.trace
+        assert trace.iterations_used == 0
+        assert len(trace.iterates) == len(trace.objective_values) == 1
 
     def test_one_distance_evaluation_per_iteration(self, count_calls):
         # the objective of each iterate is read off the distances its step
@@ -272,6 +289,21 @@ class TestFermatPoint:
     def test_unknown_method_rejected(self, five_model):
         with pytest.raises(ValueError, match="classic"):
             fermat_point(five_model, method="classic")
+
+
+class TestDistanceSumGradient:
+    def test_matches_vertex_loop(self):
+        # the vectorized sum against the per-vertex loop, off and at a vertex
+        rng = np.random.default_rng(23)
+        for trial in range(30):
+            n = 2 + trial % 4
+            model = make_random_model(rng, n)
+            x = rng.standard_normal(n)
+            assert np.abs(distance_sum_gradient(model, x)
+                          - golden.distance_sum_gradient(model.vertices, x)).max() <= 1e-14 * n
+            others = golden.distance_sum_gradient(model.vertices[1:], model.vertices[0])
+            assert np.abs(distance_sum_gradient(model, model.vertices[0])
+                          - others).max() <= 1e-14 * n
 
 
 class TestTotalDistance:

@@ -27,7 +27,7 @@ from simplexcenters import (
     pedal_simplex,
     triad_angle_check,
 )
-from simplexcenters import isogonic
+from simplexcenters import fermat, isogonic
 
 
 class TestIsogonalConjugate:
@@ -146,14 +146,24 @@ class TestEnumerateIsogonic:
                        / golden.ANTIPEDAL_AREA_TABLE[k] - 1) < 1e-6
 
     def test_benchmark_anchor_iteration_counts(self, five_model):
-        # the per-seed and Fermat iteration counts that bench/run.py pins
+        # the per-seed and Fermat iteration counts of the benchmark anchor
         catalog = enumerate_isogonic(five_model)
         used = {t.seed.normalized_coords.tobytes(): t.iterations_used
                 for t in catalog.traces + catalog.failed_seeds}
         assert [used[s.normalized_coords.tobytes()] for s in default_seeds(five_model)] \
-            == [158, 3248, 729, 308, 379]
+            == [11, 520, 61, 17, 51]
         assert [fermat_point(five_model, method=m)[1].iterations_used
-                for m in ("q", "r")] == [35, 47]
+                for m in ("q", "r")] == [5, 5]
+
+    def test_anchor_gradient_evaluations(self, five_model):
+        # Newton evaluations of g_sigma next to the map steps pinned above
+        catalog = enumerate_isogonic(five_model)
+        used = {t.seed.normalized_coords.tobytes(): t.gradient_evaluations
+                for t in catalog.traces + catalog.failed_seeds}
+        assert [used[s.normalized_coords.tobytes()] for s in default_seeds(five_model)] \
+            == [5, 5, 6, 5, 5]
+        assert [fermat_point(five_model, method=m)[1].gradient_evaluations
+                for m in ("q", "r")] == [4, 4]
 
     def test_canonical_ordering(self, five_model):
         catalog = enumerate_isogonic(five_model)
@@ -234,6 +244,26 @@ class TestEnumerateIsogonic:
                          - catalog.isogonic_points[b].normalized_coords).max()
             assert gap > 1e-6
 
+    def test_far_pseudo_root_rejected(self):
+        # in the sign class (+, -, +, -) |g_sigma| decays like 1/|x|^2 along
+        # one direction; a seed's polish ends on a short step some 6e7
+        # diameters out, where |g_sigma| is at the level of rounding
+        model = SimplexModel([[-0.117334, 1.194104, -0.930726],
+                              [-2.043466, -2.048336, 2.213690],
+                              [-1.827079, 2.301102, -2.075163],
+                              [-0.584854, -0.731705, 0.349025]])
+        catalog = enumerate_isogonic(model)
+        assert len(catalog) == 1
+        assert np.abs(catalog.isogonic_points[0].normalized_coords).max() < 1
+
+    def test_far_translated_simplex(self):
+        # the escape radius is measured from vertex 0, not from the origin
+        catalog = enumerate_isogonic(SimplexModel(golden.FIVE_VERTICES + 1e8))
+        assert len(catalog) == 5
+        for k in range(5):
+            assert np.abs(catalog.isogonic_points[k].normalized_coords
+                          - golden.ISOGONIC_TABLE[k]).max() < 1e-9
+
     def test_collapsed_seed_keeps_its_trace(self, five_model, monkeypatch):
         # the first seed fails after two steps, every later one before its first
         _collapse_after(2, monkeypatch)
@@ -254,6 +284,44 @@ class TestEnumerateIsogonic:
         last = catalog.failed_seeds[-1]
         assert last.converged and last.iterations_used == 1
         assert np.array_equal(last.seed.coords, [0.9, 0.5, -0.4])
+
+
+def _antipedal_facet_areas(vertices: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Facet areas of the antipedal tetrahedron of x, without the library.
+
+    Facet i lies in the plane through vertex i perpendicular to x - A_i;
+    corner j is where the three facet planes other than j meet.
+    """
+    normals = x - vertices
+    offsets = np.einsum("ij,ij->i", normals, vertices)
+    corners = np.array([np.linalg.solve(np.delete(normals, j, axis=0),
+                                        np.delete(offsets, j)) for j in range(4)])
+    return golden.facet_areas_cross(corners)
+
+
+class TestTwoNegativeSignClasses:
+    # outside the default catalog: one isogonic point in each of the three
+    # two-negative sign classes of the reference tetrahedron, reached by
+    # Newton on g_sigma from six-digit approximations
+    @pytest.mark.parametrize("approx, area, rel", [
+        ([1.359910, 1.618145, -0.927635, -1.050420], 838.6477152929, 1e-11),
+        ([1.098618, -0.854507, -0.743995, 1.499884], 200.8771225640, 1e-11),
+        ([5.248975, -4.920063, 5.645040, -4.973953], 10578.84, 1e-6),
+    ], ids=["F6", "F7", "F8"])
+    def test_newton_root_is_isogonic(self, five_model, approx, area, rel):
+        vertices = golden.FIVE_VERTICES
+        sigma = np.sign(approx)
+        path, _, converged = fermat._newton(five_model, sigma, np.array(approx) / sum(approx),
+                                            1e-12 * five_model.diameter, 50)
+        assert converged
+        bary = path[-1]
+        assert np.array_equal(np.sign(bary), sigma)
+        x = vertices.T @ bary
+        units = (x - vertices) / np.linalg.norm(x - vertices, axis=1)[:, None]
+        assert np.linalg.norm(sigma @ units) <= 1e-10
+        areas = _antipedal_facet_areas(vertices, x)
+        assert np.ptp(areas) / areas.mean() <= 1e-9
+        assert areas.mean() == pytest.approx(area, rel=rel)
 
 
 class TestDefaultSeeds:
