@@ -8,9 +8,9 @@ are found in two steps.  Their isogonal conjugates have an equiareal
 
 since centroid and incenter of a simplex coincide exactly when it is
 equiareal.  That map converges only linearly, so the catalog enumerator
-runs it from a default seed set (the centroid plus its reflections into
-each one-negative-coordinate orthant) only until its gap is below 1e-3 of
-the diameter.  It then conjugates the point and polishes it with the
+runs it from default seeds (a triangle's isodynamic points, else the
+centroid and its reflections into the one-negative-coordinate orthants)
+only to a gap of 1e-3 of the diameter, then polishes the conjugate with the
 Newton kernel of :mod:`simplexcenters.fermat`: an isogonic point F is a
 root of the signed distance-sum gradient g_sigma(x) = sum_i sigma_i u_i,
 with sigma the sign pattern of F and u_i the unit vector from vertex i,
@@ -249,28 +249,27 @@ def is_isogonic(p, model: SimplexModel, tol: float = 1e-7) -> tuple[bool, float]
 
 
 def default_seeds(model: SimplexModel) -> list[BarycentricPoint]:
-    """Centroid plus its reflection into each one-negative-coordinate orthant.
+    """The centroid and its reflection into each one-negative-coordinate
+    orthant, or a triangle's isodynamic points where they are defined.
 
-    For triangles the two isodynamic points are appended as seeds: they are
-    exactly the points with equiareal (equilateral) pedal triangles, and the
-    exterior one is a weakly repelling fixed point of the displacement
-    iteration that no orthant seed can reach, so the iteration is started
-    directly on it and acts as a verifier.
+    A non-equilateral triangle has exactly two isogonic points, Kimberling's
+    X(13) and X(14): the isogonal conjugates of its isodynamic points X(15)
+    and X(16), which the map fixes.  An equilateral one has its center alone.
     """
+    if model.n == 2:
+        try:
+            found = isodynamic_points(classical_centers(model)["I"], model)
+        except SimplexError:
+            pass
+        else:
+            return [point for point in found.points
+                    if np.abs(point.coords).min() > 1e-9 * np.abs(point.coords).max()]
     m = model.n + 1
     seeds = [BarycentricPoint(np.ones(m))]
     for k in range(m):
         c = np.ones(m)
         c[k] = -1.0
         seeds.append(BarycentricPoint(c))
-    if model.n == 2:
-        try:
-            found = isodynamic_points(classical_centers(model)["I"], model)
-        except SimplexError:
-            return seeds
-        for point in found.points:
-            if np.abs(point.coords).min() > 1e-9 * np.abs(point.coords).max():
-                seeds.append(point)
     return seeds
 
 

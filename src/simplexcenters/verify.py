@@ -102,17 +102,20 @@ class CheckRow:
     computed: str
     tolerance: str
     passed: bool
-    error: float | None = None   # numeric rows only
-    tol: float | None = None
 
 
-def _num_row(name: str, error: float, tol: float, detail: str = "") -> CheckRow:
-    return CheckRow(name=name,
-                    expected=detail or f"error <= {tol:.1e}",
-                    computed=f"error {error:.3e}",
-                    tolerance=f"{tol:.1e}",
-                    passed=bool(error <= tol),
-                    error=float(error), tol=float(tol))
+@dataclass
+class NumericRow:
+    """A check that ``error <= tol``; a new ``tol`` re-judges it and its texts."""
+    name: str
+    error: float
+    tol: float
+    quantity: str = "error"
+
+    expected = property(lambda self: f"{self.quantity} <= {self.tol:.1e}")
+    computed = property(lambda self: f"error {self.error:.3e}")
+    tolerance = property(lambda self: f"{self.tol:.1e}")
+    passed = property(lambda self: bool(self.error <= self.tol))
 
 
 def _bool_row(name: str, expected: bool, computed: bool, detail: str = "") -> CheckRow:
@@ -135,27 +138,27 @@ def _builtin_model(doc: dict) -> SimplexModel:
 # reference configuration checks
 # ---------------------------------------------------------------------------
 
-def gap_checks() -> list[CheckRow]:
+def gap_checks() -> list[CheckRow | NumericRow]:
     rows = []
     model = _builtin_model(GAP_TETRAHEDRON_DOC)
     areas = model.facet_volumes
-    rows.append(_num_row(
+    rows.append(NumericRow(
         "gap: facet areas (6*sqrt(21), 9/4*sqrt(403), 9/4*sqrt(51), 6*sqrt(105))",
         float(np.abs(areas / np.array(GAP_FACET_AREAS) - 1.0).max()), 1e-10))
 
     triangle = _builtin_model(GAP_FACET_TRIANGLE_DOC)
     centers = classical_centers(triangle)
     expected_o = np.array([float(f) for f in GAP_FACET_CIRCUMCENTER])
-    rows.append(_num_row("gap: facet triangle circumcenter [73/210, 121/315, 169/630]",
-                         _coord_error(centers["O"], expected_o), 1e-12))
+    rows.append(NumericRow("gap: facet triangle circumcenter [73/210, 121/315, 169/630]",
+                           _coord_error(centers["O"], expected_o), 1e-12))
     _, radius = circumcenter_cart(triangle)
-    rows.append(_num_row("gap: facet triangle circumradius 1716/(24*sqrt(105))",
-                         abs(radius / GAP_FACET_CIRCUMRADIUS - 1.0), 1e-12))
+    rows.append(NumericRow("gap: facet triangle circumradius 1716/(24*sqrt(105))",
+                           abs(radius / GAP_FACET_CIRCUMRADIUS - 1.0), 1e-12))
 
     verdict = yiu_triangle_test(12.0, 11.0, 13.0, *GAP_FACET_AREAS[:3])
     expected_q = np.array([float(f) for f in GAP_WITNESS])
-    rows.append(_num_row("gap: witness point matches exact fractions",
-                         _coord_error(verdict.point, expected_q), 1e-12))
+    rows.append(NumericRow("gap: witness point matches exact fractions",
+                           _coord_error(verdict.point, expected_q), 1e-12))
     rows.append(_bool_row("gap: witness point outside facet circumcircle",
                           True, verdict.outside))
     rows.append(CheckRow(
@@ -171,17 +174,17 @@ def gap_checks() -> list[CheckRow]:
 
     _, restricted = restrict_to_facet(classical_centers(model)["K"], model, 3)
     expected_r = np.array(GAP_FACET_AREAS[:3]) ** 2
-    rows.append(_num_row(
+    rows.append(NumericRow(
         "gap: symmedian line meets facet at squared-area point",
         float(np.abs(restricted.normalized_coords
                      - expected_r / expected_r.sum()).max()), 1e-12))
     return rows
 
 
-def five_isogonic_checks() -> list[CheckRow]:
+def five_isogonic_checks() -> list[CheckRow | NumericRow]:
     rows = []
     model = _builtin_model(FIVE_ISOGONIC_DOC)
-    rows.append(_num_row(
+    rows.append(NumericRow(
         "five: facet volumes (10, 8, 6)*sqrt(10), 24",
         float(np.abs(model.facet_volumes / np.array(FIVE_FACET_VOLUMES) - 1.0).max()),
         1e-10))
@@ -192,43 +195,43 @@ def five_isogonic_checks() -> list[CheckRow]:
                           detail="5 points"))
     if len(catalog) == 5:
         for k in range(5):
-            rows.append(_num_row(
+            rows.append(NumericRow(
                 f"five: equiareal-pedal point L_{k}",
                 _coord_error(catalog.conjugate_points[k], CONJUGATE_TABLE[k]), 1e-9))
         for k in range(5):
-            rows.append(_num_row(
+            rows.append(NumericRow(
                 f"five: pedal facet area a_{k} = {PEDAL_AREA_TABLE[k]:.12f}",
                 abs(catalog.pedal_areas[k] / PEDAL_AREA_TABLE[k] - 1.0), 1e-6))
         for k in range(5):
-            rows.append(_num_row(
+            rows.append(NumericRow(
                 f"five: isogonic point F_{k}",
                 _coord_error(catalog.isogonic_points[k], ISOGONIC_TABLE[k]), 1e-9))
         for k in range(5):
-            rows.append(_num_row(
+            rows.append(NumericRow(
                 f"five: antipedal facet area {ANTIPEDAL_AREA_TABLE[k]:.12f}",
                 abs(catalog.antipedal_areas[k] / ANTIPEDAL_AREA_TABLE[k] - 1.0), 1e-6))
         conj_err = max(
             _coord_error(isogonal_conjugate(catalog.conjugate_points[k], model),
                          ISOGONIC_TABLE[k])
             for k in range(5))
-        rows.append(_num_row("five: conjugation maps each L_k onto F_k",
-                             conj_err, 1e-8))
+        rows.append(NumericRow("five: conjugation maps each L_k onto F_k",
+                               conj_err, 1e-8))
 
     incenter = classical_centers(model)["I"]
     result = isodynamic_points(incenter, model)
     rows.append(_bool_row("five: two isodynamic points exist",
                           True, len(result.points) == 2, detail="2 points"))
     if len(result.points) == 2:
-        rows.append(_num_row("five: isodynamic point J_1",
-                             _coord_error(result.points[0], ISODYNAMIC_TABLE[0]), 1e-8))
-        rows.append(_num_row("five: isodynamic point J_2",
-                             _coord_error(result.points[1], ISODYNAMIC_TABLE[1]), 1e-8))
-        rows.append(_num_row("five: sphere membership residuals",
-                             max(result.residuals), 1e-8))
+        rows.append(NumericRow("five: isodynamic point J_1",
+                               _coord_error(result.points[0], ISODYNAMIC_TABLE[0]), 1e-8))
+        rows.append(NumericRow("five: isodynamic point J_2",
+                               _coord_error(result.points[1], ISODYNAMIC_TABLE[1]), 1e-8))
+        rows.append(NumericRow("five: sphere membership residuals",
+                               max(result.residuals), 1e-8))
 
     for method in ("q", "r"):
         point, trace = fermat_point(model, method=method)
-        rows.append(_num_row(
+        rows.append(NumericRow(
             f"five: distance-sum minimizer via method {method} "
             f"({trace.iterations_used} iterations)",
             _coord_error(point, ISOGONIC_TABLE[0]), 1e-9))
@@ -276,7 +279,7 @@ def _fd_gradient(model: SimplexModel, x: np.ndarray, h: float = 1e-6) -> np.ndar
     return g
 
 
-def solver_suite_checks() -> list[CheckRow]:
+def solver_suite_checks() -> list[CheckRow | NumericRow]:
     rows = []
     model = _builtin_model(FIVE_ISOGONIC_DOC)
     target = np.array(ISOGONIC_TABLE[0])
@@ -300,18 +303,18 @@ def solver_suite_checks() -> list[CheckRow]:
             if method == "q":
                 diffs = np.diff(trace.objective_values)
                 worst_ascent = max(worst_ascent, float(diffs.max(initial=-math.inf)))
-    rows.append(_num_row("solver: 10 random starts reach the minimizer (q and r)",
-                         worst_coord, 1e-9))
-    rows.append(_num_row("solver: gradient norm at the minimizer", worst_grad, 1e-7))
-    rows.append(_num_row("solver: gradient matches finite differences",
-                         worst_fd, 1e-5))
-    rows.append(_num_row("solver: distance sum non-increasing along q-iterates",
-                         max(worst_ascent, 0.0), 1e-12,
-                         detail="max increase <= 1e-12"))
+    rows.append(NumericRow("solver: 10 random starts reach the minimizer (q and r)",
+                           worst_coord, 1e-9))
+    rows.append(NumericRow("solver: gradient norm at the minimizer", worst_grad, 1e-7))
+    rows.append(NumericRow("solver: gradient matches finite differences",
+                           worst_fd, 1e-5))
+    rows.append(NumericRow("solver: distance sum non-increasing along q-iterates",
+                           max(worst_ascent, 0.0), 1e-12,
+                           quantity="max increase"))
     return rows
 
 
-def triangle_suite_checks(count: int = 100) -> list[CheckRow]:
+def triangle_suite_checks(count: int = 100) -> list[CheckRow | NumericRow]:
     rows = []
     rng = np.random.default_rng(20241)
     worst_line = 0.0
@@ -370,20 +373,20 @@ def triangle_suite_checks(count: int = 100) -> list[CheckRow]:
         worst_conj = max(worst_conj, float(np.abs(
             conj_interior.normalized_coords - fermat.normalized_coords).max()))
 
-    rows.append(_num_row("triangles: isodynamic pair lies on the center axis",
-                         worst_line, 1e-9))
-    rows.append(_num_row("triangles: harmonic range (O, J1, K, J2)",
-                         worst_cross, 1e-7))
+    rows.append(NumericRow("triangles: isodynamic pair lies on the center axis",
+                           worst_line, 1e-9))
+    rows.append(NumericRow("triangles: harmonic range (O, J1, K, J2)",
+                           worst_cross, 1e-7))
     rows.append(_bool_row("triangles: exactly one isodynamic point interior",
                           True, interior_ok))
-    rows.append(_num_row("triangles: vertex distance times opposite side balanced",
-                         worst_product, 1e-8))
-    rows.append(_num_row("triangles: pedal triangles of J equilateral",
-                         worst_pedal, 1e-8))
-    rows.append(_num_row("triangles: antipedal triangles of conjugates equilateral",
-                         worst_antipedal, 1e-8))
-    rows.append(_num_row("triangles: interior conjugate equals distance minimizer",
-                         worst_conj, 1e-8))
+    rows.append(NumericRow("triangles: vertex distance times opposite side balanced",
+                           worst_product, 1e-8))
+    rows.append(NumericRow("triangles: pedal triangles of J equilateral",
+                           worst_pedal, 1e-8))
+    rows.append(NumericRow("triangles: antipedal triangles of conjugates equilateral",
+                           worst_antipedal, 1e-8))
+    rows.append(NumericRow("triangles: interior conjugate equals distance minimizer",
+                           worst_conj, 1e-8))
     return rows
 
 
@@ -410,7 +413,7 @@ def _circles_meet_brute(model: SimplexModel, weights: np.ndarray) -> bool:
     return abs(r1 - r2) <= dist <= r1 + r2
 
 
-def invariant_suite_checks() -> list[CheckRow]:
+def invariant_suite_checks() -> list[CheckRow | NumericRow]:
     rows = []
     rng = np.random.default_rng(20242)
     worst_harmonic = 0.0
@@ -460,15 +463,15 @@ def invariant_suite_checks() -> list[CheckRow]:
         worst_inverse = max(worst_inverse, float(
             np.abs(feet - model.vertices).max() / model.diameter))
 
-    rows.append(_num_row("invariants: diameter endpoints harmonic with the edge",
-                         worst_harmonic, 1e-12))
-    rows.append(_num_row("invariants: spheres orthogonal to the circumsphere",
-                         worst_orth, 1e-8))
-    rows.append(_num_row("invariants: polar-simplex coordinates agree",
-                         worst_orthology, 1e-10))
-    rows.append(_num_row("invariants: correspondent identities", worst_corr, 1e-12))
-    rows.append(_num_row("invariants: pedal of antipedal restores the simplex",
-                         worst_inverse, 1e-8))
+    rows.append(NumericRow("invariants: diameter endpoints harmonic with the edge",
+                           worst_harmonic, 1e-12))
+    rows.append(NumericRow("invariants: spheres orthogonal to the circumsphere",
+                           worst_orth, 1e-8))
+    rows.append(NumericRow("invariants: polar-simplex coordinates agree",
+                           worst_orthology, 1e-10))
+    rows.append(NumericRow("invariants: correspondent identities", worst_corr, 1e-12))
+    rows.append(NumericRow("invariants: pedal of antipedal restores the simplex",
+                           worst_inverse, 1e-8))
 
     agreement = 0
     for _ in range(50):
@@ -483,7 +486,7 @@ def invariant_suite_checks() -> list[CheckRow]:
     return rows
 
 
-def run_reference_checks() -> list[CheckRow]:
+def run_reference_checks() -> list[CheckRow | NumericRow]:
     rows = []
     rows.extend(gap_checks())
     rows.extend(five_isogonic_checks())

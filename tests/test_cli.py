@@ -350,6 +350,8 @@ class TestIsogonicCommand:
         assert code == 0
         report = json.loads(out)
         assert report["results"]["count"] == 2
+        _, out, _ = run_cli(capsys, "isogonic", doc_path(GAP_TRIANGLE_DOC))
+        assert out.splitlines()[-1] == "warnings: none"
 
     def test_regular_tetrahedron_contains_center(self, doc_path, capsys):
         code, out, _ = run_cli(capsys, "isogonic", doc_path(REGULAR_DOC), "--json")
@@ -417,6 +419,12 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--tolerance", "1e-15")
         assert code == 1
         assert "[FAIL]" in out
+        # each row is three lines: verdict and name, expected, computed
+        lines = out.splitlines()
+        numeric = [expected for expected, computed in zip(lines[1::3], lines[2::3])
+                   if computed.endswith("(tolerance 1.0e-15)")]
+        assert len(numeric) >= 40
+        assert all(expected.endswith(" <= 1.0e-15") for expected in numeric)
 
     def test_json_output(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--json")

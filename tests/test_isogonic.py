@@ -11,11 +11,14 @@ from simplexcenters import (
     AxisUndefined,
     BarycentricPoint,
     DegeneratePedalEncountered,
+    EdgeLengthTable,
     MaxIterationsExceeded,
     SimplexModel,
     ZeroCoordinate,
+    antipedal_simplex,
     classical_centers,
     default_seeds,
+    embed_from_edge_lengths,
     enumerate_isogonic,
     equiareal_deviation,
     fermat_point,
@@ -131,6 +134,13 @@ class TestPedalEquiarealIteration:
         assert equiareal_deviation(pedal_simplex(point, five_model)) <= 1e-7
 
 
+def _sides(*degrees):
+    """Edge lengths [d01, d02, d12] of the triangle with these angles at
+    vertices 0, 1 and 2."""
+    a, b, c = np.sin(np.radians(degrees))
+    return [c, b, a]
+
+
 class TestEnumerateIsogonic:
     def test_five_tetrahedron_full_catalog(self, five_model):
         catalog = enumerate_isogonic(five_model)
@@ -216,14 +226,31 @@ class TestEnumerateIsogonic:
         fermat, _ = fermat_point(gap_triangle)
         assert np.abs(interior - fermat.normalized_coords).max() < 1e-8
 
-    def test_triangle_catalog_conjugates_are_isodynamic(self, gap_triangle):
-        catalog = enumerate_isogonic(gap_triangle)
-        result = isodynamic_points(classical_centers(gap_triangle)["I"], gap_triangle)
-        found = [isogonal_conjugate(j, gap_triangle).normalized_coords
+    @pytest.mark.parametrize("triangle, seeds", [
+        ("gap_triangle", 2),
+        (_sides(1.48, 1.48, 177.04), 2),
+        (_sides(120.5, 30.0, 29.5), 2),
+        (_sides(60.3, 59.8, 59.9), 2),
+        ([3.0, 4.0, 5.0], 2),
+        ("equilateral_triangle", 1),
+    ], ids=["gap", "near-flat", "near-120", "near-equilateral", "3-4-5",
+            "equilateral"])
+    def test_triangle_catalog_conjugates_are_isodynamic(self, triangle, seeds, request):
+        model = (request.getfixturevalue(triangle) if isinstance(triangle, str)
+                 else embed_from_edge_lengths(EdgeLengthTable.from_flat(2, triangle)))
+        catalog = enumerate_isogonic(model)
+        result = isodynamic_points(classical_centers(model)["I"], model)
+        found = [isogonal_conjugate(j, model).normalized_coords
                  for j in result.points]
         for f in catalog.isogonic_points:
             best = min(np.abs(f.normalized_coords - c).max() for c in found)
             assert best < 1e-8
+            anti = antipedal_simplex(f, model).vertices
+            sides = [np.linalg.norm(anti[a] - anti[b])
+                     for a, b in itertools.combinations(range(3), 2)]
+            assert (max(sides) - min(sides)) / np.mean(sides) <= 1e-8
+        assert catalog.failed_seeds == []
+        assert len(default_seeds(model)) == seeds
 
     def test_all_points_verify(self, five_model):
         catalog = enumerate_isogonic(five_model)
