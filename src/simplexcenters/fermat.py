@@ -98,9 +98,12 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
     |g_sigma| falls by the Armijo factor 1 - t/1e4.  A step no longer than
     ``tol`` is taken whole and ends the run; the run succeeds if |g_sigma|
     <= ``residual`` at its end (evaluated only for a finite ``residual``).
-    Returns the barycentric coordinates of the accepted iterates (the start
-    excluded), the number of gradient evaluations, and whether the run
-    succeeded; it stops early when J is singular or the line search fails.
+    A line search that cannot lower |g_sigma| ends the run, which succeeds
+    if ``residual`` is finite and |g_sigma| <= ``residual`` at the current
+    point.  Returns the barycentric coordinates of the accepted iterates
+    (the start excluded, unless the run succeeds without a step), the
+    number of gradient evaluations, and whether the run succeeded; it
+    stops early when J is singular.
     """
     local = model.vertices - model.vertices[0]
     frame = np.linalg.inv(np.vstack([local.T, np.ones(model.n + 1)]))
@@ -134,6 +137,11 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
                 break
             t *= 0.5
         else:
+            # |g_sigma| is at the level of rounding: a start already at a
+            # root ends here, and is accepted on the residual
+            ok = math.isfinite(residual) and norm <= residual
+            if ok and not path:
+                path.append(x)
             break
         x, g, jac = y, gy, jy
         path.append(x)

@@ -9,16 +9,18 @@ are found in two steps.  Their isogonal conjugates have an equiareal
 since centroid and incenter of a simplex coincide exactly when it is
 equiareal.  That map converges only linearly, so the catalog enumerator
 runs it from default seeds (a triangle's isodynamic points, else the
-centroid and its reflections into the one-negative-coordinate orthants)
-only to a gap of 1e-3 of the diameter, then polishes the conjugate with the
-Newton kernel of :mod:`simplexcenters.fermat`: an isogonic point F is a
+conjugate of the Fermat point and the centroid's reflections into the
+one-negative-coordinate orthants) only to a gap of 1e-3 of the diameter,
+then polishes the conjugate with the Newton kernel of
+:mod:`simplexcenters.fermat`: an isogonic point F is a
 root of the signed distance-sum gradient g_sigma(x) = sum_i sigma_i u_i,
 with sigma the sign pattern of F and u_i the unit vector from vertex i,
 because the facet normals of its antipedal simplex are the +-u_i and
 Minkowski's relation weighs them by the equal facet volumes.  A polished
-point is kept only if Newton ends on a short step, |g_sigma| <= 1e-10
-there, F keeps its sign pattern and F lies within the map's escape radius;
-otherwise the map continues to 1e-5 of the diameter and the polish is
+point is kept only if Newton ends with |g_sigma| <= 1e-10 (on a short
+step, or where rounding stops its line search), F keeps its sign pattern
+and F is a finite point within the map's escape radius; otherwise the map
+continues to 1e-5 of the diameter and the polish is
 tried once more.  A seed whose polish is never accepted is a failed seed,
 and every polished point is re-verified on its antipedal simplex.
 """
@@ -49,11 +51,15 @@ from .errors import (
     UnboundedAntipedal,
     ZeroCoordinate,
 )
-from .fermat import _newton
+from .fermat import _newton, fermat_point
 from .pedal import antipedal_simplex, equiareal_deviation, pedal_simplex
 
 # consecutive gap increases tolerated before the step damping is halved
 _OSCILLATION_LIMIT = 5
+# damping below which a seed has stalled (after 10 halvings): no seed that
+# reached a catalog point, of 631 on 191 benchmark and random simplices,
+# went below 1/16, so the margin is 64x
+_MIN_DAMPING = 1e-3
 # distance from vertex 0, in diameters, past which an iterate of the map or
 # a polished point has escaped
 _ESCAPE = 1e6
@@ -145,7 +151,7 @@ def _pedal_map(x: np.ndarray, model: SimplexModel, trace: SearchTrace,
                 damping *= 0.5
                 trace.damping_used = damping
                 increases = 0
-                if damping < 1e-8:
+                if damping < _MIN_DAMPING:
                     # damping collapsed without the gap closing: divergent
                     raise MaxIterationsExceeded(
                         f"iteration stalled after {it} iterations "
@@ -170,7 +176,8 @@ def pedal_equiareal_iteration(p0, model: SimplexModel, tol: float = 1e-13,
     Applies the Cartesian displacement (pedal centroid - pedal incenter)
     each step, stopping when the displacement norm drops below
     ``tol * diameter``.  The damping factor starts at 1 and is halved after
-    five consecutive gap increases so divergent starts are recovered.
+    five consecutive gap increases so divergent starts are recovered; a
+    start whose damping falls below 1e-3 has stalled.
     """
     pt = as_point(p0, model.n)
     trace = SearchTrace(seed=pt)
@@ -205,6 +212,8 @@ def _polished(x: np.ndarray, model: SimplexModel, trace: SearchTrace, tol: float
             or not np.array_equal(np.sign(path[-1]), sigma)):
         return None
     point = BarycentricPoint(path[-1])
+    if not point.is_finite():
+        return None
     far = np.linalg.norm(model.bary_to_cart(point) - model.vertices[0])
     return None if far > _ESCAPE * model.diameter else point
 
@@ -249,12 +258,20 @@ def is_isogonic(p, model: SimplexModel, tol: float = 1e-7) -> tuple[bool, float]
 
 
 def default_seeds(model: SimplexModel) -> list[BarycentricPoint]:
-    """The centroid and its reflection into each one-negative-coordinate
-    orthant, or a triangle's isodynamic points where they are defined.
+    """A triangle's isodynamic points where they are defined; otherwise the
+    isogonal conjugate of the Fermat point, then the centroid's reflection
+    into each one-negative-coordinate orthant.
 
     A non-equilateral triangle has exactly two isogonic points, Kimberling's
     X(13) and X(14): the isogonal conjugates of its isodynamic points X(15)
     and X(16), which the map fixes.  An equilateral one has its center alone.
+
+    The all-positive isogonic points are the roots of g_sigma for
+    sigma = +1, the gradient of the distance sum.  That sum is strictly
+    convex, so the class holds the Fermat point alone, or nothing when the
+    minimizer is a vertex (H. W. Kuhn, Math. Programming 4, 1973); the
+    conjugate of the Fermat point is fixed by the map.  The centroid stands
+    in for it when the minimizer is a vertex or the solver fails.
     """
     if model.n == 2:
         try:
@@ -266,6 +283,12 @@ def default_seeds(model: SimplexModel) -> list[BarycentricPoint]:
                     if np.abs(point.coords).min() > 1e-9 * np.abs(point.coords).max()]
     m = model.n + 1
     seeds = [BarycentricPoint(np.ones(m))]
+    try:
+        fermat, trace = fermat_point(model)
+        if not trace.vertex_optimum:
+            seeds[0] = isogonal_conjugate(fermat, model)
+    except SimplexError:
+        pass
     for k in range(m):
         c = np.ones(m)
         c[k] = -1.0

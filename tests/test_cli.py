@@ -390,8 +390,9 @@ class TestIsogonicCommand:
                                "--budget", "3", "--json")
         assert code == 0
         report = json.loads(out)
-        assert report["results"]["count"] == 0
-        assert len(report["warnings"]) == 5
+        # the Fermat seed needs one step; the four orthant seeds run out
+        assert report["results"]["count"] == 1
+        assert len(report["warnings"]) == 4
         assert all(w.startswith("seed did not converge: ") for w in report["warnings"])
 
 
@@ -402,9 +403,9 @@ def test_json_reports_gradient_evaluations(doc_path, capsys):
     assert (point["iterations"], point["gradient_evaluations"]) == (5, 4)
     _, out, _ = run_cli(capsys, "isogonic", doc_path(FIVE_DOC), "--json")
     results = json.loads(out)["results"]
-    assert [s["iterations"] for s in results["seed_summary"]] == [11, 520, 61, 17, 51]
-    assert [s["gradient_evaluations"] for s in results["seed_summary"]] == [5, 5, 6, 5, 5]
-    assert [e["gradient_evaluations"] for e in results["entries"]] == [5, 5, 6, 5, 5]
+    assert [s["iterations"] for s in results["seed_summary"]] == [1, 520, 61, 17, 51]
+    assert [s["gradient_evaluations"] for s in results["seed_summary"]] == [2, 5, 6, 5, 5]
+    assert [e["gradient_evaluations"] for e in results["entries"]] == [2, 5, 6, 5, 5]
 
 
 @pytest.mark.usefixtures("cached_reference_checks")

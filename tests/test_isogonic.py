@@ -120,6 +120,16 @@ class TestPedalEquiarealIteration:
         assert trace.iterations_used == 1 and not trace.converged
         assert np.isfinite(trace.final_gap)
 
+    def test_stall_exit(self, gap_model):
+        # an orthant seed of the gap tetrahedron whose gap keeps rising: it
+        # stalls once the damping is halved below 1e-3 (after 154 steps when
+        # the floor was 1e-8)
+        with pytest.raises(MaxIterationsExceeded, match="stalled after") as info:
+            pedal_equiareal_iteration([1, -1, 1, 1], gap_model)
+        trace = info.value.trace
+        assert trace.damping_used >= 2.0 ** -10 and not trace.converged
+        assert trace.iterations_used < 154
+
     def test_degenerate_pedal_exit(self, five_model, monkeypatch):
         _collapse_after(2, monkeypatch)
         with pytest.raises(DegeneratePedalEncountered, match="collapsed") as info:
@@ -161,7 +171,7 @@ class TestEnumerateIsogonic:
         used = {t.seed.normalized_coords.tobytes(): t.iterations_used
                 for t in catalog.traces + catalog.failed_seeds}
         assert [used[s.normalized_coords.tobytes()] for s in default_seeds(five_model)] \
-            == [11, 520, 61, 17, 51]
+            == [1, 520, 61, 17, 51]
         assert [fermat_point(five_model, method=m)[1].iterations_used
                 for m in ("q", "r")] == [5, 5]
 
@@ -171,7 +181,7 @@ class TestEnumerateIsogonic:
         used = {t.seed.normalized_coords.tobytes(): t.gradient_evaluations
                 for t in catalog.traces + catalog.failed_seeds}
         assert [used[s.normalized_coords.tobytes()] for s in default_seeds(five_model)] \
-            == [5, 5, 6, 5, 5]
+            == [2, 5, 6, 5, 5]
         assert [fermat_point(five_model, method=m)[1].gradient_evaluations
                 for m in ("q", "r")] == [4, 4]
 
@@ -231,10 +241,12 @@ class TestEnumerateIsogonic:
         (_sides(1.48, 1.48, 177.04), 2),
         (_sides(120.5, 30.0, 29.5), 2),
         (_sides(60.3, 59.8, 59.9), 2),
+        # X(16) is already a root of g_sigma, where Newton cannot lower it
+        (_sides(59.99354427986009, 59.9995813811239, 60.00687433901601), 2),
         ([3.0, 4.0, 5.0], 2),
         ("equilateral_triangle", 1),
-    ], ids=["gap", "near-flat", "near-120", "near-equilateral", "3-4-5",
-            "equilateral"])
+    ], ids=["gap", "near-flat", "near-120", "near-equilateral",
+            "within-0.007-of-equilateral", "3-4-5", "equilateral"])
     def test_triangle_catalog_conjugates_are_isodynamic(self, triangle, seeds, request):
         model = (request.getfixturevalue(triangle) if isinstance(triangle, str)
                  else embed_from_edge_lengths(EdgeLengthTable.from_flat(2, triangle)))
@@ -291,15 +303,43 @@ class TestEnumerateIsogonic:
             assert np.abs(catalog.isogonic_points[k].normalized_coords
                           - golden.ISOGONIC_TABLE[k]).max() < 1e-9
 
+    def test_fermat_point_is_the_positive_point(self):
+        # the map from the centroid missed the Fermat point of this
+        # tetrahedron, and the catalog was empty
+        model = SimplexModel([[-0.008775, 0.306069, 1.271732],
+                              [-1.087569, -0.140184, -0.296931],
+                              [-2.010313, -0.678083, -1.609774],
+                              [0.101443, -0.204785, 0.277038]])
+        catalog = enumerate_isogonic(model)
+        fermat, _ = fermat_point(model)
+        assert len(catalog) >= 1
+        first = catalog.isogonic_points[0]
+        assert np.abs(first.normalized_coords - fermat.normalized_coords).max() <= 1e-10
+        assert is_isogonic(first, model)[0]
+
+    def test_polished_point_at_infinity_is_a_failed_seed(self):
+        # the fifth seed's polish ends where the coordinate sum rounds to zero
+        model = SimplexModel([
+            [-0.7597485546982828, -0.03252294487587042, -0.01805508335382325],
+            [3.6644468631668214, -0.5105178194576714, 1.2460322419563814],
+            [0.40658745808193825, -0.0917578410402191, 0.4082240966626889],
+            [0.3584046464660922, -0.03180264480253405, -0.24947858283349625]])
+        catalog = enumerate_isogonic(model)
+        fifth = default_seeds(model)[4]
+        rejected = [t for t in catalog.failed_seeds
+                    if np.array_equal(t.seed.coords, fifth.coords)]
+        assert len(rejected) == 1 and rejected[0].converged
+
     def test_collapsed_seed_keeps_its_trace(self, five_model, monkeypatch):
-        # the first seed fails after two steps, every later one before its first
+        # the Fermat seed is polished after one step; the second seed fails
+        # after one step, every later one before its first
         _collapse_after(2, monkeypatch)
         catalog = enumerate_isogonic(five_model)
         seeds = default_seeds(five_model)
-        assert len(catalog) == 0
+        assert len(catalog) == 1
         assert [t.iterations_used for t in catalog.failed_seeds] == \
-            [2] + [0] * (len(seeds) - 1)
-        for trace, seed in zip(catalog.failed_seeds, seeds):
+            [1] + [0] * (len(seeds) - 2)
+        for trace, seed in zip(catalog.failed_seeds, seeds[1:]):
             assert np.array_equal(trace.seed.coords, seed.normalized_coords)
 
     def test_conjugate_at_infinity_is_a_failed_seed(self):
@@ -366,6 +406,29 @@ class TestDefaultSeeds:
 
         monkeypatch.setattr(isogonic, "isodynamic_points", undefined)
         assert len(default_seeds(gap_triangle)) == 4
+
+    def test_fermat_conjugate_comes_first(self, five_model):
+        fermat, _ = fermat_point(five_model)
+        seeds = default_seeds(five_model)
+        assert np.array_equal(seeds[0].coords,
+                              isogonal_conjugate(fermat, five_model).coords)
+        assert len(seeds) == 5
+
+    def test_vertex_optimum_keeps_the_centroid(self):
+        # vertex 0 sits just above the center of the other three, so it
+        # minimizes the distance sum and the all-positive class is empty
+        model = SimplexModel([[0, 0, 0.1], [1, 0, 0], [-0.5, 0.866, 0], [-0.5, -0.866, 0]])
+        assert fermat_point(model)[1].vertex_optimum
+        seeds = default_seeds(model)
+        assert np.array_equal(seeds[0].coords, [0.25] * 4)
+        assert len(seeds) == 5
+
+    def test_fermat_failure_keeps_the_centroid(self, five_model, monkeypatch):
+        def stalled(model):
+            raise MaxIterationsExceeded("Newton stalled")
+
+        monkeypatch.setattr(isogonic, "fermat_point", stalled)
+        assert np.array_equal(default_seeds(five_model)[0].coords, [0.25] * 4)
 
 
 class TestIsIsogonic:
