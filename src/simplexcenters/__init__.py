@@ -49,7 +49,8 @@ from .errors import (
     ZeroCoordinate,
 )
 from .fermat import (
-    IterationTrace,
+    REASONS,
+    SolverTrace,
     fermat_point,
     total_distance,
     weiszfeld_step_q,
@@ -58,7 +59,6 @@ from .fermat import (
 )
 from .isogonic import (
     IsogonicCatalog,
-    SearchTrace,
     default_seeds,
     enumerate_isogonic,
     is_isogonic,
@@ -88,11 +88,10 @@ __all__ = [
     "DegeneratePedalEncountered", "MaxIterationsExceeded", "NotATriangle",
     "NotEmbeddable", "OnSideplane", "ParallelLine", "PointAtInfinity",
     "SimplexError", "UnboundedAntipedal", "ZeroCoordinate",
-    "IterationTrace", "fermat_point", "total_distance", "weiszfeld_step_q",
-    "weiszfeld_step_r", "z_correspondent",
-    "IsogonicCatalog", "SearchTrace", "default_seeds", "enumerate_isogonic",
-    "is_isogonic", "isogonal_conjugate", "pedal_equiareal_iteration",
-    "triad_angle_check",
+    "REASONS", "SolverTrace", "fermat_point", "total_distance",
+    "weiszfeld_step_q", "weiszfeld_step_r", "z_correspondent",
+    "IsogonicCatalog", "default_seeds", "enumerate_isogonic", "is_isogonic",
+    "isogonal_conjugate", "pedal_equiareal_iteration", "triad_angle_check",
     "antipedal_simplex", "equiareal_deviation", "inversive_image",
     "pedal_simplex", "polar_simplex",
     "__version__",

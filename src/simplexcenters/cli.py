@@ -167,9 +167,8 @@ def cmd_isogonic(doc: SimplexDocument, options: dict) -> dict:
     if options.get("seeds"):
         seeds = _parse_seeds(options["seeds"], model.n)
     budget = _resolved(options.get("budget"), 20000)
-    tol = _resolved(options.get("tolerance"), doc.tolerance, 1e-13)
-    options = {**options, "budget": budget, "tolerance": tol}
-    catalog = enumerate_isogonic(model, seeds=seeds, budget=budget, tol=tol)
+    options = {**options, "budget": budget}
+    catalog = enumerate_isogonic(model, seeds=seeds, budget=budget)
 
     entries = []
     for k in range(len(catalog)):
@@ -187,10 +186,8 @@ def cmd_isogonic(doc: SimplexDocument, options: dict) -> dict:
         "iterations": t.iterations_used,
         "gradient_evaluations": t.gradient_evaluations,
     } for t in catalog.traces]
-    warnings = []
-    for t in catalog.failed_seeds:
-        reason = "seed limit rejected: " if t.converged else "seed did not converge: "
-        warnings.append(reason + fmt_list(t.seed.normalized_coords))
+    warnings = [f"seed {t.reason}: {fmt_list(t.seed.normalized_coords)}"
+                for t in catalog.failed_seeds]
     results = {"dimension": model.n, "count": len(catalog),
                "entries": entries, "seed_summary": seed_summary}
     return {"command": "isogonic",
@@ -356,8 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_doc(p)
     p.add_argument("--seeds", help="extra seeds: 'p1,p2,...;q1,q2,...' or a JSON file")
     p.add_argument("--budget", type=_positive(int), help="iterations per seed (default: 20000)")
-    p.add_argument("--tolerance", type=_positive(float),
-                   help="default: the document's tolerance, else 1e-13")
 
     p = sub.add_parser("verify", help="recompute the built-in reference tables")
     p.add_argument("--json", action="store_true")
@@ -394,9 +389,7 @@ def main(argv=None) -> int:
                 "tolerance": args.tolerance, "max_iter": args.max_iter,
                 "trace": bool(args.trace)})
         else:
-            report = cmd_isogonic(doc, {
-                "seeds": args.seeds, "budget": args.budget,
-                "tolerance": args.tolerance})
+            report = cmd_isogonic(doc, {"seeds": args.seeds, "budget": args.budget})
         _emit(report, args.json)
         return 0
     except DocumentError as exc:

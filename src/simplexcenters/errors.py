@@ -53,25 +53,18 @@ class AtVertex(SimplexError):
     """The point coincides with a simplex vertex where a distance must not vanish."""
 
 
-class MaxIterationsExceeded(SimplexError):
-    """An iteration did not converge within its budget.
-
-    The partial trace is attached as ``trace`` so callers can inspect or
-    report it.
-    """
+class SolverStopped(SimplexError):
+    """A solver run ended without an answer; its record, whose ``reason``
+    says why, is attached as ``trace``."""
 
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace
 
 
-class DegeneratePedalEncountered(SimplexError):
-    """The pedal iteration reached a point whose pedal simplex collapsed.
+class MaxIterationsExceeded(SolverStopped):
+    """An iteration did not converge within its budget, stalled or escaped."""
 
-    The iteration's trace, up to its last full step, is attached as
-    ``trace``, as for ``MaxIterationsExceeded``.
-    """
 
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace
+class DegeneratePedalEncountered(SolverStopped):
+    """The pedal iteration reached a point whose pedal simplex collapsed."""

@@ -26,6 +26,9 @@ The distance sum is convex, so Kuhn's first-order test decides before the
 first step whether the minimizer is a vertex: vertex k is the minimizer iff
 the gradient over the other vertices has norm <= 1 there (H. W. Kuhn,
 Math. Programming 4, 1973).
+
+Both solvers record a run in one :class:`SolverTrace`, whose ``reason``
+says why it stopped.
 """
 
 from __future__ import annotations
@@ -42,26 +45,6 @@ METHODS = ("q", "r")
 
 # step halvings before a Newton line search gives up
 _HALVINGS = 40
-
-
-@dataclass
-class IterationTrace:
-    """Record of one minimization run.
-
-    ``objective_values[k]`` is the distance sum at ``iterates[k]``: the
-    start, the approach step, then one entry per Newton step.  For a vertex
-    optimum, ``iterations_used == 0`` and the iterates are the start and
-    the vertex.  ``gradient_evaluations`` counts the Newton kernel's
-    evaluations of the gradient, line-search trials included.
-    """
-
-    method: str
-    iterates: list[BarycentricPoint] = field(default_factory=list)
-    objective_values: list[float] = field(default_factory=list)
-    converged: bool = False
-    iterations_used: int = 0
-    vertex_optimum: bool = False
-    gradient_evaluations: int = 0
 
 
 def total_distance(p, model: SimplexModel) -> float:
@@ -85,6 +68,42 @@ def _signed_gradient(vertices: np.ndarray, sigma: np.ndarray, x: np.ndarray,
     jac = -(units.T * w) @ units
     jac.flat[::len(x) + 1] += w.sum()
     return sigma @ units, jac
+
+
+# why a solver run stopped: only the first two give an answer, and the last
+# two end a catalog seed whose map ran but whose point was refused or known
+REASONS = ("converged", "vertex optimum", "out of budget", "stalled",
+           "escaped", "pedal collapsed", "rejected", "duplicate")
+
+
+@dataclass
+class SolverTrace:
+    """One run of :func:`fermat_point`, or of the isogonic search from a seed.
+
+    ``reason`` is one of :data:`REASONS`, empty while the run goes on.
+    ``iterations_used`` counts the Fermat solver's approach and Newton
+    steps, or the pedal map's steps; ``gradient_evaluations`` counts the
+    Newton kernel's evaluations of g_sigma, line-search trials included.
+    Only the map sets ``final_gap`` and ``damping_used``; only the Fermat
+    solver records ``iterates`` (from ``seed`` on) and their distance sums.
+    """
+
+    seed: BarycentricPoint
+    reason: str = ""
+    iterations_used: int = 0
+    gradient_evaluations: int = 0
+    final_gap: float = math.inf
+    damping_used: float = 1.0
+    iterates: list[BarycentricPoint] = field(default_factory=list)
+    objective_values: list[float] = field(default_factory=list)
+
+    @property
+    def converged(self) -> bool:
+        return self.reason in ("converged", "vertex optimum")
+
+    @property
+    def vertex_optimum(self) -> bool:
+        return self.reason == "vertex optimum"
 
 
 def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: float,
@@ -209,7 +228,7 @@ def weiszfeld_step_r(p, model: SimplexModel) -> BarycentricPoint:
 
 def fermat_point(model: SimplexModel, start=None, method: str = "q",
                  tol: float = 1e-12, max_iter: int = 10000,
-                 ) -> tuple[BarycentricPoint, IterationTrace]:
+                 ) -> tuple[BarycentricPoint, SolverTrace]:
     """Minimize the distance sum to the vertices.
 
     A vertex that passes Kuhn's first-order test (gradient over the other
@@ -219,7 +238,8 @@ def fermat_point(model: SimplexModel, start=None, method: str = "q",
     until one moves the point by at most ``tol`` times the diameter.
     ``max_iter`` bounds the approach step plus the Newton steps.  Raises
     :class:`MaxIterationsExceeded` with the trace attached if the budget
-    runs out or Newton stalls (a singular Jacobian or a failed line search).
+    runs out or Newton stalls (a singular Jacobian or a failed line search);
+    the trace's ``reason`` tells these apart.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -229,7 +249,7 @@ def fermat_point(model: SimplexModel, start=None, method: str = "q",
     if _zero_entries(p.normalized_coords).any():
         raise ZeroCoordinate("start point must have all coordinates nonzero")
 
-    trace = IterationTrace(method=method, iterates=[p])
+    trace = SolverTrace(seed=p, iterates=[p])
     # row k sums the unit vectors from the other vertices to vertex k: the
     # gradient there over the other vertices (the diagonal adds zeros)
     pulls = ((model.vertices[:, None] - model.vertices[None])
@@ -240,13 +260,14 @@ def fermat_point(model: SimplexModel, start=None, method: str = "q",
         trace.iterates.append(vertex)
         trace.objective_values = [total_distance(p, model),
                                   total_distance(vertex, model)]
-        trace.converged = trace.vertex_optimum = True
+        trace.reason = "vertex optimum"
         return vertex, trace
 
     # each iterate's objective is read off the distances of one call
     dv = model.vertex_distances(p)
     trace.objective_values.append(float(dv.sum()))
     if max_iter < 1:
+        trace.reason = "out of budget"
         raise MaxIterationsExceeded(
             f"no convergence within {max_iter} iterations (method {method!r})",
             trace=trace)
@@ -262,10 +283,10 @@ def fermat_point(model: SimplexModel, start=None, method: str = "q",
         trace.objective_values.append(total_distance(p, model))
     trace.iterations_used = len(trace.iterates) - 1
     if converged:
-        trace.converged = True
+        trace.reason = "converged"
         return p, trace
-    reason = ("no convergence within" if trace.iterations_used == max_iter
-              else "Newton stalled after")
+    stalled = trace.iterations_used < max_iter
+    trace.reason = "stalled" if stalled else "out of budget"
     raise MaxIterationsExceeded(
-        f"{reason} {trace.iterations_used} iterations (method {method!r})",
-        trace=trace)
+        f"{'Newton stalled after' if stalled else 'no convergence within'} "
+        f"{trace.iterations_used} iterations (method {method!r})", trace=trace)

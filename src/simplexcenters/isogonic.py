@@ -17,12 +17,13 @@ root of the signed distance-sum gradient g_sigma(x) = sum_i sigma_i u_i,
 with sigma the sign pattern of F and u_i the unit vector from vertex i,
 because the facet normals of its antipedal simplex are the +-u_i and
 Minkowski's relation weighs them by the equal facet volumes.  A polished
-point is kept only if Newton ends with |g_sigma| <= 1e-10 (on a short
-step, or where rounding stops its line search), F keeps its sign pattern
-and F is a finite point within the map's escape radius; otherwise the map
-continues to 1e-5 of the diameter and the polish is
-tried once more.  A seed whose polish is never accepted is a failed seed,
-and every polished point is re-verified on its antipedal simplex.
+point is kept only if Newton ends with |g_sigma| <= 1e-10 (on a step of
+at most 1e-13 of the diameter, or where rounding stops its line search),
+F keeps its sign pattern and F is a finite point within the map's escape
+radius; otherwise the map continues to 1e-5 of the diameter and the
+polish is tried once more.  Every polished point is re-verified on its
+antipedal simplex.  A seed that adds no point is a failed seed, whose
+:class:`~simplexcenters.fermat.SolverTrace` says why in its ``reason``.
 """
 
 from __future__ import annotations
@@ -48,10 +49,11 @@ from .errors import (
     MaxIterationsExceeded,
     PointAtInfinity,
     SimplexError,
+    SolverStopped,
     UnboundedAntipedal,
     ZeroCoordinate,
 )
-from .fermat import _newton, fermat_point
+from .fermat import SolverTrace, _newton, fermat_point
 from .pedal import antipedal_simplex, equiareal_deviation, pedal_simplex
 
 # consecutive gap increases tolerated before the step damping is halved
@@ -66,25 +68,11 @@ _ESCAPE = 1e6
 
 # gaps, relative to the diameter, at which the map stops for a polish
 _POLISH_STAGES = (1e-3, 1e-5)
-# Newton budget and the largest |g_sigma| accepted at its root
+# Newton budget, the step (relative to the diameter) that ends it, and the
+# largest |g_sigma| accepted at its root
 _POLISH_STEPS = 50
+_POLISH_TOL = 1e-13
 _POLISH_RESIDUAL = 1e-10
-
-
-@dataclass
-class SearchTrace:
-    """Metadata for one run of the pedal-equiareal iteration.
-
-    ``iterations_used`` counts steps of the map; ``gradient_evaluations``
-    counts the evaluations of g_sigma by the polish of the catalog search.
-    """
-
-    seed: BarycentricPoint
-    converged: bool = False
-    iterations_used: int = 0
-    final_gap: float = math.inf
-    damping_used: float = 1.0
-    gradient_evaluations: int = 0
 
 
 @dataclass
@@ -94,15 +82,17 @@ class IsogonicCatalog:
     ``conjugate_points[k]`` has an equiareal pedal simplex with common
     facet volume ``pedal_areas[k]``; ``isogonic_points[k]`` is its isogonal
     conjugate, whose antipedal simplex is equiareal with common facet
-    volume ``antipedal_areas[k]``.
+    volume ``antipedal_areas[k]``.  ``traces[k]`` is the search that found
+    the point; ``failed_seeds`` holds the seeds that added no point, each
+    with its ``reason``, so every seed is in exactly one of the two lists.
     """
 
     conjugate_points: list[BarycentricPoint] = field(default_factory=list)
     isogonic_points: list[BarycentricPoint] = field(default_factory=list)
     pedal_areas: list[float] = field(default_factory=list)
     antipedal_areas: list[float] = field(default_factory=list)
-    traces: list[SearchTrace] = field(default_factory=list)
-    failed_seeds: list[SearchTrace] = field(default_factory=list)
+    traces: list[SolverTrace] = field(default_factory=list)
+    failed_seeds: list[SolverTrace] = field(default_factory=list)
 
     def __len__(self):
         return len(self.isogonic_points)
@@ -121,7 +111,7 @@ def isogonal_conjugate(p, model: SimplexModel) -> BarycentricPoint:
     return BarycentricPoint(model.facet_volumes ** 2 / coords)
 
 
-def _pedal_map(x: np.ndarray, model: SimplexModel, trace: SearchTrace,
+def _pedal_map(x: np.ndarray, model: SimplexModel, trace: SolverTrace,
                max_iter: int):
     """Yield each iterate of the displacement iteration from the Cartesian
     point x with its gap (the displacement norm), counted in ``trace``,
@@ -137,6 +127,7 @@ def _pedal_map(x: np.ndarray, model: SimplexModel, trace: SearchTrace,
         vols = facet_volumes_of_points(feet)
         total = float(vols.sum())
         if not np.isfinite(total) or total <= 0.0:
+            trace.reason = "pedal collapsed"
             raise DegeneratePedalEncountered(
                 "pedal simplex collapsed during iteration", trace=trace)
         centroid = feet.mean(axis=0)
@@ -153,6 +144,7 @@ def _pedal_map(x: np.ndarray, model: SimplexModel, trace: SearchTrace,
                 increases = 0
                 if damping < _MIN_DAMPING:
                     # damping collapsed without the gap closing: divergent
+                    trace.reason = "stalled"
                     raise MaxIterationsExceeded(
                         f"iteration stalled after {it} iterations "
                         f"(gap {gap:.3e})", trace=trace)
@@ -162,15 +154,17 @@ def _pedal_map(x: np.ndarray, model: SimplexModel, trace: SearchTrace,
         x = x + damping * (centroid - incenter)
         far = np.linalg.norm(x - model.vertices[0])
         if not np.isfinite(x).all() or far > escape_limit:
+            trace.reason = "escaped"
             raise MaxIterationsExceeded(
                 f"iterate escaped after {it} iterations", trace=trace)
 
+    trace.reason = "out of budget"
     raise MaxIterationsExceeded(
         f"no convergence within {max_iter} iterations", trace=trace)
 
 
 def pedal_equiareal_iteration(p0, model: SimplexModel, tol: float = 1e-13,
-                              max_iter: int = 20000) -> tuple[BarycentricPoint, SearchTrace]:
+                              max_iter: int = 20000) -> tuple[BarycentricPoint, SolverTrace]:
     """Drive a point until its pedal simplex becomes equiareal.
 
     Applies the Cartesian displacement (pedal centroid - pedal incenter)
@@ -180,15 +174,15 @@ def pedal_equiareal_iteration(p0, model: SimplexModel, tol: float = 1e-13,
     start whose damping falls below 1e-3 has stalled.
     """
     pt = as_point(p0, model.n)
-    trace = SearchTrace(seed=pt)
+    trace = SolverTrace(seed=pt)
     gap_limit = tol * model.diameter
     for x, gap in _pedal_map(model.bary_to_cart(pt), model, trace, max_iter):
         if gap < gap_limit:
-            trace.converged = True
+            trace.reason = "converged"
             return model.cart_to_bary(x), trace
 
 
-def _polished(x: np.ndarray, model: SimplexModel, trace: SearchTrace, tol: float,
+def _polished(x: np.ndarray, model: SimplexModel, trace: SolverTrace,
               ) -> BarycentricPoint | None:
     """The isogonic point that Newton on g_sigma reaches from the conjugate
     of the Cartesian point x, or None if the conjugate is undefined or the
@@ -205,7 +199,7 @@ def _polished(x: np.ndarray, model: SimplexModel, trace: SearchTrace, tol: float
     except (ZeroCoordinate, PointAtInfinity):
         return None
     path, evaluations, ok = _newton(
-        model, sigma, start.normalized_coords, tol * model.diameter,
+        model, sigma, start.normalized_coords, _POLISH_TOL * model.diameter,
         _POLISH_STEPS, _POLISH_RESIDUAL)
     trace.gradient_evaluations += evaluations
     if (not ok or _zero_entries(path[-1]).any()
@@ -218,15 +212,15 @@ def _polished(x: np.ndarray, model: SimplexModel, trace: SearchTrace, tol: float
     return None if far > _ESCAPE * model.diameter else point
 
 
-def _search(seed: BarycentricPoint, model: SimplexModel, tol: float, budget: int,
-            ) -> tuple[BarycentricPoint | None, SearchTrace]:
+def _search(seed: BarycentricPoint, model: SimplexModel, budget: int,
+            ) -> tuple[BarycentricPoint | None, SolverTrace]:
     """Run the map from one seed in stages and polish at the end of each.
 
     Returns the first accepted isogonic point, or None if the map reached
-    its last stage (the trace then reads converged) and no polish was
-    accepted, together with the trace.  Raises what the map raises.
+    its last stage and no polish was accepted (reason "rejected"), together
+    with the trace.  Raises what the map raises.
     """
-    trace = SearchTrace(seed=seed)
+    trace = SolverTrace(seed=seed)
     steps = _pedal_map(model.bary_to_cart(seed), model, trace, budget)
     x, gap = next(steps)
     tried = 0
@@ -236,11 +230,11 @@ def _search(seed: BarycentricPoint, model: SimplexModel, tol: float, budget: int
         if trace.iterations_used == tried:
             continue
         tried = trace.iterations_used
-        point = _polished(x, model, trace, tol)
+        point = _polished(x, model, trace)
         if point is not None:
-            trace.converged = True
+            trace.reason = "converged"
             return point, trace
-    trace.converged = True
+    trace.reason = "rejected"
     return None, trace
 
 
@@ -308,20 +302,19 @@ def _canonical_order(points: list[BarycentricPoint]) -> list[int]:
 
 
 def enumerate_isogonic(model: SimplexModel, seeds=None, budget: int = 20000,
-                       tol: float = 1e-13) -> IsogonicCatalog:
+                       ) -> IsogonicCatalog:
     """Collect isogonic points reachable from a seed set.
 
     ``seeds`` extends the default seed set.  Each seed runs the
     pedal-equiareal iteration in stages, with a Newton polish of the
     conjugate after each (see the module docstring); ``budget`` bounds its
-    map steps, and the polish ends on a step of at most ``tol`` times the
-    diameter.  The equiareal-pedal points, the conjugates of the polished
+    map steps.  The equiareal-pedal points, the conjugates of the polished
     points, are deduplicated at 1e-6 in normalized coordinates.  Every
     isogonic point is re-verified by :func:`is_isogonic` at its default
-    tolerance, and the catalog is sorted canonically.  Seeds that fail to
-    converge, whose polish is never accepted (a limit on a sideplane or
-    with its conjugate at infinity among them), or whose point fails the
-    re-verification, are reported in ``failed_seeds`` rather than raising.
+    tolerance, and the catalog is sorted canonically.  A seed that adds
+    no point (its map fails, its polish is never accepted, its point fails
+    the re-verification or was found before) goes to ``failed_seeds`` with
+    its reason rather than raising.
     """
     seed_list = default_seeds(model)
     if seeds is not None:
@@ -331,35 +324,34 @@ def enumerate_isogonic(model: SimplexModel, seeds=None, budget: int = 20000,
     unique = []
     for seed in seed_list:
         try:
-            point, trace = _search(seed, model, tol, budget)
-        except (MaxIterationsExceeded, DegeneratePedalEncountered) as exc:
-            catalog.failed_seeds.append(exc.trace)
-            continue
-        if point is None:
-            catalog.failed_seeds.append(trace)
-            continue
-        limit = isogonal_conjugate(point, model)
-        c = limit.normalized_coords
-        if not any(np.abs(c - q.normalized_coords).max() <= 1e-6 for q, _, _ in unique):
-            unique.append((limit, point, trace))
+            point, trace = _search(seed, model, budget)
+        except SolverStopped as exc:
+            point, trace = None, exc.trace
+        if point is not None:
+            limit = isogonal_conjugate(point, model)
+            c = limit.normalized_coords
+            if not any(np.abs(c - q.normalized_coords).max() <= 1e-6
+                       for q, _, _ in unique):
+                unique.append((limit, point, trace))
+                continue
+            trace.reason = "duplicate"
+        catalog.failed_seeds.append(trace)
 
-    # verify, measure
     kept = []
     for pt, conj, tr in unique:
-        if not is_isogonic(conj, model)[0]:
+        if is_isogonic(conj, model)[0]:
+            kept.append((pt, conj, tr))
+        else:
+            tr.reason = "rejected"
             catalog.failed_seeds.append(tr)
-            continue
-        pedal_area = float(np.mean(pedal_simplex(pt, model).facet_volumes))
-        antipedal_area = float(np.mean(antipedal_simplex(conj, model).facet_volumes))
-        kept.append((pt, conj, pedal_area, antipedal_area, tr))
 
-    order = _canonical_order([conj for _, conj, _, _, _ in kept])
-    for idx in order:
-        pt, conj, pa, aa, tr = kept[idx]
+    for idx in _canonical_order([conj for _, conj, _ in kept]):
+        pt, conj, tr = kept[idx]
         catalog.conjugate_points.append(pt)
         catalog.isogonic_points.append(conj)
-        catalog.pedal_areas.append(pa)
-        catalog.antipedal_areas.append(aa)
+        catalog.pedal_areas.append(float(pedal_simplex(pt, model).facet_volumes.mean()))
+        catalog.antipedal_areas.append(
+            float(antipedal_simplex(conj, model).facet_volumes.mean()))
         catalog.traces.append(tr)
     return catalog
 

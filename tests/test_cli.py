@@ -244,7 +244,6 @@ class TestFermatCommand:
     "fermat --tolerance -1",
     "fermat --tolerance nan",
     "isogonic --budget -3",
-    "isogonic --tolerance inf",
     "verify --tolerance nan",
     "verify --tolerance -1",
 ])
@@ -381,9 +380,9 @@ class TestIsogonicCommand:
         assert code == 0 and err == ""
         report = json.loads(out)
         assert report["results"]["count"] == 2
-        # the seed converged; its limit was rejected
+        # the map converged; its limit was rejected
         assert report["warnings"][-1] == (
-            "seed limit rejected: [0.900000000000, 0.500000000000, -0.400000000000]")
+            "seed rejected: [0.900000000000, 0.500000000000, -0.400000000000]")
 
     def test_unconverged_seeds_warn(self, doc_path, capsys):
         code, out, _ = run_cli(capsys, "isogonic", doc_path(FIVE_DOC),
@@ -393,7 +392,7 @@ class TestIsogonicCommand:
         # the Fermat seed needs one step; the four orthant seeds run out
         assert report["results"]["count"] == 1
         assert len(report["warnings"]) == 4
-        assert all(w.startswith("seed did not converge: ") for w in report["warnings"])
+        assert all(w.startswith("seed out of budget: ") for w in report["warnings"])
 
 
 def test_json_reports_gradient_evaluations(doc_path, capsys):

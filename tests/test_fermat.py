@@ -21,6 +21,7 @@ from simplexcenters import (
     weiszfeld_step_r,
     z_correspondent,
 )
+from simplexcenters import fermat
 from simplexcenters.fermat import distance_sum_gradient
 
 
@@ -126,7 +127,7 @@ class TestFermatPoint:
         counts = {}
         for method in ("q", "r"):
             point, trace = fermat_point(five_model, method=method)
-            assert trace.converged
+            assert trace.converged and trace.reason == "converged"
             assert np.abs(point.normalized_coords
                           - golden.ISOGONIC_TABLE[0]).max() < 1e-9
             counts[method] = trace.iterations_used
@@ -142,7 +143,7 @@ class TestFermatPoint:
         # the angle at the first vertex exceeds 120 degrees
         model = embed_from_edge_lengths(EdgeLengthTable.from_flat(2, [1, 1, 1.95]))
         point, trace = fermat_point(model)
-        assert trace.vertex_optimum
+        assert trace.vertex_optimum and trace.reason == "vertex optimum"
         assert np.abs(point.normalized_coords - np.array([1.0, 0, 0])).max() == 0
         # first-order vertex condition: remaining-gradient norm <= 1
         g = golden.distance_sum_gradient(model.vertices[1:], model.vertices[0])
@@ -221,14 +222,26 @@ class TestFermatPoint:
         trace = info.value.trace
         assert trace is not None
         assert trace.iterations_used == 3
+        assert trace.reason == "out of budget"
         assert len(trace.iterates) == 4  # start plus three steps
 
     def test_zero_budget_takes_no_step(self, five_model):
         with pytest.raises(MaxIterationsExceeded, match="within 0 iterations") as info:
             fermat_point(five_model, max_iter=0)
         trace = info.value.trace
-        assert trace.iterations_used == 0
+        assert trace.iterations_used == 0 and trace.reason == "out of budget"
         assert len(trace.iterates) == len(trace.objective_values) == 1
+
+    def test_newton_stall_raises_with_trace(self, five_model, monkeypatch):
+        # Newton ends unaccepted before the budget: a singular Jacobian or a
+        # line search that cannot lower the gradient
+        monkeypatch.setattr(fermat, "_newton", lambda *args: ([], 1, False))
+        with pytest.raises(MaxIterationsExceeded,
+                           match="Newton stalled after 1 iterations") as info:
+            fermat_point(five_model)
+        trace = info.value.trace
+        assert trace.reason == "stalled" and not trace.converged
+        assert trace.iterations_used == 1 and trace.gradient_evaluations == 1
 
     def test_one_distance_evaluation_per_iteration(self, count_calls):
         # the objective of each iterate is read off the distances its step

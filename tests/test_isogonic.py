@@ -8,6 +8,7 @@ import golden
 from conftest import make_random_model, random_nonzero_point
 
 from simplexcenters import (
+    REASONS,
     AxisUndefined,
     BarycentricPoint,
     DegeneratePedalEncountered,
@@ -87,7 +88,7 @@ class TestPedalEquiarealIteration:
     def test_regular_simplex_centroid_immediate(self, regular_tetrahedron):
         g = BarycentricPoint([1, 1, 1, 1])
         point, trace = pedal_equiareal_iteration(g, regular_tetrahedron)
-        assert trace.converged
+        assert trace.converged and trace.reason == "converged"
         assert trace.iterations_used == 1
         assert np.abs(point.normalized_coords - 0.25).max() < 1e-12
 
@@ -110,6 +111,7 @@ class TestPedalEquiarealIteration:
             pedal_equiareal_iteration([1, 1, 1, 1], five_model, max_iter=3)
         trace = info.value.trace
         assert trace.iterations_used == 3 and not trace.converged
+        assert trace.reason == "out of budget"
         assert np.array_equal(trace.seed.coords, [0.25, 0.25, 0.25, 0.25])
 
     def test_escape_exit(self, five_model):
@@ -118,6 +120,7 @@ class TestPedalEquiarealIteration:
             pedal_equiareal_iteration([1e8, -1e8, 0.5, 0.5], five_model)
         trace = info.value.trace
         assert trace.iterations_used == 1 and not trace.converged
+        assert trace.reason == "escaped"
         assert np.isfinite(trace.final_gap)
 
     def test_stall_exit(self, gap_model):
@@ -128,6 +131,7 @@ class TestPedalEquiarealIteration:
             pedal_equiareal_iteration([1, -1, 1, 1], gap_model)
         trace = info.value.trace
         assert trace.damping_used >= 2.0 ** -10 and not trace.converged
+        assert trace.reason == "stalled"
         assert trace.iterations_used < 154
 
     def test_degenerate_pedal_exit(self, five_model, monkeypatch):
@@ -136,6 +140,7 @@ class TestPedalEquiarealIteration:
             pedal_equiareal_iteration([1, 1, 1, 1], five_model)
         trace = info.value.trace
         assert trace.iterations_used == 2 and not trace.converged
+        assert trace.reason == "pedal collapsed"
         assert np.array_equal(trace.seed.coords, [0.25, 0.25, 0.25, 0.25])
 
     def test_limit_has_equiareal_pedal(self, five_model):
@@ -263,6 +268,8 @@ class TestEnumerateIsogonic:
             assert (max(sides) - min(sides)) / np.mean(sides) <= 1e-8
         assert catalog.failed_seeds == []
         assert len(default_seeds(model)) == seeds
+        assert all(t.reason in REASONS for t in catalog.traces + catalog.failed_seeds)
+        assert len(catalog.traces) + len(catalog.failed_seeds) == seeds
 
     def test_all_points_verify(self, five_model):
         catalog = enumerate_isogonic(five_model)
@@ -282,6 +289,16 @@ class TestEnumerateIsogonic:
             gap = np.abs(catalog.isogonic_points[a].normalized_coords
                          - catalog.isogonic_points[b].normalized_coords).max()
             assert gap > 1e-6
+
+    def test_duplicate_seeds_are_failed_seeds(self, five_model):
+        # a seed that reaches a point found before adds none; it is a
+        # failed seed, so every seed is in the traces or the failed seeds
+        seeds = [[1, 1, 1, 1], [1.0001, 1, 1, 1], [0.26, 0.28, 0.22, 0.24]]
+        catalog = enumerate_isogonic(five_model, seeds=seeds)
+        assert len(catalog) == len(catalog.traces) == 5
+        assert [t.reason for t in catalog.failed_seeds] == ["duplicate"] * 3
+        for trace, seed in zip(catalog.failed_seeds, seeds):
+            assert np.array_equal(trace.seed.coords, BarycentricPoint(seed).coords)
 
     def test_far_pseudo_root_rejected(self):
         # in the sign class (+, -, +, -) |g_sigma| decays like 1/|x|^2 along
@@ -328,7 +345,7 @@ class TestEnumerateIsogonic:
         fifth = default_seeds(model)[4]
         rejected = [t for t in catalog.failed_seeds
                     if np.array_equal(t.seed.coords, fifth.coords)]
-        assert len(rejected) == 1 and rejected[0].converged
+        assert len(rejected) == 1 and rejected[0].reason == "rejected"
 
     def test_collapsed_seed_keeps_its_trace(self, five_model, monkeypatch):
         # the Fermat seed is polished after one step; the second seed fails
@@ -349,7 +366,7 @@ class TestEnumerateIsogonic:
         catalog = enumerate_isogonic(model, seeds=[[9, 5, -4]])
         assert len(catalog) == len(enumerate_isogonic(model)) == 2
         last = catalog.failed_seeds[-1]
-        assert last.converged and last.iterations_used == 1
+        assert last.reason == "rejected" and last.iterations_used == 1
         assert np.array_equal(last.seed.coords, [0.9, 0.5, -0.4])
 
 
