@@ -2,9 +2,9 @@
 
 Centers are computed in barycentric coordinates from edge lengths alone:
 classical centers, generalized Apollonian spheres with their isodynamic
-points, isogonic points (equiareal antipedal simplices) found by a
-pedal-displacement fixed-point search, and the Fermat-Torricelli point via
-two Weiszfeld-type iterations.
+points, isogonic points (equiareal antipedal simplices) found per sign
+class by deflated Newton, and the Fermat-Torricelli point by one
+Weiszfeld-type step and Newton.
 """
 
 from .apollonian import (

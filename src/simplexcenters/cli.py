@@ -32,6 +32,7 @@ from .documents import (
     parse_number,
     parse_point_arg,
     point_payload,
+    read_json,
     render_point_lines,
     round12,
 )
@@ -163,12 +164,8 @@ def cmd_fermat(doc: SimplexDocument, options: dict) -> dict:
 
 def cmd_isogonic(doc: SimplexDocument, options: dict) -> dict:
     model = doc.build_model()
-    seeds = None
-    if options.get("seeds"):
-        seeds = _parse_seeds(options["seeds"], model.n)
-    budget = _resolved(options.get("budget"), 20000)
-    options = {**options, "budget": budget}
-    catalog = enumerate_isogonic(model, seeds=seeds, budget=budget)
+    seeds = _parse_seeds(options["seeds"], model.n) if options.get("seeds") else None
+    catalog = enumerate_isogonic(model, seeds=seeds)
 
     entries = []
     for k in range(len(catalog)):
@@ -197,8 +194,7 @@ def cmd_isogonic(doc: SimplexDocument, options: dict) -> dict:
 
 def _parse_seeds(spec: str, n: int) -> list[BarycentricPoint]:
     if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = read_json(spec, "seed file")
         if not isinstance(data, list):
             raise DocumentError("seed file must hold a JSON list of points")
         out = []
@@ -352,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("isogonic", help="enumerate points with equiareal antipedal simplex")
     add_doc(p)
     p.add_argument("--seeds", help="extra seeds: 'p1,p2,...;q1,q2,...' or a JSON file")
-    p.add_argument("--budget", type=_positive(int), help="iterations per seed (default: 20000)")
 
     p = sub.add_parser("verify", help="recompute the built-in reference tables")
     p.add_argument("--json", action="store_true")
@@ -389,7 +384,7 @@ def main(argv=None) -> int:
                 "tolerance": args.tolerance, "max_iter": args.max_iter,
                 "trace": bool(args.trace)})
         else:
-            report = cmd_isogonic(doc, {"seeds": args.seeds, "budget": args.budget})
+            report = cmd_isogonic(doc, {"seeds": args.seeds})
         _emit(report, args.json)
         return 0
     except DocumentError as exc:

@@ -60,6 +60,21 @@ class SimplexDocument:
         return embed_from_edge_lengths(table)
 
 
+def read_json(path: str, what: str = "document"):
+    """The JSON value in the file at ``path`` (stdin for ``-``); a file that
+    cannot be read or decoded is a DocumentError naming ``what`` and path."""
+    try:
+        if path == "-":
+            return json.loads(sys.stdin.read())
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        reason = exc.strerror
+    except ValueError as exc:   # a UnicodeDecodeError or a JSONDecodeError
+        reason = str(exc)
+    raise DocumentError(f"cannot read {what} {path!r}: {reason}")
+
+
 def parse_document(obj) -> SimplexDocument:
     """Parse a document from a JSON string or an already-decoded object."""
     if isinstance(obj, (str, bytes)):
@@ -131,13 +146,7 @@ def parse_document(obj) -> SimplexDocument:
 
 
 def load_document(path: str) -> SimplexDocument:
-    if path == "-":
-        return parse_document(sys.stdin.read())
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_document(fh.read())
-    except OSError as exc:
-        raise DocumentError(f"cannot read document {path!r}: {exc.strerror}") from None
+    return parse_document(read_json(path))
 
 
 def parse_point_arg(text: str, n: int) -> BarycentricPoint:

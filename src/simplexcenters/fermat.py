@@ -10,25 +10,20 @@ barycentric coordinates:
 with d_i the distance from the current point to vertex i.  The public
 steps apply these maps to signed coordinates; :func:`fermat_point` feeds
 both the coordinate magnitudes, so this approach step puts any start inside
-the simplex.  Both maps have the minimizer as their interior fixed point
-(coordinates proportional to the reciprocal vertex distances).
+the simplex, where both maps fix the minimizer.
 
 Then damped Newton on the gradient of the distance sum.  The kernel
 ``_newton`` solves the more general g_sigma(x) = sum_i sigma_i u_i = 0,
-with u_i the unit vector from vertex A_i to x and sigma_i = +-1: its
-Jacobian is the n x n matrix J = sum_i sigma_i (I - u_i u_i^T) / d_i, and
-each step backtracks on |g_sigma|.  The minimizer is the root for
-sigma = +1 (M. L. Overton, Math. Programming 27, 1983); every isogonic
-point is a root for sigma equal to its own sign pattern, so
-:mod:`simplexcenters.isogonic` polishes its points with the same kernel.
+with u_i the unit vector from vertex A_i to x and sigma_i = +-1, whose
+Jacobian is J = sum_i sigma_i (I - u_i u_i^T) / d_i.  The minimizer is the
+root for sigma = +1 (M. L. Overton, Math. Programming 27, 1983); every
+isogonic point is a root for its own sign pattern, which
+:mod:`simplexcenters.isogonic` finds with the same kernel, deflated.
+Kuhn's test decides before the first step whether a vertex is the
+minimizer: vertex k is iff the gradient over the other vertices has norm
+<= 1 there (H. W. Kuhn, Math. Programming 4, 1973).
 
-The distance sum is convex, so Kuhn's first-order test decides before the
-first step whether the minimizer is a vertex: vertex k is the minimizer iff
-the gradient over the other vertices has norm <= 1 there (H. W. Kuhn,
-Math. Programming 4, 1973).
-
-Both solvers record a run in one :class:`SolverTrace`, whose ``reason``
-says why it stopped.
+Both solvers record a run in one :class:`SolverTrace`.
 """
 
 from __future__ import annotations
@@ -43,8 +38,8 @@ from .errors import AtVertex, MaxIterationsExceeded, ZeroCoordinate
 
 METHODS = ("q", "r")
 
-# step halvings before a Newton line search gives up
-_HALVINGS = 40
+# step halvings before a Newton line search gives up (no Fermat run needs more)
+_HALVINGS = 12
 
 
 def total_distance(p, model: SimplexModel) -> float:
@@ -71,21 +66,21 @@ def _signed_gradient(vertices: np.ndarray, sigma: np.ndarray, x: np.ndarray,
 
 
 # why a solver run stopped: only the first two give an answer, and the last
-# two end a catalog seed whose map ran but whose point was refused or known
+# ends a catalog start whose root was refused
 REASONS = ("converged", "vertex optimum", "out of budget", "stalled",
-           "escaped", "pedal collapsed", "rejected", "duplicate")
+           "escaped", "pedal collapsed", "rejected")
 
 
 @dataclass
 class SolverTrace:
-    """One run of :func:`fermat_point`, or of the isogonic search from a seed.
+    """One run of :func:`fermat_point`, of a catalog start, or of the map.
 
     ``reason`` is one of :data:`REASONS`, empty while the run goes on.
-    ``iterations_used`` counts the Fermat solver's approach and Newton
-    steps, or the pedal map's steps; ``gradient_evaluations`` counts the
-    Newton kernel's evaluations of g_sigma, line-search trials included.
-    Only the map sets ``final_gap`` and ``damping_used``; only the Fermat
-    solver records ``iterates`` (from ``seed`` on) and their distance sums.
+    ``iterations_used`` counts Newton steps (plus the Fermat solver's
+    approach step) or map steps; ``gradient_evaluations`` counts evaluations
+    of g_sigma, line-search trials included.  Only the map sets ``final_gap``
+    and ``damping_used``; only the Fermat solver records ``iterates`` (from
+    ``seed`` on) and their distance sums.
     """
 
     seed: BarycentricPoint
@@ -106,28 +101,44 @@ class SolverTrace:
         return self.reason == "vertex optimum"
 
 
+def _deflation(x: np.ndarray, known: np.ndarray, d2: float,
+               ) -> tuple[float, np.ndarray | None]:
+    """M(x) = prod_k (d2/|x - r_k|^2 + 1) and grad ln M, or (1, None)."""
+    if not len(known):
+        return 1.0, None
+    gaps = x - known
+    q = np.einsum("ij,ij->i", gaps, gaps)
+    with np.errstate(all="ignore"):   # M is infinite at a known root
+        return float(np.prod(d2 / q + 1.0)), (-2.0 * d2 / (q * (q + d2))) @ gaps
+
+
 def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: float,
-            max_steps: int, residual: float = math.inf,
+            max_steps: int, residual: float = math.inf, roots=(),
             ) -> tuple[list[np.ndarray], int, bool]:
     """Damped Newton on g_sigma from the point with normalized barycentric
-    coordinates ``coords``.
+    coordinates ``coords``, with vertex 0 at the origin.
 
-    It runs with vertex 0 at the origin, so a simplex far from the origin
-    loses no digits.  Each step solves J s = -g and halves s until
-    |g_sigma| falls by the Armijo factor 1 - t/1e4.  A step no longer than
-    ``tol`` is taken whole and ends the run; the run succeeds if |g_sigma|
-    <= ``residual`` at its end (evaluated only for a finite ``residual``).
-    A line search that cannot lower |g_sigma| ends the run, which succeeds
-    if ``residual`` is finite and |g_sigma| <= ``residual`` at the current
-    point.  Returns the barycentric coordinates of the accepted iterates
-    (the start excluded, unless the run succeeds without a step), the
-    number of gradient evaluations, and whether the run succeeded; it
-    stops early when J is singular.
+    Known ``roots`` deflate it (P. E. Farrell, A. Birkisson & S. W. Funke,
+    SIAM J. Sci. Comput. 37(4), 2015): it solves M g_sigma = 0 with
+    M(x) = prod_k (D^2/|x - r_k|^2 + 1), D the diameter, and M = 1 without
+    roots.  Each step solves J s = -g, scales s by 1/(1 - grad ln M . s),
+    which turns it around near a known root, and halves it until
+    M |g_sigma| falls by the Armijo factor 1 - t/1e4.  A step no longer
+    than ``tol`` is taken whole and ends the run, which succeeds if its
+    scale was positive and |g_sigma| <= ``residual`` (checked only when
+    finite).  A singular J ends the run; so does a line search that cannot
+    lower M |g_sigma|, which succeeds if M |g_sigma| <= ``residual`` there.
+    Returns the barycentric coordinates of the accepted iterates (the start
+    only when it succeeds without a step), the gradient evaluations, and
+    whether the run succeeded.
     """
     local = model.vertices - model.vertices[0]
     frame = np.linalg.inv(np.vstack([local.T, np.ones(model.n + 1)]))
+    known = np.reshape(roots, (-1, model.n + 1)) @ local if len(roots) else ()
+    d2 = model.diameter ** 2
     x = local.T @ coords
     g, jac = _signed_gradient(local, sigma, x)
+    weight, dlog = _deflation(x, known, d2)
     evaluations = 1
     path: list[np.ndarray] = []
     ok = False
@@ -136,33 +147,37 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
             step = -np.linalg.solve(jac, g)
         except np.linalg.LinAlgError:
             break
+        factor = 1.0
+        if dlog is not None:
+            factor = 1.0 / (1.0 - dlog @ step)
+            step = factor * step
         if math.sqrt(step @ step) <= tol:
             x = x + step
             path.append(x)
+            ok = factor > 0.0
             if math.isfinite(residual):
                 evaluations += 1
                 g = _signed_gradient(local, sigma, x)[0]
-                ok = math.sqrt(g @ g) <= residual
-            else:
-                ok = True
+                ok = ok and math.sqrt(g @ g) <= residual
             break
-        norm = math.sqrt(g @ g)
+        merit = weight * math.sqrt(g @ g)
         t = 1.0
         for _ in range(_HALVINGS):
             y = x + t * step
             gy, jy = _signed_gradient(local, sigma, y)
+            wy, dy = _deflation(y, known, d2)
             evaluations += 1
-            if math.sqrt(gy @ gy) <= (1.0 - 1e-4 * t) * norm:
+            if wy * math.sqrt(gy @ gy) <= (1.0 - 1e-4 * t) * merit:
                 break
             t *= 0.5
         else:
-            # |g_sigma| is at the level of rounding: a start already at a
+            # M |g_sigma| is at the level of rounding: a start already at a
             # root ends here, and is accepted on the residual
-            ok = math.isfinite(residual) and norm <= residual
+            ok = math.isfinite(residual) and merit <= residual
             if ok and not path:
                 path.append(x)
             break
-        x, g, jac = y, gy, jy
+        x, g, jac, weight, dlog = y, gy, jy, wy, dy
         path.append(x)
     return [frame @ np.append(y, 1.0) for y in path], evaluations, ok
 

@@ -1,29 +1,33 @@
 """Isogonal conjugation and the search for isogonic points.
 
-A point is isogonic when its antipedal simplex is equiareal.  Such points
-are found in two steps.  Their isogonal conjugates have an equiareal
-*pedal* simplex, and those are fixed points of the displacement iteration
+A point F is isogonic when its antipedal simplex is equiareal, that is,
+when it is a root of g_sigma(x) = sum_i sigma_i u_i, with sigma the sign
+pattern of F and u_i the unit vector from vertex i: the facet normals of
+the antipedal simplex are the +-u_i, and Minkowski's relation weighs them
+by the facet volumes.  The conjugate of F has an equiareal pedal simplex,
+a fixed point of the paper's displacement iteration
+(:func:`pedal_equiareal_iteration`).
 
-    P  <-  P + (centroid - incenter) of the pedal simplex of P,
+The catalog finds the roots with the Newton kernel of
+:mod:`simplexcenters.fermat`, one sign class {sigma, -sigma} at a time,
+deflating each start against the roots found before in its class.  It
+claims the all-positive and the n+1 one-negative classes; for n >= 3 a
+claimed class takes further starts until its roots satisfy the degree
+balance (Poincare-Hopf; J. Milnor, *Topology from the Differentiable
+Viewpoint*, 1965)
 
-since centroid and incenter of a simplex coincide exactly when it is
-equiareal.  That map converges only linearly, so the catalog enumerator
-runs it from default seeds (a triangle's isodynamic points, else the
-conjugate of the Fermat point and the centroid's reflections into the
-one-negative-coordinate orthants) only to a gap of 1e-3 of the diameter,
-then polishes the conjugate with the Newton kernel of
-:mod:`simplexcenters.fermat`: an isogonic point F is a
-root of the signed distance-sum gradient g_sigma(x) = sum_i sigma_i u_i,
-with sigma the sign pattern of F and u_i the unit vector from vertex i,
-because the facet normals of its antipedal simplex are the +-u_i and
-Minkowski's relation weighs them by the equal facet volumes.  A polished
-point is kept only if Newton ends with |g_sigma| <= 1e-10 (on a step of
-at most 1e-13 of the diameter, or where rounding stops its line search),
-F keeps its sign pattern and F is a finite point within the map's escape
-radius; otherwise the map continues to 1e-5 of the diameter and the
-polish is tried once more.  Every polished point is re-verified on its
-antipedal simplex.  A seed that adds no point is a failed seed, whose
-:class:`~simplexcenters.fermat.SolverTrace` says why in its ``reason``.
+    sum_{roots r} sign det J_sigma(r) + sum_{k: |c_k| < 1} sigma_k^n = sign(S)^n,
+
+with S = sum(sigma) != 0 and c_k = sum_{i != k} sigma_i (A_k - A_i)/|A_k - A_i|:
+g_sigma tends to S x/|x| far out and to sigma_k u + c_k near vertex k.
+Balance is necessary for a complete class, not sufficient, and certifies
+nothing when some |c_k| is within rounding of 1.  A triangle's isogonic
+points are the conjugates X(13), X(14) of its seeds, so it takes no more.
+
+A root is accepted if |g_sigma| <= 1e-10, it keeps the pattern +-sigma,
+it lies within 1e6 diameters of vertex 0 (if sum(sigma) = 0, |g_sigma|
+falls to rounding far out along one direction) and :func:`is_isogonic`
+confirms it.  Any other start is a failed seed with its ``reason``.
 """
 
 from __future__ import annotations
@@ -49,42 +53,44 @@ from .errors import (
     MaxIterationsExceeded,
     PointAtInfinity,
     SimplexError,
-    SolverStopped,
     UnboundedAntipedal,
     ZeroCoordinate,
 )
-from .fermat import SolverTrace, _newton, fermat_point
+from .fermat import SolverTrace, _newton, _signed_gradient, fermat_point
 from .pedal import antipedal_simplex, equiareal_deviation, pedal_simplex
 
-# consecutive gap increases tolerated before the step damping is halved
+# consecutive gap increases the map tolerates before it halves its damping
 _OSCILLATION_LIMIT = 5
-# damping below which a seed has stalled (after 10 halvings): no seed that
-# reached a catalog point, of 631 on 191 benchmark and random simplices,
-# went below 1/16, so the margin is 64x
+# damping below which the map has stalled (after 10 halvings)
 _MIN_DAMPING = 1e-3
 # distance from vertex 0, in diameters, past which an iterate of the map or
-# a polished point has escaped
+# a root has escaped
 _ESCAPE = 1e6
 
-# gaps, relative to the diameter, at which the map stops for a polish
-_POLISH_STAGES = (1e-3, 1e-5)
-# Newton budget, the step (relative to the diameter) that ends it, and the
-# largest |g_sigma| accepted at its root
-_POLISH_STEPS = 50
+# Newton steps per catalog start, the step (relative to the diameter) that
+# ends it, and the largest |g_sigma| accepted at its root
+_POLISH_STEPS = 30
 _POLISH_TOL = 1e-13
 _POLISH_RESIDUAL = 1e-10
+# distances of the near-vertex starts from their vertex, in diameters; the
+# random points a class draws when it is still unbalanced after those; and
+# how close to 1 a pull's norm may come before the balance stops certifying
+_NEAR_VERTEX = (0.1, 0.3)
+_CLASS_POINTS = 2
+_ROUNDING = 1e-9
 
 
 @dataclass
 class IsogonicCatalog:
-    """All isogonic points found for a simplex, with their conjugates.
+    """The isogonic points found in the claimed sign classes (all-positive
+    and one-negative) and from the caller's seeds, with their conjugates.
 
-    ``conjugate_points[k]`` has an equiareal pedal simplex with common
-    facet volume ``pedal_areas[k]``; ``isogonic_points[k]`` is its isogonal
-    conjugate, whose antipedal simplex is equiareal with common facet
-    volume ``antipedal_areas[k]``.  ``traces[k]`` is the search that found
-    the point; ``failed_seeds`` holds the seeds that added no point, each
-    with its ``reason``, so every seed is in exactly one of the two lists.
+    ``isogonic_points[k]`` has an equiareal antipedal simplex of facet
+    volume ``antipedal_areas[k]``, and ``conjugate_points[k]`` an equiareal
+    pedal simplex of facet volume ``pedal_areas[k]``.  ``traces[k]`` is the
+    start that found the point; ``failed_seeds`` holds every other start
+    that ran, with its ``reason``.  A trace's ``seed`` is the conjugate of
+    its start, as in :func:`default_seeds`.
     """
 
     conjugate_points: list[BarycentricPoint] = field(default_factory=list)
@@ -111,12 +117,20 @@ def isogonal_conjugate(p, model: SimplexModel) -> BarycentricPoint:
     return BarycentricPoint(model.facet_volumes ** 2 / coords)
 
 
-def _pedal_map(x: np.ndarray, model: SimplexModel, trace: SolverTrace,
-               max_iter: int):
-    """Yield each iterate of the displacement iteration from the Cartesian
-    point x with its gap (the displacement norm), counted in ``trace``,
-    until the caller stops; raises with the trace attached when the figure
-    collapses, the damping stalls, an iterate escapes or the budget ends."""
+def pedal_equiareal_iteration(p0, model: SimplexModel, tol: float = 1e-13,
+                              max_iter: int = 20000) -> tuple[BarycentricPoint, SolverTrace]:
+    """Drive a point until its pedal simplex becomes equiareal.
+
+    Each step adds the displacement (pedal centroid - pedal incenter),
+    damped by a factor halved after five consecutive gap increases; the run
+    converges once the displacement is below ``tol * diameter``.  It raises,
+    with the trace attached, when the figure collapses, the damping falls
+    below 1e-3, an iterate escapes or ``max_iter`` steps end.
+    """
+    pt = as_point(p0, model.n)
+    trace = SolverTrace(seed=pt)
+    x = model.bary_to_cart(pt)
+    gap_limit = tol * model.diameter
     escape_limit = _ESCAPE * model.diameter
     damping = 1.0
     prev_gap = None
@@ -135,7 +149,9 @@ def _pedal_map(x: np.ndarray, model: SimplexModel, trace: SolverTrace,
         gap = float(np.linalg.norm(centroid - incenter))
         trace.iterations_used = it
         trace.final_gap = gap
-        yield x, gap
+        if gap < gap_limit:
+            trace.reason = "converged"
+            return model.cart_to_bary(x), trace
         if prev_gap is not None and gap > prev_gap:
             increases += 1
             if increases >= _OSCILLATION_LIMIT:
@@ -152,8 +168,7 @@ def _pedal_map(x: np.ndarray, model: SimplexModel, trace: SolverTrace,
             increases = 0
         prev_gap = gap
         x = x + damping * (centroid - incenter)
-        far = np.linalg.norm(x - model.vertices[0])
-        if not np.isfinite(x).all() or far > escape_limit:
+        if not np.linalg.norm(x - model.vertices[0]) <= escape_limit:   # or not finite
             trace.reason = "escaped"
             raise MaxIterationsExceeded(
                 f"iterate escaped after {it} iterations", trace=trace)
@@ -163,78 +178,40 @@ def _pedal_map(x: np.ndarray, model: SimplexModel, trace: SolverTrace,
         f"no convergence within {max_iter} iterations", trace=trace)
 
 
-def pedal_equiareal_iteration(p0, model: SimplexModel, tol: float = 1e-13,
-                              max_iter: int = 20000) -> tuple[BarycentricPoint, SolverTrace]:
-    """Drive a point until its pedal simplex becomes equiareal.
-
-    Applies the Cartesian displacement (pedal centroid - pedal incenter)
-    each step, stopping when the displacement norm drops below
-    ``tol * diameter``.  The damping factor starts at 1 and is halved after
-    five consecutive gap increases so divergent starts are recovered; a
-    start whose damping falls below 1e-3 has stalled.
-    """
-    pt = as_point(p0, model.n)
-    trace = SolverTrace(seed=pt)
-    gap_limit = tol * model.diameter
-    for x, gap in _pedal_map(model.bary_to_cart(pt), model, trace, max_iter):
-        if gap < gap_limit:
-            trace.reason = "converged"
-            return model.cart_to_bary(x), trace
-
-
-def _polished(x: np.ndarray, model: SimplexModel, trace: SolverTrace,
-              ) -> BarycentricPoint | None:
-    """The isogonic point that Newton on g_sigma reaches from the conjugate
-    of the Cartesian point x, or None if the conjugate is undefined or the
-    root is not accepted (see the module docstring).
-
-    The root must also lie within the escape radius of the map: in a class
-    with sum(sigma) = 0, |g_sigma| decays like the inverse square of the
-    distance along one direction, so some 1e7 diameters out it is at the
-    level of rounding, and a Newton step there can be short by chance.
-    """
+def _start(seed: BarycentricPoint, model: SimplexModel) -> np.ndarray | None:
+    """Normalized coordinates of the conjugate of a seed, if it is finite."""
     try:
-        start = isogonal_conjugate(model.cart_to_bary(x), model)
-        sigma = np.sign(start.normalized_coords)
+        return isogonal_conjugate(seed, model).normalized_coords
     except (ZeroCoordinate, PointAtInfinity):
         return None
-    path, evaluations, ok = _newton(
-        model, sigma, start.normalized_coords, _POLISH_TOL * model.diameter,
-        _POLISH_STEPS, _POLISH_RESIDUAL)
-    trace.gradient_evaluations += evaluations
-    if (not ok or _zero_entries(path[-1]).any()
-            or not np.array_equal(np.sign(path[-1]), sigma)):
-        return None
+
+
+def _run(model: SimplexModel, sigma: np.ndarray, seed: BarycentricPoint,
+         roots: list[np.ndarray]) -> tuple[BarycentricPoint | None, SolverTrace]:
+    """Newton on g_sigma from the conjugate of ``seed``, deflated against
+    ``roots``: the accepted isogonic point, whose coordinates join
+    ``roots``, or None, with the trace of the start."""
+    trace = SolverTrace(seed=seed, reason="rejected")
+    start = _start(seed, model)
+    if start is None:
+        return None, trace
+    path, trace.gradient_evaluations, ok = _newton(
+        model, sigma, start, _POLISH_TOL * model.diameter, _POLISH_STEPS,
+        _POLISH_RESIDUAL, roots)
+    trace.iterations_used = len(path)
+    if not ok:
+        trace.reason = "out of budget" if len(path) == _POLISH_STEPS else "stalled"
+        return None, trace
+    signs = np.sign(path[-1])
     point = BarycentricPoint(path[-1])
-    if not point.is_finite():
-        return None
-    far = np.linalg.norm(model.bary_to_cart(point) - model.vertices[0])
-    return None if far > _ESCAPE * model.diameter else point
-
-
-def _search(seed: BarycentricPoint, model: SimplexModel, budget: int,
-            ) -> tuple[BarycentricPoint | None, SolverTrace]:
-    """Run the map from one seed in stages and polish at the end of each.
-
-    Returns the first accepted isogonic point, or None if the map reached
-    its last stage and no polish was accepted (reason "rejected"), together
-    with the trace.  Raises what the map raises.
-    """
-    trace = SolverTrace(seed=seed)
-    steps = _pedal_map(model.bary_to_cart(seed), model, trace, budget)
-    x, gap = next(steps)
-    tried = 0
-    for stage in _POLISH_STAGES:
-        while gap >= stage * model.diameter:
-            x, gap = next(steps)
-        if trace.iterations_used == tried:
-            continue
-        tried = trace.iterations_used
-        point = _polished(x, model, trace)
-        if point is not None:
+    if point.is_finite() and np.array_equal(signs * signs[0], sigma * sigma[0]):
+        if np.linalg.norm(model.bary_to_cart(point) - model.vertices[0]) \
+                > _ESCAPE * model.diameter:
+            trace.reason = "escaped"
+        elif is_isogonic(point, model)[0]:
             trace.reason = "converged"
+            roots.append(path[-1])
             return point, trace
-    trace.reason = "rejected"
     return None, trace
 
 
@@ -251,21 +228,18 @@ def is_isogonic(p, model: SimplexModel, tol: float = 1e-7) -> tuple[bool, float]
     return deviation <= tol, deviation
 
 
+def _sign_classes(m: int) -> list[np.ndarray]:
+    """The claimed sign patterns: all-positive, then one negative entry at each k."""
+    return [np.ones(m)] + [np.where(np.arange(m) == k, -1.0, 1.0) for k in range(m)]
+
+
 def default_seeds(model: SimplexModel) -> list[BarycentricPoint]:
-    """A triangle's isodynamic points where they are defined; otherwise the
-    isogonal conjugate of the Fermat point, then the centroid's reflection
-    into each one-negative-coordinate orthant.
-
-    A non-equilateral triangle has exactly two isogonic points, Kimberling's
-    X(13) and X(14): the isogonal conjugates of its isodynamic points X(15)
-    and X(16), which the map fixes.  An equilateral one has its center alone.
-
-    The all-positive isogonic points are the roots of g_sigma for
-    sigma = +1, the gradient of the distance sum.  That sum is strictly
-    convex, so the class holds the Fermat point alone, or nothing when the
-    minimizer is a vertex (H. W. Kuhn, Math. Programming 4, 1973); the
-    conjugate of the Fermat point is fixed by the map.  The centroid stands
-    in for it when the minimizer is a vertex or the solver fails.
+    """A triangle's isodynamic points X(15), X(16), whose conjugates are its
+    isogonic points X(13), X(14) (the center alone if equilateral), where
+    defined; otherwise the conjugate of the Fermat point, the one root of
+    the strictly convex all-positive class (the centroid stands in when a
+    vertex is the minimizer or the solver fails), then the centroid's
+    reflection into each one-negative-coordinate orthant.
     """
     if model.n == 2:
         try:
@@ -275,84 +249,89 @@ def default_seeds(model: SimplexModel) -> list[BarycentricPoint]:
         else:
             return [point for point in found.points
                     if np.abs(point.coords).min() > 1e-9 * np.abs(point.coords).max()]
-    m = model.n + 1
-    seeds = [BarycentricPoint(np.ones(m))]
+    seeds = [BarycentricPoint(sigma) for sigma in _sign_classes(model.n + 1)]
     try:
         fermat, trace = fermat_point(model)
         if not trace.vertex_optimum:
             seeds[0] = isogonal_conjugate(fermat, model)
     except SimplexError:
         pass
-    for k in range(m):
-        c = np.ones(m)
-        c[k] = -1.0
-        seeds.append(BarycentricPoint(c))
     return seeds
 
 
-def _canonical_order(points: list[BarycentricPoint]) -> list[int]:
+def _canonical_key(point: BarycentricPoint) -> tuple:
     """All-positive point first, then by position of the first negative entry."""
-    def key(idx):
-        c = points[idx].normalized_coords
-        neg = np.flatnonzero(c < 0)
-        if neg.size == 0:
-            return (0, -1, 0.0)
-        return (1, int(neg[0]), float(c[neg[0]]))
-    return sorted(range(len(points)), key=key)
+    c = point.normalized_coords
+    neg = np.flatnonzero(c < 0)
+    return (0, -1, 0.0) if neg.size == 0 else (1, int(neg[0]), float(c[neg[0]]))
 
 
-def enumerate_isogonic(model: SimplexModel, seeds=None, budget: int = 20000,
-                       ) -> IsogonicCatalog:
-    """Collect isogonic points reachable from a seed set.
-
-    ``seeds`` extends the default seed set.  Each seed runs the
-    pedal-equiareal iteration in stages, with a Newton polish of the
-    conjugate after each (see the module docstring); ``budget`` bounds its
-    map steps.  The equiareal-pedal points, the conjugates of the polished
-    points, are deduplicated at 1e-6 in normalized coordinates.  Every
-    isogonic point is re-verified by :func:`is_isogonic` at its default
-    tolerance, and the catalog is sorted canonically.  A seed that adds
-    no point (its map fails, its polish is never accepted, its point fails
-    the re-verification or was found before) goes to ``failed_seeds`` with
-    its reason rather than raising.
+def _further_seeds(model: SimplexModel, sigma: np.ndarray, roots: list[np.ndarray]):
+    """Yield seeds for a claimed class while its ``roots``, which grow as the
+    caller runs the seeds, fail the degree balance: the conjugates of the
+    points 0.1 and then 0.3 diameters from each vertex k, by |c_k| (roots
+    emerge from vertices with |c_k| < 1), along -sigma_k c_k/|c_k|; then
+    points sigma * w, w from a flat Dirichlet draw keyed by the class.
     """
-    seed_list = default_seeds(model)
-    if seeds is not None:
-        seed_list = seed_list + [as_point(s, model.n) for s in seeds]
+    pulls = np.array([_signed_gradient(model.vertices, sigma, a)[0] for a in model.vertices])
+    norms = np.linalg.norm(pulls, axis=1)
+    certified = not (np.abs(norms - 1.0) <= _ROUNDING).any()
+    target = np.sign(sigma.sum()) ** model.n - (sigma[norms < 1.0] ** model.n).sum()
+    local = model.vertices - model.vertices[0]
 
-    catalog = IsogonicCatalog()
-    unique = []
-    for seed in seed_list:
-        try:
-            point, trace = _search(seed, model, budget)
-        except SolverStopped as exc:
-            point, trace = None, exc.trace
-        if point is not None:
-            limit = isogonal_conjugate(point, model)
-            c = limit.normalized_coords
-            if not any(np.abs(c - q.normalized_coords).max() <= 1e-6
-                       for q, _, _ in unique):
-                unique.append((limit, point, trace))
-                continue
-            trace.reason = "duplicate"
-        catalog.failed_seeds.append(trace)
+    def balanced() -> bool:
+        return certified and target == sum(
+            np.sign(np.linalg.det(_signed_gradient(local, sigma, local.T @ r)[1]))
+            for r in roots)
 
-    kept = []
-    for pt, conj, tr in unique:
-        if is_isogonic(conj, model)[0]:
-            kept.append((pt, conj, tr))
-        else:
-            tr.reason = "rejected"
-            catalog.failed_seeds.append(tr)
+    order = np.argsort(norms, kind="stable")
+    for radius, k in itertools.product(_NEAR_VERTEX, order[norms[order] > 0]):
+        if balanced():
+            return
+        # -c_k has a component along every edge at vertex k, so no
+        # sideplane through vertex k holds this point
+        near = model.vertices[k] - radius * model.diameter * sigma[k] * pulls[k] / norms[k]
+        yield isogonal_conjugate(model.cart_to_bary(near), model)
+    rng = np.random.default_rng([len(sigma), *map(int, sigma * sigma[0] > 0)])
+    for _ in range(_CLASS_POINTS):
+        if balanced():
+            return
+        yield BarycentricPoint(sigma * rng.dirichlet(np.ones(len(sigma))))
 
-    for idx in _canonical_order([conj for _, conj, _ in kept]):
-        pt, conj, tr = kept[idx]
-        catalog.conjugate_points.append(pt)
-        catalog.isogonic_points.append(conj)
-        catalog.pedal_areas.append(float(pedal_simplex(pt, model).facet_volumes.mean()))
+
+def enumerate_isogonic(model: SimplexModel, seeds=None) -> IsogonicCatalog:
+    """The isogonic points of the claimed sign classes, and any that the
+    caller's ``seeds`` (added to the default ones) reach, sorted canonically.
+
+    Each seed's conjugate starts Newton in its own sign class; then, for
+    n >= 3, each claimed class takes further starts while its degree
+    balance fails (see the module docstring).
+    """
+    extra = [] if seeds is None else [as_point(s, model.n) for s in seeds]
+    m = model.n + 1
+    classes = {(s * s[0]).tobytes(): (s, []) for s in _sign_classes(m)}
+    for seed in default_seeds(model) + extra:
+        start = _start(seed, model)
+        sigma = np.ones(m) if start is None else np.sign(start)
+        classes.setdefault((sigma * sigma[0]).tobytes(), (sigma, []))[1].append(seed)
+
+    runs = []
+    for c, (sigma, class_seeds) in enumerate(classes.values()):
+        roots: list[np.ndarray] = []
+        if c <= m and model.n > 2:
+            class_seeds = itertools.chain(class_seeds, _further_seeds(model, sigma, roots))
+        runs += [_run(model, sigma, seed, roots) for seed in class_seeds]
+
+    catalog = IsogonicCatalog(failed_seeds=[trace for point, trace in runs if point is None])
+    for point, trace in sorted(((p, t) for p, t in runs if p is not None),
+                               key=lambda run: _canonical_key(run[0])):
+        conjugate = isogonal_conjugate(point, model)
+        catalog.conjugate_points.append(conjugate)
+        catalog.isogonic_points.append(point)
+        catalog.pedal_areas.append(float(pedal_simplex(conjugate, model).facet_volumes.mean()))
         catalog.antipedal_areas.append(
-            float(antipedal_simplex(conj, model).facet_volumes.mean()))
-        catalog.traces.append(tr)
+            float(antipedal_simplex(point, model).facet_volumes.mean()))
+        catalog.traces.append(trace)
     return catalog
 
 

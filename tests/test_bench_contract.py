@@ -3,9 +3,10 @@
 ``bench/workloads.py`` reads what the solvers record (a trace's ``seed``,
 ``iterations_used``, ``damping_used`` and ``vertex_optimum``, a catalog's
 ``traces`` and ``failed_seeds``, and ``default_seeds``).  Each workload's
-tiny inputs go through its op, oracle, fingerprint and stats here, so a
-change that stops offering any of it fails these tests, not only the
-benchmark.  The workloads module is loaded from its file and not changed.
+inputs, tiny and full, go through its op, oracle, fingerprint and stats
+here, so a change that stops offering any of it, or gives a wrong answer
+on any benchmark input, fails these tests, not only the benchmark.  The
+workloads module is loaded from its file and not changed.
 """
 
 import importlib.util
@@ -31,12 +32,21 @@ def _load_workloads() -> dict:
 WORKLOADS = _load_workloads()
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_tiny_workload_passes_its_oracle(name):
-    workload = WORKLOADS[name](simplexcenters, 1, "tiny")
+def _passes_its_oracle(name: str, size: str) -> None:
+    workload = WORKLOADS[name](simplexcenters, 1, size)
     assert workload.cases
     for case in workload.cases:
         out = workload.run(case)
         assert workload.check(case, out) is None, case.label
         assert workload.fingerprint(workload.run(case)) == workload.fingerprint(out)
         assert isinstance(workload.stats(case, out), dict)
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_tiny_workload_passes_its_oracle(name):
+    _passes_its_oracle(name, "tiny")
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_full_workload_passes_its_oracle(name):
+    _passes_its_oracle(name, "full")

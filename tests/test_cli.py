@@ -243,7 +243,6 @@ class TestFermatCommand:
     "fermat --tolerance 0",
     "fermat --tolerance -1",
     "fermat --tolerance nan",
-    "isogonic --budget -3",
     "verify --tolerance nan",
     "verify --tolerance -1",
 ])
@@ -264,6 +263,12 @@ TRIANGLE = [[0, 0], [1, 0], [0, 1]]
 def _file(tmp_path, text):
     path = tmp_path / "input.json"
     path.write_text(text)
+    return str(path)
+
+
+def _bytes_file(tmp_path, data):
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
     return str(path)
 
 
@@ -309,6 +314,11 @@ DOCUMENT_ERRORS = {
     "seed-file": (lambda t: _parse_seeds(_file(t, "{}"), 2), "seed file must hold"),
     "seed-row": (lambda t: _parse_seeds(_file(t, "[[1, 2]]"), 2),
                  "seed[0]: expected 3 coordinates"),
+    "seed-file-json": (lambda t: _parse_seeds(_file(t, "[[0.26, 0.28, 0.22"), 3),
+                       "cannot read seed file"),
+    "seed-directory": (lambda t: _parse_seeds(str(t), 3), "cannot read seed file"),
+    "not-utf8": (lambda t: load_document(_bytes_file(t, b'\xff\xfe{"vertices": []}')),
+                 "cannot read document"),
 }
 
 
@@ -324,6 +334,14 @@ def test_document_error_names_its_path(case, tmp_path, capsys):
                                  _file(tmp_path, json.dumps(_edges([1, 1, -1]))))
         assert (code, out) == (2, "")
         assert err.startswith("input error: " + prefix)
+
+
+def test_unreadable_seed_file_exit_2(doc_path, tmp_path, capsys):
+    # a seed file that cannot be read is an input error, not a geometric one
+    code, out, err = run_cli(capsys, "isogonic", doc_path(FIVE_DOC),
+                             "--seeds", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: cannot read seed file {str(tmp_path)!r}")
 
 
 class TestIsogonicCommand:
@@ -380,19 +398,21 @@ class TestIsogonicCommand:
         assert code == 0 and err == ""
         report = json.loads(out)
         assert report["results"]["count"] == 2
-        # the map converged; its limit was rejected
+        # the seed lies on the circumcircle: its conjugate is at infinity
         assert report["warnings"][-1] == (
             "seed rejected: [0.900000000000, 0.500000000000, -0.400000000000]")
 
     def test_unconverged_seeds_warn(self, doc_path, capsys):
         code, out, _ = run_cli(capsys, "isogonic", doc_path(FIVE_DOC),
-                               "--budget", "3", "--json")
+                               "--seeds", "1,1,1,1;1,2,3,4", "--json")
         assert code == 0
         report = json.loads(out)
-        # the Fermat seed needs one step; the four orthant seeds run out
-        assert report["results"]["count"] == 1
-        assert len(report["warnings"]) == 4
-        assert all(w.startswith("seed out of budget: ") for w in report["warnings"])
+        # both seeds start in the all-positive class, whose one root the
+        # Fermat seed found: deflated against it, Newton stalls
+        assert report["results"]["count"] == 5
+        assert report["warnings"] == [
+            "seed stalled: [0.250000000000, 0.250000000000, 0.250000000000, 0.250000000000]",
+            "seed stalled: [0.100000000000, 0.200000000000, 0.300000000000, 0.400000000000]"]
 
 
 def test_json_reports_gradient_evaluations(doc_path, capsys):
@@ -402,9 +422,9 @@ def test_json_reports_gradient_evaluations(doc_path, capsys):
     assert (point["iterations"], point["gradient_evaluations"]) == (5, 4)
     _, out, _ = run_cli(capsys, "isogonic", doc_path(FIVE_DOC), "--json")
     results = json.loads(out)["results"]
-    assert [s["iterations"] for s in results["seed_summary"]] == [1, 520, 61, 17, 51]
-    assert [s["gradient_evaluations"] for s in results["seed_summary"]] == [2, 5, 6, 5, 5]
-    assert [e["gradient_evaluations"] for e in results["entries"]] == [2, 5, 6, 5, 5]
+    assert [s["iterations"] for s in results["seed_summary"]] == [1, 8, 6, 5, 6]
+    assert [s["gradient_evaluations"] for s in results["seed_summary"]] == [2, 11, 7, 6, 7]
+    assert [e["gradient_evaluations"] for e in results["entries"]] == [2, 11, 7, 6, 7]
 
 
 @pytest.mark.usefixtures("cached_reference_checks")

@@ -32,6 +32,8 @@ from simplexcenters import (
     triad_angle_check,
 )
 from simplexcenters import fermat, isogonic
+from simplexcenters.barycentric import as_point
+from simplexcenters.errors import SolverStopped
 
 
 class TestIsogonalConjugate:
@@ -149,6 +151,21 @@ class TestPedalEquiarealIteration:
         assert equiareal_deviation(pedal_simplex(point, five_model)) <= 1e-7
 
 
+# a tetrahedron whose class (+, -, +, -) has a pseudo-root far out
+FAR_PSEUDO_ROOT = [[-0.117334, 1.194104, -0.930726],
+                   [-2.043466, -2.048336, 2.213690],
+                   [-1.827079, 2.301102, -2.075163],
+                   [-0.584854, -0.731705, 0.349025]]
+
+
+def _far_seed(model: SimplexModel) -> BarycentricPoint:
+    """The conjugate of a point 1e8 diameters out along sum_i sigma_i A_i
+    for sigma = (+, -, +, -), where |g_sigma| decays like 1/|x|^2."""
+    w = np.array([1, -1, 1, -1]) @ model.vertices
+    far = model.vertices[0] + 1e8 * model.diameter * w / np.linalg.norm(w)
+    return isogonal_conjugate(model.cart_to_bary(far), model)
+
+
 def _sides(*degrees):
     """Edge lengths [d01, d02, d12] of the triangle with these angles at
     vertices 0, 1 and 2."""
@@ -171,22 +188,24 @@ class TestEnumerateIsogonic:
                        / golden.ANTIPEDAL_AREA_TABLE[k] - 1) < 1e-6
 
     def test_benchmark_anchor_iteration_counts(self, five_model):
-        # the per-seed and Fermat iteration counts of the benchmark anchor
+        # the per-seed Newton steps and Fermat iteration counts of the
+        # benchmark anchor; every class balances after its seed
         catalog = enumerate_isogonic(five_model)
         used = {t.seed.normalized_coords.tobytes(): t.iterations_used
                 for t in catalog.traces + catalog.failed_seeds}
+        assert len(used) == 5
         assert [used[s.normalized_coords.tobytes()] for s in default_seeds(five_model)] \
-            == [1, 520, 61, 17, 51]
+            == [1, 8, 6, 5, 6]
         assert [fermat_point(five_model, method=m)[1].iterations_used
                 for m in ("q", "r")] == [5, 5]
 
     def test_anchor_gradient_evaluations(self, five_model):
-        # Newton evaluations of g_sigma next to the map steps pinned above
+        # evaluations of g_sigma next to the Newton steps pinned above
         catalog = enumerate_isogonic(five_model)
         used = {t.seed.normalized_coords.tobytes(): t.gradient_evaluations
                 for t in catalog.traces + catalog.failed_seeds}
         assert [used[s.normalized_coords.tobytes()] for s in default_seeds(five_model)] \
-            == [2, 5, 6, 5, 5]
+            == [2, 11, 7, 6, 7]
         assert [fermat_point(five_model, method=m)[1].gradient_evaluations
                 for m in ("q", "r")] == [4, 4]
 
@@ -291,23 +310,37 @@ class TestEnumerateIsogonic:
             assert gap > 1e-6
 
     def test_duplicate_seeds_are_failed_seeds(self, five_model):
-        # a seed that reaches a point found before adds none; it is a
-        # failed seed, so every seed is in the traces or the failed seeds
+        # the three seeds start in the all-positive class, whose one root
+        # the Fermat seed found first; deflated against it, each run stops
+        # short and is a failed seed, so every seed is in the traces or the
+        # failed seeds
         seeds = [[1, 1, 1, 1], [1.0001, 1, 1, 1], [0.26, 0.28, 0.22, 0.24]]
         catalog = enumerate_isogonic(five_model, seeds=seeds)
         assert len(catalog) == len(catalog.traces) == 5
-        assert [t.reason for t in catalog.failed_seeds] == ["duplicate"] * 3
+        assert [t.reason for t in catalog.failed_seeds] == ["stalled"] * 3
         for trace, seed in zip(catalog.failed_seeds, seeds):
             assert np.array_equal(trace.seed.coords, BarycentricPoint(seed).coords)
 
+    def test_seed_at_a_known_root_is_a_failed_seed(self, gap_triangle):
+        # a seed given twice starts within rounding of the root it found the
+        # first time, where the deflation has its pole and turns Newton's
+        # last step around
+        seed = default_seeds(gap_triangle)[0]
+        catalog = enumerate_isogonic(gap_triangle, seeds=[seed])
+        assert len(catalog) == 2
+        assert [t.reason for t in catalog.failed_seeds] == ["stalled"]
+
+    def test_repeated_calls_are_bitwise_equal(self, five_model):
+        first, second = enumerate_isogonic(five_model), enumerate_isogonic(five_model)
+        assert [p.coords.tobytes() for p in first.isogonic_points] \
+            == [p.coords.tobytes() for p in second.isogonic_points]
+        assert first.pedal_areas == second.pedal_areas
+
     def test_far_pseudo_root_rejected(self):
         # in the sign class (+, -, +, -) |g_sigma| decays like 1/|x|^2 along
-        # one direction; a seed's polish ends on a short step some 6e7
-        # diameters out, where |g_sigma| is at the level of rounding
-        model = SimplexModel([[-0.117334, 1.194104, -0.930726],
-                              [-2.043466, -2.048336, 2.213690],
-                              [-1.827079, 2.301102, -2.075163],
-                              [-0.584854, -0.731705, 0.349025]])
+        # one direction, so far out it is at the level of rounding; the
+        # catalog holds the one all-positive point and nothing far out
+        model = SimplexModel(FAR_PSEUDO_ROOT)
         catalog = enumerate_isogonic(model)
         assert len(catalog) == 1
         assert np.abs(catalog.isogonic_points[0].normalized_coords).max() < 1
@@ -334,39 +367,50 @@ class TestEnumerateIsogonic:
         assert np.abs(first.normalized_coords - fermat.normalized_coords).max() <= 1e-10
         assert is_isogonic(first, model)[0]
 
-    def test_polished_point_at_infinity_is_a_failed_seed(self):
-        # the fifth seed's polish ends where the coordinate sum rounds to zero
+    def test_every_seed_is_accounted_for_near_a_zero_coordinate_sum(self):
+        # a seed of this tetrahedron once ended where the coordinate sum
+        # rounds to zero, and the catalog raised PointAtInfinity
         model = SimplexModel([
             [-0.7597485546982828, -0.03252294487587042, -0.01805508335382325],
             [3.6644468631668214, -0.5105178194576714, 1.2460322419563814],
             [0.40658745808193825, -0.0917578410402191, 0.4082240966626889],
             [0.3584046464660922, -0.03180264480253405, -0.24947858283349625]])
         catalog = enumerate_isogonic(model)
-        fifth = default_seeds(model)[4]
-        rejected = [t for t in catalog.failed_seeds
-                    if np.array_equal(t.seed.coords, fifth.coords)]
-        assert len(rejected) == 1 and rejected[0].reason == "rejected"
+        assert len(catalog) == 1
+        traced = {t.seed.coords.tobytes() for t in catalog.traces + catalog.failed_seeds}
+        assert {s.coords.tobytes() for s in default_seeds(model)} <= traced
 
-    def test_collapsed_seed_keeps_its_trace(self, five_model, monkeypatch):
-        # the Fermat seed is polished after one step; the second seed fails
-        # after one step, every later one before its first
-        _collapse_after(2, monkeypatch)
+    def test_far_root_is_an_escaped_seed(self):
+        # a seed whose conjugate is a root to rounding, beyond the escape
+        # radius
+        model = SimplexModel(FAR_PSEUDO_ROOT)
+        seed = _far_seed(model)
+        catalog = enumerate_isogonic(model, seeds=[seed])
+        assert len(catalog) == 1
+        last = catalog.failed_seeds[-1]
+        assert last.reason == "escaped"
+        assert np.array_equal(last.seed.coords, seed.coords)
+
+    def test_refused_root_keeps_its_trace(self, five_model, monkeypatch):
+        # with every root refused, no class balances: each seed's trace is
+        # a failed seed, and so is each further start of its class
+        monkeypatch.setattr(isogonic, "is_isogonic", lambda p, model: (False, 1.0))
         catalog = enumerate_isogonic(five_model)
         seeds = default_seeds(five_model)
-        assert len(catalog) == 1
-        assert [t.iterations_used for t in catalog.failed_seeds] == \
-            [1] + [0] * (len(seeds) - 2)
-        for trace, seed in zip(catalog.failed_seeds, seeds[1:]):
-            assert np.array_equal(trace.seed.coords, seed.normalized_coords)
+        assert len(catalog) == 0
+        assert len(catalog.failed_seeds) > len(seeds)
+        assert all(t.reason in REASONS for t in catalog.failed_seeds)
+        reasons = {t.seed.coords.tobytes(): t.reason for t in catalog.failed_seeds}
+        assert [reasons.get(s.coords.tobytes()) for s in seeds] == ["rejected"] * len(seeds)
 
     def test_conjugate_at_infinity_is_a_failed_seed(self):
-        # [9 : 5 : -4] is a circumcircle root of the pedal map: the iteration
-        # stops on it at once, and its conjugate lies at infinity
+        # [9 : 5 : -4] lies on the circumcircle, so its conjugate lies at
+        # infinity and no Newton run starts from it
         model = SimplexModel([[0, 0], [4, 0], [1, 3]])
         catalog = enumerate_isogonic(model, seeds=[[9, 5, -4]])
         assert len(catalog) == len(enumerate_isogonic(model)) == 2
         last = catalog.failed_seeds[-1]
-        assert last.reason == "rejected" and last.iterations_used == 1
+        assert last.reason == "rejected" and last.iterations_used == 0
         assert np.array_equal(last.seed.coords, [0.9, 0.5, -0.4])
 
 
@@ -381,6 +425,93 @@ def _antipedal_facet_areas(vertices: np.ndarray, x: np.ndarray) -> np.ndarray:
     corners = np.array([np.linalg.solve(np.delete(normals, j, axis=0),
                                         np.delete(offsets, j)) for j in range(4)])
     return golden.facet_areas_cross(corners)
+
+
+def _claimed_classes(m: int) -> list[np.ndarray]:
+    return [np.ones(m)] + [np.where(np.arange(m) == k, -1.0, 1.0) for k in range(m)]
+
+
+def _degree_terms(vertices: np.ndarray, sigma: np.ndarray, points: list[np.ndarray]):
+    """The index sign det J_sigma of each root, the vertex term
+    sum_{|c_k| < 1} sigma_k^n and sign(S)^n, computed without the library."""
+    n = vertices.shape[1]
+    indices = []
+    for p in points:
+        gaps = vertices.T @ p - vertices
+        dist = np.linalg.norm(gaps, axis=1)
+        jac = sum(s / d * (np.eye(n) - np.outer(g, g) / d ** 2)
+                  for s, d, g in zip(sigma, dist, gaps))
+        indices.append(int(np.sign(np.linalg.det(jac))))
+    vertex = 0
+    for k in range(n + 1):
+        pull = sum(sigma[i] * (vertices[k] - vertices[i])
+                   / np.linalg.norm(vertices[k] - vertices[i])
+                   for i in range(n + 1) if i != k)
+        assert abs(np.linalg.norm(pull) - 1.0) > 1e-6   # the class is certified
+        vertex += int(sigma[k] ** n) * (np.linalg.norm(pull) < 1.0)
+    return indices, vertex, int(np.sign(sigma.sum())) ** n
+
+
+@pytest.mark.parametrize("fixture", ["five_model", "regular_tetrahedron",
+                                     FAR_PSEUDO_ROOT, "gap_triangle"],
+                         ids=["reference", "regular", "far-pseudo-root", "gap-triangle"])
+def test_degree_balance_holds_in_every_claimed_class(fixture, request):
+    # sum_roots sign det J_sigma + sum_{|c_k| < 1} sigma_k^n = sign(S)^n,
+    # and each root's index is nonzero, so dropping any root unbalances
+    model = (request.getfixturevalue(fixture) if isinstance(fixture, str)
+             else SimplexModel(fixture))
+    catalog = enumerate_isogonic(model)
+    assigned = 0
+    for sigma in _claimed_classes(model.n + 1):
+        roots = [p.normalized_coords for p in catalog.isogonic_points
+                 if abs(np.sign(p.normalized_coords) @ sigma) == model.n + 1]
+        assigned += len(roots)
+        indices, vertex, target = _degree_terms(model.vertices, sigma, roots)
+        assert sum(indices) + vertex == target
+        for index in indices:
+            assert sum(indices) - index + vertex != target
+    assert assigned == len(catalog)
+
+
+def _catalog_trace(model: SimplexModel, seed) -> fermat.SolverTrace:
+    """The trace of the start from a caller's seed."""
+    catalog = enumerate_isogonic(model, seeds=[seed])
+    coords = as_point(seed, model.n).coords
+    return next(t for t in catalog.traces + catalog.failed_seeds
+                if np.array_equal(t.seed.coords, coords))
+
+
+def _stopped(call) -> fermat.SolverTrace:
+    with pytest.raises(SolverStopped) as info:
+        call()
+    return info.value.trace
+
+
+def _collapsed(request) -> fermat.SolverTrace:
+    _collapse_after(2, request.getfixturevalue("monkeypatch"))
+    return _stopped(lambda: pedal_equiareal_iteration(
+        [1, 1, 1, 1], request.getfixturevalue("five_model")))
+
+
+# one real input per stop reason; only the collapse of a pedal figure is forced
+REASON_PATHS = {
+    "converged": lambda r: fermat_point(r.getfixturevalue("five_model"))[1],
+    "vertex optimum": lambda r: fermat_point(SimplexModel(
+        [[0, 0, 0.1], [1, 0, 0], [-0.5, 0.866, 0], [-0.5, -0.866, 0]]))[1],
+    "out of budget": lambda r: _stopped(
+        lambda: fermat_point(r.getfixturevalue("five_model"), max_iter=3)),
+    "stalled": lambda r: _catalog_trace(r.getfixturevalue("five_model"), [1, 1, 1, 1]),
+    "escaped": lambda r: _catalog_trace(SimplexModel(FAR_PSEUDO_ROOT),
+                                        _far_seed(SimplexModel(FAR_PSEUDO_ROOT))),
+    "pedal collapsed": _collapsed,
+    "rejected": lambda r: _catalog_trace(SimplexModel([[0, 0], [4, 0], [1, 3]]), [9, 5, -4]),
+}
+
+
+@pytest.mark.parametrize("reason", REASONS)
+def test_every_reason_has_a_path(reason, request):
+    assert set(REASON_PATHS) == set(REASONS)
+    assert REASON_PATHS[reason](request).reason == reason
 
 
 class TestTwoNegativeSignClasses:
