@@ -28,6 +28,7 @@ from .barycentric import (
     Hyperplane,
     SimplexModel,
     _all_equal,
+    _circumcenter,
     _readonly,
     _vertex_index,
     _zero_entries,
@@ -126,12 +127,17 @@ def apollonian_sphere(p, i: int, j: int, model: SimplexModel) -> ApollonianSpher
         return ApollonianSphere(i=i, j=j, diameter_ends=(end_in, end_out),
                                 center=None, cart_center=None, radius=math.inf)
 
-    c1 = model.bary_to_cart(end_in)
-    c2 = model.bary_to_cart(end_out)
+    center, radius = _frame_sphere((end_in, end_out), model)
     return ApollonianSphere(i=i, j=j, diameter_ends=(end_in, end_out),
                             center=_slot_point(model.n, i, j, -pi ** 2, pj ** 2),
-                            cart_center=_readonly(0.5 * (c1 + c2)),
-                            radius=0.5 * float(np.linalg.norm(c1 - c2)))
+                            cart_center=_readonly(model._from_frame(center)),
+                            radius=float(model._absolute(radius)))
+
+
+def _frame_sphere(ends, model: SimplexModel) -> tuple[np.ndarray, float]:
+    """Center and radius, in the model's frame, of the sphere on two diameter ends."""
+    c1, c2 = (model._local.T @ end.normalized_coords for end in ends)
+    return 0.5 * (c1 + c2), 0.5 * float(np.linalg.norm(c1 - c2))
 
 
 def sphere_family(p, model: SimplexModel) -> list[ApollonianSphere]:
@@ -145,9 +151,12 @@ def membership_residual(p, x: np.ndarray, model: SimplexModel) -> float:
 
     Zero exactly on the common locus d(A_i, x) |p_i| = d(A_j, x) |p_j|.
     """
-    coords = np.abs(as_point(p, model.n).coords)
-    dv = np.linalg.norm(model.vertices - np.asarray(x, float)[None, :], axis=1)
-    w = dv * coords
+    return _frame_residual(p, model._to_frame(x), model)
+
+
+def _frame_residual(p, y: np.ndarray, model: SimplexModel) -> float:
+    """``membership_residual`` at a point of the model's frame."""
+    w = np.linalg.norm(model._local - y, axis=1) * np.abs(as_point(p, model.n).coords)
     hi = w.max()
     return float((hi - w.min()) / hi) if hi > 0 else 0.0
 
@@ -165,14 +174,15 @@ def isodynamic_points(p, model: SimplexModel) -> IsodynamicResult:
     if _zero_entries(coords).any():
         raise ZeroCoordinate("isodynamic points need all coordinates nonzero")
 
-    center, radius = circumcenter_cart(model)
+    # the axis and the sphere are intersected in the model's frame
+    center, radius = _circumcenter(model)
 
     if _all_equal(coords ** 2):
         # every sphere degenerates to a perpendicular bisector; the family
         # meets exactly at the circumcenter and the axis has no direction
         return IsodynamicResult(
-            points=[model.cart_to_bary(center)],
-            residuals=[membership_residual(pt, center, model)],
+            points=[BarycentricPoint(model._coords(center))],
+            residuals=[_frame_residual(pt, center, model)],
             degenerate_axis=True,
             note="all coordinate magnitudes equal; spheres degenerate to "
                  "perpendicular bisectors meeting at the circumcenter",
@@ -188,9 +198,10 @@ def isodynamic_points(p, model: SimplexModel) -> IsodynamicResult:
     if solving is None:  # pragma: no cover - excluded by the ptp check
         raise AxisUndefined("all spheres degenerate")
 
-    oc = center - solving.cart_center
+    sphere_center, sphere_radius = _frame_sphere(solving.diameter_ends, model)
+    oc = center - sphere_center
     b = 2.0 * float(direction @ oc)
-    c0 = float(oc @ oc) - solving.radius ** 2
+    c0 = float(oc @ oc) - sphere_radius ** 2
     disc = b * b - 4.0 * c0
     window = _TANGENCY_REL * radius ** 2
 
@@ -202,16 +213,11 @@ def isodynamic_points(p, model: SimplexModel) -> IsodynamicResult:
         root = math.sqrt(disc)
         ts = [(-b - root) / 2.0, (-b + root) / 2.0]
 
-    pts_cart = [center + t * direction for t in ts]
-    points = [model.cart_to_bary(x) for x in pts_cart]
-    residuals = [membership_residual(pt, x, model) for x in pts_cart]
-
-    def sort_key(item):
-        point, x = item
-        interior = bool(np.all(point.coords > 0))
-        return (0 if interior else 1, float(np.linalg.norm(x - center)))
-
-    order = sorted(range(len(points)), key=lambda k: sort_key((points[k], pts_cart[k])))
+    pts_frame = [center + t * direction for t in ts]
+    points = [BarycentricPoint(model._coords(y)) for y in pts_frame]
+    residuals = [_frame_residual(pt, y, model) for y in pts_frame]
+    # interior points first, then by distance |t| from the circumcenter
+    order = sorted(range(len(ts)), key=lambda k: (not np.all(points[k].coords > 0), abs(ts[k])))
     return IsodynamicResult(points=[points[k] for k in order],
                             residuals=[residuals[k] for k in order])
 

@@ -19,6 +19,14 @@ scale, decides where a construction stops being defined, in four predicates:
 Volume policy: one kernel, ``facet_volumes_of_points``, measures facets by
 Gram determinants of edge vectors from vertex coordinates; a model's total
 volume comes from the Gram matrix that its validity test reads.
+
+Frame policy: a model computes in one frame, vertex 0 at the origin, scaled
+by the power of two that brings the largest coordinate difference into
+[1/2, 1).  Everything barycentric or relative (Gram test, edges, volumes,
+conversions, feet, planes, circumcenter, and the solvers elsewhere) reads
+the frame, so it does not depend on where the simplex sits or on its size.
+Cartesian outputs and absolute measures are scaled back once, by
+``SimplexModel._absolute``; one beyond float range reads inf or 0.
 """
 
 from __future__ import annotations
@@ -271,7 +279,9 @@ class SimplexModel:
     as the pedal, antipedal, polar and inversive figures of ``pedal``, and
     ``degenerate`` then says whether the figure collapsed.  A collapsed
     figure keeps its volumes but has no affine frame: ``cart_to_bary``,
-    ``sideplane`` and ``pedal_feet`` raise ``Degenerate`` on it.
+    ``sideplane`` and ``pedal_feet`` raise ``Degenerate`` on it.  All of it
+    is computed in the frame of the module docstring: ``_local`` holds the
+    vertices there, and its unit is ``2 ** _exponent``.
     """
 
     def __init__(self, vertices, *, validate: bool = True):
@@ -283,27 +293,31 @@ class SimplexModel:
             raise Degenerate("vertex coordinates must be finite")
         self.vertices = _readonly(vertices)
         self.n = vertices.shape[1]
+        shifted = vertices - vertices[0]
+        self._exponent = math.frexp(float(np.abs(shifted).max()))[1]
+        local = self._local = _readonly(self._absolute(shifted, -1))
         # symmetric with a zero diagonal bit for bit: |a - b| == |b - a|
-        diff = vertices[:, None, :] - vertices[None, :, :]
-        self.edges = EdgeLengthTable(n=self.n, d=_readonly(np.linalg.norm(diff, axis=2)))
-        self.sq_edges = _readonly(self.edges.d ** 2)
+        lengths = np.linalg.norm(local[:, None, :] - local[None, :, :], axis=2)
+        self._sq_edges = _readonly(lengths ** 2)
+        self._local_diameter = float(lengths.max())
+        self.edges = EdgeLengthTable(n=self.n, d=_readonly(self._absolute(lengths)))
         self.diameter = float(self.edges.d.max())
 
-        edge_vectors = vertices[1:] - vertices[0]
-        gram = edge_vectors @ edge_vectors.T
+        gram = local[1:] @ local[1:].T
         self._defect = _gram_defect(gram)
         if validate and self._defect is not None:
             raise self._defect
-        self.total_volume = (math.sqrt(max(float(np.linalg.det(gram)), 0.0))
-                             / math.factorial(self.n))
-        self.facet_volumes = _readonly(facet_volumes_of_points(vertices))
+        volume = math.sqrt(max(float(np.linalg.det(gram)), 0.0)) / math.factorial(self.n)
+        self.total_volume = float(self._absolute(volume, self.n))
+        self._facets = _readonly(facet_volumes_of_points(local))
+        self.facet_volumes = _readonly(self._absolute(self._facets, self.n - 1))
 
         if self._defect is None:
-            # inverse of the affine system [vertices^T; 1 ... 1], which maps
-            # normalized barycentrics to (x, 1): drives cart_to_bary and duals
+            # inverse of the affine system [local^T; 1 ... 1], which maps
+            # normalized barycentrics to (y, 1): drives cart_to_bary and duals
             self._affine_inv = _readonly(
-                np.linalg.inv(np.vstack([vertices.T, np.ones(self.n + 1)])))
-            # unit sideplane normals / offsets: row i is the plane x_i = 0
+                np.linalg.inv(np.vstack([local.T, np.ones(self.n + 1)])))
+            # unit sideplane normals / frame offsets: row i is the plane x_i = 0
             grads = self._affine_inv[:, :self.n]
             offs = -self._affine_inv[:, self.n]
             norms = np.linalg.norm(grads, axis=1)
@@ -315,23 +329,36 @@ class SimplexModel:
         """True exactly when ``SimplexModel(vertices)`` raises ``Degenerate``."""
         return self._defect is not None
 
-    def _frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Affine inverse, unit sideplane normals and their offsets."""
+    def _affine(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Affine inverse, unit sideplane normals and their frame offsets."""
         if self._defect is not None:
             raise Degenerate("a collapsed simplex has no affine frame")
         return self._affine_inv, self._side_normals, self._side_offsets
 
     # -- conversions ------------------------------------------------------
 
+    def _absolute(self, a, power: int = 1):
+        """A frame measure of the given power (1 length, 2 area, ..., -1 the
+        other way) in absolute units: inf or 0 beyond float range, silently."""
+        with np.errstate(over="ignore", under="ignore"):
+            return np.ldexp(a, power * self._exponent)
+
+    def _to_frame(self, x) -> np.ndarray:
+        return self._absolute(np.asarray(x, dtype=float) - self.vertices[0], -1)
+
+    def _from_frame(self, y) -> np.ndarray:
+        return self.vertices[0] + self._absolute(y)
+
+    def _coords(self, y: np.ndarray) -> np.ndarray:
+        """Barycentric coordinates of a frame point (summing to 1 up to rounding)."""
+        return self._affine()[0] @ np.append(y, 1.0)
+
     def bary_to_cart(self, p) -> np.ndarray:
-        p = as_point(p, self.n).normalized_coords
-        return self.vertices.T @ p
+        return self._from_frame(self._local.T @ as_point(p, self.n).normalized_coords)
 
     def cart_to_bary(self, x) -> BarycentricPoint:
         """The affine solve's coordinates of x, divided by their sum (1 up to rounding)."""
-        x = np.asarray(x, dtype=float)
-        rhs = np.append(x, 1.0)
-        return BarycentricPoint(self._frame()[0] @ rhs)
+        return BarycentricPoint(self._coords(self._to_frame(x)))
 
     # -- metric -----------------------------------------------------------
 
@@ -339,15 +366,16 @@ class SimplexModel:
         p = as_point(p, self.n).normalized_coords
         q = as_point(q, self.n).normalized_coords
         delta = p - q
-        return max(float(-0.5 * delta @ self.sq_edges @ delta), 0.0)
+        square = max(float(-0.5 * delta @ self._sq_edges @ delta), 0.0)
+        return float(self._absolute(square, 2))
 
     def vertex_distances(self, p) -> np.ndarray:
         """Distances from a point to every vertex, via the edge-length formula."""
         p = as_point(p, self.n).normalized_coords
         # -1/2 (p - e_i)^T D (p - e_i) = -1/2 p^T D p + (D p)_i  with D_ii = 0
-        dp = self.sq_edges @ p
+        dp = self._sq_edges @ p
         base = -0.5 * float(p @ dp)
-        return np.sqrt(np.clip(base + dp, 0.0, None))
+        return self._absolute(np.sqrt(np.clip(base + dp, 0.0, None)))
 
     def _vertex_at(self, dist: np.ndarray) -> int | None:
         """Nearest vertex if within _REL_EPS * diameter, given the distances."""
@@ -363,9 +391,13 @@ class SimplexModel:
 
     def pedal_feet(self, x: np.ndarray) -> np.ndarray:
         """Orthogonal projections of a Cartesian point onto all sideplanes."""
-        _, normals, offsets = self._frame()
-        resid = normals @ x - offsets
-        return x[None, :] - resid[:, None] * normals
+        return self._from_frame(self._feet(self._to_frame(x)))
+
+    def _feet(self, y: np.ndarray) -> np.ndarray:
+        """``pedal_feet`` of a frame point, in the frame."""
+        _, normals, offsets = self._affine()
+        resid = normals @ y - offsets
+        return y[None, :] - resid[:, None] * normals
 
     def __repr__(self):
         return f"SimplexModel(n={self.n}, volume={self.total_volume:.6g})"
@@ -398,10 +430,12 @@ class Hyperplane:
             raise ValueError("hyperplane coefficients must not all vanish")
         if _all_equal(coeffs):
             raise AtInfinity("all-equal coefficients encode the hyperplane at infinity")
-        w = model._frame()[0].T @ coeffs
+        w = model._affine()[0].T @ coeffs
         grad, off = w[:-1], w[-1]
         ng = float(np.linalg.norm(grad))
-        return cls(bary_coeffs=coeffs, cart_normal=grad / ng, cart_offset=float(-off / ng))
+        normal = grad / ng
+        return cls(bary_coeffs=coeffs, cart_normal=normal,
+                   cart_offset=float(normal @ model.vertices[0] + model._absolute(-off / ng)))
 
     def signed_distance(self, x) -> float:
         return float(self.cart_normal @ np.asarray(x, float) - self.cart_offset)
@@ -445,24 +479,27 @@ def barycentric_square(p) -> BarycentricPoint:
     return BarycentricPoint(as_point(p).coords ** 2)
 
 
+def _circumcenter(model: SimplexModel) -> tuple[np.ndarray, float]:
+    """Circumcenter and circumradius in the model's frame (linear solve)."""
+    v = model._local[1:]
+    center = np.linalg.solve(2.0 * v, (v ** 2).sum(axis=1))
+    return center, float(np.linalg.norm(center))
+
+
 def circumcenter_cart(model: SimplexModel) -> tuple[np.ndarray, float]:
-    """Cartesian circumcenter and circumradius (linear solve)."""
-    v = model.vertices
-    a = 2.0 * (v[1:] - v[0])
-    b = (v[1:] ** 2).sum(axis=1) - (v[0] ** 2).sum()
-    center = np.linalg.solve(a, b)
-    return center, float(np.linalg.norm(center - v[0]))
+    """Cartesian circumcenter and circumradius."""
+    center, radius = _circumcenter(model)
+    return model._from_frame(center), float(model._absolute(radius))
 
 
 def classical_centers(model: SimplexModel) -> dict[str, BarycentricPoint]:
     """Centroid G, incenter I, symmedian point K and circumcenter O."""
-    a = model.facet_volumes
-    center, _ = circumcenter_cart(model)
+    a = model._facets
     return {
         "G": BarycentricPoint(np.ones(model.n + 1)),
         "I": BarycentricPoint(a),
         "K": BarycentricPoint(a ** 2),
-        "O": model.cart_to_bary(center),
+        "O": BarycentricPoint(model._coords(_circumcenter(model)[0])),
     }
 
 

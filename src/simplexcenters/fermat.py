@@ -65,6 +65,14 @@ def _signed_gradient(vertices: np.ndarray, sigma: np.ndarray, x: np.ndarray,
     return sigma @ units, jac
 
 
+def _pulls(model: SimplexModel, sigma: np.ndarray) -> np.ndarray:
+    """Row k is c_k = sum_{i != k} sigma_i (A_k - A_i)/|A_k - A_i|, in the
+    model's frame: g_sigma at vertex k over the other vertices."""
+    local = model._local
+    lengths = np.sqrt(model._sq_edges) + np.eye(model.n + 1)  # the diagonal adds zeros
+    return (sigma[:, None] * (local[:, None] - local[None]) / lengths[..., None]).sum(axis=1)
+
+
 # why a solver run stopped: only the first two give an answer, and the last
 # ends a catalog start whose root was refused
 REASONS = ("converged", "vertex optimum", "out of budget", "stalled",
@@ -116,7 +124,7 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
             max_steps: int, residual: float = math.inf, roots=(),
             ) -> tuple[list[np.ndarray], int, bool]:
     """Damped Newton on g_sigma from the point with normalized barycentric
-    coordinates ``coords``, with vertex 0 at the origin.
+    coordinates ``coords``, in the model's frame.
 
     Known ``roots`` deflate it (P. E. Farrell, A. Birkisson & S. W. Funke,
     SIAM J. Sci. Comput. 37(4), 2015): it solves M g_sigma = 0 with
@@ -124,18 +132,19 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
     roots.  Each step solves J s = -g, scales s by 1/(1 - grad ln M . s),
     which turns it around near a known root, and halves it until
     M |g_sigma| falls by the Armijo factor 1 - t/1e4.  A step no longer
-    than ``tol`` is taken whole and ends the run, which succeeds if its
-    scale was positive and |g_sigma| <= ``residual`` (checked only when
-    finite).  A singular J ends the run; so does a line search that cannot
-    lower M |g_sigma|, which succeeds if M |g_sigma| <= ``residual`` there.
+    than ``tol`` diameters is taken whole and ends the run, which succeeds
+    if its scale was positive and |g_sigma| <= ``residual`` (checked only
+    when finite).  A singular J ends the run; so does a line search that
+    cannot lower M |g_sigma|, which succeeds if M |g_sigma| <= ``residual``
+    there.
     Returns the barycentric coordinates of the accepted iterates (the start
     only when it succeeds without a step), the gradient evaluations, and
     whether the run succeeded.
     """
-    local = model.vertices - model.vertices[0]
-    frame = np.linalg.inv(np.vstack([local.T, np.ones(model.n + 1)]))
+    local = model._local
     known = np.reshape(roots, (-1, model.n + 1)) @ local if len(roots) else ()
-    d2 = model.diameter ** 2
+    d2 = model._local_diameter ** 2
+    tol = tol * model._local_diameter
     x = local.T @ coords
     g, jac = _signed_gradient(local, sigma, x)
     weight, dlog = _deflation(x, known, d2)
@@ -179,13 +188,13 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
             break
         x, g, jac, weight, dlog = y, gy, jy, wy, dy
         path.append(x)
-    return [frame @ np.append(y, 1.0) for y in path], evaluations, ok
+    return [model._coords(y) for y in path], evaluations, ok
 
 
 def distance_sum_gradient(model: SimplexModel, x: np.ndarray) -> np.ndarray:
     """Gradient of the distance sum at a Cartesian point, skipping vertices
     at zero distance (at a vertex: the gradient over the other vertices)."""
-    return _signed_gradient(model.vertices, np.ones(model.n + 1), x)[0]
+    return _signed_gradient(model._local, np.ones(model.n + 1), model._to_frame(x))[0]
 
 
 def z_correspondent(p, z_star, model: SimplexModel | None = None) -> BarycentricPoint:
@@ -265,11 +274,7 @@ def fermat_point(model: SimplexModel, start=None, method: str = "q",
         raise ZeroCoordinate("start point must have all coordinates nonzero")
 
     trace = SolverTrace(seed=p, iterates=[p])
-    # row k sums the unit vectors from the other vertices to vertex k: the
-    # gradient there over the other vertices (the diagonal adds zeros)
-    pulls = ((model.vertices[:, None] - model.vertices[None])
-             / (model.edges.d + np.eye(model.n + 1))[..., None]).sum(axis=1)
-    optimal = np.flatnonzero(np.linalg.norm(pulls, axis=1) <= 1.0)
+    optimal = np.flatnonzero(np.linalg.norm(_pulls(model, np.ones(model.n + 1)), axis=1) <= 1.0)
     if optimal.size:
         vertex = BarycentricPoint.vertex(int(optimal[0]), model.n)
         trace.iterates.append(vertex)
@@ -290,8 +295,7 @@ def fermat_point(model: SimplexModel, start=None, method: str = "q",
     trace.iterates.append(p)
     trace.objective_values.append(total_distance(p, model))
     path, trace.gradient_evaluations, converged = _newton(
-        model, np.ones(model.n + 1), p.normalized_coords,
-        tol * model.diameter, max_iter - 1)
+        model, np.ones(model.n + 1), p.normalized_coords, tol, max_iter - 1)
     for coords in path:
         p = BarycentricPoint(coords)
         trace.iterates.append(p)

@@ -56,8 +56,8 @@ from .errors import (
     UnboundedAntipedal,
     ZeroCoordinate,
 )
-from .fermat import SolverTrace, _newton, _signed_gradient, fermat_point
-from .pedal import antipedal_simplex, equiareal_deviation, pedal_simplex
+from .fermat import SolverTrace, _newton, _pulls, _signed_gradient, fermat_point
+from .pedal import _antipedal_points, _spread
 
 # consecutive gap increases the map tolerates before it halves its damping
 _OSCILLATION_LIMIT = 5
@@ -114,7 +114,7 @@ def isogonal_conjugate(p, model: SimplexModel) -> BarycentricPoint:
     coords = as_point(p, model.n).coords
     if _zero_entries(coords).any():
         raise ZeroCoordinate("isogonal conjugate needs all coordinates nonzero")
-    return BarycentricPoint(model.facet_volumes ** 2 / coords)
+    return BarycentricPoint(model._facets ** 2 / coords)
 
 
 def pedal_equiareal_iteration(p0, model: SimplexModel, tol: float = 1e-13,
@@ -129,15 +129,15 @@ def pedal_equiareal_iteration(p0, model: SimplexModel, tol: float = 1e-13,
     """
     pt = as_point(p0, model.n)
     trace = SolverTrace(seed=pt)
-    x = model.bary_to_cart(pt)
-    gap_limit = tol * model.diameter
-    escape_limit = _ESCAPE * model.diameter
+    y = model._local.T @ pt.normalized_coords   # in the model's frame
+    gap_limit = tol * model._local_diameter
+    escape_limit = _ESCAPE * model._local_diameter
     damping = 1.0
     prev_gap = None
     increases = 0
 
     for it in range(1, max_iter + 1):
-        feet = model.pedal_feet(x)
+        feet = model._feet(y)
         vols = facet_volumes_of_points(feet)
         total = float(vols.sum())
         if not np.isfinite(total) or total <= 0.0:
@@ -148,10 +148,10 @@ def pedal_equiareal_iteration(p0, model: SimplexModel, tol: float = 1e-13,
         incenter = (vols[:, None] * feet).sum(axis=0) / total
         gap = float(np.linalg.norm(centroid - incenter))
         trace.iterations_used = it
-        trace.final_gap = gap
+        trace.final_gap = float(model._absolute(gap))
         if gap < gap_limit:
             trace.reason = "converged"
-            return model.cart_to_bary(x), trace
+            return BarycentricPoint(model._coords(y)), trace
         if prev_gap is not None and gap > prev_gap:
             increases += 1
             if increases >= _OSCILLATION_LIMIT:
@@ -167,8 +167,8 @@ def pedal_equiareal_iteration(p0, model: SimplexModel, tol: float = 1e-13,
         else:
             increases = 0
         prev_gap = gap
-        x = x + damping * (centroid - incenter)
-        if not np.linalg.norm(x - model.vertices[0]) <= escape_limit:   # or not finite
+        y = y + damping * (centroid - incenter)
+        if not np.linalg.norm(y) <= escape_limit:   # or not finite
             trace.reason = "escaped"
             raise MaxIterationsExceeded(
                 f"iterate escaped after {it} iterations", trace=trace)
@@ -196,8 +196,7 @@ def _run(model: SimplexModel, sigma: np.ndarray, seed: BarycentricPoint,
     if start is None:
         return None, trace
     path, trace.gradient_evaluations, ok = _newton(
-        model, sigma, start, _POLISH_TOL * model.diameter, _POLISH_STEPS,
-        _POLISH_RESIDUAL, roots)
+        model, sigma, start, _POLISH_TOL, _POLISH_STEPS, _POLISH_RESIDUAL, roots)
     trace.iterations_used = len(path)
     if not ok:
         trace.reason = "out of budget" if len(path) == _POLISH_STEPS else "stalled"
@@ -205,8 +204,8 @@ def _run(model: SimplexModel, sigma: np.ndarray, seed: BarycentricPoint,
     signs = np.sign(path[-1])
     point = BarycentricPoint(path[-1])
     if point.is_finite() and np.array_equal(signs * signs[0], sigma * sigma[0]):
-        if np.linalg.norm(model.bary_to_cart(point) - model.vertices[0]) \
-                > _ESCAPE * model.diameter:
+        if np.linalg.norm(model._local.T @ point.normalized_coords) \
+                > _ESCAPE * model._local_diameter:
             trace.reason = "escaped"
         elif is_isogonic(point, model)[0]:
             trace.reason = "converged"
@@ -222,7 +221,7 @@ def is_isogonic(p, model: SimplexModel, tol: float = 1e-7) -> tuple[bool, float]
     an unbounded antipedal construction yields (False, inf).
     """
     try:
-        deviation = equiareal_deviation(antipedal_simplex(p, model))
+        deviation = _spread(facet_volumes_of_points(_antipedal_points(p, model)))
     except UnboundedAntipedal:
         return False, math.inf
     return deviation <= tol, deviation
@@ -273,11 +272,11 @@ def _further_seeds(model: SimplexModel, sigma: np.ndarray, roots: list[np.ndarra
     emerge from vertices with |c_k| < 1), along -sigma_k c_k/|c_k|; then
     points sigma * w, w from a flat Dirichlet draw keyed by the class.
     """
-    pulls = np.array([_signed_gradient(model.vertices, sigma, a)[0] for a in model.vertices])
+    pulls = _pulls(model, sigma)
     norms = np.linalg.norm(pulls, axis=1)
     certified = not (np.abs(norms - 1.0) <= _ROUNDING).any()
     target = np.sign(sigma.sum()) ** model.n - (sigma[norms < 1.0] ** model.n).sum()
-    local = model.vertices - model.vertices[0]
+    local = model._local
 
     def balanced() -> bool:
         return certified and target == sum(
@@ -290,8 +289,8 @@ def _further_seeds(model: SimplexModel, sigma: np.ndarray, roots: list[np.ndarra
             return
         # -c_k has a component along every edge at vertex k, so no
         # sideplane through vertex k holds this point
-        near = model.vertices[k] - radius * model.diameter * sigma[k] * pulls[k] / norms[k]
-        yield isogonal_conjugate(model.cart_to_bary(near), model)
+        near = local[k] - radius * model._local_diameter * sigma[k] * pulls[k] / norms[k]
+        yield isogonal_conjugate(model._coords(near), model)
     rng = np.random.default_rng([len(sigma), *map(int, sigma * sigma[0] > 0)])
     for _ in range(_CLASS_POINTS):
         if balanced():
@@ -328,9 +327,11 @@ def enumerate_isogonic(model: SimplexModel, seeds=None) -> IsogonicCatalog:
         conjugate = isogonal_conjugate(point, model)
         catalog.conjugate_points.append(conjugate)
         catalog.isogonic_points.append(point)
-        catalog.pedal_areas.append(float(pedal_simplex(conjugate, model).facet_volumes.mean()))
-        catalog.antipedal_areas.append(
-            float(antipedal_simplex(point, model).facet_volumes.mean()))
+        for areas, figure in ((catalog.pedal_areas,
+                               model._feet(model._local.T @ conjugate.normalized_coords)),
+                              (catalog.antipedal_areas, _antipedal_points(point, model))):
+            areas.append(float(model._absolute(facet_volumes_of_points(figure).mean(),
+                                               model.n - 1)))
         catalog.traces.append(trace)
     return catalog
 
@@ -347,10 +348,9 @@ def triad_angle_check(p, model: SimplexModel, tol: float = 1e-7,
     if model.n != 3:
         raise ValueError("triad angle check is defined for 3-simplices")
     pt = as_point(p, model.n)
-    x = model.bary_to_cart(pt)
-    rays = model.vertices - x[None, :]
+    rays = model._local - model._local.T @ pt.normalized_coords
     norms = np.linalg.norm(rays, axis=1)
-    if model._vertex_at(norms) is not None:
+    if model._vertex_at(model._absolute(norms)) is not None:
         raise AtVertex("triad angles are undefined at a vertex")
     units = rays / norms[:, None]
 

@@ -51,6 +51,23 @@ def pedal_simplex(p, model: SimplexModel) -> SimplexModel:
     return SimplexModel(feet, validate=False)
 
 
+def _antipedal_points(p, model: SimplexModel) -> np.ndarray:
+    """Vertices of the antipedal simplex, in the model's frame."""
+    pt = as_point(p, model.n)
+    if model._vertex_at(model.vertex_distances(pt)) is not None:
+        raise AtVertex("antipedal simplex is undefined at a vertex")
+    y = model._local.T @ pt.normalized_coords
+    # system i: rows j != i of (y - v_j) . z = (y - v_j) . v_j
+    others = model._local[_leave_one_out(model.n + 1)]
+    a = y - others
+    b = np.einsum("kij,kij->ki", a, others)
+    unbounded = np.flatnonzero(np.linalg.cond(a) > _COND_LIMIT)
+    if unbounded.size:
+        raise UnboundedAntipedal(
+            f"antipedal vertex {unbounded[0]} is unbounded for this point")
+    return np.linalg.solve(a, b[..., None])[..., 0]
+
+
 def antipedal_simplex(p, model: SimplexModel) -> SimplexModel:
     """Simplex whose i-th facet plane passes through vertex i, perpendicular
     to the line joining the point to that vertex.
@@ -58,20 +75,7 @@ def antipedal_simplex(p, model: SimplexModel) -> SimplexModel:
     The pedal simplex of the point with respect to the result is the
     original simplex.
     """
-    pt = as_point(p, model.n)
-    if model._vertex_at(model.vertex_distances(pt)) is not None:
-        raise AtVertex("antipedal simplex is undefined at a vertex")
-    x = model.bary_to_cart(pt)
-    # system i: rows j != i of (x - v_j) . y = (x - v_j) . v_j
-    others = model.vertices[_leave_one_out(model.n + 1)]
-    a = x - others
-    b = np.einsum("kij,kij->ki", a, others)
-    unbounded = np.flatnonzero(np.linalg.cond(a) > _COND_LIMIT)
-    if unbounded.size:
-        raise UnboundedAntipedal(
-            f"antipedal vertex {unbounded[0]} is unbounded for this point")
-    out = np.linalg.solve(a, b[..., None])[..., 0]
-    return SimplexModel(out, validate=False)
+    return SimplexModel(model._from_frame(_antipedal_points(p, model)), validate=False)
 
 
 def polar_simplex(p, model: SimplexModel, radius: float = 1.0) -> SimplexModel:
@@ -112,12 +116,14 @@ def inversive_image(model: SimplexModel, center, radius: float) -> SimplexModel:
 
 
 def equiareal_deviation(model: SimplexModel) -> float:
-    """Relative spread (max - min) / mean of a model's facet volumes.
+    """Relative spread (max - min) / mean of a model's facet volumes, zero
+    exactly when all are equal; a derived figure from this module, collapsed
+    or not, is a model too."""
+    return _spread(model._facets)
 
-    Zero exactly when all facets have equal volume; a derived figure from
-    this module, collapsed or not, is a model too.
-    """
-    vols = model.facet_volumes
+
+def _spread(vols: np.ndarray) -> float:
+    """``equiareal_deviation`` of the given facet volumes; inf if they vanish."""
     mean = float(vols.mean())
     if mean <= 0.0:
         return float("inf")

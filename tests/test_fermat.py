@@ -207,10 +207,12 @@ class TestFermatPoint:
             assert not trace.vertex_optimum
             assert np.abs(point.normalized_coords - 1 / 3).max() < 1e-10
 
+    @pytest.mark.parametrize("offset", [1e8, 1e10, 1e12], ids=["1e8", "1e10", "1e12"])
     @pytest.mark.parametrize("method", ["q", "r"])
-    def test_far_translated_simplex(self, five_model, method):
-        # Newton runs with vertex 0 at the origin, so the offset costs no digits
-        far = SimplexModel(golden.FIVE_VERTICES + 1e8)
+    def test_far_translated_simplex(self, five_model, method, offset):
+        # Newton runs in the model's frame, vertex 0 at the origin, so the
+        # offset costs no digits
+        far = SimplexModel(golden.FIVE_VERTICES + offset)
         point, trace = fermat_point(far, method=method)
         near, _ = fermat_point(five_model, method=method)
         assert trace.converged

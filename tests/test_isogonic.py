@@ -345,9 +345,10 @@ class TestEnumerateIsogonic:
         assert len(catalog) == 1
         assert np.abs(catalog.isogonic_points[0].normalized_coords).max() < 1
 
-    def test_far_translated_simplex(self):
-        # the escape radius is measured from vertex 0, not from the origin
-        catalog = enumerate_isogonic(SimplexModel(golden.FIVE_VERTICES + 1e8))
+    @pytest.mark.parametrize("offset", [1e8, 1e10, 1e12], ids=["1e8", "1e10", "1e12"])
+    def test_far_translated_simplex(self, offset):
+        # the search runs in the model's frame, vertex 0 at the origin
+        catalog = enumerate_isogonic(SimplexModel(golden.FIVE_VERTICES + offset))
         assert len(catalog) == 5
         for k in range(5):
             assert np.abs(catalog.isogonic_points[k].normalized_coords
@@ -527,7 +528,7 @@ class TestTwoNegativeSignClasses:
         vertices = golden.FIVE_VERTICES
         sigma = np.sign(approx)
         path, _, converged = fermat._newton(five_model, sigma, np.array(approx) / sum(approx),
-                                            1e-12 * five_model.diameter, 50)
+                                            1e-12, 50)
         assert converged
         bary = path[-1]
         assert np.array_equal(np.sign(bary), sigma)

@@ -145,9 +145,10 @@ class TestAntipedalSimplex:
                 assert abs(gap) < 1e-9 * five_model.diameter ** 2
 
     def test_batched_solve_matches_vertex_loop(self):
-        # reference: one condition test and one solve per antipedal vertex
+        # reference: one condition test and one solve per antipedal vertex,
+        # in the model's frame
         def per_vertex(pt, model):
-            x, v = model.bary_to_cart(pt), model.vertices
+            x, v = model._local.T @ pt.normalized_coords, model._local
             out = np.empty_like(v)
             for i in range(model.n + 1):
                 rows = np.delete(v, i, axis=0)
@@ -172,7 +173,8 @@ class TestAntipedalSimplex:
                 with pytest.raises(UnboundedAntipedal, match=want):
                     antipedal_simplex(pt, model)
             else:
-                assert np.array_equal(antipedal_simplex(pt, model).vertices, want)
+                assert np.array_equal(antipedal_simplex(pt, model).vertices,
+                                      model._from_frame(want))
         assert unbounded > 0
 
     def test_unbounded_for_point_on_edge_line(self, equilateral_triangle):
