@@ -7,12 +7,26 @@ d(A_i, X) : d(A_j, X) = 1/|p_i| : 1/|p_j|.  When |p_i| = |p_j| the sphere
 degenerates to the perpendicular bisector hyperplane of the edge, which is
 recorded as a sphere with no center and infinite radius.
 
-All sphere centers lie on the polar hyperplane of the componentwise square
-of P, every sphere meets the circumsphere orthogonally, and any common
-point of the family lies on the line through the circumcenter perpendicular
-to that hyperplane.  Intersecting this axis with one sphere therefore
-decides existence, and membership in the remaining spheres is verified
-rather than assumed.
+Every sphere meets the circumsphere orthogonally, and the common points
+of the family lie on one line through the circumcenter.  Number the
+vertices A_0 ... A_n and the weights p_0 ... p_n from zero.  In a model's
+frame (A_0 = 0, rows A_1 ... A_n of V) a common point X has
+p_i^2 |X - A_i|^2 = mu for every i.  Less the i = 0 equation this is the
+linear system 2 V X = |A_i|^2 - mu w, with w_i = 1/p_i^2 - 1/p_0^2, so
+X = c - mu e with c the circumcenter and 2 V e = w; then |X|^2 = mu/p_0^2
+leaves one quadratic in mu,
+
+    |e|^2 mu^2 - (2 c.e + 1/p_0^2) mu + |c|^2 = 0,
+
+which decides existence.  It is solved along the line: with u = e/|e|,
+k = 1/(p_0^2 |e|) and F = c - (c.u) u the foot of the perpendicular from
+A_0, X = F - tau u and
+
+    tau^2 - k tau + |F|^2 - k (c.u) = 0,
+
+which keeps the digits that c - mu e loses when the points lie close
+together compared with the circumradius.  Membership in every sphere is
+then measured, not assumed.
 """
 
 from __future__ import annotations
@@ -25,7 +39,6 @@ import numpy as np
 
 from .barycentric import (
     BarycentricPoint,
-    Hyperplane,
     SimplexModel,
     _all_equal,
     _circumcenter,
@@ -39,14 +52,13 @@ from .barycentric import (
 )
 from .errors import (
     AtVertex,
-    AxisUndefined,
     NotATriangle,
     ParallelLine,
     ZeroCoordinate,
 )
 
-# Discriminant window (relative to squared circumradius) inside which the
-# axis-sphere intersection is reported as a single tangency point.
+# Window on the squared distance between the two isodynamic points, relative
+# to the squared circumradius, inside which they are one tangency point.
 _TANGENCY_REL = 1e-12
 
 
@@ -127,17 +139,11 @@ def apollonian_sphere(p, i: int, j: int, model: SimplexModel) -> ApollonianSpher
         return ApollonianSphere(i=i, j=j, diameter_ends=(end_in, end_out),
                                 center=None, cart_center=None, radius=math.inf)
 
-    center, radius = _frame_sphere((end_in, end_out), model)
+    c1, c2 = (model._local.T @ end.normalized_coords for end in (end_in, end_out))
     return ApollonianSphere(i=i, j=j, diameter_ends=(end_in, end_out),
                             center=_slot_point(model.n, i, j, -pi ** 2, pj ** 2),
-                            cart_center=_readonly(model._from_frame(center)),
-                            radius=float(model._absolute(radius)))
-
-
-def _frame_sphere(ends, model: SimplexModel) -> tuple[np.ndarray, float]:
-    """Center and radius, in the model's frame, of the sphere on two diameter ends."""
-    c1, c2 = (model._local.T @ end.normalized_coords for end in ends)
-    return 0.5 * (c1 + c2), 0.5 * float(np.linalg.norm(c1 - c2))
+                            cart_center=_readonly(model._from_frame(0.5 * (c1 + c2))),
+                            radius=float(model._absolute(0.5 * np.linalg.norm(c1 - c2))))
 
 
 def sphere_family(p, model: SimplexModel) -> list[ApollonianSphere]:
@@ -162,24 +168,20 @@ def _frame_residual(p, y: np.ndarray, model: SimplexModel) -> float:
 
 
 def isodynamic_points(p, model: SimplexModel) -> IsodynamicResult:
-    """Common points of all Apollonian spheres of a point, via the axis.
+    """Common points of all Apollonian spheres of a point, on X = c - mu e.
 
-    Returns zero, one, or two points.  With two points, they are inverses
-    with respect to the circumsphere; a single point is a tangency on the
-    circumsphere.  If all coordinate magnitudes are equal every sphere is a
-    perpendicular bisector and the circumcenter is returned with a note.
+    Returns zero, one, or two points, interior ones first, then by distance
+    from the circumcenter.  Two points are inverses with respect to the
+    circumsphere; a single point is a tangency on it.  If all coordinate
+    magnitudes are equal, e = 0: every sphere is a perpendicular bisector
+    and the circumcenter is returned with a note.
     """
     pt = as_point(p, model.n)
     coords = pt.coords
     if _zero_entries(coords).any():
         raise ZeroCoordinate("isodynamic points need all coordinates nonzero")
-
-    # the axis and the sphere are intersected in the model's frame
     center, radius = _circumcenter(model)
-
     if _all_equal(coords ** 2):
-        # every sphere degenerates to a perpendicular bisector; the family
-        # meets exactly at the circumcenter and the axis has no direction
         return IsodynamicResult(
             points=[BarycentricPoint(model._coords(center))],
             residuals=[_frame_residual(pt, center, model)],
@@ -188,38 +190,27 @@ def isodynamic_points(p, model: SimplexModel) -> IsodynamicResult:
                  "perpendicular bisectors meeting at the circumcenter",
         )
 
-    # polar plane of the componentwise square; its coefficients 1/p_i^2 need
-    # no second zero test, the entry test above covers them
-    direction = Hyperplane.from_bary_coeffs(1.0 / coords ** 2, model).cart_normal
-
-    spheres = (apollonian_sphere(pt, i, j, model)
-               for i, j in itertools.combinations(range(model.n + 1), 2))
-    solving = next((s for s in spheres if not s.is_degenerate), None)
-    if solving is None:  # pragma: no cover - excluded by the ptp check
-        raise AxisUndefined("all spheres degenerate")
-
-    sphere_center, sphere_radius = _frame_sphere(solving.diameter_ends, model)
-    oc = center - sphere_center
-    b = 2.0 * float(direction @ oc)
-    c0 = float(oc @ oc) - sphere_radius ** 2
-    disc = b * b - 4.0 * c0
-    window = _TANGENCY_REL * radius ** 2
-
-    if disc < -window:
+    inverse_squares = (coords / np.abs(coords).max()) ** -2   # 1/p_i^2, largest |p_i| = 1
+    e = np.linalg.solve(2.0 * model._local[1:], inverse_squares[1:] - inverse_squares[0])
+    norm = float(np.linalg.norm(e))
+    u, k = e / norm, inverse_squares[0] / norm
+    s = float(center @ u)
+    foot = center - s * u
+    product = float(foot @ foot) - k * s   # of the two roots tau
+    half_gap = 0.25 * k * k - product   # |X_+ - X_-|^2 / 4
+    window = 0.25 * _TANGENCY_REL * radius ** 2
+    if half_gap < -window:
         return IsodynamicResult(points=[], residuals=[])
-    if disc <= window:
-        ts = [-b / 2.0]
-    else:
-        root = math.sqrt(disc)
-        ts = [(-b - root) / 2.0, (-b + root) / 2.0]
-
-    pts_frame = [center + t * direction for t in ts]
-    points = [BarycentricPoint(model._coords(y)) for y in pts_frame]
-    residuals = [_frame_residual(pt, y, model) for y in pts_frame]
-    # interior points first, then by distance |t| from the circumcenter
-    order = sorted(range(len(ts)), key=lambda k: (not np.all(points[k].coords > 0), abs(ts[k])))
-    return IsodynamicResult(points=[points[k] for k in order],
-                            residuals=[residuals[k] for k in order])
+    root = math.sqrt(half_gap) if half_gap > window else 0.0
+    far = 0.5 * k + root   # the near root is product / far, without cancellation
+    taus = [product / far, far] if root else [far]
+    frame_points = [foot - tau * u for tau in taus]
+    points = [BarycentricPoint(model._coords(y)) for y in frame_points]
+    residuals = [_frame_residual(pt, y, model) for y in frame_points]
+    # tau + c.u = mu |e| is the distance from the circumcenter
+    order = sorted(range(len(taus)), key=lambda j: (not np.all(points[j].coords > 0), taus[j]))
+    return IsodynamicResult(points=[points[j] for j in order],
+                            residuals=[residuals[j] for j in order])
 
 
 def yiu_triangle_test(d23: float, d13: float, d12: float,

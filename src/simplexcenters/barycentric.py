@@ -293,9 +293,11 @@ class SimplexModel:
             raise Degenerate("vertex coordinates must be finite")
         self.vertices = _readonly(vertices)
         self.n = vertices.shape[1]
-        shifted = vertices - vertices[0]
-        self._exponent = math.frexp(float(np.abs(shifted).max()))[1]
-        local = self._local = _readonly(self._absolute(shifted, -1))
+        # halved, so that no difference of finite coordinates overflows
+        half = 0.5 * vertices - 0.5 * vertices[0]
+        exponent = math.frexp(float(np.abs(half).max()))[1]
+        self._exponent = exponent + 1
+        local = self._local = _readonly(np.ldexp(half, -exponent))
         # symmetric with a zero diagonal bit for bit: |a - b| == |b - a|
         lengths = np.linalg.norm(local[:, None, :] - local[None, :, :], axis=2)
         self._sq_edges = _readonly(lengths ** 2)
@@ -378,9 +380,10 @@ class SimplexModel:
         return self._absolute(np.sqrt(np.clip(base + dp, 0.0, None)))
 
     def _vertex_at(self, dist: np.ndarray) -> int | None:
-        """Nearest vertex if within _REL_EPS * diameter, given the distances."""
+        """Nearest vertex if within _REL_EPS * diameter, given the distances
+        (compared in the frame, where the diameter is finite)."""
         k = int(np.argmin(dist))
-        return k if dist[k] <= _REL_EPS * self.diameter else None
+        return k if self._absolute(dist[k], -1) <= _REL_EPS * self._local_diameter else None
 
     # -- sideplanes -------------------------------------------------------
 

@@ -37,7 +37,7 @@ from .documents import (
     round12,
 )
 from .errors import MaxIterationsExceeded, SimplexError
-from .fermat import METHODS, distance_sum_gradient, fermat_point
+from .fermat import METHODS, _signed_gradient, fermat_point
 from .isogonic import enumerate_isogonic
 from .verify import NumericRow, run_reference_checks
 
@@ -49,20 +49,20 @@ _CENTER_LABELS = {
 }
 
 
-def _center_residual(key: str, point: BarycentricPoint, model) -> float:
-    """Re-validate each center against its defining property."""
-    x = model.bary_to_cart(point)
+def _center_residual(key: str, centers: dict[str, BarycentricPoint], model) -> float:
+    """Re-validate a center against its defining property, in the model's frame."""
+    y = model._local.T @ centers[key].normalized_coords
     if key == "G":
-        return float(np.linalg.norm(x - model.vertices.mean(axis=0)))
+        return float(model._absolute(np.linalg.norm(y - model._local.mean(axis=0))))
     if key == "I":
-        dists = np.abs([model.sideplane(i).signed_distance(x)
-                        for i in range(model.n + 1)])
+        _, normals, offsets = model._affine()
+        dists = np.abs(normals @ y - offsets)
         return float(np.ptp(dists) / dists.mean())
     if key == "K":
-        square = barycentric_square(classical_centers(model)["I"])
-        return float(np.abs(square.normalized_coords - point.normalized_coords).max())
+        square = barycentric_square(centers["I"])
+        return float(np.abs(square.normalized_coords - centers["K"].normalized_coords).max())
     # "O": equidistant from the vertices
-    dv = np.linalg.norm(model.vertices - x[None, :], axis=1)
+    dv = np.linalg.norm(model._local - y, axis=1)
     return float(np.ptp(dv) / dv.mean())
 
 
@@ -79,7 +79,7 @@ def cmd_centers(doc: SimplexDocument, options: dict) -> dict:
     }
     for key in ("G", "I", "K", "O"):
         results["points"][key] = point_payload(
-            centers[key], residual=_center_residual(key, centers[key], model),
+            centers[key], residual=_center_residual(key, centers, model),
             fractions=True)
         results["points"][key]["label"] = _CENTER_LABELS[key]
     return {"command": "centers", "request": {"document": doc.raw, "options": options},
@@ -138,7 +138,8 @@ def cmd_fermat(doc: SimplexDocument, options: dict) -> dict:
 
     point, trace = fermat_point(model, start=start, method=method,
                                 tol=tol, max_iter=max_iter)
-    gradient = distance_sum_gradient(model, model.bary_to_cart(point))
+    gradient, _ = _signed_gradient(model._local, np.ones(model.n + 1),
+                                   model._local.T @ point.normalized_coords)
     results = {
         "dimension": model.n,
         "method": method,

@@ -25,11 +25,11 @@ from .errors import AtVertex, CenterAtVertex, OnSideplane, UnboundedAntipedal
 _COND_LIMIT = 1e14
 
 
-def _squared_radius(radius) -> float:
-    """``float(radius) ** 2``; ``ValueError`` unless the radius is positive and
-    its square finite."""
+def _squared_radius(radius, model: SimplexModel) -> float:
+    """The radius squared in the model's frame; ``ValueError`` unless the
+    radius is positive and that square finite."""
     try:
-        square = float(radius) ** 2
+        square = float(model._absolute(float(radius), -1)) ** 2
     except OverflowError:
         square = math.inf
     if not (radius > 0.0 and math.isfinite(square)):
@@ -87,32 +87,30 @@ def polar_simplex(p, model: SimplexModel, radius: float = 1.0) -> SimplexModel:
     with respect to the result agree with those with respect to the
     original simplex.
     """
-    square = _squared_radius(radius)
+    square = _squared_radius(radius, model)
     pt = as_point(p, model.n)
     if _zero_entries(pt.normalized_coords).any():
         raise OnSideplane("polar simplex needs all coordinates nonzero")
-    x = model.bary_to_cart(pt)
-    feet = model.pedal_feet(x)
-    out = np.empty_like(feet)
-    for i, foot in enumerate(feet):
-        w = foot - x
-        out[i] = x + square * w / (w @ w)
-    return SimplexModel(out, validate=False)
+    y = model._local.T @ pt.normalized_coords
+    w = model._feet(y) - y
+    out = y + square * w / np.einsum("ij,ij->i", w, w)[:, None]
+    return SimplexModel(model._from_frame(out), validate=False)
 
 
 def inversive_image(model: SimplexModel, center, radius: float) -> SimplexModel:
     """Image of the simplex vertices under inversion in a sphere."""
-    square = _squared_radius(radius)
+    square = _squared_radius(radius, model)
     center = np.asarray(center, dtype=float)
     if not np.isfinite(center).all():
         raise ValueError("inversion center must be finite")
-    w = model.vertices - center
-    norm2 = np.array([float(row @ row) for row in w])
-    i = model._vertex_at(np.sqrt(norm2))
+    y = model._to_frame(center)
+    w = model._local - y
+    norm2 = np.einsum("ij,ij->i", w, w)
+    i = model._vertex_at(model._absolute(np.sqrt(norm2)))
     if i is not None:
         raise CenterAtVertex(f"inversion center coincides with vertex {i}")
-    out = center + square * w / norm2[:, None]
-    return SimplexModel(out, validate=False)
+    out = y + square * w / norm2[:, None]
+    return SimplexModel(model._from_frame(out), validate=False)
 
 
 def equiareal_deviation(model: SimplexModel) -> float:

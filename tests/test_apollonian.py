@@ -11,6 +11,7 @@ from simplexcenters import (
     AtVertex,
     BarycentricPoint,
     EdgeLengthTable,
+    Hyperplane,
     NotATriangle,
     ParallelLine,
     SimplexModel,
@@ -143,19 +144,31 @@ class TestIsodynamicPoints:
                       - golden.ISODYNAMIC_TABLE[1]).max() < 1e-8
         assert max(result.residuals) < 1e-8
 
-    def test_builds_only_the_first_proper_sphere(self, five_model, monkeypatch):
-        # with all coordinate magnitudes distinct, the first pair's sphere is
-        # proper and is the only one the axis intersection needs
-        built = []
-
-        def counted(p, i, j, model):
-            built.append((i, j))
-            return apollonian_sphere(p, i, j, model)
-
-        monkeypatch.setattr(apollonian, "apollonian_sphere", counted)
+    def test_builds_no_sphere_and_no_hyperplane(self, five_model, count_calls):
+        # the points come from one linear solve in the frame: neither a
+        # sphere object nor the polar plane of the square is built
+        spheres = count_calls(apollonian, "ApollonianSphere")
+        planes = count_calls(Hyperplane, "__init__")
         result = isodynamic_points(classical_centers(five_model)["I"], five_model)
-        assert built == [(0, 1)]
+        assert spheres == [] and planes == []
         assert len(result.points) == 2
+
+    def test_tangent_family_has_one_point(self):
+        # weights 1/|X - A_i| for X on the circumsphere: the two points merge at X
+        rng = np.random.default_rng(5)
+        for t in range(600):
+            n = 2 + t % 3
+            model = SimplexModel(rng.standard_normal((n + 1, n)))
+            u = rng.standard_normal(n)
+            center, radius = circumcenter_cart(model)
+            if radius > 2 * model.diameter:
+                continue
+            x = center + radius * u / np.linalg.norm(u)
+            result = isodynamic_points(1 / np.linalg.norm(model.vertices - x, axis=1), model)
+            assert len(result.points) == 1
+            assert (np.linalg.norm(model.bary_to_cart(result.points[0]) - x)
+                    <= 1e-6 * model.diameter)
+            assert result.residuals[0] <= 1e-8
 
     def test_gap_tetrahedron_empty(self, gap_model):
         result = isodynamic_points(classical_centers(gap_model)["I"], gap_model)

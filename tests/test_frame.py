@@ -20,13 +20,18 @@ from simplexcenters import (
     circumcenter_cart,
     classical_centers,
     enumerate_isogonic,
+    inversive_image,
     isodynamic_points,
     pedal_equiareal_iteration,
+    pedal_simplex,
+    polar_simplex,
 )
+from simplexcenters import cli, documents
 
 # (scale, offset) pairs whose moved vertices stay in float range
 TRANSFORMS = [(10.0 ** k, offset) for k in range(-300, 301, 50)
               for offset in (0.0, 1e4, 1e8, 1e12) if 10.0 ** k * offset <= 1e308]
+TRANSFORM_IDS = [f"{s:.0e}+{o:.0e}" for s, o in TRANSFORMS]
 
 
 def grid_simplex(n: int) -> np.ndarray:
@@ -70,8 +75,7 @@ def reference(n: int) -> tuple[SimplexModel, dict]:
 
 
 @pytest.mark.parametrize("n", range(2, 7))
-@pytest.mark.parametrize("scale, offset", TRANSFORMS,
-                         ids=[f"{s:.0e}+{o:.0e}" for s, o in TRANSFORMS])
+@pytest.mark.parametrize("scale, offset", TRANSFORMS, ids=TRANSFORM_IDS)
 def test_results_do_not_depend_on_offset_or_scale(n, scale, offset):
     unit, want = reference(n)
     got = results(SimplexModel(scale * (unit.vertices + offset)))
@@ -108,3 +112,55 @@ def test_pedal_map_conversion_and_circumcenter_far_from_the_origin(five_model, o
     (center, radius), (near_center, near_radius) = map(circumcenter_cart, (far, five_model))
     assert np.abs(center - (near_center + offset)).max() <= np.spacing(offset)
     assert radius == pytest.approx(near_radius, rel=1e-15)
+
+
+@pytest.mark.parametrize("scale, offset", TRANSFORMS, ids=TRANSFORM_IDS)
+def test_cli_residuals_are_read_in_the_frame(scale, offset):
+    # each residual keeps its definition; the centroid's is a distance
+    model = SimplexModel(scale * (grid_simplex(3) + offset))
+    doc = documents.parse_document({"vertices": model.vertices.tolist()})
+    centers = cli.cmd_centers(doc, {})["results"]["points"]
+    fermat = cli.cmd_fermat(doc, {})["results"]["point"]
+    assert centers["G"]["residual"] <= 1e-15 * model.diameter
+    assert max(centers[key]["residual"] for key in "IKO") <= 1e-14
+    assert fermat["residual"] <= 1e-14
+
+
+def polar_and_inversive(model: SimplexModel, radius: float) -> tuple:
+    incenter = classical_centers(model)["I"]
+    return (polar_simplex(incenter, model, radius=radius),
+            inversive_image(model, model.bary_to_cart(incenter), radius))
+
+
+@pytest.mark.parametrize("scale, offset", TRANSFORMS, ids=TRANSFORM_IDS)
+def test_polar_and_inversive_figures_do_not_depend_on_offset_or_scale(scale, offset):
+    unit, _ = reference(3)
+    model = SimplexModel(scale * (unit.vertices + offset))
+    tol = 1e-9 + 1e3 * 2.0 ** -52 * offset / unit.diameter
+    for want, got in zip(polar_and_inversive(unit, 1.0), polar_and_inversive(model, scale)):
+        assert not got.degenerate
+        for v, w in zip(got.vertices, want.vertices):
+            assert np.abs(model.cart_to_bary(v).coords - unit.cart_to_bary(w).coords).max() <= tol
+
+
+def test_polar_and_inversive_figures_far_beyond_unit_scale():
+    # |w|^2 would overflow outside the frame; beside this simplex the spheres
+    # are so small that each figure collapses to a point
+    model = SimplexModel(golden.FIVE_VERTICES * 1e200)
+    for figure in (polar_simplex([1, 1, 1, 1], model, radius=1e100),
+                   inversive_image(model, [1e199] * 3, 1e100)):
+        assert figure.degenerate and np.isfinite(figure.vertices).all()
+
+
+def test_vertices_whose_differences_overflow_form_a_frame():
+    # the frame is formed from halved coordinates, so this triangle is
+    # measured, its longest edge reading inf; an infinite diameter does not
+    # put every point at a vertex
+    model = SimplexModel([[-1e308, 0.0], [1e308, 0.0], [0.0, 1e308]])
+    assert model.diameter == math.inf
+    assert np.array_equal(model.facet_volumes[:2], [math.sqrt(2) * 1e308] * 2)
+    incenter = classical_centers(model)["I"].normalized_coords
+    assert np.allclose(incenter, np.array([1, 1, math.sqrt(2)]) / (2 + math.sqrt(2)),
+                       rtol=1e-15, atol=0)
+    feet = pedal_simplex([1, 1, 1], model).vertices / 1e308
+    assert np.allclose(feet, np.array([[1, 2], [-1, 2], [0, 0]]) / 3, rtol=0, atol=1e-15)
