@@ -270,18 +270,20 @@ class SimplexModel:
 
     Edge table, validity and volumes all come from the vertex coordinates;
     an edge-length input is embedded first (see ``embed_from_edge_lengths``).
-    Instances are immutable after construction and safe to share across
-    threads.  Non-finite coordinates raise ``Degenerate``.  One Gram matrix
-    of the edge vectors from vertex 0 gives ``total_volume`` and the one
-    validity test, ``_gram_defect``, whose verdict is kept as ``_defect``.
-    ``validate=True`` raises it (``Degenerate``, coincident vertices
-    included); ``validate=False`` is for figures that may collapse, such
-    as the pedal, antipedal, polar and inversive figures of ``pedal``, and
-    ``degenerate`` then says whether the figure collapsed.  A collapsed
-    figure keeps its volumes but has no affine frame: ``cart_to_bary``,
-    ``sideplane`` and ``pedal_feet`` raise ``Degenerate`` on it.  All of it
-    is computed in the frame of the module docstring: ``_local`` holds the
-    vertices there, and its unit is ``2 ** _exponent``.
+    Instances are immutable, except that the affine frame ``_affine`` is
+    formed on its first read, and safe to share across threads: a first
+    read that races builds equal read-only arrays.  Non-finite coordinates
+    raise ``Degenerate``.  One Gram matrix of the edge vectors from vertex 0
+    gives ``total_volume`` and the one validity test, ``_gram_defect``,
+    whose verdict is kept as ``_defect``.  ``validate=True`` raises it
+    (``Degenerate``, coincident vertices included); ``validate=False`` is
+    for figures that may collapse, such as the pedal, antipedal, polar and
+    inversive figures of ``pedal``, and ``degenerate`` then says whether the
+    figure collapsed.  A collapsed figure keeps its volumes but has no
+    affine frame: ``cart_to_bary``, ``sideplane`` and ``pedal_feet`` raise
+    ``Degenerate`` on it.  All of it is computed in the frame of the module
+    docstring: ``_local`` holds the vertices there, and its unit is
+    ``2 ** _exponent``.
     """
 
     def __init__(self, vertices, *, validate: bool = True):
@@ -314,28 +316,23 @@ class SimplexModel:
         self._facets = _readonly(facet_volumes_of_points(local))
         self.facet_volumes = _readonly(self._absolute(self._facets, self.n - 1))
 
-        if self._defect is None:
-            # inverse of the affine system [local^T; 1 ... 1], which maps
-            # normalized barycentrics to (y, 1): drives cart_to_bary and duals
-            self._affine_inv = _readonly(
-                np.linalg.inv(np.vstack([local.T, np.ones(self.n + 1)])))
-            # unit sideplane normals / frame offsets: row i is the plane x_i = 0
-            grads = self._affine_inv[:, :self.n]
-            offs = -self._affine_inv[:, self.n]
-            norms = np.linalg.norm(grads, axis=1)
-            self._side_normals = _readonly(grads / norms[:, None])
-            self._side_offsets = _readonly(offs / norms)
-
     @property
     def degenerate(self) -> bool:
         """True exactly when ``SimplexModel(vertices)`` raises ``Degenerate``."""
         return self._defect is not None
 
+    @functools.cached_property
     def _affine(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Affine inverse, unit sideplane normals and their frame offsets."""
         if self._defect is not None:
             raise Degenerate("a collapsed simplex has no affine frame")
-        return self._affine_inv, self._side_normals, self._side_offsets
+        # inverse of the affine system [local^T; 1 ... 1], which maps
+        # normalized barycentrics to (y, 1): drives cart_to_bary and duals
+        inv = _readonly(np.linalg.inv(np.vstack([self._local.T, np.ones(self.n + 1)])))
+        # unit sideplane normals / frame offsets: row i is the plane x_i = 0
+        norms = np.linalg.norm(inv[:, :self.n], axis=1)
+        return (inv, _readonly(inv[:, :self.n] / norms[:, None]),
+                _readonly(-inv[:, self.n] / norms))
 
     # -- conversions ------------------------------------------------------
 
@@ -353,7 +350,7 @@ class SimplexModel:
 
     def _coords(self, y: np.ndarray) -> np.ndarray:
         """Barycentric coordinates of a frame point (summing to 1 up to rounding)."""
-        return self._affine()[0] @ np.append(y, 1.0)
+        return self._affine[0] @ np.append(y, 1.0)
 
     def bary_to_cart(self, p) -> np.ndarray:
         return self._from_frame(self._local.T @ as_point(p, self.n).normalized_coords)
@@ -373,11 +370,15 @@ class SimplexModel:
 
     def vertex_distances(self, p) -> np.ndarray:
         """Distances from a point to every vertex, via the edge-length formula."""
+        return self._absolute(self._distances(p))
+
+    def _distances(self, p) -> np.ndarray:
+        """``vertex_distances`` in the frame."""
         p = as_point(p, self.n).normalized_coords
         # -1/2 (p - e_i)^T D (p - e_i) = -1/2 p^T D p + (D p)_i  with D_ii = 0
         dp = self._sq_edges @ p
         base = -0.5 * float(p @ dp)
-        return self._absolute(np.sqrt(np.clip(base + dp, 0.0, None)))
+        return np.sqrt(np.clip(base + dp, 0.0, None))
 
     def _vertex_at(self, dist: np.ndarray) -> int | None:
         """Nearest vertex if within _REL_EPS * diameter, given the distances
@@ -398,7 +399,7 @@ class SimplexModel:
 
     def _feet(self, y: np.ndarray) -> np.ndarray:
         """``pedal_feet`` of a frame point, in the frame."""
-        _, normals, offsets = self._affine()
+        _, normals, offsets = self._affine
         resid = normals @ y - offsets
         return y[None, :] - resid[:, None] * normals
 
@@ -433,7 +434,7 @@ class Hyperplane:
             raise ValueError("hyperplane coefficients must not all vanish")
         if _all_equal(coeffs):
             raise AtInfinity("all-equal coefficients encode the hyperplane at infinity")
-        w = model._affine()[0].T @ coeffs
+        w = model._affine[0].T @ coeffs
         grad, off = w[:-1], w[-1]
         ng = float(np.linalg.norm(grad))
         normal = grad / ng

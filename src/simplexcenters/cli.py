@@ -55,7 +55,7 @@ def _center_residual(key: str, centers: dict[str, BarycentricPoint], model) -> f
     if key == "G":
         return float(model._absolute(np.linalg.norm(y - model._local.mean(axis=0))))
     if key == "I":
-        _, normals, offsets = model._affine()
+        _, normals, offsets = model._affine
         dists = np.abs(normals @ y - offsets)
         return float(np.ptp(dists) / dists.mean())
     if key == "K":
@@ -359,7 +359,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        # strict JSON: a non-finite float becomes the text the plain report prints
+        report = json.loads(json.dumps(report), parse_constant=lambda c: fmt(float(c)))
+        print(json.dumps(report, indent=2, sort_keys=True, allow_nan=False))
     else:
         print(render_report(report))
 

@@ -43,8 +43,8 @@ _HALVINGS = 12
 
 
 def total_distance(p, model: SimplexModel) -> float:
-    """Sum of distances from a point to all vertices."""
-    return float(model.vertex_distances(p).sum())
+    """Sum of distances from a point to all vertices (summed in the frame)."""
+    return float(model._absolute(model._distances(p).sum()))
 
 
 def _signed_gradient(vertices: np.ndarray, sigma: np.ndarray, x: np.ndarray,
@@ -137,12 +137,12 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
     when finite).  A singular J ends the run; so does a line search that
     cannot lower M |g_sigma|, which succeeds if M |g_sigma| <= ``residual``
     there.
-    Returns the barycentric coordinates of the accepted iterates (the start
-    only when it succeeds without a step), the gradient evaluations, and
-    whether the run succeeded.
+    Returns the accepted iterates in the frame (the start only when it
+    succeeds without a step), the gradient evaluations, and whether the run
+    succeeded; ``roots`` are frame points too.
     """
     local = model._local
-    known = np.reshape(roots, (-1, model.n + 1)) @ local if len(roots) else ()
+    known = np.reshape(roots, (-1, model.n))
     d2 = model._local_diameter ** 2
     tol = tol * model._local_diameter
     x = local.T @ coords
@@ -188,7 +188,7 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
             break
         x, g, jac, weight, dlog = y, gy, jy, wy, dy
         path.append(x)
-    return [model._coords(y) for y in path], evaluations, ok
+    return path, evaluations, ok
 
 
 def distance_sum_gradient(model: SimplexModel, x: np.ndarray) -> np.ndarray:
@@ -283,9 +283,9 @@ def fermat_point(model: SimplexModel, start=None, method: str = "q",
         trace.reason = "vertex optimum"
         return vertex, trace
 
-    # each iterate's objective is read off the distances of one call
-    dv = model.vertex_distances(p)
-    trace.objective_values.append(float(dv.sum()))
+    # the start's objective and approach step read the frame distances of one call
+    dv = model._distances(p)
+    trace.objective_values.append(float(model._absolute(dv.sum())))
     if max_iter < 1:
         trace.reason = "out of budget"
         raise MaxIterationsExceeded(
@@ -296,8 +296,8 @@ def fermat_point(model: SimplexModel, start=None, method: str = "q",
     trace.objective_values.append(total_distance(p, model))
     path, trace.gradient_evaluations, converged = _newton(
         model, np.ones(model.n + 1), p.normalized_coords, tol, max_iter - 1)
-    for coords in path:
-        p = BarycentricPoint(coords)
+    for y in path:
+        p = BarycentricPoint(model._coords(y))
         trace.iterates.append(p)
         trace.objective_values.append(total_distance(p, model))
     trace.iterations_used = len(trace.iterates) - 1

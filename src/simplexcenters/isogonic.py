@@ -44,7 +44,6 @@ from .barycentric import (
     SimplexModel,
     _zero_entries,
     as_point,
-    classical_centers,
     facet_volumes_of_points,
 )
 from .errors import (
@@ -56,7 +55,7 @@ from .errors import (
     UnboundedAntipedal,
     ZeroCoordinate,
 )
-from .fermat import SolverTrace, _newton, _pulls, _signed_gradient, fermat_point
+from .fermat import SolverTrace, _newton, _pulls, _signed_gradient
 from .pedal import _antipedal_points, _spread
 
 # consecutive gap increases the map tolerates before it halves its damping
@@ -189,7 +188,7 @@ def _start(seed: BarycentricPoint, model: SimplexModel) -> np.ndarray | None:
 def _run(model: SimplexModel, sigma: np.ndarray, seed: BarycentricPoint,
          roots: list[np.ndarray]) -> tuple[BarycentricPoint | None, SolverTrace]:
     """Newton on g_sigma from the conjugate of ``seed``, deflated against
-    ``roots``: the accepted isogonic point, whose coordinates join
+    ``roots``: the accepted isogonic point, whose frame position joins
     ``roots``, or None, with the trace of the start."""
     trace = SolverTrace(seed=seed, reason="rejected")
     start = _start(seed, model)
@@ -201,15 +200,15 @@ def _run(model: SimplexModel, sigma: np.ndarray, seed: BarycentricPoint,
     if not ok:
         trace.reason = "out of budget" if len(path) == _POLISH_STEPS else "stalled"
         return None, trace
-    signs = np.sign(path[-1])
-    point = BarycentricPoint(path[-1])
+    root = path[-1]
+    point = BarycentricPoint(model._coords(root))
+    signs = np.sign(point.coords)
     if point.is_finite() and np.array_equal(signs * signs[0], sigma * sigma[0]):
-        if np.linalg.norm(model._local.T @ point.normalized_coords) \
-                > _ESCAPE * model._local_diameter:
+        if np.linalg.norm(root) > _ESCAPE * model._local_diameter:
             trace.reason = "escaped"
         elif is_isogonic(point, model)[0]:
             trace.reason = "converged"
-            roots.append(path[-1])
+            roots.append(root)
             return point, trace
     return None, trace
 
@@ -235,27 +234,21 @@ def _sign_classes(m: int) -> list[np.ndarray]:
 def default_seeds(model: SimplexModel) -> list[BarycentricPoint]:
     """A triangle's isodynamic points X(15), X(16), whose conjugates are its
     isogonic points X(13), X(14) (the center alone if equilateral), where
-    defined; otherwise the conjugate of the Fermat point, the one root of
-    the strictly convex all-positive class (the centroid stands in when a
-    vertex is the minimizer or the solver fails), then the centroid's
-    reflection into each one-negative-coordinate orthant.
+    defined; otherwise the centroid and its reflection into each
+    one-negative-coordinate orthant, whose conjugates (the symmedian point
+    and its reflections) start Newton.  The all-positive class is strictly
+    convex: its one root is the Fermat point, unless a vertex is the
+    minimizer and the class is empty.
     """
     if model.n == 2:
         try:
-            found = isodynamic_points(classical_centers(model)["I"], model)
+            found = isodynamic_points(model._facets, model)
         except SimplexError:
             pass
         else:
             return [point for point in found.points
                     if np.abs(point.coords).min() > 1e-9 * np.abs(point.coords).max()]
-    seeds = [BarycentricPoint(sigma) for sigma in _sign_classes(model.n + 1)]
-    try:
-        fermat, trace = fermat_point(model)
-        if not trace.vertex_optimum:
-            seeds[0] = isogonal_conjugate(fermat, model)
-    except SimplexError:
-        pass
-    return seeds
+    return [BarycentricPoint(sigma) for sigma in _sign_classes(model.n + 1)]
 
 
 def _canonical_key(point: BarycentricPoint) -> tuple:
@@ -280,7 +273,7 @@ def _further_seeds(model: SimplexModel, sigma: np.ndarray, roots: list[np.ndarra
 
     def balanced() -> bool:
         return certified and target == sum(
-            np.sign(np.linalg.det(_signed_gradient(local, sigma, local.T @ r)[1]))
+            np.sign(np.linalg.det(_signed_gradient(local, sigma, r)[1]))
             for r in roots)
 
     order = np.argsort(norms, kind="stable")

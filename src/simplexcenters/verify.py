@@ -246,8 +246,9 @@ def _random_simplex(rng: np.random.Generator, n: int) -> SimplexModel:
     while True:
         verts = rng.standard_normal((n + 1, n))
         model = SimplexModel(verts, validate=False)
-        if model.total_volume > 0.01 * model.diameter ** n / math.factorial(n):
-            return SimplexModel(verts)
+        floor = 0.01 * model.diameter ** n / math.factorial(n)
+        if not model.degenerate and model.total_volume > floor:
+            return model
 
 
 def _random_triangle_sides(rng: np.random.Generator,

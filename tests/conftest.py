@@ -74,8 +74,9 @@ def make_random_model(rng: np.random.Generator, n: int) -> SimplexModel:
     while True:
         verts = rng.standard_normal((n + 1, n))
         model = SimplexModel(verts, validate=False)
-        if model.total_volume > 0.01 * model.diameter ** n / math.factorial(n):
-            return SimplexModel(verts)
+        floor = 0.01 * model.diameter ** n / math.factorial(n)
+        if not model.degenerate and model.total_volume > floor:
+            return model
 
 
 def random_nonzero_point(rng: np.random.Generator, n: int) -> np.ndarray:

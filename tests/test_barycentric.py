@@ -23,6 +23,7 @@ from simplexcenters import (
     embed_from_edge_lengths,
     fermat_point,
     pedal_equiareal_iteration,
+    pedal_simplex,
     sigma_polar_plane,
     yiu_triangle_test,
 )
@@ -255,6 +256,19 @@ class TestConversions:
                 back = model.cart_to_bary(model.bary_to_cart(
                     BarycentricPoint(p)))
                 assert np.abs(back.coords - p).max() < 1e-12
+
+    def test_frame_formed_on_first_read(self, count_calls):
+        inverses = count_calls(np.linalg, "inv")
+        model = SimplexModel(golden.FIVE_VERTICES)
+        assert not inverses
+        # the feet read the model's own frame; the figure's volumes need none
+        figure = pedal_simplex([1, 2, 3, 4], model)
+        assert figure.facet_volumes.all()
+        assert len(inverses) == 1
+        figure.cart_to_bary(figure.vertices.mean(axis=0))
+        assert len(inverses) == 2
+        figure.cart_to_bary(figure.vertices[0])
+        assert len(inverses) == 2
 
     def test_table_point_cartesian_image(self, five_model):
         # the affine combination sum_i f_i A_i is the oracle

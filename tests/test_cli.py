@@ -422,9 +422,9 @@ def test_json_reports_gradient_evaluations(doc_path, capsys):
     assert (point["iterations"], point["gradient_evaluations"]) == (5, 4)
     _, out, _ = run_cli(capsys, "isogonic", doc_path(FIVE_DOC), "--json")
     results = json.loads(out)["results"]
-    assert [s["iterations"] for s in results["seed_summary"]] == [1, 8, 6, 5, 6]
-    assert [s["gradient_evaluations"] for s in results["seed_summary"]] == [2, 11, 7, 6, 7]
-    assert [e["gradient_evaluations"] for e in results["entries"]] == [2, 11, 7, 6, 7]
+    assert [s["iterations"] for s in results["seed_summary"]] == [5, 8, 6, 5, 6]
+    assert [s["gradient_evaluations"] for s in results["seed_summary"]] == [6, 11, 7, 6, 7]
+    assert [e["gradient_evaluations"] for e in results["entries"]] == [6, 11, 7, 6, 7]
 
 
 @pytest.mark.usefixtures("cached_reference_checks")
@@ -479,6 +479,22 @@ class TestReportContracts:
         code, out, _ = run_cli(capsys, "centers", "-", "--json")
         assert code == 0
         assert json.loads(out)["results"]["total_volume"] == pytest.approx(48.0)
+
+
+@pytest.mark.parametrize("command, vertices, key, line", [
+    ("centers", [[0, 0], [1e200, 0], [0, 1e200]], "total_volume", "total volume   inf"),
+    ("fermat", [[-1e308, 0], [1e308, 0], [0, 1e308]], "objective", "objective      inf"),
+], ids=["centers", "fermat"])
+def test_json_reports_are_strict(doc_path, capsys, command, vertices, key, line):
+    # a measure beyond float range is written as the plain report's text
+    def refuse(constant):
+        raise ValueError(f"bare {constant} in a JSON report")
+
+    path = doc_path({"vertices": vertices})
+    code, out, _ = run_cli(capsys, command, path, "--json")
+    assert code == 0
+    assert json.loads(out, parse_constant=refuse)["results"][key] == "inf"
+    assert line in run_cli(capsys, command, path)[1].splitlines()
 
 
 def test_module_entry_point():

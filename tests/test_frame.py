@@ -20,6 +20,7 @@ from simplexcenters import (
     circumcenter_cart,
     classical_centers,
     enumerate_isogonic,
+    fermat_point,
     inversive_image,
     isodynamic_points,
     pedal_equiareal_iteration,
@@ -164,3 +165,12 @@ def test_vertices_whose_differences_overflow_form_a_frame():
                        rtol=1e-15, atol=0)
     feet = pedal_simplex([1, 1, 1], model).vertices / 1e308
     assert np.allclose(feet, np.array([[1, 2], [-1, 2], [0, 0]]) / 3, rtol=0, atol=1e-15)
+
+
+def test_fermat_point_whose_distance_sum_overflows():
+    # the distance sum is taken in the frame and scaled back once, so it
+    # reads inf, silently; the minimizer is the unit triangle's
+    point, trace = fermat_point(SimplexModel([[-1e308, 0.0], [1e308, 0.0], [0.0, 1e308]]))
+    unit, _ = fermat_point(SimplexModel([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+    assert np.abs(point.coords - unit.coords).max() <= 1e-12
+    assert trace.converged and trace.objective_values[-1] == math.inf

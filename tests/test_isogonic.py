@@ -195,7 +195,7 @@ class TestEnumerateIsogonic:
                 for t in catalog.traces + catalog.failed_seeds}
         assert len(used) == 5
         assert [used[s.normalized_coords.tobytes()] for s in default_seeds(five_model)] \
-            == [1, 8, 6, 5, 6]
+            == [5, 8, 6, 5, 6]
         assert [fermat_point(five_model, method=m)[1].iterations_used
                 for m in ("q", "r")] == [5, 5]
 
@@ -205,7 +205,7 @@ class TestEnumerateIsogonic:
         used = {t.seed.normalized_coords.tobytes(): t.gradient_evaluations
                 for t in catalog.traces + catalog.failed_seeds}
         assert [used[s.normalized_coords.tobytes()] for s in default_seeds(five_model)] \
-            == [2, 11, 7, 6, 7]
+            == [6, 11, 7, 6, 7]
         assert [fermat_point(five_model, method=m)[1].gradient_evaluations
                 for m in ("q", "r")] == [4, 4]
 
@@ -501,7 +501,7 @@ REASON_PATHS = {
         [[0, 0, 0.1], [1, 0, 0], [-0.5, 0.866, 0], [-0.5, -0.866, 0]]))[1],
     "out of budget": lambda r: _stopped(
         lambda: fermat_point(r.getfixturevalue("five_model"), max_iter=3)),
-    "stalled": lambda r: _catalog_trace(r.getfixturevalue("five_model"), [1, 1, 1, 1]),
+    "stalled": lambda r: _catalog_trace(r.getfixturevalue("five_model"), [1, 2, 3, 4]),
     "escaped": lambda r: _catalog_trace(SimplexModel(FAR_PSEUDO_ROOT),
                                         _far_seed(SimplexModel(FAR_PSEUDO_ROOT))),
     "pedal collapsed": _collapsed,
@@ -530,7 +530,7 @@ class TestTwoNegativeSignClasses:
         path, _, converged = fermat._newton(five_model, sigma, np.array(approx) / sum(approx),
                                             1e-12, 50)
         assert converged
-        bary = path[-1]
+        bary = five_model._coords(path[-1])
         assert np.array_equal(np.sign(bary), sigma)
         x = vertices.T @ bary
         units = (x - vertices) / np.linalg.norm(x - vertices, axis=1)[:, None]
@@ -556,28 +556,25 @@ class TestDefaultSeeds:
         monkeypatch.setattr(isogonic, "isodynamic_points", undefined)
         assert len(default_seeds(gap_triangle)) == 4
 
-    def test_fermat_conjugate_comes_first(self, five_model):
-        fermat, _ = fermat_point(five_model)
-        seeds = default_seeds(five_model)
-        assert np.array_equal(seeds[0].coords,
-                              isogonal_conjugate(fermat, five_model).coords)
-        assert len(seeds) == 5
+    def test_vertex_optimum_keeps_the_centroid(self, five_model):
+        # for n >= 3 the seeds are the centroid and its one-negative
+        # reflections, also where vertex 0 sits just above the center of the
+        # other three, so it minimizes the distance sum
+        optimum = SimplexModel([[0, 0, 0.1], [1, 0, 0], [-0.5, 0.866, 0], [-0.5, -0.866, 0]])
+        expected = [[0.25] * 4] + [[0.5] * k + [-0.5] + [0.5] * (3 - k) for k in range(4)]
+        for model in (five_model, optimum):
+            assert [list(s.coords) for s in default_seeds(model)] == expected
 
-    def test_vertex_optimum_keeps_the_centroid(self):
-        # vertex 0 sits just above the center of the other three, so it
-        # minimizes the distance sum and the all-positive class is empty
-        model = SimplexModel([[0, 0, 0.1], [1, 0, 0], [-0.5, 0.866, 0], [-0.5, -0.866, 0]])
-        assert fermat_point(model)[1].vertex_optimum
-        seeds = default_seeds(model)
-        assert np.array_equal(seeds[0].coords, [0.25] * 4)
-        assert len(seeds) == 5
+    def test_the_catalog_runs_no_fermat_solver(self, five_model, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("the catalog called fermat_point")
 
-    def test_fermat_failure_keeps_the_centroid(self, five_model, monkeypatch):
-        def stalled(model):
-            raise MaxIterationsExceeded("Newton stalled")
-
-        monkeypatch.setattr(isogonic, "fermat_point", stalled)
-        assert np.array_equal(default_seeds(five_model)[0].coords, [0.25] * 4)
+        for owner in (fermat, isogonic):
+            monkeypatch.setattr(owner, "fermat_point", refused, raising=False)
+        catalog = enumerate_isogonic(five_model)
+        assert len(catalog) == 5
+        for point, expected in zip(catalog.isogonic_points, golden.ISOGONIC_TABLE):
+            assert np.abs(point.normalized_coords - expected).max() < 1e-9
 
 
 class TestIsIsogonic:
