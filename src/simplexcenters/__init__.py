@@ -34,7 +34,6 @@ from .barycentric import (
 from .errors import (
     AtInfinity,
     AtVertex,
-    AxisUndefined,
     CenterAtVertex,
     Degenerate,
     DegeneratePedalEncountered,
@@ -84,7 +83,7 @@ __all__ = [
     "barycentric_square", "circumcenter_cart",
     "classical_centers", "embed_from_edge_lengths", "facet_volumes_of_points",
     "sigma_polar_plane",
-    "AtInfinity", "AtVertex", "AxisUndefined", "CenterAtVertex", "Degenerate",
+    "AtInfinity", "AtVertex", "CenterAtVertex", "Degenerate",
     "DegeneratePedalEncountered", "MaxIterationsExceeded", "NotATriangle",
     "NotEmbeddable", "OnSideplane", "ParallelLine", "PointAtInfinity",
     "SimplexError", "UnboundedAntipedal", "ZeroCoordinate",

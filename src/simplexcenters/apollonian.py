@@ -46,7 +46,6 @@ from .barycentric import (
     _vertex_index,
     _zero_entries,
     as_point,
-    circumcenter_cart,
     embed_from_edge_lengths,
     EdgeLengthTable,
 )
@@ -221,7 +220,9 @@ def yiu_triangle_test(d23: float, d13: float, d12: float,
     respect to the triangle with side d23 opposite the first vertex, d13
     the second, d12 the third.  The returned point is the pole of the
     circle-centers line with respect to the circumcircle: the circles have
-    no common point precisely when it falls outside the circumcircle.
+    no common point precisely when it falls outside the circumcircle.  The
+    pole is homogeneous in the sides and the weights: it is computed in the
+    frame of the embedded triangle, and only the distances are scaled back.
     """
     sides = (float(d23), float(d13), float(d12))
     if min(sides) <= 0 or min(a1, a2, a3) <= 0:
@@ -230,25 +231,19 @@ def yiu_triangle_test(d23: float, d13: float, d12: float,
     if s0 >= s1 + s2 or s1 >= s0 + s2 or s2 >= s0 + s1:
         raise NotATriangle(f"lengths {sides} violate the triangle inequality")
 
-    t1 = d23 ** 2 / a1 ** 2
-    t2 = d13 ** 2 / a2 ** 2
-    t3 = d12 ** 2 / a3 ** 2
-    q = np.array([
-        d23 ** 2 * (t1 - t2 - t3),
-        d13 ** 2 * (t2 - t3 - t1),
-        d12 ** 2 * (t3 - t1 - t2),
-    ])
-    point = BarycentricPoint(q)
-
     model = embed_from_edge_lengths(EdgeLengthTable.from_flat(2, [d12, d13, d23]))
-    center, radius = circumcenter_cart(model)
+    squares = model._sq_edges[[1, 0, 0], [2, 2, 1]]   # d23^2, d13^2, d12^2
+    t = squares / BarycentricPoint([a1, a2, a3]).coords ** 2   # weights summing to 1
+    point = BarycentricPoint(squares * (2.0 * t - t.sum()))   # d_i^2 (t_i - t_j - t_k)
+    center, radius = _circumcenter(model)
+    circumradius = float(model._absolute(radius))
     if not point.is_finite():
         # the pole escapes to infinity; certainly outside the circumcircle
         return YiuVerdict(point=point, outside=True,
-                          distance=math.inf, circumradius=radius)
-    dist = math.sqrt(model.squared_distance(point, model.cart_to_bary(center)))
+                          distance=math.inf, circumradius=circumradius)
+    dist = float(np.linalg.norm(model._local.T @ point.normalized_coords - center))
     return YiuVerdict(point=point, outside=dist > radius,
-                      distance=dist, circumradius=radius)
+                      distance=float(model._absolute(dist)), circumradius=circumradius)
 
 
 def collinear_cross_ratio(a, b, c, d) -> float:

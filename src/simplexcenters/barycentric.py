@@ -213,9 +213,17 @@ class BarycentricPoint:
         coords = np.asarray(self.coords, dtype=float)
         if coords.ndim != 1 or coords.size < 2:
             raise ValueError("coordinates must be a vector of length >= 2")
-        total, norm = float(coords.sum()), float(np.abs(coords).sum())
+        try:
+            norm = math.fsum(np.abs(coords).tolist())
+        except OverflowError:
+            # finite magnitudes whose sum is not: an exact power of two brings
+            # the largest finite one into [1/2, 1), and an inf or NaN stays
+            mags = np.abs(coords)
+            coords = np.ldexp(coords, -math.frexp(mags[np.isfinite(mags)].max())[1])
+            norm = math.fsum(np.abs(coords).tolist())
         if not math.isfinite(norm):
             raise ValueError("coordinates must be finite")
+        total = float(coords.sum())
         if norm == 0.0:
             raise ValueError("coordinate vector must not be zero")
         finite = not _zero_sum(total, norm)
@@ -381,10 +389,10 @@ class SimplexModel:
         return np.sqrt(np.clip(base + dp, 0.0, None))
 
     def _vertex_at(self, dist: np.ndarray) -> int | None:
-        """Nearest vertex if within _REL_EPS * diameter, given the distances
-        (compared in the frame, where the diameter is finite)."""
+        """Nearest vertex if within _REL_EPS * diameter, given the frame
+        distances to every vertex (the frame's diameter is finite)."""
         k = int(np.argmin(dist))
-        return k if self._absolute(dist[k], -1) <= _REL_EPS * self._local_diameter else None
+        return k if dist[k] <= _REL_EPS * self._local_diameter else None
 
     # -- sideplanes -------------------------------------------------------
 

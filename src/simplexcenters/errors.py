@@ -29,10 +29,6 @@ class AtInfinity(SimplexError):
     """The requested hyperplane is the hyperplane at infinity."""
 
 
-class AxisUndefined(SimplexError):
-    """The sphere-center axis has no well-defined direction."""
-
-
 class NotATriangle(SimplexError):
     """Three lengths violate the triangle inequality."""
 

@@ -228,7 +228,7 @@ def weiszfeld_step_q(p, model: SimplexModel) -> BarycentricPoint:
     simplex.
     """
     pt = as_point(p, model.n)
-    dv = model.vertex_distances(pt)
+    dv = model._distances(pt)
     if model._vertex_at(dv) is not None:
         raise AtVertex("step is undefined at a vertex (zero distance)")
     return BarycentricPoint(_step(pt.coords, dv, "q"))
@@ -244,7 +244,7 @@ def weiszfeld_step_r(p, model: SimplexModel) -> BarycentricPoint:
     pt = as_point(p, model.n)
     if _zero_entries(pt.normalized_coords).any():
         raise ZeroCoordinate("square-root-free step needs nonzero coordinates")
-    dv = model.vertex_distances(pt)
+    dv = model._distances(pt)
     if model._vertex_at(dv) is not None:
         raise AtVertex("step is undefined at a vertex (zero distance)")
     return BarycentricPoint(_step(pt.coords, dv, "r"))

@@ -233,21 +233,19 @@ def _sign_classes(m: int) -> list[np.ndarray]:
 
 def default_seeds(model: SimplexModel) -> list[BarycentricPoint]:
     """A triangle's isodynamic points X(15), X(16), whose conjugates are its
-    isogonic points X(13), X(14) (the center alone if equilateral), where
-    defined; otherwise the centroid and its reflection into each
-    one-negative-coordinate orthant, whose conjugates (the symmedian point
-    and its reflections) start Newton.  The all-positive class is strictly
-    convex: its one root is the Fermat point, unless a vertex is the
-    minimizer and the class is empty.
+    isogonic points X(13), X(14) (the center alone if equilateral), as found
+    (the catalog rejects one on a side line, whose conjugate is a vertex);
+    otherwise the centroid and its reflection into each one-negative
+    orthant, whose conjugates (the symmedian point and its reflections)
+    start Newton.  The all-positive class is strictly convex: its one root
+    is the Fermat point, unless a vertex is the minimizer and the class is
+    empty.
     """
     if model.n == 2:
         try:
-            found = isodynamic_points(model._facets, model)
+            return isodynamic_points(model._facets, model).points
         except SimplexError:
             pass
-        else:
-            return [point for point in found.points
-                    if np.abs(point.coords).min() > 1e-9 * np.abs(point.coords).max()]
     return [BarycentricPoint(sigma) for sigma in _sign_classes(model.n + 1)]
 
 
@@ -343,7 +341,7 @@ def triad_angle_check(p, model: SimplexModel, tol: float = 1e-7,
     pt = as_point(p, model.n)
     rays = model._local - model._local.T @ pt.normalized_coords
     norms = np.linalg.norm(rays, axis=1)
-    if model._vertex_at(model._absolute(norms)) is not None:
+    if model._vertex_at(norms) is not None:
         raise AtVertex("triad angles are undefined at a vertex")
     units = rays / norms[:, None]
 

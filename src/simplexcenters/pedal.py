@@ -44,17 +44,16 @@ def pedal_simplex(p, model: SimplexModel) -> SimplexModel:
     to the sideplane opposite vertex i.
     """
     pt = as_point(p, model.n)
-    if model._vertex_at(model.vertex_distances(pt)) is not None:
+    if model._vertex_at(model._distances(pt)) is not None:
         raise AtVertex("pedal simplex is undefined at a vertex")
-    x = model.bary_to_cart(pt)
-    feet = model.pedal_feet(x)
-    return SimplexModel(feet, validate=False)
+    feet = model._feet(model._local.T @ pt.normalized_coords)
+    return SimplexModel(model._from_frame(feet), validate=False)
 
 
 def _antipedal_points(p, model: SimplexModel) -> np.ndarray:
     """Vertices of the antipedal simplex, in the model's frame."""
     pt = as_point(p, model.n)
-    if model._vertex_at(model.vertex_distances(pt)) is not None:
+    if model._vertex_at(model._distances(pt)) is not None:
         raise AtVertex("antipedal simplex is undefined at a vertex")
     y = model._local.T @ pt.normalized_coords
     # system i: rows j != i of (y - v_j) . z = (y - v_j) . v_j
@@ -106,7 +105,7 @@ def inversive_image(model: SimplexModel, center, radius: float) -> SimplexModel:
     y = model._to_frame(center)
     w = model._local - y
     norm2 = np.einsum("ij,ij->i", w, w)
-    i = model._vertex_at(model._absolute(np.sqrt(norm2)))
+    i = model._vertex_at(np.sqrt(norm2))
     if i is not None:
         raise CenterAtVertex(f"inversion center coincides with vertex {i}")
     out = y + square * w / norm2[:, None]

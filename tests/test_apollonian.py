@@ -22,6 +22,7 @@ from simplexcenters import (
     collinear_cross_ratio,
     embed_from_edge_lengths,
     isodynamic_points,
+    membership_residual,
     pedal_simplex,
     restrict_to_facet,
     sphere_family,
@@ -143,6 +144,12 @@ class TestIsodynamicPoints:
         assert np.abs(result.points[1].normalized_coords
                       - golden.ISODYNAMIC_TABLE[1]).max() < 1e-8
         assert max(result.residuals) < 1e-8
+
+    def test_membership_residual_at_cartesian_points(self, five_model):
+        incenter = classical_centers(five_model)["I"]
+        for point in isodynamic_points(incenter, five_model).points:
+            x = five_model.bary_to_cart(point)
+            assert membership_residual(incenter, x, five_model) <= 1e-15
 
     def test_builds_no_sphere_and_no_hyperplane(self, five_model, count_calls):
         # the points come from one linear solve in the frame: neither a
@@ -305,6 +312,19 @@ class TestYiuTriangleTest:
             oracle = golden.weighted_circles_meet(model.vertices, weights)
             assert verdict.circles_meet == oracle, (d12, d13, d23, weights)
             checked += 1
+
+    def test_pole_at_infinity_is_outside(self):
+        # these weights make the circle-centers line pass through the
+        # circumcenter, so its pole is a direction
+        verdict = yiu_triangle_test(6, 4, 3, math.sqrt(396 / 851), 1, 1)
+        assert not verdict.point.is_finite()
+        assert verdict.outside and verdict.distance == math.inf
+        assert verdict.circumradius == pytest.approx(216 / math.sqrt(4095), rel=1e-14)
+
+    def test_infinite_weight_rejected(self):
+        # the weights are the coordinates of a point, so they must be finite
+        with pytest.raises(ValueError, match="coordinates must be finite"):
+            yiu_triangle_test(3, 4, 5, math.inf, 1, 1)
 
     def test_invalid_triangle_rejected(self):
         with pytest.raises(NotATriangle):

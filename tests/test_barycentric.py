@@ -60,6 +60,16 @@ class TestEdgeLengthTable:
         with pytest.raises(ValueError):
             EdgeLengthTable.from_flat(3, [1, 1, 1])
 
+    @pytest.mark.parametrize("d, message", [
+        ([[0, 1, 1], [1, 0, 1]], "square matrix of size >= 2"),
+        ([[0.0]], "square matrix of size >= 2"),
+        (np.zeros((3, 3)), "identically zero"),
+        ([[1, 1, 1], [1, 0, 1], [1, 1, 0]], "diagonal must be zero"),
+    ], ids=["non-square", "one-vertex", "all-zero", "nonzero-diagonal"])
+    def test_rejects_malformed_matrix(self, d, message):
+        with pytest.raises(ValueError, match=message):
+            EdgeLengthTable.from_matrix(d)
+
     def test_segment_table_embeds(self):
         # the floor is n >= 1 for edge tables as for vertex models
         model = embed_from_edge_lengths(EdgeLengthTable.from_flat(1, [5.0]))
@@ -437,6 +447,29 @@ class TestBarycentricPoint:
         with pytest.raises(ValueError):
             BarycentricPoint([0.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("coords", [[1.0], [[1.0, 2.0], [3.0, 4.0]]], ids=["short", "matrix"])
+    def test_non_vector_rejected(self, coords):
+        with pytest.raises(ValueError, match="vector of length >= 2"):
+            BarycentricPoint(coords)
+
+    def test_wrong_dimension_rejected(self, five_model):
+        with pytest.raises(ValueError, match="expected 4 coordinates, got 3"):
+            five_model.bary_to_cart([1, 1, 1])
+
+    def test_repr_shows_stored_coordinates(self):
+        assert repr(BarycentricPoint([1, 1, 2])) == "BarycentricPoint([0.25, 0.25, 0.5])"
+
+    def test_magnitudes_that_overflow_only_in_their_sum(self, five_model):
+        # every entry is finite, so the point is scaled by a power of two
+        # before it is summed, silently
+        coords = [1e308, 1e308, -1e308, 1]
+        assert np.array_equal(BarycentricPoint(coords).coords, [1, 1, -1, 1e-308])
+        assert np.array_equal(five_model.bary_to_cart(coords),
+                              five_model.bary_to_cart([1, 1, -1, 1e-308]))
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="coordinates must be finite"):
+                BarycentricPoint([1e308, 1e308, bad])
+
     def test_non_finite_rejected_before_any_solver_runs(self):
         model = SimplexModel([[0, 0], [4, 0], [1, 3]])
         for call in (lambda: fermat_point(model, start=[math.nan, 1, 1]),
@@ -478,6 +511,10 @@ class TestHyperplane:
     def test_all_equal_coeffs_rejected(self, five_model):
         with pytest.raises(AtInfinity):
             Hyperplane.from_bary_coeffs([2.0, 2.0, 2.0, 2.0], five_model)
+
+    def test_zero_coeffs_rejected(self, five_model):
+        with pytest.raises(ValueError, match="must not all vanish"):
+            Hyperplane.from_bary_coeffs([0.0, 0.0, 0.0, 0.0], five_model)
 
     def test_sideplane_accessor(self, five_model):
         for i in range(4):

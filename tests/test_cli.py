@@ -180,6 +180,13 @@ class TestFermatCommand:
                           - golden.ISOGONIC_TABLE[0]).max() < 1e-9
             assert results[method]["point"]["iterations"] > 0
 
+    def test_start_option(self, doc_path, capsys):
+        code, out, _ = run_cli(capsys, "fermat", doc_path(FIVE_DOC),
+                               "--start", "1:2:3:4", "--json")
+        assert code == 0
+        point = json.loads(out)["results"]["point"]["normalized"]
+        assert np.abs(np.array(point) - golden.ISOGONIC_TABLE[0]).max() < 1e-9
+
     def test_obtuse_vertex_flagged(self, doc_path, capsys):
         code, out, _ = run_cli(capsys, "fermat", doc_path(OBTUSE_DOC))
         assert code == 0
@@ -401,6 +408,17 @@ class TestIsogonicCommand:
         # the seed lies on the circumcircle: its conjugate is at infinity
         assert report["warnings"][-1] == (
             "seed rejected: [0.900000000000, 0.500000000000, -0.400000000000]")
+
+    def test_seed_on_a_side_line_warns(self, doc_path, capsys):
+        # one isodynamic point of a triangle with a 120-degree angle lies on a
+        # side line: its conjugate is a vertex
+        doc = {"vertices": [[0, 0], [1, 0], [-0.65, 0.65 * math.sqrt(3)]]}
+        code, out, _ = run_cli(capsys, "isogonic", doc_path(doc), "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["results"]["count"] == 1
+        [warning] = report["warnings"]
+        assert warning.startswith("seed rejected: [")
 
     def test_unconverged_seeds_warn(self, doc_path, capsys):
         code, out, _ = run_cli(capsys, "isogonic", doc_path(FIVE_DOC),

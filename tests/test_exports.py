@@ -1,3 +1,4 @@
+import ast
 import pathlib
 import re
 
@@ -21,3 +22,20 @@ def test_readme_python_blocks_run(capsys):
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_every_exported_error_has_a_raise_site():
+    # an exception class that the library never raises is dead API
+    package = pathlib.Path(simplexcenters.__file__).parent
+    raised = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    errors = {name for name in simplexcenters.__all__
+              if isinstance(obj := getattr(simplexcenters, name), type)
+              and issubclass(obj, simplexcenters.SimplexError)
+              and obj is not simplexcenters.SimplexError}
+    assert errors and errors <= raised, errors - raised

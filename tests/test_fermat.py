@@ -121,6 +121,13 @@ class TestWeiszfeldSteps:
         with pytest.raises(AtVertex):
             weiszfeld_step_q(BarycentricPoint.vertex(1, 3), five_model)
 
+    def test_r_step_rejects_a_vertex_with_nonzero_coordinates(self):
+        # on this thin triangle [1 : 2^-30 : -2^-30] lies 2^-47 from vertex 0,
+        # inside the vertex tolerance, though no coordinate is near zero
+        thin = SimplexModel([[0.0, 0.0], [1.0, 0.0], [1.0, 2.0 ** -17]])
+        with pytest.raises(AtVertex):
+            weiszfeld_step_r([1, 2.0 ** -30, -2.0 ** -30], thin)
+
 
 class TestFermatPoint:
     def test_five_tetrahedron_both_methods(self, five_model):

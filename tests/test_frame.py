@@ -7,7 +7,9 @@ float range read inf or 0.
 """
 
 import functools
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,15 +19,21 @@ import golden
 from simplexcenters import (
     SimplexError,
     SimplexModel,
+    antipedal_simplex,
     circumcenter_cart,
     classical_centers,
     enumerate_isogonic,
     fermat_point,
     inversive_image,
+    is_isogonic,
     isodynamic_points,
     pedal_equiareal_iteration,
     pedal_simplex,
     polar_simplex,
+    triad_angle_check,
+    weiszfeld_step_q,
+    weiszfeld_step_r,
+    yiu_triangle_test,
 )
 from simplexcenters import cli, documents
 
@@ -62,6 +70,8 @@ def results(model: SimplexModel) -> dict:
         "isodynamic": attempt(
             lambda: isodynamic_points(classical_centers(model)["I"], model).points),
         "centers": attempt(lambda: classical_centers(model).values()),
+        "weiszfeld steps": attempt(lambda: [step(np.ones(model.n + 1), model)
+                                            for step in (weiszfeld_step_q, weiszfeld_step_r)]),
         # from the first catalog conjugate, a fixed point of the map
         "pedal map": conjugates if isinstance(conjugates, type) else attempt(
             lambda: [pedal_equiareal_iteration(c, model)[0] for c in conjugates[:1]]),
@@ -174,3 +184,62 @@ def test_fermat_point_whose_distance_sum_overflows():
     unit, _ = fermat_point(SimplexModel([[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     assert np.abs(point.coords - unit.coords).max() <= 1e-12
     assert trace.converged and trace.objective_values[-1] == math.inf
+
+
+@pytest.mark.parametrize("vertices, unit", [
+    ([[-1e308, 0.0], [1e308, 0.0], [0.0, 1e308]], [[-1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+    ([[0.0, 0.0], [4e-300, 0.0], [1e-300, 3e-300]], [[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]]),
+    ([[0.0, 0.0], [4e-310, 0.0], [1e-310, 3e-310]], [[0.0, 0.0], [4.0, 0.0], [1.0, 3.0]]),
+], ids=["1e308", "1e-300", "1e-310"])
+@pytest.mark.parametrize("step, start", [(weiszfeld_step_q, [3, -1, -1]),
+                                         (weiszfeld_step_r, [1, 1, 1])], ids=["q", "r"])
+def test_weiszfeld_steps_read_frame_distances(vertices, unit, step, start):
+    # squared or reciprocal absolute distances would leave float range here
+    got = step(start, SimplexModel(vertices)).coords
+    assert np.abs(got - step(start, SimplexModel(unit)).coords).max() <= 1e-12
+
+
+@pytest.mark.parametrize("k", range(-300, 301, 50))
+def test_circle_criterion_does_not_depend_on_scale(k):
+    # the pole is homogeneous in the sides: only distance and circumradius scale
+    s = 10.0 ** k
+    want = yiu_triangle_test(5, 3.1623, 4, 1, 2, 3)
+    got = yiu_triangle_test(5 * s, 3.1623 * s, 4 * s, 1, 2, 3)
+    assert got.outside == want.outside
+    assert np.abs(got.point.normalized_coords - want.point.normalized_coords).max() <= 1e-12
+    assert got.distance / s == pytest.approx(want.distance, rel=1e-12)
+    assert got.circumradius / s == pytest.approx(want.circumradius, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e-100], ids=["1e100", "1e-100"])
+def test_gap_tetrahedron_witness_at_any_scale(scale, tmp_path, capsys):
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps({"edge_lengths": {
+        "dimension": 3, "values": [scale * v for v in golden.GAP_EDGES]}}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["isodynamic", str(path), "--json"])
+    assert (code, caught) == (0, [])
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["verdict"] == "none exist"
+    witness = results["witness"]
+    assert witness["outside_circumcircle"] is True
+    assert np.abs(np.array(witness["normalized"]) - golden.GAP_WITNESS).max() <= 1e-12
+
+
+def test_private_kernels_read_no_absolute_units(five_model, count_calls):
+    # the absolute-unit entry points of a model are for callers only
+    calls = [count_calls(SimplexModel, name) for name in (
+        "vertex_distances", "bary_to_cart", "cart_to_bary", "pedal_feet",
+        "squared_distance")]
+    point = [1, 2, 3, 4]
+    weiszfeld_step_q(point, five_model)
+    weiszfeld_step_r(point, five_model)
+    pedal_simplex(point, five_model)
+    antipedal_simplex(point, five_model)
+    is_isogonic(point, five_model)
+    triad_angle_check(point, five_model)
+    inversive_image(five_model, [1.0, 1.0, 1.0], 1.0)
+    enumerate_isogonic(five_model)
+    yiu_triangle_test(12, 11, 13, *golden.GAP_FACET_AREAS[:3])
+    assert calls == [[]] * 5

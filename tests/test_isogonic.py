@@ -9,8 +9,8 @@ from conftest import make_random_model, random_nonzero_point
 
 from simplexcenters import (
     REASONS,
-    AxisUndefined,
     BarycentricPoint,
+    Degenerate,
     DegeneratePedalEncountered,
     EdgeLengthTable,
     MaxIterationsExceeded,
@@ -186,6 +186,14 @@ class TestEnumerateIsogonic:
                        / golden.PEDAL_AREA_TABLE[k] - 1) < 1e-6
             assert abs(catalog.antipedal_areas[k]
                        / golden.ANTIPEDAL_AREA_TABLE[k] - 1) < 1e-6
+
+    def test_segment_stalls_on_a_singular_jacobian(self):
+        # on a line the Jacobian of g_sigma vanishes: the all-positive start
+        # stops at once, and the one-negative seeds have no finite conjugate
+        catalog = enumerate_isogonic(SimplexModel([[0.0], [1.0]]))
+        assert len(catalog) == 0
+        assert [(t.reason, t.iterations_used) for t in catalog.failed_seeds] == [
+            ("stalled", 0), ("rejected", 0), ("rejected", 0)]
 
     def test_benchmark_anchor_iteration_counts(self, five_model):
         # the per-seed Newton steps and Fermat iteration counts of the
@@ -551,10 +559,22 @@ class TestDefaultSeeds:
 
     def test_geometric_errors_leave_orthant_seeds(self, gap_triangle, monkeypatch):
         def undefined(p, model):
-            raise AxisUndefined("no axis")
+            raise Degenerate("no axis")
 
         monkeypatch.setattr(isogonic, "isodynamic_points", undefined)
         assert len(default_seeds(gap_triangle)) == 4
+
+    def test_seed_on_a_side_line_is_rejected(self):
+        # with a 120-degree angle one isodynamic point lies on a side line, so
+        # its conjugate is a vertex: the catalog records it as a rejected start
+        angle = math.radians(120)
+        model = SimplexModel([[0, 0], [1, 0], [1.3 * math.cos(angle), 1.3 * math.sin(angle)]])
+        seeds = default_seeds(model)
+        catalog = enumerate_isogonic(model)
+        assert (len(seeds), len(catalog)) == (2, 1)
+        [trace] = catalog.failed_seeds
+        assert trace.reason == "rejected"
+        assert np.array_equal(trace.seed.coords, seeds[0].coords)
 
     def test_vertex_optimum_keeps_the_centroid(self, five_model):
         # for n >= 3 the seeds are the centroid and its one-negative

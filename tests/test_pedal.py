@@ -349,6 +349,10 @@ class TestEquiarealDeviation:
     def test_regular_simplex_zero(self, regular_tetrahedron):
         assert equiareal_deviation(regular_tetrahedron) == 0.0
 
+    def test_vanishing_facets_read_inf(self):
+        point = SimplexModel([[0, 0], [0, 0], [0, 0]], validate=False)
+        assert equiareal_deviation(point) == math.inf
+
     def test_pedal_of_table_point_small(self, five_model):
         result = pedal_simplex(
             BarycentricPoint(golden.CONJUGATE_TABLE[0]), five_model)
