@@ -14,7 +14,6 @@ from .apollonian import (
     apollonian_sphere,
     collinear_cross_ratio,
     isodynamic_points,
-    membership_residual,
     restrict_to_facet,
     sphere_family,
     yiu_triangle_test,
@@ -22,21 +21,17 @@ from .apollonian import (
 from .barycentric import (
     BarycentricPoint,
     EdgeLengthTable,
-    Hyperplane,
     SimplexModel,
     barycentric_square,
     circumcenter_cart,
     classical_centers,
     embed_from_edge_lengths,
     facet_volumes_of_points,
-    sigma_polar_plane,
 )
 from .errors import (
-    AtInfinity,
     AtVertex,
     CenterAtVertex,
     Degenerate,
-    DegeneratePedalEncountered,
     MaxIterationsExceeded,
     NotATriangle,
     NotEmbeddable,
@@ -62,7 +57,6 @@ from .isogonic import (
     enumerate_isogonic,
     is_isogonic,
     isogonal_conjugate,
-    pedal_equiareal_iteration,
     triad_angle_check,
 )
 from .pedal import (
@@ -77,20 +71,18 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ApollonianSphere", "IsodynamicResult", "YiuVerdict", "apollonian_sphere",
-    "collinear_cross_ratio", "isodynamic_points", "membership_residual",
-    "restrict_to_facet", "sphere_family", "yiu_triangle_test",
-    "BarycentricPoint", "EdgeLengthTable", "Hyperplane", "SimplexModel",
-    "barycentric_square", "circumcenter_cart",
-    "classical_centers", "embed_from_edge_lengths", "facet_volumes_of_points",
-    "sigma_polar_plane",
-    "AtInfinity", "AtVertex", "CenterAtVertex", "Degenerate",
-    "DegeneratePedalEncountered", "MaxIterationsExceeded", "NotATriangle",
-    "NotEmbeddable", "OnSideplane", "ParallelLine", "PointAtInfinity",
-    "SimplexError", "UnboundedAntipedal", "ZeroCoordinate",
+    "collinear_cross_ratio", "isodynamic_points", "restrict_to_facet",
+    "sphere_family", "yiu_triangle_test",
+    "BarycentricPoint", "EdgeLengthTable", "SimplexModel", "barycentric_square",
+    "circumcenter_cart", "classical_centers", "embed_from_edge_lengths",
+    "facet_volumes_of_points",
+    "AtVertex", "CenterAtVertex", "Degenerate", "MaxIterationsExceeded",
+    "NotATriangle", "NotEmbeddable", "OnSideplane", "ParallelLine",
+    "PointAtInfinity", "SimplexError", "UnboundedAntipedal", "ZeroCoordinate",
     "REASONS", "SolverTrace", "fermat_point", "total_distance",
     "weiszfeld_step_q", "weiszfeld_step_r", "z_correspondent",
     "IsogonicCatalog", "default_seeds", "enumerate_isogonic", "is_isogonic",
-    "isogonal_conjugate", "pedal_equiareal_iteration", "triad_angle_check",
+    "isogonal_conjugate", "triad_angle_check",
     "antipedal_simplex", "equiareal_deviation", "inversive_image",
     "pedal_simplex", "polar_simplex",
     "__version__",

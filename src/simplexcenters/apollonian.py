@@ -52,6 +52,7 @@ from .barycentric import (
 from .errors import (
     AtVertex,
     NotATriangle,
+    NotEmbeddable,
     ParallelLine,
     ZeroCoordinate,
 )
@@ -151,16 +152,10 @@ def sphere_family(p, model: SimplexModel) -> list[ApollonianSphere]:
             for i, j in itertools.combinations(range(model.n + 1), 2)]
 
 
-def membership_residual(p, x: np.ndarray, model: SimplexModel) -> float:
-    """Worst relative violation of the distance-ratio conditions at x.
-
-    Zero exactly on the common locus d(A_i, x) |p_i| = d(A_j, x) |p_j|.
-    """
-    return _frame_residual(p, model._to_frame(x), model)
-
-
 def _frame_residual(p, y: np.ndarray, model: SimplexModel) -> float:
-    """``membership_residual`` at a point of the model's frame."""
+    """Worst relative violation of the distance-ratio conditions at a point
+    of the model's frame: zero exactly on the common locus
+    d(A_i, y) |p_i| = d(A_j, y) |p_j|."""
     w = np.linalg.norm(model._local - y, axis=1) * np.abs(as_point(p, model.n).coords)
     hi = w.max()
     return float((hi - w.min()) / hi) if hi > 0 else 0.0
@@ -233,7 +228,9 @@ def yiu_triangle_test(d23: float, d13: float, d12: float,
 
     model = embed_from_edge_lengths(EdgeLengthTable.from_flat(2, [d12, d13, d23]))
     squares = model._sq_edges[[1, 0, 0], [2, 2, 1]]   # d23^2, d13^2, d12^2
-    t = squares / BarycentricPoint([a1, a2, a3]).coords ** 2   # weights summing to 1
+    weights = BarycentricPoint([a1, a2, a3]).coords
+    # the reciprocal weights over their largest, squared: no square overflows
+    t = squares * (weights.min() / weights) ** 2
     point = BarycentricPoint(squares * (2.0 * t - t.sum()))   # d_i^2 (t_i - t_j - t_k)
     center, radius = _circumcenter(model)
     circumradius = float(model._absolute(radius))
@@ -280,5 +277,7 @@ def restrict_to_facet(p, model: SimplexModel,
     if not hit.is_finite():
         raise ParallelLine("line through the opposite vertex misses the facet")
     keep = [j for j in range(model.n + 1) if j != i]
+    if not np.isfinite(model.edges.d[np.ix_(keep, keep)]).all():
+        raise NotEmbeddable(f"facet {i} has an edge beyond float range and no embedding")
     facet_model = embed_from_edge_lengths(model.edges.subtable(keep))
     return facet_model, hit

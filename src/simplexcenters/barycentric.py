@@ -2,15 +2,16 @@
 
 A simplex is described either by vertex coordinates or by its table of
 pairwise edge lengths, which is embedded first; every model is measured
-from its vertices.  Distances between barycentric points are evaluated
-from the model's edge lengths, so all metric quantities are available
-without ever leaving barycentric coordinates:
+from its vertices.  Distances from a barycentric point to the vertices
+are evaluated from the model's edge lengths, without leaving barycentric
+coordinates:
 
-    d^2(P, Q) = - sum_{i<j} d_ij^2 (p_i - q_i)(p_j - q_j)
+    d^2(P, A_k) = - sum_{i<j} d_ij^2 (p_i - e_ki)(p_j - e_kj)
 
-for normalized coordinate vectors p, q.  A point has one form,
-``BarycentricPoint(coords)``: a finite point is stored normalized, so its
-``coords`` are the p above; a direction (coordinate sum zero) is kept as given.
+for a normalized coordinate vector p, with e_k the k-th unit vector.  A
+point has one form, ``BarycentricPoint(coords)``: a finite point is stored
+normalized, so its ``coords`` are the p above; a direction (coordinate sum
+zero) is kept as given.
 
 Near-zero policy: one tolerance, eps = 1e-13 relative to each input's own
 scale, decides where a construction stops being defined, in four predicates:
@@ -23,7 +24,7 @@ volume comes from the Gram matrix that its validity test reads.
 Frame policy: a model computes in one frame, vertex 0 at the origin, scaled
 by the power of two that brings the largest coordinate difference into
 [1/2, 1).  Everything barycentric or relative (Gram test, edges, volumes,
-conversions, feet, planes, circumcenter, and the solvers elsewhere) reads
+conversions, feet, circumcenter, and the solvers elsewhere) reads
 the frame, so it does not depend on where the simplex sits or on its size.
 Cartesian outputs and absolute measures are scaled back once, by
 ``SimplexModel._absolute``; one beyond float range reads inf or 0.
@@ -39,13 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    AtInfinity,
-    Degenerate,
-    NotEmbeddable,
-    OnSideplane,
-    PointAtInfinity,
-)
+from .errors import Degenerate, NotEmbeddable, PointAtInfinity
 
 # The near-zero tolerance eps: two orders above double epsilon.
 _REL_EPS = 1e-13
@@ -90,7 +85,7 @@ def facet_volumes_of_points(points: np.ndarray) -> np.ndarray:
     """(k-1)-volumes of all facets of the simplex on the given points.
 
     Entry i is the volume of the facet obtained by dropping point i.
-    Vectorized so the pedal iteration can call it in a tight loop.
+    Vectorized over the facets, for the figures of the isogonic catalog.
     """
     points = np.asarray(points, float)
     m = points.shape[0]
@@ -152,7 +147,7 @@ class EdgeLengthTable:
         off = d[~np.eye(n + 1, dtype=bool)]
         if off.min() <= 0.0:
             raise ValueError("off-diagonal edge lengths must be positive")
-        sym = 0.5 * (d + d.T)
+        sym = d + 0.5 * (d.T - d)   # d + d.T may overflow; exact if symmetric
         np.fill_diagonal(sym, 0.0)
         return cls(n=n, d=_readonly(sym))
 
@@ -169,10 +164,6 @@ class EdgeLengthTable:
         for (i, j), v in zip(pairs, values):
             d[i, j] = d[j, i] = float(v)
         return cls.from_matrix(d)
-
-    def flat(self) -> list[float]:
-        return [float(self.d[i, j])
-                for i, j in itertools.combinations(range(self.n + 1), 2)]
 
     def subtable(self, keep) -> "EdgeLengthTable":
         keep = list(keep)
@@ -288,7 +279,7 @@ class SimplexModel:
     for figures that may collapse, such as the pedal, antipedal, polar and
     inversive figures of ``pedal``, and ``degenerate`` then says whether the
     figure collapsed.  A collapsed figure keeps its volumes but has no
-    affine frame: ``cart_to_bary``, ``sideplane`` and ``pedal_feet`` raise
+    affine frame: ``cart_to_bary`` and ``pedal_feet`` raise
     ``Degenerate`` on it.  All of it is computed in the frame of the module
     docstring: ``_local`` holds the vertices there, and its unit is
     ``2 ** _exponent``.
@@ -335,7 +326,7 @@ class SimplexModel:
         if self._defect is not None:
             raise Degenerate("a collapsed simplex has no affine frame")
         # inverse of the affine system [local^T; 1 ... 1], which maps
-        # normalized barycentrics to (y, 1): drives cart_to_bary and duals
+        # normalized barycentrics to (y, 1): drives cart_to_bary and the feet
         inv = _readonly(np.linalg.inv(np.vstack([self._local.T, np.ones(self.n + 1)])))
         # unit sideplane normals / frame offsets: row i is the plane x_i = 0
         norms = np.linalg.norm(inv[:, :self.n], axis=1)
@@ -369,13 +360,6 @@ class SimplexModel:
 
     # -- metric -----------------------------------------------------------
 
-    def squared_distance(self, p, q) -> float:
-        p = as_point(p, self.n).normalized_coords
-        q = as_point(q, self.n).normalized_coords
-        delta = p - q
-        square = max(float(-0.5 * delta @ self._sq_edges @ delta), 0.0)
-        return float(self._absolute(square, 2))
-
     def vertex_distances(self, p) -> np.ndarray:
         """Distances from a point to every vertex, via the edge-length formula."""
         return self._absolute(self._distances(p))
@@ -394,13 +378,6 @@ class SimplexModel:
         k = int(np.argmin(dist))
         return k if dist[k] <= _REL_EPS * self._local_diameter else None
 
-    # -- sideplanes -------------------------------------------------------
-
-    def sideplane(self, i: int) -> "Hyperplane":
-        coeffs = np.zeros(self.n + 1)
-        coeffs[i] = 1.0
-        return Hyperplane.from_bary_coeffs(coeffs, self)
-
     def pedal_feet(self, x: np.ndarray) -> np.ndarray:
         """Orthogonal projections of a Cartesian point onto all sideplanes."""
         return self._from_frame(self._feet(self._to_frame(x)))
@@ -413,44 +390,6 @@ class SimplexModel:
 
     def __repr__(self):
         return f"SimplexModel(n={self.n}, volume={self.total_volume:.6g})"
-
-
-# ---------------------------------------------------------------------------
-# hyperplanes
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Hyperplane:
-    """A hyperplane held in barycentric and Cartesian form simultaneously.
-
-    Barycentric: {x normalized | sum_i bary_coeffs[i] * x_i = 0}.
-    Cartesian:   {X | cart_normal . X = cart_offset} with unit normal.
-    """
-
-    bary_coeffs: np.ndarray
-    cart_normal: np.ndarray
-    cart_offset: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "bary_coeffs", _readonly(self.bary_coeffs))
-        object.__setattr__(self, "cart_normal", _readonly(self.cart_normal))
-
-    @classmethod
-    def from_bary_coeffs(cls, coeffs, model: SimplexModel) -> "Hyperplane":
-        coeffs = np.asarray(coeffs, dtype=float)
-        if not coeffs.any():
-            raise ValueError("hyperplane coefficients must not all vanish")
-        if _all_equal(coeffs):
-            raise AtInfinity("all-equal coefficients encode the hyperplane at infinity")
-        w = model._affine[0].T @ coeffs
-        grad, off = w[:-1], w[-1]
-        ng = float(np.linalg.norm(grad))
-        normal = grad / ng
-        return cls(bary_coeffs=coeffs, cart_normal=normal,
-                   cart_offset=float(normal @ model.vertices[0] + model._absolute(-off / ng)))
-
-    def signed_distance(self, x) -> float:
-        return float(self.cart_normal @ np.asarray(x, float) - self.cart_offset)
 
 
 # ---------------------------------------------------------------------------
@@ -514,14 +453,3 @@ def classical_centers(model: SimplexModel) -> dict[str, BarycentricPoint]:
         "O": BarycentricPoint(model._coords(_circumcenter(model)[0])),
     }
 
-
-def sigma_polar_plane(p, model: SimplexModel) -> Hyperplane:
-    """Polar hyperplane of a point with respect to the simplex.
-
-    For P = [p_1 : ... : p_{n+1}] this is {x | sum_i x_i / p_i = 0}; it
-    meets the line through vertices i and j at [-p_i : p_j] (slots i, j).
-    """
-    coords = as_point(p, model.n).coords
-    if _zero_entries(coords).any():
-        raise OnSideplane("polar hyperplane requires all coordinates nonzero")
-    return Hyperplane.from_bary_coeffs(1.0 / coords, model)

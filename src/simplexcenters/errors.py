@@ -25,10 +25,6 @@ class OnSideplane(ZeroCoordinate):
     """The point lies on a sideplane (some coordinate is zero)."""
 
 
-class AtInfinity(SimplexError):
-    """The requested hyperplane is the hyperplane at infinity."""
-
-
 class NotATriangle(SimplexError):
     """Three lengths violate the triangle inequality."""
 
@@ -60,7 +56,3 @@ class SolverStopped(SimplexError):
 
 class MaxIterationsExceeded(SolverStopped):
     """An iteration did not converge within its budget, stalled or escaped."""
-
-
-class DegeneratePedalEncountered(SolverStopped):
-    """The pedal iteration reached a point whose pedal simplex collapsed."""

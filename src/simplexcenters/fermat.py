@@ -73,29 +73,29 @@ def _pulls(model: SimplexModel, sigma: np.ndarray) -> np.ndarray:
     return (sigma[:, None] * (local[:, None] - local[None]) / lengths[..., None]).sum(axis=1)
 
 
-# why a solver run stopped: only the first two give an answer, and the last
-# ends a catalog start whose root was refused
+# why a solver run stopped: only the first two give an answer, "escaped" and
+# "rejected" end a catalog start whose root lies too far out or was refused
 REASONS = ("converged", "vertex optimum", "out of budget", "stalled",
-           "escaped", "pedal collapsed", "rejected")
+           "escaped", "rejected")
 
 
 @dataclass
 class SolverTrace:
-    """One run of :func:`fermat_point`, of a catalog start, or of the map.
+    """One run of :func:`fermat_point` or of a catalog start.
 
     ``reason`` is one of :data:`REASONS`, empty while the run goes on.
     ``iterations_used`` counts Newton steps (plus the Fermat solver's
-    approach step) or map steps; ``gradient_evaluations`` counts evaluations
-    of g_sigma, line-search trials included.  Only the map sets ``final_gap``
-    and ``damping_used``; only the Fermat solver records ``iterates`` (from
-    ``seed`` on) and their distance sums.
+    approach step); ``gradient_evaluations`` counts evaluations of g_sigma,
+    line-search trials included.  Only the Fermat solver records
+    ``iterates`` (from ``seed`` on) and their distance sums.
+    ``damping_used`` always reads 1.0; it stays because the benchmark's
+    ``isogonic-catalog`` statistics read it from every trace.
     """
 
     seed: BarycentricPoint
     reason: str = ""
     iterations_used: int = 0
     gradient_evaluations: int = 0
-    final_gap: float = math.inf
     damping_used: float = 1.0
     iterates: list[BarycentricPoint] = field(default_factory=list)
     objective_values: list[float] = field(default_factory=list)

@@ -4,9 +4,8 @@ A point F is isogonic when its antipedal simplex is equiareal, that is,
 when it is a root of g_sigma(x) = sum_i sigma_i u_i, with sigma the sign
 pattern of F and u_i the unit vector from vertex i: the facet normals of
 the antipedal simplex are the +-u_i, and Minkowski's relation weighs them
-by the facet volumes.  The conjugate of F has an equiareal pedal simplex,
-a fixed point of the paper's displacement iteration
-(:func:`pedal_equiareal_iteration`).
+by the facet volumes.  The conjugate of F has an equiareal pedal simplex;
+the catalog reports both points with their facet volumes.
 
 The catalog finds the roots with the Newton kernel of
 :mod:`simplexcenters.fermat`, one sign class {sigma, -sigma} at a time,
@@ -48,8 +47,6 @@ from .barycentric import (
 )
 from .errors import (
     AtVertex,
-    DegeneratePedalEncountered,
-    MaxIterationsExceeded,
     PointAtInfinity,
     SimplexError,
     UnboundedAntipedal,
@@ -58,12 +55,7 @@ from .errors import (
 from .fermat import SolverTrace, _newton, _pulls, _signed_gradient
 from .pedal import _antipedal_points, _spread
 
-# consecutive gap increases the map tolerates before it halves its damping
-_OSCILLATION_LIMIT = 5
-# damping below which the map has stalled (after 10 halvings)
-_MIN_DAMPING = 1e-3
-# distance from vertex 0, in diameters, past which an iterate of the map or
-# a root has escaped
+# distance from vertex 0, in diameters, past which a root has escaped
 _ESCAPE = 1e6
 
 # Newton steps per catalog start, the step (relative to the diameter) that
@@ -114,67 +106,6 @@ def isogonal_conjugate(p, model: SimplexModel) -> BarycentricPoint:
     if _zero_entries(coords).any():
         raise ZeroCoordinate("isogonal conjugate needs all coordinates nonzero")
     return BarycentricPoint(model._facets ** 2 / coords)
-
-
-def pedal_equiareal_iteration(p0, model: SimplexModel, tol: float = 1e-13,
-                              max_iter: int = 20000) -> tuple[BarycentricPoint, SolverTrace]:
-    """Drive a point until its pedal simplex becomes equiareal.
-
-    Each step adds the displacement (pedal centroid - pedal incenter),
-    damped by a factor halved after five consecutive gap increases; the run
-    converges once the displacement is below ``tol * diameter``.  It raises,
-    with the trace attached, when the figure collapses, the damping falls
-    below 1e-3, an iterate escapes or ``max_iter`` steps end.
-    """
-    pt = as_point(p0, model.n)
-    trace = SolverTrace(seed=pt)
-    y = model._local.T @ pt.normalized_coords   # in the model's frame
-    gap_limit = tol * model._local_diameter
-    escape_limit = _ESCAPE * model._local_diameter
-    damping = 1.0
-    prev_gap = None
-    increases = 0
-
-    for it in range(1, max_iter + 1):
-        feet = model._feet(y)
-        vols = facet_volumes_of_points(feet)
-        total = float(vols.sum())
-        if not np.isfinite(total) or total <= 0.0:
-            trace.reason = "pedal collapsed"
-            raise DegeneratePedalEncountered(
-                "pedal simplex collapsed during iteration", trace=trace)
-        centroid = feet.mean(axis=0)
-        incenter = (vols[:, None] * feet).sum(axis=0) / total
-        gap = float(np.linalg.norm(centroid - incenter))
-        trace.iterations_used = it
-        trace.final_gap = float(model._absolute(gap))
-        if gap < gap_limit:
-            trace.reason = "converged"
-            return BarycentricPoint(model._coords(y)), trace
-        if prev_gap is not None and gap > prev_gap:
-            increases += 1
-            if increases >= _OSCILLATION_LIMIT:
-                damping *= 0.5
-                trace.damping_used = damping
-                increases = 0
-                if damping < _MIN_DAMPING:
-                    # damping collapsed without the gap closing: divergent
-                    trace.reason = "stalled"
-                    raise MaxIterationsExceeded(
-                        f"iteration stalled after {it} iterations "
-                        f"(gap {gap:.3e})", trace=trace)
-        else:
-            increases = 0
-        prev_gap = gap
-        y = y + damping * (centroid - incenter)
-        if not np.linalg.norm(y) <= escape_limit:   # or not finite
-            trace.reason = "escaped"
-            raise MaxIterationsExceeded(
-                f"iterate escaped after {it} iterations", trace=trace)
-
-    trace.reason = "out of budget"
-    raise MaxIterationsExceeded(
-        f"no convergence within {max_iter} iterations", trace=trace)
 
 
 def _start(seed: BarycentricPoint, model: SimplexModel) -> np.ndarray | None:

@@ -33,7 +33,14 @@ from .barycentric import (
     embed_from_edge_lengths,
 )
 from .documents import parse_document
-from .fermat import distance_sum_gradient, fermat_point, total_distance, z_correspondent
+from .fermat import (
+    distance_sum_gradient,
+    fermat_point,
+    total_distance,
+    weiszfeld_step_q,
+    weiszfeld_step_r,
+    z_correspondent,
+)
 from .isogonic import enumerate_isogonic, isogonal_conjugate
 from .pedal import antipedal_simplex, pedal_simplex, polar_simplex
 
@@ -235,6 +242,10 @@ def five_isogonic_checks() -> list[CheckRow | NumericRow]:
             f"five: distance-sum minimizer via method {method} "
             f"({trace.iterations_used} iterations)",
             _coord_error(point, ISOGONIC_TABLE[0]), 1e-9))
+    rows.append(NumericRow(
+        "five: Weiszfeld steps q and r fix the distance-sum minimizer",
+        max(_coord_error(step(point, model), point.normalized_coords)
+            for step in (weiszfeld_step_q, weiszfeld_step_r)), 1e-12))
     return rows
 
 
@@ -422,6 +433,7 @@ def invariant_suite_checks() -> list[CheckRow | NumericRow]:
     worst_orthology = 0.0
     worst_corr = 0.0
     worst_inverse = 0.0
+    worst_step = 0.0
     for trial in range(100):
         n = 2 + trial % 3
         model = _random_simplex(rng, n)
@@ -450,6 +462,11 @@ def invariant_suite_checks() -> list[CheckRow | NumericRow]:
         recovered = polar.cart_to_bary(model.bary_to_cart(interior))
         worst_orthology = max(worst_orthology, float(np.abs(
             recovered.normalized_coords - interior.normalized_coords).max()))
+        # the q-step is the correspondent of the point and its polar
+        # simplex's incenter, whose coordinates are that simplex's facet volumes
+        step = weiszfeld_step_q(interior, model).normalized_coords
+        worst_step = max(worst_step, _coord_error(
+            z_correspondent(interior, polar.facet_volumes, model), step) / np.abs(step).max())
 
         ones = BarycentricPoint(np.ones(n + 1))
         same = z_correspondent(point, ones, model)
@@ -471,6 +488,8 @@ def invariant_suite_checks() -> list[CheckRow | NumericRow]:
     rows.append(NumericRow("invariants: polar-simplex coordinates agree",
                            worst_orthology, 1e-10))
     rows.append(NumericRow("invariants: correspondent identities", worst_corr, 1e-12))
+    rows.append(NumericRow("invariants: q-step is the correspondent of the polar incenter",
+                           worst_step, 1e-9, quantity="relative error"))
     rows.append(NumericRow("invariants: pedal of antipedal restores the simplex",
                            worst_inverse, 1e-8))
 

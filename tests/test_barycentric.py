@@ -1,4 +1,3 @@
-import itertools
 import math
 import warnings
 
@@ -9,11 +8,9 @@ import golden
 from conftest import make_random_model, random_nonzero_point
 
 from simplexcenters import (
-    AtInfinity,
     BarycentricPoint,
     Degenerate,
     EdgeLengthTable,
-    Hyperplane,
     NotEmbeddable,
     PointAtInfinity,
     SimplexModel,
@@ -22,12 +19,9 @@ from simplexcenters import (
     classical_centers,
     embed_from_edge_lengths,
     fermat_point,
-    pedal_equiareal_iteration,
     pedal_simplex,
-    sigma_polar_plane,
     yiu_triangle_test,
 )
-from simplexcenters.errors import OnSideplane
 
 
 class TestEdgeLengthTable:
@@ -38,9 +32,13 @@ class TestEdgeLengthTable:
         assert d[1, 2] == 12 and d[1, 3] == 5 and d[2, 3] == 11
         assert np.all(d == d.T)
 
-    def test_flat_round_trip(self):
-        table = EdgeLengthTable.from_flat(3, golden.GAP_EDGES)
-        assert tuple(table.flat()) == golden.GAP_EDGES
+    def test_lengths_near_the_float_limit_are_kept(self):
+        # the table is made symmetric without forming d + d^T, which overflows
+        d = np.array([[0.0, 1.5e308, 1e308], [1.5e308, 0.0, 1e308], [1e308, 1e308, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = EdgeLengthTable.from_matrix(d)
+        assert np.array_equal(table.d, d)
 
     def test_rejects_asymmetry(self):
         d = np.array([[0, 1, 1], [1, 0, 1], [1.5, 1, 0]])
@@ -207,47 +205,33 @@ class TestEmbedding:
 
 
 class TestSquaredDistance:
+    """The edge-length form of the squared distance, read through
+    ``vertex_distances``."""
+
     def test_vertex_pair_is_edge_length(self, gap_model):
-        p = BarycentricPoint.vertex(0, 3)
-        q = BarycentricPoint.vertex(1, 3)
-        assert abs(gap_model.squared_distance(p, q) - 13 ** 2) < 1e-10
+        dist = gap_model.vertex_distances(BarycentricPoint.vertex(0, 3))
+        assert abs(dist[1] ** 2 - 13 ** 2) < 1e-10
 
     def test_equilateral_centroid_to_vertex(self, equilateral_triangle):
-        g = BarycentricPoint([1, 1, 1])
-        v = BarycentricPoint.vertex(0, 2)
-        assert abs(equilateral_triangle.squared_distance(g, v) - 1 / 3) < 1e-14
-
-    def test_witness_point_outside_circumcircle(self, gap_triangle):
-        # distance from the witness point to the circumcenter, against a
-        # Cartesian oracle, and its position relative to the circumradius
-        q = BarycentricPoint(golden.GAP_WITNESS)
-        o = BarycentricPoint(golden.GAP_TRIANGLE_CIRCUMCENTER)
-        value = math.sqrt(gap_triangle.squared_distance(q, o))
-        qc = gap_triangle.bary_to_cart(q)
-        oc = gap_triangle.bary_to_cart(o)
-        assert abs(value - np.linalg.norm(qc - oc)) < 1e-10 * value
-        assert value > golden.GAP_TRIANGLE_CIRCUMRADIUS
+        dist = equilateral_triangle.vertex_distances(BarycentricPoint([1, 1, 1]))
+        assert np.abs(dist ** 2 - 1 / 3).max() < 1e-14
 
     def test_matches_cartesian_oracle(self):
-        # 200 random pairs across dimensions 2..5
+        # 200 random points across dimensions 2..5
         rng = np.random.default_rng(17)
         for trial in range(200):
             n = 2 + trial % 4
             model = make_random_model(rng, n)
             p = random_nonzero_point(rng, n)
-            q = random_nonzero_point(rng, n)
             pc = model.vertices.T @ (p / p.sum())
-            qc = model.vertices.T @ (q / q.sum())
-            exact = float((pc - qc) @ (pc - qc))
-            computed = model.squared_distance(BarycentricPoint(p),
-                                              BarycentricPoint(q))
-            assert abs(computed - exact) <= 1e-9 * max(exact, model.diameter ** 2)
+            exact = ((model.vertices - pc) ** 2).sum(axis=1)
+            computed = model.vertex_distances(BarycentricPoint(p)) ** 2
+            assert np.abs(computed - exact).max() <= 1e-9 * max(exact.max(),
+                                                                 model.diameter ** 2)
 
     def test_point_at_infinity_rejected(self, equilateral_triangle):
-        direction = BarycentricPoint([1.0, -1.0, 0.0])
         with pytest.raises(PointAtInfinity):
-            equilateral_triangle.squared_distance(direction,
-                                                  BarycentricPoint.vertex(0, 2))
+            equilateral_triangle.vertex_distances(BarycentricPoint([1.0, -1.0, 0.0]))
 
 
 class TestConversions:
@@ -350,59 +334,6 @@ class TestBarycentricSquare:
         assert np.abs(sq.normalized_coords - expected / expected.sum()).max() < 1e-15
 
 
-class TestSigmaPolarPlane:
-    def test_coefficients_and_line_intersection(self, equilateral_triangle):
-        plane = sigma_polar_plane(BarycentricPoint([1, 1, 2]),
-                                  equilateral_triangle)
-        c = plane.bary_coeffs / plane.bary_coeffs[2]
-        assert np.abs(c - np.array([2, 2, 1])).max() < 1e-14
-        # meets the first sideline at [-1 : 1 : 0], a point at infinity here,
-        # so evaluate the incidence on the coefficient form directly
-        assert abs(plane.bary_coeffs @ np.array([-1.0, 1.0, 0.0])) < 1e-14
-
-    def test_centroid_rejected(self, equilateral_triangle):
-        with pytest.raises(AtInfinity):
-            sigma_polar_plane(BarycentricPoint([1, 1, 1]),
-                              equilateral_triangle)
-
-    def test_zero_coordinate_rejected(self, equilateral_triangle):
-        with pytest.raises(OnSideplane):
-            sigma_polar_plane(BarycentricPoint([1, 0, 1]),
-                              equilateral_triangle)
-
-    def test_incidence_random(self):
-        rng = np.random.default_rng(41)
-        for trial in range(50):
-            n = 2 + trial % 3
-            model = make_random_model(rng, n)
-            p = random_nonzero_point(rng, n)
-            plane = sigma_polar_plane(BarycentricPoint(p), model)
-            for i, j in itertools.combinations(range(n + 1), 2):
-                probe = np.zeros(n + 1)
-                probe[i], probe[j] = -p[i], p[j]
-                value = plane.bary_coeffs @ probe
-                scale = np.abs(plane.bary_coeffs).max() * np.abs(probe).max()
-                assert abs(value) <= 1e-12 * scale
-
-    def test_dual_consistency(self):
-        rng = np.random.default_rng(43)
-        for _ in range(20):
-            model = make_random_model(rng, 3)
-            p = random_nonzero_point(rng, 3)
-            plane = sigma_polar_plane(BarycentricPoint(p), model)
-            # a barycentric solution of the plane equation must land on the
-            # Cartesian form and vice versa
-            coeffs = plane.bary_coeffs
-            probe = np.zeros(4)
-            probe[0], probe[1] = -coeffs[1], coeffs[0]
-            probe[2] = 1e-3  # move off the sideline, stay on the plane
-            probe[3] = -coeffs[2] * 1e-3 / coeffs[3]
-            if abs(probe.sum()) < 1e-6:
-                continue
-            x = model.bary_to_cart(BarycentricPoint(probe))
-            assert abs(plane.signed_distance(x)) < 1e-10 * model.diameter
-
-
 class TestCircumsphere:
     def test_regular_tetrahedron_radius(self, regular_tetrahedron):
         _, radius = circumcenter_cart(regular_tetrahedron)
@@ -473,7 +404,6 @@ class TestBarycentricPoint:
     def test_non_finite_rejected_before_any_solver_runs(self):
         model = SimplexModel([[0, 0], [4, 0], [1, 3]])
         for call in (lambda: fermat_point(model, start=[math.nan, 1, 1]),
-                     lambda: pedal_equiareal_iteration([math.nan, 1, 1], model),
                      lambda: yiu_triangle_test(3, 4, 5, math.nan, 1, 1)):
             with pytest.raises(ValueError, match="coordinates must be finite"):
                 call()
@@ -505,23 +435,3 @@ class TestBarycentricPoint:
         for i in (-1, 9, 1.5):
             with pytest.raises(ValueError, match=r"vertex index must be an integer in 0\.\.3"):
                 BarycentricPoint.vertex(i, 3)
-
-
-class TestHyperplane:
-    def test_all_equal_coeffs_rejected(self, five_model):
-        with pytest.raises(AtInfinity):
-            Hyperplane.from_bary_coeffs([2.0, 2.0, 2.0, 2.0], five_model)
-
-    def test_zero_coeffs_rejected(self, five_model):
-        with pytest.raises(ValueError, match="must not all vanish"):
-            Hyperplane.from_bary_coeffs([0.0, 0.0, 0.0, 0.0], five_model)
-
-    def test_sideplane_accessor(self, five_model):
-        for i in range(4):
-            plane = five_model.sideplane(i)
-            for j in range(4):
-                sd = plane.signed_distance(five_model.vertices[j])
-                if j == i:
-                    assert abs(sd) > 0.1
-                else:
-                    assert abs(sd) < 1e-12

@@ -27,7 +27,6 @@ from simplexcenters import (
     inversive_image,
     is_isogonic,
     isodynamic_points,
-    pedal_equiareal_iteration,
     pedal_simplex,
     polar_simplex,
     triad_angle_check,
@@ -64,17 +63,13 @@ def attempt(call):
 
 
 def results(model: SimplexModel) -> dict:
-    conjugates = attempt(lambda: enumerate_isogonic(model).conjugate_points)
     return {
-        "catalog": conjugates,
+        "catalog": attempt(lambda: enumerate_isogonic(model).conjugate_points),
         "isodynamic": attempt(
             lambda: isodynamic_points(classical_centers(model)["I"], model).points),
         "centers": attempt(lambda: classical_centers(model).values()),
         "weiszfeld steps": attempt(lambda: [step(np.ones(model.n + 1), model)
                                             for step in (weiszfeld_step_q, weiszfeld_step_r)]),
-        # from the first catalog conjugate, a fixed point of the map
-        "pedal map": conjugates if isinstance(conjugates, type) else attempt(
-            lambda: [pedal_equiareal_iteration(c, model)[0] for c in conjugates[:1]]),
     }
 
 
@@ -114,10 +109,8 @@ def test_huge_triangle_is_measured(side, area):
 def test_pedal_map_conversion_and_circumcenter_far_from_the_origin(five_model, offset):
     # the integer vertices move exactly, so the frame sees the same simplex
     far = SimplexModel(golden.FIVE_VERTICES + offset)
-    near_point, near_trace = pedal_equiareal_iteration(np.ones(4), five_model)
-    point, trace = pedal_equiareal_iteration(np.ones(4), far)
-    assert trace.iterations_used == near_trace.iterations_used
-    assert np.abs(point.normalized_coords - near_point.normalized_coords).max() <= 1e-12
+    feet, near_feet = (pedal_simplex(np.ones(4), m).vertices for m in (far, five_model))
+    assert np.abs(feet - (near_feet + offset)).max() <= np.spacing(offset)
     for k, vertex in enumerate(far.vertices):
         assert np.abs(far.cart_to_bary(vertex).coords - np.eye(4)[k]).max() <= 1e-15
     (center, radius), (near_center, near_radius) = map(circumcenter_cart, (far, five_model))
@@ -230,8 +223,7 @@ def test_gap_tetrahedron_witness_at_any_scale(scale, tmp_path, capsys):
 def test_private_kernels_read_no_absolute_units(five_model, count_calls):
     # the absolute-unit entry points of a model are for callers only
     calls = [count_calls(SimplexModel, name) for name in (
-        "vertex_distances", "bary_to_cart", "cart_to_bary", "pedal_feet",
-        "squared_distance")]
+        "vertex_distances", "bary_to_cart", "cart_to_bary", "pedal_feet")]
     point = [1, 2, 3, 4]
     weiszfeld_step_q(point, five_model)
     weiszfeld_step_r(point, five_model)
@@ -242,4 +234,4 @@ def test_private_kernels_read_no_absolute_units(five_model, count_calls):
     inversive_image(five_model, [1.0, 1.0, 1.0], 1.0)
     enumerate_isogonic(five_model)
     yiu_triangle_test(12, 11, 13, *golden.GAP_FACET_AREAS[:3])
-    assert calls == [[]] * 5
+    assert calls == [[]] * 4

@@ -11,9 +11,7 @@ from simplexcenters import (
     REASONS,
     BarycentricPoint,
     Degenerate,
-    DegeneratePedalEncountered,
     EdgeLengthTable,
-    MaxIterationsExceeded,
     SimplexModel,
     ZeroCoordinate,
     antipedal_simplex,
@@ -27,7 +25,6 @@ from simplexcenters import (
     is_isogonic,
     isodynamic_points,
     isogonal_conjugate,
-    pedal_equiareal_iteration,
     pedal_simplex,
     triad_angle_check,
 )
@@ -72,83 +69,6 @@ class TestIsogonalConjugate:
     def test_zero_coordinate_rejected(self, five_model):
         with pytest.raises(ZeroCoordinate):
             isogonal_conjugate(BarycentricPoint([1, 0, 1, 1]), five_model)
-
-
-def _collapse_after(steps: int, monkeypatch) -> None:
-    """Make every pedal figure of the iteration after the first ``steps`` collapse."""
-    volumes = isogonic.facet_volumes_of_points
-    calls = []
-
-    def collapsing(points):
-        calls.append(points)
-        return volumes(points) * (len(calls) <= steps)
-
-    monkeypatch.setattr(isogonic, "facet_volumes_of_points", collapsing)
-
-
-class TestPedalEquiarealIteration:
-    def test_regular_simplex_centroid_immediate(self, regular_tetrahedron):
-        g = BarycentricPoint([1, 1, 1, 1])
-        point, trace = pedal_equiareal_iteration(g, regular_tetrahedron)
-        assert trace.converged and trace.reason == "converged"
-        assert trace.iterations_used == 1
-        assert np.abs(point.normalized_coords - 0.25).max() < 1e-12
-
-    def test_centroid_start_reaches_first_limit(self, five_model):
-        g = BarycentricPoint([1, 1, 1, 1])
-        point, trace = pedal_equiareal_iteration(g, five_model)
-        assert trace.converged
-        assert np.abs(point.normalized_coords
-                      - golden.CONJUGATE_TABLE[0]).max() < 1e-9
-
-    def test_negative_orthant_start_reaches_second_limit(self, five_model):
-        start = BarycentricPoint([-4.0, 2.5, 1.6, 1.0])
-        point, trace = pedal_equiareal_iteration(start, five_model)
-        assert trace.converged
-        assert np.abs(point.normalized_coords
-                      - golden.CONJUGATE_TABLE[1]).max() < 1e-9
-
-    def test_budget_exit(self, five_model):
-        with pytest.raises(MaxIterationsExceeded, match="within 3 iterations") as info:
-            pedal_equiareal_iteration([1, 1, 1, 1], five_model, max_iter=3)
-        trace = info.value.trace
-        assert trace.iterations_used == 3 and not trace.converged
-        assert trace.reason == "out of budget"
-        assert np.array_equal(trace.seed.coords, [0.25, 0.25, 0.25, 0.25])
-
-    def test_escape_exit(self, five_model):
-        # a seed 1e8 edge lengths out is past the escape radius after one step
-        with pytest.raises(MaxIterationsExceeded, match="escaped after 1 ") as info:
-            pedal_equiareal_iteration([1e8, -1e8, 0.5, 0.5], five_model)
-        trace = info.value.trace
-        assert trace.iterations_used == 1 and not trace.converged
-        assert trace.reason == "escaped"
-        assert np.isfinite(trace.final_gap)
-
-    def test_stall_exit(self, gap_model):
-        # an orthant seed of the gap tetrahedron whose gap keeps rising: it
-        # stalls once the damping is halved below 1e-3 (after 154 steps when
-        # the floor was 1e-8)
-        with pytest.raises(MaxIterationsExceeded, match="stalled after") as info:
-            pedal_equiareal_iteration([1, -1, 1, 1], gap_model)
-        trace = info.value.trace
-        assert trace.damping_used >= 2.0 ** -10 and not trace.converged
-        assert trace.reason == "stalled"
-        assert trace.iterations_used < 154
-
-    def test_degenerate_pedal_exit(self, five_model, monkeypatch):
-        _collapse_after(2, monkeypatch)
-        with pytest.raises(DegeneratePedalEncountered, match="collapsed") as info:
-            pedal_equiareal_iteration([1, 1, 1, 1], five_model)
-        trace = info.value.trace
-        assert trace.iterations_used == 2 and not trace.converged
-        assert trace.reason == "pedal collapsed"
-        assert np.array_equal(trace.seed.coords, [0.25, 0.25, 0.25, 0.25])
-
-    def test_limit_has_equiareal_pedal(self, five_model):
-        g = BarycentricPoint([1, 1, 1, 1])
-        point, _ = pedal_equiareal_iteration(g, five_model)
-        assert equiareal_deviation(pedal_simplex(point, five_model)) <= 1e-7
 
 
 # a tetrahedron whose class (+, -, +, -) has a pseudo-root far out
@@ -496,13 +416,7 @@ def _stopped(call) -> fermat.SolverTrace:
     return info.value.trace
 
 
-def _collapsed(request) -> fermat.SolverTrace:
-    _collapse_after(2, request.getfixturevalue("monkeypatch"))
-    return _stopped(lambda: pedal_equiareal_iteration(
-        [1, 1, 1, 1], request.getfixturevalue("five_model")))
-
-
-# one real input per stop reason; only the collapse of a pedal figure is forced
+# one real input per stop reason
 REASON_PATHS = {
     "converged": lambda r: fermat_point(r.getfixturevalue("five_model"))[1],
     "vertex optimum": lambda r: fermat_point(SimplexModel(
@@ -512,7 +426,6 @@ REASON_PATHS = {
     "stalled": lambda r: _catalog_trace(r.getfixturevalue("five_model"), [1, 2, 3, 4]),
     "escaped": lambda r: _catalog_trace(SimplexModel(FAR_PSEUDO_ROOT),
                                         _far_seed(SimplexModel(FAR_PSEUDO_ROOT))),
-    "pedal collapsed": _collapsed,
     "rejected": lambda r: _catalog_trace(SimplexModel([[0, 0], [4, 0], [1, 3]]), [9, 5, -4]),
 }
 

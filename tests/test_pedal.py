@@ -86,8 +86,7 @@ class TestPedalSimplex:
         figure = pedal_simplex(model.cart_to_bary(x), model)
         assert figure.degenerate and figure.total_volume < 1e-12
         for use in (lambda: figure.cart_to_bary([1.0, 1.0]),
-                    lambda: figure.pedal_feet(np.ones(2)),
-                    lambda: figure.sideplane(1)):
+                    lambda: figure.pedal_feet(np.ones(2))):
             with pytest.raises(Degenerate, match="frame"):
                 use()
 
