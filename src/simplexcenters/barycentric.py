@@ -140,7 +140,8 @@ class EdgeLengthTable:
         scale = float(np.abs(d).max())
         if scale <= 0.0:
             raise ValueError("edge table is identically zero")
-        if np.abs(d - d.T).max() > _REL_EPS * scale:
+        # halves, since d - d.T may overflow
+        if np.abs(0.5 * d - 0.5 * d.T).max() > 0.5 * _REL_EPS * scale:
             raise ValueError("edge table is not symmetric")
         if np.abs(np.diag(d)).max() > _REL_EPS * scale:
             raise ValueError("edge table diagonal must be zero")

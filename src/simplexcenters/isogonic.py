@@ -25,8 +25,9 @@ points are the conjugates X(13), X(14) of its seeds, so it takes no more.
 
 A root is accepted if |g_sigma| <= 1e-10, it keeps the pattern +-sigma,
 it lies within 1e6 diameters of vertex 0 (if sum(sigma) = 0, |g_sigma|
-falls to rounding far out along one direction) and :func:`is_isogonic`
-confirms it.  Any other start is a failed seed with its ``reason``.
+falls to rounding far out along one direction) and its antipedal facet
+volumes, which give the catalog's areas, pass :func:`is_isogonic`'s test.
+Any other start is a failed seed with its ``reason``.
 """
 
 from __future__ import annotations
@@ -69,6 +70,8 @@ _POLISH_RESIDUAL = 1e-10
 _NEAR_VERTEX = (0.1, 0.3)
 _CLASS_POINTS = 2
 _ROUNDING = 1e-9
+# largest relative spread of the antipedal facet volumes at an isogonic point
+_EQUIAREAL = 1e-7
 
 
 @dataclass
@@ -117,43 +120,53 @@ def _start(seed: BarycentricPoint, model: SimplexModel) -> np.ndarray | None:
 
 
 def _run(model: SimplexModel, sigma: np.ndarray, seed: BarycentricPoint,
-         roots: list[np.ndarray]) -> tuple[BarycentricPoint | None, SolverTrace]:
+         roots: list[np.ndarray],
+         ) -> tuple[BarycentricPoint | None, np.ndarray | None, SolverTrace]:
     """Newton on g_sigma from the conjugate of ``seed``, deflated against
     ``roots``: the accepted isogonic point, whose frame position joins
-    ``roots``, or None, with the trace of the start."""
+    ``roots``, and its antipedal facet volumes, or None twice, with the
+    trace of the start."""
     trace = SolverTrace(seed=seed, reason="rejected")
     start = _start(seed, model)
     if start is None:
-        return None, trace
+        return None, None, trace
     path, trace.gradient_evaluations, ok = _newton(
         model, sigma, start, _POLISH_TOL, _POLISH_STEPS, _POLISH_RESIDUAL, roots)
     trace.iterations_used = len(path)
     if not ok:
         trace.reason = "out of budget" if len(path) == _POLISH_STEPS else "stalled"
-        return None, trace
+        return None, None, trace
     root = path[-1]
     point = BarycentricPoint(model._coords(root))
     signs = np.sign(point.coords)
     if point.is_finite() and np.array_equal(signs * signs[0], sigma * sigma[0]):
         if np.linalg.norm(root) > _ESCAPE * model._local_diameter:
             trace.reason = "escaped"
-        elif is_isogonic(point, model)[0]:
-            trace.reason = "converged"
-            roots.append(root)
-            return point, trace
-    return None, trace
+        else:
+            volumes = _antipedal_volumes(point, model)
+            if volumes is not None and _spread(volumes) <= _EQUIAREAL:
+                trace.reason = "converged"
+                roots.append(root)
+                return point, volumes, trace
+    return None, None, trace
 
 
-def is_isogonic(p, model: SimplexModel, tol: float = 1e-7) -> tuple[bool, float]:
+def _antipedal_volumes(p, model: SimplexModel) -> np.ndarray | None:
+    """The antipedal simplex's facet volumes in the frame, or None if it is unbounded."""
+    try:
+        return facet_volumes_of_points(_antipedal_points(p, model))
+    except UnboundedAntipedal:
+        return None
+
+
+def is_isogonic(p, model: SimplexModel, tol: float = _EQUIAREAL) -> tuple[bool, float]:
     """Whether the antipedal simplex of the point is equiareal.
 
     Returns the verdict together with the relative facet-volume spread;
     an unbounded antipedal construction yields (False, inf).
     """
-    try:
-        deviation = _spread(facet_volumes_of_points(_antipedal_points(p, model)))
-    except UnboundedAntipedal:
-        return False, math.inf
+    volumes = _antipedal_volumes(p, model)
+    deviation = math.inf if volumes is None else _spread(volumes)
     return deviation <= tol, deviation
 
 
@@ -243,17 +256,16 @@ def enumerate_isogonic(model: SimplexModel, seeds=None) -> IsogonicCatalog:
             class_seeds = itertools.chain(class_seeds, _further_seeds(model, sigma, roots))
         runs += [_run(model, sigma, seed, roots) for seed in class_seeds]
 
-    catalog = IsogonicCatalog(failed_seeds=[trace for point, trace in runs if point is None])
-    for point, trace in sorted(((p, t) for p, t in runs if p is not None),
-                               key=lambda run: _canonical_key(run[0])):
+    catalog = IsogonicCatalog(failed_seeds=[trace for point, _, trace in runs if point is None])
+    for point, volumes, trace in sorted((run for run in runs if run[0] is not None),
+                                        key=lambda run: _canonical_key(run[0])):
         conjugate = isogonal_conjugate(point, model)
         catalog.conjugate_points.append(conjugate)
         catalog.isogonic_points.append(point)
-        for areas, figure in ((catalog.pedal_areas,
-                               model._feet(model._local.T @ conjugate.normalized_coords)),
-                              (catalog.antipedal_areas, _antipedal_points(point, model))):
-            areas.append(float(model._absolute(facet_volumes_of_points(figure).mean(),
-                                               model.n - 1)))
+        feet = model._feet(model._local.T @ conjugate.normalized_coords)
+        for areas, figure_volumes in ((catalog.pedal_areas, facet_volumes_of_points(feet)),
+                                      (catalog.antipedal_areas, volumes)):
+            areas.append(float(model._absolute(figure_volumes.mean(), model.n - 1)))
         catalog.traces.append(trace)
     return catalog
 

@@ -45,6 +45,14 @@ class TestEdgeLengthTable:
         with pytest.raises(ValueError):
             EdgeLengthTable.from_matrix(d)
 
+    def test_rejects_asymmetry_near_the_float_limit(self):
+        # d - d^T overflows here; the residual is taken on halves
+        d = np.array([[0.0, 1e308], [-1e308, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="not symmetric"):
+                EdgeLengthTable.from_matrix(d)
+
     def test_rejects_nonpositive_edges(self):
         with pytest.raises(ValueError):
             EdgeLengthTable.from_flat(2, [1, 1, 0])

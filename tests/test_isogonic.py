@@ -77,6 +77,13 @@ FAR_PSEUDO_ROOT = [[-0.117334, 1.194104, -0.930726],
                    [-1.827079, 2.301102, -2.075163],
                    [-0.584854, -0.731705, 0.349025]]
 
+# a tetrahedron whose catalog once missed its Fermat point; five of its
+# starts stall, and their line searches often reject the whole step
+STALL_TETRAHEDRON = [[-0.008775, 0.306069, 1.271732],
+                     [-1.087569, -0.140184, -0.296931],
+                     [-2.010313, -0.678083, -1.609774],
+                     [0.101443, -0.204785, 0.277038]]
+
 
 def _far_seed(model: SimplexModel) -> BarycentricPoint:
     """The conjugate of a point 1e8 diameters out along sum_i sigma_i A_i
@@ -136,6 +143,29 @@ class TestEnumerateIsogonic:
             == [6, 11, 7, 6, 7]
         assert [fermat_point(five_model, method=m)[1].gradient_evaluations
                 for m in ("q", "r")] == [4, 4]
+
+    def test_stall_tetrahedron_counts(self, count_calls):
+        # the batched halvings run here, and each start reads (reason,
+        # Newton steps, evaluations) as the one-at-a-time search counts them
+        calls = count_calls(fermat, "_trial_merits")
+        catalog = enumerate_isogonic(SimplexModel(STALL_TETRAHEDRON))
+        assert calls
+        assert [(t.reason, t.iterations_used, t.gradient_evaluations)
+                for t in catalog.failed_seeds] == [
+            ("stalled", 3, 32), ("stalled", 9, 63), ("stalled", 14, 77),
+            ("stalled", 13, 77), ("stalled", 2, 32)]
+        assert [(t.reason, t.iterations_used, t.gradient_evaluations)
+                for t in catalog.traces] == [("converged", 8, 9)]
+
+    def test_each_antipedal_figure_is_measured_once(self, five_model, count_calls):
+        # a root is accepted on its antipedal facet volumes, and the
+        # catalog's areas are those volumes
+        calls = count_calls(isogonic, "_antipedal_points")
+        catalog = enumerate_isogonic(five_model)
+        assert len(calls) == len(catalog) == 5
+        for k in range(5):
+            assert abs(catalog.antipedal_areas[k]
+                       / golden.ANTIPEDAL_AREA_TABLE[k] - 1) < 1e-6
 
     def test_canonical_ordering(self, five_model):
         catalog = enumerate_isogonic(five_model)
@@ -285,10 +315,7 @@ class TestEnumerateIsogonic:
     def test_fermat_point_is_the_positive_point(self):
         # the map from the centroid missed the Fermat point of this
         # tetrahedron, and the catalog was empty
-        model = SimplexModel([[-0.008775, 0.306069, 1.271732],
-                              [-1.087569, -0.140184, -0.296931],
-                              [-2.010313, -0.678083, -1.609774],
-                              [0.101443, -0.204785, 0.277038]])
+        model = SimplexModel(STALL_TETRAHEDRON)
         catalog = enumerate_isogonic(model)
         fermat, _ = fermat_point(model)
         assert len(catalog) >= 1
@@ -323,7 +350,7 @@ class TestEnumerateIsogonic:
     def test_refused_root_keeps_its_trace(self, five_model, monkeypatch):
         # with every root refused, no class balances: each seed's trace is
         # a failed seed, and so is each further start of its class
-        monkeypatch.setattr(isogonic, "is_isogonic", lambda p, model: (False, 1.0))
+        monkeypatch.setattr(isogonic, "_antipedal_volumes", lambda p, model: None)
         catalog = enumerate_isogonic(five_model)
         seeds = default_seeds(five_model)
         assert len(catalog) == 0
@@ -400,6 +427,97 @@ def test_degree_balance_holds_in_every_claimed_class(fixture, request):
         for index in indices:
             assert sum(indices) - index + vertex != target
     assert assigned == len(catalog)
+
+
+def _sequential_newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray,
+                       tol: float, max_steps: int, residual: float = math.inf,
+                       roots=()) -> tuple[list[np.ndarray], int, bool]:
+    """``fermat._newton`` with a line search that tries its 12 step
+    fractions one at a time, evaluating g_sigma, J and M at each."""
+    local = model._local
+    known = np.reshape(roots, (-1, model.n))
+    d2 = model._local_diameter ** 2
+    tol = tol * model._local_diameter
+    x = local.T @ coords
+    g, jac = fermat._signed_gradient(local, sigma, x)
+    weight, dlog = fermat._deflation(x, known, d2)
+    evaluations = 1
+    path: list[np.ndarray] = []
+    ok = False
+    for _ in range(max_steps):
+        try:
+            step = -np.linalg.solve(jac, g)
+        except np.linalg.LinAlgError:
+            break
+        factor = 1.0
+        if dlog is not None:
+            factor = 1.0 / (1.0 - dlog @ step)
+            step = factor * step
+        if math.sqrt(step @ step) <= tol:
+            x = x + step
+            path.append(x)
+            ok = factor > 0.0
+            if math.isfinite(residual):
+                evaluations += 1
+                g = fermat._signed_gradient(local, sigma, x)[0]
+                ok = ok and math.sqrt(g @ g) <= residual
+            break
+        merit = weight * math.sqrt(g @ g)
+        t = 1.0
+        for _ in range(12):
+            y = x + t * step
+            gy, jy = fermat._signed_gradient(local, sigma, y)
+            wy, dy = fermat._deflation(y, known, d2)
+            evaluations += 1
+            if wy * math.sqrt(gy @ gy) <= (1.0 - 1e-4 * t) * merit:
+                break
+            t *= 0.5
+        else:
+            ok = math.isfinite(residual) and merit <= residual
+            if ok and not path:
+                path.append(x)
+            break
+        x, g, jac, weight, dlog = y, gy, jy, wy, dy
+        path.append(x)
+    return path, evaluations, ok
+
+
+def _probe_models() -> list[SimplexModel]:
+    """20 Gaussian tetrahedra and 10 Gaussian 4-simplices, none near flat."""
+    rng = np.random.default_rng(77)
+    models = []
+    while len(models) < 30:
+        n = 3 if len(models) < 20 else 4
+        verts = rng.standard_normal((n + 1, n))
+        centred = verts - verts.mean(axis=0)
+        gram = np.linalg.eigvalsh(centred.T @ centred)
+        if gram[0] > 1e-6 * gram[-1]:
+            models.append(SimplexModel(verts))
+    return models
+
+
+def _catalog_bits(catalog) -> tuple:
+    return ([p.coords.tobytes() for p in catalog.isogonic_points + catalog.conjugate_points],
+            np.array(catalog.pedal_areas + catalog.antipedal_areas).tobytes(),
+            [(t.reason, t.iterations_used, t.gradient_evaluations)
+             for t in catalog.traces + catalog.failed_seeds])
+
+
+def _fermat_bits(model: SimplexModel) -> tuple:
+    point, trace = fermat_point(model)
+    return (point.coords.tobytes(), trace.reason, trace.iterations_used,
+            trace.gradient_evaluations)
+
+
+def test_batched_line_search_matches_the_sequential_one(five_model, monkeypatch):
+    # the batched trials accept the halving that the sequential search
+    # accepts, so catalogs and Fermat runs agree bit for bit
+    models = [five_model, SimplexModel(STALL_TETRAHEDRON)] + _probe_models()
+    batched = [(_catalog_bits(enumerate_isogonic(m)), _fermat_bits(m)) for m in models]
+    monkeypatch.setattr(isogonic, "_newton", _sequential_newton)
+    monkeypatch.setattr(fermat, "_newton", _sequential_newton)
+    assert [(_catalog_bits(enumerate_isogonic(m)), _fermat_bits(m)) for m in models] \
+        == batched
 
 
 def _catalog_trace(model: SimplexModel, seed) -> fermat.SolverTrace:
