@@ -44,20 +44,16 @@ def parse_number(value, where: str = "value") -> float:
 
 @dataclass(frozen=True)
 class SimplexDocument:
-    """Parsed document: raw echo plus the data needed to build a model."""
+    """A parsed document: its raw echo, its tolerance and edge lengths (None
+    for a vertex document), and the simplex model built when it was read."""
 
     raw: dict
-    name: str | None
-    vertices: np.ndarray | None
-    edge_dimension: int | None
-    edge_values: tuple[float, ...] | None
     tolerance: float | None
+    edge_values: tuple[float, ...] | None
+    _model: SimplexModel
 
     def build_model(self) -> SimplexModel:
-        if self.vertices is not None:
-            return SimplexModel(self.vertices)
-        table = EdgeLengthTable.from_flat(self.edge_dimension, self.edge_values)
-        return embed_from_edge_lengths(table)
+        return self._model
 
 
 def read_json(path: str, what: str = "document"):
@@ -76,7 +72,9 @@ def read_json(path: str, what: str = "document"):
 
 
 def parse_document(obj) -> SimplexDocument:
-    """Parse a document from a JSON string or an already-decoded object."""
+    """Parse a document from a JSON string or an already-decoded object,
+    and build its simplex: a DocumentError if the schema is broken, and
+    Degenerate or NotEmbeddable if the vertices or lengths are no simplex."""
     if isinstance(obj, (str, bytes)):
         try:
             obj = json.loads(obj)
@@ -118,9 +116,7 @@ def parse_document(obj) -> SimplexDocument:
                     f"{n}-dimensional simplex on {n + 1} vertices")
             for j, cell in enumerate(row):
                 verts[i, j] = parse_number(cell, f"vertices[{i}][{j}]")
-        return SimplexDocument(raw=obj, name=name, vertices=verts,
-                               edge_dimension=None, edge_values=None,
-                               tolerance=tolerance)
+        return SimplexDocument(obj, tolerance, None, SimplexModel(verts))
 
     spec = obj["edge_lengths"]
     if not isinstance(spec, dict):
@@ -140,9 +136,8 @@ def parse_document(obj) -> SimplexDocument:
     for k, v in enumerate(parsed):
         if v <= 0:
             raise DocumentError(f"edge_lengths.values[{k}]: must be positive")
-    return SimplexDocument(raw=obj, name=name, vertices=None,
-                           edge_dimension=dim, edge_values=parsed,
-                           tolerance=tolerance)
+    table = EdgeLengthTable.from_flat(dim, parsed)
+    return SimplexDocument(obj, tolerance, parsed, embed_from_edge_lengths(table))
 
 
 def load_document(path: str) -> SimplexDocument:

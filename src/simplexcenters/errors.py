@@ -45,14 +45,11 @@ class AtVertex(SimplexError):
     """The point coincides with a simplex vertex where a distance must not vanish."""
 
 
-class SolverStopped(SimplexError):
-    """A solver run ended without an answer; its record, whose ``reason``
-    says why, is attached as ``trace``."""
+class MaxIterationsExceeded(SimplexError):
+    """A solver run ended without an answer: it did not converge within its
+    budget, stalled or escaped.  Its record, whose ``reason`` says why, is
+    attached as ``trace``."""
 
     def __init__(self, message, trace=None):
         super().__init__(message)
         self.trace = trace
-
-
-class MaxIterationsExceeded(SolverStopped):
-    """An iteration did not converge within its budget, stalled or escaped."""

@@ -10,10 +10,12 @@ the catalog reports both points with their facet volumes.
 The catalog finds the roots with the Newton kernel of
 :mod:`simplexcenters.fermat`, one sign class {sigma, -sigma} at a time,
 deflating each start against the roots found before in its class.  It
-claims the all-positive and the n+1 one-negative classes; for n >= 3 a
-claimed class takes further starts until its roots satisfy the degree
-balance (Poincare-Hopf; J. Milnor, *Topology from the Differentiable
-Viewpoint*, 1965)
+claims the all-positive class, started at the centroid's Weiszfeld step
+as the Newton phase of :func:`~simplexcenters.fermat.fermat_point` is,
+and the n+1 one-negative classes, started at the symmedian point's
+reflections; for n >= 3 a claimed class takes further starts until its
+roots satisfy the degree balance (Poincare-Hopf; J. Milnor, *Topology
+from the Differentiable Viewpoint*, 1965)
 
     sum_{roots r} sign det J_sigma(r) + sum_{k: |c_k| < 1} sigma_k^n = sign(S)^n,
 
@@ -178,19 +180,23 @@ def _sign_classes(m: int) -> list[np.ndarray]:
 def default_seeds(model: SimplexModel) -> list[BarycentricPoint]:
     """A triangle's isodynamic points X(15), X(16), whose conjugates are its
     isogonic points X(13), X(14) (the center alone if equilateral), as found
-    (the catalog rejects one on a side line, whose conjugate is a vertex);
-    otherwise the centroid and its reflection into each one-negative
-    orthant, whose conjugates (the symmedian point and its reflections)
-    start Newton.  The all-positive class is strictly convex: its one root
-    is the Fermat point, unless a vertex is the minimizer and the class is
-    empty.
+    (the catalog rejects one on a side line, whose conjugate is a vertex).
+    Otherwise [a_i^2 d_i(G)], with a_i the facet volumes and d_i(G) the
+    centroid's distances to the vertices, then the centroid's reflections
+    into the one-negative orthants.  Newton starts at their conjugates:
+    [1/d_i(G)], the centroid's Weiszfeld step, where the Newton phase of
+    :func:`~simplexcenters.fermat.fermat_point` starts, and the reflections
+    of the symmedian point.  The all-positive class is strictly convex: its
+    one root is the Fermat point, unless a vertex is the minimizer and the
+    class is empty.
     """
     if model.n == 2:
         try:
             return isodynamic_points(model._facets, model).points
         except SimplexError:
             pass
-    return [BarycentricPoint(sigma) for sigma in _sign_classes(model.n + 1)]
+    centroid, *reflections = map(BarycentricPoint, _sign_classes(model.n + 1))
+    return [BarycentricPoint(model._facets ** 2 * model._distances(centroid)), *reflections]
 
 
 def _canonical_key(point: BarycentricPoint) -> tuple:

@@ -6,7 +6,8 @@ import pytest
 
 import golden
 
-from simplexcenters.cli import _parse_seeds, cmd_fermat, main
+from simplexcenters import Degenerate, NotEmbeddable, documents
+from simplexcenters.cli import _parse_seeds, cmd_centers, cmd_fermat, cmd_isodynamic, main
 from simplexcenters.documents import (
     DocumentError,
     fraction_strings,
@@ -104,11 +105,30 @@ class TestCentersCommand:
         assert where in err and "not finite" in err
 
     def test_geometric_error_exit_3(self, doc_path, capsys):
-        code, out, err = run_cli(
-            capsys, "centers",
-            doc_path({"edge_lengths": {"dimension": 2, "values": [1, 1, 2]}}))
-        assert code == 3
-        assert out == ""
+        # a document is read as a simplex inside the command's error handling
+        for doc in ({"edge_lengths": {"dimension": 2, "values": [1, 1, 2]}},
+                    {"vertices": [[0, 0], [1, 0], [2, 0]]}):
+            code, out, err = run_cli(capsys, "centers", doc_path(doc))
+            assert (code, out) == (3, "")
+            assert err.startswith("geometric error: ")
+
+
+@pytest.mark.parametrize("doc, error", [
+    ({"vertices": [[0, 0], [1, 0], [2, 0]]}, Degenerate),
+    ({"edge_lengths": {"dimension": 2, "values": [1, 1, 3]}}, NotEmbeddable),
+], ids=["collinear", "not-euclidean"])
+def test_a_document_that_is_no_simplex_fails_to_parse(doc, error):
+    with pytest.raises(error):
+        parse_document(doc)
+
+
+def test_an_edge_length_document_is_embedded_once(count_calls):
+    # the model is built when the document is read, and each command reads it
+    calls = count_calls(documents, "embed_from_edge_lengths")
+    doc = parse_document(GAP_DOC)
+    cmd_centers(doc, {})
+    cmd_isodynamic(doc, {})
+    assert len(calls) == 1
 
 
 class TestIsodynamicCommand:

@@ -15,13 +15,27 @@ def test_star_import_exports_each_name_once():
 
 
 def test_readme_python_blocks_run(capsys):
-    # the quickstart must keep to the public names that still exist
+    # the quickstart must keep to the public names that still exist, and
+    # each top-level ``print(...)  # <expected>`` line must print its comment
     readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"^```python\n(.*?)^```", readme, re.DOTALL | re.MULTILINE)
     assert blocks
+    checked = 0
     for block in blocks:
-        exec(compile(block, "README.md", "exec"), {})
-    assert capsys.readouterr().out
+        namespace, pending = {}, []
+        for line in block.splitlines(keepends=True):
+            printed = re.fullmatch(r"(print\(.*\))\s+# (.+)", line.rstrip("\n"))
+            if printed is None:
+                pending.append(line)
+                continue
+            exec(compile("".join(pending), "README.md", "exec"), namespace)
+            pending = []
+            capsys.readouterr()
+            exec(compile(printed[1], "README.md", "exec"), namespace)
+            assert capsys.readouterr().out.split() == printed[2].split(), line
+            checked += 1
+        exec(compile("".join(pending), "README.md", "exec"), namespace)
+    assert checked
 
 
 def test_every_exported_error_has_a_raise_site():

@@ -12,6 +12,7 @@ from simplexcenters import (
     BarycentricPoint,
     Degenerate,
     EdgeLengthTable,
+    MaxIterationsExceeded,
     SimplexModel,
     ZeroCoordinate,
     antipedal_simplex,
@@ -30,7 +31,6 @@ from simplexcenters import (
 )
 from simplexcenters import fermat, isogonic
 from simplexcenters.barycentric import as_point
-from simplexcenters.errors import SolverStopped
 
 
 class TestIsogonalConjugate:
@@ -77,8 +77,9 @@ FAR_PSEUDO_ROOT = [[-0.117334, 1.194104, -0.930726],
                    [-1.827079, 2.301102, -2.075163],
                    [-0.584854, -0.731705, 0.349025]]
 
-# a tetrahedron whose catalog once missed its Fermat point; five of its
-# starts stall, and their line searches often reject the whole step
+# a tetrahedron whose catalog once missed its Fermat point, which lies near
+# vertex 1; four of its starts stall, and their line searches often reject
+# the whole step
 STALL_TETRAHEDRON = [[-0.008775, 0.306069, 1.271732],
                      [-1.087569, -0.140184, -0.296931],
                      [-2.010313, -0.678083, -1.609774],
@@ -152,10 +153,10 @@ class TestEnumerateIsogonic:
         assert calls
         assert [(t.reason, t.iterations_used, t.gradient_evaluations)
                 for t in catalog.failed_seeds] == [
-            ("stalled", 3, 32), ("stalled", 9, 63), ("stalled", 14, 77),
-            ("stalled", 13, 77), ("stalled", 2, 32)]
+            ("stalled", 9, 63), ("stalled", 14, 77), ("stalled", 13, 77),
+            ("stalled", 2, 32)]
         assert [(t.reason, t.iterations_used, t.gradient_evaluations)
-                for t in catalog.traces] == [("converged", 8, 9)]
+                for t in catalog.traces] == [("converged", 8, 11)]
 
     def test_each_antipedal_figure_is_measured_once(self, five_model, count_calls):
         # a root is accepted on its antipedal facet volumes, and the
@@ -529,7 +530,7 @@ def _catalog_trace(model: SimplexModel, seed) -> fermat.SolverTrace:
 
 
 def _stopped(call) -> fermat.SolverTrace:
-    with pytest.raises(SolverStopped) as info:
+    with pytest.raises(MaxIterationsExceeded) as info:
         call()
     return info.value.trace
 
@@ -608,13 +609,33 @@ class TestDefaultSeeds:
         assert np.array_equal(trace.seed.coords, seeds[0].coords)
 
     def test_vertex_optimum_keeps_the_centroid(self, five_model):
-        # for n >= 3 the seeds are the centroid and its one-negative
+        # for n >= 3 the seeds are [a_i^2 |G - A_i|], whose conjugate is the
+        # centroid's Weiszfeld step, and the centroid's one-negative
         # reflections, also where vertex 0 sits just above the center of the
         # other three, so it minimizes the distance sum
         optimum = SimplexModel([[0, 0, 0.1], [1, 0, 0], [-0.5, 0.866, 0], [-0.5, -0.866, 0]])
-        expected = [[0.25] * 4] + [[0.5] * k + [-0.5] + [0.5] * (3 - k) for k in range(4)]
-        for model in (five_model, optimum):
-            assert [list(s.coords) for s in default_seeds(model)] == expected
+        reflections = [[0.5] * k + [-0.5] + [0.5] * (3 - k) for k in range(4)]
+        for model, first in (
+                (five_model, [0.30780518394326833, 0.2757934448131684,
+                              0.18935198239963938, 0.22704938884392392]),
+                (optimum, [0.17782191284410748, 0.2740630702997773,
+                           0.2740575084280576, 0.2740575084280576])):
+            assert [list(s.coords) for s in default_seeds(model)] == [first] + reflections
+
+    def test_the_all_positive_start_is_where_fermat_point_starts(self):
+        # Newton from the symmedian point stalled on this tetrahedron; from
+        # the centroid's Weiszfeld step it converges to the Fermat point
+        model = SimplexModel(STALL_TETRAHEDRON)
+        seed = default_seeds(model)[0]
+        point, trace = fermat_point(model)
+        assert np.abs(isogonal_conjugate(seed, model).normalized_coords
+                      - trace.iterates[1].normalized_coords).max() <= 1e-15
+        catalog = enumerate_isogonic(model)
+        [found] = [k for k, t in enumerate(catalog.traces)
+                   if np.array_equal(t.seed.coords, seed.coords)]
+        assert catalog.traces[found].reason == "converged"
+        assert np.abs(catalog.isogonic_points[found].normalized_coords
+                      - point.normalized_coords).max() <= 1e-10
 
     def test_the_catalog_runs_no_fermat_solver(self, five_model, monkeypatch):
         def refused(*args, **kwargs):
