@@ -37,7 +37,7 @@ from .documents import (
     round12,
 )
 from .errors import MaxIterationsExceeded, SimplexError
-from .fermat import METHODS, _signed_gradient, fermat_point
+from .fermat import METHODS, _signed_gradient, fermat_point, total_distance
 from .isogonic import enumerate_isogonic
 from .verify import NumericRow, run_reference_checks
 
@@ -145,7 +145,7 @@ def cmd_fermat(doc: SimplexDocument, options: dict) -> dict:
         "method": method,
         "point": point_payload(point, residual=float(np.linalg.norm(gradient)),
                                iterations=trace.iterations_used),
-        "objective": round12(trace.objective_values[-1]),
+        "objective": round12(total_distance(point, model)),
         "converged": trace.converged,
         "vertex_optimum": trace.vertex_optimum,
     }

@@ -23,13 +23,15 @@ Kuhn's test decides before the first step whether a vertex is the
 minimizer: vertex k is iff the gradient over the other vertices has norm
 <= 1 there (H. W. Kuhn, Math. Programming 4, 1973).
 
-Both solvers record a run in one :class:`SolverTrace`.
+Both solvers record a run in one :class:`SolverTrace`; a Fermat trace
+forms its iterates and their distance sums when they are first read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -86,9 +88,10 @@ class SolverTrace:
     ``reason`` is one of :data:`REASONS`, empty while the run goes on.
     ``iterations_used`` counts Newton steps (plus the Fermat solver's
     approach step); ``gradient_evaluations`` counts evaluations of g_sigma,
-    line-search trials up to the accepted one (12 if none) included.  Only
-    the Fermat solver records ``iterates`` (from ``seed`` on) and their
-    distance sums.
+    line-search trials up to the accepted one (12 if none) included.  A
+    Fermat trace keeps a reference to its model, ``seed``, the next point
+    and Newton's frame path, and forms ``iterates`` and their distance sums
+    ``objective_values`` on first read, once; a catalog trace reads [] for both.
     ``damping_used`` always reads 1.0; it stays because the benchmark's
     ``isogonic-catalog`` statistics read it from every trace.
     """
@@ -98,8 +101,17 @@ class SolverTrace:
     iterations_used: int = 0
     gradient_evaluations: int = 0
     damping_used: float = 1.0
-    iterates: list[BarycentricPoint] = field(default_factory=list)
-    objective_values: list[float] = field(default_factory=list)
+    _model: SimplexModel | None = field(default=None, repr=False)
+    _head: list[BarycentricPoint] = field(default_factory=list, repr=False)
+    _path: list[np.ndarray] = field(default_factory=list, repr=False)
+
+    @cached_property
+    def iterates(self) -> list[BarycentricPoint]:
+        return self._head + [BarycentricPoint(self._model._coords(y)) for y in self._path]
+
+    @cached_property
+    def objective_values(self) -> list[float]:
+        return [total_distance(p, self._model) for p in self.iterates]
 
     @property
     def converged(self) -> bool:
@@ -288,43 +300,30 @@ def fermat_point(model: SimplexModel, start=None, method: str = "q",
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if start is None:
-        start = np.ones(model.n + 1)
-    p = as_point(start, model.n)
+    p = as_point(np.ones(model.n + 1) if start is None else start, model.n)
     if _zero_entries(p.normalized_coords).any():
         raise ZeroCoordinate("start point must have all coordinates nonzero")
 
-    trace = SolverTrace(seed=p, iterates=[p])
+    trace = SolverTrace(seed=p, _model=model, _head=[p])
     optimal = np.flatnonzero(np.linalg.norm(_pulls(model, np.ones(model.n + 1)), axis=1) <= 1.0)
     if optimal.size:
-        vertex = BarycentricPoint.vertex(int(optimal[0]), model.n)
-        trace.iterates.append(vertex)
-        trace.objective_values = [total_distance(p, model),
-                                  total_distance(vertex, model)]
+        trace._head.append(BarycentricPoint.vertex(int(optimal[0]), model.n))
         trace.reason = "vertex optimum"
-        return vertex, trace
+        return trace._head[-1], trace
 
-    # the start's objective and approach step read the frame distances of one call
-    dv = model._distances(p)
-    trace.objective_values.append(float(model._absolute(dv.sum())))
     if max_iter < 1:
         trace.reason = "out of budget"
         raise MaxIterationsExceeded(
             f"no convergence within {max_iter} iterations (method {method!r})",
             trace=trace)
-    p = BarycentricPoint(_step(np.abs(p.coords), dv, method))
-    trace.iterates.append(p)
-    trace.objective_values.append(total_distance(p, model))
-    path, trace.gradient_evaluations, converged = _newton(
+    p = BarycentricPoint(_step(np.abs(p.coords), model._distances(p), method))
+    trace._head.append(p)
+    trace._path, trace.gradient_evaluations, converged = _newton(
         model, np.ones(model.n + 1), p.normalized_coords, tol, max_iter - 1)
-    for y in path:
-        p = BarycentricPoint(model._coords(y))
-        trace.iterates.append(p)
-        trace.objective_values.append(total_distance(p, model))
-    trace.iterations_used = len(trace.iterates) - 1
+    trace.iterations_used = len(trace._path) + 1
     if converged:
         trace.reason = "converged"
-        return p, trace
+        return BarycentricPoint(model._coords(trace._path[-1])), trace
     stalled = trace.iterations_used < max_iter
     trace.reason = "stalled" if stalled else "out of budget"
     raise MaxIterationsExceeded(

@@ -6,7 +6,7 @@ import pytest
 
 import golden
 
-from simplexcenters import Degenerate, NotEmbeddable, documents
+from simplexcenters import Degenerate, NotEmbeddable, cli, documents, total_distance
 from simplexcenters.cli import _parse_seeds, cmd_centers, cmd_fermat, cmd_isodynamic, main
 from simplexcenters.documents import (
     DocumentError,
@@ -233,6 +233,26 @@ class TestFermatCommand:
             assert int(index) == k
             assert json.loads(point) == trace["iterates"][k]
             assert float(objective) == trace["objective_values"][k]
+
+    @pytest.mark.parametrize("raw", [FIVE_DOC, OBTUSE_DOC], ids=["five", "obtuse"])
+    def test_objective_leaves_the_trace_unformed(self, raw, monkeypatch):
+        # the reported objective is the point's distance sum, bitwise the
+        # trace's last one, which is formed only when --trace asks for it
+        runs = []
+        solve = cli.fermat_point
+
+        def recorded(*args, **kwargs):
+            runs.append(solve(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "fermat_point", recorded)
+        doc = parse_document(raw)
+        report = cmd_fermat(doc, {})
+        [(point, trace)] = runs
+        assert "iterates" not in vars(trace) and "objective_values" not in vars(trace)
+        objective = total_distance(point, doc.build_model())
+        assert objective == trace.objective_values[-1]
+        assert report["results"]["objective"] == round(objective, 12)
 
     def test_document_tolerance_reaches_solver(self, doc_path, capsys):
         doc = dict(FIVE_DOC, tolerance=1e-3)

@@ -14,6 +14,7 @@ from simplexcenters import (
     SimplexModel,
     ZeroCoordinate,
     embed_from_edge_lengths,
+    enumerate_isogonic,
     fermat_point,
     polar_simplex,
     total_distance,
@@ -253,16 +254,19 @@ class TestFermatPoint:
         assert trace.iterations_used == 1 and trace.gradient_evaluations == 1
 
     def test_one_distance_evaluation_per_iteration(self, count_calls):
-        # the objective of each iterate is read off the distances its step
-        # computes; only the point that leaves the loop needs one more
+        # the approach step reads the frame distances once and Newton reads
+        # none; no distance sum is formed until the trace is read
         model = SimplexModel(golden.FIVE_VERTICES)
-        calls = count_calls(model, "vertex_distances")
+        calls = count_calls(model, "_distances")
+        sums = count_calls(fermat, "total_distance")
         for method in ("q", "r"):
             calls.clear()
+            sums.clear()
             _, trace = fermat_point(model, method=method)
-            assert len(calls) <= trace.iterations_used + 2
+            assert len(calls) == 1 and not sums
             assert trace.objective_values == [
                 total_distance(p, model) for p in trace.iterates]
+            assert len(sums) == len(trace.iterates) > 2
 
     @pytest.mark.parametrize("model, vertex", [
         # the angle at vertex 0 exceeds 120 degrees
@@ -275,24 +279,26 @@ class TestFermatPoint:
     def test_vertex_optimum_decided_before_iterating(self, model, vertex, method,
                                                      count_calls):
         model = model()
-        calls = count_calls(model, "vertex_distances")
+        calls = count_calls(model, "_distances")
+        sums = count_calls(fermat, "total_distance")
         point, trace = fermat_point(model, method=method)
+        assert not calls and not sums
         assert np.array_equal(point.coords, BarycentricPoint.vertex(vertex, model.n).coords)
         assert trace.vertex_optimum and trace.converged
         assert trace.iterations_used == 0
         assert len(trace.iterates) == 2
-        assert len(calls) <= 2
         assert trace.objective_values == [
             total_distance(p, model) for p in trace.iterates]
 
     def test_one_point_per_iteration(self, five_model, count_calls):
-        # the start and each step build their point once
+        # the start, the approach step and the result are the only points
+        # built while the trace is unread, whatever the iteration count
         made = count_calls(BarycentricPoint, "__post_init__")
         for method in ("q", "r"):
             made.clear()
             _, trace = fermat_point(five_model, method=method)
             assert trace.iterations_used > 2
-            assert len(made) <= trace.iterations_used + 2
+            assert len(made) <= 3
 
     def test_first_iterate_is_the_public_step(self, five_model):
         # from an interior start the magnitudes fermat_point feeds the
@@ -311,6 +317,67 @@ class TestFermatPoint:
     def test_unknown_method_rejected(self, five_model):
         with pytest.raises(ValueError, match="classic"):
             fermat_point(five_model, method="classic")
+
+
+def _assert_lazy_trace(model, trace, point=None, tol=1e-12, max_iter=10000):
+    """The trace formed on first read equals the eager formula: the seed,
+    the next point, then Newton's frame path in barycentric coordinates,
+    each with its ``total_distance``."""
+    assert "iterates" not in vars(trace) and "objective_values" not in vars(trace)
+    iterates = trace.iterates
+    assert iterates[0] is trace.seed
+    assert len(iterates) == trace.iterations_used + 1 + trace.vertex_optimum
+    if point is not None:
+        assert iterates[-1].coords.tobytes() == point.coords.tobytes()
+    if len(iterates) > 1 and not trace.vertex_optimum:
+        path, _, _ = fermat._newton(model, np.ones(model.n + 1),
+                                    iterates[1].normalized_coords, tol, max_iter - 1)
+        assert [p.coords.tobytes() for p in iterates[2:]] == [
+            BarycentricPoint(model._coords(y)).coords.tobytes() for y in path]
+    assert trace.objective_values == [total_distance(p, model) for p in iterates]
+    assert trace.iterates is iterates
+    assert trace.objective_values is trace.objective_values
+
+
+class TestLazyTrace:
+    @pytest.mark.parametrize("method", ["q", "r"])
+    def test_reference_and_random_simplices(self, five_model, method):
+        point, trace = fermat_point(five_model, method=method)
+        _assert_lazy_trace(five_model, trace, point)
+        rng = np.random.default_rng(77)
+        for k in range(20):
+            n = 2 + k % 7
+            model = SimplexModel(rng.standard_normal((n + 1, n)))
+            start = random_interior_point(rng, n)
+            point, trace = fermat_point(model, start=start, method=method)
+            _assert_lazy_trace(model, trace, point)
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 3])
+    @pytest.mark.parametrize("method", ["q", "r"])
+    def test_budget_exits(self, five_model, method, max_iter):
+        with pytest.raises(MaxIterationsExceeded) as info:
+            fermat_point(five_model, method=method, max_iter=max_iter)
+        assert info.value.trace.reason == "out of budget"
+        _assert_lazy_trace(five_model, info.value.trace, max_iter=max_iter)
+
+    def test_stall_exit(self, five_model, monkeypatch):
+        monkeypatch.setattr(fermat, "_newton", lambda *args: ([], 1, False))
+        with pytest.raises(MaxIterationsExceeded) as info:
+            fermat_point(five_model)
+        assert info.value.trace.reason == "stalled"
+        _assert_lazy_trace(five_model, info.value.trace)
+
+    def test_vertex_optimum(self):
+        model = embed_from_edge_lengths(EdgeLengthTable.from_flat(2, [1, 1, 1.95]))
+        point, trace = fermat_point(model)
+        assert trace.reason == "vertex optimum"
+        _assert_lazy_trace(model, trace, point)
+
+    def test_catalog_traces_read_empty(self, five_model):
+        catalog = enumerate_isogonic(five_model)
+        assert catalog.traces
+        for trace in catalog.traces + catalog.failed_seeds:
+            assert trace.iterates == [] and trace.objective_values == []
 
 
 class TestDistanceSumGradient:
