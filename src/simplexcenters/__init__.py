@@ -22,7 +22,6 @@ from .barycentric import (
     BarycentricPoint,
     EdgeLengthTable,
     SimplexModel,
-    barycentric_square,
     circumcenter_cart,
     classical_centers,
     embed_from_edge_lengths,
@@ -73,7 +72,7 @@ __all__ = [
     "ApollonianSphere", "IsodynamicResult", "YiuVerdict", "apollonian_sphere",
     "collinear_cross_ratio", "isodynamic_points", "restrict_to_facet",
     "sphere_family", "yiu_triangle_test",
-    "BarycentricPoint", "EdgeLengthTable", "SimplexModel", "barycentric_square",
+    "BarycentricPoint", "EdgeLengthTable", "SimplexModel",
     "circumcenter_cart", "classical_centers", "embed_from_edge_lengths",
     "facet_volumes_of_points",
     "AtVertex", "CenterAtVertex", "Degenerate", "MaxIterationsExceeded",

@@ -139,7 +139,7 @@ def apollonian_sphere(p, i: int, j: int, model: SimplexModel) -> ApollonianSpher
         return ApollonianSphere(i=i, j=j, diameter_ends=(end_in, end_out),
                                 center=None, cart_center=None, radius=math.inf)
 
-    c1, c2 = (model._local.T @ end.normalized_coords for end in (end_in, end_out))
+    c1, c2 = (model._frame(end) for end in (end_in, end_out))
     return ApollonianSphere(i=i, j=j, diameter_ends=(end_in, end_out),
                             center=_slot_point(model.n, i, j, -pi ** 2, pj ** 2),
                             cart_center=_readonly(model._from_frame(0.5 * (c1 + c2))),
@@ -227,7 +227,7 @@ def yiu_triangle_test(d23: float, d13: float, d12: float,
         raise NotATriangle(f"lengths {sides} violate the triangle inequality")
 
     model = embed_from_edge_lengths(EdgeLengthTable.from_flat(2, [d12, d13, d23]))
-    squares = model._sq_edges[[1, 0, 0], [2, 2, 1]]   # d23^2, d13^2, d12^2
+    squares = model._lengths[[1, 0, 0], [2, 2, 1]] ** 2   # d23^2, d13^2, d12^2
     weights = BarycentricPoint([a1, a2, a3]).coords
     # the reciprocal weights over their largest, squared: no square overflows
     t = squares * (weights.min() / weights) ** 2
@@ -238,7 +238,7 @@ def yiu_triangle_test(d23: float, d13: float, d12: float,
         # the pole escapes to infinity; certainly outside the circumcircle
         return YiuVerdict(point=point, outside=True,
                           distance=math.inf, circumradius=circumradius)
-    dist = float(np.linalg.norm(model._local.T @ point.normalized_coords - center))
+    dist = float(np.linalg.norm(model._frame(point) - center))
     return YiuVerdict(point=point, outside=dist > radius,
                       distance=float(model._absolute(dist)), circumradius=circumradius)
 

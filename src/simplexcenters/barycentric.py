@@ -2,16 +2,9 @@
 
 A simplex is described either by vertex coordinates or by its table of
 pairwise edge lengths, which is embedded first; every model is measured
-from its vertices.  Distances from a barycentric point to the vertices
-are evaluated from the model's edge lengths, without leaving barycentric
-coordinates:
-
-    d^2(P, A_k) = - sum_{i<j} d_ij^2 (p_i - e_ki)(p_j - e_kj)
-
-for a normalized coordinate vector p, with e_k the k-th unit vector.  A
-point has one form, ``BarycentricPoint(coords)``: a finite point is stored
-normalized, so its ``coords`` are the p above; a direction (coordinate sum
-zero) is kept as given.
+from its vertices.  A point has one form, ``BarycentricPoint(coords)``: a
+finite point is stored normalized, so its ``coords`` sum to 1; a
+direction (coordinate sum zero) is kept as given.
 
 Near-zero policy: one tolerance, eps = 1e-13 relative to each input's own
 scale, decides where a construction stops being defined, in four predicates:
@@ -24,8 +17,10 @@ volume comes from the Gram matrix that its validity test reads.
 Frame policy: a model computes in one frame, vertex 0 at the origin, scaled
 by the power of two that brings the largest coordinate difference into
 [1/2, 1).  Everything barycentric or relative (Gram test, edges, volumes,
-conversions, feet, circumcenter, and the solvers elsewhere) reads
-the frame, so it does not depend on where the simplex sits or on its size.
+conversions, vertex distances, feet, circumcenter, and the solvers
+elsewhere) reads the frame, so it does not depend on where the simplex
+sits or on its size.  A finite point enters the frame one way,
+``SimplexModel._frame``.
 Cartesian outputs and absolute measures are scaled back once, by
 ``SimplexModel._absolute``; one beyond float range reads inf or 0.
 """
@@ -282,8 +277,8 @@ class SimplexModel:
     figure collapsed.  A collapsed figure keeps its volumes but has no
     affine frame: ``cart_to_bary`` and ``pedal_feet`` raise
     ``Degenerate`` on it.  All of it is computed in the frame of the module
-    docstring: ``_local`` holds the vertices there, and its unit is
-    ``2 ** _exponent``.
+    docstring: ``_local`` holds the vertices there, ``_lengths`` its edge
+    lengths, and its unit is ``2 ** _exponent``.
     """
 
     def __init__(self, vertices, *, validate: bool = True):
@@ -302,7 +297,7 @@ class SimplexModel:
         local = self._local = _readonly(np.ldexp(half, -exponent))
         # symmetric with a zero diagonal bit for bit: |a - b| == |b - a|
         lengths = np.linalg.norm(local[:, None, :] - local[None, :, :], axis=2)
-        self._sq_edges = _readonly(lengths ** 2)
+        self._lengths = _readonly(lengths)
         self._local_diameter = float(lengths.max())
         self.edges = EdgeLengthTable(n=self.n, d=_readonly(self._absolute(lengths)))
         self.diameter = float(self.edges.d.max())
@@ -352,8 +347,12 @@ class SimplexModel:
         """Barycentric coordinates of a frame point (summing to 1 up to rounding)."""
         return self._affine[0] @ np.append(y, 1.0)
 
+    def _frame(self, p) -> np.ndarray:
+        """The frame point of a finite barycentric point (inverse of ``_coords``)."""
+        return self._local.T @ as_point(p, self.n).normalized_coords
+
     def bary_to_cart(self, p) -> np.ndarray:
-        return self._from_frame(self._local.T @ as_point(p, self.n).normalized_coords)
+        return self._from_frame(self._frame(p))
 
     def cart_to_bary(self, x) -> BarycentricPoint:
         """The affine solve's coordinates of x, divided by their sum (1 up to rounding)."""
@@ -362,16 +361,13 @@ class SimplexModel:
     # -- metric -----------------------------------------------------------
 
     def vertex_distances(self, p) -> np.ndarray:
-        """Distances from a point to every vertex, via the edge-length formula."""
+        """Distances from a point to every vertex."""
         return self._absolute(self._distances(p))
 
     def _distances(self, p) -> np.ndarray:
         """``vertex_distances`` in the frame."""
-        p = as_point(p, self.n).normalized_coords
-        # -1/2 (p - e_i)^T D (p - e_i) = -1/2 p^T D p + (D p)_i  with D_ii = 0
-        dp = self._sq_edges @ p
-        base = -0.5 * float(p @ dp)
-        return np.sqrt(np.clip(base + dp, 0.0, None))
+        gaps = self._local - self._frame(p)
+        return np.sqrt(np.einsum("ij,ij->i", gaps, gaps))
 
     def _vertex_at(self, dist: np.ndarray) -> int | None:
         """Nearest vertex if within _REL_EPS * diameter, given the frame
@@ -424,11 +420,6 @@ def embed_from_edge_lengths(table: EdgeLengthTable) -> SimplexModel:
     if np.abs(model.edges.d - table.d).max() > 1e-10 * table.d.max():
         raise NotEmbeddable("embedding failed to realize the edge lengths")
     return model
-
-
-def barycentric_square(p) -> BarycentricPoint:
-    """Componentwise square [p_1^2 : ... : p_{n+1}^2]."""
-    return BarycentricPoint(as_point(p).coords ** 2)
 
 
 def _circumcenter(model: SimplexModel) -> tuple[np.ndarray, float]:

@@ -19,7 +19,6 @@ import numpy as np
 from .apollonian import isodynamic_points, yiu_triangle_test
 from .barycentric import (
     BarycentricPoint,
-    barycentric_square,
     circumcenter_cart,
     classical_centers,
 )
@@ -51,16 +50,16 @@ _CENTER_LABELS = {
 
 def _center_residual(key: str, centers: dict[str, BarycentricPoint], model) -> float:
     """Re-validate a center against its defining property, in the model's frame."""
-    y = model._local.T @ centers[key].normalized_coords
+    y = model._frame(centers[key])
     if key == "G":
         return float(model._absolute(np.linalg.norm(y - model._local.mean(axis=0))))
-    if key == "I":
+    if key in ("I", "K"):
+        # sideplane distances: equal for I, proportional to the facet volumes for K
         _, normals, offsets = model._affine
         dists = np.abs(normals @ y - offsets)
+        if key == "K":
+            dists = dists / model._facets
         return float(np.ptp(dists) / dists.mean())
-    if key == "K":
-        square = barycentric_square(centers["I"])
-        return float(np.abs(square.normalized_coords - centers["K"].normalized_coords).max())
     # "O": equidistant from the vertices
     dv = np.linalg.norm(model._local - y, axis=1)
     return float(np.ptp(dv) / dv.mean())
@@ -139,7 +138,7 @@ def cmd_fermat(doc: SimplexDocument, options: dict) -> dict:
     point, trace = fermat_point(model, start=start, method=method,
                                 tol=tol, max_iter=max_iter)
     gradient, _ = _signed_gradient(model._local, np.ones(model.n + 1),
-                                   model._local.T @ point.normalized_coords)
+                                   model._frame(point))
     results = {
         "dimension": model.n,
         "method": method,

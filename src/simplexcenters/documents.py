@@ -214,10 +214,8 @@ def point_payload(point: BarycentricPoint, residual: float | None = None,
 
 def render_point_lines(name: str, payload: dict, indent: str = "  ") -> list[str]:
     lines = [f"{name}"]
-    lines.append(f"{indent}normalized   " +
-                 "[" + ", ".join(fmt(v) for v in payload["normalized"]) + "]")
-    lines.append(f"{indent}homogeneous  " +
-                 "[" + ", ".join(fmt(v) for v in payload["homogeneous"]) + "]")
+    lines.append(f"{indent}normalized   " + fmt_list(payload["normalized"]))
+    lines.append(f"{indent}homogeneous  " + fmt_list(payload["homogeneous"]))
     if "normalized_fractions" in payload:
         lines.append(f"{indent}fractions    " +
                      "[" + ", ".join(payload["normalized_fractions"]) + "]")

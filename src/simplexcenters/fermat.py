@@ -71,7 +71,7 @@ def _pulls(model: SimplexModel, sigma: np.ndarray) -> np.ndarray:
     """Row k is c_k = sum_{i != k} sigma_i (A_k - A_i)/|A_k - A_i|, in the
     model's frame: g_sigma at vertex k over the other vertices."""
     local = model._local
-    lengths = np.sqrt(model._sq_edges) + np.eye(model.n + 1)  # the diagonal adds zeros
+    lengths = model._lengths + np.eye(model.n + 1)  # the diagonal adds zeros
     return (sigma[:, None] * (local[:, None] - local[None]) / lengths[..., None]).sum(axis=1)
 
 

@@ -122,14 +122,13 @@ def _start(seed: BarycentricPoint, model: SimplexModel) -> np.ndarray | None:
 
 
 def _run(model: SimplexModel, sigma: np.ndarray, seed: BarycentricPoint,
-         roots: list[np.ndarray],
+         start: np.ndarray | None, roots: list[np.ndarray],
          ) -> tuple[BarycentricPoint | None, np.ndarray | None, SolverTrace]:
-    """Newton on g_sigma from the conjugate of ``seed``, deflated against
-    ``roots``: the accepted isogonic point, whose frame position joins
-    ``roots``, and its antipedal facet volumes, or None twice, with the
-    trace of the start."""
+    """Newton on g_sigma from ``start``, the ``_start`` of ``seed``, deflated
+    against ``roots``: the accepted isogonic point, whose frame position
+    joins ``roots``, and its antipedal facet volumes, or None twice, with
+    the trace of the start."""
     trace = SolverTrace(seed=seed, reason="rejected")
-    start = _start(seed, model)
     if start is None:
         return None, None, trace
     path, trace.gradient_evaluations, ok = _newton(
@@ -253,14 +252,15 @@ def enumerate_isogonic(model: SimplexModel, seeds=None) -> IsogonicCatalog:
     for seed in default_seeds(model) + extra:
         start = _start(seed, model)
         sigma = np.ones(m) if start is None else np.sign(start)
-        classes.setdefault((sigma * sigma[0]).tobytes(), (sigma, []))[1].append(seed)
+        classes.setdefault((sigma * sigma[0]).tobytes(), (sigma, []))[1].append((seed, start))
 
     runs = []
-    for c, (sigma, class_seeds) in enumerate(classes.values()):
+    for c, (sigma, starts) in enumerate(classes.values()):
         roots: list[np.ndarray] = []
         if c <= m and model.n > 2:
-            class_seeds = itertools.chain(class_seeds, _further_seeds(model, sigma, roots))
-        runs += [_run(model, sigma, seed, roots) for seed in class_seeds]
+            further = _further_seeds(model, sigma, roots)
+            starts = itertools.chain(starts, ((s, _start(s, model)) for s in further))
+        runs += [_run(model, sigma, seed, start, roots) for seed, start in starts]
 
     catalog = IsogonicCatalog(failed_seeds=[trace for point, _, trace in runs if point is None])
     for point, volumes, trace in sorted((run for run in runs if run[0] is not None),
@@ -268,7 +268,7 @@ def enumerate_isogonic(model: SimplexModel, seeds=None) -> IsogonicCatalog:
         conjugate = isogonal_conjugate(point, model)
         catalog.conjugate_points.append(conjugate)
         catalog.isogonic_points.append(point)
-        feet = model._feet(model._local.T @ conjugate.normalized_coords)
+        feet = model._feet(model._frame(conjugate))
         for areas, figure_volumes in ((catalog.pedal_areas, facet_volumes_of_points(feet)),
                                       (catalog.antipedal_areas, volumes)):
             areas.append(float(model._absolute(figure_volumes.mean(), model.n - 1)))
@@ -288,7 +288,7 @@ def triad_angle_check(p, model: SimplexModel, tol: float = 1e-7,
     if model.n != 3:
         raise ValueError("triad angle check is defined for 3-simplices")
     pt = as_point(p, model.n)
-    rays = model._local - model._local.T @ pt.normalized_coords
+    rays = model._local - model._frame(pt)
     norms = np.linalg.norm(rays, axis=1)
     if model._vertex_at(norms) is not None:
         raise AtVertex("triad angles are undefined at a vertex")

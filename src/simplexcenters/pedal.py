@@ -46,7 +46,7 @@ def pedal_simplex(p, model: SimplexModel) -> SimplexModel:
     pt = as_point(p, model.n)
     if model._vertex_at(model._distances(pt)) is not None:
         raise AtVertex("pedal simplex is undefined at a vertex")
-    feet = model._feet(model._local.T @ pt.normalized_coords)
+    feet = model._feet(model._frame(pt))
     return SimplexModel(model._from_frame(feet), validate=False)
 
 
@@ -55,7 +55,7 @@ def _antipedal_points(p, model: SimplexModel) -> np.ndarray:
     pt = as_point(p, model.n)
     if model._vertex_at(model._distances(pt)) is not None:
         raise AtVertex("antipedal simplex is undefined at a vertex")
-    y = model._local.T @ pt.normalized_coords
+    y = model._frame(pt)
     # system i: rows j != i of (y - v_j) . z = (y - v_j) . v_j
     others = model._local[_leave_one_out(model.n + 1)]
     a = y - others
@@ -90,7 +90,7 @@ def polar_simplex(p, model: SimplexModel, radius: float = 1.0) -> SimplexModel:
     pt = as_point(p, model.n)
     if _zero_entries(pt.normalized_coords).any():
         raise OnSideplane("polar simplex needs all coordinates nonzero")
-    y = model._local.T @ pt.normalized_coords
+    y = model._frame(pt)
     w = model._feet(y) - y
     out = y + square * w / np.einsum("ij,ij->i", w, w)[:, None]
     return SimplexModel(model._from_frame(out), validate=False)

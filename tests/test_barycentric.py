@@ -14,7 +14,6 @@ from simplexcenters import (
     NotEmbeddable,
     PointAtInfinity,
     SimplexModel,
-    barycentric_square,
     circumcenter_cart,
     classical_centers,
     embed_from_edge_lengths,
@@ -213,8 +212,7 @@ class TestEmbedding:
 
 
 class TestSquaredDistance:
-    """The edge-length form of the squared distance, read through
-    ``vertex_distances``."""
+    """Squared distances to the vertices, read through ``vertex_distances``."""
 
     def test_vertex_pair_is_edge_length(self, gap_model):
         dist = gap_model.vertex_distances(BarycentricPoint.vertex(0, 3))
@@ -323,23 +321,6 @@ class TestClassicalCenters:
         assert np.abs(k - expected).max() < 1e-12
         ratio = np.array([125, 80, 45, 72], float)
         assert np.abs(k - ratio / ratio.sum()).max() < 1e-12
-
-
-class TestBarycentricSquare:
-    def test_centroid_fixed(self):
-        g = BarycentricPoint([1, 1, 1])
-        assert np.abs(barycentric_square(g).normalized_coords - 1 / 3).max() == 0
-
-    def test_incenter_squares_to_symmedian(self, five_model):
-        centers = classical_centers(five_model)
-        sq = barycentric_square(centers["I"])
-        assert np.abs(sq.normalized_coords
-                      - centers["K"].normalized_coords).max() < 1e-12
-
-    def test_componentwise(self):
-        sq = barycentric_square(BarycentricPoint([1, 2, 3]))
-        expected = np.array([1, 4, 9], float)
-        assert np.abs(sq.normalized_coords - expected / expected.sum()).max() < 1e-15
 
 
 class TestCircumsphere:

@@ -6,7 +6,14 @@ import pytest
 
 import golden
 
-from simplexcenters import Degenerate, NotEmbeddable, cli, documents, total_distance
+from simplexcenters import (
+    Degenerate,
+    NotEmbeddable,
+    classical_centers,
+    cli,
+    documents,
+    total_distance,
+)
 from simplexcenters.cli import _parse_seeds, cmd_centers, cmd_fermat, cmd_isodynamic, main
 from simplexcenters.documents import (
     DocumentError,
@@ -129,6 +136,15 @@ def test_an_edge_length_document_is_embedded_once(count_calls):
     cmd_centers(doc, {})
     cmd_isodynamic(doc, {})
     assert len(calls) == 1
+
+
+def test_each_center_residual_rejects_the_other_centers(five_model):
+    # a residual reads its own center's defining property alone
+    centers = classical_centers(five_model)
+    for key in "GIKO":
+        assert cli._center_residual(key, centers, five_model) <= 1e-15
+        for other in "GIKO".replace(key, ""):
+            assert cli._center_residual(key, {key: centers[other]}, five_model) > 0.1
 
 
 class TestIsodynamicCommand:

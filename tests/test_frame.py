@@ -9,6 +9,8 @@ float range read inf or 0.
 import functools
 import json
 import math
+import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -34,6 +36,7 @@ from simplexcenters import (
     weiszfeld_step_r,
     yiu_triangle_test,
 )
+import simplexcenters
 from simplexcenters import cli, documents
 
 # (scale, offset) pairs whose moved vertices stay in float range
@@ -235,3 +238,12 @@ def test_private_kernels_read_no_absolute_units(five_model, count_calls):
     enumerate_isogonic(five_model)
     yiu_triangle_test(12, 11, 13, *golden.GAP_FACET_AREAS[:3])
     assert calls == [[]] * 4
+
+
+def test_only_the_model_takes_a_point_into_the_frame():
+    # a barycentric point enters the frame through SimplexModel._frame alone
+    package = pathlib.Path(simplexcenters.__file__).parent
+    by_hand = [path.name for path in sorted(package.glob("*.py"))
+               if path.name != "barycentric.py"
+               and re.search(r"_local\.T\s*@.*normalized_coords", path.read_text())]
+    assert by_hand == []

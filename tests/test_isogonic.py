@@ -618,8 +618,8 @@ class TestDefaultSeeds:
         for model, first in (
                 (five_model, [0.30780518394326833, 0.2757934448131684,
                               0.18935198239963938, 0.22704938884392392]),
-                (optimum, [0.17782191284410748, 0.2740630702997773,
-                           0.2740575084280576, 0.2740575084280576])):
+                (optimum, [0.17782191284410906, 0.27406307029977683,
+                           0.2740575084280571, 0.2740575084280571])):
             assert [list(s.coords) for s in default_seeds(model)] == [first] + reflections
 
     def test_the_all_positive_start_is_where_fermat_point_starts(self):

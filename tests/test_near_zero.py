@@ -39,6 +39,11 @@ from simplexcenters import (
 FIVE = SimplexModel(golden.FIVE_VERTICES)
 BELOW, ABOVE = 1e-14, 1e-12
 
+# a point 0.9999e-13 diameters from vertex 3 of FIVE: a distance off in its
+# fifth digit splits the vertex tests' verdicts, unless all read one kernel
+AT_THRESHOLD = [1.8662849043948881e-13, -7.183142969324763e-14,
+                -1.1152190282359697e-13, 0.9999999999999967]
+
 
 def small_coordinate(t):
     """Second coordinate t times the largest."""
@@ -99,6 +104,16 @@ def test_rejects_below_tolerance(site):
 def test_accepts_above_tolerance(site):
     call, _ = SITES[site]
     call(ABOVE)
+
+
+# the r step tests its coordinates first, and the second one here is zero
+@pytest.mark.parametrize("call, error", [
+    (pedal_simplex, AtVertex), (antipedal_simplex, AtVertex),
+    (weiszfeld_step_q, AtVertex), (weiszfeld_step_r, ZeroCoordinate),
+    (triad_angle_check, AtVertex)], ids=lambda v: v.__name__)
+def test_one_vertex_verdict_at_the_threshold(call, error):
+    with pytest.raises(error):
+        call(AT_THRESHOLD, FIVE)
 
 
 def test_is_finite_boundary():
