@@ -41,13 +41,12 @@ from .barycentric import (
     BarycentricPoint,
     SimplexModel,
     _all_equal,
-    _circumcenter,
+    _gram_defect,
     _readonly,
     _vertex_index,
     _zero_entries,
     as_point,
     embed_from_edge_lengths,
-    EdgeLengthTable,
 )
 from .errors import (
     AtVertex,
@@ -174,7 +173,7 @@ def isodynamic_points(p, model: SimplexModel) -> IsodynamicResult:
     coords = pt.coords
     if _zero_entries(coords).any():
         raise ZeroCoordinate("isodynamic points need all coordinates nonzero")
-    center, radius = _circumcenter(model)
+    center, radius = model._circumcenter
     if _all_equal(coords ** 2):
         return IsodynamicResult(
             points=[BarycentricPoint(model._coords(center))],
@@ -216,8 +215,11 @@ def yiu_triangle_test(d23: float, d13: float, d12: float,
     the second, d12 the third.  The returned point is the pole of the
     circle-centers line with respect to the circumcircle: the circles have
     no common point precisely when it falls outside the circumcircle.  The
-    pole is homogeneous in the sides and the weights: it is computed in the
-    frame of the embedded triangle, and only the distances are scaled back.
+    pole is homogeneous in the sides and the weights: it is computed in
+    plain floats on the sides scaled by the power of two that brings the
+    longest into [1/2, 1), and only the distances are scaled back.  The
+    sides' Gram matrix raises ``Degenerate`` or ``NotEmbeddable`` where
+    ``embed_from_edge_lengths`` would; no model is built.
     """
     sides = (float(d23), float(d13), float(d12))
     if min(sides) <= 0 or min(a1, a2, a3) <= 0:
@@ -225,22 +227,34 @@ def yiu_triangle_test(d23: float, d13: float, d12: float,
     s0, s1, s2 = sides
     if s0 >= s1 + s2 or s1 >= s0 + s2 or s2 >= s0 + s1:
         raise NotATriangle(f"lengths {sides} violate the triangle inequality")
+    if not all(map(math.isfinite, sides)):
+        raise ValueError("edge lengths must be finite")
 
-    model = embed_from_edge_lengths(EdgeLengthTable.from_flat(2, [d12, d13, d23]))
-    squares = model._lengths[[1, 0, 0], [2, 2, 1]] ** 2   # d23^2, d13^2, d12^2
+    exponent = math.frexp(max(sides))[1]
+    a, b, c = (math.ldexp(s, -exponent) for s in sides)
+    # Gram matrix of the edges from the first vertex to the second and third
+    g01 = 0.5 * (c * c + b * b - a * a)
+    defect = _gram_defect(np.array([[c * c, g01], [g01, b * b]]))
+    if defect is not None:
+        raise defect
+    # its Cholesky factor by hand: the vertices (0, 0), (c, 0) and (x2, y2)
+    x2 = g01 / c
+    y2 = math.sqrt(b * b - x2 * x2)
+    ox, oy = 0.5 * c, (x2 * (x2 - c) + y2 * y2) / (2.0 * y2)   # circumcenter
+    radius = math.hypot(ox, oy)
+
+    squares = np.array([a * a, b * b, c * c])   # d23^2, d13^2, d12^2
     weights = BarycentricPoint([a1, a2, a3]).coords
     # the reciprocal weights over their largest, squared: no square overflows
     t = squares * (weights.min() / weights) ** 2
     point = BarycentricPoint(squares * (2.0 * t - t.sum()))   # d_i^2 (t_i - t_j - t_k)
-    center, radius = _circumcenter(model)
-    circumradius = float(model._absolute(radius))
-    if not point.is_finite():
-        # the pole escapes to infinity; certainly outside the circumcircle
-        return YiuVerdict(point=point, outside=True,
-                          distance=math.inf, circumradius=circumradius)
-    dist = float(np.linalg.norm(model._frame(point) - center))
+    _, p1, p2 = point.coords.tolist()
+    # a pole at infinity is certainly outside the circumcircle
+    dist = math.hypot(p1 * c + p2 * x2 - ox, p2 * y2 - oy) if point.is_finite() else math.inf
+    with np.errstate(over="ignore"):
+        distance, circumradius = np.ldexp([dist, radius], exponent).tolist()
     return YiuVerdict(point=point, outside=dist > radius,
-                      distance=float(model._absolute(dist)), circumradius=circumradius)
+                      distance=distance, circumradius=circumradius)
 
 
 def collinear_cross_ratio(a, b, c, d) -> float:

@@ -28,7 +28,6 @@ Cartesian outputs and absolute measures are scaled back once, by
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -74,6 +73,16 @@ def _leave_one_out(m: int) -> np.ndarray:
     keep = np.array([[j for j in range(m) if j != i] for i in range(m)])
     keep.flags.writeable = False
     return keep
+
+
+@functools.cache
+def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only rows and columns of the pairs i < j of 0..m-1, in
+    lexicographic order."""
+    pairs = np.triu_indices(m, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
 
 
 def facet_volumes_of_points(points: np.ndarray) -> np.ndarray:
@@ -151,14 +160,13 @@ class EdgeLengthTable:
     def from_flat(cls, n: int, values) -> "EdgeLengthTable":
         """Build from lengths listed pairwise in lexicographic order
         (d_12, d_13, ..., d_1,n+1, d_23, ..., d_n,n+1)."""
-        values = list(values)
-        pairs = list(itertools.combinations(range(n + 1), 2))
-        if len(values) != len(pairs):
+        values = np.array(list(values), dtype=float)
+        rows, cols = _pairs(n + 1)
+        if values.shape != rows.shape:
             raise ValueError(
-                f"dimension {n} needs {len(pairs)} edge lengths, got {len(values)}")
+                f"dimension {n} needs {rows.size} edge lengths, got {len(values)}")
         d = np.zeros((n + 1, n + 1))
-        for (i, j), v in zip(pairs, values):
-            d[i, j] = d[j, i] = float(v)
+        d[rows, cols] = d[cols, rows] = values
         return cls.from_matrix(d)
 
     def subtable(self, keep) -> "EdgeLengthTable":
@@ -265,10 +273,11 @@ class SimplexModel:
 
     Edge table, validity and volumes all come from the vertex coordinates;
     an edge-length input is embedded first (see ``embed_from_edge_lengths``).
-    Instances are immutable, except that the affine frame ``_affine`` is
-    formed on its first read, and safe to share across threads: a first
-    read that races builds equal read-only arrays.  Non-finite coordinates
-    raise ``Degenerate``.  One Gram matrix of the edge vectors from vertex 0
+    Instances are immutable, except that the affine frame ``_affine`` and
+    the circumcenter ``_circumcenter`` are formed on their first read, and
+    safe to share across threads: a first read that races builds equal
+    read-only arrays.  Non-finite coordinates raise ``Degenerate``.  One
+    Gram matrix of the edge vectors from vertex 0
     gives ``total_volume`` and the one validity test, ``_gram_defect``,
     whose verdict is kept as ``_defect``.  ``validate=True`` raises it
     (``Degenerate``, coincident vertices included); ``validate=False`` is
@@ -328,6 +337,13 @@ class SimplexModel:
         norms = np.linalg.norm(inv[:, :self.n], axis=1)
         return (inv, _readonly(inv[:, :self.n] / norms[:, None]),
                 _readonly(-inv[:, self.n] / norms))
+
+    @functools.cached_property
+    def _circumcenter(self) -> tuple[np.ndarray, float]:
+        """Circumcenter and circumradius in the frame (linear solve)."""
+        v = self._local[1:]
+        center = _readonly(np.linalg.solve(2.0 * v, (v ** 2).sum(axis=1)))
+        return center, float(np.linalg.norm(center))
 
     # -- conversions ------------------------------------------------------
 
@@ -422,16 +438,9 @@ def embed_from_edge_lengths(table: EdgeLengthTable) -> SimplexModel:
     return model
 
 
-def _circumcenter(model: SimplexModel) -> tuple[np.ndarray, float]:
-    """Circumcenter and circumradius in the model's frame (linear solve)."""
-    v = model._local[1:]
-    center = np.linalg.solve(2.0 * v, (v ** 2).sum(axis=1))
-    return center, float(np.linalg.norm(center))
-
-
 def circumcenter_cart(model: SimplexModel) -> tuple[np.ndarray, float]:
     """Cartesian circumcenter and circumradius."""
-    center, radius = _circumcenter(model)
+    center, radius = model._circumcenter
     return model._from_frame(center), float(model._absolute(radius))
 
 
@@ -442,6 +451,6 @@ def classical_centers(model: SimplexModel) -> dict[str, BarycentricPoint]:
         "G": BarycentricPoint(np.ones(model.n + 1)),
         "I": BarycentricPoint(a),
         "K": BarycentricPoint(a ** 2),
-        "O": BarycentricPoint(model._coords(_circumcenter(model)[0])),
+        "O": BarycentricPoint(model._coords(model._circumcenter[0])),
     }
 

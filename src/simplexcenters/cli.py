@@ -90,7 +90,7 @@ def cmd_isodynamic(doc: SimplexDocument, options: dict) -> dict:
     if options.get("point"):
         point = parse_point_arg(options["point"], model.n)
     else:
-        point = classical_centers(model)["I"]
+        point = BarycentricPoint(model._facets)   # the incenter
     result = isodynamic_points(point, model)
 
     warnings: list[str] = []

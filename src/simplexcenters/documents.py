@@ -170,6 +170,28 @@ def fmt_list(values) -> str:
     return "[" + ", ".join(fmt(v) for v in values) + "]"
 
 
+def _limit_denominator(num: int, den: int, bound: int) -> tuple[int, int]:
+    """``Fraction(num, den).limit_denominator(bound)`` as a pair, in integers:
+    the last continued-fraction convergent with denominator <= bound or the
+    semiconvergent after it, whichever is nearer, the convergent on a tie."""
+    if den <= bound:
+        return num, den
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    n, d = num, den
+    while True:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > bound:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    k = (bound - q0) // q1
+    p2, q2 = p0 + k * p1, q0 + k * q1
+    if abs(p1 * den - num * q1) * q2 <= abs(p2 * den - num * q2) * q1:
+        return p1, q1
+    return p2, q2
+
+
 def fraction_strings(values) -> list[str] | None:
     """Fraction renderings, or None unless all snap.
 
@@ -177,7 +199,9 @@ def fraction_strings(values) -> list[str] | None:
     and q <= sqrt(1e-3 / tol).  About 3 Q^2 / pi^2 fractions with q <= Q lie
     in each unit interval, so this bound lets the snapping windows cover
     about 1e-3 of the reals near v at every magnitude.  Beyond |v| = 1e10
-    the bound is below 1 and no value snaps.
+    the bound is below 1 and no value snaps.  The candidate p/q is
+    ``Fraction(v).limit_denominator(bound)``, found in integers on
+    ``v.as_integer_ratio()``, and ``p / q`` rounds as ``float`` of it does.
     """
     out = []
     for v in values:
@@ -186,11 +210,10 @@ def fraction_strings(values) -> list[str] | None:
         bound = int(math.sqrt(1e-3 / tol))
         if bound < 1:
             return None
-        frac = Fraction(v).limit_denominator(bound)
-        if abs(float(frac) - v) > tol:
+        num, den = _limit_denominator(*v.as_integer_ratio(), bound)
+        if abs(num / den - v) > tol:
             return None
-        out.append(f"{frac.numerator}/{frac.denominator}"
-                   if frac.denominator != 1 else f"{frac.numerator}")
+        out.append(f"{num}/{den}" if den != 1 else f"{num}")
     return out
 
 

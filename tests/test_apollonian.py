@@ -11,6 +11,7 @@ from conftest import make_random_model, random_nonzero_point
 from simplexcenters import (
     AtVertex,
     BarycentricPoint,
+    Degenerate,
     EdgeLengthTable,
     NotATriangle,
     NotEmbeddable,
@@ -326,6 +327,41 @@ class TestYiuTriangleTest:
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):
             yiu_triangle_test(3, 4, 5, 1, -1, 1)
+
+    def test_builds_no_model(self, count_calls):
+        models = count_calls(SimplexModel, "__init__")
+        yiu_triangle_test(12, 11, 13, *golden.GAP_FACET_AREAS[:3])
+        yiu_triangle_test(6, 4, 3, math.sqrt(396 / 851), 1, 1)
+        assert models == []
+
+    @pytest.mark.parametrize("scale", [1e-300, 1.0, 1e300], ids=["1e-300", "1", "1e300"])
+    def test_matches_the_embedded_triangle(self, scale):
+        # the oracle embeds the triangle as a model and reads its frame
+        rng = np.random.default_rng(47)
+        for _ in range(200):
+            d12, d13, d23 = (scale * s for s in
+                             golden.random_triangle_sides(rng, max_angle_deg=150))
+            weights = rng.uniform(0.1, 10.0, 3)
+            model = embed_from_edge_lengths(EdgeLengthTable.from_flat(2, [d12, d13, d23]))
+            squares = model._lengths[[1, 0, 0], [2, 2, 1]] ** 2
+            w = BarycentricPoint(weights).coords
+            t = squares * (w.min() / w) ** 2
+            point = BarycentricPoint(squares * (2.0 * t - t.sum()))
+            center, radius = model._circumcenter
+            dist = float(np.linalg.norm(model._frame(point) - center))
+
+            verdict = yiu_triangle_test(d23, d13, d12, *weights)
+            if abs(dist - radius) > 1e-12 * radius:
+                assert verdict.outside == (dist > radius)
+            assert (np.abs(verdict.point.coords - point.coords).max()
+                    <= 1e-11 * np.abs(point.coords).max())
+            assert verdict.distance == pytest.approx(model._absolute(dist), rel=1e-11)
+            assert verdict.circumradius == pytest.approx(model._absolute(radius), rel=1e-11)
+
+    def test_flat_triangle_is_degenerate(self):
+        # the sides' Gram matrix is tested as the embedding tests it
+        with pytest.raises(Degenerate):
+            yiu_triangle_test(1, 1, 2 - 1e-14, 1, 1, 1)
 
     @pytest.mark.parametrize("weight", [1e-160, 1e-200])
     def test_weights_whose_squared_ratio_leaves_float_range(self, weight):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -30,6 +31,14 @@ class TestEdgeLengthTable:
         assert d[0, 1] == 13 and d[0, 2] == 11 and d[0, 3] == 9
         assert d[1, 2] == 12 and d[1, 3] == 5 and d[2, 3] == 11
         assert np.all(d == d.T)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_from_flat_matches_a_loop_over_the_pairs(self, n):
+        values = np.random.default_rng(n).uniform(1.0, 1.1, n * (n + 1) // 2)
+        d = np.zeros((n + 1, n + 1))
+        for (i, j), v in zip(itertools.combinations(range(n + 1), 2), values):
+            d[i, j] = d[j, i] = v
+        assert np.array_equal(EdgeLengthTable.from_flat(n, values.tolist()).d, d)
 
     def test_lengths_near_the_float_limit_are_kept(self):
         # the table is made symmetric without forming d + d^T, which overflows

@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ import golden
 from simplexcenters import (
     Degenerate,
     NotEmbeddable,
+    SimplexModel,
     classical_centers,
     cli,
     documents,
     total_distance,
+    verify,
 )
 from simplexcenters.cli import _parse_seeds, cmd_centers, cmd_fermat, cmd_isodynamic, main
 from simplexcenters.documents import (
@@ -76,6 +79,34 @@ class TestCentersCommand:
         values = center + np.random.default_rng(11).uniform(-1, 1, 200)
         assert [v for v in values if fraction_strings([v]) is not None] == []
 
+    def test_snapping_matches_limit_denominator(self):
+        def reference(v):
+            tol = 1e-13 * max(1.0, abs(v))
+            bound = int(math.sqrt(1e-3 / tol))
+            if bound < 1:
+                return None
+            frac = Fraction(v).limit_denominator(bound)
+            if abs(float(frac) - v) > tol:
+                return None
+            return [f"{frac.numerator}/{frac.denominator}"
+                    if frac.denominator != 1 else f"{frac.numerator}"]
+
+        rng = np.random.default_rng(23)
+        snaps = [k / q for q in range(1, 301) for k in rng.integers(-20 * q, 20 * q, 3)]
+        values = [
+            *rng.uniform(-10, 10, 300),
+            *(rng.standard_normal(300) * 10.0 ** rng.uniform(-12, 12, 300)),
+            *snaps,
+            *range(-50, 51), 123456789.0, -9876543210.0,
+            *(s * 1e10 * (1 + f * 1e-15) for s in (1, -1) for f in range(-5, 6)),
+            *(s * (1e10 + f) for s in (1, -1) for f in (-1.5, -1, -0.5, 0.5, 1)),
+            *(v + s * f * 1e-13 * max(1.0, abs(v)) for v in snaps[::7]
+              for s in (1, -1) for f in (0.5, 0.99, 1.01, 2.0)),
+        ]
+        got = [fraction_strings([v]) for v in map(float, values)]
+        assert got == [reference(v) for v in map(float, values)]
+        assert sum(g is not None for g in got) > len(snaps)
+
     def test_near_flat_triangle_reports_without_fractions(self, doc_path, capsys):
         # the circumcenter's coordinates are about 1.6e10, where no value snaps
         doc = {"vertices": [[0, 0], [1, 0], [0.5, 2e-6]]}
@@ -136,6 +167,17 @@ def test_an_edge_length_document_is_embedded_once(count_calls):
     cmd_centers(doc, {})
     cmd_isodynamic(doc, {})
     assert len(calls) == 1
+
+
+def test_a_report_builds_one_model_and_one_circumcenter(count_calls):
+    # the witness reads three sides, and every center reads the model's circumcenter
+    models = count_calls(SimplexModel, "__init__")
+    solves = count_calls(vars(SimplexModel)["_circumcenter"], "func")
+    doc = parse_document(verify.GAP_TETRAHEDRON_DOC)
+    cmd_centers(doc, {})
+    report = cmd_isodynamic(doc, {})
+    assert "witness" in report["results"]
+    assert (len(models), len(solves)) == (1, 1)
 
 
 def test_each_center_residual_rejects_the_other_centers(five_model):
