@@ -29,13 +29,9 @@ from .barycentric import (
 )
 from .errors import (
     AtVertex,
-    CenterAtVertex,
     Degenerate,
     MaxIterationsExceeded,
-    NotATriangle,
     NotEmbeddable,
-    OnSideplane,
-    ParallelLine,
     PointAtInfinity,
     SimplexError,
     UnboundedAntipedal,
@@ -75,8 +71,7 @@ __all__ = [
     "BarycentricPoint", "EdgeLengthTable", "SimplexModel",
     "circumcenter_cart", "classical_centers", "embed_from_edge_lengths",
     "facet_volumes_of_points",
-    "AtVertex", "CenterAtVertex", "Degenerate", "MaxIterationsExceeded",
-    "NotATriangle", "NotEmbeddable", "OnSideplane", "ParallelLine",
+    "AtVertex", "Degenerate", "MaxIterationsExceeded", "NotEmbeddable",
     "PointAtInfinity", "SimplexError", "UnboundedAntipedal", "ZeroCoordinate",
     "REASONS", "SolverTrace", "fermat_point", "total_distance",
     "weiszfeld_step_q", "weiszfeld_step_r", "z_correspondent",

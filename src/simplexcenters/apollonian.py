@@ -48,13 +48,7 @@ from .barycentric import (
     as_point,
     embed_from_edge_lengths,
 )
-from .errors import (
-    AtVertex,
-    NotATriangle,
-    NotEmbeddable,
-    ParallelLine,
-    ZeroCoordinate,
-)
+from .errors import AtVertex, NotEmbeddable, PointAtInfinity, ZeroCoordinate
 
 # Window on the squared distance between the two isodynamic points, relative
 # to the squared circumradius, inside which they are one tangency point.
@@ -219,14 +213,12 @@ def yiu_triangle_test(d23: float, d13: float, d12: float,
     plain floats on the sides scaled by the power of two that brings the
     longest into [1/2, 1), and only the distances are scaled back.  The
     sides' Gram matrix raises ``Degenerate`` or ``NotEmbeddable`` where
-    ``embed_from_edge_lengths`` would; no model is built.
+    ``embed_from_edge_lengths`` would, such as ``NotEmbeddable`` for a
+    violated triangle inequality; no model is built.
     """
     sides = (float(d23), float(d13), float(d12))
     if min(sides) <= 0 or min(a1, a2, a3) <= 0:
         raise ValueError("side lengths and weights must be positive")
-    s0, s1, s2 = sides
-    if s0 >= s1 + s2 or s1 >= s0 + s2 or s2 >= s0 + s1:
-        raise NotATriangle(f"lengths {sides} violate the triangle inequality")
     if not all(map(math.isfinite, sides)):
         raise ValueError("edge lengths must be finite")
 
@@ -289,7 +281,7 @@ def restrict_to_facet(p, model: SimplexModel,
     # line A_i + span(P): zero out slot i, keep remaining coordinates
     hit = BarycentricPoint(np.delete(coords, i))
     if not hit.is_finite():
-        raise ParallelLine("line through the opposite vertex misses the facet")
+        raise PointAtInfinity("line through the opposite vertex misses the facet")
     keep = [j for j in range(model.n + 1) if j != i]
     if not np.isfinite(model.edges.d[np.ix_(keep, keep)]).all():
         raise NotEmbeddable(f"facet {i} has an edge beyond float range and no embedding")

@@ -88,13 +88,12 @@ def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
 def facet_volumes_of_points(points: np.ndarray) -> np.ndarray:
     """(k-1)-volumes of all facets of the simplex on the given points.
 
-    Entry i is the volume of the facet obtained by dropping point i.
-    Vectorized over the facets, for the figures of the isogonic catalog.
+    Entry i is the volume of the facet obtained by dropping point i (a
+    point's is 1, the determinant of an empty Gram matrix).  Vectorized over
+    the facets, for the figures of the isogonic catalog.
     """
     points = np.asarray(points, float)
     m = points.shape[0]
-    if m == 2:
-        return np.array([1.0, 1.0])  # facets of a segment are points
     facets = points[_leave_one_out(m)]          # (m, m-1, dim)
     edges = facets[:, 1:, :] - facets[:, :1, :]  # (m, m-2, dim)
     gram = edges @ edges.transpose(0, 2, 1)
@@ -109,7 +108,7 @@ def _gram_defect(gram: np.ndarray) -> NotEmbeddable | Degenerate | None:
     positive semidefinite, and has positive volume iff it is definite:
     ``NotEmbeddable`` below ``-_GRAM_REL_TOL * lambda_max``, ``Degenerate``
     within that scale-invariant tolerance of zero.  A spectrum that is not
-    finite (a table whose squares overflow) is ``NotEmbeddable`` too.
+    finite fails the first comparison and is ``NotEmbeddable`` too.
     """
     lam = np.linalg.eigvalsh(gram)
     floor = _GRAM_REL_TOL * lam[-1]

@@ -6,7 +6,9 @@ class SimplexError(Exception):
 
 
 class NotEmbeddable(SimplexError):
-    """Edge lengths admit no Euclidean realization (negative Gram eigenvalue)."""
+    """Edge lengths admit no Euclidean realization (negative Gram eigenvalue),
+    such as sides that violate the triangle inequality: raised by
+    ``embed_from_edge_lengths``, ``restrict_to_facet`` and ``yiu_triangle_test``."""
 
 
 class Degenerate(SimplexError):
@@ -14,35 +16,24 @@ class Degenerate(SimplexError):
 
 
 class PointAtInfinity(SimplexError):
-    """Homogeneous coordinate sum is zero; the point has no affine image."""
+    """Homogeneous coordinate sum is zero; the point has no affine image,
+    such as the hit point of ``restrict_to_facet`` on a line parallel to the facet."""
 
 
 class ZeroCoordinate(SimplexError):
-    """An operation requires all barycentric coordinates to be nonzero."""
-
-
-class OnSideplane(ZeroCoordinate):
-    """The point lies on a sideplane (some coordinate is zero)."""
-
-
-class NotATriangle(SimplexError):
-    """Three lengths violate the triangle inequality."""
-
-
-class ParallelLine(SimplexError):
-    """A line does not meet the requested sideplane."""
+    """A barycentric coordinate that must be nonzero vanishes: the point lies
+    on a sideplane (Apollonian spheres, isodynamic points, the polar simplex,
+    the isogonal conjugate and the Fermat solver)."""
 
 
 class UnboundedAntipedal(SimplexError):
     """The antipedal construction is unbounded (singular vertex system)."""
 
 
-class CenterAtVertex(SimplexError):
-    """An inversion center coincides with a simplex vertex."""
-
-
 class AtVertex(SimplexError):
-    """The point coincides with a simplex vertex where a distance must not vanish."""
+    """The point coincides with a simplex vertex where a distance must not
+    vanish (pedal, antipedal, Weiszfeld steps, triad angles, the center of
+    ``inversive_image``, the opposite vertex of ``restrict_to_facet``)."""
 
 
 class MaxIterationsExceeded(SimplexError):

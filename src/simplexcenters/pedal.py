@@ -18,7 +18,7 @@ from .barycentric import (
     _zero_entries,
     as_point,
 )
-from .errors import AtVertex, CenterAtVertex, OnSideplane, UnboundedAntipedal
+from .errors import AtVertex, UnboundedAntipedal, ZeroCoordinate
 
 # Condition-number cutoff beyond which an antipedal vertex system is treated
 # as singular (two construction normals effectively coincide).
@@ -89,7 +89,7 @@ def polar_simplex(p, model: SimplexModel, radius: float = 1.0) -> SimplexModel:
     square = _squared_radius(radius, model)
     pt = as_point(p, model.n)
     if _zero_entries(pt.normalized_coords).any():
-        raise OnSideplane("polar simplex needs all coordinates nonzero")
+        raise ZeroCoordinate("polar simplex needs all coordinates nonzero")
     y = model._frame(pt)
     w = model._feet(y) - y
     out = y + square * w / np.einsum("ij,ij->i", w, w)[:, None]
@@ -107,7 +107,7 @@ def inversive_image(model: SimplexModel, center, radius: float) -> SimplexModel:
     norm2 = np.einsum("ij,ij->i", w, w)
     i = model._vertex_at(np.sqrt(norm2))
     if i is not None:
-        raise CenterAtVertex(f"inversion center coincides with vertex {i}")
+        raise AtVertex(f"inversion center coincides with vertex {i}")
     out = y + square * w / norm2[:, None]
     return SimplexModel(model._from_frame(out), validate=False)
 

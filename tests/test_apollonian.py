@@ -13,9 +13,9 @@ from simplexcenters import (
     BarycentricPoint,
     Degenerate,
     EdgeLengthTable,
-    NotATriangle,
     NotEmbeddable,
-    ParallelLine,
+    PointAtInfinity,
+    SimplexError,
     SimplexModel,
     ZeroCoordinate,
     apollonian_sphere,
@@ -30,6 +30,15 @@ from simplexcenters import (
     yiu_triangle_test,
 )
 from simplexcenters import apollonian
+
+
+def _error_class(call):
+    """The class of the SimplexError that a call raises, or None."""
+    try:
+        call()
+    except SimplexError as exc:
+        return type(exc)
+    return None
 
 
 class TestApollonianSphere:
@@ -321,8 +330,38 @@ class TestYiuTriangleTest:
             yiu_triangle_test(3, 4, 5, math.inf, 1, 1)
 
     def test_invalid_triangle_rejected(self):
-        with pytest.raises(NotATriangle):
+        with pytest.raises(NotEmbeddable, match="no Euclidean simplex") as excinfo:
             yiu_triangle_test(1, 1, 2.5, 1, 1, 1)
+        assert excinfo.type is NotEmbeddable
+
+    def test_infinite_side_rejected(self):
+        with pytest.raises(ValueError, match="edge lengths must be finite"):
+            yiu_triangle_test(math.inf, 1, 1, 1, 1, 1)
+
+    def test_same_verdict_as_the_embedding(self):
+        # one validity test: the criterion accepts exactly the sides that
+        # embed, and rejects the others with the embedding's class.  20,904
+        # triples: random ones, and ones within 1e-17 to 1 of the triangle
+        # inequality on either side of it, at three scales
+        rng = np.random.default_rng(43)
+        triples = list(rng.uniform(0.01, 1.0, (2000, 3)))
+        for _ in range(72):
+            a, b = rng.uniform(0.01, 1.0, 2)
+            for gap in np.logspace(-17, 0, 35):
+                for longest in ((a + b) * (1 - gap), (a + b) * (1 + gap)):
+                    if longest > 0:
+                        triples.append(np.roll([a, b, longest], rng.integers(3)))
+        verdicts = set()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for scale in (1e-300, 1.0, 1e300):
+                for d23, d13, d12 in scale * np.array(triples):
+                    table = EdgeLengthTable.from_flat(2, [d12, d13, d23])
+                    got = _error_class(lambda: yiu_triangle_test(d23, d13, d12, 1, 2, 3))
+                    want = _error_class(lambda: embed_from_edge_lengths(table))
+                    assert got is want, (d23, d13, d12, got, want)
+                    verdicts.add(got)
+        assert verdicts == {None, Degenerate, NotEmbeddable}
 
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError):
@@ -399,8 +438,9 @@ class TestRestrictToFacet:
 
     def test_parallel_line(self, equilateral_triangle):
         p = BarycentricPoint([1.0, 1.0, -1.0])
-        with pytest.raises(ParallelLine):
+        with pytest.raises(PointAtInfinity, match="misses the facet") as excinfo:
             restrict_to_facet(p, equilateral_triangle, 0)
+        assert excinfo.type is PointAtInfinity
 
     def test_triangle_facet_is_a_segment(self):
         model = SimplexModel([[0, 0], [4, 0], [1, 3]])

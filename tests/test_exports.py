@@ -39,7 +39,8 @@ def test_readme_python_blocks_run(capsys):
 
 
 def test_every_exported_error_has_a_raise_site():
-    # an exception class that the library never raises is dead API
+    # an exception class that the library never raises is dead API, and so
+    # is one that it defines but does not export
     package = pathlib.Path(simplexcenters.__file__).parent
     raised = set()
     for path in package.glob("*.py"):
@@ -53,3 +54,8 @@ def test_every_exported_error_has_a_raise_site():
               and issubclass(obj, simplexcenters.SimplexError)
               and obj is not simplexcenters.SimplexError}
     assert errors and errors <= raised, errors - raised
+    defined = {name for name, obj in vars(simplexcenters.errors).items()
+               if isinstance(obj, type) and obj.__module__ == simplexcenters.errors.__name__
+               and issubclass(obj, simplexcenters.SimplexError)
+               and obj is not simplexcenters.SimplexError}
+    assert defined <= errors, defined - errors

@@ -115,6 +115,23 @@ class TestEnumerateIsogonic:
             assert abs(catalog.antipedal_areas[k]
                        / golden.ANTIPEDAL_AREA_TABLE[k] - 1) < 1e-6
 
+    def test_dirichlet_start_finds_a_second_root_in_its_class(self, monkeypatch):
+        # the benchmark's gauss-n3-2 tetrahedron in its seed-1 pose: class
+        # (1, 1, 1, -1) has two roots, and only a Dirichlet start reaches the
+        # second, so the random further starts are not yet dead code
+        model = SimplexModel([
+            [0.8715261111573812, 0.07957296834847231, -0.5028813226903299],
+            [-1.0598656404068991, 0.13969474356198922, -0.29110144199848],
+            [2.0010531301578856, 1.6843461973169702, -0.5525316475421018],
+            [0.5775094827568734, 0.46654004858640064, -0.6113976202958499]])
+        signs = [tuple(np.sign(p.normalized_coords)) for p in
+                 enumerate_isogonic(model).isogonic_points]
+        assert len(signs) == 6 and signs.count((1, 1, 1, -1)) == 2
+        monkeypatch.setattr(isogonic, "_CLASS_POINTS", 0)
+        signs = [tuple(np.sign(p.normalized_coords)) for p in
+                 enumerate_isogonic(model).isogonic_points]
+        assert len(signs) == 5 and signs.count((1, 1, 1, -1)) == 1
+
     def test_segment_stalls_on_a_singular_jacobian(self):
         # on a line the Jacobian of g_sigma vanishes: the all-positive start
         # stops at once, and the one-negative seeds have no finite conjugate

@@ -15,9 +15,6 @@ import golden
 from simplexcenters import (
     AtVertex,
     BarycentricPoint,
-    CenterAtVertex,
-    OnSideplane,
-    ParallelLine,
     PointAtInfinity,
     SimplexModel,
     ZeroCoordinate,
@@ -72,7 +69,7 @@ SITES = {
                      ZeroCoordinate),
     "isogonal_conjugate": (lambda t: isogonal_conjugate(small_coordinate(t), FIVE),
                            ZeroCoordinate),
-    "polar_simplex": (lambda t: polar_simplex(small_coordinate(t), FIVE), OnSideplane),
+    "polar_simplex": (lambda t: polar_simplex(small_coordinate(t), FIVE), ZeroCoordinate),
     "apollonian_sphere": (lambda t: apollonian_sphere(small_coordinate(t), 0, 1, FIVE),
                           ZeroCoordinate),
     "isodynamic_points": (lambda t: isodynamic_points(small_coordinate(t), FIVE),
@@ -83,21 +80,22 @@ SITES = {
     "normalized_coords": (lambda t: BarycentricPoint([1, 1, 1, -3 + 6 * t]).normalized_coords,
                           PointAtInfinity),
     "restrict_to_facet_parallel": (lambda t: restrict_to_facet([1, 1, 1, -2 + 4 * t], FIVE, 0),
-                                   ParallelLine),
+                                   PointAtInfinity),
     # vertex within t * diameter
     "pedal_simplex": (lambda t: pedal_simplex(near_vertex(t), FIVE), AtVertex),
     "antipedal_simplex": (lambda t: antipedal_simplex(near_vertex(t), FIVE), AtVertex),
     "weiszfeld_step_q": (lambda t: weiszfeld_step_q(near_vertex(t), FIVE), AtVertex),
     "triad_angle_check": (lambda t: triad_angle_check(near_vertex(t), FIVE), AtVertex),
     "inversive_image": (lambda t: inversive_image(FIVE, FIVE.bary_to_cart(near_vertex(t)), 1.0),
-                        CenterAtVertex),
+                        AtVertex),
 }
 
 @pytest.mark.parametrize("site", sorted(SITES))
 def test_rejects_below_tolerance(site):
     call, error = SITES[site]
-    with pytest.raises(error):
+    with pytest.raises(error) as excinfo:
         call(BELOW)
+    assert excinfo.type is error
 
 
 @pytest.mark.parametrize("site", sorted(SITES))
@@ -112,8 +110,9 @@ def test_accepts_above_tolerance(site):
     (weiszfeld_step_q, AtVertex), (weiszfeld_step_r, ZeroCoordinate),
     (triad_angle_check, AtVertex)], ids=lambda v: v.__name__)
 def test_one_vertex_verdict_at_the_threshold(call, error):
-    with pytest.raises(error):
+    with pytest.raises(error) as excinfo:
         call(AT_THRESHOLD, FIVE)
+    assert excinfo.type is error
 
 
 def test_is_finite_boundary():

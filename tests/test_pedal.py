@@ -10,11 +10,10 @@ from conftest import make_random_model, random_interior_point
 from simplexcenters import (
     AtVertex,
     BarycentricPoint,
-    CenterAtVertex,
     Degenerate,
-    OnSideplane,
     SimplexModel,
     UnboundedAntipedal,
+    ZeroCoordinate,
     antipedal_simplex,
     circumcenter_cart,
     classical_centers,
@@ -243,8 +242,9 @@ class TestPolarSimplex:
                           - p.normalized_coords).max() < 1e-10
 
     def test_on_sideplane_rejected(self, five_model):
-        with pytest.raises(OnSideplane):
+        with pytest.raises(ZeroCoordinate, match="polar simplex") as excinfo:
             polar_simplex(BarycentricPoint([0, 1, 1, 1]), five_model)
+        assert excinfo.type is ZeroCoordinate
 
 
 class TestInversiveImage:
@@ -302,8 +302,9 @@ class TestInversiveImage:
         assert np.ptp(ratios) / ratios.mean() < 1e-8
 
     def test_center_at_vertex_rejected(self, five_model):
-        with pytest.raises(CenterAtVertex):
+        with pytest.raises(AtVertex, match="coincides with vertex 2") as excinfo:
             inversive_image(five_model, five_model.vertices[2], 1.0)
+        assert excinfo.type is AtVertex
 
 
 @pytest.mark.parametrize("build", [
