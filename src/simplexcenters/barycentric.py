@@ -272,10 +272,11 @@ class SimplexModel:
 
     Edge table, validity and volumes all come from the vertex coordinates;
     an edge-length input is embedded first (see ``embed_from_edge_lengths``).
-    Instances are immutable, except that the affine frame ``_affine`` and
-    the circumcenter ``_circumcenter`` are formed on their first read, and
+    Instances are immutable, except that the affine frame ``_affine``, the
+    circumcenter ``_circumcenter``, the unit edge vectors ``_unit_edges`` and
+    Kuhn's verdict ``_fermat_vertex`` are formed on their first read, and
     safe to share across threads: a first read that races builds equal
-    read-only arrays.  Non-finite coordinates raise ``Degenerate``.  One
+    read-only values.  Non-finite coordinates raise ``Degenerate``.  One
     Gram matrix of the edge vectors from vertex 0
     gives ``total_volume`` and the one validity test, ``_gram_defect``,
     whose verdict is kept as ``_defect``.  ``validate=True`` raises it
@@ -343,6 +344,21 @@ class SimplexModel:
         v = self._local[1:]
         center = _readonly(np.linalg.solve(2.0 * v, (v ** 2).sum(axis=1)))
         return center, float(np.linalg.norm(center))
+
+    @functools.cached_property
+    def _unit_edges(self) -> np.ndarray:
+        """Row k, column i: (A_k - A_i)/|A_k - A_i| in the frame, zero for i = k."""
+        local = self._local
+        lengths = self._lengths + np.eye(self.n + 1)  # the diagonal divides zeros
+        return _readonly((local[:, None] - local[None]) / lengths[..., None])
+
+    @functools.cached_property
+    def _fermat_vertex(self) -> int | None:
+        """Kuhn's verdict: the first vertex k whose row of ``_unit_edges`` sums
+        to norm <= 1, which makes k the distance sum's minimizer, or None."""
+        pulls = np.linalg.norm(self._unit_edges.sum(axis=1), axis=1)
+        optimal = np.flatnonzero(pulls <= 1.0)
+        return int(optimal[0]) if optimal.size else None
 
     # -- conversions ------------------------------------------------------
 

@@ -21,15 +21,19 @@ isogonic point is a root for its own sign pattern, which
 :mod:`simplexcenters.isogonic` finds with the same kernel, deflated.
 Kuhn's test decides before the first step whether a vertex is the
 minimizer: vertex k is iff the gradient over the other vertices has norm
-<= 1 there (H. W. Kuhn, Math. Programming 4, 1973).
+<= 1 there (H. W. Kuhn, Math. Programming 4, 1973).  It is decided once
+per model, as ``SimplexModel._fermat_vertex``, from the model's unit edge
+vectors, which the catalog's pulls read too.
 
 Both solvers record a run in one :class:`SolverTrace`; a Fermat trace
-forms its iterates and their distance sums when they are first read.
+forms its iterates, the approach step's included, and their distance sums
+when they are first read.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -70,9 +74,7 @@ def _signed_gradient(vertices: np.ndarray, sigma: np.ndarray, x: np.ndarray,
 def _pulls(model: SimplexModel, sigma: np.ndarray) -> np.ndarray:
     """Row k is c_k = sum_{i != k} sigma_i (A_k - A_i)/|A_k - A_i|, in the
     model's frame: g_sigma at vertex k over the other vertices."""
-    local = model._local
-    lengths = model._lengths + np.eye(model.n + 1)  # the diagonal adds zeros
-    return (sigma[:, None] * (local[:, None] - local[None]) / lengths[..., None]).sum(axis=1)
+    return (sigma[:, None] * model._unit_edges).sum(axis=1)
 
 
 # why a solver run stopped: only the first two give an answer, "escaped" and
@@ -89,9 +91,11 @@ class SolverTrace:
     ``iterations_used`` counts Newton steps (plus the Fermat solver's
     approach step); ``gradient_evaluations`` counts evaluations of g_sigma,
     line-search trials up to the accepted one (12 if none) included.  A
-    Fermat trace keeps a reference to its model, ``seed``, the next point
-    and Newton's frame path, and forms ``iterates`` and their distance sums
-    ``objective_values`` on first read, once; a catalog trace reads [] for both.
+    Fermat trace keeps a reference to its model, ``seed``, then either the
+    homogeneous coordinates of the approach step and Newton's frame path or
+    the optimal vertex, and forms ``iterates`` (one point per entry) and
+    their distance sums ``objective_values`` on first read, once; a catalog
+    trace reads [] for both.
     ``damping_used`` always reads 1.0; it stays because the benchmark's
     ``isogonic-catalog`` statistics read it from every trace.
     """
@@ -102,12 +106,13 @@ class SolverTrace:
     gradient_evaluations: int = 0
     damping_used: float = 1.0
     _model: SimplexModel | None = field(default=None, repr=False)
-    _head: list[BarycentricPoint] = field(default_factory=list, repr=False)
+    _head: list[BarycentricPoint | np.ndarray] = field(default_factory=list, repr=False)
     _path: list[np.ndarray] = field(default_factory=list, repr=False)
 
     @cached_property
     def iterates(self) -> list[BarycentricPoint]:
-        return self._head + [BarycentricPoint(self._model._coords(y)) for y in self._path]
+        return ([as_point(p) for p in self._head]
+                + [BarycentricPoint(self._model._coords(y)) for y in self._path])
 
     @cached_property
     def objective_values(self) -> list[float]:
@@ -165,7 +170,7 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
     if its scale was positive and |g_sigma| <= ``residual`` (checked only
     when finite).  A singular J ends the run; so does a line search that
     cannot lower M |g_sigma|, which succeeds if M |g_sigma| <= ``residual``
-    there.
+    there.  M |g_sigma| is computed once per point.
     Returns the accepted iterates in the frame (the start only when it
     succeeds without a step), the gradient evaluations, and whether the run
     succeeded; ``roots`` are frame points too.
@@ -177,6 +182,7 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
     x = local.T @ coords
     g, jac = _signed_gradient(local, sigma, x)
     weight, dlog = _deflation(x, known, d2)
+    merit = weight * math.sqrt(g @ g)
     evaluations = 1
     path: list[np.ndarray] = []
     ok = False
@@ -198,12 +204,12 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
                 g = _signed_gradient(local, sigma, x)[0]
                 ok = ok and math.sqrt(g @ g) <= residual
             break
-        merit = weight * math.sqrt(g @ g)
         y = x + step
         gy, jy = _signed_gradient(local, sigma, y)
         wy, dy = _deflation(y, known, d2)
         evaluations += 1
-        if not wy * math.sqrt(gy @ gy) <= (1.0 - 1e-4) * merit:
+        merit_y = wy * math.sqrt(gy @ gy)
+        if not merit_y <= (1.0 - 1e-4) * merit:
             # the shorter steps in one pass, counted up to the first that passes
             trials = _trial_merits(local, sigma, x + _TRIALS[:, None] * step, known, d2)
             passed = np.flatnonzero(trials <= (1.0 - 1e-4 * _TRIALS) * merit)
@@ -219,7 +225,8 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
             y = x + _TRIALS[passed[0]] * step
             gy, jy = _signed_gradient(local, sigma, y)
             wy, dy = _deflation(y, known, d2)
-        x, g, jac, weight, dlog = y, gy, jy, wy, dy
+            merit_y = wy * math.sqrt(gy @ gy)
+        x, g, jac, dlog, merit = y, gy, jy, dy, merit_y
         path.append(x)
     return path, evaluations, ok
 
@@ -294,20 +301,25 @@ def fermat_point(model: SimplexModel, start=None, method: str = "q",
     (default: centroid; all coordinates must be nonzero), then Newton steps
     until one moves the point by at most ``tol`` times the diameter.
     ``max_iter`` bounds the approach step plus the Newton steps.  Raises
-    :class:`MaxIterationsExceeded` with the trace attached if the budget
-    runs out or Newton stalls (a singular Jacobian or a failed line search);
-    the trace's ``reason`` tells these apart.
+    ``ValueError`` unless ``tol`` is finite and positive and ``max_iter`` an
+    integer >= 0 (not a bool), and :class:`MaxIterationsExceeded` with the
+    trace attached if the budget runs out or Newton stalls (a singular
+    Jacobian or a failed line search); the trace's ``reason`` tells these
+    apart.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 0:
+        raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     p = as_point(np.ones(model.n + 1) if start is None else start, model.n)
     if _zero_entries(p.normalized_coords).any():
         raise ZeroCoordinate("start point must have all coordinates nonzero")
 
     trace = SolverTrace(seed=p, _model=model, _head=[p])
-    optimal = np.flatnonzero(np.linalg.norm(_pulls(model, np.ones(model.n + 1)), axis=1) <= 1.0)
-    if optimal.size:
-        trace._head.append(BarycentricPoint.vertex(int(optimal[0]), model.n))
+    if model._fermat_vertex is not None:
+        trace._head.append(BarycentricPoint.vertex(model._fermat_vertex, model.n))
         trace.reason = "vertex optimum"
         return trace._head[-1], trace
 
@@ -316,10 +328,11 @@ def fermat_point(model: SimplexModel, start=None, method: str = "q",
         raise MaxIterationsExceeded(
             f"no convergence within {max_iter} iterations (method {method!r})",
             trace=trace)
-    p = BarycentricPoint(_step(np.abs(p.coords), model._distances(p), method))
-    trace._head.append(p)
+    # the approach step's point is formed only if the trace is read
+    h = _step(np.abs(p.coords), model._distances(p), method)
+    trace._head.append(h)
     trace._path, trace.gradient_evaluations, converged = _newton(
-        model, np.ones(model.n + 1), p.normalized_coords, tol, max_iter - 1)
+        model, np.ones(model.n + 1), h / h.sum(), tol, max_iter - 1)
     trace.iterations_used = len(trace._path) + 1
     if converged:
         trace.reason = "converged"

@@ -180,6 +180,17 @@ def test_a_report_builds_one_model_and_one_circumcenter(count_calls):
     assert (len(models), len(solves)) == (1, 1)
 
 
+def test_a_report_forms_no_fermat_constant(count_calls):
+    # the unit edges and Kuhn's verdict are formed for the solvers alone
+    formed = [count_calls(vars(SimplexModel)[name], "func")
+              for name in ("_unit_edges", "_fermat_vertex")]
+    for raw in verify.BUILTIN_DOCUMENTS.values():
+        doc = parse_document(raw)
+        cmd_centers(doc, {})
+        cmd_isodynamic(doc, {})
+    assert formed == [[], []]
+
+
 def test_each_center_residual_rejects_the_other_centers(five_model):
     # a residual reads its own center's defining property alone
     centers = classical_centers(five_model)

@@ -24,6 +24,7 @@ from simplexcenters import (
 )
 from simplexcenters import fermat
 from simplexcenters.fermat import distance_sum_gradient
+from simplexcenters.isogonic import _sign_classes
 
 
 class TestCorrespondent:
@@ -291,14 +292,14 @@ class TestFermatPoint:
             total_distance(p, model) for p in trace.iterates]
 
     def test_one_point_per_iteration(self, five_model, count_calls):
-        # the start, the approach step and the result are the only points
-        # built while the trace is unread, whatever the iteration count
+        # the start and the result are the only points built while the
+        # trace is unread, whatever the iteration count
         made = count_calls(BarycentricPoint, "__post_init__")
         for method in ("q", "r"):
             made.clear()
             _, trace = fermat_point(five_model, method=method)
             assert trace.iterations_used > 2
-            assert len(made) <= 3
+            assert len(made) <= 2
 
     def test_first_iterate_is_the_public_step(self, five_model):
         # from an interior start the magnitudes fermat_point feeds the
@@ -317,6 +318,24 @@ class TestFermatPoint:
     def test_unknown_method_rejected(self, five_model):
         with pytest.raises(ValueError, match="classic"):
             fermat_point(five_model, method="classic")
+
+    @pytest.mark.parametrize("name, value", [
+        ("tol", math.nan), ("tol", 0.0), ("tol", -1.0), ("tol", math.inf),
+        ("max_iter", 2.5), ("max_iter", True), ("max_iter", False), ("max_iter", -1),
+    ])
+    def test_bad_budget_rejected_before_any_work(self, count_calls, name, value):
+        # tol must be finite and positive, max_iter an int >= 0 and no bool;
+        # the check comes before any gradient or Kuhn's verdict
+        model = SimplexModel(golden.FIVE_VERTICES)
+        evaluations = count_calls(fermat, "_signed_gradient")
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            fermat_point(model, **{name: value})
+        assert not evaluations and "_fermat_vertex" not in vars(model)
+
+    def test_numpy_integer_budget_accepted(self, five_model):
+        bits = [fermat_point(five_model, max_iter=budget)[0].coords.tobytes()
+                for budget in (50, np.int64(50))]
+        assert bits[0] == bits[1]
 
 
 def _assert_lazy_trace(model, trace, point=None, tol=1e-12, max_iter=10000):
@@ -378,6 +397,53 @@ class TestLazyTrace:
         assert catalog.traces
         for trace in catalog.traces + catalog.failed_seeds:
             assert trace.iterates == [] and trace.objective_values == []
+
+
+class TestModelConstants:
+    def test_pulls_match_the_direct_expression(self):
+        # the pulls and Kuhn's verdict as formed in one expression from the
+        # frame vertices: sigma = +-1 makes (sigma d)/l and sigma (d/l) equal
+        rng = np.random.default_rng(31)
+        models = [SimplexModel(rng.standard_normal((n + 1, n)))
+                  for n in range(1, 9) for _ in range(3)]
+        models.append(embed_from_edge_lengths(EdgeLengthTable.from_flat(2, [1, 1, 1.95])))
+        for model in models:
+            local = model._local
+            lengths = model._lengths + np.eye(model.n + 1)
+            for sigma in _sign_classes(model.n + 1):
+                direct = (sigma[:, None] * (local[:, None] - local[None])
+                          / lengths[..., None]).sum(axis=1)
+                assert fermat._pulls(model, sigma).tobytes() == direct.tobytes()
+                if sigma.min() > 0:
+                    optimal = np.flatnonzero(np.linalg.norm(direct, axis=1) <= 1.0)
+                    assert model._fermat_vertex == (optimal[0] if optimal.size else None)
+        assert models[-1]._fermat_vertex == 0
+
+    def test_unit_edges_are_read_only_and_formed_once(self, count_calls):
+        formed = count_calls(vars(SimplexModel)["_unit_edges"], "func")
+        model = SimplexModel(golden.FIVE_VERTICES)
+        edges = model._unit_edges
+        with pytest.raises(ValueError, match="read-only"):
+            edges[0, 1, 0] = 0.0
+        enumerate_isogonic(model)
+        fermat_point(model)
+        assert model._unit_edges is edges and len(formed) == 1
+        assert not edges[range(4), range(4)].any()
+        assert np.abs(np.linalg.norm(edges, axis=2) + np.eye(4) - 1.0).max() <= 1e-15
+
+    @pytest.mark.parametrize("model, vertex", [
+        (lambda: SimplexModel(golden.FIVE_VERTICES), None),
+        (lambda: embed_from_edge_lengths(EdgeLengthTable.from_flat(2, [1, 1, 1.95])), 0),
+    ], ids=["five", "obtuse-triangle"])
+    def test_kuhn_test_decided_once_per_model(self, count_calls, model, vertex):
+        decided = count_calls(vars(SimplexModel)["_fermat_vertex"], "func")
+        model = model()
+        interior = np.arange(1.0, model.n + 2)
+        for start in (None, interior):
+            for method in ("q", "r"):
+                _, trace = fermat_point(model, start, method)
+                assert trace.vertex_optimum == (vertex is not None)
+        assert len(decided) == 1 and model._fermat_vertex == vertex
 
 
 class TestDistanceSumGradient:
