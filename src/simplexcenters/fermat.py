@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -44,8 +45,9 @@ from .errors import AtVertex, MaxIterationsExceeded, ZeroCoordinate
 
 METHODS = ("q", "r")
 
-# step fractions a Newton line search tries after 1 (no Fermat run needs more)
-_TRIALS = 0.5 ** np.arange(1, 12)
+# the step fractions 1, 1/2, ..., 1/2^11 of a Newton line search, and those after 1
+_FRACTIONS = 0.5 ** np.arange(12)
+_TRIALS = _FRACTIONS[1:]
 
 
 def total_distance(p, model: SimplexModel) -> float:
@@ -65,10 +67,14 @@ def _signed_gradient(vertices: np.ndarray, sigma: np.ndarray, x: np.ndarray,
         keep = dist > 0
         gaps, dist, sigma = gaps[keep], dist[keep], sigma[keep]
     units = gaps / dist[:, None]
-    w = sigma / dist
+    return sigma @ units, _jacobian(units, sigma / dist)
+
+
+def _jacobian(units: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """J = sum_i w_i (I - u_i u_i^T), u_i the rows of ``units``."""
     jac = -(units.T * w) @ units
-    jac.flat[::len(x) + 1] += w.sum()
-    return sigma @ units, jac
+    jac.flat[::units.shape[1] + 1] += w.sum()
+    return jac
 
 
 def _pulls(model: SimplexModel, sigma: np.ndarray) -> np.ndarray:
@@ -90,12 +96,12 @@ class SolverTrace:
     ``reason`` is one of :data:`REASONS`, empty while the run goes on.
     ``iterations_used`` counts Newton steps (plus the Fermat solver's
     approach step); ``gradient_evaluations`` counts evaluations of g_sigma,
-    line-search trials up to the accepted one (12 if none) included.  A
-    Fermat trace keeps a reference to its model, ``seed``, then either the
-    homogeneous coordinates of the approach step and Newton's frame path or
-    the optimal vertex, and forms ``iterates`` (one point per entry) and
-    their distance sums ``objective_values`` on first read, once; a catalog
-    trace reads [] for both.
+    one per line-search fraction up to the one taken (12 if none) as if each
+    were tried alone, whichever pass formed it.  A Fermat trace keeps a
+    reference to its model, ``seed``, then either the homogeneous coordinates
+    of the approach step and Newton's frame path or the optimal vertex, and
+    forms ``iterates`` (one point per entry) and their distance sums
+    ``objective_values`` on first read, once; a catalog trace reads [] for both.
     ``damping_used`` always reads 1.0; it stays because the benchmark's
     ``isogonic-catalog`` statistics read it from every trace.
     """
@@ -139,17 +145,33 @@ def _deflation(x: np.ndarray, known: np.ndarray, d2: float,
 
 
 def _trial_merits(vertices: np.ndarray, sigma: np.ndarray, ys: np.ndarray,
-                  known: np.ndarray, d2: float) -> np.ndarray:
-    """M |g_sigma| at each row of ``ys``, rounded as :func:`_signed_gradient`
-    and :func:`_deflation` round it at one point."""
+                  known: np.ndarray, d2: float) -> tuple[np.ndarray, Callable]:
+    """M |g_sigma| at each row of ``ys`` in one pass, and a function of k
+    that gives (row k, g_sigma, J, grad ln M or None, M |g_sigma|) there from
+    the pass's unit vectors, weights sigma_i/d_i and deflation gaps; each is
+    rounded as :func:`_signed_gradient` and :func:`_deflation` round it."""
     gaps = ys[:, None] - vertices
     dist = np.sqrt(np.einsum("kij,kij->ki", gaps, gaps))
-    dist[dist == 0.0] = np.inf   # leaves out a vertex at zero distance
-    g = sigma @ (gaps / dist[..., None])
-    gaps = ys[:, None] - known
-    with np.errstate(all="ignore"):   # M is infinite at a known root
-        weights = np.prod(d2 / np.einsum("kij,kij->ki", gaps, gaps) + 1.0, axis=1)
-    return weights * np.sqrt((g[:, None] @ g[..., None])[:, 0, 0])   # a dot per row, as g @ g
+    zero = dist == 0.0
+    dist[zero] = np.inf   # leaves out a vertex at zero distance
+    units = gaps / dist[..., None]
+    g = sigma @ units
+    if zero.any():   # a vertex left in as a zero row can round g apart
+        for k in np.flatnonzero(zero.any(axis=1)):
+            g[k] = _signed_gradient(vertices, sigma, ys[k])[0]
+    merits = np.sqrt((g[:, None] @ g[..., None])[:, 0, 0])   # a dot per row, as g @ g
+    if len(known):   # else M = 1
+        offsets = ys[:, None] - known
+        q = np.einsum("kij,kij->ki", offsets, offsets)
+        with np.errstate(all="ignore"):   # M is infinite at a known root
+            merits *= np.prod(d2 / q + 1.0, axis=1)
+
+    def at(k: int) -> tuple:
+        with np.errstate(all="ignore"):
+            dlog = (-2.0 * d2 / (q[k] * (q[k] + d2))) @ offsets[k] if len(known) else None
+        return ys[k], g[k], _jacobian(units[k], sigma / dist[k]), dlog, float(merits[k])
+
+    return merits, at
 
 
 def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: float,
@@ -164,16 +186,18 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
     roots.  Each step solves J s = -g, scales s by 1/(1 - grad ln M . s),
     which turns it around near a known root, and takes the first fraction
     t of 1, 1/2, ..., 1/2^11 at which M |g_sigma| falls by the Armijo factor
-    1 - t/1e4: t = 1 alone, then the rest in one pass of M |g_sigma| only,
-    with g_sigma, J and M evaluated anew at the one taken.  A step no longer
-    than ``tol`` diameters is taken whole and ends the run, which succeeds
-    if its scale was positive and |g_sigma| <= ``residual`` (checked only
-    when finite).  A singular J ends the run; so does a line search that
-    cannot lower M |g_sigma|, which succeeds if M |g_sigma| <= ``residual``
-    there.  M |g_sigma| is computed once per point.
+    1 - t/1e4: t = 1 alone, then the rest in one pass of :func:`_trial_merits`,
+    which also gives g_sigma, J and M at the one taken; after a step that
+    took t <= 1/8, all twelve in that pass.  A step no longer than ``tol``
+    diameters is taken whole and ends the run, which succeeds if its scale
+    was positive and |g_sigma| <= ``residual`` (checked only when finite).
+    A singular J ends the run; so does a line search that cannot lower
+    M |g_sigma|, which succeeds if M |g_sigma| <= ``residual`` there.  Each
+    point is evaluated once.
     Returns the accepted iterates in the frame (the start only when it
-    succeeds without a step), the gradient evaluations, and whether the run
-    succeeded; ``roots`` are frame points too.
+    succeeds without a step), the gradient evaluations (counted as if the
+    fractions were tried one at a time), and whether the run succeeded;
+    ``roots`` are frame points too.
     """
     local = model._local
     known = np.reshape(roots, (-1, model.n))
@@ -185,7 +209,7 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
     merit = weight * math.sqrt(g @ g)
     evaluations = 1
     path: list[np.ndarray] = []
-    ok = False
+    ok = crawled = False
     for _ in range(max_steps):
         try:
             step = -np.linalg.solve(jac, g)
@@ -204,28 +228,29 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
                 g = _signed_gradient(local, sigma, x)[0]
                 ok = ok and math.sqrt(g @ g) <= residual
             break
-        y = x + step
-        gy, jy = _signed_gradient(local, sigma, y)
-        wy, dy = _deflation(y, known, d2)
-        evaluations += 1
-        merit_y = wy * math.sqrt(gy @ gy)
-        if not merit_y <= (1.0 - 1e-4) * merit:
-            # the shorter steps in one pass, counted up to the first that passes
-            trials = _trial_merits(local, sigma, x + _TRIALS[:, None] * step, known, d2)
-            passed = np.flatnonzero(trials <= (1.0 - 1e-4 * _TRIALS) * merit)
+        if not crawled:
+            y = x + step
+            gy, jy = _signed_gradient(local, sigma, y)
+            wy, dy = _deflation(y, known, d2)
+            evaluations += 1
+            merit_y = wy * math.sqrt(gy @ gy)
+        if crawled or not merit_y <= (1.0 - 1e-4) * merit:
+            # the rest (all twelve after a crawl) in one pass, counted to the first that passes
+            fractions = _FRACTIONS if crawled else _TRIALS
+            merits, at = _trial_merits(local, sigma, x + fractions[:, None] * step, known, d2)
+            passed = np.flatnonzero(merits <= (1.0 - 1e-4 * fractions) * merit)
             if not passed.size:
-                evaluations += len(_TRIALS)
+                evaluations += len(fractions)
                 # M |g_sigma| is at the level of rounding: a start already
                 # at a root ends here, and is accepted on the residual
                 ok = math.isfinite(residual) and merit <= residual
                 if ok and not path:
                     path.append(x)
                 break
-            evaluations += int(passed[0]) + 1
-            y = x + _TRIALS[passed[0]] * step
-            gy, jy = _signed_gradient(local, sigma, y)
-            wy, dy = _deflation(y, known, d2)
-            merit_y = wy * math.sqrt(gy @ gy)
+            k = int(passed[0])
+            evaluations += k + 1
+            crawled = fractions[k] <= 0.125
+            y, gy, jy, dy, merit_y = at(k)
         x, g, jac, dlog, merit = y, gy, jy, dy, merit_y
         path.append(x)
     return path, evaluations, ok

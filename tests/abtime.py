@@ -1,0 +1,114 @@
+"""Time one benchmark workload's inputs on two source trees, in one process.
+
+    python tests/abtime.py TREE_A TREE_B [--workload NAME] [--seed S]
+                           [--size full|tiny] [--rounds R] [--top K]
+
+``TREE_A`` and ``TREE_B`` are ``src`` directories that hold a
+``simplexcenters`` package; they may be the same.  Each is loaded under its
+own package name, so both live in this process side by side.  Each tree
+builds the inputs of one workload of
+``bench/workloads.py`` (loaded from its file and not changed, as
+``tests/probe.py`` loads it) from the same seed, so both meet the same
+numbers.  Every round runs each input's op on both trees in turn, the tree
+that goes first alternating between rounds, and each tree keeps its best
+time per input.  It prints those best-of times summed per dimension, with
+the ratio B/A, and the ``--top`` inputs whose ratio moved most.  Outputs
+are compared by the workload's fingerprint, and inputs whose fingerprints
+differ between the trees are counted.  BLAS runs on one thread, as in
+``bench/run.py``.  Pytest does not collect this file;
+``tests/test_abtime.py`` runs it on the tiny inputs.
+"""
+
+from __future__ import annotations
+
+import os
+
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+
+import argparse
+import importlib
+import importlib.util
+import sys
+import time
+from collections import defaultdict
+from pathlib import Path
+
+_BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", _BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module   # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def load_tree(src: Path, name: str):
+    """The ``simplexcenters`` package in ``src``, imported as ``name`` with
+    the submodules the workloads read."""
+    init = src / "simplexcenters" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[str(init.parent)])
+    lib = importlib.util.module_from_spec(spec)
+    sys.modules[name] = lib
+    spec.loader.exec_module(lib)
+    for sub in ("cli", "documents", "fermat", "isogonic", "verify"):
+        importlib.import_module(f"{name}.{sub}")
+    return lib
+
+
+def best_times(pair, rounds: int) -> tuple[list[list[float]], int]:
+    """Each tree's best op time per input, in seconds, and how many inputs'
+    fingerprints differ between the trees."""
+    best = [[float("inf")] * len(pair[0].cases) for _ in pair]
+    differ = set()
+    for r in range(rounds):
+        for i in range(len(pair[0].cases)):
+            prints = [None, None]
+            for t in ((0, 1) if r % 2 == 0 else (1, 0)):
+                wl = pair[t]
+                begin = time.perf_counter()
+                out = wl.run(wl.cases[i])
+                best[t][i] = min(best[t][i], time.perf_counter() - begin)
+                prints[t] = repr(wl.fingerprint(out))
+            if prints[0] != prints[1]:
+                differ.add(i)
+    return best, len(differ)
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("tree_a", type=Path)
+    parser.add_argument("tree_b", type=Path)
+    parser.add_argument("--workload", default="isogonic-catalog")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--size", default="full", choices=("full", "tiny"))
+    parser.add_argument("--rounds", type=int, default=7)
+    parser.add_argument("--top", type=int, default=8)
+    args = parser.parse_args(argv)
+    workloads = _workloads()
+    pair = [workloads.WORKLOADS[args.workload](load_tree(path, name), args.seed, args.size)
+            for path, name in ((args.tree_a, "tree_a"), (args.tree_b, "tree_b"))]
+    (a, b), differ = best_times(pair, args.rounds)
+    cases = pair[0].cases
+    print(f"{args.workload}, seed {args.seed}, {len(cases)} inputs, best of "
+          f"{args.rounds}; {differ} with different outputs")
+    sums = defaultdict(lambda: [0.0, 0.0, 0])
+    for case, ta, tb in zip(cases, a, b):
+        for key in (case.n, "all"):
+            sums[key][0] += ta
+            sums[key][1] += tb
+            sums[key][2] += 1
+    print(f"{'n':>4} {'inputs':>6} {'A ms':>9} {'B ms':>9} {'B/A':>6}")
+    for key in sorted(k for k in sums if k != "all") + ["all"]:
+        ta, tb, count = sums[key]
+        print(f"{key:>4} {count:>6} {1e3 * ta:9.3f} {1e3 * tb:9.3f} {tb / ta:6.3f}")
+    print("moved most:")
+    moved = sorted(range(len(cases)), key=lambda i: -abs(b[i] / a[i] - 1.0))
+    for i in moved[:args.top]:
+        print(f"  {cases[i].label:<28} {1e3 * a[i]:8.3f} {1e3 * b[i]:8.3f} {b[i] / a[i]:6.3f}")
+
+
+if __name__ == "__main__":
+    main()

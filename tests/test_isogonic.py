@@ -175,6 +175,18 @@ class TestEnumerateIsogonic:
         assert [(t.reason, t.iterations_used, t.gradient_evaluations)
                 for t in catalog.traces] == [("converged", 8, 11)]
 
+    def test_stall_tetrahedron_evaluation_budget(self, count_calls):
+        # a halving step reads g_sigma, J and M at its point from the pass
+        # that measured it, and a step after one that took t <= 1/8 tries
+        # all twelve fractions in one pass; the one-point kernels run 34 and
+        # 33 times here, 90 and 89 if each such point were evaluated anew
+        gradients = count_calls(fermat, "_signed_gradient")
+        deflations = count_calls(fermat, "_deflation")
+        passes = count_calls(fermat, "_trial_merits")
+        enumerate_isogonic(SimplexModel(STALL_TETRAHEDRON))
+        assert len(gradients) <= 40 and len(deflations) <= 40
+        assert 12 in [len(args[2]) for args in passes]
+
     def test_each_antipedal_figure_is_measured_once(self, five_model, count_calls):
         # a root is accepted on its antipedal facet volumes, and the
         # catalog's areas are those volumes
@@ -536,6 +548,34 @@ def test_batched_line_search_matches_the_sequential_one(five_model, monkeypatch)
     monkeypatch.setattr(fermat, "_newton", _sequential_newton)
     assert [(_catalog_bits(enumerate_isogonic(m)), _fermat_bits(m)) for m in models] \
         == batched
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+@pytest.mark.parametrize("negative", [False, True], ids=["all-positive", "one-negative"])
+@pytest.mark.parametrize("roots", [0, 1, 3])
+def test_a_line_search_pass_evaluates_each_row_as_one_point(n, negative, roots):
+    # every row of a pass, one of them exactly at a vertex, reads what the
+    # one-point kernels give there, bit for bit
+    rng = np.random.default_rng([n, negative, roots])
+    vertices = rng.standard_normal((n + 1, n))
+    sigma = np.ones(n + 1)
+    sigma[n // 2] = -1.0 if negative else 1.0
+    known = rng.standard_normal((roots, n))
+    d2 = float(np.ptp(vertices, axis=0) @ np.ptp(vertices, axis=0))
+    ys = rng.standard_normal(n) + fermat._FRACTIONS[:, None] * rng.standard_normal(n)
+    ys[5] = vertices[1]
+    merits, at = fermat._trial_merits(vertices, sigma, ys, known, d2)
+    assert len(merits) == len(ys) == 12
+    for k, y in enumerate(ys):
+        g, jac = fermat._signed_gradient(vertices, sigma, y)
+        weight, dlog = fermat._deflation(y, known, d2)
+        merit = weight * math.sqrt(g @ g)
+        row, gk, jk, dk, mk = at(k)
+        assert row.tobytes() == y.tobytes()
+        assert (gk.tobytes(), jk.tobytes()) == (g.tobytes(), jac.tobytes())
+        assert (dk is None) == (dlog is None) == (roots == 0)
+        assert dlog is None or dk.tobytes() == dlog.tobytes()
+        assert mk == merits[k] == merit
 
 
 def _catalog_trace(model: SimplexModel, seed) -> fermat.SolverTrace:
