@@ -273,21 +273,21 @@ class SimplexModel:
     Edge table, validity and volumes all come from the vertex coordinates;
     an edge-length input is embedded first (see ``embed_from_edge_lengths``).
     Instances are immutable, except that the affine frame ``_affine``, the
-    circumcenter ``_circumcenter``, the unit edge vectors ``_unit_edges`` and
-    Kuhn's verdict ``_fermat_vertex`` are formed on their first read, and
-    safe to share across threads: a first read that races builds equal
-    read-only values.  Non-finite coordinates raise ``Degenerate``.  One
-    Gram matrix of the edge vectors from vertex 0
-    gives ``total_volume`` and the one validity test, ``_gram_defect``,
-    whose verdict is kept as ``_defect``.  ``validate=True`` raises it
-    (``Degenerate``, coincident vertices included); ``validate=False`` is
-    for figures that may collapse, such as the pedal, antipedal, polar and
-    inversive figures of ``pedal``, and ``degenerate`` then says whether the
-    figure collapsed.  A collapsed figure keeps its volumes but has no
-    affine frame: ``cart_to_bary`` and ``pedal_feet`` raise
-    ``Degenerate`` on it.  All of it is computed in the frame of the module
-    docstring: ``_local`` holds the vertices there, ``_lengths`` its edge
-    lengths, and its unit is ``2 ** _exponent``.
+    circumcenter ``_circumcenter``, the unit edge vectors ``_unit_edges``,
+    whose signed sums are the pulls ``_pulls``, and Kuhn's verdict
+    ``_fermat_vertex`` (the pulls at sigma = +1) are formed on their first
+    read, and safe to share across threads: a first read that races builds
+    equal read-only values.  Non-finite coordinates raise ``Degenerate``.
+    One Gram matrix of the edge vectors from vertex 0 gives ``total_volume``
+    and the one validity test, ``_gram_defect``, whose verdict is kept as
+    ``_defect``.  ``validate=True`` raises it (``Degenerate``, coincident
+    vertices included); ``validate=False`` is for figures that may collapse,
+    such as the pedal, antipedal, polar and inversive figures of ``pedal``,
+    and ``degenerate`` then says whether the figure collapsed.  A collapsed
+    figure keeps its volumes but has no affine frame: ``cart_to_bary`` and
+    ``pedal_feet`` raise ``Degenerate`` on it.  All of it is computed in the
+    frame of the module docstring: ``_local`` holds the vertices there,
+    ``_lengths`` its edge lengths, and its unit is ``2 ** _exponent``.
     """
 
     def __init__(self, vertices, *, validate: bool = True):
@@ -352,11 +352,16 @@ class SimplexModel:
         lengths = self._lengths + np.eye(self.n + 1)  # the diagonal divides zeros
         return _readonly((local[:, None] - local[None]) / lengths[..., None])
 
+    def _pulls(self, sigma: np.ndarray) -> np.ndarray:
+        """Row k is c_k = sum_{i != k} sigma_i (A_k - A_i)/|A_k - A_i| in the
+        frame: g_sigma at vertex k over the other vertices."""
+        return (sigma[:, None] * self._unit_edges).sum(axis=1)
+
     @functools.cached_property
     def _fermat_vertex(self) -> int | None:
-        """Kuhn's verdict: the first vertex k whose row of ``_unit_edges`` sums
-        to norm <= 1, which makes k the distance sum's minimizer, or None."""
-        pulls = np.linalg.norm(self._unit_edges.sum(axis=1), axis=1)
+        """Kuhn's verdict: the first vertex k whose pull at sigma = +1 has
+        norm <= 1, which makes k the distance sum's minimizer, or None."""
+        pulls = np.linalg.norm(self._pulls(np.ones(self.n + 1)), axis=1)
         optimal = np.flatnonzero(pulls <= 1.0)
         return int(optimal[0]) if optimal.size else None
 

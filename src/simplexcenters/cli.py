@@ -103,7 +103,7 @@ def cmd_isodynamic(doc: SimplexDocument, options: dict) -> dict:
     for pt, res in zip(result.points, result.residuals):
         results["points"].append(point_payload(pt, residual=res))
     if result.degenerate_axis:
-        warnings.append(result.note or "degenerate sphere family")
+        warnings.append(result.note)
     if not result.points:
         results["verdict"] = "none exist"
         if model.n >= 3:

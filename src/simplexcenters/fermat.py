@@ -22,8 +22,8 @@ isogonic point is a root for its own sign pattern, which
 Kuhn's test decides before the first step whether a vertex is the
 minimizer: vertex k is iff the gradient over the other vertices has norm
 <= 1 there (H. W. Kuhn, Math. Programming 4, 1973).  It is decided once
-per model, as ``SimplexModel._fermat_vertex``, from the model's unit edge
-vectors, which the catalog's pulls read too.
+per model, as ``SimplexModel._fermat_vertex``, from the model's pulls, which
+the catalog reads too.
 
 Both solvers record a run in one :class:`SolverTrace`; a Fermat trace
 forms its iterates, the approach step's included, and their distance sums
@@ -75,12 +75,6 @@ def _jacobian(units: np.ndarray, w: np.ndarray) -> np.ndarray:
     jac = -(units.T * w) @ units
     jac.flat[::units.shape[1] + 1] += w.sum()
     return jac
-
-
-def _pulls(model: SimplexModel, sigma: np.ndarray) -> np.ndarray:
-    """Row k is c_k = sum_{i != k} sigma_i (A_k - A_i)/|A_k - A_i|, in the
-    model's frame: g_sigma at vertex k over the other vertices."""
-    return (sigma[:, None] * model._unit_edges).sum(axis=1)
 
 
 # why a solver run stopped: only the first two give an answer, "escaped" and
@@ -176,7 +170,7 @@ def _trial_merits(vertices: np.ndarray, sigma: np.ndarray, ys: np.ndarray,
 
 def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: float,
             max_steps: int, residual: float = math.inf, roots=(),
-            ) -> tuple[list[np.ndarray], int, bool]:
+            ) -> tuple[list[np.ndarray], int, str, np.ndarray]:
     """Damped Newton on g_sigma from the point with normalized barycentric
     coordinates ``coords``, in the model's frame.
 
@@ -196,8 +190,11 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
     point is evaluated once.
     Returns the accepted iterates in the frame (the start only when it
     succeeds without a step), the gradient evaluations (counted as if the
-    fractions were tried one at a time), and whether the run succeeded;
-    ``roots`` are frame points too.
+    fractions were tried one at a time), why the run stopped ("converged"
+    if it succeeded, else "out of budget" if it took ``max_steps`` steps,
+    else "stalled"), and J at its last point (the start if it took no step;
+    the one before a closing short step if no ``residual`` check evaluates
+    it); ``roots`` are frame points too.
     """
     local = model._local
     known = np.reshape(roots, (-1, model.n))
@@ -225,7 +222,7 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
             ok = factor > 0.0
             if math.isfinite(residual):
                 evaluations += 1
-                g = _signed_gradient(local, sigma, x)[0]
+                g, jac = _signed_gradient(local, sigma, x)
                 ok = ok and math.sqrt(g @ g) <= residual
             break
         if not crawled:
@@ -253,7 +250,8 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
             y, gy, jy, dy, merit_y = at(k)
         x, g, jac, dlog, merit = y, gy, jy, dy, merit_y
         path.append(x)
-    return path, evaluations, ok
+    reason = "converged" if ok else "out of budget" if len(path) == max_steps else "stalled"
+    return path, evaluations, reason, jac
 
 
 def distance_sum_gradient(model: SimplexModel, x: np.ndarray) -> np.ndarray:
@@ -356,14 +354,11 @@ def fermat_point(model: SimplexModel, start=None, method: str = "q",
     # the approach step's point is formed only if the trace is read
     h = _step(np.abs(p.coords), model._distances(p), method)
     trace._head.append(h)
-    trace._path, trace.gradient_evaluations, converged = _newton(
+    trace._path, trace.gradient_evaluations, trace.reason, _ = _newton(
         model, np.ones(model.n + 1), h / h.sum(), tol, max_iter - 1)
     trace.iterations_used = len(trace._path) + 1
-    if converged:
-        trace.reason = "converged"
+    if trace.reason == "converged":
         return BarycentricPoint(model._coords(trace._path[-1])), trace
-    stalled = trace.iterations_used < max_iter
-    trace.reason = "stalled" if stalled else "out of budget"
     raise MaxIterationsExceeded(
-        f"{'Newton stalled after' if stalled else 'no convergence within'} "
+        f"{'Newton stalled after' if trace.reason == 'stalled' else 'no convergence within'} "
         f"{trace.iterations_used} iterations (method {method!r})", trace=trace)

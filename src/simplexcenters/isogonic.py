@@ -55,7 +55,7 @@ from .errors import (
     UnboundedAntipedal,
     ZeroCoordinate,
 )
-from .fermat import SolverTrace, _newton, _pulls, _signed_gradient
+from .fermat import SolverTrace, _newton
 from .pedal import _antipedal_points, _spread
 
 # distance from vertex 0, in diameters, past which a root has escaped
@@ -122,20 +122,21 @@ def _start(seed: BarycentricPoint, model: SimplexModel) -> np.ndarray | None:
 
 
 def _run(model: SimplexModel, sigma: np.ndarray, seed: BarycentricPoint,
-         start: np.ndarray | None, roots: list[np.ndarray],
+         start: np.ndarray | None, roots: list[np.ndarray], indices: list[float],
          ) -> tuple[BarycentricPoint | None, np.ndarray | None, SolverTrace]:
     """Newton on g_sigma from ``start``, the ``_start`` of ``seed``, deflated
     against ``roots``: the accepted isogonic point, whose frame position
-    joins ``roots``, and its antipedal facet volumes, or None twice, with
-    the trace of the start."""
+    joins ``roots`` and whose index, sign det J_sigma from Newton's last
+    Jacobian, joins ``indices``, and its antipedal facet volumes, or None
+    twice, with the trace of the start, which keeps Newton's reason."""
     trace = SolverTrace(seed=seed, reason="rejected")
     if start is None:
         return None, None, trace
-    path, trace.gradient_evaluations, ok = _newton(
+    path, trace.gradient_evaluations, reason, jac = _newton(
         model, sigma, start, _POLISH_TOL, _POLISH_STEPS, _POLISH_RESIDUAL, roots)
     trace.iterations_used = len(path)
-    if not ok:
-        trace.reason = "out of budget" if len(path) == _POLISH_STEPS else "stalled"
+    if reason != "converged":
+        trace.reason = reason
         return None, None, trace
     root = path[-1]
     point = BarycentricPoint(model._coords(root))
@@ -148,6 +149,7 @@ def _run(model: SimplexModel, sigma: np.ndarray, seed: BarycentricPoint,
             if volumes is not None and _spread(volumes) <= _EQUIAREAL:
                 trace.reason = "converged"
                 roots.append(root)
+                indices.append(np.sign(np.linalg.det(jac)))
                 return point, volumes, trace
     return None, None, trace
 
@@ -205,35 +207,29 @@ def _canonical_key(point: BarycentricPoint) -> tuple:
     return (0, -1, 0.0) if neg.size == 0 else (1, int(neg[0]), float(c[neg[0]]))
 
 
-def _further_seeds(model: SimplexModel, sigma: np.ndarray, roots: list[np.ndarray]):
-    """Yield seeds for a claimed class while its ``roots``, which grow as the
-    caller runs the seeds, fail the degree balance: the conjugates of the
-    points 0.1 and then 0.3 diameters from each vertex k, by |c_k| (roots
-    emerge from vertices with |c_k| < 1), along -sigma_k c_k/|c_k|; then
-    points sigma * w, w from a flat Dirichlet draw keyed by the class.
+def _further_seeds(model: SimplexModel, sigma: np.ndarray, indices: list[float]):
+    """Yield seeds for a claimed class while the ``indices`` (sign det J_sigma)
+    of its roots, which grow as the caller runs the seeds, fail the degree
+    balance: the conjugates of the points 0.1 and then 0.3 diameters from
+    each vertex k, by |c_k| (roots emerge from vertices with |c_k| < 1),
+    along -sigma_k c_k/|c_k|; then points sigma * w, w from a flat
+    Dirichlet draw keyed by the class.
     """
-    pulls = _pulls(model, sigma)
+    pulls = model._pulls(sigma)
     norms = np.linalg.norm(pulls, axis=1)
     certified = not (np.abs(norms - 1.0) <= _ROUNDING).any()
     target = np.sign(sigma.sum()) ** model.n - (sigma[norms < 1.0] ** model.n).sum()
-    local = model._local
-
-    def balanced() -> bool:
-        return certified and target == sum(
-            np.sign(np.linalg.det(_signed_gradient(local, sigma, r)[1]))
-            for r in roots)
-
     order = np.argsort(norms, kind="stable")
     for radius, k in itertools.product(_NEAR_VERTEX, order[norms[order] > 0]):
-        if balanced():
+        if certified and sum(indices) == target:
             return
         # -c_k has a component along every edge at vertex k, so no
         # sideplane through vertex k holds this point
-        near = local[k] - radius * model._local_diameter * sigma[k] * pulls[k] / norms[k]
+        near = model._local[k] - radius * model._local_diameter * sigma[k] * pulls[k] / norms[k]
         yield isogonal_conjugate(model._coords(near), model)
     rng = np.random.default_rng([len(sigma), *map(int, sigma * sigma[0] > 0)])
     for _ in range(_CLASS_POINTS):
-        if balanced():
+        if certified and sum(indices) == target:
             return
         yield BarycentricPoint(sigma * rng.dirichlet(np.ones(len(sigma))))
 
@@ -257,10 +253,11 @@ def enumerate_isogonic(model: SimplexModel, seeds=None) -> IsogonicCatalog:
     runs = []
     for c, (sigma, starts) in enumerate(classes.values()):
         roots: list[np.ndarray] = []
+        indices: list[float] = []
         if c <= m and model.n > 2:
-            further = _further_seeds(model, sigma, roots)
+            further = _further_seeds(model, sigma, indices)
             starts = itertools.chain(starts, ((s, _start(s, model)) for s in further))
-        runs += [_run(model, sigma, seed, start, roots) for seed, start in starts]
+        runs += [_run(model, sigma, seed, start, roots, indices) for seed, start in starts]
 
     catalog = IsogonicCatalog(failed_seeds=[trace for point, _, trace in runs if point is None])
     for point, volumes, trace in sorted((run for run in runs if run[0] is not None),

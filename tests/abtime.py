@@ -6,28 +6,25 @@
 ``TREE_A`` and ``TREE_B`` are ``src`` directories that hold a
 ``simplexcenters`` package; they may be the same.  Each is loaded under its
 own package name, so both live in this process side by side.  Each tree
-builds the inputs of one workload of
-``bench/workloads.py`` (loaded from its file and not changed, as
-``tests/probe.py`` loads it) from the same seed, so both meet the same
-numbers.  Every round runs each input's op on both trees in turn, the tree
-that goes first alternating between rounds, and each tree keeps its best
-time per input.  It prints those best-of times summed per dimension, with
-the ratio B/A, and the ``--top`` inputs whose ratio moved most.  Outputs
-are compared by the workload's fingerprint, and inputs whose fingerprints
-differ between the trees are counted.  BLAS runs on one thread, as in
-``bench/run.py``.  Pytest does not collect this file;
-``tests/test_abtime.py`` runs it on the tiny inputs.
+builds the inputs of one workload of ``bench/workloads.py`` (loaded from its
+file and not changed; ``tests/probe.py`` loads it with the same loader)
+from the same seed, so both meet the same numbers.  Every round runs each
+input's op on both trees in turn, the tree that goes first alternating
+between rounds, and each tree keeps its best time per input.  It prints
+those best-of times summed per dimension, with the ratio B/A, and the
+``--top`` inputs whose ratio moved most.  Outputs are compared by the
+workload's fingerprint, and inputs whose fingerprints differ between the
+trees are counted.  BLAS runs on one thread, as in ``bench/run.py``.
+Pytest does not collect this file; ``tests/test_abtime.py`` runs it on the
+tiny inputs.
 """
 
 from __future__ import annotations
 
-import os
-
-os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-
 import argparse
 import importlib
 import importlib.util
+import os
 import sys
 import time
 from collections import defaultdict
@@ -37,6 +34,7 @@ _BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def _workloads():
+    """``bench/workloads.py``, loaded from its file as ``bench_workloads``."""
     spec = importlib.util.spec_from_file_location("bench_workloads", _BENCH / "workloads.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module   # its dataclasses look their module up
@@ -87,6 +85,8 @@ def main(argv=None) -> None:
     parser.add_argument("--rounds", type=int, default=7)
     parser.add_argument("--top", type=int, default=8)
     args = parser.parse_args(argv)
+    # before NumPy loads, which importing a workload or a tree does
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     workloads = _workloads()
     pair = [workloads.WORKLOADS[args.workload](load_tree(path, name), args.seed, args.size)
             for path, name in ((args.tree_a, "tree_a"), (args.tree_b, "tree_b"))]

@@ -16,18 +16,16 @@ trace's iterates and distance sums.  Floats enter the digest by their bits.
 
 It prints one summary line and the SHA-256 of the dump: two trees that
 print the same digest computed the same bits.  ``bench/workloads.py`` is
-loaded from its file and not changed.  Pytest does not collect this file;
-``tests/test_probe.py`` runs a slice of it.
+loaded from its file, by the loader of ``tests/abtime.py``, and not
+changed.  Pytest does not collect this file; ``tests/test_probe.py`` runs a
+slice of it.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
-import importlib.util
-import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -36,20 +34,12 @@ from simplexcenters import SimplexModel, enumerate_isogonic, fermat_point
 from simplexcenters import verify  # noqa: F401  read by the workloads
 from simplexcenters.errors import MaxIterationsExceeded
 
-_BENCH = Path(__file__).resolve().parents[1] / "bench"
+from abtime import _workloads
 
 # (name, dimension, seed of the shapes, default count) of each Gaussian group
 GROUPS = (("triangles", 2, (77, 2), 200), ("tetrahedra", 3, 77, 200),
           ("four", 4, (77, 4), 50), ("five", 5, (77, 5), 20))
 MIN_GRAM_RATIO = 1e-6
-
-
-def _workloads():
-    spec = importlib.util.spec_from_file_location("bench_workloads", _BENCH / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module   # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
 
 
 def probe_set(counts: dict[str, int]) -> list[tuple[str, np.ndarray]]:

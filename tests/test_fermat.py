@@ -246,7 +246,7 @@ class TestFermatPoint:
     def test_newton_stall_raises_with_trace(self, five_model, monkeypatch):
         # Newton ends unaccepted before the budget: a singular Jacobian or a
         # line search that cannot lower the gradient
-        monkeypatch.setattr(fermat, "_newton", lambda *args: ([], 1, False))
+        monkeypatch.setattr(fermat, "_newton", lambda *args: ([], 1, "stalled", None))
         with pytest.raises(MaxIterationsExceeded,
                            match="Newton stalled after 1 iterations") as info:
             fermat_point(five_model)
@@ -349,8 +349,8 @@ def _assert_lazy_trace(model, trace, point=None, tol=1e-12, max_iter=10000):
     if point is not None:
         assert iterates[-1].coords.tobytes() == point.coords.tobytes()
     if len(iterates) > 1 and not trace.vertex_optimum:
-        path, _, _ = fermat._newton(model, np.ones(model.n + 1),
-                                    iterates[1].normalized_coords, tol, max_iter - 1)
+        path, *_ = fermat._newton(model, np.ones(model.n + 1),
+                                  iterates[1].normalized_coords, tol, max_iter - 1)
         assert [p.coords.tobytes() for p in iterates[2:]] == [
             BarycentricPoint(model._coords(y)).coords.tobytes() for y in path]
     assert trace.objective_values == [total_distance(p, model) for p in iterates]
@@ -380,7 +380,7 @@ class TestLazyTrace:
         _assert_lazy_trace(five_model, info.value.trace, max_iter=max_iter)
 
     def test_stall_exit(self, five_model, monkeypatch):
-        monkeypatch.setattr(fermat, "_newton", lambda *args: ([], 1, False))
+        monkeypatch.setattr(fermat, "_newton", lambda *args: ([], 1, "stalled", None))
         with pytest.raises(MaxIterationsExceeded) as info:
             fermat_point(five_model)
         assert info.value.trace.reason == "stalled"
@@ -413,7 +413,7 @@ class TestModelConstants:
             for sigma in _sign_classes(model.n + 1):
                 direct = (sigma[:, None] * (local[:, None] - local[None])
                           / lengths[..., None]).sum(axis=1)
-                assert fermat._pulls(model, sigma).tobytes() == direct.tobytes()
+                assert model._pulls(sigma).tobytes() == direct.tobytes()
                 if sigma.min() > 0:
                     optimal = np.flatnonzero(np.linalg.norm(direct, axis=1) <= 1.0)
                     assert model._fermat_vertex == (optimal[0] if optimal.size else None)

@@ -77,6 +77,14 @@ FAR_PSEUDO_ROOT = [[-0.117334, 1.194104, -0.930726],
                    [-1.827079, 2.301102, -2.075163],
                    [-0.584854, -0.731705, 0.349025]]
 
+# a tetrahedron on which one catalog start takes all its Newton steps, and
+# one on which fermat_point stalls from an interior start with method "q"
+BUDGET_TETRAHEDRON = [[-1.2, 0.71, 0.05], [0.28, 0.63, 0.72],
+                      [1.74, -0.07, -0.26], [-0.96, 0.25, 0.26]]
+FERMAT_STALL_TETRAHEDRON = [[0.061, 0.4804, 1.1917], [0.4596, -1.0229, -0.2701],
+                            [0.7594, -0.1837, 1.2888], [0.2796, 0.2465, 1.2623]]
+FERMAT_STALL_START = [0.208, 0.595, 0.036, 0.16]
+
 # a tetrahedron whose catalog once missed its Fermat point, which lies near
 # vertex 1; four of its starts stall, and their line searches often reject
 # the whole step
@@ -186,6 +194,24 @@ class TestEnumerateIsogonic:
         enumerate_isogonic(SimplexModel(STALL_TETRAHEDRON))
         assert len(gradients) <= 40 and len(deflations) <= 40
         assert 12 in [len(args[2]) for args in passes]
+
+    @pytest.mark.parametrize("vertices, evaluations", [
+        (golden.FIVE_VERTICES, 35), (STALL_TETRAHEDRON, 34)], ids=["reference", "stall"])
+    def test_one_point_evaluations_of_a_catalog(self, monkeypatch, vertices, evaluations):
+        # each root's index sign det J comes from Newton's last Jacobian, so
+        # the degree balance evaluates nothing; counted through isogonic's
+        # name too, should it import the one-point kernel
+        calls = []
+        original = fermat._signed_gradient
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(fermat, "_signed_gradient", counted)
+        monkeypatch.setattr(isogonic, "_signed_gradient", counted, raising=False)
+        enumerate_isogonic(SimplexModel(vertices))
+        assert len(calls) == evaluations
 
     def test_each_antipedal_figure_is_measured_once(self, five_model, count_calls):
         # a root is accepted on its antipedal facet volumes, and the
@@ -461,7 +487,7 @@ def test_degree_balance_holds_in_every_claimed_class(fixture, request):
 
 def _sequential_newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray,
                        tol: float, max_steps: int, residual: float = math.inf,
-                       roots=()) -> tuple[list[np.ndarray], int, bool]:
+                       roots=()) -> tuple[list[np.ndarray], int, str, np.ndarray]:
     """``fermat._newton`` with a line search that tries its 12 step
     fractions one at a time, evaluating g_sigma, J and M at each."""
     local = model._local
@@ -489,7 +515,7 @@ def _sequential_newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarra
             ok = factor > 0.0
             if math.isfinite(residual):
                 evaluations += 1
-                g = fermat._signed_gradient(local, sigma, x)[0]
+                g, jac = fermat._signed_gradient(local, sigma, x)
                 ok = ok and math.sqrt(g @ g) <= residual
             break
         merit = weight * math.sqrt(g @ g)
@@ -509,7 +535,9 @@ def _sequential_newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarra
             break
         x, g, jac, weight, dlog = y, gy, jy, wy, dy
         path.append(x)
-    return path, evaluations, ok
+    if ok:
+        return path, evaluations, "converged", jac
+    return path, evaluations, "out of budget" if len(path) == max_steps else "stalled", jac
 
 
 def _probe_models() -> list[SimplexModel]:
@@ -612,6 +640,48 @@ def test_every_reason_has_a_path(reason, request):
     assert REASON_PATHS[reason](request).reason == reason
 
 
+class TestStopReason:
+    # one rule, in the Newton kernel: "converged" if the run succeeded,
+    # "out of budget" if it took every step, "stalled" otherwise
+    def test_a_run_cut_by_its_budget(self, five_model):
+        for steps in (0, 2):
+            path, _, reason, jac = fermat._newton(
+                five_model, np.ones(4), np.full(4, 0.25), 1e-12, steps)
+            assert (len(path), reason) == (steps, "out of budget")
+            if path:
+                assert jac.tobytes() == fermat._signed_gradient(
+                    five_model._local, np.ones(4), path[-1])[1].tobytes()
+
+    @pytest.mark.parametrize("sigma", [[1.0, 1.0], [1.0, -1.0]])
+    def test_a_singular_jacobian_on_a_segment(self, sigma):
+        # on a 1-simplex every u_i is +-1, so J = sum_i w_i (1 - u_i^2) = 0
+        path, evaluations, reason, jac = fermat._newton(
+            SimplexModel([[0.0], [3.0]]), np.array(sigma), np.array([0.3, 0.7]), 1e-12, 30)
+        assert (path, evaluations, reason) == ([], 1, "stalled")
+        assert jac.tobytes() == np.zeros((1, 1)).tobytes()
+
+    def test_the_last_jacobian_is_the_roots(self, five_model):
+        for root in enumerate_isogonic(five_model).isogonic_points:
+            sigma = np.sign(root.coords)
+            path, _, reason, jac = fermat._newton(five_model, sigma, root.normalized_coords,
+                                                  1e-13, 30, 1e-10)
+            assert reason == "converged"
+            assert jac.tobytes() == fermat._signed_gradient(
+                five_model._local, sigma, path[-1])[1].tobytes()
+
+    def test_fermat_and_catalog_traces_agree(self, five_model):
+        # the same kind of stop reads the same reason in both traces
+        fermat_budget = _stopped(lambda: fermat_point(five_model, max_iter=3))
+        catalog_budget = enumerate_isogonic(SimplexModel(BUDGET_TETRAHEDRON)).failed_seeds
+        assert (fermat_budget.reason, fermat_budget.iterations_used) == ("out of budget", 3)
+        assert [(t.reason, t.iterations_used) for t in catalog_budget] == [("out of budget", 30)]
+        fermat_stall = _stopped(lambda: fermat_point(
+            SimplexModel(FERMAT_STALL_TETRAHEDRON), FERMAT_STALL_START, "q"))
+        catalog_stall = enumerate_isogonic(SimplexModel(STALL_TETRAHEDRON)).failed_seeds
+        assert (fermat_stall.reason, fermat_stall.iterations_used) == ("stalled", 10)
+        assert [t.reason for t in catalog_stall] == ["stalled"] * 4
+
+
 class TestTwoNegativeSignClasses:
     # outside the default catalog: one isogonic point in each of the three
     # two-negative sign classes of the reference tetrahedron, reached by
@@ -624,9 +694,9 @@ class TestTwoNegativeSignClasses:
     def test_newton_root_is_isogonic(self, five_model, approx, area, rel):
         vertices = golden.FIVE_VERTICES
         sigma = np.sign(approx)
-        path, _, converged = fermat._newton(five_model, sigma, np.array(approx) / sum(approx),
-                                            1e-12, 50)
-        assert converged
+        path, _, reason, _ = fermat._newton(five_model, sigma,
+                                            np.array(approx) / sum(approx), 1e-12, 50)
+        assert reason == "converged"
         bary = five_model._coords(path[-1])
         assert np.array_equal(np.sign(bary), sigma)
         x = vertices.T @ bary
