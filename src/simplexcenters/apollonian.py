@@ -164,18 +164,25 @@ def isodynamic_points(p, model: SimplexModel) -> IsodynamicResult:
     and the circumcenter is returned with a note.
     """
     pt = as_point(p, model.n)
+    points, frame_points, note = _common_points(pt, model)
+    return IsodynamicResult(points=points,
+                            residuals=[_frame_residual(pt, y, model) for y in frame_points],
+                            degenerate_axis=note is not None, note=note)
+
+
+def _common_points(pt: BarycentricPoint, model: SimplexModel,
+                   ) -> tuple[list[BarycentricPoint], list[np.ndarray], str | None]:
+    """:func:`isodynamic_points`' points, in its order, with their frame
+    positions and its note, which is None unless the axis is degenerate;
+    no residual is measured."""
     coords = pt.coords
     if _zero_entries(coords).any():
         raise ZeroCoordinate("isodynamic points need all coordinates nonzero")
     center, radius = model._circumcenter
     if _all_equal(coords ** 2):
-        return IsodynamicResult(
-            points=[BarycentricPoint(model._coords(center))],
-            residuals=[_frame_residual(pt, center, model)],
-            degenerate_axis=True,
-            note="all coordinate magnitudes equal; spheres degenerate to "
-                 "perpendicular bisectors meeting at the circumcenter",
-        )
+        return ([BarycentricPoint(model._coords(center))], [center],
+                "all coordinate magnitudes equal; spheres degenerate to "
+                "perpendicular bisectors meeting at the circumcenter")
 
     inverse_squares = (coords / np.abs(coords).max()) ** -2   # 1/p_i^2, largest |p_i| = 1
     e = np.linalg.solve(2.0 * model._local[1:], inverse_squares[1:] - inverse_squares[0])
@@ -187,17 +194,15 @@ def isodynamic_points(p, model: SimplexModel) -> IsodynamicResult:
     half_gap = 0.25 * k * k - product   # |X_+ - X_-|^2 / 4
     window = 0.25 * _TANGENCY_REL * radius ** 2
     if half_gap < -window:
-        return IsodynamicResult(points=[], residuals=[])
+        return [], [], None
     root = math.sqrt(half_gap) if half_gap > window else 0.0
     far = 0.5 * k + root   # the near root is product / far, without cancellation
     taus = [product / far, far] if root else [far]
     frame_points = [foot - tau * u for tau in taus]
     points = [BarycentricPoint(model._coords(y)) for y in frame_points]
-    residuals = [_frame_residual(pt, y, model) for y in frame_points]
     # tau + c.u = mu |e| is the distance from the circumcenter
     order = sorted(range(len(taus)), key=lambda j: (not np.all(points[j].coords > 0), taus[j]))
-    return IsodynamicResult(points=[points[j] for j in order],
-                            residuals=[residuals[j] for j in order])
+    return [points[j] for j in order], [frame_points[j] for j in order], None
 
 
 def yiu_triangle_test(d23: float, d13: float, d12: float,

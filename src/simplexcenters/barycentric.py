@@ -11,8 +11,9 @@ scale, decides where a construction stops being defined, in four predicates:
 ``_zero_entries``, ``_zero_sum``, ``_all_equal`` and ``SimplexModel._vertex_at``.
 
 Volume policy: one kernel, ``facet_volumes_of_points``, measures facets by
-Gram determinants of edge vectors from vertex coordinates; a model's total
-volume comes from the Gram matrix that its validity test reads.
+Gram determinants of edge vectors from vertex coordinates, of one point set
+or of a stack of them in one call; a model's total volume comes from the
+Gram matrix that its validity test reads.
 
 Frame policy: a model computes in one frame, vertex 0 at the origin, scaled
 by the power of two that brings the largest coordinate difference into
@@ -38,6 +39,10 @@ from .errors import Degenerate, NotEmbeddable, PointAtInfinity
 
 # The near-zero tolerance eps: two orders above double epsilon.
 _REL_EPS = 1e-13
+
+# the affine system's last coordinate, appended to a frame point
+_ONE = np.ones(1)
+_ONE.flags.writeable = False
 
 # Bound on lambda_min / lambda_max of a simplex's Gram matrix (edge vectors
 # with condition number above 1e6); round-off in the eigenvalues is ~1e-16.
@@ -88,15 +93,18 @@ def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
 def facet_volumes_of_points(points: np.ndarray) -> np.ndarray:
     """(k-1)-volumes of all facets of the simplex on the given points.
 
-    Entry i is the volume of the facet obtained by dropping point i (a
-    point's is 1, the determinant of an empty Gram matrix).  Vectorized over
-    the facets, for the figures of the isogonic catalog.
+    ``points`` is (..., m, dim): one or more sets of m points each.  Entry
+    [..., i] is the volume of the facet of its set obtained by dropping
+    point i (a point's is 1, the determinant of an empty Gram matrix); a
+    collapsed set reads zeros.  Vectorized over the facets and the sets, so
+    the isogonic catalog measures a root's antipedal and pedal figures in
+    one call, each set bit for bit as if measured alone.
     """
     points = np.asarray(points, float)
-    m = points.shape[0]
-    facets = points[_leave_one_out(m)]          # (m, m-1, dim)
-    edges = facets[:, 1:, :] - facets[:, :1, :]  # (m, m-2, dim)
-    gram = edges @ edges.transpose(0, 2, 1)
+    m = points.shape[-2]
+    facets = points[..., _leave_one_out(m), :]            # (..., m, m-1, dim)
+    edges = facets[..., 1:, :] - facets[..., :1, :]      # (..., m, m-2, dim)
+    gram = edges @ edges.swapaxes(-1, -2)
     dets = np.linalg.det(gram)
     return np.sqrt(np.clip(dets, 0.0, None)) / math.factorial(m - 2)
 
@@ -381,7 +389,7 @@ class SimplexModel:
 
     def _coords(self, y: np.ndarray) -> np.ndarray:
         """Barycentric coordinates of a frame point (summing to 1 up to rounding)."""
-        return self._affine[0] @ np.append(y, 1.0)
+        return self._affine[0] @ np.concatenate((y, _ONE))
 
     def _frame(self, p) -> np.ndarray:
         """The frame point of a finite barycentric point (inverse of ``_coords``)."""

@@ -219,9 +219,11 @@ def fraction_strings(values) -> list[str] | None:
 
 def point_payload(point: BarycentricPoint, residual: float | None = None,
                   iterations: int | None = None, fractions: bool = False) -> dict:
-    """JSON-ready record with normalized and homogeneous renderings."""
+    """JSON-ready record with normalized and homogeneous renderings; a
+    direction (a point at infinity) has no normalized one, and reads None."""
     payload = {
-        "normalized": [round12(v) for v in point.normalized_coords],
+        "normalized": ([round12(v) for v in point.normalized_coords]
+                       if point.is_finite() else None),
         "homogeneous": [round12(v) for v in point.report_scaled()],
     }
     if fractions:
@@ -237,7 +239,9 @@ def point_payload(point: BarycentricPoint, residual: float | None = None,
 
 def render_point_lines(name: str, payload: dict, indent: str = "  ") -> list[str]:
     lines = [f"{name}"]
-    lines.append(f"{indent}normalized   " + fmt_list(payload["normalized"]))
+    normalized = payload["normalized"]
+    lines.append(f"{indent}normalized   "
+                 + ("none (at infinity)" if normalized is None else fmt_list(normalized)))
     lines.append(f"{indent}homogeneous  " + fmt_list(payload["homogeneous"]))
     if "normalized_fractions" in payload:
         lines.append(f"{indent}fractions    " +

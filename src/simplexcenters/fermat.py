@@ -63,7 +63,7 @@ def _signed_gradient(vertices: np.ndarray, sigma: np.ndarray, x: np.ndarray,
     """
     gaps = x - vertices
     dist = np.sqrt(np.einsum("ij,ij->i", gaps, gaps))
-    if not dist.all():
+    if np.count_nonzero(dist) < len(dist):
         keep = dist > 0
         gaps, dist, sigma = gaps[keep], dist[keep], sigma[keep]
     units = gaps / dist[:, None]
@@ -73,7 +73,7 @@ def _signed_gradient(vertices: np.ndarray, sigma: np.ndarray, x: np.ndarray,
 def _jacobian(units: np.ndarray, w: np.ndarray) -> np.ndarray:
     """J = sum_i w_i (I - u_i u_i^T), u_i the rows of ``units``."""
     jac = -(units.T * w) @ units
-    jac.flat[::units.shape[1] + 1] += w.sum()
+    jac.reshape(-1)[::units.shape[1] + 1] += np.add.reduce(w)
     return jac
 
 
@@ -197,7 +197,7 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
     it); ``roots`` are frame points too.
     """
     local = model._local
-    known = np.reshape(roots, (-1, model.n))
+    known = np.reshape(roots, (-1, model.n)) if len(roots) else roots
     d2 = model._local_diameter ** 2
     tol = tol * model._local_diameter
     x = local.T @ coords

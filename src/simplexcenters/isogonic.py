@@ -27,9 +27,14 @@ points are the conjugates X(13), X(14) of its seeds, so it takes no more.
 
 A root is accepted if |g_sigma| <= 1e-10, it keeps the pattern +-sigma,
 it lies within 1e6 diameters of vertex 0 (if sum(sigma) = 0, |g_sigma|
-falls to rounding far out along one direction) and its antipedal facet
-volumes, which give the catalog's areas, pass :func:`is_isogonic`'s test.
-Any other start is a failed seed with its ``reason``.
+falls to rounding far out along one direction), its antipedal simplex is
+bounded and its antipedal facet volumes pass :func:`is_isogonic`'s test.
+Only a root that passes the first four tests has its conjugate formed; one
+:func:`~simplexcenters.barycentric.facet_volumes_of_points` call then
+measures its antipedal simplex and the conjugate's pedal simplex, whose
+mean facet volumes are the catalog's areas.  A conjugate at infinity has
+no pedal simplex, and its pedal area is nan.  Any other start is a failed
+seed with its ``reason``.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .apollonian import isodynamic_points
+from .apollonian import _common_points
 from .barycentric import (
     BarycentricPoint,
     SimplexModel,
@@ -83,7 +88,11 @@ class IsogonicCatalog:
 
     ``isogonic_points[k]`` has an equiareal antipedal simplex of facet
     volume ``antipedal_areas[k]``, and ``conjugate_points[k]`` an equiareal
-    pedal simplex of facet volume ``pedal_areas[k]``.  ``traces[k]`` is the
+    pedal simplex of facet volume ``pedal_areas[k]``.  A conjugate may be a
+    direction (``is_finite()`` False), as [-3 : 1 : 1 : 1] is for the
+    isogonic point [-1 : 1 : 1 : 1] of the corner tetrahedron (0, e_1, e_2,
+    e_3): it has no pedal simplex, and its pedal area is nan, undefined;
+    the point stays in the catalog.  ``traces[k]`` is the
     start that found the point; ``failed_seeds`` holds every other start
     that ran, with its ``reason``.  A trace's ``seed`` is the conjugate of
     its start, as in :func:`default_seeds`.
@@ -123,43 +132,47 @@ def _start(seed: BarycentricPoint, model: SimplexModel) -> np.ndarray | None:
 
 def _run(model: SimplexModel, sigma: np.ndarray, seed: BarycentricPoint,
          start: np.ndarray | None, roots: list[np.ndarray], indices: list[float],
-         ) -> tuple[BarycentricPoint | None, np.ndarray | None, SolverTrace]:
+         ) -> tuple[tuple[BarycentricPoint, BarycentricPoint, np.ndarray] | None, SolverTrace]:
     """Newton on g_sigma from ``start``, the ``_start`` of ``seed``, deflated
     against ``roots``: the accepted isogonic point, whose frame position
     joins ``roots`` and whose index, sign det J_sigma from Newton's last
-    Jacobian, joins ``indices``, and its antipedal facet volumes, or None
-    twice, with the trace of the start, which keeps Newton's reason."""
+    Jacobian, joins ``indices``, with its conjugate and the mean facet
+    volumes of its antipedal and of the conjugate's pedal simplex in the
+    frame (the pedal one nan if the conjugate is a direction), or None;
+    and the trace of the start, which keeps Newton's reason."""
     trace = SolverTrace(seed=seed, reason="rejected")
     if start is None:
-        return None, None, trace
+        return None, trace
     path, trace.gradient_evaluations, reason, jac = _newton(
         model, sigma, start, _POLISH_TOL, _POLISH_STEPS, _POLISH_RESIDUAL, roots)
     trace.iterations_used = len(path)
     if reason != "converged":
         trace.reason = reason
-        return None, None, trace
+        return None, trace
     root = path[-1]
     point = BarycentricPoint(model._coords(root))
     signs = np.sign(point.coords)
-    if point.is_finite() and np.array_equal(signs * signs[0], sigma * sigma[0]):
-        if np.linalg.norm(root) > _ESCAPE * model._local_diameter:
-            trace.reason = "escaped"
-        else:
-            volumes = _antipedal_volumes(point, model)
-            if volumes is not None and _spread(volumes) <= _EQUIAREAL:
-                trace.reason = "converged"
-                roots.append(root)
-                indices.append(np.sign(np.linalg.det(jac)))
-                return point, volumes, trace
-    return None, None, trace
-
-
-def _antipedal_volumes(p, model: SimplexModel) -> np.ndarray | None:
-    """The antipedal simplex's facet volumes in the frame, or None if it is unbounded."""
+    if not (point.is_finite() and np.array_equal(signs * signs[0], sigma * sigma[0])):
+        return None, trace
+    if np.linalg.norm(root) > _ESCAPE * model._local_diameter:
+        trace.reason = "escaped"
+        return None, trace
     try:
-        return facet_volumes_of_points(_antipedal_points(p, model))
+        antipedal = _antipedal_points(point, model)
     except UnboundedAntipedal:
-        return None
+        return None, trace
+    conjugate = isogonal_conjugate(point, model)
+    if conjugate.is_finite():
+        feet = model._feet(model._frame(conjugate))
+        volumes = facet_volumes_of_points(np.stack((antipedal, feet)))
+    else:   # a direction has no pedal simplex
+        volumes = np.stack((facet_volumes_of_points(antipedal), np.full(model.n + 1, np.nan)))
+    if not _spread(volumes[0]) <= _EQUIAREAL:
+        return None, trace
+    trace.reason = "converged"
+    roots.append(root)
+    indices.append(np.sign(np.linalg.det(jac)))
+    return (point, conjugate, volumes.mean(axis=1)), trace
 
 
 def is_isogonic(p, model: SimplexModel, tol: float = _EQUIAREAL) -> tuple[bool, float]:
@@ -168,8 +181,10 @@ def is_isogonic(p, model: SimplexModel, tol: float = _EQUIAREAL) -> tuple[bool, 
     Returns the verdict together with the relative facet-volume spread;
     an unbounded antipedal construction yields (False, inf).
     """
-    volumes = _antipedal_volumes(p, model)
-    deviation = math.inf if volumes is None else _spread(volumes)
+    try:
+        deviation = _spread(facet_volumes_of_points(_antipedal_points(p, model)))
+    except UnboundedAntipedal:
+        deviation = math.inf
     return deviation <= tol, deviation
 
 
@@ -193,7 +208,7 @@ def default_seeds(model: SimplexModel) -> list[BarycentricPoint]:
     """
     if model.n == 2:
         try:
-            return isodynamic_points(model._facets, model).points
+            return _common_points(BarycentricPoint(model._facets), model)[0]
         except SimplexError:
             pass
     centroid, *reflections = map(BarycentricPoint, _sign_classes(model.n + 1))
@@ -259,16 +274,15 @@ def enumerate_isogonic(model: SimplexModel, seeds=None) -> IsogonicCatalog:
             starts = itertools.chain(starts, ((s, _start(s, model)) for s in further))
         runs += [_run(model, sigma, seed, start, roots, indices) for seed, start in starts]
 
-    catalog = IsogonicCatalog(failed_seeds=[trace for point, _, trace in runs if point is None])
-    for point, volumes, trace in sorted((run for run in runs if run[0] is not None),
-                                        key=lambda run: _canonical_key(run[0])):
-        conjugate = isogonal_conjugate(point, model)
+    catalog = IsogonicCatalog(failed_seeds=[trace for found, trace in runs if found is None])
+    for (point, conjugate, means), trace in sorted(
+            (run for run in runs if run[0] is not None),
+            key=lambda run: _canonical_key(run[0][0])):
+        antipedal, pedal = model._absolute(means, model.n - 1).tolist()
         catalog.conjugate_points.append(conjugate)
         catalog.isogonic_points.append(point)
-        feet = model._feet(model._frame(conjugate))
-        for areas, figure_volumes in ((catalog.pedal_areas, facet_volumes_of_points(feet)),
-                                      (catalog.antipedal_areas, volumes)):
-            areas.append(float(model._absolute(figure_volumes.mean(), model.n - 1)))
+        catalog.pedal_areas.append(pedal)
+        catalog.antipedal_areas.append(antipedal)
         catalog.traces.append(trace)
     return catalog
 

@@ -52,15 +52,18 @@ def pedal_simplex(p, model: SimplexModel) -> SimplexModel:
 
 def _antipedal_points(p, model: SimplexModel) -> np.ndarray:
     """Vertices of the antipedal simplex, in the model's frame."""
-    pt = as_point(p, model.n)
-    if model._vertex_at(model._distances(pt)) is not None:
+    y = model._frame(p)
+    rays = y - model._local
+    if model._vertex_at(np.sqrt(np.einsum("ij,ij->i", rays, rays))) is not None:
         raise AtVertex("antipedal simplex is undefined at a vertex")
-    y = model._frame(pt)
     # system i: rows j != i of (y - v_j) . z = (y - v_j) . v_j
-    others = model._local[_leave_one_out(model.n + 1)]
-    a = y - others
-    b = np.einsum("kij,kij->ki", a, others)
-    unbounded = np.flatnonzero(np.linalg.cond(a) > _COND_LIMIT)
+    leave = _leave_one_out(model.n + 1)
+    a = rays[leave]
+    b = np.einsum("kij,kij->ki", a, model._local[leave])
+    # the 2-norm condition number, as np.linalg.cond forms it; 0/0 reads as inf
+    s = np.linalg.svd(a, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unbounded = np.flatnonzero(~(s[:, 0] / s[:, -1] <= _COND_LIMIT))
     if unbounded.size:
         raise UnboundedAntipedal(
             f"antipedal vertex {unbounded[0]} is unbounded for this point")

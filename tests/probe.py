@@ -1,7 +1,7 @@
 """Dump every solver output on a fixed set of simplices, and digest it.
 
     PYTHONPATH=src python tests/probe.py [--triangles N] [--tetrahedra N]
-                                         [--four N] [--five N]
+                                         [--four N] [--five N] [--expect HEX]
 
 The probe set is the 41 ``isogonic-catalog`` inputs of the benchmark at
 seed 1, then Gaussian simplices drawn as ``standard_normal((n + 1, n))``
@@ -15,7 +15,8 @@ centroid and from one Dirichlet start: its point, the same counts, and its
 trace's iterates and distance sums.  Floats enter the digest by their bits.
 
 It prints one summary line and the SHA-256 of the dump: two trees that
-print the same digest computed the same bits.  ``bench/workloads.py`` is
+print the same digest computed the same bits.  With ``--expect HEX`` it
+exits 1, printing both digests, unless the digest is ``HEX``.  ``bench/workloads.py`` is
 loaded from its file, by the loader of ``tests/abtime.py``, and not
 changed.  Pytest does not collect this file; ``tests/test_probe.py`` runs a
 slice of it.
@@ -115,16 +116,22 @@ def probe(counts: dict[str, int]) -> tuple[str, str]:
     return summary, dump.sha.hexdigest()
 
 
-def main(argv=None) -> None:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     for name, _, _, default in GROUPS:
         parser.add_argument(f"--{name}", type=int, default=default, metavar="N",
                             help=f"Gaussian {name} to add (default {default})")
+    parser.add_argument("--expect", metavar="HEX",
+                        help="exit 1 unless the dump's digest is HEX")
     args = parser.parse_args(argv)
     summary, digest = probe({name: getattr(args, name) for name, *_ in GROUPS})
     print(summary)
     print(digest)
+    if args.expect is not None and digest != args.expect:
+        print(f"digest mismatch: expected {args.expect}, got {digest}")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -18,6 +18,7 @@ from simplexcenters import (
     circumcenter_cart,
     classical_centers,
     embed_from_edge_lengths,
+    facet_volumes_of_points,
     fermat_point,
     pedal_simplex,
     yiu_triangle_test,
@@ -300,6 +301,20 @@ class TestFacetVolumes:
                 gram = edges @ edges.T
                 oracle = math.sqrt(max(np.linalg.det(gram), 0.0)) / math.factorial(n - 1)
                 assert abs(model.facet_volumes[i] - oracle) <= 1e-10 * oracle
+
+    def test_stacked_sets_match_each_set_alone(self):
+        # bit for bit, with coincident and collinear points in the stack
+        rng = np.random.default_rng(32)
+        for n in (1, 2, 3, 4):
+            sets = rng.standard_normal((2, 3, n + 1, n))
+            sets[0, 1] = sets[0, 1, :1]                  # one point, n + 1 times
+            sets[1, 2, -1] = 0.5 * (sets[1, 2, 0] + sets[1, 2, 1])
+            stacked = facet_volumes_of_points(sets)
+            assert stacked.shape == (2, 3, n + 1)
+            # a facet of one point has volume 1; a collapsed larger one, 0
+            assert (stacked[0, 1] == (1.0 if n == 1 else 0.0)).all()
+            for k, j in itertools.product(range(2), range(3)):
+                assert stacked[k, j].tobytes() == facet_volumes_of_points(sets[k, j]).tobytes()
 
 
 class TestClassicalCenters:

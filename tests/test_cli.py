@@ -529,6 +529,28 @@ class TestIsogonicCommand:
         [warning] = report["warnings"]
         assert warning.startswith("seed rejected: [")
 
+    def test_corner_tetrahedron_reports_a_conjugate_at_infinity(self, doc_path, capsys):
+        # the conjugate of [-1 : 1 : 1 : 1] is the direction [-3 : 1 : 1 : 1]:
+        # it has no normalized coordinates, and its pedal area is undefined
+        path = doc_path({"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+        code, out, err = run_cli(capsys, "isogonic", path, "--json")
+        assert (code, err) == (0, "")
+        entries = json.loads(out)["results"]["entries"]
+        assert len(entries) == 5
+        assert [e["conjugate"]["normalized"] is None for e in entries] == [
+            False, True, False, False, False]
+        direction = entries[1]
+        assert direction["conjugate"]["homogeneous"] == [1.0] + [-0.333333333333] * 3
+        assert direction["isogonic"]["normalized"] == [-0.5, 0.5, 0.5, 0.5]
+        assert direction["pedal_area"] == "nan"
+        code, out, err = run_cli(capsys, "isogonic", path)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        k = lines.index("L_1 (equiareal pedal, area nan)")
+        assert lines[k + 1:k + 3] == [
+            "  normalized   none (at infinity)",
+            "  homogeneous  [1.000000000000, -0.333333333333, -0.333333333333, -0.333333333333]"]
+
     def test_unconverged_seeds_warn(self, doc_path, capsys):
         code, out, _ = run_cli(capsys, "isogonic", doc_path(FIVE_DOC),
                                "--seeds", "1,1,1,1;1,2,3,4", "--json")

@@ -14,6 +14,7 @@ from simplexcenters import (
     EdgeLengthTable,
     MaxIterationsExceeded,
     SimplexModel,
+    UnboundedAntipedal,
     ZeroCoordinate,
     antipedal_simplex,
     classical_centers,
@@ -92,6 +93,10 @@ STALL_TETRAHEDRON = [[-0.008775, 0.306069, 1.271732],
                      [-1.087569, -0.140184, -0.296931],
                      [-2.010313, -0.678083, -1.609774],
                      [0.101443, -0.204785, 0.277038]]
+
+# the corner tetrahedron, whose isogonic point [-1 : 1 : 1 : 1] has its
+# conjugate at infinity
+CORNER_TETRAHEDRON = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
 def _far_seed(model: SimplexModel) -> BarycentricPoint:
@@ -406,7 +411,10 @@ class TestEnumerateIsogonic:
     def test_refused_root_keeps_its_trace(self, five_model, monkeypatch):
         # with every root refused, no class balances: each seed's trace is
         # a failed seed, and so is each further start of its class
-        monkeypatch.setattr(isogonic, "_antipedal_volumes", lambda p, model: None)
+        def unbounded(p, model):
+            raise UnboundedAntipedal("refused")
+
+        monkeypatch.setattr(isogonic, "_antipedal_points", unbounded)
         catalog = enumerate_isogonic(five_model)
         seeds = default_seeds(five_model)
         assert len(catalog) == 0
@@ -424,6 +432,37 @@ class TestEnumerateIsogonic:
         last = catalog.failed_seeds[-1]
         assert last.reason == "rejected" and last.iterations_used == 0
         assert np.array_equal(last.seed.coords, [0.9, 0.5, -0.4])
+
+
+    def test_corner_tetrahedron_keeps_a_root_with_a_conjugate_at_infinity(self):
+        # on (0, e1, e2, e3) the isogonic point [-1 : 1 : 1 : 1] has the
+        # conjugate [-3 : 1 : 1 : 1], a direction: its pedal area is
+        # undefined, and the catalog keeps it and the other four points
+        model = SimplexModel(CORNER_TETRAHEDRON)
+        catalog = enumerate_isogonic(model)
+        assert len(catalog) == 5
+        assert [q.is_finite() for q in catalog.conjugate_points] == [True, False, True, True, True]
+        assert np.abs(catalog.isogonic_points[1].report_scaled() - [1, -1, -1, -1]).max() <= 1e-12
+        assert np.abs(catalog.conjugate_points[1].coords / catalog.conjugate_points[1].coords[1]
+                      - [-3, 1, 1, 1]).max() <= 1e-12
+        assert math.isnan(catalog.pedal_areas[1])
+        assert all(math.isfinite(a) and a > 0 for a in
+                   catalog.antipedal_areas + catalog.pedal_areas[:1] + catalog.pedal_areas[2:])
+        for point in catalog.isogonic_points:
+            assert is_isogonic(point, model)[0]
+        for q, area in zip(catalog.conjugate_points[2:], catalog.pedal_areas[2:]):
+            pedal = pedal_simplex(q, model)
+            assert equiareal_deviation(pedal) <= 1e-9
+            assert pedal.facet_volumes.mean() == pytest.approx(area, rel=1e-12)
+
+    def test_each_root_is_measured_in_one_volume_pass(self, five_model, count_calls):
+        # a root's antipedal figure and its conjugate's pedal figure are
+        # measured together, once the root passes the sign, escape and
+        # bounded-antipedal tests
+        calls = count_calls(isogonic, "facet_volumes_of_points")
+        catalog = enumerate_isogonic(five_model)
+        assert len(calls) == len(catalog) == 5
+        assert [np.shape(args[0]) for args in calls] == [(2, 4, 3)] * 5
 
 
 def _antipedal_facet_areas(vertices: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -712,7 +751,7 @@ class TestDefaultSeeds:
         def broken(p, model):
             raise TypeError("broken")
 
-        monkeypatch.setattr(isogonic, "isodynamic_points", broken)
+        monkeypatch.setattr(isogonic, "_common_points", broken)
         with pytest.raises(TypeError):
             default_seeds(gap_triangle)
 
@@ -720,8 +759,19 @@ class TestDefaultSeeds:
         def undefined(p, model):
             raise Degenerate("no axis")
 
-        monkeypatch.setattr(isogonic, "isodynamic_points", undefined)
+        monkeypatch.setattr(isogonic, "_common_points", undefined)
         assert len(default_seeds(gap_triangle)) == 4
+
+    def test_triangle_seeds_are_the_isodynamic_points(self, gap_triangle,
+                                                      equilateral_triangle):
+        # bit for bit, with the equilateral center and a seed on a side line
+        angle = math.radians(120)
+        side_line = SimplexModel([[0, 0], [1, 0], [1.3 * math.cos(angle), 1.3 * math.sin(angle)]])
+        for model, count in ((gap_triangle, 2), (side_line, 2), (equilateral_triangle, 1)):
+            seeds = default_seeds(model)
+            expected = isodynamic_points(model._facets, model).points
+            assert len(seeds) == count
+            assert [s.coords.tobytes() for s in seeds] == [p.coords.tobytes() for p in expected]
 
     def test_seed_on_a_side_line_is_rejected(self):
         # with a 120-degree angle one isodynamic point lies on a side line, so

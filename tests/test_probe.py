@@ -22,3 +22,16 @@ def test_a_probe_slice_keeps_its_digest():
     assert summary.split(" (")[0] == again.split(" (")[0] == (
         "107 simplices, 269 points, 107 failed starts, 428 Fermat runs, 0 without an answer")
     assert digest == SLICE_DIGEST
+
+
+def test_expect_checks_the_digest(capsys, monkeypatch):
+    # exit status 0 on the expected digest; 1 on another, with both printed
+    args = [f"--{name}={count}" for name, count in SLICE.items()]
+    assert probe.main([*args, "--expect", SLICE_DIGEST]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == SLICE_DIGEST
+    monkeypatch.setattr(probe, "probe", lambda counts: ("a summary", SLICE_DIGEST))
+    other = SLICE_DIGEST[::-1]
+    assert probe.main([*args, "--expect", other]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "a summary", SLICE_DIGEST,
+        f"digest mismatch: expected {other}, got {SLICE_DIGEST}"]
