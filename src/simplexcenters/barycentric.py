@@ -166,15 +166,29 @@ class EdgeLengthTable:
     @classmethod
     def from_flat(cls, n: int, values) -> "EdgeLengthTable":
         """Build from lengths listed pairwise in lexicographic order
-        (d_12, d_13, ..., d_1,n+1, d_23, ..., d_n,n+1)."""
+        (d_12, d_13, ..., d_1,n+1, d_23, ..., d_n,n+1).
+
+        The flat lengths are validated here, with ``from_matrix``'s checks
+        in its order and its messages (size, finite, not identically zero,
+        positive), and the table is built symmetric with a zero diagonal,
+        which leaves ``from_matrix``'s other checks nothing to find."""
         values = np.array(list(values), dtype=float)
         rows, cols = _pairs(n + 1)
         if values.shape != rows.shape:
             raise ValueError(
                 f"dimension {n} needs {rows.size} edge lengths, got {len(values)}")
+        if n < 1:
+            raise ValueError("edge table must be a square matrix of size >= 2")
+        if not np.isfinite(values).all():
+            raise ValueError("edge lengths must be finite")
+        if not values.any():
+            raise ValueError("edge table is identically zero")
+        if values.min() <= 0.0:
+            raise ValueError("off-diagonal edge lengths must be positive")
         d = np.zeros((n + 1, n + 1))
         d[rows, cols] = d[cols, rows] = values
-        return cls.from_matrix(d)
+        d.flags.writeable = False
+        return cls(n=n, d=d)
 
     def subtable(self, keep) -> "EdgeLengthTable":
         keep = list(keep)
@@ -225,7 +239,7 @@ class BarycentricPoint:
             norm = math.fsum(np.abs(coords).tolist())
         if not math.isfinite(norm):
             raise ValueError("coordinates must be finite")
-        total = float(coords.sum())
+        total = float(np.add.reduce(coords))
         if norm == 0.0:
             raise ValueError("coordinate vector must not be zero")
         finite = not _zero_sum(total, norm)

@@ -19,7 +19,6 @@ import numpy as np
 from .apollonian import isodynamic_points, yiu_triangle_test
 from .barycentric import (
     BarycentricPoint,
-    circumcenter_cart,
     classical_centers,
 )
 from .documents import (
@@ -48,32 +47,38 @@ _CENTER_LABELS = {
 }
 
 
+def _spread(x: np.ndarray) -> float:
+    """Relative spread (max - min) / mean of a vector: the reductions that
+    ``np.ptp`` and ``ndarray.mean`` run, without their wrappers."""
+    return float((np.maximum.reduce(x) - np.minimum.reduce(x))
+                 / (np.add.reduce(x) / len(x)))
+
+
 def _center_residual(key: str, centers: dict[str, BarycentricPoint], model) -> float:
     """Re-validate a center against its defining property, in the model's frame."""
     y = model._frame(centers[key])
+    local = model._local
     if key == "G":
-        return float(model._absolute(np.linalg.norm(y - model._local.mean(axis=0))))
+        return float(model._absolute(np.linalg.norm(y - np.add.reduce(local) / len(local))))
     if key in ("I", "K"):
         # sideplane distances: equal for I, proportional to the facet volumes for K
         _, normals, offsets = model._affine
         dists = np.abs(normals @ y - offsets)
         if key == "K":
             dists = dists / model._facets
-        return float(np.ptp(dists) / dists.mean())
+        return _spread(dists)
     # "O": equidistant from the vertices
-    dv = np.linalg.norm(model._local - y, axis=1)
-    return float(np.ptp(dv) / dv.mean())
+    return _spread(np.linalg.norm(local - y, axis=1))
 
 
 def cmd_centers(doc: SimplexDocument, options: dict) -> dict:
     model = doc.build_model()
     centers = classical_centers(model)
-    _, radius = circumcenter_cart(model)
     results = {
         "dimension": model.n,
-        "facet_volumes": [round12(v) for v in model.facet_volumes],
+        "facet_volumes": [round(v, 12) for v in model.facet_volumes.tolist()],
         "total_volume": round12(model.total_volume),
-        "circumradius": round12(radius),
+        "circumradius": round12(model._absolute(model._circumcenter[1])),
         "points": {},
     }
     for key in ("G", "I", "K", "O"):
@@ -178,12 +183,13 @@ def cmd_isogonic(doc: SimplexDocument, options: dict) -> dict:
             "gradient_evaluations": catalog.traces[k].gradient_evaluations,
         })
     seed_summary = [{
-        "seed": [round12(v) for v in t.seed.normalized_coords],
+        "seed": [round12(v) for v in t.seed.coords],
         "converged": t.converged,
         "iterations": t.iterations_used,
         "gradient_evaluations": t.gradient_evaluations,
     } for t in catalog.traces]
-    warnings = [f"seed {t.reason}: {fmt_list(t.seed.normalized_coords)}"
+    # a finite seed's coords are its normalized ones; a direction's are as given
+    warnings = [f"seed {t.reason}: {fmt_list(t.seed.coords)}"
                 for t in catalog.failed_seeds]
     results = {"dimension": model.n, "count": len(catalog),
                "entries": entries, "seed_summary": seed_summary}

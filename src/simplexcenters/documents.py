@@ -131,11 +131,24 @@ def parse_document(obj) -> SimplexDocument:
     if not isinstance(values, list) or len(values) != expected:
         raise DocumentError(
             f"edge_lengths.values: dimension {dim} needs {expected} lengths")
-    parsed = tuple(parse_number(v, f"edge_lengths.values[{k}]")
-                   for k, v in enumerate(values))
-    for k, v in enumerate(parsed):
-        if v <= 0:
-            raise DocumentError(f"edge_lengths.values[{k}]: must be positive")
+    # one pass: a plain JSON number that is finite and positive is taken as
+    # is; any other entry is read by parse_number, whose errors come first,
+    # and then the first length that is not positive is the error
+    parsed = []
+    nonpositive = None
+    for k, v in enumerate(values):
+        try:
+            x = float(v) if type(v) is float or type(v) is int else math.nan
+        except OverflowError:
+            x = math.nan
+        if not 0.0 < x < math.inf:
+            x = parse_number(v, f"edge_lengths.values[{k}]")
+            if x <= 0 and nonpositive is None:
+                nonpositive = k
+        parsed.append(x)
+    if nonpositive is not None:
+        raise DocumentError(f"edge_lengths.values[{nonpositive}]: must be positive")
+    parsed = tuple(parsed)
     table = EdgeLengthTable.from_flat(dim, parsed)
     return SimplexDocument(obj, tolerance, parsed, embed_from_edge_lengths(table))
 
@@ -167,7 +180,7 @@ def fmt(x: float) -> str:
 
 
 def fmt_list(values) -> str:
-    return "[" + ", ".join(fmt(v) for v in values) + "]"
+    return "[" + ", ".join([fmt(v) for v in values]) + "]"
 
 
 def _limit_denominator(num: int, den: int, bound: int) -> tuple[int, int]:
@@ -202,32 +215,48 @@ def fraction_strings(values) -> list[str] | None:
     the bound is below 1 and no value snaps.  The candidate p/q is
     ``Fraction(v).limit_denominator(bound)``, found in integers on
     ``v.as_integer_ratio()``, and ``p / q`` rounds as ``float`` of it does.
+    Each distinct value is snapped once per call (a centroid's n+1 equal
+    coordinates once), all in exact integer arithmetic on the float itself:
+    no NumPy rounding enters.
     """
     out = []
+    snapped: dict[float, str] = {}
     for v in values:
         v = float(v)
-        tol = 1e-13 * max(1.0, abs(v))
-        bound = int(math.sqrt(1e-3 / tol))
-        if bound < 1:
-            return None
-        num, den = _limit_denominator(*v.as_integer_ratio(), bound)
-        if abs(num / den - v) > tol:
-            return None
-        out.append(f"{num}/{den}" if den != 1 else f"{num}")
+        text = snapped.get(v)
+        if text is None:
+            tol = 1e-13 * max(1.0, abs(v))
+            bound = int(math.sqrt(1e-3 / tol))
+            if bound < 1:
+                return None
+            num, den = _limit_denominator(*v.as_integer_ratio(), bound)
+            if abs(num / den - v) > tol:
+                return None
+            text = snapped[v] = f"{num}/{den}" if den != 1 else f"{num}"
+        out.append(text)
     return out
 
 
 def point_payload(point: BarycentricPoint, residual: float | None = None,
                   iterations: int | None = None, fractions: bool = False) -> dict:
     """JSON-ready record with normalized and homogeneous renderings; a
-    direction (a point at infinity) has no normalized one, and reads None."""
+    direction (a point at infinity) has no normalized one, and reads None,
+    and asked for fractions raises ``PointAtInfinity``.
+
+    Each rendering reads its coordinates as one Python float list and rounds
+    every entry with ``round(v, 12)``, which is ``round12`` on a float:
+    correctly rounded, where ``np.round`` scales by 10**12 and may land one
+    unit off in the last place.  Fractions snap the same unrounded floats.
+    """
+    coords = point.coords.tolist()
+    finite = point.is_finite()
     payload = {
-        "normalized": ([round12(v) for v in point.normalized_coords]
-                       if point.is_finite() else None),
-        "homogeneous": [round12(v) for v in point.report_scaled()],
+        "normalized": [round(v, 12) for v in coords] if finite else None,
+        "homogeneous": [round(v, 12) for v in point.report_scaled().tolist()],
     }
     if fractions:
-        fr = fraction_strings(point.normalized_coords)
+        # a finite point's coords are its normalized ones; a direction raises
+        fr = fraction_strings(coords if finite else point.normalized_coords)
         if fr is not None:
             payload["normalized_fractions"] = fr
     if residual is not None:

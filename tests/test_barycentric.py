@@ -62,9 +62,19 @@ class TestEdgeLengthTable:
             with pytest.raises(ValueError, match="not symmetric"):
                 EdgeLengthTable.from_matrix(d)
 
-    def test_rejects_nonpositive_edges(self):
-        with pytest.raises(ValueError):
-            EdgeLengthTable.from_flat(2, [1, 1, 0])
+    @pytest.mark.parametrize("values, message", [
+        ([1, 1, 0], "off-diagonal edge lengths must be positive"),
+        ([0, 0, 0], "edge table is identically zero"),
+        ([-1, 1, 1], "off-diagonal edge lengths must be positive"),
+    ], ids=["zero", "all-zero", "negative"])
+    def test_rejects_nonpositive_edges(self, values, message):
+        # the flat lengths are checked in from_matrix's order, with its messages
+        d = np.zeros((3, 3))
+        d[0, 1], d[0, 2], d[1, 2] = values
+        with pytest.raises(ValueError, match=message):
+            EdgeLengthTable.from_matrix(d + d.T)
+        with pytest.raises(ValueError, match=message):
+            EdgeLengthTable.from_flat(2, values)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite_lengths(self, bad):

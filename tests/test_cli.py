@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -17,7 +18,14 @@ from simplexcenters import (
     total_distance,
     verify,
 )
-from simplexcenters.cli import _parse_seeds, cmd_centers, cmd_fermat, cmd_isodynamic, main
+from simplexcenters.cli import (
+    _parse_seeds,
+    cmd_centers,
+    cmd_fermat,
+    cmd_isodynamic,
+    main,
+    render_report,
+)
 from simplexcenters.documents import (
     DocumentError,
     fraction_strings,
@@ -424,6 +432,18 @@ DOCUMENT_ERRORS = {
                     "edge_lengths.values: dimension 2 needs 3"),
     "value-sign": (lambda t: parse_document(_edges([1, 1, -1])),
                    "edge_lengths.values[2]: must be positive"),
+    "edge-boolean": (lambda t: parse_document(_edges([1, True, 1])),
+                     "edge_lengths.values[1]: expected a number, got a boolean"),
+    "edge-null": (lambda t: parse_document(_edges([1, None, 1])),
+                  "edge_lengths.values[1]: expected a number, got NoneType"),
+    "edge-nan": (lambda t: parse_document(json.dumps(_edges([1, 1, math.nan]))),
+                 "edge_lengths.values[2]: number is not finite"),
+    "edge-zero": (lambda t: parse_document(_edges([1, 0, 1])),
+                  "edge_lengths.values[1]: must be positive"),
+    "edge-negative-first": (lambda t: parse_document(_edges([-1, 1, 1])),
+                            "edge_lengths.values[0]: must be positive"),
+    "edge-beyond-float": (lambda t: parse_document(_edges([1, 1, 10 ** 400])),
+                          "edge_lengths.values[2]: cannot parse number 1000"),
     "unreadable": (lambda t: load_document(str(t / "missing.json")),
                    "cannot read document"),
     "point": (lambda t: parse_point_arg("1,2", 2), "point needs 3 coordinates"),
@@ -563,6 +583,23 @@ class TestIsogonicCommand:
             "seed stalled: [0.250000000000, 0.250000000000, 0.250000000000, 0.250000000000]",
             "seed stalled: [0.100000000000, 0.200000000000, 0.300000000000, 0.400000000000]"]
 
+    @pytest.mark.parametrize("form", ["text", "json"])
+    def test_direction_seed_warns(self, doc_path, capsys, form):
+        # a seed whose coordinates sum to zero is listed as given
+        path = doc_path({"vertices": [[0, 0], [4, 0], [1, 3]]})
+        flags = ["--json"] if form == "json" else []
+        code, out, err = run_cli(capsys, "isogonic", path, "--seeds", "1,1,-2", *flags)
+        assert (code, err) == (0, "")
+        warning = "seed stalled: [1.000000000000, 1.000000000000, -2.000000000000]"
+        if form == "json":
+            report = json.loads(out)
+            assert report["results"]["count"] == 2
+            assert report["warnings"] == [warning]
+        else:
+            assert "points found: 2" in out.splitlines()
+            assert out.splitlines()[-1] == "warnings: " + warning
+
+
 
 def test_json_reports_gradient_evaluations(doc_path, capsys):
     # next to the iteration counts, for the reference tetrahedron
@@ -657,3 +694,34 @@ def test_module_entry_point():
         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
     assert proc.returncode == 0
     assert "48.000000000000" in proc.stdout
+
+
+def _seeded_edge_document(n: int) -> dict:
+    """Edge lengths of a Gaussian n-simplex, as a document."""
+    verts = np.random.default_rng((33, n)).standard_normal((n + 1, n))
+    values = [float(np.linalg.norm(verts[i] - verts[j]))
+              for i in range(n + 1) for j in range(i + 1, n + 1)]
+    return {"name": f"gauss-{n}", **_edges(values, dimension=n)}
+
+
+REPORT_DIGEST = "5e9259d0de6df65b21bac2d9e70b3c67236267888d392eeee6183ba2a54bed11"
+REPORT_DOCUMENTS = [*verify.BUILTIN_DOCUMENTS.values(),
+                    *(_seeded_edge_document(n) for n in range(2, 13))]
+
+
+def test_reports_keep_their_bytes():
+    """The centers and isodynamic reports of REPORT_DOCUMENTS, each in its
+    text form and as sorted-key JSON, hash to ``REPORT_DIGEST``.
+
+    The digest was computed with NumPy 2.4.6 on x86-64 when the pin was
+    added.  Any change to a reported byte (a digit, a fraction, a residual,
+    a label) fails here; if the change is intended, or a platform rounds
+    differently, recompute and re-pin.
+    """
+    digest = hashlib.sha256()
+    for raw in REPORT_DOCUMENTS:
+        doc = parse_document(raw)
+        for report in (cmd_centers(doc, {}), cmd_isodynamic(doc, {})):
+            digest.update(render_report(report).encode())
+            digest.update(json.dumps(report, sort_keys=True).encode())
+    assert digest.hexdigest() == REPORT_DIGEST
