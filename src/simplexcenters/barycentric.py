@@ -34,6 +34,13 @@ import operator
 from dataclasses import dataclass, field
 
 import numpy as np
+# np.linalg's own LAPACK gufuncs, called without its Python wrapper, which
+# checks and casts its arguments and enters an errstate on every call (NumPy
+# 2.4 on a Xeon core: a 3x3 np.linalg.solve 4.6 us, _lapack.solve1 1.1 us; a
+# det 2.8 against 1.0 us).  The solvers call solve1, solve and det with the
+# signatures "dd->d" / "d->d" that np.linalg passes, so each result is the
+# same bit for bit; a singular system gives NaN instead of LinAlgError.
+from numpy.linalg import _umath_linalg as _lapack
 
 from .errors import Degenerate, NotEmbeddable, PointAtInfinity
 
@@ -105,8 +112,8 @@ def facet_volumes_of_points(points: np.ndarray) -> np.ndarray:
     facets = points[..., _leave_one_out(m), :]            # (..., m, m-1, dim)
     edges = facets[..., 1:, :] - facets[..., :1, :]      # (..., m, m-2, dim)
     gram = edges @ edges.swapaxes(-1, -2)
-    dets = np.linalg.det(gram)
-    return np.sqrt(np.clip(dets, 0.0, None)) / math.factorial(m - 2)
+    dets = _lapack.det(gram, signature="d->d")
+    return np.sqrt(np.maximum(dets, 0.0)) / math.factorial(m - 2)
 
 
 def _gram_defect(gram: np.ndarray) -> NotEmbeddable | Degenerate | None:

@@ -19,6 +19,8 @@ Jacobian is J = sum_i sigma_i (I - u_i u_i^T) / d_i.  The minimizer is the
 root for sigma = +1 (M. L. Overton, Math. Programming 27, 1983); every
 isogonic point is a root for its own sign pattern, which
 :mod:`simplexcenters.isogonic` finds with the same kernel, deflated.
+Each step solves J s = -g through LAPACK's gufunc, so a singular J gives
+a NaN step, and a NaN step ends the run as "stalled".
 Kuhn's test decides before the first step whether a vertex is the
 minimizer: vertex k is iff the gradient over the other vertices has norm
 <= 1 there (H. W. Kuhn, Math. Programming 4, 1973).  It is decided once
@@ -40,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .barycentric import BarycentricPoint, SimplexModel, _zero_entries, as_point
+from .barycentric import BarycentricPoint, SimplexModel, _lapack, _zero_entries, as_point
 from .errors import AtVertex, MaxIterationsExceeded, ZeroCoordinate
 
 METHODS = ("q", "r")
@@ -129,13 +131,13 @@ class SolverTrace:
 
 def _deflation(x: np.ndarray, known: np.ndarray, d2: float,
                ) -> tuple[float, np.ndarray | None]:
-    """M(x) = prod_k (d2/|x - r_k|^2 + 1) and grad ln M, or (1, None)."""
+    """M(x) = prod_k (d2/|x - r_k|^2 + 1) and grad ln M, or (1, None); inf
+    and nan at a known root, under the errstate of :func:`_newton`."""
     if not len(known):
         return 1.0, None
     gaps = x - known
     q = np.einsum("ij,ij->i", gaps, gaps)
-    with np.errstate(all="ignore"):   # M is infinite at a known root
-        return float(np.prod(d2 / q + 1.0)), (-2.0 * d2 / (q * (q + d2))) @ gaps
+    return float(np.multiply.reduce(d2 / q + 1.0)), (-2.0 * d2 / (q * (q + d2))) @ gaps
 
 
 def _trial_merits(vertices: np.ndarray, sigma: np.ndarray, ys: np.ndarray,
@@ -143,7 +145,8 @@ def _trial_merits(vertices: np.ndarray, sigma: np.ndarray, ys: np.ndarray,
     """M |g_sigma| at each row of ``ys`` in one pass, and a function of k
     that gives (row k, g_sigma, J, grad ln M or None, M |g_sigma|) there from
     the pass's unit vectors, weights sigma_i/d_i and deflation gaps; each is
-    rounded as :func:`_signed_gradient` and :func:`_deflation` round it."""
+    rounded as :func:`_signed_gradient` and :func:`_deflation` round it, and
+    M is inf at a known root, under the errstate of :func:`_newton`."""
     gaps = ys[:, None] - vertices
     dist = np.sqrt(np.einsum("kij,kij->ki", gaps, gaps))
     zero = dist == 0.0
@@ -151,18 +154,16 @@ def _trial_merits(vertices: np.ndarray, sigma: np.ndarray, ys: np.ndarray,
     units = gaps / dist[..., None]
     g = sigma @ units
     if zero.any():   # a vertex left in as a zero row can round g apart
-        for k in np.flatnonzero(zero.any(axis=1)):
+        for k in zero.any(axis=1).nonzero()[0]:
             g[k] = _signed_gradient(vertices, sigma, ys[k])[0]
     merits = np.sqrt((g[:, None] @ g[..., None])[:, 0, 0])   # a dot per row, as g @ g
     if len(known):   # else M = 1
         offsets = ys[:, None] - known
         q = np.einsum("kij,kij->ki", offsets, offsets)
-        with np.errstate(all="ignore"):   # M is infinite at a known root
-            merits *= np.prod(d2 / q + 1.0, axis=1)
+        merits *= np.multiply.reduce(d2 / q + 1.0, axis=1)
 
     def at(k: int) -> tuple:
-        with np.errstate(all="ignore"):
-            dlog = (-2.0 * d2 / (q[k] * (q[k] + d2))) @ offsets[k] if len(known) else None
+        dlog = (-2.0 * d2 / (q[k] * (q[k] + d2))) @ offsets[k] if len(known) else None
         return ys[k], g[k], _jacobian(units[k], sigma / dist[k]), dlog, float(merits[k])
 
     return merits, at
@@ -185,9 +186,10 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
     took t <= 1/8, all twelve in that pass.  A step no longer than ``tol``
     diameters is taken whole and ends the run, which succeeds if its scale
     was positive and |g_sigma| <= ``residual`` (checked only when finite).
-    A singular J ends the run; so does a line search that cannot lower
-    M |g_sigma|, which succeeds if M |g_sigma| <= ``residual`` there.  Each
-    point is evaluated once.
+    A singular J solves to a NaN step, which ends the run; so does a line
+    search that cannot lower M |g_sigma|, which succeeds if
+    M |g_sigma| <= ``residual`` there.  Each point is evaluated once, and
+    the whole run is one ``np.errstate(all="ignore")``.
     Returns the accepted iterates in the frame (the start only when it
     succeeds without a step), the gradient evaluations (counted as if the
     fractions were tried one at a time), why the run stopped ("converged"
@@ -200,56 +202,58 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
     known = np.reshape(roots, (-1, model.n)) if len(roots) else roots
     d2 = model._local_diameter ** 2
     tol = tol * model._local_diameter
-    x = local.T @ coords
-    g, jac = _signed_gradient(local, sigma, x)
-    weight, dlog = _deflation(x, known, d2)
-    merit = weight * math.sqrt(g @ g)
-    evaluations = 1
-    path: list[np.ndarray] = []
-    ok = crawled = False
-    for _ in range(max_steps):
-        try:
-            step = -np.linalg.solve(jac, g)
-        except np.linalg.LinAlgError:
-            break
-        factor = 1.0
-        if dlog is not None:
-            factor = 1.0 / (1.0 - dlog @ step)
-            step = factor * step
-        if math.sqrt(step @ step) <= tol:
-            x = x + step
-            path.append(x)
-            ok = factor > 0.0
-            if math.isfinite(residual):
-                evaluations += 1
-                g, jac = _signed_gradient(local, sigma, x)
-                ok = ok and math.sqrt(g @ g) <= residual
-            break
-        if not crawled:
-            y = x + step
-            gy, jy = _signed_gradient(local, sigma, y)
-            wy, dy = _deflation(y, known, d2)
-            evaluations += 1
-            merit_y = wy * math.sqrt(gy @ gy)
-        if crawled or not merit_y <= (1.0 - 1e-4) * merit:
-            # the rest (all twelve after a crawl) in one pass, counted to the first that passes
-            fractions = _FRACTIONS if crawled else _TRIALS
-            merits, at = _trial_merits(local, sigma, x + fractions[:, None] * step, known, d2)
-            passed = np.flatnonzero(merits <= (1.0 - 1e-4 * fractions) * merit)
-            if not passed.size:
-                evaluations += len(fractions)
-                # M |g_sigma| is at the level of rounding: a start already
-                # at a root ends here, and is accepted on the residual
-                ok = math.isfinite(residual) and merit <= residual
-                if ok and not path:
-                    path.append(x)
+    # M is infinite at a known root, and a singular J solves to NaN
+    with np.errstate(all="ignore"):
+        x = local.T @ coords
+        g, jac = _signed_gradient(local, sigma, x)
+        weight, dlog = _deflation(x, known, d2)
+        merit = weight * math.sqrt(g @ g)
+        evaluations = 1
+        path: list[np.ndarray] = []
+        ok = crawled = False
+        for _ in range(max_steps):
+            step = -_lapack.solve1(jac, g, signature="dd->d")
+            if math.isnan(step @ step):   # J is singular
                 break
-            k = int(passed[0])
-            evaluations += k + 1
-            crawled = fractions[k] <= 0.125
-            y, gy, jy, dy, merit_y = at(k)
-        x, g, jac, dlog, merit = y, gy, jy, dy, merit_y
-        path.append(x)
+            factor = 1.0
+            if dlog is not None:
+                factor = 1.0 / (1.0 - dlog @ step)
+                step = factor * step
+            if math.sqrt(step @ step) <= tol:
+                x = x + step
+                path.append(x)
+                ok = factor > 0.0
+                if math.isfinite(residual):
+                    evaluations += 1
+                    g, jac = _signed_gradient(local, sigma, x)
+                    ok = ok and math.sqrt(g @ g) <= residual
+                break
+            if not crawled:
+                y = x + step
+                gy, jy = _signed_gradient(local, sigma, y)
+                wy, dy = _deflation(y, known, d2)
+                evaluations += 1
+                merit_y = wy * math.sqrt(gy @ gy)
+            if crawled or not merit_y <= (1.0 - 1e-4) * merit:
+                # the rest (all twelve after a crawl) in one pass, counted to the first passing
+                fractions = _FRACTIONS if crawled else _TRIALS
+                ys = x + fractions[:, None] * step
+                merits, at = _trial_merits(local, sigma, ys, known, d2)
+                passed = (merits <= (1.0 - 1e-4 * fractions) * merit).nonzero()[0]
+                if not passed.size:
+                    evaluations += len(fractions)
+                    # M |g_sigma| is at the level of rounding: a start already
+                    # at a root ends here, and is accepted on the residual
+                    ok = math.isfinite(residual) and merit <= residual
+                    if ok and not path:
+                        path.append(x)
+                    break
+                k = int(passed[0])
+                evaluations += k + 1
+                crawled = fractions[k] <= 0.125
+                y, gy, jy, dy, merit_y = at(k)
+            x, g, jac, dlog, merit = y, gy, jy, dy, merit_y
+            path.append(x)
     reason = "converged" if ok else "out of budget" if len(path) == max_steps else "stalled"
     return path, evaluations, reason, jac
 

@@ -49,6 +49,7 @@ from .apollonian import _common_points
 from .barycentric import (
     BarycentricPoint,
     SimplexModel,
+    _lapack,
     _zero_entries,
     as_point,
     facet_volumes_of_points,
@@ -152,9 +153,9 @@ def _run(model: SimplexModel, sigma: np.ndarray, seed: BarycentricPoint,
     root = path[-1]
     point = BarycentricPoint(model._coords(root))
     signs = np.sign(point.coords)
-    if not (point.is_finite() and np.array_equal(signs * signs[0], sigma * sigma[0])):
+    if not (point.is_finite() and (signs * signs[0] == sigma * sigma[0]).all()):
         return None, trace
-    if np.linalg.norm(root) > _ESCAPE * model._local_diameter:
+    if math.sqrt(root @ root) > _ESCAPE * model._local_diameter:
         trace.reason = "escaped"
         return None, trace
     try:
@@ -164,14 +165,14 @@ def _run(model: SimplexModel, sigma: np.ndarray, seed: BarycentricPoint,
     conjugate = isogonal_conjugate(point, model)
     if conjugate.is_finite():
         feet = model._feet(model._frame(conjugate))
-        volumes = facet_volumes_of_points(np.stack((antipedal, feet)))
+        volumes = facet_volumes_of_points(np.array((antipedal, feet)))
     else:   # a direction has no pedal simplex
         volumes = np.stack((facet_volumes_of_points(antipedal), np.full(model.n + 1, np.nan)))
     if not _spread(volumes[0]) <= _EQUIAREAL:
         return None, trace
     trace.reason = "converged"
     roots.append(root)
-    indices.append(np.sign(np.linalg.det(jac)))
+    indices.append(np.sign(_lapack.det(jac, signature="d->d")))
     return (point, conjugate, volumes.mean(axis=1)), trace
 
 
@@ -218,7 +219,7 @@ def default_seeds(model: SimplexModel) -> list[BarycentricPoint]:
 def _canonical_key(point: BarycentricPoint) -> tuple:
     """All-positive point first, then by position of the first negative entry."""
     c = point.normalized_coords
-    neg = np.flatnonzero(c < 0)
+    neg = (c < 0).nonzero()[0]
     return (0, -1, 0.0) if neg.size == 0 else (1, int(neg[0]), float(c[neg[0]]))
 
 

@@ -14,6 +14,7 @@ import numpy as np
 
 from .barycentric import (
     SimplexModel,
+    _lapack,
     _leave_one_out,
     _zero_entries,
     as_point,
@@ -63,11 +64,12 @@ def _antipedal_points(p, model: SimplexModel) -> np.ndarray:
     # the 2-norm condition number, as np.linalg.cond forms it; 0/0 reads as inf
     s = np.linalg.svd(a, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
-        unbounded = np.flatnonzero(~(s[:, 0] / s[:, -1] <= _COND_LIMIT))
+        unbounded = (~(s[:, 0] / s[:, -1] <= _COND_LIMIT)).nonzero()[0]
     if unbounded.size:
         raise UnboundedAntipedal(
             f"antipedal vertex {unbounded[0]} is unbounded for this point")
-    return np.linalg.solve(a, b[..., None])[..., 0]
+    # the test above leaves no singular system for the gufunc to NaN
+    return _lapack.solve(a, b[..., None], signature="dd->d")[..., 0]
 
 
 def antipedal_simplex(p, model: SimplexModel) -> SimplexModel:

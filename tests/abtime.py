@@ -1,6 +1,6 @@
-"""Time one benchmark workload's inputs on two source trees, in one process.
+"""Time benchmark workloads' inputs on two source trees, in one process.
 
-    python tests/abtime.py TREE_A TREE_B [--workload NAME] [--seed S]
+    python tests/abtime.py TREE_A TREE_B [--workload NAME|all] [--seed S]
                            [--size full|tiny] [--rounds R] [--top K]
 
 ``TREE_A`` and ``TREE_B`` are ``src`` directories that hold a
@@ -12,8 +12,10 @@ from the same seed, so both meet the same numbers.  Every round runs each
 input's op on both trees in turn, the tree that goes first alternating
 between rounds, and each tree keeps its best time per input.  It prints
 those best-of times summed per dimension, with the ratio B/A, and the
-``--top`` inputs whose ratio moved most.  Outputs are compared by the
-workload's fingerprint, and inputs whose fingerprints differ between the
+``--top`` inputs whose ratio moved most.  ``--workload all`` prints one
+such table per workload, in ``WORKLOADS`` order.  Outputs are compared by
+``comparison_key``: the workload's fingerprint and, when the output carries
+report dicts, their sorted-key JSON; inputs whose keys differ between the
 trees are counted.  BLAS runs on one thread, as in ``bench/run.py``.
 Pytest does not collect this file; ``tests/test_abtime.py`` runs it on the
 tiny inputs.
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import json
 import os
 import sys
 import time
@@ -56,9 +59,19 @@ def load_tree(src: Path, name: str):
     return lib
 
 
+def comparison_key(workload, out) -> str:
+    """What two trees' outputs of one input are compared by: the workload's
+    fingerprint, and the sorted-key JSON of each report dict in the output
+    (the ``edge-docs`` fingerprint is the text report alone, which prints a
+    residual to 4 digits where the JSON keeps 7)."""
+    reports = [json.dumps(part, sort_keys=True)
+               for part in (out if isinstance(out, tuple) else ()) if isinstance(part, dict)]
+    return repr((workload.fingerprint(out), reports))
+
+
 def best_times(pair, rounds: int) -> tuple[list[list[float]], int]:
     """Each tree's best op time per input, in seconds, and how many inputs'
-    fingerprints differ between the trees."""
+    comparison keys differ between the trees."""
     best = [[float("inf")] * len(pair[0].cases) for _ in pair]
     differ = set()
     for r in range(rounds):
@@ -69,30 +82,18 @@ def best_times(pair, rounds: int) -> tuple[list[list[float]], int]:
                 begin = time.perf_counter()
                 out = wl.run(wl.cases[i])
                 best[t][i] = min(best[t][i], time.perf_counter() - begin)
-                prints[t] = repr(wl.fingerprint(out))
+                prints[t] = comparison_key(wl, out)
             if prints[0] != prints[1]:
                 differ.add(i)
     return best, len(differ)
 
 
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("tree_a", type=Path)
-    parser.add_argument("tree_b", type=Path)
-    parser.add_argument("--workload", default="isogonic-catalog")
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--size", default="full", choices=("full", "tiny"))
-    parser.add_argument("--rounds", type=int, default=7)
-    parser.add_argument("--top", type=int, default=8)
-    args = parser.parse_args(argv)
-    # before NumPy loads, which importing a workload or a tree does
-    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    workloads = _workloads()
-    pair = [workloads.WORKLOADS[args.workload](load_tree(path, name), args.seed, args.size)
-            for path, name in ((args.tree_a, "tree_a"), (args.tree_b, "tree_b"))]
+def report(workloads, name: str, trees, args) -> None:
+    """Time one workload on both trees and print its table."""
+    pair = [workloads.WORKLOADS[name](lib, args.seed, args.size) for lib in trees]
     (a, b), differ = best_times(pair, args.rounds)
     cases = pair[0].cases
-    print(f"{args.workload}, seed {args.seed}, {len(cases)} inputs, best of "
+    print(f"{name}, seed {args.seed}, {len(cases)} inputs, best of "
           f"{args.rounds}; {differ} with different outputs")
     sums = defaultdict(lambda: [0.0, 0.0, 0])
     for case, ta, tb in zip(cases, a, b):
@@ -108,6 +109,25 @@ def main(argv=None) -> None:
     moved = sorted(range(len(cases)), key=lambda i: -abs(b[i] / a[i] - 1.0))
     for i in moved[:args.top]:
         print(f"  {cases[i].label:<28} {1e3 * a[i]:8.3f} {1e3 * b[i]:8.3f} {b[i] / a[i]:6.3f}")
+
+
+def main(argv=None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("tree_a", type=Path)
+    parser.add_argument("tree_b", type=Path)
+    parser.add_argument("--workload", default="isogonic-catalog")
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--size", default="full", choices=("full", "tiny"))
+    parser.add_argument("--rounds", type=int, default=7)
+    parser.add_argument("--top", type=int, default=8)
+    args = parser.parse_args(argv)
+    # before NumPy loads, which importing a workload or a tree does
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    workloads = _workloads()
+    trees = [load_tree(args.tree_a, "tree_a"), load_tree(args.tree_b, "tree_b")]
+    names = list(workloads.WORKLOADS) if args.workload == "all" else [args.workload]
+    for name in names:
+        report(workloads, name, trees, args)
 
 
 if __name__ == "__main__":

@@ -1,9 +1,13 @@
 """The kept A/B timer, ``tests/abtime.py``, runs end to end: one tree in
-both slots, on the tiny inputs of the catalog and the report workloads."""
+both slots, on the tiny inputs of each workload; and it tells apart two
+report outputs that differ only in their JSON."""
 
+import copy
 import subprocess
 import sys
 from pathlib import Path
+
+import abtime
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,3 +36,33 @@ def test_abtime_compares_the_report_workload():
     assert [line.split()[:2] for line in out[2:6]] == [
         ["2", "2"], ["3", "3"], ["4", "1"], ["all", "6"]]
     assert out[6] == "moved most:" and len(out) == 13
+
+
+def test_abtime_times_every_workload_in_one_run():
+    src = str(ROOT / "src")
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tests" / "abtime.py"), src, src,
+         "--workload", "all", "--size", "tiny", "--rounds", "1"],
+        capture_output=True, text=True, check=True, timeout=300).stdout.splitlines()
+    headers = [line for line in out if "with different outputs" in line]
+    assert headers == [
+        "isogonic-catalog, seed 1, 3 inputs, best of 1; 0 with different outputs",
+        "fermat-solve, seed 1, 16 inputs, best of 1; 0 with different outputs",
+        "edge-docs, seed 1, 6 inputs, best of 1; 0 with different outputs"]
+    assert out.count("moved most:") == 3
+
+
+def test_a_json_only_change_counts_as_different():
+    # the edge-docs fingerprint is the text report, which prints the
+    # incenter's residual to 4 digits; the JSON keeps 7, and the 7th moves
+    workload = abtime._workloads().EdgeDocsWorkload(
+        abtime.load_tree(ROOT / "src", "abtime_tree"), 1, "tiny")
+    out = workload.run(workload.cases[0])
+    centers = copy.deepcopy(out[0])
+    point = centers["results"]["points"]["I"]
+    point["residual"] *= 1.0 + 1e-6
+    moved = (centers, out[1], out[2])
+    assert workload.fingerprint(moved) == workload.fingerprint(out)
+    assert abtime.comparison_key(workload, moved) != abtime.comparison_key(workload, out)
+    assert abtime.comparison_key(workload, copy.deepcopy(out)) == abtime.comparison_key(
+        workload, out)

@@ -721,6 +721,36 @@ class TestStopReason:
         assert [t.reason for t in catalog_stall] == ["stalled"] * 4
 
 
+def _catalog_and_fermat_bits(vertices) -> list:
+    """Every number and count of a catalog and of both Fermat solves."""
+    model = SimplexModel(vertices)
+    catalog = enumerate_isogonic(model)
+    bits = [p.coords.tobytes() for p in catalog.isogonic_points + catalog.conjugate_points]
+    bits += [np.array(catalog.pedal_areas + catalog.antipedal_areas).tobytes()]
+    bits += [(t.reason, t.iterations_used, t.gradient_evaluations)
+             for t in catalog.traces + catalog.failed_seeds]
+    return bits + [fermat_point(model, method=m)[0].coords.tobytes() for m in ("q", "r")]
+
+
+class TestErrstate:
+    # the Newton kernel runs under its own np.errstate(all="ignore"), which
+    # leaves the caller's settings as they were, and reads none of them
+    def test_the_callers_settings_are_restored(self, five_model):
+        before = np.geterr()
+        fermat_point(five_model)
+        enumerate_isogonic(five_model)
+        assert np.geterr() == before
+        _stopped(lambda: fermat_point(five_model, max_iter=2))
+        assert np.geterr() == before
+
+    @pytest.mark.parametrize("vertices", [golden.FIVE_VERTICES, STALL_TETRAHEDRON],
+                             ids=["reference", "stall"])
+    def test_same_bits_when_the_caller_raises(self, vertices):
+        expected = _catalog_and_fermat_bits(vertices)
+        with np.errstate(all="raise"):
+            assert _catalog_and_fermat_bits(vertices) == expected
+
+
 class TestTwoNegativeSignClasses:
     # outside the default catalog: one isogonic point in each of the three
     # two-negative sign classes of the reference tetrahedron, reached by
