@@ -41,8 +41,10 @@ from .barycentric import (
     BarycentricPoint,
     SimplexModel,
     _all_equal,
+    _frozen,
     _gram_defect,
-    _readonly,
+    _lapack,
+    _norms,
     _vertex_index,
     _zero_entries,
     as_point,
@@ -133,10 +135,11 @@ def apollonian_sphere(p, i: int, j: int, model: SimplexModel) -> ApollonianSpher
                                 center=None, cart_center=None, radius=math.inf)
 
     c1, c2 = (model._frame(end) for end in (end_in, end_out))
+    gap = c1 - c2
     return ApollonianSphere(i=i, j=j, diameter_ends=(end_in, end_out),
                             center=_slot_point(model.n, i, j, -pi ** 2, pj ** 2),
-                            cart_center=_readonly(model._from_frame(0.5 * (c1 + c2))),
-                            radius=float(model._absolute(0.5 * np.linalg.norm(c1 - c2))))
+                            cart_center=_frozen(model._from_frame(0.5 * (c1 + c2))),
+                            radius=float(model._absolute(0.5 * math.sqrt(gap @ gap))))
 
 
 def sphere_family(p, model: SimplexModel) -> list[ApollonianSphere]:
@@ -149,7 +152,7 @@ def _frame_residual(p, y: np.ndarray, model: SimplexModel) -> float:
     """Worst relative violation of the distance-ratio conditions at a point
     of the model's frame: zero exactly on the common locus
     d(A_i, y) |p_i| = d(A_j, y) |p_j|."""
-    w = np.linalg.norm(model._local - y, axis=1) * np.abs(as_point(p, model.n).coords)
+    w = _norms(model._local - y, 1) * np.abs(as_point(p, model.n).coords)
     hi = w.max()
     return float((hi - w.min()) / hi) if hi > 0 else 0.0
 
@@ -185,8 +188,9 @@ def _common_points(pt: BarycentricPoint, model: SimplexModel,
                 "perpendicular bisectors meeting at the circumcenter")
 
     inverse_squares = (coords / np.abs(coords).max()) ** -2   # 1/p_i^2, largest |p_i| = 1
-    e = np.linalg.solve(2.0 * model._local[1:], inverse_squares[1:] - inverse_squares[0])
-    norm = float(np.linalg.norm(e))
+    e = _lapack.solve1(2.0 * model._local[1:], inverse_squares[1:] - inverse_squares[0],
+                       signature="dd->d")
+    norm = math.sqrt(e @ e)
     u, k = e / norm, inverse_squares[0] / norm
     s = float(center @ u)
     foot = center - s * u

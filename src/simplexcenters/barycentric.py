@@ -36,10 +36,13 @@ from dataclasses import dataclass, field
 import numpy as np
 # np.linalg's own LAPACK gufuncs, called without its Python wrapper, which
 # checks and casts its arguments and enters an errstate on every call (NumPy
-# 2.4 on a Xeon core: a 3x3 np.linalg.solve 4.6 us, _lapack.solve1 1.1 us; a
-# det 2.8 against 1.0 us).  The solvers call solve1, solve and det with the
-# signatures "dd->d" / "d->d" that np.linalg passes, so each result is the
-# same bit for bit; a singular system gives NaN instead of LinAlgError.
+# 2.4 on a Xeon core, np.linalg against the gufunc: a 3x3 solve 4.6 against
+# 1.1 us, a det 2.8 against 1.0, an eigvalsh 5.0 against 1.7, a cholesky 4.1
+# against 0.9, a 4x4 inv 4.5 against 1.5).  The library calls solve1, solve,
+# det, inv, eigvalsh_lo and cholesky_lo, each with the signature "dd->d" or
+# "d->d" that np.linalg passes and under the same name since NumPy 1.24, so
+# each result is the same bit for bit; a singular system or a matrix that is
+# not positive definite gives NaN instead of LinAlgError.
 from numpy.linalg import _umath_linalg as _lapack
 
 from .errors import Degenerate, NotEmbeddable, PointAtInfinity
@@ -56,10 +59,25 @@ _ONE.flags.writeable = False
 _GRAM_REL_TOL = 1e-12
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=float)
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` itself, made read-only: an array that no caller holds."""
     a.flags.writeable = False
     return a
+
+
+def _norms(x: np.ndarray, axis: int) -> np.ndarray:
+    """Euclidean norms along ``axis``: the reduction ``np.linalg.norm(x,
+    axis=axis)`` runs on real input, without its wrapper."""
+    return np.sqrt(np.add.reduce(x * x, axis=axis))
+
+
+def _spread(x: np.ndarray) -> float:
+    """Relative spread (max - min) / mean of a vector, inf if the mean is
+    not positive: the reductions that ``np.ptp`` and ``ndarray.mean`` run."""
+    mean = float(np.add.reduce(x)) / len(x)
+    if mean <= 0.0:
+        return math.inf
+    return float(np.maximum.reduce(x) - np.minimum.reduce(x)) / mean
 
 
 def _zero_entries(c: np.ndarray) -> np.ndarray:
@@ -72,7 +90,8 @@ def _zero_sum(total: float, norm: float) -> bool:
 
 
 def _all_equal(c: np.ndarray) -> bool:
-    return float(np.ptp(c)) <= _REL_EPS * float(np.abs(c).max())
+    return (float(np.maximum.reduce(c) - np.minimum.reduce(c))
+            <= _REL_EPS * float(np.abs(c).max()))
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +144,7 @@ def _gram_defect(gram: np.ndarray) -> NotEmbeddable | Degenerate | None:
     within that scale-invariant tolerance of zero.  A spectrum that is not
     finite fails the first comparison and is ``NotEmbeddable`` too.
     """
-    lam = np.linalg.eigvalsh(gram)
+    lam = _lapack.eigvalsh_lo(gram, signature="d->d")
     floor = _GRAM_REL_TOL * lam[-1]
     if not lam[0] >= -floor:
         return NotEmbeddable(f"no Euclidean simplex (Gram eigenvalue {lam[0]:.3e})")
@@ -168,7 +187,7 @@ class EdgeLengthTable:
             raise ValueError("off-diagonal edge lengths must be positive")
         sym = d + 0.5 * (d.T - d)   # d + d.T may overflow; exact if symmetric
         np.fill_diagonal(sym, 0.0)
-        return cls(n=n, d=_readonly(sym))
+        return cls(n=n, d=_frozen(sym))
 
     @classmethod
     def from_flat(cls, n: int, values) -> "EdgeLengthTable":
@@ -277,7 +296,7 @@ class BarycentricPoint:
     def report_scaled(self) -> np.ndarray:
         """Homogeneous rendering scaled so the largest-magnitude entry is +1."""
         c = self.coords
-        return c / c[int(np.argmax(np.abs(c)))]
+        return c / c[np.abs(c).argmax()]
 
     def __repr__(self):
         vals = ", ".join(f"{v:.12g}" for v in self.coords)
@@ -313,8 +332,9 @@ class SimplexModel:
     vertices included); ``validate=False`` is for figures that may collapse,
     such as the pedal, antipedal, polar and inversive figures of ``pedal``,
     and ``degenerate`` then says whether the figure collapsed.  A collapsed
-    figure keeps its volumes but has no affine frame: ``cart_to_bary`` and
-    ``pedal_feet`` raise ``Degenerate`` on it.  All of it is computed in the
+    figure keeps its volumes but has no affine frame or circumsphere:
+    ``cart_to_bary``, ``pedal_feet`` and ``circumcenter_cart`` raise
+    ``Degenerate`` on it.  All of it is computed in the
     frame of the module docstring: ``_local`` holds the vertices there,
     ``_lengths`` its edge lengths, and its unit is ``2 ** _exponent``.
     """
@@ -326,28 +346,28 @@ class SimplexModel:
             raise ValueError("vertices must be an (n+1) x n array with n >= 1")
         if not np.isfinite(vertices).all():
             raise Degenerate("vertex coordinates must be finite")
-        self.vertices = _readonly(vertices)
+        self.vertices = _frozen(vertices.copy())   # the caller's may change
         self.n = vertices.shape[1]
         # halved, so that no difference of finite coordinates overflows
         half = 0.5 * vertices - 0.5 * vertices[0]
         exponent = math.frexp(float(np.abs(half).max()))[1]
         self._exponent = exponent + 1
-        local = self._local = _readonly(np.ldexp(half, -exponent))
+        local = self._local = _frozen(np.ldexp(half, -exponent))
         # symmetric with a zero diagonal bit for bit: |a - b| == |b - a|
-        lengths = np.linalg.norm(local[:, None, :] - local[None, :, :], axis=2)
-        self._lengths = _readonly(lengths)
+        lengths = self._lengths = _frozen(_norms(local[:, None, :] - local[None, :, :], 2))
         self._local_diameter = float(lengths.max())
-        self.edges = EdgeLengthTable(n=self.n, d=_readonly(self._absolute(lengths)))
+        self.edges = EdgeLengthTable(n=self.n, d=_frozen(self._absolute(lengths)))
         self.diameter = float(self.edges.d.max())
 
         gram = local[1:] @ local[1:].T
         self._defect = _gram_defect(gram)
         if validate and self._defect is not None:
             raise self._defect
-        volume = math.sqrt(max(float(np.linalg.det(gram)), 0.0)) / math.factorial(self.n)
+        det = float(_lapack.det(gram, signature="d->d"))
+        volume = math.sqrt(max(det, 0.0)) / math.factorial(self.n)
         self.total_volume = float(self._absolute(volume, self.n))
-        self._facets = _readonly(facet_volumes_of_points(local))
-        self.facet_volumes = _readonly(self._absolute(self._facets, self.n - 1))
+        self._facets = _frozen(facet_volumes_of_points(local))
+        self.facet_volumes = _frozen(self._absolute(self._facets, self.n - 1))
 
     @property
     def degenerate(self) -> bool:
@@ -361,25 +381,29 @@ class SimplexModel:
             raise Degenerate("a collapsed simplex has no affine frame")
         # inverse of the affine system [local^T; 1 ... 1], which maps
         # normalized barycentrics to (y, 1): drives cart_to_bary and the feet
-        inv = _readonly(np.linalg.inv(np.vstack([self._local.T, np.ones(self.n + 1)])))
+        system = np.ones((self.n + 1, self.n + 1))
+        system[:self.n] = self._local.T
+        inv = _frozen(_lapack.inv(system, signature="d->d"))
         # unit sideplane normals / frame offsets: row i is the plane x_i = 0
-        norms = np.linalg.norm(inv[:, :self.n], axis=1)
-        return (inv, _readonly(inv[:, :self.n] / norms[:, None]),
-                _readonly(-inv[:, self.n] / norms))
+        norms = _norms(inv[:, :self.n], 1)
+        return (inv, _frozen(inv[:, :self.n] / norms[:, None]),
+                _frozen(-inv[:, self.n] / norms))
 
     @functools.cached_property
     def _circumcenter(self) -> tuple[np.ndarray, float]:
         """Circumcenter and circumradius in the frame (linear solve)."""
+        if self._defect is not None:
+            raise Degenerate("a collapsed simplex has no circumsphere")
         v = self._local[1:]
-        center = _readonly(np.linalg.solve(2.0 * v, (v ** 2).sum(axis=1)))
-        return center, float(np.linalg.norm(center))
+        center = _lapack.solve1(2.0 * v, np.add.reduce(v * v, axis=1), signature="dd->d")
+        return _frozen(center), math.sqrt(center @ center)
 
     @functools.cached_property
     def _unit_edges(self) -> np.ndarray:
         """Row k, column i: (A_k - A_i)/|A_k - A_i| in the frame, zero for i = k."""
         local = self._local
         lengths = self._lengths + np.eye(self.n + 1)  # the diagonal divides zeros
-        return _readonly((local[:, None] - local[None]) / lengths[..., None])
+        return _frozen((local[:, None] - local[None]) / lengths[..., None])
 
     def _pulls(self, sigma: np.ndarray) -> np.ndarray:
         """Row k is c_k = sum_{i != k} sigma_i (A_k - A_i)/|A_k - A_i| in the
@@ -390,7 +414,7 @@ class SimplexModel:
     def _fermat_vertex(self) -> int | None:
         """Kuhn's verdict: the first vertex k whose pull at sigma = +1 has
         norm <= 1, which makes k the distance sum's minimizer, or None."""
-        pulls = np.linalg.norm(self._pulls(np.ones(self.n + 1)), axis=1)
+        pulls = _norms(self._pulls(np.ones(self.n + 1)), 1)
         optimal = np.flatnonzero(pulls <= 1.0)
         return int(optimal[0]) if optimal.size else None
 
@@ -465,8 +489,9 @@ def embed_from_edge_lengths(table: EdgeLengthTable) -> SimplexModel:
     every further vertex with positive last nonzero coordinate, so equal
     tables always embed to identical vertex arrays.  The table's vertex-0
     Gram matrix G_ij = (d_0i^2 + d_0j^2 - d_ij^2) / 2 is factored first; if
-    Cholesky fails, its spectrum decides between ``NotEmbeddable`` and
-    ``Degenerate``, otherwise the validated model's own Gram test does.
+    Cholesky fails (the gufunc fills the factor with NaN), its spectrum
+    decides between ``NotEmbeddable`` and ``Degenerate``, otherwise the
+    validated model's own Gram test does.
     ``NotEmbeddable`` also if the model's edge table misses an input length
     by more than 1e-10 of the longest.  The lengths are squared after an
     exact power-of-two scaling that brings the longest into [1/2, 1), so
@@ -475,10 +500,10 @@ def embed_from_edge_lengths(table: EdgeLengthTable) -> SimplexModel:
     exponent = math.frexp(table.d.max())[1]
     sq = np.ldexp(table.d, -exponent) ** 2
     gram = 0.5 * (sq[0, 1:, None] + sq[0, None, 1:] - sq[1:, 1:])
-    try:
-        lower = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
-        raise _gram_defect(gram) from None
+    with np.errstate(invalid="ignore"):
+        lower = _lapack.cholesky_lo(gram, signature="d->d")
+    if math.isnan(lower[0, 0]):
+        raise _gram_defect(gram)
     vertices = np.zeros((table.n + 1, table.n))
     vertices[1:] = np.ldexp(lower, exponent)
     model = SimplexModel(vertices)

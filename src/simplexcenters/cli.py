@@ -19,6 +19,8 @@ import numpy as np
 from .apollonian import isodynamic_points, yiu_triangle_test
 from .barycentric import (
     BarycentricPoint,
+    _norms,
+    _spread,
     classical_centers,
 )
 from .documents import (
@@ -47,19 +49,13 @@ _CENTER_LABELS = {
 }
 
 
-def _spread(x: np.ndarray) -> float:
-    """Relative spread (max - min) / mean of a vector: the reductions that
-    ``np.ptp`` and ``ndarray.mean`` run, without their wrappers."""
-    return float((np.maximum.reduce(x) - np.minimum.reduce(x))
-                 / (np.add.reduce(x) / len(x)))
-
-
 def _center_residual(key: str, centers: dict[str, BarycentricPoint], model) -> float:
     """Re-validate a center against its defining property, in the model's frame."""
     y = model._frame(centers[key])
     local = model._local
     if key == "G":
-        return float(model._absolute(np.linalg.norm(y - np.add.reduce(local) / len(local))))
+        gap = y - np.add.reduce(local) / len(local)
+        return float(model._absolute(math.sqrt(gap @ gap)))
     if key in ("I", "K"):
         # sideplane distances: equal for I, proportional to the facet volumes for K
         _, normals, offsets = model._affine
@@ -68,7 +64,7 @@ def _center_residual(key: str, centers: dict[str, BarycentricPoint], model) -> f
             dists = dists / model._facets
         return _spread(dists)
     # "O": equidistant from the vertices
-    return _spread(np.linalg.norm(local - y, axis=1))
+    return _spread(_norms(local - y, 1))
 
 
 def cmd_centers(doc: SimplexDocument, options: dict) -> dict:
@@ -147,7 +143,7 @@ def cmd_fermat(doc: SimplexDocument, options: dict) -> dict:
     results = {
         "dimension": model.n,
         "method": method,
-        "point": point_payload(point, residual=float(np.linalg.norm(gradient)),
+        "point": point_payload(point, residual=math.sqrt(gradient @ gradient),
                                iterations=trace.iterations_used),
         "objective": round12(total_distance(point, model)),
         "converged": trace.converged,

@@ -180,7 +180,7 @@ def fmt(x: float) -> str:
 
 
 def fmt_list(values) -> str:
-    return "[" + ", ".join([fmt(v) for v in values]) + "]"
+    return "[" + ", ".join([f"{v:.12f}" for v in values]) + "]"
 
 
 def _limit_denominator(num: int, den: int, bound: int) -> tuple[int, int]:

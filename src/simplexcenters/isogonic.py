@@ -50,6 +50,8 @@ from .barycentric import (
     BarycentricPoint,
     SimplexModel,
     _lapack,
+    _norms,
+    _spread,
     _zero_entries,
     as_point,
     facet_volumes_of_points,
@@ -62,7 +64,7 @@ from .errors import (
     ZeroCoordinate,
 )
 from .fermat import SolverTrace, _newton
-from .pedal import _antipedal_points, _spread
+from .pedal import _antipedal_points
 
 # distance from vertex 0, in diameters, past which a root has escaped
 _ESCAPE = 1e6
@@ -173,7 +175,7 @@ def _run(model: SimplexModel, sigma: np.ndarray, seed: BarycentricPoint,
     trace.reason = "converged"
     roots.append(root)
     indices.append(np.sign(_lapack.det(jac, signature="d->d")))
-    return (point, conjugate, volumes.mean(axis=1)), trace
+    return (point, conjugate, np.add.reduce(volumes, axis=1) / (model.n + 1)), trace
 
 
 def is_isogonic(p, model: SimplexModel, tol: float = _EQUIAREAL) -> tuple[bool, float]:
@@ -232,7 +234,7 @@ def _further_seeds(model: SimplexModel, sigma: np.ndarray, indices: list[float])
     Dirichlet draw keyed by the class.
     """
     pulls = model._pulls(sigma)
-    norms = np.linalg.norm(pulls, axis=1)
+    norms = _norms(pulls, 1)
     certified = not (np.abs(norms - 1.0) <= _ROUNDING).any()
     target = np.sign(sigma.sum()) ** model.n - (sigma[norms < 1.0] ** model.n).sum()
     order = np.argsort(norms, kind="stable")
@@ -301,7 +303,7 @@ def triad_angle_check(p, model: SimplexModel, tol: float = 1e-7,
         raise ValueError("triad angle check is defined for 3-simplices")
     pt = as_point(p, model.n)
     rays = model._local - model._frame(pt)
-    norms = np.linalg.norm(rays, axis=1)
+    norms = _norms(rays, 1)
     if model._vertex_at(norms) is not None:
         raise AtVertex("triad angles are undefined at a vertex")
     units = rays / norms[:, None]

@@ -16,6 +16,7 @@ from .barycentric import (
     SimplexModel,
     _lapack,
     _leave_one_out,
+    _spread,
     _zero_entries,
     as_point,
 )
@@ -122,11 +123,3 @@ def equiareal_deviation(model: SimplexModel) -> float:
     exactly when all are equal; a derived figure from this module, collapsed
     or not, is a model too."""
     return _spread(model._facets)
-
-
-def _spread(vols: np.ndarray) -> float:
-    """``equiareal_deviation`` of the given facet volumes; inf if they vanish."""
-    mean = float(vols.mean())
-    if mean <= 0.0:
-        return float("inf")
-    return float((vols.max() - vols.min()) / mean)

@@ -16,7 +16,8 @@ those best-of times summed per dimension, with the ratio B/A, and the
 such table per workload, in ``WORKLOADS`` order.  Outputs are compared by
 ``comparison_key``: the workload's fingerprint and, when the output carries
 report dicts, their sorted-key JSON; inputs whose keys differ between the
-trees are counted.  BLAS runs on one thread, as in ``bench/run.py``.
+trees are counted and named, and then the script exits 1.  BLAS runs on one
+thread, as in ``bench/run.py``.
 Pytest does not collect this file; ``tests/test_abtime.py`` runs it on the
 tiny inputs.
 """
@@ -69,8 +70,8 @@ def comparison_key(workload, out) -> str:
     return repr((workload.fingerprint(out), reports))
 
 
-def best_times(pair, rounds: int) -> tuple[list[list[float]], int]:
-    """Each tree's best op time per input, in seconds, and how many inputs'
+def best_times(pair, rounds: int) -> tuple[list[list[float]], set[int]]:
+    """Each tree's best op time per input, in seconds, and the inputs whose
     comparison keys differ between the trees."""
     best = [[float("inf")] * len(pair[0].cases) for _ in pair]
     differ = set()
@@ -85,16 +86,17 @@ def best_times(pair, rounds: int) -> tuple[list[list[float]], int]:
                 prints[t] = comparison_key(wl, out)
             if prints[0] != prints[1]:
                 differ.add(i)
-    return best, len(differ)
+    return best, differ
 
 
-def report(workloads, name: str, trees, args) -> None:
-    """Time one workload on both trees and print its table."""
+def report(workloads, name: str, trees, args) -> int:
+    """Time one workload on both trees, print its table, and return how
+    many inputs' outputs differ."""
     pair = [workloads.WORKLOADS[name](lib, args.seed, args.size) for lib in trees]
     (a, b), differ = best_times(pair, args.rounds)
     cases = pair[0].cases
     print(f"{name}, seed {args.seed}, {len(cases)} inputs, best of "
-          f"{args.rounds}; {differ} with different outputs")
+          f"{args.rounds}; {len(differ)} with different outputs")
     sums = defaultdict(lambda: [0.0, 0.0, 0])
     for case, ta, tb in zip(cases, a, b):
         for key in (case.n, "all"):
@@ -109,9 +111,12 @@ def report(workloads, name: str, trees, args) -> None:
     moved = sorted(range(len(cases)), key=lambda i: -abs(b[i] / a[i] - 1.0))
     for i in moved[:args.top]:
         print(f"  {cases[i].label:<28} {1e3 * a[i]:8.3f} {1e3 * b[i]:8.3f} {b[i] / a[i]:6.3f}")
+    if differ:
+        print("different outputs: " + ", ".join(cases[i].label for i in sorted(differ)))
+    return len(differ)
 
 
-def main(argv=None) -> None:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("tree_a", type=Path)
     parser.add_argument("tree_b", type=Path)
@@ -126,9 +131,9 @@ def main(argv=None) -> None:
     workloads = _workloads()
     trees = [load_tree(args.tree_a, "tree_a"), load_tree(args.tree_b, "tree_b")]
     names = list(workloads.WORKLOADS) if args.workload == "all" else [args.workload]
-    for name in names:
-        report(workloads, name, trees, args)
+    differ = sum(report(workloads, name, trees, args) for name in names)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -1,6 +1,7 @@
 import copy
 import math
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from simplexcenters import EdgeLengthTable, SimplexModel, embed_from_edge_lengths
-from simplexcenters import cli, verify
+from simplexcenters import barycentric, cli, verify
 
 import golden
 
@@ -67,6 +68,18 @@ def count_calls(monkeypatch):
         monkeypatch.setattr(owner, name, counted)
         return calls
     return install
+
+
+@pytest.fixture
+def lapack(monkeypatch):
+    """A stand-in for ``barycentric._lapack`` holding the same gufuncs, so
+    that a test may count or wrap the ones the model and the embedding
+    call; undone after the test."""
+    gufuncs = barycentric._lapack
+    stand_in = types.SimpleNamespace(**{name: getattr(gufuncs, name)
+                                        for name in dir(gufuncs) if not name.startswith("_")})
+    monkeypatch.setattr(barycentric, "_lapack", stand_in)
+    return stand_in
 
 
 def make_random_model(rng: np.random.Generator, n: int) -> SimplexModel:

@@ -1,8 +1,10 @@
 """The kept A/B timer, ``tests/abtime.py``, runs end to end: one tree in
-both slots, on the tiny inputs of each workload; and it tells apart two
-report outputs that differ only in their JSON."""
+both slots, on the tiny inputs of each workload, exits 0; it tells apart two
+report outputs that differ only in their JSON; and a tree whose outputs
+differ makes it name those inputs and exit 1."""
 
 import copy
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -66,3 +68,25 @@ def test_a_json_only_change_counts_as_different():
     assert abtime.comparison_key(workload, moved) != abtime.comparison_key(workload, out)
     assert abtime.comparison_key(workload, copy.deepcopy(out)) == abtime.comparison_key(
         workload, out)
+
+
+def test_a_changed_output_names_its_inputs_and_exits_1(tmp_path):
+    # a copy of the tree whose incenter and symmedian residuals move by one
+    # part in 10**6: the text reports keep their digits, the JSON does not
+    src = ROOT / "src"
+    changed = tmp_path / "src"
+    shutil.copytree(src, changed, ignore=shutil.ignore_patterns("__pycache__"))
+    cli = changed / "simplexcenters" / "cli.py"
+    text = cli.read_text()
+    assert text.count("return _spread(dists)") == 1
+    cli.write_text(text.replace("return _spread(dists)", "return _spread(dists) * (1.0 + 1e-6)"))
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "tests" / "abtime.py"), str(src), str(changed),
+         "--workload", "edge-docs", "--size", "tiny", "--rounds", "1"],
+        capture_output=True, text=True, timeout=300)
+    out = run.stdout.splitlines()
+    assert run.returncode == 1, run.stderr
+    assert out[0] == "edge-docs, seed 1, 6 inputs, best of 1; 6 with different outputs"
+    labels = abtime._workloads().EdgeDocsWorkload(
+        abtime.load_tree(src, "abtime_labels"), 1, "tiny").cases
+    assert out[-1] == "different outputs: " + ", ".join(case.label for case in labels)

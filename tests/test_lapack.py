@@ -1,15 +1,29 @@
-"""The solvers call NumPy's LAPACK gufuncs directly (``barycentric._lapack``).
+"""The library calls NumPy's LAPACK gufuncs directly (``barycentric._lapack``).
 Each call, in the shapes the library passes, returns what ``np.linalg``
-returns, byte for byte; a singular Jacobian solves to an all-NaN step, with
-no warning under the Newton kernel's errstate."""
+returns, byte for byte, and so do ``_norms`` and a 1-D ``math.sqrt(v @ v)``
+against ``np.linalg.norm``; a singular Jacobian solves to an all-NaN step,
+with no warning under the Newton kernel's errstate, and a Gram matrix that is
+not positive definite factors to NaN, so the embedding raises what it raised
+when ``np.linalg.cholesky`` signalled ``LinAlgError``.  No module but
+``verify`` calls ``np.linalg`` beyond ``pedal``'s ``svd``."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from simplexcenters.barycentric import _lapack, _leave_one_out, facet_volumes_of_points
+from simplexcenters import Degenerate, EdgeLengthTable, NotEmbeddable, embed_from_edge_lengths
+from simplexcenters.barycentric import (
+    _lapack,
+    _leave_one_out,
+    _norms,
+    facet_volumes_of_points,
+)
 from simplexcenters.fermat import _jacobian, _signed_gradient
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "simplexcenters"
 
 
 def _jacobian_and_gradient(rng: np.random.Generator, n: int):
@@ -82,3 +96,83 @@ def test_a_singular_jacobian_solves_to_nan(units, w):
     with np.errstate(all="ignore"):   # as in _newton; warnings are errors in tier-1
         step = -_lapack.solve1(jac, g, signature="dd->d")
     assert np.isnan(step).all()
+
+
+def _local_vertices(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A random n-simplex's vertices in a model's frame: vertex 0 at the origin."""
+    local = rng.standard_normal((n + 1, n))
+    return local - local[0]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_model_and_embedding_calls_match_np_linalg(n):
+    rng = np.random.default_rng((38, n))
+    for _ in range(3):
+        local = _local_vertices(rng, n)
+        # the vertex-0 Gram matrix: _gram_defect, the volume, the embedding
+        gram = local[1:] @ local[1:].T
+        assert (_lapack.eigvalsh_lo(gram, signature="d->d").tobytes()
+                == np.linalg.eigvalsh(gram).tobytes())
+        assert (_lapack.cholesky_lo(gram, signature="d->d").tobytes()
+                == np.linalg.cholesky(gram).tobytes())
+        assert _lapack.det(gram, signature="d->d").tobytes() == np.linalg.det(gram).tobytes()
+        # SimplexModel._affine: the (n+1) x (n+1) affine system
+        system = np.ones((n + 1, n + 1))
+        system[:n] = local.T
+        inv = _lapack.inv(system, signature="d->d")
+        assert inv.tobytes() == np.linalg.inv(system).tobytes()
+        # the circumcenter and apollonian._common_points: 2 local[1:] e = b
+        for b in (np.add.reduce(local[1:] * local[1:], axis=1), rng.standard_normal(n)):
+            e = _lapack.solve1(2.0 * local[1:], b, signature="dd->d")
+            assert e.tobytes() == np.linalg.solve(2.0 * local[1:], b).tobytes()
+            assert math.sqrt(e @ e) == float(np.linalg.norm(e))
+        # pairwise lengths, normals, residuals
+        gaps = local[:, None, :] - local[None, :, :]
+        assert _norms(gaps, 2).tobytes() == np.linalg.norm(gaps, axis=2).tobytes()
+        assert _norms(inv[:, :n], 1).tobytes() == np.linalg.norm(inv[:, :n], axis=1).tobytes()
+
+
+@pytest.mark.parametrize("edges", [
+    [1, 1, 1, 1, 1, 1.95],   # every face a triangle, no apex closes it
+    [1, 2, 3, 1, 2, 1],      # four points on a line
+], ids=["not-embeddable", "collinear"])
+def test_a_gram_matrix_that_is_not_positive_definite_factors_to_nan(edges):
+    sq = EdgeLengthTable.from_flat(3, edges).d ** 2
+    gram = 0.5 * (sq[0, 1:, None] + sq[0, None, 1:] - sq[1:, 1:])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(gram)
+    with np.errstate(invalid="ignore"):   # as in the embedding
+        lower = _lapack.cholesky_lo(gram, signature="d->d")
+    assert np.isnan(lower).all()
+
+
+@pytest.mark.parametrize("n, edges, error, message", [
+    (3, [1, 1, 1, 1, 1, 1.95], NotEmbeddable,
+     "no Euclidean simplex (Gram eigenvalue -7.228e-02)"),
+    (3, [1, 2, 3, 1, 2, 1], Degenerate, "vertices are affinely dependent"),
+    (2, [1, 2, 1e300], NotEmbeddable, "no Euclidean simplex (Gram eigenvalue -2.787e-01)"),
+], ids=["not-embeddable", "collinear", "overflowing"])
+def test_a_failed_factor_raises_the_spectrum_verdict(n, edges, error, message):
+    # the class and message that np.linalg.cholesky's LinAlgError led to
+    with pytest.raises(error) as caught:
+        embed_from_edge_lengths(EdgeLengthTable.from_flat(n, edges))
+    assert str(caught.value) == message
+
+
+def _linalg_names(path: Path) -> set[str]:
+    """The names a module reads from ``np.linalg`` or imports from ``numpy.linalg``."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                and node.value.attr == "linalg"):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_one_linear_algebra_path():
+    # the reference checks in verify stay on np.linalg, as an outside oracle
+    used = {(path.stem, name) for path in sorted(SRC.glob("*.py")) if path.stem != "verify"
+            for name in _linalg_names(path)}
+    assert used == {("barycentric", "_umath_linalg"), ("pedal", "svd")}

@@ -19,6 +19,7 @@ from simplexcenters import (
     classical_centers,
     equiareal_deviation,
     inversive_image,
+    isodynamic_points,
     pedal_simplex,
     polar_simplex,
 )
@@ -80,13 +81,18 @@ class TestPedalSimplex:
     @pytest.mark.parametrize("x", [(4.5, 1.5), (4.0, 3.0)])
     def test_collapsed_figure_has_no_frame(self, x):
         # both points lie on the circumcircle (center (2, 1.5), radius 2.5),
-        # so the feet fall on the Simson line: volumes, but no frame
+        # so the feet fall on the Simson line: volumes, but no frame and no
+        # circumsphere
         model = SimplexModel([[0, 0], [4, 0], [0, 3]])
         figure = pedal_simplex(model.cart_to_bary(x), model)
         assert figure.degenerate and figure.total_volume < 1e-12
         for use in (lambda: figure.cart_to_bary([1.0, 1.0]),
                     lambda: figure.pedal_feet(np.ones(2))):
             with pytest.raises(Degenerate, match="frame"):
+                use()
+        for use in (lambda: circumcenter_cart(figure),
+                    lambda: isodynamic_points([1, 2, 3], figure)):
+            with pytest.raises(Degenerate, match="circumsphere"):
                 use()
 
     def test_tiny_triangle_incenter_pedal_not_degenerate(self, gap_triangle):
