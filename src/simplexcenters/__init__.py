@@ -34,7 +34,6 @@ from .errors import (
     NotEmbeddable,
     PointAtInfinity,
     SimplexError,
-    UnboundedAntipedal,
     ZeroCoordinate,
 )
 from .fermat import (
@@ -72,7 +71,7 @@ __all__ = [
     "circumcenter_cart", "classical_centers", "embed_from_edge_lengths",
     "facet_volumes_of_points",
     "AtVertex", "Degenerate", "MaxIterationsExceeded", "NotEmbeddable",
-    "PointAtInfinity", "SimplexError", "UnboundedAntipedal", "ZeroCoordinate",
+    "PointAtInfinity", "SimplexError", "ZeroCoordinate",
     "REASONS", "SolverTrace", "fermat_point", "total_distance",
     "weiszfeld_step_q", "weiszfeld_step_r", "z_correspondent",
     "IsogonicCatalog", "default_seeds", "enumerate_isogonic", "is_isogonic",

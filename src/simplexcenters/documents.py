@@ -266,14 +266,14 @@ def point_payload(point: BarycentricPoint, residual: float | None = None,
     return payload
 
 
-def render_point_lines(name: str, payload: dict, indent: str = "  ") -> list[str]:
+def render_point_lines(name: str, payload: dict) -> list[str]:
     lines = [f"{name}"]
     normalized = payload["normalized"]
-    lines.append(f"{indent}normalized   "
+    lines.append("  normalized   "
                  + ("none (at infinity)" if normalized is None else fmt_list(normalized)))
-    lines.append(f"{indent}homogeneous  " + fmt_list(payload["homogeneous"]))
+    lines.append("  homogeneous  " + fmt_list(payload["homogeneous"]))
     if "normalized_fractions" in payload:
-        lines.append(f"{indent}fractions    " +
+        lines.append("  fractions    " +
                      "[" + ", ".join(payload["normalized_fractions"]) + "]")
     tail = []
     if "residual" in payload:
@@ -281,5 +281,5 @@ def render_point_lines(name: str, payload: dict, indent: str = "  ") -> list[str
     if "iterations" in payload:
         tail.append(f"iterations {payload['iterations']}")
     if tail:
-        lines.append(f"{indent}" + "   ".join(tail))
+        lines.append("  " + "   ".join(tail))
     return lines

@@ -22,12 +22,8 @@ class PointAtInfinity(SimplexError):
 
 class ZeroCoordinate(SimplexError):
     """A barycentric coordinate that must be nonzero vanishes: the point lies
-    on a sideplane (Apollonian spheres, isodynamic points, the polar simplex,
-    the isogonal conjugate and the Fermat solver)."""
-
-
-class UnboundedAntipedal(SimplexError):
-    """The antipedal construction is unbounded (singular vertex system)."""
+    on a sideplane (Apollonian spheres, isodynamic points, the antipedal and
+    the polar simplex, the isogonal conjugate and the Fermat solver)."""
 
 
 class AtVertex(SimplexError):

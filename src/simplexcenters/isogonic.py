@@ -27,8 +27,9 @@ points are the conjugates X(13), X(14) of its seeds, so it takes no more.
 
 A root is accepted if |g_sigma| <= 1e-10, it keeps the pattern +-sigma,
 it lies within 1e6 diameters of vertex 0 (if sum(sigma) = 0, |g_sigma|
-falls to rounding far out along one direction), its antipedal simplex is
-bounded and its antipedal facet volumes pass :func:`is_isogonic`'s test.
+falls to rounding far out along one direction), no coordinate of it is
+zero, so that its antipedal simplex exists, and its antipedal facet volumes
+pass :func:`is_isogonic`'s test.
 Only a root that passes the first four tests has its conjugate formed; one
 :func:`~simplexcenters.barycentric.facet_volumes_of_points` call then
 measures its antipedal simplex and the conjugate's pedal simplex, whose
@@ -56,13 +57,7 @@ from .barycentric import (
     as_point,
     facet_volumes_of_points,
 )
-from .errors import (
-    AtVertex,
-    PointAtInfinity,
-    SimplexError,
-    UnboundedAntipedal,
-    ZeroCoordinate,
-)
+from .errors import AtVertex, PointAtInfinity, SimplexError, ZeroCoordinate
 from .fermat import SolverTrace, _newton
 from .pedal import _antipedal_points
 
@@ -162,7 +157,7 @@ def _run(model: SimplexModel, sigma: np.ndarray, seed: BarycentricPoint,
         return None, trace
     try:
         antipedal = _antipedal_points(point, model)
-    except UnboundedAntipedal:
+    except ZeroCoordinate:
         return None, trace
     conjugate = isogonal_conjugate(point, model)
     if conjugate.is_finite():
@@ -182,11 +177,12 @@ def is_isogonic(p, model: SimplexModel, tol: float = _EQUIAREAL) -> tuple[bool, 
     """Whether the antipedal simplex of the point is equiareal.
 
     Returns the verdict together with the relative facet-volume spread;
-    an unbounded antipedal construction yields (False, inf).
+    a point on a sideplane, where no antipedal simplex exists, yields
+    (False, inf), and a collapsed model raises ``Degenerate``.
     """
     try:
         deviation = _spread(facet_volumes_of_points(_antipedal_points(p, model)))
-    except UnboundedAntipedal:
+    except ZeroCoordinate:
         deviation = math.inf
     return deviation <= tol, deviation
 

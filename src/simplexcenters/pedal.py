@@ -3,7 +3,9 @@
 All four constructions return the derived figure as a ``SimplexModel``
 built with ``validate=False``, since such figures may legitimately collapse,
 down to coincident points.  Its ``degenerate`` flag says whether it did; a
-collapsed figure has vertices and volumes but no affine frame.
+collapsed figure has vertices and volumes but no affine frame.  The
+antipedal and the polar simplex exist where no coordinate is zero, that is,
+off every sideplane; on one they raise ``ZeroCoordinate``.
 """
 
 from __future__ import annotations
@@ -20,11 +22,7 @@ from .barycentric import (
     _zero_entries,
     as_point,
 )
-from .errors import AtVertex, UnboundedAntipedal, ZeroCoordinate
-
-# Condition-number cutoff beyond which an antipedal vertex system is treated
-# as singular (two construction normals effectively coincide).
-_COND_LIMIT = 1e14
+from .errors import AtVertex, Degenerate, ZeroCoordinate
 
 
 def _squared_radius(radius, model: SimplexModel) -> float:
@@ -54,22 +52,21 @@ def pedal_simplex(p, model: SimplexModel) -> SimplexModel:
 
 def _antipedal_points(p, model: SimplexModel) -> np.ndarray:
     """Vertices of the antipedal simplex, in the model's frame."""
-    y = model._frame(p)
+    if model.degenerate:
+        raise Degenerate("a collapsed simplex has no antipedal simplex")
+    pt = as_point(p, model.n)
+    y = model._frame(pt)
     rays = y - model._local
     if model._vertex_at(np.sqrt(np.einsum("ij,ij->i", rays, rays))) is not None:
         raise AtVertex("antipedal simplex is undefined at a vertex")
+    # system i is singular exactly when the point lies on sideplane i
+    zero = _zero_entries(pt.coords).nonzero()[0]
+    if zero.size:
+        raise ZeroCoordinate(f"antipedal vertex {zero[0]} is unbounded for this point")
     # system i: rows j != i of (y - v_j) . z = (y - v_j) . v_j
     leave = _leave_one_out(model.n + 1)
     a = rays[leave]
     b = np.einsum("kij,kij->ki", a, model._local[leave])
-    # the 2-norm condition number, as np.linalg.cond forms it; 0/0 reads as inf
-    s = np.linalg.svd(a, compute_uv=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        unbounded = (~(s[:, 0] / s[:, -1] <= _COND_LIMIT)).nonzero()[0]
-    if unbounded.size:
-        raise UnboundedAntipedal(
-            f"antipedal vertex {unbounded[0]} is unbounded for this point")
-    # the test above leaves no singular system for the gufunc to NaN
     return _lapack.solve(a, b[..., None], signature="dd->d")[..., 0]
 
 

@@ -262,15 +262,14 @@ def _random_simplex(rng: np.random.Generator, n: int) -> SimplexModel:
             return model
 
 
-def _random_triangle_sides(rng: np.random.Generator,
-                           max_angle_deg: float = 115.0) -> tuple[float, float, float]:
-    """Sides of a clearly non-equilateral triangle with all angles below the
-    given bound (the regime where one isodynamic point is interior)."""
+def _random_triangle_sides(rng: np.random.Generator) -> tuple[float, float, float]:
+    """Sides of a clearly non-equilateral triangle with all angles from 25
+    to 115 degrees (the regime where one isodynamic point is interior)."""
     while True:
-        a = rng.uniform(25.0, max_angle_deg)
-        b = rng.uniform(25.0, max_angle_deg)
+        a = rng.uniform(25.0, 115.0)
+        b = rng.uniform(25.0, 115.0)
         c = 180.0 - a - b
-        if not 25.0 <= c <= max_angle_deg:
+        if not 25.0 <= c <= 115.0:
             continue
         if max(a, b, c) - min(a, b, c) < 2.0:
             continue  # nearly equilateral
@@ -280,7 +279,8 @@ def _random_triangle_sides(rng: np.random.Generator,
         return float(sides[2]), float(sides[1]), float(sides[0])  # d12, d13, d23
 
 
-def _fd_gradient(model: SimplexModel, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
+def _fd_gradient(model: SimplexModel, x: np.ndarray) -> np.ndarray:
+    h = 1e-6
     g = np.empty(model.n)
     for k in range(model.n):
         step = np.zeros(model.n)
@@ -326,7 +326,7 @@ def solver_suite_checks() -> list[CheckRow | NumericRow]:
     return rows
 
 
-def triangle_suite_checks(count: int = 100) -> list[CheckRow | NumericRow]:
+def triangle_suite_checks() -> list[CheckRow | NumericRow]:
     rows = []
     rng = np.random.default_rng(20241)
     worst_line = 0.0
@@ -336,7 +336,7 @@ def triangle_suite_checks(count: int = 100) -> list[CheckRow | NumericRow]:
     worst_antipedal = 0.0
     worst_conj = 0.0
     interior_ok = True
-    for _ in range(count):
+    for _ in range(100):
         d12, d13, d23 = _random_triangle_sides(rng)
         model = embed_from_edge_lengths(EdgeLengthTable.from_flat(2, [d12, d13, d23]))
         centers = classical_centers(model)

@@ -14,7 +14,6 @@ from simplexcenters import (
     EdgeLengthTable,
     MaxIterationsExceeded,
     SimplexModel,
-    UnboundedAntipedal,
     ZeroCoordinate,
     antipedal_simplex,
     classical_centers,
@@ -412,7 +411,7 @@ class TestEnumerateIsogonic:
         # with every root refused, no class balances: each seed's trace is
         # a failed seed, and so is each further start of its class
         def unbounded(p, model):
-            raise UnboundedAntipedal("refused")
+            raise ZeroCoordinate("refused")
 
         monkeypatch.setattr(isogonic, "_antipedal_points", unbounded)
         catalog = enumerate_isogonic(five_model)
@@ -877,6 +876,8 @@ class TestIsIsogonic:
 
     def test_unbounded_antipedal_reports_false(self, five_model):
         on_edge_line = BarycentricPoint([0.0, 0.0, 1.0, 1.0])
+        with pytest.raises(ZeroCoordinate, match="antipedal vertex 0 is unbounded"):
+            antipedal_simplex(on_edge_line, five_model)
         ok, deviation = is_isogonic(on_edge_line, five_model)
         assert not ok
         assert math.isinf(deviation)

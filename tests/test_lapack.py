@@ -5,7 +5,7 @@ against ``np.linalg.norm``; a singular Jacobian solves to an all-NaN step,
 with no warning under the Newton kernel's errstate, and a Gram matrix that is
 not positive definite factors to NaN, so the embedding raises what it raised
 when ``np.linalg.cholesky`` signalled ``LinAlgError``.  No module but
-``verify`` calls ``np.linalg`` beyond ``pedal``'s ``svd``."""
+``verify`` calls ``np.linalg``."""
 
 import ast
 import math
@@ -175,4 +175,4 @@ def test_one_linear_algebra_path():
     # the reference checks in verify stay on np.linalg, as an outside oracle
     used = {(path.stem, name) for path in sorted(SRC.glob("*.py")) if path.stem != "verify"
             for name in _linalg_names(path)}
-    assert used == {("barycentric", "_umath_linalg"), ("pedal", "svd")}
+    assert used == {("barycentric", "_umath_linalg")}

@@ -12,18 +12,64 @@ from simplexcenters import (
     BarycentricPoint,
     Degenerate,
     SimplexModel,
-    UnboundedAntipedal,
     ZeroCoordinate,
     antipedal_simplex,
     circumcenter_cart,
     classical_centers,
     equiareal_deviation,
     inversive_image,
+    is_isogonic,
     isodynamic_points,
     pedal_simplex,
     polar_simplex,
 )
-from simplexcenters import pedal
+from simplexcenters.barycentric import _REL_EPS, _zero_entries
+
+
+def _per_vertex_antipedal(pt, model):
+    """Reference: one sideplane test and one ``np.linalg.solve`` per
+    antipedal vertex, in the model's frame; the message of the first vertex
+    whose coordinate is zero, or the vertices."""
+    x, v = model._local.T @ pt.normalized_coords, model._local
+    zero = _zero_entries(pt.coords)
+    out = np.empty_like(v)
+    for i in range(model.n + 1):
+        if zero[i]:
+            return f"antipedal vertex {i} is unbounded for this point"
+        rows = np.delete(v, i, axis=0)
+        a = x[None, :] - rows
+        out[i] = np.linalg.solve(a, np.einsum("ij,ij->i", a, rows))
+    return out
+
+
+def _assert_planes_through_vertices(pt, model, vertices):
+    # vertex j != i lies on the plane through A_i perpendicular to P - A_i,
+    # to rounding in the size of the vectors multiplied
+    normals = model.bary_to_cart(pt) - model.vertices
+    offsets = vertices[None, :, :] - model.vertices[:, None, :]
+    gaps = np.einsum("ijk,ik->ij", offsets, normals)
+    scale = np.linalg.norm(offsets, axis=2) * np.linalg.norm(normals, axis=1)[:, None]
+    off = ~np.eye(model.n + 1, dtype=bool)
+    assert (np.abs(gaps[off]) <= 1e-10 * scale[off]).all()
+
+
+def _on_the_boundary(rng, n, i, ratio):
+    """Coordinates whose entry i is ``ratio`` times the largest magnitude,
+    1.0 at entry i + 1, that sum to exactly 1/2, so that the point stores
+    them doubled, exactly."""
+    m = n + 1
+    last = (i + 2) % m
+    while True:
+        c = 0.05 * rng.uniform(0.2, 1.0, m) * rng.choice([-1.0, 1.0], m)
+        c[(i + 1) % m] = 1.0
+        c[i] = ratio * rng.choice([-1.0, 1.0])
+        c[last] = 0.0
+        c[last] = 0.5 - np.add.reduce(c)
+        for _ in range(64):
+            total = np.add.reduce(c)
+            if total == 0.5:
+                return c
+            c[last] = np.nextafter(c[last], math.copysign(math.inf, 0.5 - total))
 
 
 class TestPedalSimplex:
@@ -149,19 +195,6 @@ class TestAntipedalSimplex:
                 assert abs(gap) < 1e-9 * five_model.diameter ** 2
 
     def test_batched_solve_matches_vertex_loop(self):
-        # reference: one condition test and one solve per antipedal vertex,
-        # in the model's frame
-        def per_vertex(pt, model):
-            x, v = model._local.T @ pt.normalized_coords, model._local
-            out = np.empty_like(v)
-            for i in range(model.n + 1):
-                rows = np.delete(v, i, axis=0)
-                a = x[None, :] - rows
-                if np.linalg.cond(a) > pedal._COND_LIMIT:
-                    return f"antipedal vertex {i} is unbounded for this point"
-                out[i] = np.linalg.solve(a, np.einsum("ij,ij->i", a, rows))
-            return out
-
         rng = np.random.default_rng(61)
         unbounded = 0
         for trial in range(140):
@@ -171,10 +204,10 @@ class TestAntipedalSimplex:
             if trial % 3 == 0:  # on sideplane 0: system 0 is singular
                 coords[0] = 0.0
             pt = BarycentricPoint(coords)
-            want = per_vertex(pt, model)
+            want = _per_vertex_antipedal(pt, model)
             if isinstance(want, str):
                 unbounded += 1
-                with pytest.raises(UnboundedAntipedal, match=want):
+                with pytest.raises(ZeroCoordinate, match=want):
                     antipedal_simplex(pt, model)
             else:
                 assert np.array_equal(antipedal_simplex(pt, model).vertices,
@@ -183,8 +216,60 @@ class TestAntipedalSimplex:
 
     def test_unbounded_for_point_on_edge_line(self, equilateral_triangle):
         midpoint = BarycentricPoint([0.0, 1.0, 1.0])
-        with pytest.raises(UnboundedAntipedal):
+        with pytest.raises(ZeroCoordinate, match="antipedal vertex 0 is unbounded"):
             antipedal_simplex(midpoint, equilateral_triangle)
+
+    def test_sideplane_boundary(self, five_model):
+        # the zero-coordinate rule decides: 1e-13 of the largest magnitude is
+        # on the sideplane, 2e-13 is off it and builds a finite figure
+        rng = np.random.default_rng(2980)
+        models = [five_model] + [SimplexModel(rng.standard_normal((n + 1, n)))
+                                 for n in range(2, 9)]
+        for model in models:
+            for i in range(model.n + 1):
+                on = BarycentricPoint(_on_the_boundary(rng, model.n, i, _REL_EPS))
+                assert abs(on.coords[i]) == _REL_EPS * np.abs(on.coords).max()
+                with pytest.raises(ZeroCoordinate, match=f"antipedal vertex {i} is"):
+                    antipedal_simplex(on, model)
+                off = BarycentricPoint(_on_the_boundary(rng, model.n, i, 2 * _REL_EPS))
+                assert np.isfinite(antipedal_simplex(off, model).vertices).all()
+
+    def test_marginal_points_follow_the_zero_coordinate_rule(self):
+        # |p_0| / max|p| from 1e-9 down to 1e-17, every fifth point far out:
+        # a figure is refused exactly where coordinate 0 reads zero, and
+        # every other one is the per-vertex solve, finite, with its facet
+        # planes through the vertices
+        rng = np.random.default_rng(37)
+        built = refused = 0
+        for k in range(3000):
+            n = 2 + k % 7
+            model = SimplexModel(rng.standard_normal((n + 1, n)))
+            c = rng.standard_normal(n + 1)
+            if k % 5 == 4:  # coordinate sum 1e-6 of the largest: far out
+                c[-1] -= c.sum() - 1e-6 * np.abs(c).max()
+            c[0] = rng.choice([-1.0, 1.0]) * 10 ** -rng.uniform(9, 17) * np.abs(c[1:]).max()
+            pt = BarycentricPoint(c)
+            if _zero_entries(pt.coords).any():
+                refused += 1
+                with pytest.raises(ZeroCoordinate, match="antipedal vertex 0 is"):
+                    antipedal_simplex(pt, model)
+                continue
+            built += 1
+            vertices = antipedal_simplex(pt, model).vertices
+            assert np.isfinite(vertices).all()
+            assert np.array_equal(vertices, model._from_frame(_per_vertex_antipedal(pt, model)))
+            _assert_planes_through_vertices(pt, model, vertices)
+        assert built > 0 and refused > 0
+
+    def test_collapsed_model_has_no_antipedal_simplex(self):
+        # the Simson-line pedal figure and a figure with coincident vertices
+        right = SimplexModel([[0, 0], [4, 0], [0, 3]])
+        for figure in (pedal_simplex(right.cart_to_bary((4.5, 1.5)), right),
+                       SimplexModel([[0, 0], [0, 0], [1, 1]], validate=False)):
+            assert figure.degenerate
+            for use in (antipedal_simplex, is_isogonic):
+                with pytest.raises(Degenerate, match="collapsed"):
+                    use([1, 2, 3], figure)
 
     def test_similar_to_pedal_of_conjugate(self, gap_triangle):
         # classical companion fact: the antipedal triangle of P is similar
