@@ -39,6 +39,7 @@ import numpy as np
 
 from .barycentric import (
     BarycentricPoint,
+    EdgeLengthTable,
     SimplexModel,
     _all_equal,
     _frozen,
@@ -292,7 +293,8 @@ def restrict_to_facet(p, model: SimplexModel,
     if not hit.is_finite():
         raise PointAtInfinity("line through the opposite vertex misses the facet")
     keep = [j for j in range(model.n + 1) if j != i]
-    if not np.isfinite(model.edges.d[np.ix_(keep, keep)]).all():
+    d = model.edges.d[np.ix_(keep, keep)]
+    if not np.isfinite(d).all():
         raise NotEmbeddable(f"facet {i} has an edge beyond float range and no embedding")
-    facet_model = embed_from_edge_lengths(model.edges.subtable(keep))
+    facet_model = embed_from_edge_lengths(EdgeLengthTable(n=model.n - 1, d=_frozen(d)))
     return facet_model, hit

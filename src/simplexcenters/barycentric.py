@@ -159,45 +159,17 @@ def _gram_defect(gram: np.ndarray) -> NotEmbeddable | Degenerate | None:
 
 @dataclass(frozen=True)
 class EdgeLengthTable:
-    """Symmetric table of pairwise vertex distances of an n-simplex."""
+    """Symmetric table of pairwise vertex distances of an n-simplex; input
+    enters through ``from_flat``, the constructor takes a table as given."""
 
     n: int
     d: np.ndarray  # (n+1, n+1), zero diagonal
 
     @classmethod
-    def from_matrix(cls, d) -> "EdgeLengthTable":
-        """A table given as input: square of size >= 2 (a segment or more),
-        symmetric, zero diagonal, positive edges."""
-        d = np.asarray(d, dtype=float)
-        if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] < 2:
-            raise ValueError("edge table must be a square matrix of size >= 2")
-        if not np.isfinite(d).all():
-            raise ValueError("edge lengths must be finite")
-        n = d.shape[0] - 1
-        scale = float(np.abs(d).max())
-        if scale <= 0.0:
-            raise ValueError("edge table is identically zero")
-        # halves, since d - d.T may overflow
-        if np.abs(0.5 * d - 0.5 * d.T).max() > 0.5 * _REL_EPS * scale:
-            raise ValueError("edge table is not symmetric")
-        if np.abs(np.diag(d)).max() > _REL_EPS * scale:
-            raise ValueError("edge table diagonal must be zero")
-        off = d[~np.eye(n + 1, dtype=bool)]
-        if off.min() <= 0.0:
-            raise ValueError("off-diagonal edge lengths must be positive")
-        sym = d + 0.5 * (d.T - d)   # d + d.T may overflow; exact if symmetric
-        np.fill_diagonal(sym, 0.0)
-        return cls(n=n, d=_frozen(sym))
-
-    @classmethod
     def from_flat(cls, n: int, values) -> "EdgeLengthTable":
-        """Build from lengths listed pairwise in lexicographic order
-        (d_12, d_13, ..., d_1,n+1, d_23, ..., d_n,n+1).
-
-        The flat lengths are validated here, with ``from_matrix``'s checks
-        in its order and its messages (size, finite, not identically zero,
-        positive), and the table is built symmetric with a zero diagonal,
-        which leaves ``from_matrix``'s other checks nothing to find."""
+        """A table given as input, from lengths listed pairwise in
+        lexicographic order (d_12, d_13, ..., d_1,n+1, d_23, ..., d_n,n+1):
+        the count, n >= 1, finite, not all zero and positive are checked."""
         values = np.array(list(values), dtype=float)
         rows, cols = _pairs(n + 1)
         if values.shape != rows.shape:
@@ -215,10 +187,6 @@ class EdgeLengthTable:
         d[rows, cols] = d[cols, rows] = values
         d.flags.writeable = False
         return cls(n=n, d=d)
-
-    def subtable(self, keep) -> "EdgeLengthTable":
-        keep = list(keep)
-        return EdgeLengthTable.from_matrix(self.d[np.ix_(keep, keep)])
 
 
 # ---------------------------------------------------------------------------
@@ -400,9 +368,12 @@ class SimplexModel:
 
     @functools.cached_property
     def _unit_edges(self) -> np.ndarray:
-        """Row k, column i: (A_k - A_i)/|A_k - A_i| in the frame, zero for i = k."""
+        """Row k, column i: (A_k - A_i)/|A_k - A_i| in the frame, zero for i = k;
+        ``Degenerate`` if two vertices coincide."""
         local = self._local
         lengths = self._lengths + np.eye(self.n + 1)  # the diagonal divides zeros
+        if not lengths.all():
+            raise Degenerate("coincident vertices have no unit edge")
         return _frozen((local[:, None] - local[None]) / lengths[..., None])
 
     def _pulls(self, sigma: np.ndarray) -> np.ndarray:

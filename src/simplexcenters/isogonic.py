@@ -57,7 +57,7 @@ from .barycentric import (
     as_point,
     facet_volumes_of_points,
 )
-from .errors import AtVertex, PointAtInfinity, SimplexError, ZeroCoordinate
+from .errors import AtVertex, Degenerate, PointAtInfinity, ZeroCoordinate
 from .fermat import SolverTrace, _newton
 from .pedal import _antipedal_points
 
@@ -203,13 +203,12 @@ def default_seeds(model: SimplexModel) -> list[BarycentricPoint]:
     :func:`~simplexcenters.fermat.fermat_point` starts, and the reflections
     of the symmedian point.  The all-positive class is strictly convex: its
     one root is the Fermat point, unless a vertex is the minimizer and the
-    class is empty.
+    class is empty.  A collapsed model raises ``Degenerate``.
     """
+    if model.degenerate:
+        raise Degenerate("a collapsed simplex has no isogonic points")
     if model.n == 2:
-        try:
-            return _common_points(BarycentricPoint(model._facets), model)[0]
-        except SimplexError:
-            pass
+        return _common_points(BarycentricPoint(model._facets), model)[0]
     centroid, *reflections = map(BarycentricPoint, _sign_classes(model.n + 1))
     return [BarycentricPoint(model._facets ** 2 * model._distances(centroid)), *reflections]
 
@@ -254,7 +253,8 @@ def enumerate_isogonic(model: SimplexModel, seeds=None) -> IsogonicCatalog:
 
     Each seed's conjugate starts Newton in its own sign class; then, for
     n >= 3, each claimed class takes further starts while its degree
-    balance fails (see the module docstring).
+    balance fails (see the module docstring).  A collapsed model raises
+    ``Degenerate``.
     """
     extra = [] if seeds is None else [as_point(s, model.n) for s in seeds]
     m = model.n + 1

@@ -1,5 +1,4 @@
 import copy
-import math
 import sys
 import types
 from pathlib import Path
@@ -9,7 +8,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from simplexcenters import EdgeLengthTable, SimplexModel, embed_from_edge_lengths
+from simplexcenters import EdgeLengthTable, SimplexModel, embed_from_edge_lengths, pedal_simplex
 from simplexcenters import barycentric, cli, verify
 
 import golden
@@ -82,14 +81,25 @@ def lapack(monkeypatch):
     return stand_in
 
 
-def make_random_model(rng: np.random.Generator, n: int) -> SimplexModel:
-    """Well-conditioned random simplex (volume bounded away from zero)."""
-    while True:
-        verts = rng.standard_normal((n + 1, n))
-        model = SimplexModel(verts, validate=False)
-        floor = 0.01 * model.diameter ** n / math.factorial(n)
-        if not model.degenerate and model.total_volume > floor:
-            return model
+# well-conditioned random simplices, drawn as verify's seeded suites draw them
+make_random_model = verify._random_simplex
+
+
+def _simson_figure() -> SimplexModel:
+    """The pedal figure of a point on the circumcircle: its feet lie on the
+    Simson line, with vertex 0 between the other two."""
+    triangle = SimplexModel([[0, 0], [4, 0], [0, 3]])
+    return pedal_simplex(triangle.cart_to_bary([4.5, 1.5]), triangle)
+
+
+COLLAPSED = {
+    "coincident-triangle": lambda: SimplexModel([[0, 0], [0, 0], [1, 1]], validate=False),
+    "coincident-tetrahedron": lambda: SimplexModel(
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 0, 0]], validate=False),
+    "flat-tetrahedron": lambda: SimplexModel(
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], validate=False),
+    "simson-line": _simson_figure,
+}
 
 
 def random_nonzero_point(rng: np.random.Generator, n: int) -> np.ndarray:

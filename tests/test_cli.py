@@ -613,8 +613,18 @@ def test_json_reports_gradient_evaluations(doc_path, capsys):
     assert [e["gradient_evaluations"] for e in results["entries"]] == [6, 11, 7, 6, 7]
 
 
+# SHA-256 of ``simplexcenters verify --json``'s output, NumPy 2.4.6 on x86-64
+VERIFY_DIGEST = "066854f76548286b4d867048828f4897bfc6095a4da4290254635c2620b78a35"
+
+
 @pytest.mark.usefixtures("cached_reference_checks")
 class TestVerifyCommand:
+    def test_json_report_keeps_its_bytes(self, capsys):
+        # any moved digit of a reference row fails here; re-pin if intended
+        code, out, _ = run_cli(capsys, "verify", "--json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGEST
+
     def test_fresh_build_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify")
         assert code == 0
@@ -638,6 +648,24 @@ class TestVerifyCommand:
         report = json.loads(out)
         assert report["results"]["failed"] == 0
         assert report["results"]["total"] >= 30
+
+
+def test_random_simplices_are_drawn_up_to_six_dimensions():
+    # at n = 8 no draw in 2000 passes the volume floor: refused before drawing
+    class CountedDraws:
+        draws = 0
+
+        def standard_normal(self, shape):
+            self.draws += 1
+            if self.draws > 100:
+                raise RuntimeError("still redrawing after 100 draws")
+            return np.random.default_rng(self.draws).standard_normal(shape)
+
+    rng = CountedDraws()
+    with pytest.raises(ValueError, match="n <= 6"):
+        verify._random_simplex(rng, 8)
+    assert rng.draws == 0
+    assert verify._random_simplex(rng, 6).n == 6
 
 
 class TestReportContracts:

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 import golden
-from conftest import make_random_model, random_interior_point
+from conftest import COLLAPSED, make_random_model, random_interior_point
 
 from simplexcenters import (
     AtVertex,
     BarycentricPoint,
+    Degenerate,
     EdgeLengthTable,
     MaxIterationsExceeded,
     SimplexModel,
@@ -157,6 +158,18 @@ class TestFermatPoint:
         # first-order vertex condition: remaining-gradient norm <= 1
         g = golden.distance_sum_gradient(model.vertices[1:], model.vertices[0])
         assert np.linalg.norm(g) <= 1.0
+
+    @pytest.mark.parametrize("figure", ["coincident-triangle", "coincident-tetrahedron"])
+    def test_coincident_vertices_are_degenerate(self, figure):
+        # the unit edges divide by every edge length
+        with pytest.raises(Degenerate, match="coincident vertices"):
+            fermat_point(COLLAPSED[figure]())
+
+    def test_simson_line_figure_answers_its_middle_vertex(self):
+        # collinear and distinct vertices: the middle one minimizes the distance sum
+        point, trace = fermat_point(COLLAPSED["simson-line"]())
+        assert trace.reason == "vertex optimum"
+        assert point.coords.tolist() == [1.0, 0.0, 0.0]
 
     def test_methods_share_limits_random(self):
         rng = np.random.default_rng(13)

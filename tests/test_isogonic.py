@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import golden
-from conftest import make_random_model, random_nonzero_point
+from conftest import COLLAPSED, make_random_model, random_nonzero_point
 
 from simplexcenters import (
     REASONS,
@@ -21,6 +21,7 @@ from simplexcenters import (
     embed_from_edge_lengths,
     enumerate_isogonic,
     equiareal_deviation,
+    facet_volumes_of_points,
     fermat_point,
     inversive_image,
     is_isogonic,
@@ -422,6 +423,35 @@ class TestEnumerateIsogonic:
         reasons = {t.seed.coords.tobytes(): t.reason for t in catalog.failed_seeds}
         assert [reasons.get(s.coords.tobytes()) for s in seeds] == ["rejected"] * len(seeds)
 
+    @pytest.mark.parametrize("refusal", ["sign-pattern", "antipedal-spread"])
+    def test_refused_root_is_a_rejected_seed(self, gap_triangle, monkeypatch, refusal):
+        # both starts converge, and each root is refused: it is the isogonic
+        # point of the other start's sign class, or its antipedal facets are
+        # unequal
+        found = enumerate_isogonic(gap_triangle).isogonic_points
+        runs = []
+
+        def newton(model, sigma, *args):
+            path, evaluations, reason, jac = fermat._newton(model, sigma, *args)
+            runs.append((len(path), evaluations))
+            if refusal == "sign-pattern":
+                other = next(p for p in found if abs(np.sign(p.coords) @ sigma) < len(sigma))
+                path = path[:-1] + [model._frame(other)]
+            return path, evaluations, reason, jac
+
+        def unequal(points):
+            volumes = facet_volumes_of_points(points)
+            volumes[..., 0] *= 2.0
+            return volumes
+
+        monkeypatch.setattr(isogonic, "_newton", newton)
+        if refusal == "antipedal-spread":
+            monkeypatch.setattr(isogonic, "facet_volumes_of_points", unequal)
+        catalog = enumerate_isogonic(gap_triangle)
+        assert len(catalog) == 0 and len(runs) == 2
+        assert [(t.reason, t.iterations_used, t.gradient_evaluations)
+                for t in catalog.failed_seeds] == [("rejected", *run) for run in runs]
+
     def test_conjugate_at_infinity_is_a_failed_seed(self):
         # [9 : 5 : -4] lies on the circumcircle, so its conjugate lies at
         # infinity and no Newton run starts from it
@@ -784,12 +814,16 @@ class TestDefaultSeeds:
         with pytest.raises(TypeError):
             default_seeds(gap_triangle)
 
-    def test_geometric_errors_leave_orthant_seeds(self, gap_triangle, monkeypatch):
-        def undefined(p, model):
-            raise Degenerate("no axis")
-
-        monkeypatch.setattr(isogonic, "_common_points", undefined)
-        assert len(default_seeds(gap_triangle)) == 4
+    @pytest.mark.parametrize("figure", COLLAPSED)
+    def test_collapsed_model_has_no_seeds(self, figure, count_calls):
+        # refused before any Newton step, as is_isogonic refuses it
+        model = COLLAPSED[figure]()
+        newton = count_calls(isogonic, "_newton")
+        assert model.degenerate
+        for search in (default_seeds, enumerate_isogonic):
+            with pytest.raises(Degenerate, match="collapsed"):
+                search(model)
+        assert newton == []
 
     def test_triangle_seeds_are_the_isodynamic_points(self, gap_triangle,
                                                       equilateral_triangle):
