@@ -45,6 +45,14 @@ import numpy as np
 # not positive definite gives NaN instead of LinAlgError.
 from numpy.linalg import _umath_linalg as _lapack
 
+# np.einsum's C kernel, which it calls with the operands alone under its
+# default optimize=False (a 4x3 row dot on the same core: 2.2 against 1.2
+# us); from numpy._core first, as NumPy 2 warns on numpy.core, 1.x's name.
+try:
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:   # NumPy 1.24-1.26
+    from numpy.core.multiarray import c_einsum as _einsum
+
 from .errors import Degenerate, NotEmbeddable, PointAtInfinity
 
 # The near-zero tolerance eps: two orders above double epsilon.
@@ -52,7 +60,7 @@ _REL_EPS = 1e-13
 
 # the affine system's last coordinate, appended to a frame point
 _ONE = np.ones(1)
-_ONE.flags.writeable = False
+_ONE.setflags(write=False)
 
 # Bound on lambda_min / lambda_max of a simplex's Gram matrix (edge vectors
 # with condition number above 1e6); round-off in the eigenvalues is ~1e-16.
@@ -61,7 +69,7 @@ _GRAM_REL_TOL = 1e-12
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     """``a`` itself, made read-only: an array that no caller holds."""
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 
@@ -81,7 +89,8 @@ def _spread(x: np.ndarray) -> float:
 
 
 def _zero_entries(c: np.ndarray) -> np.ndarray:
-    return np.abs(c) <= _REL_EPS * np.abs(c).max()
+    mags = np.abs(c)
+    return mags <= _REL_EPS * np.maximum.reduce(mags)
 
 
 def _zero_sum(total: float, norm: float) -> bool:
@@ -101,19 +110,15 @@ def _all_equal(c: np.ndarray) -> bool:
 @functools.cache
 def _leave_one_out(m: int) -> np.ndarray:
     """Read-only index table whose row i lists 0..m-1 without i."""
-    keep = np.array([[j for j in range(m) if j != i] for i in range(m)])
-    keep.flags.writeable = False
-    return keep
+    return _frozen(np.array([[j for j in range(m) if j != i] for i in range(m)]))
 
 
 @functools.cache
 def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only rows and columns of the pairs i < j of 0..m-1, in
     lexicographic order."""
-    pairs = np.triu_indices(m, 1)
-    for index in pairs:
-        index.flags.writeable = False
-    return pairs
+    rows, cols = np.triu_indices(m, 1)
+    return _frozen(rows), _frozen(cols)
 
 
 def facet_volumes_of_points(points: np.ndarray) -> np.ndarray:
@@ -169,7 +174,12 @@ class EdgeLengthTable:
     def from_flat(cls, n: int, values) -> "EdgeLengthTable":
         """A table given as input, from lengths listed pairwise in
         lexicographic order (d_12, d_13, ..., d_1,n+1, d_23, ..., d_n,n+1):
-        the count, n >= 1, finite, not all zero and positive are checked."""
+        n an integer (NumPy's too, not a bool), the count, n >= 1, finite,
+        not all zero and positive are checked."""
+        try:   # a bool is no dimension
+            n = operator.index(None if isinstance(n, bool) else n)
+        except TypeError:
+            raise ValueError(f"dimension must be an integer, got {n!r}") from None
         values = np.array(list(values), dtype=float)
         rows, cols = _pairs(n + 1)
         if values.shape != rows.shape:
@@ -185,8 +195,7 @@ class EdgeLengthTable:
             raise ValueError("off-diagonal edge lengths must be positive")
         d = np.zeros((n + 1, n + 1))
         d[rows, cols] = d[cols, rows] = values
-        d.flags.writeable = False
-        return cls(n=n, d=d)
+        return cls(n=n, d=_frozen(d))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +247,7 @@ class BarycentricPoint:
             raise ValueError("coordinate vector must not be zero")
         finite = not _zero_sum(total, norm)
         coords = coords / total if finite else coords.copy()
-        coords.flags.writeable = False
+        coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "_finite", finite)
 
@@ -427,12 +436,12 @@ class SimplexModel:
     def _distances(self, p) -> np.ndarray:
         """``vertex_distances`` in the frame."""
         gaps = self._local - self._frame(p)
-        return np.sqrt(np.einsum("ij,ij->i", gaps, gaps))
+        return np.sqrt(_einsum("ij,ij->i", gaps, gaps))
 
     def _vertex_at(self, dist: np.ndarray) -> int | None:
         """Nearest vertex if within _REL_EPS * diameter, given the frame
         distances to every vertex (the frame's diameter is finite)."""
-        k = int(np.argmin(dist))
+        k = int(dist.argmin())
         return k if dist[k] <= _REL_EPS * self._local_diameter else None
 
     def pedal_feet(self, x: np.ndarray) -> np.ndarray:

@@ -38,11 +38,12 @@ import math
 import numbers
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
-from .barycentric import BarycentricPoint, SimplexModel, _lapack, _zero_entries, as_point
+from .barycentric import (BarycentricPoint, SimplexModel, _einsum, _frozen, _lapack,
+                          _zero_entries, as_point)
 from .errors import AtVertex, MaxIterationsExceeded, ZeroCoordinate
 
 METHODS = ("q", "r")
@@ -50,6 +51,18 @@ METHODS = ("q", "r")
 # the step fractions 1, 1/2, ..., 1/2^11 of a Newton line search, and those after 1
 _FRACTIONS = 0.5 ** np.arange(12)
 _TRIALS = _FRACTIONS[1:]
+
+
+@cache
+def _eye(n: int) -> np.ndarray:
+    """Read-only n x n identity."""
+    return _frozen(np.eye(n))
+
+
+@cache
+def _positive(m: int) -> np.ndarray:
+    """Read-only sigma = +1 on m vertices, the distance sum's pattern."""
+    return _frozen(np.ones(m))
 
 
 def total_distance(p, model: SimplexModel) -> float:
@@ -64,7 +77,7 @@ def _signed_gradient(vertices: np.ndarray, sigma: np.ndarray, x: np.ndarray,
     Vertices at zero distance from x are left out of both.
     """
     gaps = x - vertices
-    dist = np.sqrt(np.einsum("ij,ij->i", gaps, gaps))
+    dist = np.sqrt(_einsum("ij,ij->i", gaps, gaps))
     if np.count_nonzero(dist) < len(dist):
         keep = dist > 0
         gaps, dist, sigma = gaps[keep], dist[keep], sigma[keep]
@@ -73,10 +86,10 @@ def _signed_gradient(vertices: np.ndarray, sigma: np.ndarray, x: np.ndarray,
 
 
 def _jacobian(units: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """J = sum_i w_i (I - u_i u_i^T), u_i the rows of ``units``."""
-    jac = -(units.T * w) @ units
-    jac.reshape(-1)[::units.shape[1] + 1] += np.add.reduce(w)
-    return jac
+    """J = sum_i w_i (I - u_i u_i^T), u_i the rows of ``units``.  Off the
+    diagonal, sum_i w_i times the cached identity adds a signed zero to an
+    entry that a matmul never leaves at -0.0, so it changes no bit there."""
+    return -(units.T * w) @ units + np.add.reduce(w) * _eye(units.shape[1])
 
 
 # why a solver run stopped: only the first two give an answer, "escaped" and
@@ -129,14 +142,12 @@ class SolverTrace:
         return self.reason == "vertex optimum"
 
 
-def _deflation(x: np.ndarray, known: np.ndarray, d2: float,
-               ) -> tuple[float, np.ndarray | None]:
-    """M(x) = prod_k (d2/|x - r_k|^2 + 1) and grad ln M, or (1, None); inf
-    and nan at a known root, under the errstate of :func:`_newton`."""
-    if not len(known):
-        return 1.0, None
+def _deflation(x: np.ndarray, known: np.ndarray, d2: float) -> tuple[float, np.ndarray]:
+    """M(x) = prod_k (d2/|x - r_k|^2 + 1) and grad ln M over one or more
+    known roots; inf and nan at a known root, under the errstate of
+    :func:`_newton`."""
     gaps = x - known
-    q = np.einsum("ij,ij->i", gaps, gaps)
+    q = _einsum("ij,ij->i", gaps, gaps)
     return float(np.multiply.reduce(d2 / q + 1.0)), (-2.0 * d2 / (q * (q + d2))) @ gaps
 
 
@@ -148,7 +159,7 @@ def _trial_merits(vertices: np.ndarray, sigma: np.ndarray, ys: np.ndarray,
     rounded as :func:`_signed_gradient` and :func:`_deflation` round it, and
     M is inf at a known root, under the errstate of :func:`_newton`."""
     gaps = ys[:, None] - vertices
-    dist = np.sqrt(np.einsum("kij,kij->ki", gaps, gaps))
+    dist = np.sqrt(_einsum("kij,kij->ki", gaps, gaps))
     zero = dist == 0.0
     dist[zero] = np.inf   # leaves out a vertex at zero distance
     units = gaps / dist[..., None]
@@ -159,7 +170,7 @@ def _trial_merits(vertices: np.ndarray, sigma: np.ndarray, ys: np.ndarray,
     merits = np.sqrt((g[:, None] @ g[..., None])[:, 0, 0])   # a dot per row, as g @ g
     if len(known):   # else M = 1
         offsets = ys[:, None] - known
-        q = np.einsum("kij,kij->ki", offsets, offsets)
+        q = _einsum("kij,kij->ki", offsets, offsets)
         merits *= np.multiply.reduce(d2 / q + 1.0, axis=1)
 
     def at(k: int) -> tuple:
@@ -177,8 +188,9 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
 
     Known ``roots`` deflate it (P. E. Farrell, A. Birkisson & S. W. Funke,
     SIAM J. Sci. Comput. 37(4), 2015): it solves M g_sigma = 0 with
-    M(x) = prod_k (D^2/|x - r_k|^2 + 1), D the diameter, and M = 1 without
-    roots.  Each step solves J s = -g, scales s by 1/(1 - grad ln M . s),
+    M(x) = prod_k (D^2/|x - r_k|^2 + 1), D the diameter; without roots
+    M = 1 and :func:`_deflation` is not called.  Each step solves J s = -g,
+    scales s by 1/(1 - grad ln M . s) (forming |s|^2 again only then),
     which turns it around near a known root, and takes the first fraction
     t of 1, 1/2, ..., 1/2^11 at which M |g_sigma| falls by the Armijo factor
     1 - t/1e4: t = 1 alone, then the rest in one pass of :func:`_trial_merits`,
@@ -206,20 +218,22 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
     with np.errstate(all="ignore"):
         x = local.T @ coords
         g, jac = _signed_gradient(local, sigma, x)
-        weight, dlog = _deflation(x, known, d2)
+        weight, dlog = _deflation(x, known, d2) if len(known) else (1.0, None)
         merit = weight * math.sqrt(g @ g)
         evaluations = 1
         path: list[np.ndarray] = []
         ok = crawled = False
         for _ in range(max_steps):
             step = -_lapack.solve1(jac, g, signature="dd->d")
-            if math.isnan(step @ step):   # J is singular
+            length2 = step @ step
+            if math.isnan(length2):   # J is singular
                 break
             factor = 1.0
             if dlog is not None:
                 factor = 1.0 / (1.0 - dlog @ step)
                 step = factor * step
-            if math.sqrt(step @ step) <= tol:
+                length2 = step @ step
+            if math.sqrt(length2) <= tol:
                 x = x + step
                 path.append(x)
                 ok = factor > 0.0
@@ -231,7 +245,7 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
             if not crawled:
                 y = x + step
                 gy, jy = _signed_gradient(local, sigma, y)
-                wy, dy = _deflation(y, known, d2)
+                wy, dy = _deflation(y, known, d2) if len(known) else (1.0, None)
                 evaluations += 1
                 merit_y = wy * math.sqrt(gy @ gy)
             if crawled or not merit_y <= (1.0 - 1e-4) * merit:
@@ -261,7 +275,7 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
 def distance_sum_gradient(model: SimplexModel, x: np.ndarray) -> np.ndarray:
     """Gradient of the distance sum at a Cartesian point, skipping vertices
     at zero distance (at a vertex: the gradient over the other vertices)."""
-    return _signed_gradient(model._local, np.ones(model.n + 1), model._to_frame(x))[0]
+    return _signed_gradient(model._local, _positive(model.n + 1), model._to_frame(x))[0]
 
 
 def z_correspondent(p, z_star, model: SimplexModel | None = None) -> BarycentricPoint:
@@ -340,7 +354,7 @@ def fermat_point(model: SimplexModel, start=None, method: str = "q",
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
     if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 0:
         raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
-    p = as_point(np.ones(model.n + 1) if start is None else start, model.n)
+    p = as_point(_positive(model.n + 1) if start is None else start, model.n)
     if _zero_entries(p.normalized_coords).any():
         raise ZeroCoordinate("start point must have all coordinates nonzero")
 
@@ -359,7 +373,7 @@ def fermat_point(model: SimplexModel, start=None, method: str = "q",
     h = _step(np.abs(p.coords), model._distances(p), method)
     trace._head.append(h)
     trace._path, trace.gradient_evaluations, trace.reason, _ = _newton(
-        model, np.ones(model.n + 1), h / h.sum(), tol, max_iter - 1)
+        model, _positive(model.n + 1), h / np.add.reduce(h), tol, max_iter - 1)
     trace.iterations_used = len(trace._path) + 1
     if trace.reason == "converged":
         return BarycentricPoint(model._coords(trace._path[-1])), trace

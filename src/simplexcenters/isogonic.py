@@ -40,6 +40,7 @@ seed with its ``reason``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -50,6 +51,7 @@ from .apollonian import _common_points
 from .barycentric import (
     BarycentricPoint,
     SimplexModel,
+    _frozen,
     _lapack,
     _norms,
     _spread,
@@ -58,7 +60,7 @@ from .barycentric import (
     facet_volumes_of_points,
 )
 from .errors import AtVertex, Degenerate, PointAtInfinity, ZeroCoordinate
-from .fermat import SolverTrace, _newton
+from .fermat import SolverTrace, _newton, _positive
 from .pedal import _antipedal_points
 
 # distance from vertex 0, in diameters, past which a root has escaped
@@ -159,7 +161,8 @@ def _run(model: SimplexModel, sigma: np.ndarray, seed: BarycentricPoint,
         antipedal = _antipedal_points(point, model)
     except ZeroCoordinate:
         return None, trace
-    conjugate = isogonal_conjugate(point, model)
+    # isogonal_conjugate, whose zero test _antipedal_points has just passed
+    conjugate = BarycentricPoint(model._facets ** 2 / point.coords)
     if conjugate.is_finite():
         feet = model._feet(model._frame(conjugate))
         volumes = facet_volumes_of_points(np.array((antipedal, feet)))
@@ -187,9 +190,11 @@ def is_isogonic(p, model: SimplexModel, tol: float = _EQUIAREAL) -> tuple[bool, 
     return deviation <= tol, deviation
 
 
-def _sign_classes(m: int) -> list[np.ndarray]:
-    """The claimed sign patterns: all-positive, then one negative entry at each k."""
-    return [np.ones(m)] + [np.where(np.arange(m) == k, -1.0, 1.0) for k in range(m)]
+@functools.cache
+def _sign_classes(m: int) -> tuple[np.ndarray, ...]:
+    """The claimed sign patterns, read-only: all-positive, then one negative
+    entry at each k (the rows of 1 - 2I)."""
+    return (_positive(m), *_frozen(1.0 - 2.0 * np.eye(m)))
 
 
 def default_seeds(model: SimplexModel) -> list[BarycentricPoint]:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .barycentric import (
     SimplexModel,
+    _einsum,
     _lapack,
     _leave_one_out,
     _spread,
@@ -57,16 +58,16 @@ def _antipedal_points(p, model: SimplexModel) -> np.ndarray:
     pt = as_point(p, model.n)
     y = model._frame(pt)
     rays = y - model._local
-    if model._vertex_at(np.sqrt(np.einsum("ij,ij->i", rays, rays))) is not None:
+    if model._vertex_at(np.sqrt(_einsum("ij,ij->i", rays, rays))) is not None:
         raise AtVertex("antipedal simplex is undefined at a vertex")
     # system i is singular exactly when the point lies on sideplane i
     zero = _zero_entries(pt.coords).nonzero()[0]
     if zero.size:
         raise ZeroCoordinate(f"antipedal vertex {zero[0]} is unbounded for this point")
-    # system i: rows j != i of (y - v_j) . z = (y - v_j) . v_j
+    # system i: rows j != i of (y - v_j) . z = (y - v_j) . v_j, one dot per vertex
     leave = _leave_one_out(model.n + 1)
     a = rays[leave]
-    b = np.einsum("kij,kij->ki", a, model._local[leave])
+    b = _einsum("ij,ij->i", rays, model._local)[leave]
     return _lapack.solve(a, b[..., None], signature="dd->d")[..., 0]
 
 
@@ -95,7 +96,7 @@ def polar_simplex(p, model: SimplexModel, radius: float = 1.0) -> SimplexModel:
         raise ZeroCoordinate("polar simplex needs all coordinates nonzero")
     y = model._frame(pt)
     w = model._feet(y) - y
-    out = y + square * w / np.einsum("ij,ij->i", w, w)[:, None]
+    out = y + square * w / _einsum("ij,ij->i", w, w)[:, None]
     return SimplexModel(model._from_frame(out), validate=False)
 
 
@@ -107,7 +108,7 @@ def inversive_image(model: SimplexModel, center, radius: float) -> SimplexModel:
         raise ValueError("inversion center must be finite")
     y = model._to_frame(center)
     w = model._local - y
-    norm2 = np.einsum("ij,ij->i", w, w)
+    norm2 = _einsum("ij,ij->i", w, w)
     i = model._vertex_at(np.sqrt(norm2))
     if i is not None:
         raise AtVertex(f"inversion center coincides with vertex {i}")

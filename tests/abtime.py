@@ -11,9 +11,12 @@ file and not changed; ``tests/probe.py`` loads it with the same loader)
 from the same seed, so both meet the same numbers.  Every round runs each
 input's op on both trees in turn, the tree that goes first alternating
 between rounds, and each tree keeps its best time per input.  It prints
-those best-of times summed per dimension, with the ratio B/A, and the
-``--top`` inputs whose ratio moved most.  ``--workload all`` prints one
-such table per workload, in ``WORKLOADS`` order.  Outputs are compared by
+those best-of times summed per dimension, with the ratio B/A; in how many
+rounds B's summed op time was below A's, each round counted as one
+alternating pair; for ``fermat-solve``, each tree's best-of time per Newton
+step, over the traces' ``iterations_used`` (which count the approach step
+too); and the ``--top`` inputs whose ratio moved most.  ``--workload all``
+prints one such table per workload, in ``WORKLOADS`` order.  Outputs are compared by
 ``comparison_key``: the workload's fingerprint and, when the output carries
 report dicts, their sorted-key JSON; inputs whose keys differ between the
 trees are counted and named, and then the script exits 1.  BLAS runs on one
@@ -70,30 +73,33 @@ def comparison_key(workload, out) -> str:
     return repr((workload.fingerprint(out), reports))
 
 
-def best_times(pair, rounds: int) -> tuple[list[list[float]], set[int]]:
-    """Each tree's best op time per input, in seconds, and the inputs whose
-    comparison keys differ between the trees."""
+def best_times(pair, rounds: int):
+    """Each tree's best op time per input and summed op time per round, in
+    seconds; the inputs whose comparison keys differ between the trees; and
+    each tree's outputs of the last round."""
     best = [[float("inf")] * len(pair[0].cases) for _ in pair]
+    totals = [[0.0] * rounds for _ in pair]
+    outs = [[None] * len(pair[0].cases) for _ in pair]
     differ = set()
     for r in range(rounds):
         for i in range(len(pair[0].cases)):
-            prints = [None, None]
             for t in ((0, 1) if r % 2 == 0 else (1, 0)):
                 wl = pair[t]
                 begin = time.perf_counter()
-                out = wl.run(wl.cases[i])
-                best[t][i] = min(best[t][i], time.perf_counter() - begin)
-                prints[t] = comparison_key(wl, out)
-            if prints[0] != prints[1]:
+                outs[t][i] = wl.run(wl.cases[i])
+                elapsed = time.perf_counter() - begin
+                best[t][i] = min(best[t][i], elapsed)
+                totals[t][r] += elapsed
+            if comparison_key(pair[0], outs[0][i]) != comparison_key(pair[1], outs[1][i]):
                 differ.add(i)
-    return best, differ
+    return best, totals, differ, outs
 
 
 def report(workloads, name: str, trees, args) -> int:
     """Time one workload on both trees, print its table, and return how
     many inputs' outputs differ."""
     pair = [workloads.WORKLOADS[name](lib, args.seed, args.size) for lib in trees]
-    (a, b), differ = best_times(pair, args.rounds)
+    (a, b), (round_a, round_b), differ, outs = best_times(pair, args.rounds)
     cases = pair[0].cases
     print(f"{name}, seed {args.seed}, {len(cases)} inputs, best of "
           f"{args.rounds}; {len(differ)} with different outputs")
@@ -107,6 +113,12 @@ def report(workloads, name: str, trees, args) -> int:
     for key in sorted(k for k in sums if k != "all") + ["all"]:
         ta, tb, count = sums[key]
         print(f"{key:>4} {count:>6} {1e3 * ta:9.3f} {1e3 * tb:9.3f} {tb / ta:6.3f}")
+    wins = sum(tb < ta for ta, tb in zip(round_a, round_b))
+    print(f"B faster in {wins} of {args.rounds} rounds")
+    if name == "fermat-solve":
+        steps = [sum(trace.iterations_used for _, trace in tree) for tree in outs]
+        print(f"us per Newton step: A {1e6 * sum(a) / steps[0]:.3f}, "
+              f"B {1e6 * sum(b) / steps[1]:.3f} ({steps[0]} and {steps[1]} steps)")
     print("moved most:")
     moved = sorted(range(len(cases)), key=lambda i: -abs(b[i] / a[i] - 1.0))
     for i in moved[:args.top]:

@@ -1,9 +1,11 @@
 """The kept A/B timer, ``tests/abtime.py``, runs end to end: one tree in
-both slots, on the tiny inputs of each workload, exits 0; it tells apart two
-report outputs that differ only in their JSON; and a tree whose outputs
-differ makes it name those inputs and exit 1."""
+both slots, on the tiny inputs of each workload, exits 0 and prints each
+workload's rounds won by B and ``fermat-solve``'s time per Newton step; it
+tells apart two report outputs that differ only in their JSON; and a tree
+whose outputs differ makes it name those inputs and exit 1."""
 
 import copy
+import re
 import shutil
 import subprocess
 import sys
@@ -23,8 +25,9 @@ def test_abtime_times_one_tree_against_itself():
     assert out[0] == "isogonic-catalog, seed 1, 3 inputs, best of 2; 0 with different outputs"
     assert out[1].split() == ["n", "inputs", "A", "ms", "B", "ms", "B/A"]
     assert [line.split()[:2] for line in out[2:5]] == [["2", "2"], ["3", "1"], ["all", "3"]]
-    assert out[5] == "moved most:" and len(out) == 9
-    assert all(float(line.split()[-1]) > 0 for line in out[2:5] + out[6:])
+    assert re.fullmatch(r"B faster in [012] of 2 rounds", out[5])
+    assert out[6] == "moved most:" and len(out) == 10
+    assert all(float(line.split()[-1]) > 0 for line in out[2:5] + out[7:])
 
 
 def test_abtime_compares_the_report_workload():
@@ -37,7 +40,8 @@ def test_abtime_compares_the_report_workload():
     assert out[0] == "edge-docs, seed 1, 6 inputs, best of 2; 0 with different outputs"
     assert [line.split()[:2] for line in out[2:6]] == [
         ["2", "2"], ["3", "3"], ["4", "1"], ["all", "6"]]
-    assert out[6] == "moved most:" and len(out) == 13
+    assert re.fullmatch(r"B faster in [012] of 2 rounds", out[6])
+    assert out[7] == "moved most:" and len(out) == 14
 
 
 def test_abtime_times_every_workload_in_one_run():
@@ -52,6 +56,16 @@ def test_abtime_times_every_workload_in_one_run():
         "fermat-solve, seed 1, 16 inputs, best of 1; 0 with different outputs",
         "edge-docs, seed 1, 6 inputs, best of 1; 0 with different outputs"]
     assert out.count("moved most:") == 3
+    wins = [k for k, line in enumerate(out) if line.startswith("B faster in")]
+    assert len(wins) == 3
+    assert all(re.fullmatch(r"B faster in [01] of 1 rounds", out[k]) for k in wins)
+    # fermat-solve alone: each tree's time per Newton step, over the same steps
+    steps = [k for k, line in enumerate(out) if line.startswith("us per Newton step")]
+    assert steps == [wins[1] + 1]
+    a, b, count_a, count_b = re.fullmatch(
+        r"us per Newton step: A (\S+), B (\S+) \((\d+) and (\d+) steps\)",
+        out[steps[0]]).groups()
+    assert float(a) > 0 and float(b) > 0 and count_a == count_b and int(count_a) > 0
 
 
 def test_a_json_only_change_counts_as_different():

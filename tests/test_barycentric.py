@@ -72,6 +72,18 @@ class TestEdgeLengthTable:
         with pytest.raises(ValueError, match="square matrix of size >= 2"):
             EdgeLengthTable.from_flat(0, [])
 
+    @pytest.mark.parametrize("n, values", [(2.0, [1, 1, 1]), (1.5, [1, 1, 1]), (True, [1])],
+                             ids=["float", "fraction", "bool"])
+    def test_rejects_a_dimension_that_is_not_an_integer(self, n, values):
+        with pytest.raises(ValueError) as caught:
+            EdgeLengthTable.from_flat(n, values)
+        assert str(caught.value) == f"dimension must be an integer, got {n!r}"
+
+    def test_a_numpy_integer_dimension_is_an_int(self):
+        table = EdgeLengthTable.from_flat(np.int64(2), [3, 4, 5])
+        assert type(table.n) is int and table.n == 2
+        assert embed_from_edge_lengths(table).total_volume == 6.0
+
     def test_segment_table_embeds(self):
         # the floor is n >= 1 for edge tables as for vertex models
         model = embed_from_edge_lengths(EdgeLengthTable.from_flat(1, [5.0]))

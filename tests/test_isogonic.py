@@ -564,7 +564,7 @@ def _sequential_newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarra
     tol = tol * model._local_diameter
     x = local.T @ coords
     g, jac = fermat._signed_gradient(local, sigma, x)
-    weight, dlog = fermat._deflation(x, known, d2)
+    weight, dlog = fermat._deflation(x, known, d2) if len(known) else (1.0, None)
     evaluations = 1
     path: list[np.ndarray] = []
     ok = False
@@ -591,7 +591,7 @@ def _sequential_newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarra
         for _ in range(12):
             y = x + t * step
             gy, jy = fermat._signed_gradient(local, sigma, y)
-            wy, dy = fermat._deflation(y, known, d2)
+            wy, dy = fermat._deflation(y, known, d2) if len(known) else (1.0, None)
             evaluations += 1
             if wy * math.sqrt(gy @ gy) <= (1.0 - 1e-4 * t) * merit:
                 break
@@ -664,7 +664,7 @@ def test_a_line_search_pass_evaluates_each_row_as_one_point(n, negative, roots):
     assert len(merits) == len(ys) == 12
     for k, y in enumerate(ys):
         g, jac = fermat._signed_gradient(vertices, sigma, y)
-        weight, dlog = fermat._deflation(y, known, d2)
+        weight, dlog = fermat._deflation(y, known, d2) if roots else (1.0, None)
         merit = weight * math.sqrt(g @ g)
         row, gk, jk, dk, mk = at(k)
         assert row.tobytes() == y.tobytes()

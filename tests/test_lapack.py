@@ -5,7 +5,7 @@ against ``np.linalg.norm``; a singular Jacobian solves to an all-NaN step,
 with no warning under the Newton kernel's errstate, and a Gram matrix that is
 not positive definite factors to NaN, so the embedding raises what it raised
 when ``np.linalg.cholesky`` signalled ``LinAlgError``.  No module but
-``verify`` calls ``np.linalg``."""
+``verify`` calls ``np.linalg`` or ``np.einsum``."""
 
 import ast
 import math
@@ -176,3 +176,22 @@ def test_one_linear_algebra_path():
     used = {(path.stem, name) for path in sorted(SRC.glob("*.py")) if path.stem != "verify"
             for name in _linalg_names(path)}
     assert used == {("barycentric", "_umath_linalg")}
+
+
+def _einsum_calls(path: Path) -> int:
+    """How often a module reads ``einsum`` from NumPy: ``np.einsum`` or an import."""
+    count = 0
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Attribute) and node.attr == "einsum"
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            count += 1
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            count += sum(alias.name == "einsum" for alias in node.names)
+    return count
+
+
+def test_one_einsum_path():
+    # the row dots call barycentric._einsum, NumPy's C kernel, bound once;
+    # the reference checks in verify may keep np.einsum
+    assert {path.stem: _einsum_calls(path) for path in sorted(SRC.glob("*.py"))
+            if path.stem != "verify" and _einsum_calls(path)} == {}
