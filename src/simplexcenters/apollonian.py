@@ -168,19 +168,18 @@ def isodynamic_points(p, model: SimplexModel) -> IsodynamicResult:
     and the circumcenter is returned with a note.
     """
     pt = as_point(p, model.n)
-    points, frame_points, note = _common_points(pt, model)
+    points, frame_points, note = _common_points(pt.coords, model)
     return IsodynamicResult(points=points,
                             residuals=[_frame_residual(pt, y, model) for y in frame_points],
                             degenerate_axis=note is not None, note=note)
 
 
-def _common_points(pt: BarycentricPoint, model: SimplexModel,
+def _common_points(coords: np.ndarray, model: SimplexModel,
                    ) -> tuple[list[BarycentricPoint], list[np.ndarray], str | None]:
-    """:func:`isodynamic_points`' points, in its order, with their frame
-    positions and its note, which is None unless the axis is degenerate;
-    no residual is measured."""
-    coords = pt.coords
-    if _zero_entries(coords).any():
+    """:func:`isodynamic_points`' points of the point stored as ``coords``, in
+    its order, with their frame positions and its note, which is None unless
+    the axis is degenerate; no residual is measured."""
+    if np.count_nonzero(_zero_entries(coords)):
         raise ZeroCoordinate("isodynamic points need all coordinates nonzero")
     center, radius = model._circumcenter
     if _all_equal(coords ** 2):
@@ -188,7 +187,7 @@ def _common_points(pt: BarycentricPoint, model: SimplexModel,
                 "all coordinate magnitudes equal; spheres degenerate to "
                 "perpendicular bisectors meeting at the circumcenter")
 
-    inverse_squares = (coords / np.abs(coords).max()) ** -2   # 1/p_i^2, largest |p_i| = 1
+    inverse_squares = (coords / np.maximum.reduce(np.abs(coords))) ** -2   # 1/p_i^2, max |p_i| = 1
     e = _lapack.solve1(2.0 * model._local[1:], inverse_squares[1:] - inverse_squares[0],
                        signature="dd->d")
     norm = math.sqrt(e @ e)
@@ -206,7 +205,7 @@ def _common_points(pt: BarycentricPoint, model: SimplexModel,
     frame_points = [foot - tau * u for tau in taus]
     points = [BarycentricPoint(model._coords(y)) for y in frame_points]
     # tau + c.u = mu |e| is the distance from the circumcenter
-    order = sorted(range(len(taus)), key=lambda j: (not np.all(points[j].coords > 0), taus[j]))
+    order = sorted(range(len(taus)), key=lambda j: (min(points[j].coords.tolist()) <= 0, taus[j]))
     return [points[j] for j in order], [frame_points[j] for j in order], None
 
 

@@ -100,7 +100,7 @@ def _zero_sum(total: float, norm: float) -> bool:
 
 def _all_equal(c: np.ndarray) -> bool:
     return (float(np.maximum.reduce(c) - np.minimum.reduce(c))
-            <= _REL_EPS * float(np.abs(c).max()))
+            <= _REL_EPS * float(np.maximum.reduce(np.abs(c))))
 
 
 # ---------------------------------------------------------------------------
@@ -133,7 +133,7 @@ def facet_volumes_of_points(points: np.ndarray) -> np.ndarray:
     """
     points = np.asarray(points, float)
     m = points.shape[-2]
-    facets = points[..., _leave_one_out(m), :]            # (..., m, m-1, dim)
+    facets = points.take(_leave_one_out(m), axis=-2)      # (..., m, m-1, dim)
     edges = facets[..., 1:, :] - facets[..., :1, :]      # (..., m, m-2, dim)
     gram = edges @ edges.swapaxes(-1, -2)
     dets = _lapack.det(gram, signature="d->d")
@@ -233,13 +233,13 @@ class BarycentricPoint:
         if coords.ndim != 1 or coords.size < 2:
             raise ValueError("coordinates must be a vector of length >= 2")
         try:
-            norm = math.fsum(np.abs(coords).tolist())
+            norm = math.fsum(map(abs, coords.tolist()))
         except OverflowError:
             # finite magnitudes whose sum is not: an exact power of two brings
             # the largest finite one into [1/2, 1), and an inf or NaN stays
             mags = np.abs(coords)
             coords = np.ldexp(coords, -math.frexp(mags[np.isfinite(mags)].max())[1])
-            norm = math.fsum(np.abs(coords).tolist())
+            norm = math.fsum(map(abs, coords.tolist()))
         if not math.isfinite(norm):
             raise ValueError("coordinates must be finite")
         total = float(np.add.reduce(coords))
@@ -333,8 +333,6 @@ class SimplexModel:
         # symmetric with a zero diagonal bit for bit: |a - b| == |b - a|
         lengths = self._lengths = _frozen(_norms(local[:, None, :] - local[None, :, :], 2))
         self._local_diameter = float(lengths.max())
-        self.edges = EdgeLengthTable(n=self.n, d=_frozen(self._absolute(lengths)))
-        self.diameter = float(self.edges.d.max())
 
         gram = local[1:] @ local[1:].T
         self._defect = _gram_defect(gram)
@@ -342,9 +340,13 @@ class SimplexModel:
             raise self._defect
         det = float(_lapack.det(gram, signature="d->d"))
         volume = math.sqrt(max(det, 0.0)) / math.factorial(self.n)
-        self.total_volume = float(self._absolute(volume, self.n))
         self._facets = _frozen(facet_volumes_of_points(local))
-        self.facet_volumes = _frozen(self._absolute(self._facets, self.n - 1))
+        # the three absolute measures as _absolute forms them, in one errstate
+        with np.errstate(over="ignore", under="ignore"):
+            self.edges = EdgeLengthTable(n=self.n, d=_frozen(np.ldexp(lengths, self._exponent)))
+            self.total_volume = float(np.ldexp(volume, self.n * self._exponent))
+            self.facet_volumes = _frozen(np.ldexp(self._facets, (self.n - 1) * self._exponent))
+        self.diameter = float(self.edges.d.max())
 
     @property
     def degenerate(self) -> bool:
@@ -388,7 +390,7 @@ class SimplexModel:
     def _pulls(self, sigma: np.ndarray) -> np.ndarray:
         """Row k is c_k = sum_{i != k} sigma_i (A_k - A_i)/|A_k - A_i| in the
         frame: g_sigma at vertex k over the other vertices."""
-        return (sigma[:, None] * self._unit_edges).sum(axis=1)
+        return np.add.reduce(sigma[:, None] * self._unit_edges, axis=1)
 
     @functools.cached_property
     def _fermat_vertex(self) -> int | None:

@@ -138,8 +138,7 @@ def cmd_fermat(doc: SimplexDocument, options: dict) -> dict:
 
     point, trace = fermat_point(model, start=start, method=method,
                                 tol=tol, max_iter=max_iter)
-    gradient, _ = _signed_gradient(model._local, np.ones(model.n + 1),
-                                   model._frame(point))
+    gradient = _signed_gradient(model._local, np.ones(model.n + 1), model._frame(point))[0]
     results = {
         "dimension": model.n,
         "method": method,

@@ -48,9 +48,9 @@ from .errors import AtVertex, MaxIterationsExceeded, ZeroCoordinate
 
 METHODS = ("q", "r")
 
-# the step fractions 1, 1/2, ..., 1/2^11 of a Newton line search, and those after 1
-_FRACTIONS = 0.5 ** np.arange(12)
-_TRIALS = _FRACTIONS[1:]
+# the step fractions 1, 1/2, ..., 1/2^11 of a Newton line search, and their Armijo factors
+_FRACTIONS = _frozen(0.5 ** np.arange(12))
+_ARMIJO = _frozen(1.0 - 1e-4 * _FRACTIONS)
 
 
 @cache
@@ -71,18 +71,17 @@ def total_distance(p, model: SimplexModel) -> float:
 
 
 def _signed_gradient(vertices: np.ndarray, sigma: np.ndarray, x: np.ndarray,
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """g_sigma(x) = sum_i sigma_i (x - A_i)/|x - A_i| and its Jacobian.
-
-    Vertices at zero distance from x are left out of both.
-    """
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """g_sigma(x) = sum_i sigma_i (x - A_i)/|x - A_i|, and the unit vectors
+    and weights sigma_i/d_i whose ``_jacobian`` is its Jacobian; vertices at
+    zero distance from x are left out of all three."""
     gaps = x - vertices
     dist = np.sqrt(_einsum("ij,ij->i", gaps, gaps))
     if np.count_nonzero(dist) < len(dist):
         keep = dist > 0
         gaps, dist, sigma = gaps[keep], dist[keep], sigma[keep]
     units = gaps / dist[:, None]
-    return sigma @ units, _jacobian(units, sigma / dist)
+    return sigma @ units, units, sigma / dist
 
 
 def _jacobian(units: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -154,17 +153,18 @@ def _deflation(x: np.ndarray, known: np.ndarray, d2: float) -> tuple[float, np.n
 def _trial_merits(vertices: np.ndarray, sigma: np.ndarray, ys: np.ndarray,
                   known: np.ndarray, d2: float) -> tuple[np.ndarray, Callable]:
     """M |g_sigma| at each row of ``ys`` in one pass, and a function of k
-    that gives (row k, g_sigma, J, grad ln M or None, M |g_sigma|) there from
-    the pass's unit vectors, weights sigma_i/d_i and deflation gaps; each is
-    rounded as :func:`_signed_gradient` and :func:`_deflation` round it, and
-    M is inf at a known root, under the errstate of :func:`_newton`."""
+    that gives (row k, g_sigma, J's u_i and weights, grad ln M or None,
+    M |g_sigma|) there from the pass's unit vectors, weights sigma_i/d_i and
+    deflation gaps; each rounded as :func:`_signed_gradient` and :func:`_deflation`
+    round it, and M is inf at a known root, under :func:`_newton`'s errstate."""
     gaps = ys[:, None] - vertices
     dist = np.sqrt(_einsum("kij,kij->ki", gaps, gaps))
     zero = dist == 0.0
-    dist[zero] = np.inf   # leaves out a vertex at zero distance
+    if np.count_nonzero(zero):   # leaves out a vertex at zero distance
+        dist[zero] = np.inf
     units = gaps / dist[..., None]
     g = sigma @ units
-    if zero.any():   # a vertex left in as a zero row can round g apart
+    if np.count_nonzero(zero):   # a vertex left in as a zero row can round g apart
         for k in zero.any(axis=1).nonzero()[0]:
             g[k] = _signed_gradient(vertices, sigma, ys[k])[0]
     merits = np.sqrt((g[:, None] @ g[..., None])[:, 0, 0])   # a dot per row, as g @ g
@@ -175,7 +175,7 @@ def _trial_merits(vertices: np.ndarray, sigma: np.ndarray, ys: np.ndarray,
 
     def at(k: int) -> tuple:
         dlog = (-2.0 * d2 / (q[k] * (q[k] + d2))) @ offsets[k] if len(known) else None
-        return ys[k], g[k], _jacobian(units[k], sigma / dist[k]), dlog, float(merits[k])
+        return ys[k], g[k], units[k], sigma / dist[k], dlog, float(merits[k])
 
     return merits, at
 
@@ -194,10 +194,11 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
     which turns it around near a known root, and takes the first fraction
     t of 1, 1/2, ..., 1/2^11 at which M |g_sigma| falls by the Armijo factor
     1 - t/1e4: t = 1 alone, then the rest in one pass of :func:`_trial_merits`,
-    which also gives g_sigma, J and M at the one taken; after a step that
-    took t <= 1/8, all twelve in that pass.  A step no longer than ``tol``
-    diameters is taken whole and ends the run, which succeeds if its scale
-    was positive and |g_sigma| <= ``residual`` (checked only when finite).
+    which also gives g_sigma, J's terms and M at the one taken (J is formed
+    at points taken only); after a step that took t <= 1/8, all twelve in
+    that pass.  A step no longer than ``tol`` diameters is taken whole and
+    ends the run, which succeeds if its scale was positive and |g_sigma| <=
+    ``residual`` (checked only when finite).
     A singular J solves to a NaN step, which ends the run; so does a line
     search that cannot lower M |g_sigma|, which succeeds if
     M |g_sigma| <= ``residual`` there.  Each point is evaluated once, and
@@ -211,13 +212,14 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
     it); ``roots`` are frame points too.
     """
     local = model._local
-    known = np.reshape(roots, (-1, model.n)) if len(roots) else roots
+    known = np.array(roots) if len(roots) else roots
     d2 = model._local_diameter ** 2
     tol = tol * model._local_diameter
     # M is infinite at a known root, and a singular J solves to NaN
     with np.errstate(all="ignore"):
         x = local.T @ coords
-        g, jac = _signed_gradient(local, sigma, x)
+        g, units, weights = _signed_gradient(local, sigma, x)
+        jac = _jacobian(units, weights)
         weight, dlog = _deflation(x, known, d2) if len(known) else (1.0, None)
         merit = weight * math.sqrt(g @ g)
         evaluations = 1
@@ -239,23 +241,24 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
                 ok = factor > 0.0
                 if math.isfinite(residual):
                     evaluations += 1
-                    g, jac = _signed_gradient(local, sigma, x)
+                    g, units, weights = _signed_gradient(local, sigma, x)
+                    jac = _jacobian(units, weights)
                     ok = ok and math.sqrt(g @ g) <= residual
                 break
             if not crawled:
                 y = x + step
-                gy, jy = _signed_gradient(local, sigma, y)
+                gy, units, weights = _signed_gradient(local, sigma, y)
                 wy, dy = _deflation(y, known, d2) if len(known) else (1.0, None)
                 evaluations += 1
                 merit_y = wy * math.sqrt(gy @ gy)
             if crawled or not merit_y <= (1.0 - 1e-4) * merit:
                 # the rest (all twelve after a crawl) in one pass, counted to the first passing
-                fractions = _FRACTIONS if crawled else _TRIALS
-                ys = x + fractions[:, None] * step
+                first = 0 if crawled else 1
+                ys = x + _FRACTIONS[first:, None] * step
                 merits, at = _trial_merits(local, sigma, ys, known, d2)
-                passed = (merits <= (1.0 - 1e-4 * fractions) * merit).nonzero()[0]
+                passed = (merits <= _ARMIJO[first:] * merit).nonzero()[0]
                 if not passed.size:
-                    evaluations += len(fractions)
+                    evaluations += len(ys)
                     # M |g_sigma| is at the level of rounding: a start already
                     # at a root ends here, and is accepted on the residual
                     ok = math.isfinite(residual) and merit <= residual
@@ -264,9 +267,9 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
                     break
                 k = int(passed[0])
                 evaluations += k + 1
-                crawled = fractions[k] <= 0.125
-                y, gy, jy, dy, merit_y = at(k)
-            x, g, jac, dlog, merit = y, gy, jy, dy, merit_y
+                crawled = _FRACTIONS[first + k] <= 0.125
+                y, gy, units, weights, dy, merit_y = at(k)
+            x, g, jac, dlog, merit = y, gy, _jacobian(units, weights), dy, merit_y
             path.append(x)
     reason = "converged" if ok else "out of budget" if len(path) == max_steps else "stalled"
     return path, evaluations, reason, jac

@@ -117,7 +117,7 @@ def isogonal_conjugate(p, model: SimplexModel) -> BarycentricPoint:
     incenter is fixed.
     """
     coords = as_point(p, model.n).coords
-    if _zero_entries(coords).any():
+    if np.count_nonzero(_zero_entries(coords)):
         raise ZeroCoordinate("isogonal conjugate needs all coordinates nonzero")
     return BarycentricPoint(model._facets ** 2 / coords)
 
@@ -151,8 +151,7 @@ def _run(model: SimplexModel, sigma: np.ndarray, seed: BarycentricPoint,
         return None, trace
     root = path[-1]
     point = BarycentricPoint(model._coords(root))
-    signs = np.sign(point.coords)
-    if not (point.is_finite() and (signs * signs[0] == sigma * sigma[0]).all()):
+    if not (point.is_finite() and _has_pattern(point.coords, sigma)):
         return None, trace
     if math.sqrt(root @ root) > _ESCAPE * model._local_diameter:
         trace.reason = "escaped"
@@ -176,6 +175,11 @@ def _run(model: SimplexModel, sigma: np.ndarray, seed: BarycentricPoint,
     return (point, conjugate, np.add.reduce(volumes, axis=1) / (model.n + 1)), trace
 
 
+def _has_pattern(coords: np.ndarray, sigma: np.ndarray) -> bool:
+    """Whether the p_i have the pattern +-sigma: all sigma_i p_i > 0, or all < 0."""
+    return set(np.sign(sigma * coords).tolist()) in ({1.0}, {-1.0})
+
+
 def is_isogonic(p, model: SimplexModel, tol: float = _EQUIAREAL) -> tuple[bool, float]:
     """Whether the antipedal simplex of the point is equiareal.
 
@@ -197,6 +201,13 @@ def _sign_classes(m: int) -> tuple[np.ndarray, ...]:
     return (_positive(m), *_frozen(1.0 - 2.0 * np.eye(m)))
 
 
+@functools.cache
+def _claimed(m: int) -> tuple[tuple[bytes, ...], tuple[BarycentricPoint, ...]]:
+    """The claimed classes' keys (sigma * sigma[0]).tobytes(), and their patterns as points."""
+    classes = _sign_classes(m)
+    return tuple((s * s[0]).tobytes() for s in classes), tuple(map(BarycentricPoint, classes))
+
+
 def default_seeds(model: SimplexModel) -> list[BarycentricPoint]:
     """A triangle's isodynamic points X(15), X(16), whose conjugates are its
     isogonic points X(13), X(14) (the center alone if equilateral), as found
@@ -212,17 +223,24 @@ def default_seeds(model: SimplexModel) -> list[BarycentricPoint]:
     """
     if model.degenerate:
         raise Degenerate("a collapsed simplex has no isogonic points")
-    if model.n == 2:
-        return _common_points(BarycentricPoint(model._facets), model)[0]
-    centroid, *reflections = map(BarycentricPoint, _sign_classes(model.n + 1))
+    if model.n == 2:   # the incenter, normalized as a point stores it
+        return _common_points(model._facets / np.add.reduce(model._facets), model)[0]
+    centroid, *reflections = _claimed(model.n + 1)[1]
     return [BarycentricPoint(model._facets ** 2 * model._distances(centroid)), *reflections]
 
 
 def _canonical_key(point: BarycentricPoint) -> tuple:
     """All-positive point first, then by position of the first negative entry."""
-    c = point.normalized_coords
-    neg = (c < 0).nonzero()[0]
-    return (0, -1, 0.0) if neg.size == 0 else (1, int(neg[0]), float(c[neg[0]]))
+    c = point.normalized_coords.tolist()
+    k = next((k for k, v in enumerate(c) if v < 0.0), None)
+    return (0, -1, 0.0) if k is None else (1, k, c[k])
+
+
+def _balance_target(signs: list[float], lengths: list[float], n: int) -> int:
+    """sign(S)^n - sum_{k: |c_k| < 1} sigma_k^n in integers, from the sigma_k and the |c_k|."""
+    total = sum(signs)
+    return ((total > 0) - (total < 0)) ** n - sum(
+        int(s) ** n for s, r in zip(signs, lengths) if r < 1.0)
 
 
 def _further_seeds(model: SimplexModel, sigma: np.ndarray, indices: list[float]):
@@ -235,15 +253,16 @@ def _further_seeds(model: SimplexModel, sigma: np.ndarray, indices: list[float])
     """
     pulls = model._pulls(sigma)
     norms = _norms(pulls, 1)
-    certified = not (np.abs(norms - 1.0) <= _ROUNDING).any()
-    target = np.sign(sigma.sum()) ** model.n - (sigma[norms < 1.0] ** model.n).sum()
-    order = np.argsort(norms, kind="stable")
-    for radius, k in itertools.product(_NEAR_VERTEX, order[norms[order] > 0]):
+    signs, lengths = sigma.tolist(), norms.tolist()
+    certified = not any(abs(r - 1.0) <= _ROUNDING for r in lengths)
+    target = _balance_target(signs, lengths, model.n)
+    order = [k for k in norms.argsort(kind="stable").tolist() if lengths[k] > 0.0]
+    for radius, k in itertools.product(_NEAR_VERTEX, order):
         if certified and sum(indices) == target:
             return
         # -c_k has a component along every edge at vertex k, so no
         # sideplane through vertex k holds this point
-        near = model._local[k] - radius * model._local_diameter * sigma[k] * pulls[k] / norms[k]
+        near = model._local[k] - radius * model._local_diameter * signs[k] * pulls[k] / lengths[k]
         yield isogonal_conjugate(model._coords(near), model)
     rng = np.random.default_rng([len(sigma), *map(int, sigma * sigma[0] > 0)])
     for _ in range(_CLASS_POINTS):
@@ -263,7 +282,7 @@ def enumerate_isogonic(model: SimplexModel, seeds=None) -> IsogonicCatalog:
     """
     extra = [] if seeds is None else [as_point(s, model.n) for s in seeds]
     m = model.n + 1
-    classes = {(s * s[0]).tobytes(): (s, []) for s in _sign_classes(m)}
+    classes = {key: (s, []) for key, s in zip(_claimed(m)[0], _sign_classes(m))}
     for seed in default_seeds(model) + extra:
         start = _start(seed, model)
         sigma = np.ones(m) if start is None else np.sign(start)
@@ -278,17 +297,14 @@ def enumerate_isogonic(model: SimplexModel, seeds=None) -> IsogonicCatalog:
             starts = itertools.chain(starts, ((s, _start(s, model)) for s in further))
         runs += [_run(model, sigma, seed, start, roots, indices) for seed, start in starts]
 
-    catalog = IsogonicCatalog(failed_seeds=[trace for found, trace in runs if found is None])
-    for (point, conjugate, means), trace in sorted(
-            (run for run in runs if run[0] is not None),
-            key=lambda run: _canonical_key(run[0][0])):
-        antipedal, pedal = model._absolute(means, model.n - 1).tolist()
-        catalog.conjugate_points.append(conjugate)
-        catalog.isogonic_points.append(point)
-        catalog.pedal_areas.append(pedal)
-        catalog.antipedal_areas.append(antipedal)
-        catalog.traces.append(trace)
-    return catalog
+    found = sorted(((*result, trace) for result, trace in runs if result is not None),
+                   key=lambda run: _canonical_key(run[0]))
+    areas = model._absolute(np.array([run[2] for run in found]), model.n - 1).tolist()
+    return IsogonicCatalog(
+        conjugate_points=[run[1] for run in found], isogonic_points=[run[0] for run in found],
+        pedal_areas=[pedal for _, pedal in areas], antipedal_areas=[area for area, _ in areas],
+        traces=[run[3] for run in found],
+        failed_seeds=[trace for result, trace in runs if result is None])
 
 
 def triad_angle_check(p, model: SimplexModel, tol: float = 1e-7,

@@ -66,7 +66,7 @@ def _antipedal_points(p, model: SimplexModel) -> np.ndarray:
         raise ZeroCoordinate(f"antipedal vertex {zero[0]} is unbounded for this point")
     # system i: rows j != i of (y - v_j) . z = (y - v_j) . v_j, one dot per vertex
     leave = _leave_one_out(model.n + 1)
-    a = rays[leave]
+    a = rays.take(leave, axis=0)
     b = _einsum("ij,ij->i", rays, model._local)[leave]
     return _lapack.solve(a, b[..., None], signature="dd->d")[..., 0]
 

@@ -15,8 +15,10 @@ those best-of times summed per dimension, with the ratio B/A; in how many
 rounds B's summed op time was below A's, each round counted as one
 alternating pair; for ``fermat-solve``, each tree's best-of time per Newton
 step, over the traces' ``iterations_used`` (which count the approach step
-too); and the ``--top`` inputs whose ratio moved most.  ``--workload all``
-prints one such table per workload, in ``WORKLOADS`` order.  Outputs are compared by
+too), and for ``isogonic-catalog`` the same over each catalog's
+``traces + failed_seeds``; and the ``--top`` inputs whose ratio moved
+most.  ``--workload all`` prints one such table per workload, in
+``WORKLOADS`` order.  Outputs are compared by
 ``comparison_key``: the workload's fingerprint and, when the output carries
 report dicts, their sorted-key JSON; inputs whose keys differ between the
 trees are counted and named, and then the script exits 1.  BLAS runs on one
@@ -95,6 +97,12 @@ def best_times(pair, rounds: int):
     return best, totals, differ, outs
 
 
+def _traces(name: str, out) -> list:
+    """The solver traces in one op's output: a ``fermat-solve`` point's
+    trace, or every start of a catalog."""
+    return [out[1]] if name == "fermat-solve" else out.traces + out.failed_seeds
+
+
 def report(workloads, name: str, trees, args) -> int:
     """Time one workload on both trees, print its table, and return how
     many inputs' outputs differ."""
@@ -115,8 +123,9 @@ def report(workloads, name: str, trees, args) -> int:
         print(f"{key:>4} {count:>6} {1e3 * ta:9.3f} {1e3 * tb:9.3f} {tb / ta:6.3f}")
     wins = sum(tb < ta for ta, tb in zip(round_a, round_b))
     print(f"B faster in {wins} of {args.rounds} rounds")
-    if name == "fermat-solve":
-        steps = [sum(trace.iterations_used for _, trace in tree) for tree in outs]
+    if name in ("fermat-solve", "isogonic-catalog"):
+        steps = [sum(trace.iterations_used for out in tree for trace in _traces(name, out))
+                 for tree in outs]
         print(f"us per Newton step: A {1e6 * sum(a) / steps[0]:.3f}, "
               f"B {1e6 * sum(b) / steps[1]:.3f} ({steps[0]} and {steps[1]} steps)")
     print("moved most:")

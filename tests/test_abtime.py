@@ -1,8 +1,9 @@
 """The kept A/B timer, ``tests/abtime.py``, runs end to end: one tree in
 both slots, on the tiny inputs of each workload, exits 0 and prints each
-workload's rounds won by B and ``fermat-solve``'s time per Newton step; it
-tells apart two report outputs that differ only in their JSON; and a tree
-whose outputs differ makes it name those inputs and exit 1."""
+workload's rounds won by B, and the time per Newton step of
+``isogonic-catalog`` and ``fermat-solve``; it tells apart two report
+outputs that differ only in their JSON; and a tree whose outputs differ
+makes it name those inputs and exit 1."""
 
 import copy
 import re
@@ -14,6 +15,13 @@ from pathlib import Path
 import abtime
 
 ROOT = Path(__file__).resolve().parents[1]
+STEPS = r"us per Newton step: A (\S+), B (\S+) \((\d+) and (\d+) steps\)"
+
+
+def _assert_step_line(line: str) -> None:
+    # each tree's time per Newton step, over the same steps
+    a, b, count_a, count_b = re.fullmatch(STEPS, line).groups()
+    assert float(a) > 0 and float(b) > 0 and count_a == count_b and int(count_a) > 0
 
 
 def test_abtime_times_one_tree_against_itself():
@@ -26,8 +34,9 @@ def test_abtime_times_one_tree_against_itself():
     assert out[1].split() == ["n", "inputs", "A", "ms", "B", "ms", "B/A"]
     assert [line.split()[:2] for line in out[2:5]] == [["2", "2"], ["3", "1"], ["all", "3"]]
     assert re.fullmatch(r"B faster in [012] of 2 rounds", out[5])
-    assert out[6] == "moved most:" and len(out) == 10
-    assert all(float(line.split()[-1]) > 0 for line in out[2:5] + out[7:])
+    _assert_step_line(out[6])
+    assert out[7] == "moved most:" and len(out) == 11
+    assert all(float(line.split()[-1]) > 0 for line in out[2:5] + out[8:])
 
 
 def test_abtime_compares_the_report_workload():
@@ -59,13 +68,11 @@ def test_abtime_times_every_workload_in_one_run():
     wins = [k for k, line in enumerate(out) if line.startswith("B faster in")]
     assert len(wins) == 3
     assert all(re.fullmatch(r"B faster in [01] of 1 rounds", out[k]) for k in wins)
-    # fermat-solve alone: each tree's time per Newton step, over the same steps
+    # isogonic-catalog and fermat-solve, not edge-docs: the time per Newton step
     steps = [k for k, line in enumerate(out) if line.startswith("us per Newton step")]
-    assert steps == [wins[1] + 1]
-    a, b, count_a, count_b = re.fullmatch(
-        r"us per Newton step: A (\S+), B (\S+) \((\d+) and (\d+) steps\)",
-        out[steps[0]]).groups()
-    assert float(a) > 0 and float(b) > 0 and count_a == count_b and int(count_a) > 0
+    assert steps == [wins[0] + 1, wins[1] + 1]
+    for k in steps:
+        _assert_step_line(out[k])
 
 
 def test_a_json_only_change_counts_as_different():

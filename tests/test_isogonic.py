@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 import golden
+from abtime import _workloads
 from conftest import COLLAPSED, make_random_model, random_nonzero_point
 
+import simplexcenters
 from simplexcenters import (
     REASONS,
     BarycentricPoint,
@@ -227,6 +229,22 @@ class TestEnumerateIsogonic:
         for k in range(5):
             assert abs(catalog.antipedal_areas[k]
                        / golden.ANTIPEDAL_AREA_TABLE[k] - 1) < 1e-6
+
+    @pytest.mark.parametrize("label, points, runs",
+                             [("five-isogonic", 16, 5), ("gauss-n2-0", 8, 2)])
+    def test_points_formed_and_newton_runs_per_catalog(self, count_calls, label, points, runs):
+        # on a benchmark input, a catalog forms as points each seed, each
+        # start's conjugate, and each root with its conjugate: a triangle's
+        # seeds come from the incenter's coordinates, and the sign-pattern
+        # seeds of a tetrahedron are formed once per dimension, by the first call
+        cases = _workloads().WORKLOADS["isogonic-catalog"](simplexcenters, 1, "tiny").cases
+        [model] = [case.args[0] for case in cases if case.label == label]
+        enumerate_isogonic(model)
+        formed = count_calls(BarycentricPoint, "__post_init__")
+        newton = count_calls(isogonic, "_newton")
+        catalog = enumerate_isogonic(model)
+        assert (len(formed), len(newton)) == (points, runs)
+        assert len(catalog) == runs and not catalog.failed_seeds
 
     def test_canonical_ordering(self, five_model):
         catalog = enumerate_isogonic(five_model)
@@ -563,7 +581,8 @@ def _sequential_newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarra
     d2 = model._local_diameter ** 2
     tol = tol * model._local_diameter
     x = local.T @ coords
-    g, jac = fermat._signed_gradient(local, sigma, x)
+    g, *terms = fermat._signed_gradient(local, sigma, x)
+    jac = fermat._jacobian(*terms)
     weight, dlog = fermat._deflation(x, known, d2) if len(known) else (1.0, None)
     evaluations = 1
     path: list[np.ndarray] = []
@@ -583,14 +602,16 @@ def _sequential_newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarra
             ok = factor > 0.0
             if math.isfinite(residual):
                 evaluations += 1
-                g, jac = fermat._signed_gradient(local, sigma, x)
+                g, *terms = fermat._signed_gradient(local, sigma, x)
+                jac = fermat._jacobian(*terms)
                 ok = ok and math.sqrt(g @ g) <= residual
             break
         merit = weight * math.sqrt(g @ g)
         t = 1.0
         for _ in range(12):
             y = x + t * step
-            gy, jy = fermat._signed_gradient(local, sigma, y)
+            gy, *terms = fermat._signed_gradient(local, sigma, y)
+            jy = fermat._jacobian(*terms)
             wy, dy = fermat._deflation(y, known, d2) if len(known) else (1.0, None)
             evaluations += 1
             if wy * math.sqrt(gy @ gy) <= (1.0 - 1e-4 * t) * merit:
@@ -663,12 +684,13 @@ def test_a_line_search_pass_evaluates_each_row_as_one_point(n, negative, roots):
     merits, at = fermat._trial_merits(vertices, sigma, ys, known, d2)
     assert len(merits) == len(ys) == 12
     for k, y in enumerate(ys):
-        g, jac = fermat._signed_gradient(vertices, sigma, y)
+        g, *terms = fermat._signed_gradient(vertices, sigma, y)
+        jac = fermat._jacobian(*terms)
         weight, dlog = fermat._deflation(y, known, d2) if roots else (1.0, None)
         merit = weight * math.sqrt(g @ g)
-        row, gk, jk, dk, mk = at(k)
+        row, gk, *terms, dk, mk = at(k)
         assert row.tobytes() == y.tobytes()
-        assert (gk.tobytes(), jk.tobytes()) == (g.tobytes(), jac.tobytes())
+        assert (gk.tobytes(), fermat._jacobian(*terms).tobytes()) == (g.tobytes(), jac.tobytes())
         assert (dk is None) == (dlog is None) == (roots == 0)
         assert dlog is None or dk.tobytes() == dlog.tobytes()
         assert mk == merits[k] == merit
@@ -717,8 +739,8 @@ class TestStopReason:
                 five_model, np.ones(4), np.full(4, 0.25), 1e-12, steps)
             assert (len(path), reason) == (steps, "out of budget")
             if path:
-                assert jac.tobytes() == fermat._signed_gradient(
-                    five_model._local, np.ones(4), path[-1])[1].tobytes()
+                assert jac.tobytes() == fermat._jacobian(*fermat._signed_gradient(
+                    five_model._local, np.ones(4), path[-1])[1:]).tobytes()
 
     @pytest.mark.parametrize("sigma", [[1.0, 1.0], [1.0, -1.0]])
     def test_a_singular_jacobian_on_a_segment(self, sigma):
@@ -734,8 +756,8 @@ class TestStopReason:
             path, _, reason, jac = fermat._newton(five_model, sigma, root.normalized_coords,
                                                   1e-13, 30, 1e-10)
             assert reason == "converged"
-            assert jac.tobytes() == fermat._signed_gradient(
-                five_model._local, sigma, path[-1])[1].tobytes()
+            assert jac.tobytes() == fermat._jacobian(*fermat._signed_gradient(
+                five_model._local, sigma, path[-1])[1:]).tobytes()
 
     def test_fermat_and_catalog_traces_agree(self, five_model):
         # the same kind of stop reads the same reason in both traces

@@ -7,17 +7,28 @@ reading ``np.abs(c).max()``.  ``_einsum`` is NumPy's C kernel, which
 ``np.einsum`` calls with the operands alone, and it is compared with
 ``np.einsum`` on every subscript and shape that the library passes.  The
 cached per-dimension constants are read-only.
+
+The catalog's lean forms around the kernel are compared the same way with
+the forms they replaced: the sign-pattern test of a root, the degree
+balance target in integers, the Armijo factors and fraction rows of a
+line-search pass, the pass's zero-distance guard, the canonical sort key,
+``_all_equal``, a model's absolute measures under one errstate, and the
+volume kernel's facets gathered by ``take``.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from simplexcenters import SimplexModel
-from simplexcenters.barycentric import _REL_EPS, _einsum, _zero_entries
-from simplexcenters.fermat import _FRACTIONS, _eye, _jacobian, _positive, _signed_gradient
-from simplexcenters.isogonic import _sign_classes
+from simplexcenters import BarycentricPoint, SimplexModel, facet_volumes_of_points
+from simplexcenters.barycentric import (_REL_EPS, _all_equal, _einsum, _lapack, _leave_one_out,
+                                        _zero_entries)
+from simplexcenters.fermat import (_ARMIJO, _FRACTIONS, _eye, _jacobian, _positive,
+                                   _signed_gradient, _trial_merits)
+from simplexcenters.isogonic import (_balance_target, _canonical_key, _has_pattern,
+                                     _sign_classes)
 
 
 def _old_jacobian(units: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -41,7 +52,8 @@ def _old_zero_entries(c: np.ndarray) -> np.ndarray:
 
 
 def _assert_same_kernel(vertices, sigma, x):
-    g, jac = _signed_gradient(vertices, sigma, x)
+    g, *terms = _signed_gradient(vertices, sigma, x)
+    jac = _jacobian(*terms)
     old_g, old_jac = _old_signed_gradient(vertices, sigma, x)
     assert (g.tobytes(), jac.tobytes()) == (old_g.tobytes(), old_jac.tobytes())
 
@@ -143,3 +155,181 @@ def test_cached_constants_are_read_only(m):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 2.0
+
+
+# the forms of the catalog's fixed cost that the lean forms replaced
+
+
+def _old_pattern(coords: np.ndarray, sigma: np.ndarray) -> bool:
+    signs = np.sign(coords)
+    return bool((signs * signs[0] == sigma * sigma[0]).all())
+
+
+def _old_trial_merits(vertices, sigma, ys, known, d2):
+    gaps = ys[:, None] - vertices
+    dist = np.sqrt(np.einsum("kij,kij->ki", gaps, gaps))
+    zero = dist == 0.0
+    dist[zero] = np.inf
+    units = gaps / dist[..., None]
+    g = sigma @ units
+    if zero.any():
+        for k in zero.any(axis=1).nonzero()[0]:
+            g[k] = _old_signed_gradient(vertices, sigma, ys[k])[0]
+    merits = np.sqrt((g[:, None] @ g[..., None])[:, 0, 0])
+    if len(known):
+        offsets = ys[:, None] - known
+        q = np.einsum("kij,kij->ki", offsets, offsets)
+        merits *= np.multiply.reduce(d2 / q + 1.0, axis=1)
+
+    def at(k):
+        dlog = (-2.0 * d2 / (q[k] * (q[k] + d2))) @ offsets[k] if len(known) else None
+        return ys[k], g[k], _old_jacobian(units[k], sigma / dist[k]), dlog, float(merits[k])
+
+    return merits, at
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_sign_pattern_test_keeps_its_verdicts(m):
+    # zeros of either sign, NaN and inf in any slot, and random signs, in
+    # every claimed class and its negative
+    rng = np.random.default_rng((43, m))
+    vectors = [rng.standard_normal(m) for _ in range(50)]
+    vectors += [np.where(rng.random(m) < 0.5, -1.0, 1.0) * rng.random(m) for _ in range(50)]
+    for special, k in itertools.product((0.0, -0.0, np.nan, np.inf, -np.inf), range(m)):
+        for base in (np.ones(m), -np.ones(m), 1.0 - 2.0 * np.eye(m)[k]):
+            c = base.copy()
+            c[k] = special
+            vectors.append(c)
+    vectors += [np.zeros(m), -np.zeros(m), np.full(m, np.nan)]
+    for c, sigma in itertools.product(vectors, _sign_classes(m)):
+        for s in (sigma, -sigma):
+            assert (np.bool_(_has_pattern(c, s)).tobytes()
+                    == np.bool_(_old_pattern(c, s)).tobytes()), (c, s)
+
+
+@pytest.mark.parametrize("m", range(2, 8))
+def test_balance_target_keeps_its_value(m):
+    # every sign pattern of m vertices, with pull norms below, at, above
+    # and far from 1, zero and NaN
+    rng = np.random.default_rng((44, m))
+    for signs in itertools.product((1.0, -1.0), repeat=m):
+        sigma = np.array(signs)
+        for _ in range(8):
+            norms = rng.choice([0.0, 0.5, 1.0 - 1e-12, 1.0, 1.0 + 1e-12, 1.5, np.nan], m)
+            n = m - 1
+            old = np.sign(sigma.sum()) ** n - (sigma[norms < 1.0] ** n).sum()
+            new = _balance_target(sigma.tolist(), norms.tolist(), n)
+            assert type(new) is int
+            assert np.float64(new).tobytes() == old.tobytes()
+
+
+def test_armijo_factors_and_fraction_rows_keep_their_bits():
+    # the rows and factors of a pass, after a full step (fractions 1/2 ...)
+    # and after a crawl (all twelve), as each pass formed them
+    rng = np.random.default_rng(45)
+    assert not _FRACTIONS.flags.writeable and not _ARMIJO.flags.writeable
+    for first, n in itertools.product((0, 1), range(1, 9)):
+        fractions = 0.5 ** np.arange(12)[first:]
+        for merit in [*rng.random(5) * 10.0 ** rng.integers(-300, 300, 5), 0.0, np.inf, np.nan]:
+            assert ((_ARMIJO[first:] * merit).tobytes()
+                    == ((1.0 - 1e-4 * fractions) * merit).tobytes())
+        x, step = rng.standard_normal(n), rng.standard_normal(n)
+        assert ((x + _FRACTIONS[first:, None] * step).tobytes()
+                == (x + fractions[:, None] * step).tobytes())
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("roots", [0, 1, 3])
+def test_trial_merits_zero_guard_keeps_its_bits(n, roots):
+    # passes with no row at a vertex, one, and several, some at a known
+    # root, against the pass that guarded every pass
+    rng = np.random.default_rng((46, n, roots))
+    for hits in (0, 1, 3):
+        vertices = rng.standard_normal((n + 1, n))
+        sigma = rng.choice([-1.0, 1.0], n + 1)
+        known = rng.standard_normal((roots, n))
+        ys = rng.standard_normal(n) + _FRACTIONS[:, None] * rng.standard_normal(n)
+        for row in rng.choice(12, hits, replace=False):
+            ys[row] = vertices[rng.integers(n + 1)]
+        if roots:
+            ys[rng.integers(12)] = known[0]
+        with np.errstate(all="ignore"):   # M is inf at a known root, as in _newton
+            merits, at = _trial_merits(vertices, sigma, ys.copy(), known, 4.0)
+            old_merits, old_at = _old_trial_merits(vertices, sigma, ys.copy(), known, 4.0)
+            assert merits.tobytes() == old_merits.tobytes()
+            for k in range(12):
+                row, g, units, weights, dlog, merit = at(k)
+                old_row, old_g, old_jac, old_dlog, old_merit = old_at(k)
+                assert (row.tobytes(), g.tobytes(), _jacobian(units, weights).tobytes()) == (
+                    old_row.tobytes(), old_g.tobytes(), old_jac.tobytes())
+                assert (dlog is None) == (old_dlog is None) == (roots == 0)
+                assert dlog is None or dlog.tobytes() == old_dlog.tobytes()
+                assert np.float64(merit).tobytes() == np.float64(old_merit).tobytes()
+
+
+def _old_canonical_key(point):
+    c = point.normalized_coords
+    neg = (c < 0).nonzero()[0]
+    return (0, -1, 0.0) if neg.size == 0 else (1, int(neg[0]), float(c[neg[0]]))
+
+
+def test_canonical_key_keeps_its_value():
+    rng = np.random.default_rng(48)
+    points = [BarycentricPoint(rng.standard_normal(m) + 0.3)
+              for m in range(2, 8) for _ in range(50)]
+    points += [BarycentricPoint([1.0, 0.0, -0.0, 2.0]), BarycentricPoint([-0.0, 1.0, 1e-300])]
+    for point in points:
+        if point.is_finite():
+            key, old = _canonical_key(point), _old_canonical_key(point)
+            assert key == old and [type(v) for v in key] == [type(v) for v in old]
+            assert np.float64(key[2]).tobytes() == np.float64(old[2]).tobytes()
+
+
+@pytest.mark.parametrize("c", [
+    np.array([1.0, 1.0 + 1e-14, 1.0]), np.array([2.0, -2.0]), np.array([np.nan, 1.0]),
+    np.array([np.inf, np.inf]), np.zeros(3), np.array([-0.0, 0.0]), np.array([1e-300, 1e-310]),
+], ids=["close", "opposite", "nan", "infs", "all-zero", "signed-zeros", "subnormal"])
+def test_all_equal_keeps_its_verdicts(c):
+    with np.errstate(invalid="ignore"):   # inf - inf
+        old = (float(np.maximum.reduce(c) - np.minimum.reduce(c))
+               <= _REL_EPS * float(np.abs(c).max()))
+        assert _all_equal(c) == old
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e300])
+def test_model_absolute_measures_keep_their_bits(scale):
+    # edges, total volume and facet volumes as _absolute scales each, one
+    # errstate for the three: inf or 0 beyond float range, silently
+    rng = np.random.default_rng(49)
+    for n in range(1, 8):
+        model = SimplexModel(scale * rng.standard_normal((n + 1, n)))
+        gram = model._local[1:] @ model._local[1:].T
+        det = float(_lapack.det(gram, signature="d->d"))
+        volume = math.sqrt(max(det, 0.0)) / math.factorial(n)
+        assert model.edges.d.tobytes() == model._absolute(model._lengths).tobytes()
+        assert (np.float64(model.total_volume).tobytes()
+                == np.float64(model._absolute(volume, n)).tobytes())
+        assert model.facet_volumes.tobytes() == model._absolute(model._facets, n - 1).tobytes()
+        assert not model.edges.d.flags.writeable and not model.facet_volumes.flags.writeable
+
+
+def _old_facet_volumes(points: np.ndarray) -> np.ndarray:
+    points = np.asarray(points, float)
+    m = points.shape[-2]
+    facets = points[..., _leave_one_out(m), :]
+    edges = facets[..., 1:, :] - facets[..., :1, :]
+    dets = _lapack.det(edges @ edges.swapaxes(-1, -2), signature="d->d")
+    return np.sqrt(np.maximum(dets, 0.0)) / math.factorial(m - 2)
+
+
+@pytest.mark.parametrize("m", range(2, 14))
+def test_facet_volumes_keep_their_bits(m):
+    # the facets gathered by take, whose array is laid out in C order, and
+    # by an index, which lays it out another way: one set, a pair as the
+    # catalog stacks them, and a stack of stacks; integer and scaled points
+    rng = np.random.default_rng((50, m))
+    for lead in [(), (2,), (2, 3)]:
+        for _ in range(40):
+            points = rng.standard_normal(lead + (m, m - 1)) * 10.0 ** rng.integers(-8, 8)
+            for p in (points, np.round(points)):
+                assert facet_volumes_of_points(p).tobytes() == _old_facet_volumes(p).tobytes()

@@ -33,8 +33,8 @@ def _jacobian_and_gradient(rng: np.random.Generator, n: int):
         return rng.standard_normal((1, 1)), rng.standard_normal(1)
     vertices = rng.standard_normal((n + 1, n))
     sigma = np.where(np.arange(n + 1) == n, -1.0, 1.0)
-    g, jac = _signed_gradient(vertices, sigma, rng.standard_normal(n))
-    return jac, g
+    g, *terms = _signed_gradient(vertices, sigma, rng.standard_normal(n))
+    return _jacobian(*terms), g
 
 
 @pytest.mark.parametrize("n", range(1, 9))
