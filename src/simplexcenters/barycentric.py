@@ -46,12 +46,8 @@ import numpy as np
 from numpy.linalg import _umath_linalg as _lapack
 
 # np.einsum's C kernel, which it calls with the operands alone under its
-# default optimize=False (a 4x3 row dot on the same core: 2.2 against 1.2
-# us); from numpy._core first, as NumPy 2 warns on numpy.core, 1.x's name.
-try:
-    from numpy._core.multiarray import c_einsum as _einsum
-except ImportError:   # NumPy 1.24-1.26
-    from numpy.core.multiarray import c_einsum as _einsum
+# default optimize=False (a 4x3 row dot on the same core: 2.2 against 1.2 us)
+from numpy._core.multiarray import c_einsum as _einsum
 
 from .errors import Degenerate, NotEmbeddable, PointAtInfinity
 

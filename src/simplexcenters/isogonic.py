@@ -22,7 +22,10 @@ from the Differentiable Viewpoint*, 1965)
 with S = sum(sigma) != 0 and c_k = sum_{i != k} sigma_i (A_k - A_i)/|A_k - A_i|:
 g_sigma tends to S x/|x| far out and to sigma_k u + c_k near vertex k.
 Balance is necessary for a complete class, not sufficient, and certifies
-nothing when some |c_k| is within rounding of 1.  A triangle's isogonic
+nothing when some |c_k| is within rounding of 1.  The further starts lie
+near the vertices on the rays -sigma_k c_k/|c_k|; they depend on the
+geometry alone and draw no random numbers, so relabeling the vertices
+relabels the points found, up to rounding.  A triangle's isogonic
 points are the conjugates X(13), X(14) of its seeds, so it takes no more.
 
 A root is accepted if |g_sigma| <= 1e-10, it keeps the pattern +-sigma,
@@ -71,11 +74,10 @@ _ESCAPE = 1e6
 _POLISH_STEPS = 30
 _POLISH_TOL = 1e-13
 _POLISH_RESIDUAL = 1e-10
-# distances of the near-vertex starts from their vertex, in diameters; the
-# random points a class draws when it is still unbalanced after those; and
-# how close to 1 a pull's norm may come before the balance stops certifying
-_NEAR_VERTEX = (0.1, 0.3)
-_CLASS_POINTS = 2
+# distances of a class's further starts from their vertex, in diameters, each
+# radius tried at every vertex before the next; and how close to 1 a pull's
+# norm may come before the balance stops certifying
+_NEAR_VERTEX = (0.1, 0.3, 0.6)
 _ROUNDING = 1e-9
 # largest relative spread of the antipedal facet volumes at an isogonic point
 _EQUIAREAL = 1e-7
@@ -116,9 +118,14 @@ def isogonal_conjugate(p, model: SimplexModel) -> BarycentricPoint:
     over coordinates); the centroid maps to the symmedian point and the
     incenter is fixed.
     """
-    coords = as_point(p, model.n).coords
+    point = as_point(p, model.n)
+    coords = point.coords
     if np.count_nonzero(_zero_entries(coords)):
         raise ZeroCoordinate("isogonal conjugate needs all coordinates nonzero")
+    if not point.is_finite():
+        # a direction is kept as given, so a_i^2 / p_i may overflow; the map is
+        # homogeneous, and a power of two keeps a finite conjugate's bits
+        coords = np.ldexp(coords, 1 - math.frexp(np.maximum.reduce(np.abs(coords)))[1])
     return BarycentricPoint(model._facets ** 2 / coords)
 
 
@@ -195,17 +202,14 @@ def is_isogonic(p, model: SimplexModel, tol: float = _EQUIAREAL) -> tuple[bool, 
 
 
 @functools.cache
-def _sign_classes(m: int) -> tuple[np.ndarray, ...]:
-    """The claimed sign patterns, read-only: all-positive, then one negative
-    entry at each k (the rows of 1 - 2I)."""
-    return (_positive(m), *_frozen(1.0 - 2.0 * np.eye(m)))
-
-
-@functools.cache
-def _claimed(m: int) -> tuple[tuple[bytes, ...], tuple[BarycentricPoint, ...]]:
-    """The claimed classes' keys (sigma * sigma[0]).tobytes(), and their patterns as points."""
-    classes = _sign_classes(m)
-    return tuple((s * s[0]).tobytes() for s in classes), tuple(map(BarycentricPoint, classes))
+def _claimed(m: int) -> tuple[tuple[bytes, ...], tuple[np.ndarray, ...],
+                              tuple[BarycentricPoint, ...]]:
+    """The claimed sign classes: their keys (sigma * sigma[0]).tobytes(), their
+    patterns sigma, read-only, and those patterns as points; all-positive,
+    then one negative entry at each k (the rows of 1 - 2I)."""
+    classes = (_positive(m), *_frozen(1.0 - 2.0 * np.eye(m)))
+    return (tuple((s * s[0]).tobytes() for s in classes), classes,
+            tuple(map(BarycentricPoint, classes)))
 
 
 def default_seeds(model: SimplexModel) -> list[BarycentricPoint]:
@@ -225,7 +229,7 @@ def default_seeds(model: SimplexModel) -> list[BarycentricPoint]:
         raise Degenerate("a collapsed simplex has no isogonic points")
     if model.n == 2:   # the incenter, normalized as a point stores it
         return _common_points(model._facets / np.add.reduce(model._facets), model)[0]
-    centroid, *reflections = _claimed(model.n + 1)[1]
+    centroid, *reflections = _claimed(model.n + 1)[2]
     return [BarycentricPoint(model._facets ** 2 * model._distances(centroid)), *reflections]
 
 
@@ -246,10 +250,9 @@ def _balance_target(signs: list[float], lengths: list[float], n: int) -> int:
 def _further_seeds(model: SimplexModel, sigma: np.ndarray, indices: list[float]):
     """Yield seeds for a claimed class while the ``indices`` (sign det J_sigma)
     of its roots, which grow as the caller runs the seeds, fail the degree
-    balance: the conjugates of the points 0.1 and then 0.3 diameters from
-    each vertex k, by |c_k| (roots emerge from vertices with |c_k| < 1),
-    along -sigma_k c_k/|c_k|; then points sigma * w, w from a flat
-    Dirichlet draw keyed by the class.
+    balance: the conjugates of the points 0.1, then 0.3, then 0.6 diameters
+    from each vertex k, by |c_k| (roots emerge from vertices with |c_k| < 1),
+    along -sigma_k c_k/|c_k|; relabeling the vertices permutes them.
     """
     pulls = model._pulls(sigma)
     norms = _norms(pulls, 1)
@@ -264,11 +267,6 @@ def _further_seeds(model: SimplexModel, sigma: np.ndarray, indices: list[float])
         # sideplane through vertex k holds this point
         near = model._local[k] - radius * model._local_diameter * signs[k] * pulls[k] / lengths[k]
         yield isogonal_conjugate(model._coords(near), model)
-    rng = np.random.default_rng([len(sigma), *map(int, sigma * sigma[0] > 0)])
-    for _ in range(_CLASS_POINTS):
-        if certified and sum(indices) == target:
-            return
-        yield BarycentricPoint(sigma * rng.dirichlet(np.ones(len(sigma))))
 
 
 def enumerate_isogonic(model: SimplexModel, seeds=None) -> IsogonicCatalog:
@@ -282,7 +280,8 @@ def enumerate_isogonic(model: SimplexModel, seeds=None) -> IsogonicCatalog:
     """
     extra = [] if seeds is None else [as_point(s, model.n) for s in seeds]
     m = model.n + 1
-    classes = {key: (s, []) for key, s in zip(_claimed(m)[0], _sign_classes(m))}
+    keys, patterns, _ = _claimed(m)
+    classes = {key: (s, []) for key, s in zip(keys, patterns)}
     for seed in default_seeds(model) + extra:
         start = _start(seed, model)
         sigma = np.ones(m) if start is None else np.sign(start)

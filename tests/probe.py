@@ -2,6 +2,7 @@
 
     PYTHONPATH=src python tests/probe.py [--triangles N] [--tetrahedra N]
                                          [--four N] [--five N] [--expect HEX]
+                                         [--dump FILE] [--against FILE]
 
 The probe set is the 41 ``isogonic-catalog`` inputs of the benchmark at
 seed 1, then Gaussian simplices drawn as ``standard_normal((n + 1, n))``
@@ -16,7 +17,11 @@ trace's iterates and distance sums.  Floats enter the digest by their bits.
 
 It prints one summary line and the SHA-256 of the dump: two trees that
 print the same digest computed the same bits.  With ``--expect HEX`` it
-exits 1, printing both digests, unless the digest is ``HEX``.  ``bench/workloads.py`` is
+exits 1, printing both digests, unless the digest is ``HEX``.  ``--dump FILE``
+saves each simplex's catalog points, by label, as JSON; ``--against FILE``
+compares the run's points with such a dump, matching each point to one
+within 1e-9 in normalized coordinates, and prints "lost L, gained G" and
+then each simplex that lost a point.  ``bench/workloads.py`` is
 loaded from its file, by the loader of ``tests/abtime.py``, and not
 changed.  Pytest does not collect this file; ``tests/test_probe.py`` runs a
 slice of it.
@@ -26,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import time
 
 import numpy as np
@@ -41,6 +47,8 @@ from abtime import _workloads
 GROUPS = (("triangles", 2, (77, 2), 200), ("tetrahedra", 3, 77, 200),
           ("four", 4, (77, 4), 50), ("five", 5, (77, 5), 20))
 MIN_GRAM_RATIO = 1e-6
+# largest normalized-coordinate difference at which --against matches two points
+SAME_POINT = 1e-9
 
 
 def probe_set(counts: dict[str, int]) -> list[tuple[str, np.ndarray]]:
@@ -79,9 +87,11 @@ def _trace(dump: Dump, trace) -> None:
                trace.gradient_evaluations)
 
 
-def probe(counts: dict[str, int]) -> tuple[str, str]:
-    """The summary line and the digest of the dump over the probe set."""
+def probe(counts: dict[str, int]) -> tuple[str, str, dict[str, list[list[float]]]]:
+    """The summary line and the digest of the dump over the probe set, and
+    each simplex's catalog points in normalized coordinates, by label."""
     dump = Dump()
+    catalogs = {}
     points = failed = solves = unsolved = 0
     begin = time.perf_counter()
     simplices = probe_set(counts)
@@ -97,6 +107,7 @@ def probe(counts: dict[str, int]) -> tuple[str, str]:
         for trace in catalog.failed_seeds:
             _trace(dump, trace)
         points += len(catalog)
+        catalogs[label] = [p.normalized_coords.tolist() for p in catalog.isogonic_points]
         failed += len(catalog.failed_seeds)
         interior = np.random.default_rng((78, k)).dirichlet(np.ones(model.n + 1))
         for start in (None, interior):
@@ -113,7 +124,26 @@ def probe(counts: dict[str, int]) -> tuple[str, str]:
     seconds = time.perf_counter() - begin
     summary = (f"{len(simplices)} simplices, {points} points, {failed} failed starts, "
                f"{solves} Fermat runs, {unsolved} without an answer ({seconds:.1f} s)")
-    return summary, dump.sha.hexdigest()
+    return summary, dump.sha.hexdigest(), catalogs
+
+
+def compare(saved: dict[str, list[list[float]]], catalogs: dict[str, list[list[float]]],
+            ) -> tuple[int, int, dict[str, int]]:
+    """Points of ``saved`` with no match in ``catalogs`` (lost), points of
+    ``catalogs`` with none in ``saved`` (gained), and the simplices that lost
+    any with how many; over the labels of ``saved``."""
+    gained, losers = 0, {}
+    for label, old in saved.items():
+        new = catalogs.get(label, [])
+        if old and new:
+            gaps = np.abs(np.array(old)[:, None] - np.array(new)[None]).max(axis=2)
+            missing = int(np.count_nonzero(gaps.min(axis=1) > SAME_POINT))
+            gained += int(np.count_nonzero(gaps.min(axis=0) > SAME_POINT))
+        else:
+            missing, gained = len(old), gained + len(new)
+        if missing:
+            losers[label] = missing
+    return sum(losers.values()), gained, losers
 
 
 def main(argv=None) -> int:
@@ -123,10 +153,23 @@ def main(argv=None) -> int:
                             help=f"Gaussian {name} to add (default {default})")
     parser.add_argument("--expect", metavar="HEX",
                         help="exit 1 unless the dump's digest is HEX")
+    parser.add_argument("--dump", metavar="FILE",
+                        help="save each simplex's catalog points to FILE as JSON")
+    parser.add_argument("--against", metavar="FILE",
+                        help="compare the catalog points with those saved in FILE")
     args = parser.parse_args(argv)
-    summary, digest = probe({name: getattr(args, name) for name, *_ in GROUPS})
+    summary, digest, catalogs = probe({name: getattr(args, name) for name, *_ in GROUPS})
     print(summary)
     print(digest)
+    if args.dump is not None:
+        with open(args.dump, "w") as file:
+            json.dump(catalogs, file)
+    if args.against is not None:
+        with open(args.against) as file:
+            lost, gained, losers = compare(json.load(file), catalogs)
+        print(f"lost {lost}, gained {gained}")
+        for label, count in losers.items():
+            print(f"{label} lost {count}")
     if args.expect is not None and digest != args.expect:
         print(f"digest mismatch: expected {args.expect}, got {digest}")
         return 1

@@ -25,7 +25,7 @@ from simplexcenters import (
 )
 from simplexcenters import fermat
 from simplexcenters.fermat import distance_sum_gradient
-from simplexcenters.isogonic import _sign_classes
+from simplexcenters.isogonic import _claimed
 
 
 class TestCorrespondent:
@@ -423,7 +423,7 @@ class TestModelConstants:
         for model in models:
             local = model._local
             lengths = model._lengths + np.eye(model.n + 1)
-            for sigma in _sign_classes(model.n + 1):
+            for sigma in _claimed(model.n + 1)[1]:
                 direct = (sigma[:, None] * (local[:, None] - local[None])
                           / lengths[..., None]).sum(axis=1)
                 assert model._pulls(sigma).tobytes() == direct.tobytes()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import golden
+import probe
 from abtime import _workloads
 from conftest import COLLAPSED, make_random_model, random_nonzero_point
 
@@ -33,7 +34,7 @@ from simplexcenters import (
     triad_angle_check,
 )
 from simplexcenters import fermat, isogonic
-from simplexcenters.barycentric import as_point
+from simplexcenters.barycentric import _zero_entries, as_point
 
 
 class TestIsogonalConjugate:
@@ -73,6 +74,33 @@ class TestIsogonalConjugate:
         with pytest.raises(ZeroCoordinate):
             isogonal_conjugate(BarycentricPoint([1, 0, 1, 1]), five_model)
 
+    def test_subnormal_direction(self):
+        # a_i^2 / p_i overflows on these entries; the conjugate is that of
+        # [1 : -2 : 1], and a catalog seeded with it runs that start
+        model = SimplexModel([[0, 0], [4, 0], [1, 3]])
+        subnormal, unit = [1e-310, -2e-310, 1e-310], [1.0, -2.0, 1.0]
+        conj = isogonal_conjugate(subnormal, model)
+        assert np.abs(conj.normalized_coords
+                      - isogonal_conjugate(unit, model).normalized_coords).max() <= 1e-12
+        traces = [enumerate_isogonic(model, seeds=[seed]).failed_seeds[-1]
+                  for seed in (subnormal, unit)]
+        assert [(t.reason, t.iterations_used) for t in traces] == [("stalled", 10)] * 2
+
+    def test_directions_keep_their_conjugates_bits(self):
+        # scaling a direction by a power of two before the map leaves a
+        # finite conjugate's bits as the plain a_i^2 / p_i gives them
+        rng = np.random.default_rng(4110)
+        for n in range(2, 6):
+            model = make_random_model(rng, n)
+            for exponent in range(-290, 291, 10):
+                p = rng.uniform(0.5, 2.0, n + 1) * rng.choice([-1.0, 1.0], n + 1)
+                p[-1] -= p.sum()
+                p *= 10.0 ** exponent
+                assert not BarycentricPoint(p).is_finite()
+                if not np.count_nonzero(_zero_entries(p)):
+                    plain = BarycentricPoint(model._facets ** 2 / p)
+                    assert isogonal_conjugate(p, model).coords.tobytes() == plain.coords.tobytes()
+
 
 # a tetrahedron whose class (+, -, +, -) has a pseudo-root far out
 FAR_PSEUDO_ROOT = [[-0.117334, 1.194104, -0.930726],
@@ -99,6 +127,34 @@ STALL_TETRAHEDRON = [[-0.008775, 0.306069, 1.271732],
 # the corner tetrahedron, whose isogonic point [-1 : 1 : 1 : 1] has its
 # conjugate at infinity
 CORNER_TETRAHEDRON = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+@pytest.fixture(scope="module")
+def probe_simplices() -> dict[str, np.ndarray]:
+    """The vertices of ``tests/probe.py``'s probe set up to tetrahedra-461
+    and four-9 (the benchmark's inputs at seed 1 among them), and of the
+    reference and the corner tetrahedron, by label."""
+    simplices = dict(probe.probe_set({"triangles": 0, "tetrahedra": 462, "four": 10, "five": 0}))
+    simplices["reference"] = np.array(golden.FIVE_VERTICES, dtype=float)
+    simplices["corner"] = np.array(CORNER_TETRAHEDRON, dtype=float)
+    return simplices
+
+
+def _in_labels(catalog, order) -> np.ndarray:
+    """The normalized coordinates of the catalog's points on the vertices
+    taken in ``order``, mapped back to the original labels."""
+    points = np.zeros((len(catalog), len(order)))
+    for row, point in zip(points, catalog.isogonic_points):
+        row[list(order)] = point.normalized_coords
+    return points
+
+
+def _same_points(a: np.ndarray, b: np.ndarray, tol: float) -> bool:
+    """Whether each point of either set lies within ``tol`` of one of the other."""
+    if len(a) != len(b):
+        return False
+    gaps = np.abs(a[:, None] - b[None]).max(axis=2)
+    return len(a) == 0 or bool(gaps.min(axis=0).max() <= tol and gaps.min(axis=1).max() <= tol)
 
 
 def _far_seed(model: SimplexModel) -> BarycentricPoint:
@@ -130,22 +186,23 @@ class TestEnumerateIsogonic:
             assert abs(catalog.antipedal_areas[k]
                        / golden.ANTIPEDAL_AREA_TABLE[k] - 1) < 1e-6
 
-    def test_dirichlet_start_finds_a_second_root_in_its_class(self, monkeypatch):
-        # the benchmark's gauss-n3-2 tetrahedron in its seed-1 pose: class
-        # (1, 1, 1, -1) has two roots, and only a Dirichlet start reaches the
-        # second, so the random further starts are not yet dead code
-        model = SimplexModel([
-            [0.8715261111573812, 0.07957296834847231, -0.5028813226903299],
-            [-1.0598656404068991, 0.13969474356198922, -0.29110144199848],
-            [2.0010531301578856, 1.6843461973169702, -0.5525316475421018],
-            [0.5775094827568734, 0.46654004858640064, -0.6113976202958499]])
-        signs = [tuple(np.sign(p.normalized_coords)) for p in
-                 enumerate_isogonic(model).isogonic_points]
-        assert len(signs) == 6 and signs.count((1, 1, 1, -1)) == 2
-        monkeypatch.setattr(isogonic, "_CLASS_POINTS", 0)
-        signs = [tuple(np.sign(p.normalized_coords)) for p in
-                 enumerate_isogonic(model).isogonic_points]
-        assert len(signs) == 5 and signs.count((1, 1, 1, -1)) == 1
+    def test_a_near_vertex_start_finds_a_second_root_in_its_class(self, probe_simplices):
+        # class (1, 1, 1, -1) of the benchmark's gauss-n3-2 tetrahedron has
+        # two roots; in every vertex order, a further start finds one or
+        # both, and each such start lies _NEAR_VERTEX diameters from a vertex
+        for order in itertools.permutations(range(4)):
+            model = SimplexModel(probe_simplices["gauss-n3-2"][list(order)])
+            catalog = enumerate_isogonic(model)
+            signs = [tuple(np.sign(row)) for row in _in_labels(catalog, order)]
+            assert len(signs) == 6 and signs.count((1, 1, 1, -1)) == 2
+            defaults = [s.coords.tobytes() for s in default_seeds(model)]
+            further = [t.seed for t, sign in zip(catalog.traces, signs)
+                       if sign == (1, 1, 1, -1) and t.seed.coords.tobytes() not in defaults]
+            assert further
+            for seed in further:
+                start = model.bary_to_cart(isogonal_conjugate(seed, model))
+                radii = np.linalg.norm(model.vertices - start, axis=1) / model.diameter
+                assert np.abs(radii[:, None] - isogonic._NEAR_VERTEX).min() <= 1e-9
 
     def test_segment_stalls_on_a_singular_jacobian(self):
         # on a line the Jacobian of g_sigma vanishes: the all-positive start
@@ -569,6 +626,37 @@ def test_degree_balance_holds_in_every_claimed_class(fixture, request):
         for index in indices:
             assert sum(indices) - index + vertex != target
     assert assigned == len(catalog)
+
+
+# the tetrahedra whose number of points once depended on the vertex order,
+# the reference tetrahedron (five points) and the corner tetrahedron (a
+# conjugate at infinity)
+ORDER_CASES = ["gauss-n3-2", "tetrahedra-82", "tetrahedra-136", "tetrahedra-175",
+               "tetrahedra-443", "tetrahedra-461", "reference", "corner"]
+
+
+@pytest.mark.parametrize("label", ORDER_CASES)
+def test_every_vertex_order_finds_the_same_points(label, probe_simplices):
+    # the further starts follow the geometry, so relabeling the vertices
+    # relabels the points found and changes none of them beyond rounding
+    verts = probe_simplices[label]
+    identity, *orders = itertools.permutations(range(4))
+    found = _in_labels(enumerate_isogonic(SimplexModel(verts)), identity)
+    for order in orders:
+        catalog = enumerate_isogonic(SimplexModel(verts[list(order)]))
+        assert _same_points(_in_labels(catalog, order), found, 1e-12), order
+
+
+def test_random_vertex_orders_find_the_same_points(probe_simplices):
+    # a random order of each of 50 probe tetrahedra and 10 probe 4-simplices
+    rng = np.random.default_rng(4104)
+    labels = [f"tetrahedra-{k}" for k in range(50)] + [f"four-{k}" for k in range(10)]
+    for label in labels:
+        verts = probe_simplices[label]
+        found = _in_labels(enumerate_isogonic(SimplexModel(verts)), range(len(verts)))
+        order = rng.permutation(len(verts))
+        catalog = enumerate_isogonic(SimplexModel(verts[order]))
+        assert _same_points(_in_labels(catalog, order), found, 1e-12), (label, order)
 
 
 def _sequential_newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray,

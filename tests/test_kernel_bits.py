@@ -27,8 +27,7 @@ from simplexcenters.barycentric import (_REL_EPS, _all_equal, _einsum, _lapack, 
                                         _zero_entries)
 from simplexcenters.fermat import (_ARMIJO, _FRACTIONS, _eye, _jacobian, _positive,
                                    _signed_gradient, _trial_merits)
-from simplexcenters.isogonic import (_balance_target, _canonical_key, _has_pattern,
-                                     _sign_classes)
+from simplexcenters.isogonic import _balance_target, _canonical_key, _claimed, _has_pattern
 
 
 def _old_jacobian(units: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -81,7 +80,7 @@ def test_symmetric_points_keep_their_bits():
         points = [vertices.mean(axis=0), *vertices]
         points += [np.full(m - 1, t) for t in (-1.0, 0.25, 1 / 3, 0.5, 2.0)]
         points += [t * vertices[k] for k in range(1, m) for t in (-1.0, 0.5, 2.0)]
-        for sigma, x in itertools.product(_sign_classes(m), points):
+        for sigma, x in itertools.product(_claimed(m)[1], points):
             _assert_same_kernel(vertices, sigma, x)
             _assert_same_kernel(vertices, -sigma, x)
 
@@ -146,12 +145,12 @@ def test_einsum_is_np_einsum_on_the_library_shapes(n):
 @pytest.mark.parametrize("m", range(2, 10))
 def test_cached_constants_are_read_only(m):
     assert _eye(m - 1) is _eye(m - 1) and _positive(m) is _positive(m)
-    assert _sign_classes(m) is _sign_classes(m)
+    assert _claimed(m) is _claimed(m)
     assert np.array_equal(_eye(m - 1), np.eye(m - 1))
     assert np.array_equal(_positive(m), np.ones(m))
-    assert [s.tolist() for s in _sign_classes(m)] == [np.ones(m).tolist()] + [
+    assert [s.tolist() for s in _claimed(m)[1]] == [np.ones(m).tolist()] + [
         np.where(np.arange(m) == k, -1.0, 1.0).tolist() for k in range(m)]
-    for array in (_eye(m - 1), _positive(m), *_sign_classes(m)):
+    for array in (_eye(m - 1), _positive(m), *_claimed(m)[1]):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 2.0
@@ -201,7 +200,7 @@ def test_sign_pattern_test_keeps_its_verdicts(m):
             c[k] = special
             vectors.append(c)
     vectors += [np.zeros(m), -np.zeros(m), np.full(m, np.nan)]
-    for c, sigma in itertools.product(vectors, _sign_classes(m)):
+    for c, sigma in itertools.product(vectors, _claimed(m)[1]):
         for s in (sigma, -sigma):
             assert (np.bool_(_has_pattern(c, s)).tobytes()
                     == np.bool_(_old_pattern(c, s)).tobytes()), (c, s)

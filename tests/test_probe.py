@@ -2,26 +2,51 @@
 and the bits it has always digested.
 
 ``SLICE_DIGEST`` is the digest of the slice below as the solvers computed it
-when the probe was added, with NumPy 2.4.6 on x86-64.  A change that moves
+once the catalog's further starts became near-vertex starts alone, with
+NumPy 2.4.6 on x86-64.  A change that moves
 any output bit of the slice (a catalog point, an area, a start's counts, a
 Fermat point, its counts, iterates or distance sums) fails here; if the move
 is intended, or a platform rounds differently, rerun the probe and re-pin.
 """
 
+import json
 import re
 
 import probe
 
 SLICE = {"triangles": 40, "tetrahedra": 20, "four": 4, "five": 2}
-SLICE_DIGEST = "c391f6c5a9ad4b3455b4c450d5cdf08bb7953f1639dd1612bf9f0dad366afeb2"
+SLICE_DIGEST = "7707c9ccf5807c40e08ab3bc201394bee6144968f9566dbbbce4a36ed9cacf0b"
 
 
 def test_a_probe_slice_keeps_its_digest():
-    (summary, digest), (again, digest_again) = probe.probe(SLICE), probe.probe(SLICE)
+    (summary, digest, points), (again, digest_again, _) = probe.probe(SLICE), probe.probe(SLICE)
     assert re.fullmatch("[0-9a-f]{64}", digest) and digest_again == digest
     assert summary.split(" (")[0] == again.split(" (")[0] == (
-        "107 simplices, 269 points, 107 failed starts, 428 Fermat runs, 0 without an answer")
+        "107 simplices, 269 points, 112 failed starts, 428 Fermat runs, 0 without an answer")
     assert digest == SLICE_DIGEST
+    assert len(points) == 107 and sum(map(len, points.values())) == 269
+
+
+def test_against_counts_lost_and_gained_points(capsys, monkeypatch, tmp_path):
+    # a run matches its own dump; against a dump with one point moved by
+    # more than SAME_POINT and one by less, it loses and gains one point
+    catalogs = {"a": [[0.5, 0.5, 0.0], [0.25, 0.25, 0.5]], "b": [[1.0, 1.0, -1.0]]}
+    monkeypatch.setattr(probe, "probe", lambda counts: ("a summary", SLICE_DIGEST, catalogs))
+    dump = tmp_path / "points.json"
+    assert probe.main(["--dump", str(dump), "--against", str(dump)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "lost 0, gained 0"
+    saved = json.loads(dump.read_text())
+    assert saved == catalogs
+    saved["a"][0][0] += 10 * probe.SAME_POINT
+    saved["b"][0][0] += 0.5 * probe.SAME_POINT
+    dump.write_text(json.dumps(saved))
+    assert probe.main(["--against", str(dump)]) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == ["lost 1, gained 1", "a lost 1"]
+
+
+def test_compare_counts_simplices_without_points():
+    assert probe.compare({"a": [[1.0, 0.0]], "b": []}, {"a": [], "b": [[0.0, 1.0]]}) == (
+        1, 1, {"a": 1})
 
 
 def test_expect_checks_the_digest(capsys, monkeypatch):
@@ -29,7 +54,7 @@ def test_expect_checks_the_digest(capsys, monkeypatch):
     args = [f"--{name}={count}" for name, count in SLICE.items()]
     assert probe.main([*args, "--expect", SLICE_DIGEST]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == SLICE_DIGEST
-    monkeypatch.setattr(probe, "probe", lambda counts: ("a summary", SLICE_DIGEST))
+    monkeypatch.setattr(probe, "probe", lambda counts: ("a summary", SLICE_DIGEST, {}))
     other = SLICE_DIGEST[::-1]
     assert probe.main([*args, "--expect", other]) == 1
     assert capsys.readouterr().out.splitlines() == [
