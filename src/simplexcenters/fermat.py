@@ -24,8 +24,8 @@ a NaN step, and a NaN step ends the run as "stalled".
 Kuhn's test decides before the first step whether a vertex is the
 minimizer: vertex k is iff the gradient over the other vertices has norm
 <= 1 there (H. W. Kuhn, Math. Programming 4, 1973).  It is decided once
-per model, as ``SimplexModel._fermat_vertex``, from the model's pulls, which
-the catalog reads too.
+per model, as ``SimplexModel._fermat_vertex``, from the model's pulls; the
+catalog reads both, and takes its all-positive root from this same solve.
 
 Both solvers record a run in one :class:`SolverTrace`; a Fermat trace
 forms its iterates, the approach step's included, and their distance sums
@@ -102,8 +102,8 @@ class SolverTrace:
     """One run of :func:`fermat_point` or of a catalog start.
 
     ``reason`` is one of :data:`REASONS`, empty while the run goes on.
-    ``iterations_used`` counts Newton steps (plus the Fermat solver's
-    approach step); ``gradient_evaluations`` counts evaluations of g_sigma,
+    ``iterations_used`` counts Newton steps (plus the approach step of any
+    Fermat solve); ``gradient_evaluations`` counts evaluations of g_sigma,
     one per line-search fraction up to the one taken (12 if none) as if each
     were tried alone, whichever pass formed it.  A Fermat trace keeps a
     reference to its model, ``seed``, then either the homogeneous coordinates
@@ -334,6 +334,14 @@ def weiszfeld_step_r(p, model: SimplexModel) -> BarycentricPoint:
     return BarycentricPoint(_step(pt.coords, dv, "r"))
 
 
+def _fermat_solve(model: SimplexModel, start: BarycentricPoint, method: str = "q",
+                  tol: float = 1e-12, max_iter: int = 10000) -> tuple:
+    """:func:`fermat_point`'s solve, unchecked: its approach step's homogeneous
+    coordinates, then :func:`_newton`'s returns on the distance sum from there."""
+    h = _step(np.abs(start.coords), model._distances(start), method)
+    return h, *_newton(model, _positive(model.n + 1), h / np.add.reduce(h), tol, max_iter - 1)
+
+
 def fermat_point(model: SimplexModel, start=None, method: str = "q",
                  tol: float = 1e-12, max_iter: int = 10000,
                  ) -> tuple[BarycentricPoint, SolverTrace]:
@@ -373,10 +381,9 @@ def fermat_point(model: SimplexModel, start=None, method: str = "q",
             f"no convergence within {max_iter} iterations (method {method!r})",
             trace=trace)
     # the approach step's point is formed only if the trace is read
-    h = _step(np.abs(p.coords), model._distances(p), method)
+    h, trace._path, trace.gradient_evaluations, trace.reason, _ = _fermat_solve(
+        model, p, method, tol, max_iter)
     trace._head.append(h)
-    trace._path, trace.gradient_evaluations, trace.reason, _ = _newton(
-        model, _positive(model.n + 1), h / np.add.reduce(h), tol, max_iter - 1)
     trace.iterations_used = len(trace._path) + 1
     if trace.reason == "converged":
         return BarycentricPoint(model._coords(trace._path[-1])), trace

@@ -10,12 +10,12 @@ the catalog reports both points with their facet volumes.
 The catalog finds the roots with the Newton kernel of
 :mod:`simplexcenters.fermat`, one sign class {sigma, -sigma} at a time,
 deflating each start against the roots found before in its class.  It
-claims the all-positive class, started at the centroid's Weiszfeld step
-as the Newton phase of :func:`~simplexcenters.fermat.fermat_point` is,
-and the n+1 one-negative classes, started at the symmedian point's
-reflections; for n >= 3 a claimed class takes further starts until its
-roots satisfy the degree balance (Poincare-Hopf; J. Milnor, *Topology
-from the Differentiable Viewpoint*, 1965)
+claims the n+1 one-negative classes, started at the symmedian point's
+reflections, and the all-positive class, which for n >= 3 runs the solve
+of :func:`~simplexcenters.fermat.fermat_point` from the centroid, or no
+start where Kuhn's test names a vertex; for n >= 3 a claimed class takes
+further starts until its roots satisfy the degree balance (Poincare-Hopf;
+J. Milnor, *Topology from the Differentiable Viewpoint*, 1965)
 
     sum_{roots r} sign det J_sigma(r) + sum_{k: |c_k| < 1} sigma_k^n = sign(S)^n,
 
@@ -28,11 +28,11 @@ geometry alone and draw no random numbers, so relabeling the vertices
 relabels the points found, up to rounding.  A triangle's isogonic
 points are the conjugates X(13), X(14) of its seeds, so it takes no more.
 
-A root is accepted if |g_sigma| <= 1e-10, it keeps the pattern +-sigma,
-it lies within 1e6 diameters of vertex 0 (if sum(sigma) = 0, |g_sigma|
-falls to rounding far out along one direction), no coordinate of it is
-zero, so that its antipedal simplex exists, and its antipedal facet volumes
-pass :func:`is_isogonic`'s test.
+A root is accepted if |g_sigma| <= 1e-10 (for the Fermat solve: if it
+converged), it keeps the pattern +-sigma, it lies within 1e6 diameters
+of vertex 0 (if sum(sigma) = 0, |g_sigma| falls to rounding far out along
+one direction), no coordinate of it is zero, so that its antipedal simplex
+exists, and its antipedal facet volumes pass :func:`is_isogonic`'s test.
 Only a root that passes the first four tests has its conjugate formed; one
 :func:`~simplexcenters.barycentric.facet_volumes_of_points` call then
 measures its antipedal simplex and the conjugate's pedal simplex, whose
@@ -63,14 +63,14 @@ from .barycentric import (
     facet_volumes_of_points,
 )
 from .errors import AtVertex, Degenerate, PointAtInfinity, ZeroCoordinate
-from .fermat import SolverTrace, _newton, _positive
+from .fermat import SolverTrace, _fermat_solve, _newton, _positive
 from .pedal import _antipedal_points
 
 # distance from vertex 0, in diameters, past which a root has escaped
 _ESCAPE = 1e6
 
-# Newton steps per catalog start, the step (relative to the diameter) that
-# ends it, and the largest |g_sigma| accepted at its root
+# Newton steps per catalog start but the Fermat solve, the step (relative to
+# the diameter) that ends it, and the largest |g_sigma| accepted at its root
 _POLISH_STEPS = 30
 _POLISH_TOL = 1e-13
 _POLISH_RESIDUAL = 1e-10
@@ -94,10 +94,10 @@ class IsogonicCatalog:
     direction (``is_finite()`` False), as [-3 : 1 : 1 : 1] is for the
     isogonic point [-1 : 1 : 1 : 1] of the corner tetrahedron (0, e_1, e_2,
     e_3): it has no pedal simplex, and its pedal area is nan, undefined;
-    the point stays in the catalog.  ``traces[k]`` is the
-    start that found the point; ``failed_seeds`` holds every other start
-    that ran, with its ``reason``.  A trace's ``seed`` is the conjugate of
-    its start, as in :func:`default_seeds`.
+    the point stays in the catalog.  ``traces[k]`` is the start that found
+    the point; ``failed_seeds`` holds every other start that ran, with its
+    ``reason``.  A trace's ``seed`` is the conjugate of its start, as in
+    :func:`default_seeds`, or the centroid for the Fermat solve (n >= 3).
     """
 
     conjugate_points: list[BarycentricPoint] = field(default_factory=list)
@@ -138,21 +138,25 @@ def _start(seed: BarycentricPoint, model: SimplexModel) -> np.ndarray | None:
 
 
 def _run(model: SimplexModel, sigma: np.ndarray, seed: BarycentricPoint,
-         start: np.ndarray | None, roots: list[np.ndarray], indices: list[float],
+         start: np.ndarray | BarycentricPoint | None, roots: list[np.ndarray],
+         indices: list[float],
          ) -> tuple[tuple[BarycentricPoint, BarycentricPoint, np.ndarray] | None, SolverTrace]:
     """Newton on g_sigma from ``start``, the ``_start`` of ``seed``, deflated
-    against ``roots``: the accepted isogonic point, whose frame position
-    joins ``roots`` and whose index, sign det J_sigma from Newton's last
-    Jacobian, joins ``indices``, with its conjugate and the mean facet
-    volumes of its antipedal and of the conjugate's pedal simplex in the
-    frame (the pedal one nan if the conjugate is a direction), or None;
-    and the trace of the start, which keeps Newton's reason."""
+    against ``roots``, or the Fermat solve if ``start`` is ``seed``: the
+    accepted isogonic point, whose frame position joins ``roots`` and whose
+    index, sign det J_sigma from Newton's last Jacobian, joins ``indices``,
+    with its conjugate and the mean facet volumes of its antipedal and of
+    the conjugate's pedal simplex in the frame (the pedal one nan if the
+    conjugate is a direction), or None; and the start's trace and reason."""
     trace = SolverTrace(seed=seed, reason="rejected")
     if start is None:
         return None, trace
-    path, trace.gradient_evaluations, reason, jac = _newton(
-        model, sigma, start, _POLISH_TOL, _POLISH_STEPS, _POLISH_RESIDUAL, roots)
-    trace.iterations_used = len(path)
+    if start is seed:   # its approach step counts as a step, as in fermat_point
+        _, path, trace.gradient_evaluations, reason, jac = _fermat_solve(model, seed)
+    else:
+        path, trace.gradient_evaluations, reason, jac = _newton(
+            model, sigma, start, _POLISH_TOL, _POLISH_STEPS, _POLISH_RESIDUAL, roots)
+    trace.iterations_used = len(path) + (start is seed)
     if reason != "converged":
         trace.reason = reason
         return None, trace
@@ -216,21 +220,17 @@ def default_seeds(model: SimplexModel) -> list[BarycentricPoint]:
     """A triangle's isodynamic points X(15), X(16), whose conjugates are its
     isogonic points X(13), X(14) (the center alone if equilateral), as found
     (the catalog rejects one on a side line, whose conjugate is a vertex).
-    Otherwise [a_i^2 d_i(G)], with a_i the facet volumes and d_i(G) the
-    centroid's distances to the vertices, then the centroid's reflections
-    into the one-negative orthants.  Newton starts at their conjugates:
-    [1/d_i(G)], the centroid's Weiszfeld step, where the Newton phase of
-    :func:`~simplexcenters.fermat.fermat_point` starts, and the reflections
-    of the symmedian point.  The all-positive class is strictly convex: its
-    one root is the Fermat point, unless a vertex is the minimizer and the
-    class is empty.  A collapsed model raises ``Degenerate``.
+    Otherwise the centroid, where the catalog's Fermat solve starts, and
+    its reflections into the one-negative orthants, whose conjugates start
+    Newton.  The all-positive class is strictly convex: its one root is the
+    Fermat point, unless a vertex is the minimizer and the class is empty.
+    A collapsed model raises ``Degenerate``.
     """
     if model.degenerate:
         raise Degenerate("a collapsed simplex has no isogonic points")
     if model.n == 2:   # the incenter, normalized as a point stores it
         return _common_points(model._facets / np.add.reduce(model._facets), model)[0]
-    centroid, *reflections = _claimed(model.n + 1)[2]
-    return [BarycentricPoint(model._facets ** 2 * model._distances(centroid)), *reflections]
+    return list(_claimed(model.n + 1)[2])
 
 
 def _canonical_key(point: BarycentricPoint) -> tuple:
@@ -273,18 +273,19 @@ def enumerate_isogonic(model: SimplexModel, seeds=None) -> IsogonicCatalog:
     """The isogonic points of the claimed sign classes, and any that the
     caller's ``seeds`` (added to the default ones) reach, sorted canonically.
 
-    Each seed's conjugate starts Newton in its own sign class; then, for
-    n >= 3, each claimed class takes further starts while its degree
-    balance fails (see the module docstring).  A collapsed model raises
-    ``Degenerate``.
+    Each seed's conjugate starts Newton in its own sign class; for n >= 3
+    the centroid starts the Fermat solve instead, the all-positive class
+    runs nothing where Kuhn's test names a vertex, and each claimed class
+    takes further starts while its degree balance fails (see the module
+    docstring).  A collapsed model raises ``Degenerate``.
     """
     extra = [] if seeds is None else [as_point(s, model.n) for s in seeds]
     m = model.n + 1
     keys, patterns, _ = _claimed(m)
     classes = {key: (s, []) for key, s in zip(keys, patterns)}
-    for seed in default_seeds(model) + extra:
-        start = _start(seed, model)
-        sigma = np.ones(m) if start is None else np.sign(start)
+    for k, seed in enumerate(default_seeds(model) + extra):
+        start = seed if k == 0 and model.n > 2 else _start(seed, model)
+        sigma = np.ones(m) if start is None or start is seed else np.sign(start)
         classes.setdefault((sigma * sigma[0]).tobytes(), (sigma, []))[1].append((seed, start))
 
     runs = []
@@ -292,6 +293,8 @@ def enumerate_isogonic(model: SimplexModel, seeds=None) -> IsogonicCatalog:
         roots: list[np.ndarray] = []
         indices: list[float] = []
         if c <= m and model.n > 2:
+            if c == 0 and model._fermat_vertex is not None:
+                continue   # Kuhn's test names a vertex: the class has no root
             further = _further_seeds(model, sigma, indices)
             starts = itertools.chain(starts, ((s, _start(s, model)) for s in further))
         runs += [_run(model, sigma, seed, start, roots, indices) for seed, start in starts]

@@ -16,8 +16,14 @@ centroid and from one Dirichlet start: its point, the same counts, and its
 trace's iterates and distance sums.  Floats enter the digest by their bits.
 
 It prints one summary line and the SHA-256 of the dump: two trees that
-print the same digest computed the same bits.  With ``--expect HEX`` it
-exits 1, printing both digests, unless the digest is ``HEX``.  ``--dump FILE``
+print the same digest computed the same bits.  The summary counts the
+simplices, the catalog points, the failed catalog starts, the catalog's
+Newton steps (``iterations_used`` over all its starts) and those spent in
+failed starts, the Fermat runs and those without an answer, and the
+n >= 3 simplices with an interior minimizer whose catalog holds no point
+with the bits of ``fermat_point(model, None, "q")`` (Fermat points apart).
+With ``--expect HEX`` it exits 1, printing both digests, unless the digest
+is ``HEX``.  ``--dump FILE``
 saves each simplex's catalog points, by label, as JSON; ``--against FILE``
 compares the run's points with such a dump, matching each point to one
 within 1e-9 in normalized coordinates, and prints "lost L, gained G" and
@@ -92,7 +98,7 @@ def probe(counts: dict[str, int]) -> tuple[str, str, dict[str, list[list[float]]
     each simplex's catalog points in normalized coordinates, by label."""
     dump = Dump()
     catalogs = {}
-    points = failed = solves = unsolved = 0
+    points = failed = solves = unsolved = steps = wasted = apart = 0
     begin = time.perf_counter()
     simplices = probe_set(counts)
     for k, (label, verts) in enumerate(simplices):
@@ -109,12 +115,18 @@ def probe(counts: dict[str, int]) -> tuple[str, str, dict[str, list[list[float]]
         points += len(catalog)
         catalogs[label] = [p.normalized_coords.tolist() for p in catalog.isogonic_points]
         failed += len(catalog.failed_seeds)
+        steps += sum(t.iterations_used for t in catalog.traces + catalog.failed_seeds)
+        wasted += sum(t.iterations_used for t in catalog.failed_seeds)
         interior = np.random.default_rng((78, k)).dirichlet(np.ones(model.n + 1))
         for start in (None, interior):
             for method in ("q", "r"):
                 try:
                     point, trace = fermat_point(model, start, method)
                     dump.write(point.coords)
+                    if (model.n > 2 and start is None and method == "q"
+                            and not trace.vertex_optimum):
+                        apart += not any(p.coords.tobytes() == point.coords.tobytes()
+                                         for p in catalog.isogonic_points)
                 except MaxIterationsExceeded as error:
                     trace = error.trace
                     unsolved += 1
@@ -123,7 +135,9 @@ def probe(counts: dict[str, int]) -> tuple[str, str, dict[str, list[list[float]]
                 solves += 1
     seconds = time.perf_counter() - begin
     summary = (f"{len(simplices)} simplices, {points} points, {failed} failed starts, "
-               f"{solves} Fermat runs, {unsolved} without an answer ({seconds:.1f} s)")
+               f"{steps} catalog steps, {wasted} in failed starts, "
+               f"{solves} Fermat runs, {unsolved} without an answer, "
+               f"{apart} catalog Fermat points apart ({seconds:.1f} s)")
     return summary, dump.sha.hexdigest(), catalogs
 
 

@@ -230,7 +230,7 @@ class TestEnumerateIsogonic:
         used = {t.seed.normalized_coords.tobytes(): t.gradient_evaluations
                 for t in catalog.traces + catalog.failed_seeds}
         assert [used[s.normalized_coords.tobytes()] for s in default_seeds(five_model)] \
-            == [6, 11, 7, 6, 7]
+            == [4, 11, 7, 6, 7]
         assert [fermat_point(five_model, method=m)[1].gradient_evaluations
                 for m in ("q", "r")] == [4, 4]
 
@@ -245,13 +245,14 @@ class TestEnumerateIsogonic:
             ("stalled", 9, 63), ("stalled", 14, 77), ("stalled", 13, 77),
             ("stalled", 2, 32)]
         assert [(t.reason, t.iterations_used, t.gradient_evaluations)
-                for t in catalog.traces] == [("converged", 8, 11)]
+                for t in catalog.traces] == [("converged", 9, 10)]
 
     def test_stall_tetrahedron_evaluation_budget(self, count_calls):
         # a halving step reads g_sigma, J and M at its point from the pass
         # that measured it, and a step after one that took t <= 1/8 tries
-        # all twelve fractions in one pass; the one-point kernels run 34 and
-        # 33 times here, 90 and 89 if each such point were evaluated anew
+        # all twelve fractions in one pass; the one-point gradient runs 33
+        # times here, 68 if each such point were evaluated anew, and no
+        # start here is deflated
         gradients = count_calls(fermat, "_signed_gradient")
         deflations = count_calls(fermat, "_deflation")
         passes = count_calls(fermat, "_trial_merits")
@@ -260,7 +261,7 @@ class TestEnumerateIsogonic:
         assert 12 in [len(args[2]) for args in passes]
 
     @pytest.mark.parametrize("vertices, evaluations", [
-        (golden.FIVE_VERTICES, 35), (STALL_TETRAHEDRON, 34)], ids=["reference", "stall"])
+        (golden.FIVE_VERTICES, 33), (STALL_TETRAHEDRON, 33)], ids=["reference", "stall"])
     def test_one_point_evaluations_of_a_catalog(self, monkeypatch, vertices, evaluations):
         # each root's index sign det J comes from Newton's last Jacobian, so
         # the degree balance evaluates nothing; counted through isogonic's
@@ -288,19 +289,20 @@ class TestEnumerateIsogonic:
                        / golden.ANTIPEDAL_AREA_TABLE[k] - 1) < 1e-6
 
     @pytest.mark.parametrize("label, points, runs",
-                             [("five-isogonic", 16, 5), ("gauss-n2-0", 8, 2)])
+                             [("five-isogonic", 14, 5), ("gauss-n2-0", 8, 2)])
     def test_points_formed_and_newton_runs_per_catalog(self, count_calls, label, points, runs):
         # on a benchmark input, a catalog forms as points each seed, each
-        # start's conjugate, and each root with its conjugate: a triangle's
-        # seeds come from the incenter's coordinates, and the sign-pattern
-        # seeds of a tetrahedron are formed once per dimension, by the first call
+        # conjugate that starts Newton, and each root with its conjugate: a
+        # triangle's seeds come from the incenter's coordinates, and a
+        # tetrahedron's seeds, the sign patterns, are formed once per
+        # dimension, by the first call; its Fermat solve starts at the centroid
         cases = _workloads().WORKLOADS["isogonic-catalog"](simplexcenters, 1, "tiny").cases
         [model] = [case.args[0] for case in cases if case.label == label]
         enumerate_isogonic(model)
         formed = count_calls(BarycentricPoint, "__post_init__")
-        newton = count_calls(isogonic, "_newton")
+        newton = count_calls(isogonic, "_newton"), count_calls(fermat, "_newton")
         catalog = enumerate_isogonic(model)
-        assert (len(formed), len(newton)) == (points, runs)
+        assert (len(formed), sum(map(len, newton))) == (points, runs)
         assert len(catalog) == runs and not catalog.failed_seeds
 
     def test_canonical_ordering(self, five_model):
@@ -959,33 +961,61 @@ class TestDefaultSeeds:
         assert np.array_equal(trace.seed.coords, seeds[0].coords)
 
     def test_vertex_optimum_keeps_the_centroid(self, five_model):
-        # for n >= 3 the seeds are [a_i^2 |G - A_i|], whose conjugate is the
-        # centroid's Weiszfeld step, and the centroid's one-negative
-        # reflections, also where vertex 0 sits just above the center of the
-        # other three, so it minimizes the distance sum
+        # for n >= 3 the seeds are the centroid, where the Fermat solve
+        # starts, and its one-negative reflections, also where vertex 0 sits
+        # just above the center of the other three, so it minimizes the
+        # distance sum
         optimum = SimplexModel([[0, 0, 0.1], [1, 0, 0], [-0.5, 0.866, 0], [-0.5, -0.866, 0]])
         reflections = [[0.5] * k + [-0.5] + [0.5] * (3 - k) for k in range(4)]
-        for model, first in (
-                (five_model, [0.30780518394326833, 0.2757934448131684,
-                              0.18935198239963938, 0.22704938884392392]),
-                (optimum, [0.17782191284410906, 0.27406307029977683,
-                           0.2740575084280571, 0.2740575084280571])):
-            assert [list(s.coords) for s in default_seeds(model)] == [first] + reflections
+        for model in (five_model, optimum):
+            assert [list(s.coords) for s in default_seeds(model)] == [[0.25] * 4] + reflections
 
-    def test_the_all_positive_start_is_where_fermat_point_starts(self):
-        # Newton from the symmedian point stalled on this tetrahedron; from
-        # the centroid's Weiszfeld step it converges to the Fermat point
-        model = SimplexModel(STALL_TETRAHEDRON)
-        seed = default_seeds(model)[0]
-        point, trace = fermat_point(model)
-        assert np.abs(isogonal_conjugate(seed, model).normalized_coords
-                      - trace.iterates[1].normalized_coords).max() <= 1e-15
+    def test_the_all_positive_point_has_the_bits_of_fermat_point(self, five_model):
+        # the all-positive class runs fermat_point's solve from the centroid,
+        # so where the minimizer is interior its point and counts are
+        # fermat_point's; Newton from the symmedian point once stalled on
+        # STALL_TETRAHEDRON, and 3 of the probe models have a vertex optimum
+        interior = 0
+        for model in [five_model, SimplexModel(STALL_TETRAHEDRON)] + _probe_models():
+            point, trace = fermat_point(model)
+            if trace.vertex_optimum:
+                continue
+            interior += 1
+            catalog = enumerate_isogonic(model)
+            found = catalog.traces[0]
+            assert catalog.isogonic_points[0].coords.tobytes() == point.coords.tobytes()
+            assert found.seed.coords.tobytes() == default_seeds(model)[0].coords.tobytes()
+            assert (found.reason, found.iterations_used, found.gradient_evaluations) == (
+                trace.reason, trace.iterations_used, trace.gradient_evaluations)
+        assert interior == 29
+
+    def test_no_all_positive_start_at_a_vertex_optimum(self, probe_simplices, count_calls):
+        # Kuhn's test names vertex 3 of the benchmark's gauss-n3-2, so the
+        # all-positive class has no root, and the catalog runs no start in it
+        model = SimplexModel(probe_simplices["gauss-n3-2"])
+        runs = count_calls(isogonic, "_run")
         catalog = enumerate_isogonic(model)
-        [found] = [k for k, t in enumerate(catalog.traces)
-                   if np.array_equal(t.seed.coords, seed.coords)]
-        assert catalog.traces[found].reason == "converged"
-        assert np.abs(catalog.isogonic_points[found].normalized_coords
-                      - point.normalized_coords).max() <= 1e-10
+        assert model._fermat_vertex == 3
+        assert len(runs) == len(catalog.traces) + len(catalog.failed_seeds) > 0
+        assert all(np.count_nonzero(args[1] < 0) for args in runs)
+        assert all(np.count_nonzero(p.coords < 0) for p in catalog.isogonic_points)
+
+    def test_a_stalled_fermat_solve_is_a_failed_seed(self, five_model, monkeypatch):
+        # the class then fails its balance, and its near-vertex starts find
+        # the Fermat point
+        solve = isogonic._fermat_solve
+
+        def stalled(*args):
+            h, path, evaluations, _, jac = solve(*args)
+            return h, path, evaluations, "stalled", jac
+
+        monkeypatch.setattr(isogonic, "_fermat_solve", stalled)
+        catalog = enumerate_isogonic(five_model)
+        centroid = default_seeds(five_model)[0].coords.tobytes()
+        [failed] = [t for t in catalog.failed_seeds if t.seed.coords.tobytes() == centroid]
+        assert failed.reason == "stalled"
+        assert np.abs(catalog.isogonic_points[0].normalized_coords
+                      - fermat_point(five_model)[0].normalized_coords).max() <= 1e-12
 
     def test_the_catalog_runs_no_fermat_solver(self, five_model, monkeypatch):
         def refused(*args, **kwargs):

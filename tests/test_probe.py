@@ -15,14 +15,15 @@ import re
 import probe
 
 SLICE = {"triangles": 40, "tetrahedra": 20, "four": 4, "five": 2}
-SLICE_DIGEST = "7707c9ccf5807c40e08ab3bc201394bee6144968f9566dbbbce4a36ed9cacf0b"
+SLICE_DIGEST = "bf46aeb6a71108d4c2d577781cc08be22ed765e455fe0a9876806d8e01e22387"
 
 
 def test_a_probe_slice_keeps_its_digest():
     (summary, digest, points), (again, digest_again, _) = probe.probe(SLICE), probe.probe(SLICE)
     assert re.fullmatch("[0-9a-f]{64}", digest) and digest_again == digest
     assert summary.split(" (")[0] == again.split(" (")[0] == (
-        "107 simplices, 269 points, 112 failed starts, 428 Fermat runs, 0 without an answer")
+        "107 simplices, 269 points, 107 failed starts, 1935 catalog steps, 891 in failed "
+        "starts, 428 Fermat runs, 0 without an answer, 0 catalog Fermat points apart")
     assert digest == SLICE_DIGEST
     assert len(points) == 107 and sum(map(len, points.values())) == 269
 
