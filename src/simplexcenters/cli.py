@@ -37,7 +37,7 @@ from .documents import (
     round12,
 )
 from .errors import MaxIterationsExceeded, SimplexError
-from .fermat import METHODS, _signed_gradient, fermat_point, total_distance
+from .fermat import METHODS, _MAX_ITER, _TOL, _signed_gradient, fermat_point, total_distance
 from .isogonic import enumerate_isogonic
 from .verify import NumericRow, run_reference_checks
 
@@ -132,8 +132,8 @@ def cmd_fermat(doc: SimplexDocument, options: dict) -> dict:
     if options.get("start"):
         start = parse_point_arg(options["start"], model.n)
     method = options.get("method", "q")
-    tol = _resolved(options.get("tolerance"), doc.tolerance, 1e-12)
-    max_iter = _resolved(options.get("max_iter"), 10000)
+    tol = _resolved(options.get("tolerance"), doc.tolerance, _TOL)
+    max_iter = _resolved(options.get("max_iter"), _MAX_ITER)
     options = {**options, "tolerance": tol, "max_iter": max_iter}
 
     point, trace = fermat_point(model, start=start, method=method,
@@ -342,8 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=METHODS, default="q")
     p.add_argument("--start", help="start point, e.g. '1:1:1:1'")
     p.add_argument("--tolerance", type=_positive(float),
-                   help="default: the document's tolerance, else 1e-12")
-    p.add_argument("--max-iter", type=_positive(int), help="default: 10000")
+                   help=f"default: the document's tolerance, else {_TOL:g}")
+    p.add_argument("--max-iter", type=_positive(int), help=f"default: {_MAX_ITER}")
     p.add_argument("--trace", action="store_true", help="include the full iterate trace")
 
     p = sub.add_parser("isogonic", help="enumerate points with equiareal antipedal simplex")

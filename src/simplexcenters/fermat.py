@@ -51,6 +51,11 @@ METHODS = ("q", "r")
 # the step fractions 1, 1/2, ..., 1/2^11 of a Newton line search, and their Armijo factors
 _FRACTIONS = _frozen(0.5 ** np.arange(12))
 _ARMIJO = _frozen(1.0 - 1e-4 * _FRACTIONS)
+# Newton's defaults: the step (in diameters) that ends a run, the M |g_sigma|
+# at which a failed line search still succeeds, and fermat_point's budget
+_TOL = 1e-12
+_RESIDUAL = 1e-10
+_MAX_ITER = 10000
 
 
 @cache
@@ -103,9 +108,10 @@ class SolverTrace:
 
     ``reason`` is one of :data:`REASONS`, empty while the run goes on.
     ``iterations_used`` counts Newton steps (plus the approach step of any
-    Fermat solve); ``gradient_evaluations`` counts evaluations of g_sigma,
-    one per line-search fraction up to the one taken (12 if none) as if each
-    were tried alone, whichever pass formed it.  A Fermat trace keeps a
+    Fermat solve); ``gradient_evaluations`` counts evaluations of g_sigma:
+    Newton's start, then one per line-search fraction up to the one taken
+    (12 if none) as if each were tried alone, whichever pass formed it; a
+    closing short step evaluates nothing.  A Fermat trace keeps a
     reference to its model, ``seed``, then either the homogeneous coordinates
     of the approach step and Newton's frame path or the optimal vertex, and
     forms ``iterates`` (one point per entry) and their distance sums
@@ -181,8 +187,7 @@ def _trial_merits(vertices: np.ndarray, sigma: np.ndarray, ys: np.ndarray,
 
 
 def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: float,
-            max_steps: int, residual: float = math.inf, roots=(),
-            ) -> tuple[list[np.ndarray], int, str, np.ndarray]:
+            max_steps: int, roots=()) -> tuple[list[np.ndarray], int, str, np.ndarray]:
     """Damped Newton on g_sigma from the point with normalized barycentric
     coordinates ``coords``, in the model's frame.
 
@@ -197,19 +202,18 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
     which also gives g_sigma, J's terms and M at the one taken (J is formed
     at points taken only); after a step that took t <= 1/8, all twelve in
     that pass.  A step no longer than ``tol`` diameters is taken whole and
-    ends the run, which succeeds if its scale was positive and |g_sigma| <=
-    ``residual`` (checked only when finite).
+    ends the run, which succeeds if its scale was positive.
     A singular J solves to a NaN step, which ends the run; so does a line
-    search that cannot lower M |g_sigma|, which succeeds if
-    M |g_sigma| <= ``residual`` there.  Each point is evaluated once, and
-    the whole run is one ``np.errstate(all="ignore")``.
+    search that cannot lower M |g_sigma|, which succeeds if M |g_sigma| <=
+    1e-10 there, at the level of rounding.  Each point is evaluated once,
+    and the whole run is one ``np.errstate(all="ignore")``.
     Returns the accepted iterates in the frame (the start only when it
     succeeds without a step), the gradient evaluations (counted as if the
     fractions were tried one at a time), why the run stopped ("converged"
     if it succeeded, else "out of budget" if it took ``max_steps`` steps,
-    else "stalled"), and J at its last point (the start if it took no step;
-    the one before a closing short step if no ``residual`` check evaluates
-    it); ``roots`` are frame points too.
+    else "stalled"), and J at the last point it evaluated: the start if it
+    took no step, the one before a closing short step; ``roots`` are frame
+    points too.
     """
     local = model._local
     known = np.array(roots) if len(roots) else roots
@@ -239,11 +243,6 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
                 x = x + step
                 path.append(x)
                 ok = factor > 0.0
-                if math.isfinite(residual):
-                    evaluations += 1
-                    g, units, weights = _signed_gradient(local, sigma, x)
-                    jac = _jacobian(units, weights)
-                    ok = ok and math.sqrt(g @ g) <= residual
                 break
             if not crawled:
                 y = x + step
@@ -261,7 +260,7 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
                     evaluations += len(ys)
                     # M |g_sigma| is at the level of rounding: a start already
                     # at a root ends here, and is accepted on the residual
-                    ok = math.isfinite(residual) and merit <= residual
+                    ok = merit <= _RESIDUAL
                     if ok and not path:
                         path.append(x)
                     break
@@ -335,7 +334,7 @@ def weiszfeld_step_r(p, model: SimplexModel) -> BarycentricPoint:
 
 
 def _fermat_solve(model: SimplexModel, start: BarycentricPoint, method: str = "q",
-                  tol: float = 1e-12, max_iter: int = 10000) -> tuple:
+                  tol: float = _TOL, max_iter: int = _MAX_ITER) -> tuple:
     """:func:`fermat_point`'s solve, unchecked: its approach step's homogeneous
     coordinates, then :func:`_newton`'s returns on the distance sum from there."""
     h = _step(np.abs(start.coords), model._distances(start), method)
@@ -343,7 +342,7 @@ def _fermat_solve(model: SimplexModel, start: BarycentricPoint, method: str = "q
 
 
 def fermat_point(model: SimplexModel, start=None, method: str = "q",
-                 tol: float = 1e-12, max_iter: int = 10000,
+                 tol: float = _TOL, max_iter: int = _MAX_ITER,
                  ) -> tuple[BarycentricPoint, SolverTrace]:
     """Minimize the distance sum to the vertices.
 
@@ -351,13 +350,14 @@ def fermat_point(model: SimplexModel, start=None, method: str = "q",
     vertices of norm <= 1) is returned exactly, after zero iterations.
     Otherwise takes one approach step of ``method`` from ``start``
     (default: centroid; all coordinates must be nonzero), then Newton steps
-    until one moves the point by at most ``tol`` times the diameter.
+    until one moves the point by at most ``tol`` times the diameter, or a
+    line search fails where |g| <= 1e-10, at the level of rounding.
     ``max_iter`` bounds the approach step plus the Newton steps.  Raises
     ``ValueError`` unless ``tol`` is finite and positive and ``max_iter`` an
     integer >= 0 (not a bool), and :class:`MaxIterationsExceeded` with the
     trace attached if the budget runs out or Newton stalls (a singular
-    Jacobian or a failed line search); the trace's ``reason`` tells these
-    apart.
+    Jacobian or any other failed line search); the trace's ``reason`` tells
+    these apart.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")

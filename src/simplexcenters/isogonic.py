@@ -12,8 +12,8 @@ The catalog finds the roots with the Newton kernel of
 deflating each start against the roots found before in its class.  It
 claims the n+1 one-negative classes, started at the symmedian point's
 reflections, and the all-positive class, which for n >= 3 runs the solve
-of :func:`~simplexcenters.fermat.fermat_point` from the centroid, or no
-start where Kuhn's test names a vertex; for n >= 3 a claimed class takes
+of :func:`~simplexcenters.fermat.fermat_point` from the centroid (none
+where Kuhn's test names a vertex); for n >= 3 a claimed class takes
 further starts until its roots satisfy the degree balance (Poincare-Hopf;
 J. Milnor, *Topology from the Differentiable Viewpoint*, 1965)
 
@@ -28,10 +28,10 @@ geometry alone and draw no random numbers, so relabeling the vertices
 relabels the points found, up to rounding.  A triangle's isogonic
 points are the conjugates X(13), X(14) of its seeds, so it takes no more.
 
-A root is accepted if |g_sigma| <= 1e-10 (for the Fermat solve: if it
-converged), it keeps the pattern +-sigma, it lies within 1e6 diameters
-of vertex 0 (if sum(sigma) = 0, |g_sigma| falls to rounding far out along
-one direction), no coordinate of it is zero, so that its antipedal simplex
+A root is accepted if its Newton run converged, as a Fermat solve does,
+it keeps the pattern +-sigma, it lies within 1e6 diameters of vertex 0
+(if sum(sigma) = 0, |g_sigma| falls to rounding far out along one
+direction), no coordinate of it is zero, so that its antipedal simplex
 exists, and its antipedal facet volumes pass :func:`is_isogonic`'s test.
 Only a root that passes the first four tests has its conjugate formed; one
 :func:`~simplexcenters.barycentric.facet_volumes_of_points` call then
@@ -63,17 +63,14 @@ from .barycentric import (
     facet_volumes_of_points,
 )
 from .errors import AtVertex, Degenerate, PointAtInfinity, ZeroCoordinate
-from .fermat import SolverTrace, _fermat_solve, _newton, _positive
+from .fermat import _TOL, SolverTrace, _fermat_solve, _newton, _positive
 from .pedal import _antipedal_points
 
 # distance from vertex 0, in diameters, past which a root has escaped
 _ESCAPE = 1e6
 
-# Newton steps per catalog start but the Fermat solve, the step (relative to
-# the diameter) that ends it, and the largest |g_sigma| accepted at its root
+# Newton steps per catalog start but the Fermat solve
 _POLISH_STEPS = 30
-_POLISH_TOL = 1e-13
-_POLISH_RESIDUAL = 1e-10
 # distances of a class's further starts from their vertex, in diameters, each
 # radius tried at every vertex before the next; and how close to 1 a pull's
 # norm may come before the balance stops certifying
@@ -155,7 +152,7 @@ def _run(model: SimplexModel, sigma: np.ndarray, seed: BarycentricPoint,
         _, path, trace.gradient_evaluations, reason, jac = _fermat_solve(model, seed)
     else:
         path, trace.gradient_evaluations, reason, jac = _newton(
-            model, sigma, start, _POLISH_TOL, _POLISH_STEPS, _POLISH_RESIDUAL, roots)
+            model, sigma, start, _TOL, _POLISH_STEPS, roots)
     trace.iterations_used = len(path) + (start is seed)
     if reason != "converged":
         trace.reason = reason
@@ -274,17 +271,20 @@ def enumerate_isogonic(model: SimplexModel, seeds=None) -> IsogonicCatalog:
     caller's ``seeds`` (added to the default ones) reach, sorted canonically.
 
     Each seed's conjugate starts Newton in its own sign class; for n >= 3
-    the centroid starts the Fermat solve instead, the all-positive class
-    runs nothing where Kuhn's test names a vertex, and each claimed class
-    takes further starts while its degree balance fails (see the module
-    docstring).  A collapsed model raises ``Degenerate``.
+    the centroid starts the Fermat solve instead (none where Kuhn's test
+    names a vertex; a caller's all-positive seed still runs), and each
+    claimed class takes further starts while its degree balance fails (see
+    the module docstring).  A collapsed model raises ``Degenerate``.
     """
     extra = [] if seeds is None else [as_point(s, model.n) for s in seeds]
     m = model.n + 1
     keys, patterns, _ = _claimed(m)
     classes = {key: (s, []) for key, s in zip(keys, patterns)}
     for k, seed in enumerate(default_seeds(model) + extra):
-        start = seed if k == 0 and model.n > 2 else _start(seed, model)
+        fermat = k == 0 and model.n > 2
+        if fermat and model._fermat_vertex is not None:
+            continue   # Kuhn's test names a vertex: the class has no root to solve for
+        start = seed if fermat else _start(seed, model)
         sigma = np.ones(m) if start is None or start is seed else np.sign(start)
         classes.setdefault((sigma * sigma[0]).tobytes(), (sigma, []))[1].append((seed, start))
 
@@ -293,8 +293,6 @@ def enumerate_isogonic(model: SimplexModel, seeds=None) -> IsogonicCatalog:
         roots: list[np.ndarray] = []
         indices: list[float] = []
         if c <= m and model.n > 2:
-            if c == 0 and model._fermat_vertex is not None:
-                continue   # Kuhn's test names a vertex: the class has no root
             further = _further_seeds(model, sigma, indices)
             starts = itertools.chain(starts, ((s, _start(s, model)) for s in further))
         runs += [_run(model, sigma, seed, start, roots, indices) for seed, start in starts]

@@ -17,9 +17,9 @@ trace's iterates and distance sums.  Floats enter the digest by their bits.
 
 It prints one summary line and the SHA-256 of the dump: two trees that
 print the same digest computed the same bits.  The summary counts the
-simplices, the catalog points, the failed catalog starts, the catalog's
-Newton steps (``iterations_used`` over all its starts) and those spent in
-failed starts, the Fermat runs and those without an answer, and the
+simplices, the catalog points, the failed catalog starts by reason, the
+catalog's Newton steps (``iterations_used`` over all its starts) and those
+spent in failed starts, the Fermat runs and those without an answer, and the
 n >= 3 simplices with an interior minimizer whose catalog holds no point
 with the bits of ``fermat_point(model, None, "q")`` (Fermat points apart).
 With ``--expect HEX`` it exits 1, printing both digests, unless the digest
@@ -39,6 +39,7 @@ import argparse
 import hashlib
 import json
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -46,6 +47,7 @@ import simplexcenters
 from simplexcenters import SimplexModel, enumerate_isogonic, fermat_point
 from simplexcenters import verify  # noqa: F401  read by the workloads
 from simplexcenters.errors import MaxIterationsExceeded
+from simplexcenters.fermat import REASONS
 
 from abtime import _workloads
 
@@ -98,7 +100,8 @@ def probe(counts: dict[str, int]) -> tuple[str, str, dict[str, list[list[float]]
     each simplex's catalog points in normalized coordinates, by label."""
     dump = Dump()
     catalogs = {}
-    points = failed = solves = unsolved = steps = wasted = apart = 0
+    points = solves = unsolved = steps = wasted = apart = 0
+    failed = Counter()
     begin = time.perf_counter()
     simplices = probe_set(counts)
     for k, (label, verts) in enumerate(simplices):
@@ -114,7 +117,7 @@ def probe(counts: dict[str, int]) -> tuple[str, str, dict[str, list[list[float]]
             _trace(dump, trace)
         points += len(catalog)
         catalogs[label] = [p.normalized_coords.tolist() for p in catalog.isogonic_points]
-        failed += len(catalog.failed_seeds)
+        failed.update(t.reason for t in catalog.failed_seeds)
         steps += sum(t.iterations_used for t in catalog.traces + catalog.failed_seeds)
         wasted += sum(t.iterations_used for t in catalog.failed_seeds)
         interior = np.random.default_rng((78, k)).dirichlet(np.ones(model.n + 1))
@@ -134,7 +137,9 @@ def probe(counts: dict[str, int]) -> tuple[str, str, dict[str, list[list[float]]
                 dump.write(*(p.coords for p in trace.iterates), *trace.objective_values)
                 solves += 1
     seconds = time.perf_counter() - begin
-    summary = (f"{len(simplices)} simplices, {points} points, {failed} failed starts, "
+    reasons = ", ".join(f"{failed[r]} {r}" for r in REASONS if failed[r])
+    summary = (f"{len(simplices)} simplices, {points} points, "
+               f"{failed.total()} failed starts ({reasons or 'none'}), "
                f"{steps} catalog steps, {wasted} in failed starts, "
                f"{solves} Fermat runs, {unsolved} without an answer, "
                f"{apart} catalog Fermat points apart ({seconds:.1f} s)")

@@ -240,6 +240,13 @@ class TestFermatPoint:
         assert trace.converged
         assert np.abs(point.normalized_coords - near.normalized_coords).max() <= 1e-12
 
+    def test_a_tolerance_below_rounding_converges(self, five_model):
+        # no step is 1e-20 diameters long: the run ends where the line
+        # search cannot lower |g| <= 1e-10, as a catalog start does
+        point, trace = fermat_point(five_model, tol=1e-20)
+        assert trace.reason == "converged"
+        assert np.abs(point.normalized_coords - golden.ISOGONIC_TABLE[0]).max() < 1e-9
+
     def test_max_iterations_raises_with_trace(self, five_model):
         with pytest.raises(MaxIterationsExceeded) as info:
             fermat_point(five_model, max_iter=3)

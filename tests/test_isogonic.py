@@ -230,7 +230,7 @@ class TestEnumerateIsogonic:
         used = {t.seed.normalized_coords.tobytes(): t.gradient_evaluations
                 for t in catalog.traces + catalog.failed_seeds}
         assert [used[s.normalized_coords.tobytes()] for s in default_seeds(five_model)] \
-            == [4, 11, 7, 6, 7]
+            == [4, 10, 6, 5, 6]
         assert [fermat_point(five_model, method=m)[1].gradient_evaluations
                 for m in ("q", "r")] == [4, 4]
 
@@ -251,17 +251,35 @@ class TestEnumerateIsogonic:
         # a halving step reads g_sigma, J and M at its point from the pass
         # that measured it, and a step after one that took t <= 1/8 tries
         # all twelve fractions in one pass; the one-point gradient runs 33
-        # times here, 68 if each such point were evaluated anew, and no
-        # start here is deflated
+        # times here, 68 if each such point were evaluated anew
         gradients = count_calls(fermat, "_signed_gradient")
-        deflations = count_calls(fermat, "_deflation")
         passes = count_calls(fermat, "_trial_merits")
         enumerate_isogonic(SimplexModel(STALL_TETRAHEDRON))
-        assert len(gradients) <= 40 and len(deflations) <= 40
+        assert len(gradients) <= 40
         assert 12 in [len(args[2]) for args in passes]
 
+    def test_deflated_starts_evaluation_budget(self, probe_simplices, monkeypatch, count_calls):
+        # class (1, 1, 1, -1) of gauss-n3-2 has two roots, so its later
+        # starts are deflated; such a start forms M alone at its first point
+        # and at each full step it tries, at most its Newton steps plus two,
+        # and reads M at every halving from the pass that measured it
+        newton = isogonic._newton
+        deflated = []
+
+        def recorded(model, sigma, start, tol, steps, roots):
+            run = newton(model, sigma, start, tol, steps, roots)
+            if roots:
+                deflated.append(len(run[0]))
+            return run
+
+        monkeypatch.setattr(isogonic, "_newton", recorded)
+        deflations = count_calls(fermat, "_deflation")
+        enumerate_isogonic(SimplexModel(probe_simplices["gauss-n3-2"]))
+        assert len(deflated) >= 10
+        assert 0 < len(deflations) <= sum(steps + 2 for steps in deflated)
+
     @pytest.mark.parametrize("vertices, evaluations", [
-        (golden.FIVE_VERTICES, 33), (STALL_TETRAHEDRON, 33)], ids=["reference", "stall"])
+        (golden.FIVE_VERTICES, 29), (STALL_TETRAHEDRON, 33)], ids=["reference", "stall"])
     def test_one_point_evaluations_of_a_catalog(self, monkeypatch, vertices, evaluations):
         # each root's index sign det J comes from Newton's last Jacobian, so
         # the degree balance evaluates nothing; counted through isogonic's
@@ -662,8 +680,8 @@ def test_random_vertex_orders_find_the_same_points(probe_simplices):
 
 
 def _sequential_newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray,
-                       tol: float, max_steps: int, residual: float = math.inf,
-                       roots=()) -> tuple[list[np.ndarray], int, str, np.ndarray]:
+                       tol: float, max_steps: int, roots=(),
+                       ) -> tuple[list[np.ndarray], int, str, np.ndarray]:
     """``fermat._newton`` with a line search that tries its 12 step
     fractions one at a time, evaluating g_sigma, J and M at each."""
     local = model._local
@@ -690,11 +708,6 @@ def _sequential_newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarra
             x = x + step
             path.append(x)
             ok = factor > 0.0
-            if math.isfinite(residual):
-                evaluations += 1
-                g, *terms = fermat._signed_gradient(local, sigma, x)
-                jac = fermat._jacobian(*terms)
-                ok = ok and math.sqrt(g @ g) <= residual
             break
         merit = weight * math.sqrt(g @ g)
         t = 1.0
@@ -708,7 +721,7 @@ def _sequential_newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarra
                 break
             t *= 0.5
         else:
-            ok = math.isfinite(residual) and merit <= residual
+            ok = merit <= fermat._RESIDUAL
             if ok and not path:
                 path.append(x)
             break
@@ -840,14 +853,26 @@ class TestStopReason:
         assert (path, evaluations, reason) == ([], 1, "stalled")
         assert jac.tobytes() == np.zeros((1, 1)).tobytes()
 
-    def test_the_last_jacobian_is_the_roots(self, five_model):
-        for root in enumerate_isogonic(five_model).isogonic_points:
-            sigma = np.sign(root.coords)
-            path, _, reason, jac = fermat._newton(five_model, sigma, root.normalized_coords,
-                                                  1e-13, 30, 1e-10)
-            assert reason == "converged"
-            assert jac.tobytes() == fermat._jacobian(*fermat._signed_gradient(
-                five_model._local, sigma, path[-1])[1:]).tobytes()
+    def test_each_root_adds_the_index_of_its_own_jacobian(self, five_model, monkeypatch):
+        # the degree balance reads sign det J_sigma from Newton's last
+        # Jacobian, which a closing short step leaves one point behind; at
+        # every root it is the sign at the root itself
+        run = isogonic._run
+        added = []
+
+        def recorded(model, sigma, seed, start, roots, indices):
+            result, trace = run(model, sigma, seed, start, roots, indices)
+            if result is not None:
+                added.append((model, sigma, roots[-1], indices[-1]))
+            return result, trace
+
+        monkeypatch.setattr(isogonic, "_run", recorded)
+        for model in [five_model] + _probe_models():
+            enumerate_isogonic(model)
+        assert len(added) > 100
+        for model, sigma, root, index in added:
+            units, weights = fermat._signed_gradient(model._local, sigma, root)[1:]
+            assert index == np.sign(np.linalg.det(fermat._jacobian(units, weights)))
 
     def test_fermat_and_catalog_traces_agree(self, five_model):
         # the same kind of stop reads the same reason in both traces
@@ -999,6 +1024,17 @@ class TestDefaultSeeds:
         assert len(runs) == len(catalog.traces) + len(catalog.failed_seeds) > 0
         assert all(np.count_nonzero(args[1] < 0) for args in runs)
         assert all(np.count_nonzero(p.coords < 0) for p in catalog.isogonic_points)
+
+    @pytest.mark.parametrize("seed, reason", [
+        ([0, 1, 1, 1], "rejected"), ([1, 1, 1, 1], "stalled"), ([0.1, 0.2, 0.3, 0.4], "stalled")])
+    def test_a_callers_all_positive_seed_runs_at_a_vertex_optimum(self, seed, reason):
+        # Kuhn's test names vertex 3, so the catalog's own Fermat solve is
+        # left out; a caller's seed whose start falls in the all-positive
+        # class still runs, and fails with its reason
+        model = SimplexModel([[0, 0, 0], [10, 0, 0], [0, 10, 0], [0.3, 0.3, 0.2]])
+        assert model._fermat_vertex == 3
+        assert enumerate_isogonic(model).failed_seeds == []
+        assert _catalog_trace(model, seed).reason == reason
 
     def test_a_stalled_fermat_solve_is_a_failed_seed(self, five_model, monkeypatch):
         # the class then fails its balance, and its near-vertex starts find

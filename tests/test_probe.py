@@ -2,8 +2,8 @@
 and the bits it has always digested.
 
 ``SLICE_DIGEST`` is the digest of the slice below as the solvers computed it
-once the catalog's further starts became near-vertex starts alone, with
-NumPy 2.4.6 on x86-64.  A change that moves
+once every Newton run, the catalog's and the Fermat solve's, stopped by one
+rule, with NumPy 2.4.6 on x86-64.  A change that moves
 any output bit of the slice (a catalog point, an area, a start's counts, a
 Fermat point, its counts, iterates or distance sums) fails here; if the move
 is intended, or a platform rounds differently, rerun the probe and re-pin.
@@ -15,15 +15,16 @@ import re
 import probe
 
 SLICE = {"triangles": 40, "tetrahedra": 20, "four": 4, "five": 2}
-SLICE_DIGEST = "bf46aeb6a71108d4c2d577781cc08be22ed765e455fe0a9876806d8e01e22387"
+SLICE_DIGEST = "4e7ba6f79473e59d00337f32a0bac7aacc2690bffb0cc3ddf64fe2ed71d38a5b"
 
 
 def test_a_probe_slice_keeps_its_digest():
     (summary, digest, points), (again, digest_again, _) = probe.probe(SLICE), probe.probe(SLICE)
     assert re.fullmatch("[0-9a-f]{64}", digest) and digest_again == digest
-    assert summary.split(" (")[0] == again.split(" (")[0] == (
-        "107 simplices, 269 points, 107 failed starts, 1935 catalog steps, 891 in failed "
-        "starts, 428 Fermat runs, 0 without an answer, 0 catalog Fermat points apart")
+    assert summary.rsplit(" (", 1)[0] == again.rsplit(" (", 1)[0] == (
+        "107 simplices, 269 points, 107 failed starts (1 out of budget, 106 stalled), "
+        "1923 catalog steps, 891 in failed starts, 428 Fermat runs, 0 without an answer, "
+        "0 catalog Fermat points apart")
     assert digest == SLICE_DIGEST
     assert len(points) == 107 and sum(map(len, points.values())) == 269
 
