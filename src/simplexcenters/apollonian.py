@@ -62,22 +62,21 @@ _TANGENCY_REL = 1e-12
 class ApollonianSphere:
     """One generalized Apollonian sphere of a vertex pair.
 
-    ``center`` is the midpoint [-p_i^2 : p_j^2] (slots i, j) of the diameter
-    ends, ``cart_center`` the same point as a read-only Cartesian array, and
+    ``cart_center`` is the midpoint of the diameter ends, the point
+    [-p_i^2 : p_j^2] (slots i, j), as a read-only Cartesian array, and
     ``radius`` half the distance between the ends.  A perpendicular-bisector
-    sphere (|p_i| = |p_j|) has both centers ``None`` and ``radius`` infinite.
+    sphere (|p_i| = |p_j|) has ``cart_center`` ``None`` and ``radius`` infinite.
     """
 
     i: int
     j: int
     diameter_ends: tuple[BarycentricPoint, BarycentricPoint]
-    center: BarycentricPoint | None
     cart_center: np.ndarray | None
     radius: float
 
     @property
     def is_degenerate(self) -> bool:
-        return self.center is None
+        return self.cart_center is None
 
 
 @dataclass(frozen=True)
@@ -85,13 +84,12 @@ class IsodynamicResult:
     """Common points of all Apollonian spheres of a point, if any.
 
     ``residuals`` holds the worst distance-ratio residual of each point.
-    ``degenerate_axis`` marks the all-equal case, where every sphere is a
-    perpendicular bisector and the one point is the circumcenter.
+    ``note`` is None unless every sphere is a perpendicular bisector (all
+    magnitudes equal) and the one point is the circumcenter.
     """
 
     points: list[BarycentricPoint]
     residuals: list[float]
-    degenerate_axis: bool = False
     note: str | None = None
 
 
@@ -133,12 +131,11 @@ def apollonian_sphere(p, i: int, j: int, model: SimplexModel) -> ApollonianSpher
         # equal-magnitude coordinates: the locus is the perpendicular
         # bisector of edge (i, j)
         return ApollonianSphere(i=i, j=j, diameter_ends=(end_in, end_out),
-                                center=None, cart_center=None, radius=math.inf)
+                                cart_center=None, radius=math.inf)
 
     c1, c2 = (model._frame(end) for end in (end_in, end_out))
     gap = c1 - c2
     return ApollonianSphere(i=i, j=j, diameter_ends=(end_in, end_out),
-                            center=_slot_point(model.n, i, j, -pi ** 2, pj ** 2),
                             cart_center=_frozen(model._from_frame(0.5 * (c1 + c2))),
                             radius=float(model._absolute(0.5 * math.sqrt(gap @ gap))))
 
@@ -171,7 +168,7 @@ def isodynamic_points(p, model: SimplexModel) -> IsodynamicResult:
     points, frame_points, note = _common_points(pt.coords, model)
     return IsodynamicResult(points=points,
                             residuals=[_frame_residual(pt, y, model) for y in frame_points],
-                            degenerate_axis=note is not None, note=note)
+                            note=note)
 
 
 def _common_points(coords: np.ndarray, model: SimplexModel,

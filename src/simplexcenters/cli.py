@@ -103,7 +103,7 @@ def cmd_isodynamic(doc: SimplexDocument, options: dict) -> dict:
     }
     for pt, res in zip(result.points, result.residuals):
         results["points"].append(point_payload(pt, residual=res))
-    if result.degenerate_axis:
+    if result.note is not None:
         warnings.append(result.note)
     if not result.points:
         results["verdict"] = "none exist"
@@ -139,10 +139,12 @@ def cmd_fermat(doc: SimplexDocument, options: dict) -> dict:
     point, trace = fermat_point(model, start=start, method=method,
                                 tol=tol, max_iter=max_iter)
     gradient = _signed_gradient(model._local, np.ones(model.n + 1), model._frame(point))[0]
+    # the least subgradient norm: at a vertex optimum, the pull |g| less 1
+    residual = max(0.0, math.sqrt(gradient @ gradient) - trace.vertex_optimum)
     results = {
         "dimension": model.n,
         "method": method,
-        "point": point_payload(point, residual=math.sqrt(gradient @ gradient),
+        "point": point_payload(point, residual=residual,
                                iterations=trace.iterations_used),
         "objective": round12(total_distance(point, model)),
         "converged": trace.converged,

@@ -131,24 +131,13 @@ def parse_document(obj) -> SimplexDocument:
     if not isinstance(values, list) or len(values) != expected:
         raise DocumentError(
             f"edge_lengths.values: dimension {dim} needs {expected} lengths")
-    # one pass: a plain JSON number that is finite and positive is taken as
-    # is; any other entry is read by parse_number, whose errors come first,
-    # and then the first length that is not positive is the error
-    parsed = []
-    nonpositive = None
-    for k, v in enumerate(values):
-        try:
-            x = float(v) if type(v) is float or type(v) is int else math.nan
-        except OverflowError:
-            x = math.nan
-        if not 0.0 < x < math.inf:
-            x = parse_number(v, f"edge_lengths.values[{k}]")
-            if x <= 0 and nonpositive is None:
-                nonpositive = k
-        parsed.append(x)
-    if nonpositive is not None:
-        raise DocumentError(f"edge_lengths.values[{nonpositive}]: must be positive")
-    parsed = tuple(parsed)
+    # a finite float is kept as is; parse errors come first, then the first length <= 0
+    parsed = tuple(v if type(v) is float and -math.inf < v < math.inf
+                   else parse_number(v, f"edge_lengths.values[{k}]")
+                   for k, v in enumerate(values))
+    for k, x in enumerate(parsed):
+        if x <= 0:
+            raise DocumentError(f"edge_lengths.values[{k}]: must be positive")
     table = EdgeLengthTable.from_flat(dim, parsed)
     return SimplexDocument(obj, tolerance, parsed, embed_from_edge_lengths(table))
 

@@ -116,15 +116,15 @@ class SolverTrace:
     of the approach step and Newton's frame path or the optimal vertex, and
     forms ``iterates`` (one point per entry) and their distance sums
     ``objective_values`` on first read, once; a catalog trace reads [] for both.
-    ``damping_used`` always reads 1.0; it stays because the benchmark's
+    ``damping_used`` is a class attribute, 1.0, not a field: the benchmark's
     ``isogonic-catalog`` statistics read it from every trace.
     """
 
+    damping_used = 1.0
     seed: BarycentricPoint
     reason: str = ""
     iterations_used: int = 0
     gradient_evaluations: int = 0
-    damping_used: float = 1.0
     _model: SimplexModel | None = field(default=None, repr=False)
     _head: list[BarycentricPoint | np.ndarray] = field(default_factory=list, repr=False)
     _path: list[np.ndarray] = field(default_factory=list, repr=False)

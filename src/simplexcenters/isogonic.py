@@ -192,12 +192,12 @@ def is_isogonic(p, model: SimplexModel, tol: float = _EQUIAREAL) -> tuple[bool, 
     """Whether the antipedal simplex of the point is equiareal.
 
     Returns the verdict together with the relative facet-volume spread;
-    a point on a sideplane, where no antipedal simplex exists, yields
-    (False, inf), and a collapsed model raises ``Degenerate``.
+    a point on a sideplane, a vertex included, where no antipedal simplex
+    exists, yields (False, inf), and a collapsed model raises ``Degenerate``.
     """
     try:
         deviation = _spread(facet_volumes_of_points(_antipedal_points(p, model)))
-    except ZeroCoordinate:
+    except (ZeroCoordinate, AtVertex):
         deviation = math.inf
     return deviation <= tol, deviation
 

@@ -84,3 +84,13 @@ def test_tiny_workload_bypasses_its_layers(name):
     assert spans.get("calls", entered) == len(workload.cases)
     for layer in bypassed:
         assert spans.get("calls", layer) == 0, layer
+
+
+def test_damping_used_is_a_constant_not_a_field(five_model):
+    # the workloads' damped-seed count reads it from every trace
+    with pytest.raises(TypeError):
+        simplexcenters.SolverTrace(seed=simplexcenters.BarycentricPoint([1, 1, 1, 1]),
+                                   damping_used=0.5)
+    catalog = simplexcenters.enumerate_isogonic(five_model)
+    traces = catalog.traces + catalog.failed_seeds
+    assert traces and all(trace.damping_used == 1.0 for trace in traces)

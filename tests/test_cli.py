@@ -289,6 +289,16 @@ class TestFermatCommand:
         assert code == 0
         assert "vertex optimum" in out
 
+    def test_vertex_optimum_has_zero_residual(self, doc_path, capsys):
+        # the residual is the least subgradient norm, max(0, |c_k| - 1) at a
+        # vertex k that Kuhn's test certifies, not the pull |c_k| itself
+        _, out, _ = run_cli(capsys, "fermat", doc_path(OBTUSE_DOC))
+        assert "residual 0.000e+00" in out
+        _, out, _ = run_cli(capsys, "fermat", doc_path(OBTUSE_DOC), "--json")
+        results = json.loads(out)["results"]
+        assert results["vertex_optimum"]
+        assert results["point"]["residual"] == 0.0
+
     def test_trace_output(self, doc_path, capsys):
         code, out, _ = run_cli(capsys, "fermat", doc_path(FIVE_DOC),
                                "--trace", "--json")

@@ -12,6 +12,7 @@ from conftest import COLLAPSED, make_random_model, random_nonzero_point
 import simplexcenters
 from simplexcenters import (
     REASONS,
+    AtVertex,
     BarycentricPoint,
     Degenerate,
     EdgeLengthTable,
@@ -1091,6 +1092,16 @@ class TestIsIsogonic:
         ok, deviation = is_isogonic(on_edge_line, five_model)
         assert not ok
         assert math.isinf(deviation)
+
+    def test_vertex_reports_false(self, five_model):
+        # a vertex lies on n sideplanes; the antipedal simplex still refuses it
+        for k in range(4):
+            vertex = BarycentricPoint.vertex(k, 3)
+            with pytest.raises(AtVertex):
+                antipedal_simplex(vertex, five_model)
+            ok, deviation = is_isogonic(vertex, five_model)
+            assert not ok
+            assert math.isinf(deviation)
 
 
 class TestTriadAngles:

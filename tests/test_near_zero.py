@@ -123,4 +123,4 @@ def test_is_finite_boundary():
 def test_equal_magnitudes_make_a_bisector_plane():
     assert apollonian_sphere([1, -(1 + BELOW), 2, 3], 0, 1, FIVE).is_degenerate
     assert not apollonian_sphere([1, -(1 + ABOVE), 2, 3], 0, 1, FIVE).is_degenerate
-    assert isodynamic_points([1, 1, -1, np.sqrt(1 + BELOW)], FIVE).degenerate_axis
+    assert isodynamic_points([1, 1, -1, np.sqrt(1 + BELOW)], FIVE).note is not None
