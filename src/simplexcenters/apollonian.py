@@ -58,7 +58,7 @@ from .errors import AtVertex, NotEmbeddable, PointAtInfinity, ZeroCoordinate
 _TANGENCY_REL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ApollonianSphere:
     """One generalized Apollonian sphere of a vertex pair.
 
@@ -79,7 +79,7 @@ class ApollonianSphere:
         return self.cart_center is None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IsodynamicResult:
     """Common points of all Apollonian spheres of a point, if any.
 
@@ -93,7 +93,7 @@ class IsodynamicResult:
     note: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class YiuVerdict:
     """Outcome of the circumcircle test for common points of the three
     Apollonian circles of a weighted triangle."""

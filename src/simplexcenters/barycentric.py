@@ -158,7 +158,7 @@ def _gram_defect(gram: np.ndarray) -> NotEmbeddable | Degenerate | None:
 # edge length table
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeLengthTable:
     """Symmetric table of pairwise vertex distances of an n-simplex; input
     enters through ``from_flat``, the constructor takes a table as given."""
@@ -209,7 +209,7 @@ def _vertex_index(i, n: int, name: str = "vertex index") -> int:
     return k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BarycentricPoint:
     """Homogeneous coordinates [p_1 : ... : p_{n+1}] relative to a simplex.
 
@@ -218,11 +218,12 @@ class BarycentricPoint:
     point at infinity, and is kept as given; any other vector is a finite
     point, stored divided by its sum so that ``coords`` sums to 1.
     ``is_finite`` reads that verdict, and ``normalized_coords`` raises
-    ``PointAtInfinity`` on a direction.
+    ``PointAtInfinity`` on a direction.  Points compare and hash by
+    identity, as models do; compare ``coords`` for values.
     """
 
     coords: np.ndarray
-    _finite: bool = field(init=False, repr=False, compare=False)
+    _finite: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         coords = np.asarray(self.coords, dtype=float)

@@ -102,7 +102,7 @@ REASONS = ("converged", "vertex optimum", "out of budget", "stalled",
            "escaped", "rejected")
 
 
-@dataclass
+@dataclass(eq=False)
 class SolverTrace:
     """One run of :func:`fermat_point` or of a catalog start.
 

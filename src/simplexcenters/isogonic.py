@@ -31,8 +31,9 @@ points are the conjugates X(13), X(14) of its seeds, so it takes no more.
 A root is accepted if its Newton run converged, as a Fermat solve does,
 it keeps the pattern +-sigma, it lies within 1e6 diameters of vertex 0
 (if sum(sigma) = 0, |g_sigma| falls to rounding far out along one
-direction), no coordinate of it is zero, so that its antipedal simplex
-exists, and its antipedal facet volumes pass :func:`is_isogonic`'s test.
+direction), it is neither a vertex nor on a sideplane, so that its
+antipedal simplex exists, and its antipedal facet volumes pass
+:func:`is_isogonic`'s test.
 Only a root that passes the first four tests has its conjugate formed; one
 :func:`~simplexcenters.barycentric.facet_volumes_of_points` call then
 measures its antipedal simplex and the conjugate's pedal simplex, whose
@@ -80,7 +81,7 @@ _ROUNDING = 1e-9
 _EQUIAREAL = 1e-7
 
 
-@dataclass
+@dataclass(eq=False)
 class IsogonicCatalog:
     """The isogonic points found in the claimed sign classes (all-positive
     and one-negative) and from the caller's seeds, with their conjugates.
@@ -166,7 +167,7 @@ def _run(model: SimplexModel, sigma: np.ndarray, seed: BarycentricPoint,
         return None, trace
     try:
         antipedal = _antipedal_points(point, model)
-    except ZeroCoordinate:
+    except (ZeroCoordinate, AtVertex):
         return None, trace
     # isogonal_conjugate, whose zero test _antipedal_points has just passed
     conjugate = BarycentricPoint(model._facets ** 2 / point.coords)
@@ -188,18 +189,24 @@ def _has_pattern(coords: np.ndarray, sigma: np.ndarray) -> bool:
     return set(np.sign(sigma * coords).tolist()) in ({1.0}, {-1.0})
 
 
-def is_isogonic(p, model: SimplexModel, tol: float = _EQUIAREAL) -> tuple[bool, float]:
-    """Whether the antipedal simplex of the point is equiareal.
+def is_isogonic(p, model: SimplexModel) -> tuple[bool, float]:
+    """Whether the antipedal simplex of the point is equiareal, by the catalog's rule.
 
-    Returns the verdict together with the relative facet-volume spread;
-    a point on a sideplane, a vertex included, where no antipedal simplex
-    exists, yields (False, inf), and a collapsed model raises ``Degenerate``.
+    Returns the verdict, True for a spread of at most 1e-7, with the
+    relative facet-volume spread; a point on a sideplane, a vertex
+    included, where no antipedal simplex exists, or beyond the catalog's
+    escape radius yields (False, inf); a direction raises
+    ``PointAtInfinity``, and a collapsed model ``Degenerate``.
     """
     try:
-        deviation = _spread(facet_volumes_of_points(_antipedal_points(p, model)))
+        volumes = facet_volumes_of_points(_antipedal_points(p, model))
     except (ZeroCoordinate, AtVertex):
-        deviation = math.inf
-    return deviation <= tol, deviation
+        return False, math.inf
+    y = model._frame(p)
+    if math.sqrt(y @ y) > _ESCAPE * model._local_diameter:
+        return False, math.inf
+    deviation = _spread(volumes)
+    return deviation <= _EQUIAREAL, deviation
 
 
 @functools.cache
@@ -314,7 +321,9 @@ def triad_angle_check(p, model: SimplexModel, tol: float = 1e-7,
     For a 3-simplex and each vertex triple {i, j, k}, the three angles
     between the lines joining the point to the triple's vertices (taken in
     [0, pi/2]) are sorted; the check passes when all four sorted triples
-    agree within ``tol`` radians.  True at every isogonic point.
+    agree within ``tol`` radians.  True at every isogonic point, and a
+    necessary condition only: far out, where the lines to the vertices are
+    nearly parallel, points that :func:`is_isogonic` refuses pass too.
     """
     if model.n != 3:
         raise ValueError("triad angle check is defined for 3-simplices")

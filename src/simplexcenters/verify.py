@@ -137,23 +137,19 @@ def _coord_error(point: BarycentricPoint, expected) -> float:
     return float(np.abs(point.normalized_coords - np.asarray(expected, float)).max())
 
 
-def _builtin_model(doc: dict) -> SimplexModel:
-    return parse_document(doc).build_model()
-
-
 # ---------------------------------------------------------------------------
 # reference configuration checks
 # ---------------------------------------------------------------------------
 
 def gap_checks() -> list[CheckRow | NumericRow]:
     rows = []
-    model = _builtin_model(GAP_TETRAHEDRON_DOC)
+    model = parse_document(GAP_TETRAHEDRON_DOC).build_model()
     areas = model.facet_volumes
     rows.append(NumericRow(
         "gap: facet areas (6*sqrt(21), 9/4*sqrt(403), 9/4*sqrt(51), 6*sqrt(105))",
         float(np.abs(areas / np.array(GAP_FACET_AREAS) - 1.0).max()), 1e-10))
 
-    triangle = _builtin_model(GAP_FACET_TRIANGLE_DOC)
+    triangle = parse_document(GAP_FACET_TRIANGLE_DOC).build_model()
     centers = classical_centers(triangle)
     expected_o = np.array([float(f) for f in GAP_FACET_CIRCUMCENTER])
     rows.append(NumericRow("gap: facet triangle circumcenter [73/210, 121/315, 169/630]",
@@ -190,7 +186,7 @@ def gap_checks() -> list[CheckRow | NumericRow]:
 
 def five_isogonic_checks() -> list[CheckRow | NumericRow]:
     rows = []
-    model = _builtin_model(FIVE_ISOGONIC_DOC)
+    model = parse_document(FIVE_ISOGONIC_DOC).build_model()
     rows.append(NumericRow(
         "five: facet volumes (10, 8, 6)*sqrt(10), 24",
         float(np.abs(model.facet_volumes / np.array(FIVE_FACET_VOLUMES) - 1.0).max()),
@@ -297,7 +293,7 @@ def _fd_gradient(model: SimplexModel, x: np.ndarray) -> np.ndarray:
 
 def solver_suite_checks() -> list[CheckRow | NumericRow]:
     rows = []
-    model = _builtin_model(FIVE_ISOGONIC_DOC)
+    model = parse_document(FIVE_ISOGONIC_DOC).build_model()
     target = np.array(ISOGONIC_TABLE[0])
     rng = np.random.default_rng(20240)
 
@@ -336,8 +332,7 @@ def triangle_suite_checks() -> list[CheckRow | NumericRow]:
     worst_line = 0.0
     worst_cross = 0.0
     worst_product = 0.0
-    worst_pedal = 0.0
-    worst_antipedal = 0.0
+    worst_sides = [0.0, 0.0]   # pedal, antipedal
     worst_conj = 0.0
     interior_ok = True
     for _ in range(100):
@@ -372,17 +367,11 @@ def triangle_suite_checks() -> list[CheckRow | NumericRow]:
             products = model.vertex_distances(j) * opposite
             worst_product = max(worst_product,
                                 float(np.ptp(products) / products.mean()))
-            feet = pedal_simplex(j, model).vertices
-            sides = [np.linalg.norm(feet[a] - feet[b])
-                     for a, b in itertools.combinations(range(3), 2)]
-            worst_pedal = max(worst_pedal,
-                              (max(sides) - min(sides)) / np.mean(sides))
             conj = isogonal_conjugate(j, model)
-            anti = antipedal_simplex(conj, model).vertices
-            sides = [np.linalg.norm(anti[a] - anti[b])
-                     for a, b in itertools.combinations(range(3), 2)]
-            worst_antipedal = max(worst_antipedal,
-                                  (max(sides) - min(sides)) / np.mean(sides))
+            for k, figure in enumerate((pedal_simplex(j, model), antipedal_simplex(conj, model))):
+                sides = [np.linalg.norm(figure.vertices[a] - figure.vertices[b])
+                         for a, b in itertools.combinations(range(3), 2)]
+                worst_sides[k] = max(worst_sides[k], (max(sides) - min(sides)) / np.mean(sides))
 
         fermat, _ = fermat_point(model)
         conj_interior = isogonal_conjugate(j1 if interior_flags[0] else j2, model)
@@ -398,9 +387,9 @@ def triangle_suite_checks() -> list[CheckRow | NumericRow]:
     rows.append(NumericRow("triangles: vertex distance times opposite side balanced",
                            worst_product, 1e-8))
     rows.append(NumericRow("triangles: pedal triangles of J equilateral",
-                           worst_pedal, 1e-8))
+                           worst_sides[0], 1e-8))
     rows.append(NumericRow("triangles: antipedal triangles of conjugates equilateral",
-                           worst_antipedal, 1e-8))
+                           worst_sides[1], 1e-8))
     rows.append(NumericRow("triangles: interior conjugate equals distance minimizer",
                            worst_conj, 1e-8))
     return rows

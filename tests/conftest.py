@@ -1,4 +1,5 @@
 import copy
+import math
 import sys
 import types
 from pathlib import Path
@@ -112,3 +113,34 @@ def random_nonzero_point(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def random_interior_point(rng: np.random.Generator, n: int) -> np.ndarray:
     return rng.dirichlet(np.ones(n + 1)) + 0.02
+
+
+# an integer tetrahedron with vertex 0 on Kuhn's boundary: its pull at
+# sigma = +1 is (1, 1, 1)/sqrt(3), of norm 1 up to rounding
+KUHN_TETRAHEDRON = [[0, 0, 0], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]
+
+
+def kuhn_critical_model(rng: np.random.Generator, n: int) -> SimplexModel:
+    """An n-simplex with vertex 0 on Kuhn's boundary for one claimed sign
+    class: vertex 0 at the origin, the others at random radii along unit
+    directions u_i whose signed sum, all-plus or with one minus, has norm 1,
+    so that the class's pull |c_0| is 1 up to rounding."""
+    while True:
+        sigma = np.ones(n)
+        if rng.random() < 0.5:
+            sigma[rng.integers(n)] = -1.0
+        u = rng.standard_normal((n, n))
+        u /= np.linalg.norm(u, axis=1)[:, None]
+        s = sigma[:-1] @ u[:-1]
+        r = float(np.linalg.norm(s))
+        if not 0.0 < r < 2.0:
+            continue
+        # the last direction closes |s + sigma_n u_n| = 1: u_n . s = -sigma_n r^2 / 2
+        along = -sigma[-1] * r / 2.0
+        w = u[-1] - (u[-1] @ s) / r ** 2 * s
+        u[-1] = along * s / r + math.sqrt(1.0 - along ** 2) * w / np.linalg.norm(w)
+        vertices = np.zeros((n + 1, n))
+        vertices[1:] = rng.uniform(0.5, 2.0, n)[:, None] * u
+        model = SimplexModel(vertices, validate=False)
+        if not model.degenerate:
+            return model

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import golden
+from conftest import KUHN_TETRAHEDRON
 
 from simplexcenters import (
     Degenerate,
@@ -515,6 +516,12 @@ class TestIsogonicCommand:
                 golden.PEDAL_AREA_TABLE[k], rel=1e-6)
             assert entry["antipedal_area"] == pytest.approx(
                 golden.ANTIPEDAL_AREA_TABLE[k], rel=1e-6)
+
+    def test_root_at_a_kuhn_boundary_vertex_is_rejected(self, doc_path, capsys):
+        doc = {"vertices": KUHN_TETRAHEDRON}
+        code, out, err = run_cli(capsys, "isogonic", doc_path(doc), "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["results"]["count"] == 5
 
     def test_triangle_two_entries(self, doc_path, capsys):
         code, out, _ = run_cli(capsys, "isogonic",

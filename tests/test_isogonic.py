@@ -7,7 +7,8 @@ import pytest
 import golden
 import probe
 from abtime import _workloads
-from conftest import COLLAPSED, make_random_model, random_nonzero_point
+from conftest import (COLLAPSED, KUHN_TETRAHEDRON, kuhn_critical_model, make_random_model,
+                      random_nonzero_point)
 
 import simplexcenters
 from simplexcenters import (
@@ -108,6 +109,8 @@ FAR_PSEUDO_ROOT = [[-0.117334, 1.194104, -0.930726],
                    [-2.043466, -2.048336, 2.213690],
                    [-1.827079, 2.301102, -2.075163],
                    [-0.584854, -0.731705, 0.349025]]
+# that pseudo-root, 1.5e7 diameters from vertex 0
+FAR_POINT = [11116095.85, -11116095.20, 11116095.91, -11116095.56]
 
 # a tetrahedron on which one catalog start takes all its Newton steps, and
 # one on which fermat_point stalls from an interior start with method "q"
@@ -339,8 +342,8 @@ class TestEnumerateIsogonic:
         assert np.abs(catalog.isogonic_points[0].normalized_coords - 0.25).max() < 1e-9
         # every returned point genuinely verifies
         for f in catalog.isogonic_points:
-            ok, dev = is_isogonic(f, regular_tetrahedron, tol=1e-9)
-            assert ok, dev
+            ok, dev = is_isogonic(f, regular_tetrahedron)
+            assert ok and dev <= 1e-9, dev
 
     def test_regular_tetrahedron_exterior_family(self, regular_tetrahedron):
         # besides the center, the default seeds find four exterior isogonic
@@ -364,8 +367,8 @@ class TestEnumerateIsogonic:
         assert equiareal_deviation(
             pedal_simplex(exact_l, regular_tetrahedron)) < 1e-12
         exact_f = BarycentricPoint([-3.0, 5.0, 5.0, 5.0])
-        ok, dev = is_isogonic(exact_f, regular_tetrahedron, tol=1e-12)
-        assert ok, dev
+        ok, dev = is_isogonic(exact_f, regular_tetrahedron)
+        assert ok and dev <= 1e-12, dev
 
     def test_triangle_two_points_positive_is_fermat(self, gap_triangle):
         catalog = enumerate_isogonic(gap_triangle)
@@ -1103,6 +1106,32 @@ class TestIsIsogonic:
             assert not ok
             assert math.isinf(deviation)
 
+    def test_point_past_the_escape_radius_reports_false(self):
+        # its antipedal spread is 3.7e-8, but the catalog would not accept it
+        model = SimplexModel(FAR_PSEUDO_ROOT)
+        assert is_isogonic(FAR_POINT, model) == (False, math.inf)
+
+
+class TestKuhnBoundary:
+    """A vertex whose pull |c_k| is 1 to rounding draws further starts onto
+    it; a root there is rejected, as one on a sideplane is."""
+
+    def test_integer_tetrahedron(self):
+        model = SimplexModel(KUHN_TETRAHEDRON)
+        assert model._fermat_vertex == 0
+        catalog = enumerate_isogonic(model)
+        assert len(catalog) == 5
+        assert all(is_isogonic(p, model)[0] for p in catalog.isogonic_points)
+        assert "rejected" in {t.reason for t in catalog.failed_seeds}
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_seeded_critical_draws(self, n):
+        rng = np.random.default_rng((45, n))
+        for _ in range(5):
+            model = kuhn_critical_model(rng, n)
+            catalog = enumerate_isogonic(model)
+            assert all(is_isogonic(p, model)[0] for p in catalog.isogonic_points)
+
 
 class TestTriadAngles:
     def test_isogonic_point_passes(self, five_model):
@@ -1128,6 +1157,11 @@ class TestTriadAngles:
     def test_requires_dimension_three(self, gap_triangle):
         with pytest.raises(ValueError):
             triad_angle_check(BarycentricPoint([1, 1, 1]), gap_triangle)
+
+    def test_far_point_passes(self):
+        # lines through a far point are nearly parallel: the check is a
+        # necessary condition only, which is_isogonic's escape radius bounds
+        assert triad_angle_check(FAR_POINT, SimplexModel(FAR_PSEUDO_ROOT))[0]
 
 
 @pytest.mark.xfail(
