@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,7 @@ from .barycentric import (
     _frozen,
     _gram_defect,
     _lapack,
+    _nonzero,
     _norms,
     _vertex_index,
     _zero_entries,
@@ -176,8 +178,7 @@ def _common_points(coords: np.ndarray, model: SimplexModel,
     """:func:`isodynamic_points`' points of the point stored as ``coords``, in
     its order, with their frame positions and its note, which is None unless
     the axis is degenerate; no residual is measured."""
-    if np.count_nonzero(_zero_entries(coords)):
-        raise ZeroCoordinate("isodynamic points need all coordinates nonzero")
+    _nonzero(coords, "isodynamic points need all coordinates nonzero")
     center, radius = model._circumcenter
     if _all_equal(coords ** 2):
         return ([BarycentricPoint(model._coords(center))], [center],
@@ -243,6 +244,8 @@ def yiu_triangle_test(d23: float, d13: float, d12: float,
 
     squares = np.array([a * a, b * b, c * c])   # d23^2, d13^2, d12^2
     weights = BarycentricPoint([a1, a2, a3]).coords
+    if weights.min() < sys.float_info.min:   # normalized, the least weight underflows
+        weights = np.array([a1, a2, a3], float)
     # the reciprocal weights over their largest, squared: no square overflows
     t = squares * (weights.min() / weights) ** 2
     point = BarycentricPoint(squares * (2.0 * t - t.sum()))   # d_i^2 (t_i - t_j - t_k)
@@ -260,15 +263,25 @@ def collinear_cross_ratio(a, b, c, d) -> float:
 
     Parametrizes the line through a and b and returns
     ((c-a)(d-b)) / ((c-b)(d-a)) in line parameters; a harmonic range listed
-    in line order a, c, b, d gives -1.
+    in line order a, c, b, d gives -1.  The points must be finite vectors of
+    one length with a != b, else ``ValueError``; a zero denominator, as at
+    c = b or d = a, is the line's point at infinity, ``PointAtInfinity``.
     """
-    a = np.asarray(a, float)
-    u = np.asarray(b, float) - a
-    u = u / float(u @ u)
-    ta, tb, tc, td = (0.0, 1.0,
-                      float((np.asarray(c, float) - a) @ u),
-                      float((np.asarray(d, float) - a) @ u))
-    return ((tc - ta) * (td - tb)) / ((tc - tb) * (td - ta))
+    points = np.array([a, b, c, d], dtype=float)
+    if points.ndim != 2 or not np.isfinite(points).all():
+        raise ValueError("points must be finite vectors of one length")
+    # offsets from a, halved so none overflows, scaled so the largest is in [1/2, 1)
+    gaps = 0.5 * points[1:] - 0.5 * points[0]
+    gaps = np.ldexp(gaps, -math.frexp(float(np.abs(gaps).max(initial=0.0)))[1])
+    square = float(gaps[0] @ gaps[0])
+    if square == 0.0:   # b - a vanishes at the points' scale
+        raise ValueError("points a and b must be distinct")
+    u = gaps[0] / square
+    ta, tb, tc, td = 0.0, 1.0, float(gaps[1] @ u), float(gaps[2] @ u)
+    denominator = (tc - tb) * (td - ta)
+    if denominator == 0.0 or (points[2] == points[1]).all():   # tc may round off tb
+        raise PointAtInfinity("cross-ratio is infinite: its denominator (c-b)(d-a) is zero")
+    return ((tc - ta) * (td - tb)) / denominator
 
 
 def restrict_to_facet(p, model: SimplexModel,

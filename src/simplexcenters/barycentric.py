@@ -7,8 +7,11 @@ finite point is stored normalized, so its ``coords`` sum to 1; a
 direction (coordinate sum zero) is kept as given.
 
 Near-zero policy: one tolerance, eps = 1e-13 relative to each input's own
-scale, decides where a construction stops being defined, in four predicates:
-``_zero_entries``, ``_zero_sum``, ``_all_equal`` and ``SimplexModel._vertex_at``.
+scale, decides where a construction stops being defined, in four tests:
+``_zero_entries``, ``_zero_sum``, ``_all_equal`` and the vertex test of
+``SimplexModel._rays``.  Two guards raise a point's vertex or sideplane
+refusal with their caller's message, ``_rays`` ``AtVertex`` and ``_nonzero``
+``ZeroCoordinate``; only two subset tests in ``apollonian`` raise their own.
 
 Volume policy: one kernel, ``facet_volumes_of_points``, measures facets by
 Gram determinants of edge vectors from vertex coordinates, of one point set
@@ -49,7 +52,7 @@ from numpy.linalg import _umath_linalg as _lapack
 # default optimize=False (a 4x3 row dot on the same core: 2.2 against 1.2 us)
 from numpy._core.multiarray import c_einsum as _einsum
 
-from .errors import Degenerate, NotEmbeddable, PointAtInfinity
+from .errors import AtVertex, Degenerate, NotEmbeddable, PointAtInfinity, ZeroCoordinate
 
 # The near-zero tolerance eps: two orders above double epsilon.
 _REL_EPS = 1e-13
@@ -89,6 +92,14 @@ def _zero_entries(c: np.ndarray) -> np.ndarray:
     return mags <= _REL_EPS * np.maximum.reduce(mags)
 
 
+def _nonzero(c: np.ndarray, message: str) -> None:
+    """Raise ``ZeroCoordinate(message)``, its ``{i}`` the first entry of ``c``
+    that ``_zero_entries`` marks, if there is one."""
+    zero = _zero_entries(c)
+    if np.count_nonzero(zero):
+        raise ZeroCoordinate(message.format(i=int(zero.argmax())))
+
+
 def _zero_sum(total: float, norm: float) -> bool:
     """Whether a coordinate sum is zero, given the sum of the magnitudes."""
     return abs(total) <= _REL_EPS * norm
@@ -117,23 +128,44 @@ def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(rows), _frozen(cols)
 
 
+def _factorial(k: int) -> float:
+    """k! as a float; inf past 170!, beyond float range, so a volume over it reads 0."""
+    return float(math.factorial(k)) if k <= 170 else math.inf
+
+
 def facet_volumes_of_points(points: np.ndarray) -> np.ndarray:
     """(k-1)-volumes of all facets of the simplex on the given points.
 
-    ``points`` is (..., m, dim): one or more sets of m points each.  Entry
-    [..., i] is the volume of the facet of its set obtained by dropping
-    point i (a point's is 1, the determinant of an empty Gram matrix); a
-    collapsed set reads zeros.  Vectorized over the facets and the sets, so
-    the isogonic catalog measures a root's antipedal and pedal figures in
-    one call, each set bit for bit as if measured alone.
+    ``points`` is (..., m, dim): one or more sets of m >= 2 finite points
+    each, else ``ValueError``.  Entry [..., i] is the volume of the facet
+    of its set obtained by dropping point i (a point's is 1, the
+    determinant of an empty Gram matrix); a collapsed set reads zeros.
+    Vectorized over the facets and the sets, so the isogonic catalog
+    measures a root's antipedal and pedal figures in one call, each set
+    bit for bit as if measured alone; inf or 0 beyond float range.
     """
     points = np.asarray(points, float)
+    if points.ndim < 2 or points.shape[-2] < 2:
+        raise ValueError("points must be an array (..., m, dim) with m >= 2")
     m = points.shape[-2]
+    # a Gram determinant scales as 2 ** (2 (m-2) e), e the largest coordinate's
+    # exponent, which the sum of squares (BLAS, no warning) estimates: within 2 ** 64
+    # of float range, the points are measured scaled into [1/2, 1) and scaled back
+    square = float(np.vdot(points, points))
+    if not (0.0 < square < math.inf and abs(math.frexp(square)[1] // 2) * (m - 2) <= 480):
+        top = float(np.abs(points).max(initial=0.0))
+        if not math.isfinite(top):
+            raise ValueError("point coordinates must be finite")
+        exponent = math.frexp(top)[1]
+        if abs(exponent) * (m - 2) > 480:
+            volumes = facet_volumes_of_points(np.ldexp(points, -exponent))
+            with np.errstate(over="ignore", under="ignore"):
+                return np.ldexp(volumes, (m - 2) * exponent)
     facets = points.take(_leave_one_out(m), axis=-2)      # (..., m, m-1, dim)
     edges = facets[..., 1:, :] - facets[..., :1, :]      # (..., m, m-2, dim)
     gram = edges @ edges.swapaxes(-1, -2)
     dets = _lapack.det(gram, signature="d->d")
-    return np.sqrt(np.maximum(dets, 0.0)) / math.factorial(m - 2)
+    return np.sqrt(np.maximum(dets, 0.0)) / _factorial(m - 2)
 
 
 def _gram_defect(gram: np.ndarray) -> NotEmbeddable | Degenerate | None:
@@ -177,10 +209,10 @@ class EdgeLengthTable:
         except TypeError:
             raise ValueError(f"dimension must be an integer, got {n!r}") from None
         values = np.array(list(values), dtype=float)
-        rows, cols = _pairs(n + 1)
-        if values.shape != rows.shape:
+        count = n * (n + 1) // 2 if n > 0 else 0   # counted before any table is indexed
+        if values.shape != (count,):
             raise ValueError(
-                f"dimension {n} needs {rows.size} edge lengths, got {len(values)}")
+                f"dimension {n} needs {count} edge lengths, got {len(values)}")
         if n < 1:
             raise ValueError("edge table must be a square matrix of size >= 2")
         if not np.isfinite(values).all():
@@ -189,6 +221,7 @@ class EdgeLengthTable:
             raise ValueError("edge table is identically zero")
         if values.min() <= 0.0:
             raise ValueError("off-diagonal edge lengths must be positive")
+        rows, cols = _pairs(n + 1)
         d = np.zeros((n + 1, n + 1))
         d[rows, cols] = d[cols, rows] = values
         return cls(n=n, d=_frozen(d))
@@ -299,7 +332,7 @@ class SimplexModel:
     whose signed sums are the pulls ``_pulls``, and Kuhn's verdict
     ``_fermat_vertex`` (the pulls at sigma = +1) are formed on their first
     read, and safe to share across threads: a first read that races builds
-    equal read-only values.  Non-finite coordinates raise ``Degenerate``.
+    equal read-only values.  Non-finite coordinates raise ``ValueError``.
     One Gram matrix of the edge vectors from vertex 0 gives ``total_volume``
     and the one validity test, ``_gram_defect``, whose verdict is kept as
     ``_defect``.  ``validate=True`` raises it (``Degenerate``, coincident
@@ -319,7 +352,7 @@ class SimplexModel:
                 or vertices.shape[0] != vertices.shape[1] + 1):
             raise ValueError("vertices must be an (n+1) x n array with n >= 1")
         if not np.isfinite(vertices).all():
-            raise Degenerate("vertex coordinates must be finite")
+            raise ValueError("vertex coordinates must be finite")
         self.vertices = _frozen(vertices.copy())   # the caller's may change
         self.n = vertices.shape[1]
         # halved, so that no difference of finite coordinates overflows
@@ -336,7 +369,7 @@ class SimplexModel:
         if validate and self._defect is not None:
             raise self._defect
         det = float(_lapack.det(gram, signature="d->d"))
-        volume = math.sqrt(max(det, 0.0)) / math.factorial(self.n)
+        volume = math.sqrt(max(det, 0.0)) / _factorial(self.n)
         self._facets = _frozen(facet_volumes_of_points(local))
         # the three absolute measures as _absolute forms them, in one errstate
         with np.errstate(over="ignore", under="ignore"):
@@ -434,14 +467,20 @@ class SimplexModel:
 
     def _distances(self, p) -> np.ndarray:
         """``vertex_distances`` in the frame."""
-        gaps = self._local - self._frame(p)
-        return np.sqrt(_einsum("ij,ij->i", gaps, gaps))
+        return self._rays(self._frame(p))[1]
 
-    def _vertex_at(self, dist: np.ndarray) -> int | None:
-        """Nearest vertex if within _REL_EPS * diameter, given the frame
-        distances to every vertex (the frame's diameter is finite)."""
-        k = int(dist.argmin())
-        return k if dist[k] <= _REL_EPS * self._local_diameter else None
+    def _rays(self, y: np.ndarray, message: str | None = None,
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """The rays A_i - y from a frame point to the vertices and their lengths;
+        with a ``message``, ``AtVertex(message)``, ``{i}`` the nearest vertex, if
+        that lies within _REL_EPS * diameter (finite in the frame)."""
+        rays = self._local - y
+        lengths = np.sqrt(_einsum("ij,ij->i", rays, rays))
+        if message is not None:
+            k = int(lengths.argmin())
+            if lengths[k] <= _REL_EPS * self._local_diameter:
+                raise AtVertex(message.format(i=k))
+        return rays, lengths
 
     def pedal_feet(self, x: np.ndarray) -> np.ndarray:
         """Orthogonal projections of a Cartesian point onto all sideplanes."""

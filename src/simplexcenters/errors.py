@@ -16,8 +16,9 @@ class Degenerate(SimplexError):
 
 
 class PointAtInfinity(SimplexError):
-    """Homogeneous coordinate sum is zero; the point has no affine image,
-    such as the hit point of ``restrict_to_facet`` on a line parallel to the facet."""
+    """Homogeneous coordinate sum is zero; the point has no affine image, such as
+    the hit point of ``restrict_to_facet`` on a line parallel to the facet, or
+    a ``collinear_cross_ratio`` whose denominator is zero."""
 
 
 class ZeroCoordinate(SimplexError):

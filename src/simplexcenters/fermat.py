@@ -43,8 +43,8 @@ from functools import cache, cached_property
 import numpy as np
 
 from .barycentric import (BarycentricPoint, SimplexModel, _einsum, _frozen, _lapack,
-                          _zero_entries, as_point)
-from .errors import AtVertex, MaxIterationsExceeded, ZeroCoordinate
+                          _nonzero, as_point)
+from .errors import MaxIterationsExceeded
 
 METHODS = ("q", "r")
 
@@ -291,8 +291,8 @@ def z_correspondent(p, z_star, model: SimplexModel | None = None) -> Barycentric
     n = model.n if model is not None else None
     pc = as_point(p, n).coords
     zc = as_point(z_star, len(pc) - 1).coords
-    if _zero_entries(pc).any() or _zero_entries(zc).any():
-        raise ZeroCoordinate("correspondent needs all coordinates nonzero")
+    for c in (pc, zc):
+        _nonzero(c, "correspondent needs all coordinates nonzero")
     return BarycentricPoint(pc / zc)
 
 
@@ -311,9 +311,7 @@ def weiszfeld_step_q(p, model: SimplexModel) -> BarycentricPoint:
     simplex.
     """
     pt = as_point(p, model.n)
-    dv = model._distances(pt)
-    if model._vertex_at(dv) is not None:
-        raise AtVertex("step is undefined at a vertex (zero distance)")
+    _, dv = model._rays(model._frame(pt), "step is undefined at a vertex (zero distance)")
     return BarycentricPoint(_step(pt.coords, dv, "q"))
 
 
@@ -325,11 +323,8 @@ def weiszfeld_step_r(p, model: SimplexModel) -> BarycentricPoint:
     as for the "q" step.  Output coordinates are always positive.
     """
     pt = as_point(p, model.n)
-    if _zero_entries(pt.normalized_coords).any():
-        raise ZeroCoordinate("square-root-free step needs nonzero coordinates")
-    dv = model._distances(pt)
-    if model._vertex_at(dv) is not None:
-        raise AtVertex("step is undefined at a vertex (zero distance)")
+    _nonzero(pt.normalized_coords, "square-root-free step needs nonzero coordinates")
+    _, dv = model._rays(model._frame(pt), "step is undefined at a vertex (zero distance)")
     return BarycentricPoint(_step(pt.coords, dv, "r"))
 
 
@@ -366,8 +361,7 @@ def fermat_point(model: SimplexModel, start=None, method: str = "q",
     if isinstance(max_iter, bool) or not isinstance(max_iter, numbers.Integral) or max_iter < 0:
         raise ValueError(f"max_iter must be an integer >= 0, got {max_iter!r}")
     p = as_point(_positive(model.n + 1) if start is None else start, model.n)
-    if _zero_entries(p.normalized_coords).any():
-        raise ZeroCoordinate("start point must have all coordinates nonzero")
+    _nonzero(p.normalized_coords, "start point must have all coordinates nonzero")
 
     trace = SolverTrace(seed=p, _model=model, _head=[p])
     if model._fermat_vertex is not None:

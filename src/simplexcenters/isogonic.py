@@ -57,9 +57,9 @@ from .barycentric import (
     SimplexModel,
     _frozen,
     _lapack,
+    _nonzero,
     _norms,
     _spread,
-    _zero_entries,
     as_point,
     facet_volumes_of_points,
 )
@@ -118,8 +118,7 @@ def isogonal_conjugate(p, model: SimplexModel) -> BarycentricPoint:
     """
     point = as_point(p, model.n)
     coords = point.coords
-    if np.count_nonzero(_zero_entries(coords)):
-        raise ZeroCoordinate("isogonal conjugate needs all coordinates nonzero")
+    _nonzero(coords, "isogonal conjugate needs all coordinates nonzero")
     if not point.is_finite():
         # a direction is kept as given, so a_i^2 / p_i may overflow; the map is
         # homogeneous, and a power of two keeps a finite conjugate's bits
@@ -327,12 +326,9 @@ def triad_angle_check(p, model: SimplexModel, tol: float = 1e-7,
     """
     if model.n != 3:
         raise ValueError("triad angle check is defined for 3-simplices")
-    pt = as_point(p, model.n)
-    rays = model._local - model._frame(pt)
-    norms = _norms(rays, 1)
-    if model._vertex_at(norms) is not None:
-        raise AtVertex("triad angles are undefined at a vertex")
-    units = rays / norms[:, None]
+    rays, lengths = model._rays(model._frame(as_point(p, model.n)),
+                                "triad angles are undefined at a vertex")
+    units = rays / lengths[:, None]
 
     table: dict[tuple[int, int, int], np.ndarray] = {}
     for tri in itertools.combinations(range(model.n + 1), 3):

@@ -19,11 +19,11 @@ from .barycentric import (
     _einsum,
     _lapack,
     _leave_one_out,
+    _nonzero,
     _spread,
-    _zero_entries,
     as_point,
 )
-from .errors import AtVertex, Degenerate, ZeroCoordinate
+from .errors import Degenerate
 
 
 def _squared_radius(radius, model: SimplexModel) -> float:
@@ -38,17 +38,23 @@ def _squared_radius(radius, model: SimplexModel) -> float:
     return square
 
 
+def _figure(model: SimplexModel, points: np.ndarray) -> SimplexModel:
+    """The unvalidated figure on frame points; ``Degenerate`` beyond float range."""
+    vertices = model._from_frame(points)
+    if not np.isfinite(vertices).all():
+        raise Degenerate("vertex coordinates must be finite")
+    return SimplexModel(vertices, validate=False)
+
+
 def pedal_simplex(p, model: SimplexModel) -> SimplexModel:
     """Simplex of orthogonal projections of a point onto the sideplanes.
 
     Vertex i of the result is the foot of the perpendicular from the point
     to the sideplane opposite vertex i.
     """
-    pt = as_point(p, model.n)
-    if model._vertex_at(model._distances(pt)) is not None:
-        raise AtVertex("pedal simplex is undefined at a vertex")
-    feet = model._feet(model._frame(pt))
-    return SimplexModel(model._from_frame(feet), validate=False)
+    y = model._frame(as_point(p, model.n))
+    model._rays(y, "pedal simplex is undefined at a vertex")
+    return _figure(model, model._feet(y))
 
 
 def _antipedal_points(p, model: SimplexModel) -> np.ndarray:
@@ -56,15 +62,10 @@ def _antipedal_points(p, model: SimplexModel) -> np.ndarray:
     if model.degenerate:
         raise Degenerate("a collapsed simplex has no antipedal simplex")
     pt = as_point(p, model.n)
-    y = model._frame(pt)
-    rays = y - model._local
-    if model._vertex_at(np.sqrt(_einsum("ij,ij->i", rays, rays))) is not None:
-        raise AtVertex("antipedal simplex is undefined at a vertex")
+    rays, _ = model._rays(model._frame(pt), "antipedal simplex is undefined at a vertex")
     # system i is singular exactly when the point lies on sideplane i
-    zero = _zero_entries(pt.coords).nonzero()[0]
-    if zero.size:
-        raise ZeroCoordinate(f"antipedal vertex {zero[0]} is unbounded for this point")
-    # system i: rows j != i of (y - v_j) . z = (y - v_j) . v_j, one dot per vertex
+    _nonzero(pt.coords, "antipedal vertex {i} is unbounded for this point")
+    # system i: rows j != i of (v_j - y) . z = (v_j - y) . v_j, one dot per vertex
     leave = _leave_one_out(model.n + 1)
     a = rays.take(leave, axis=0)
     b = _einsum("ij,ij->i", rays, model._local)[leave]
@@ -78,7 +79,7 @@ def antipedal_simplex(p, model: SimplexModel) -> SimplexModel:
     The pedal simplex of the point with respect to the result is the
     original simplex.
     """
-    return SimplexModel(model._from_frame(_antipedal_points(p, model)), validate=False)
+    return _figure(model, _antipedal_points(p, model))
 
 
 def polar_simplex(p, model: SimplexModel, radius: float = 1.0) -> SimplexModel:
@@ -92,12 +93,11 @@ def polar_simplex(p, model: SimplexModel, radius: float = 1.0) -> SimplexModel:
     """
     square = _squared_radius(radius, model)
     pt = as_point(p, model.n)
-    if _zero_entries(pt.normalized_coords).any():
-        raise ZeroCoordinate("polar simplex needs all coordinates nonzero")
+    _nonzero(pt.normalized_coords, "polar simplex needs all coordinates nonzero")
     y = model._frame(pt)
     w = model._feet(y) - y
     out = y + square * w / _einsum("ij,ij->i", w, w)[:, None]
-    return SimplexModel(model._from_frame(out), validate=False)
+    return _figure(model, out)
 
 
 def inversive_image(model: SimplexModel, center, radius: float) -> SimplexModel:
@@ -107,13 +107,9 @@ def inversive_image(model: SimplexModel, center, radius: float) -> SimplexModel:
     if not np.isfinite(center).all():
         raise ValueError("inversion center must be finite")
     y = model._to_frame(center)
-    w = model._local - y
-    norm2 = _einsum("ij,ij->i", w, w)
-    i = model._vertex_at(np.sqrt(norm2))
-    if i is not None:
-        raise AtVertex(f"inversion center coincides with vertex {i}")
-    out = y + square * w / norm2[:, None]
-    return SimplexModel(model._from_frame(out), validate=False)
+    w, _ = model._rays(y, "inversion center coincides with vertex {i}")
+    out = y + square * w / _einsum("ij,ij->i", w, w)[:, None]
+    return _figure(model, out)
 
 
 def equiareal_deviation(model: SimplexModel) -> float:

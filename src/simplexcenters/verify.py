@@ -111,18 +111,13 @@ class CheckRow:
     passed: bool
 
 
-@dataclass
-class NumericRow:
-    """A check that ``error <= tol``; a new ``tol`` re-judges it and its texts."""
-    name: str
-    error: float
-    tol: float
-    quantity: str = "error"
-
-    expected = property(lambda self: f"{self.quantity} <= {self.tol:.1e}")
-    computed = property(lambda self: f"error {self.error:.3e}")
-    tolerance = property(lambda self: f"{self.tol:.1e}")
-    passed = property(lambda self: bool(self.error <= self.tol))
+def _numeric_row(name: str, error: float, tol: float, quantity: str = "error") -> CheckRow:
+    """A check that ``error <= tol``, judged once."""
+    return CheckRow(name=name,
+                    expected=f"{quantity} <= {tol:.1e}",
+                    computed=f"error {error:.3e}",
+                    tolerance=f"{tol:.1e}",
+                    passed=bool(error <= tol))
 
 
 def _bool_row(name: str, expected: bool, computed: bool, detail: str = "") -> CheckRow:
@@ -141,27 +136,27 @@ def _coord_error(point: BarycentricPoint, expected) -> float:
 # reference configuration checks
 # ---------------------------------------------------------------------------
 
-def gap_checks() -> list[CheckRow | NumericRow]:
+def gap_checks() -> list[CheckRow]:
     rows = []
     model = parse_document(GAP_TETRAHEDRON_DOC).build_model()
     areas = model.facet_volumes
-    rows.append(NumericRow(
+    rows.append(_numeric_row(
         "gap: facet areas (6*sqrt(21), 9/4*sqrt(403), 9/4*sqrt(51), 6*sqrt(105))",
         float(np.abs(areas / np.array(GAP_FACET_AREAS) - 1.0).max()), 1e-10))
 
     triangle = parse_document(GAP_FACET_TRIANGLE_DOC).build_model()
     centers = classical_centers(triangle)
     expected_o = np.array([float(f) for f in GAP_FACET_CIRCUMCENTER])
-    rows.append(NumericRow("gap: facet triangle circumcenter [73/210, 121/315, 169/630]",
-                           _coord_error(centers["O"], expected_o), 1e-12))
+    rows.append(_numeric_row("gap: facet triangle circumcenter [73/210, 121/315, 169/630]",
+                             _coord_error(centers["O"], expected_o), 1e-12))
     _, radius = circumcenter_cart(triangle)
-    rows.append(NumericRow("gap: facet triangle circumradius 1716/(24*sqrt(105))",
-                           abs(radius / GAP_FACET_CIRCUMRADIUS - 1.0), 1e-12))
+    rows.append(_numeric_row("gap: facet triangle circumradius 1716/(24*sqrt(105))",
+                             abs(radius / GAP_FACET_CIRCUMRADIUS - 1.0), 1e-12))
 
     verdict = yiu_triangle_test(12.0, 11.0, 13.0, *GAP_FACET_AREAS[:3])
     expected_q = np.array([float(f) for f in GAP_WITNESS])
-    rows.append(NumericRow("gap: witness point matches exact fractions",
-                           _coord_error(verdict.point, expected_q), 1e-12))
+    rows.append(_numeric_row("gap: witness point matches exact fractions",
+                             _coord_error(verdict.point, expected_q), 1e-12))
     rows.append(_bool_row("gap: witness point outside facet circumcircle",
                           True, verdict.outside))
     rows.append(CheckRow(
@@ -177,17 +172,17 @@ def gap_checks() -> list[CheckRow | NumericRow]:
 
     _, restricted = restrict_to_facet(classical_centers(model)["K"], model, 3)
     expected_r = np.array(GAP_FACET_AREAS[:3]) ** 2
-    rows.append(NumericRow(
+    rows.append(_numeric_row(
         "gap: symmedian line meets facet at squared-area point",
         float(np.abs(restricted.normalized_coords
                      - expected_r / expected_r.sum()).max()), 1e-12))
     return rows
 
 
-def five_isogonic_checks() -> list[CheckRow | NumericRow]:
+def five_isogonic_checks() -> list[CheckRow]:
     rows = []
     model = parse_document(FIVE_ISOGONIC_DOC).build_model()
-    rows.append(NumericRow(
+    rows.append(_numeric_row(
         "five: facet volumes (10, 8, 6)*sqrt(10), 24",
         float(np.abs(model.facet_volumes / np.array(FIVE_FACET_VOLUMES) - 1.0).max()),
         1e-10))
@@ -198,47 +193,47 @@ def five_isogonic_checks() -> list[CheckRow | NumericRow]:
                           detail="5 points"))
     if len(catalog) == 5:
         for k in range(5):
-            rows.append(NumericRow(
+            rows.append(_numeric_row(
                 f"five: equiareal-pedal point L_{k}",
                 _coord_error(catalog.conjugate_points[k], CONJUGATE_TABLE[k]), 1e-9))
         for k in range(5):
-            rows.append(NumericRow(
+            rows.append(_numeric_row(
                 f"five: pedal facet area a_{k} = {PEDAL_AREA_TABLE[k]:.12f}",
                 abs(catalog.pedal_areas[k] / PEDAL_AREA_TABLE[k] - 1.0), 1e-6))
         for k in range(5):
-            rows.append(NumericRow(
+            rows.append(_numeric_row(
                 f"five: isogonic point F_{k}",
                 _coord_error(catalog.isogonic_points[k], ISOGONIC_TABLE[k]), 1e-9))
         for k in range(5):
-            rows.append(NumericRow(
+            rows.append(_numeric_row(
                 f"five: antipedal facet area {ANTIPEDAL_AREA_TABLE[k]:.12f}",
                 abs(catalog.antipedal_areas[k] / ANTIPEDAL_AREA_TABLE[k] - 1.0), 1e-6))
         conj_err = max(
             _coord_error(isogonal_conjugate(catalog.conjugate_points[k], model),
                          ISOGONIC_TABLE[k])
             for k in range(5))
-        rows.append(NumericRow("five: conjugation maps each L_k onto F_k",
-                               conj_err, 1e-8))
+        rows.append(_numeric_row("five: conjugation maps each L_k onto F_k",
+                                 conj_err, 1e-8))
 
     incenter = classical_centers(model)["I"]
     result = isodynamic_points(incenter, model)
     rows.append(_bool_row("five: two isodynamic points exist",
                           True, len(result.points) == 2, detail="2 points"))
     if len(result.points) == 2:
-        rows.append(NumericRow("five: isodynamic point J_1",
-                               _coord_error(result.points[0], ISODYNAMIC_TABLE[0]), 1e-8))
-        rows.append(NumericRow("five: isodynamic point J_2",
-                               _coord_error(result.points[1], ISODYNAMIC_TABLE[1]), 1e-8))
-        rows.append(NumericRow("five: sphere membership residuals",
-                               max(result.residuals), 1e-8))
+        rows.append(_numeric_row("five: isodynamic point J_1",
+                                 _coord_error(result.points[0], ISODYNAMIC_TABLE[0]), 1e-8))
+        rows.append(_numeric_row("five: isodynamic point J_2",
+                                 _coord_error(result.points[1], ISODYNAMIC_TABLE[1]), 1e-8))
+        rows.append(_numeric_row("five: sphere membership residuals",
+                                 max(result.residuals), 1e-8))
 
     for method in ("q", "r"):
         point, trace = fermat_point(model, method=method)
-        rows.append(NumericRow(
+        rows.append(_numeric_row(
             f"five: distance-sum minimizer via method {method} "
             f"({trace.iterations_used} iterations)",
             _coord_error(point, ISOGONIC_TABLE[0]), 1e-9))
-    rows.append(NumericRow(
+    rows.append(_numeric_row(
         "five: Weiszfeld steps q and r fix the distance-sum minimizer",
         max(_coord_error(step(point, model), point.normalized_coords)
             for step in (weiszfeld_step_q, weiszfeld_step_r)), 1e-12))
@@ -281,26 +276,18 @@ def _random_triangle_sides(rng: np.random.Generator) -> tuple[float, float, floa
 
 def _fd_gradient(model: SimplexModel, x: np.ndarray) -> np.ndarray:
     h = 1e-6
-    g = np.empty(model.n)
-    for k in range(model.n):
-        step = np.zeros(model.n)
-        step[k] = h
-        fp = total_distance(model.cart_to_bary(x + step), model)
-        fm = total_distance(model.cart_to_bary(x - step), model)
-        g[k] = (fp - fm) / (2 * h)
-    return g
+    return np.array([(total_distance(model.cart_to_bary(x + step), model)
+                      - total_distance(model.cart_to_bary(x - step), model)) / (2 * h)
+                     for step in h * np.eye(model.n)])
 
 
-def solver_suite_checks() -> list[CheckRow | NumericRow]:
+def solver_suite_checks() -> list[CheckRow]:
     rows = []
     model = parse_document(FIVE_ISOGONIC_DOC).build_model()
     target = np.array(ISOGONIC_TABLE[0])
     rng = np.random.default_rng(20240)
 
-    worst_coord = 0.0
-    worst_grad = 0.0
-    worst_fd = 0.0
-    worst_ascent = 0.0
+    worst_coord = worst_grad = worst_fd = worst_ascent = 0.0
     for _ in range(10):
         start = rng.dirichlet(np.ones(4))
         for method in ("q", "r"):
@@ -315,25 +302,22 @@ def solver_suite_checks() -> list[CheckRow | NumericRow]:
             if method == "q":
                 diffs = np.diff(trace.objective_values)
                 worst_ascent = max(worst_ascent, float(diffs.max(initial=-math.inf)))
-    rows.append(NumericRow("solver: 10 random starts reach the minimizer (q and r)",
-                           worst_coord, 1e-9))
-    rows.append(NumericRow("solver: gradient norm at the minimizer", worst_grad, 1e-7))
-    rows.append(NumericRow("solver: gradient matches finite differences",
-                           worst_fd, 1e-5))
-    rows.append(NumericRow("solver: distance sum non-increasing along q-iterates",
-                           max(worst_ascent, 0.0), 1e-12,
-                           quantity="max increase"))
+    rows.append(_numeric_row("solver: 10 random starts reach the minimizer (q and r)",
+                             worst_coord, 1e-9))
+    rows.append(_numeric_row("solver: gradient norm at the minimizer", worst_grad, 1e-7))
+    rows.append(_numeric_row("solver: gradient matches finite differences",
+                             worst_fd, 1e-5))
+    rows.append(_numeric_row("solver: distance sum non-increasing along q-iterates",
+                             max(worst_ascent, 0.0), 1e-12,
+                             quantity="max increase"))
     return rows
 
 
-def triangle_suite_checks() -> list[CheckRow | NumericRow]:
+def triangle_suite_checks() -> list[CheckRow]:
     rows = []
     rng = np.random.default_rng(20241)
-    worst_line = 0.0
-    worst_cross = 0.0
-    worst_product = 0.0
+    worst_line = worst_cross = worst_product = worst_conj = 0.0
     worst_sides = [0.0, 0.0]   # pedal, antipedal
-    worst_conj = 0.0
     interior_ok = True
     for _ in range(100):
         d12, d13, d23 = _random_triangle_sides(rng)
@@ -378,55 +362,45 @@ def triangle_suite_checks() -> list[CheckRow | NumericRow]:
         worst_conj = max(worst_conj, float(np.abs(
             conj_interior.normalized_coords - fermat.normalized_coords).max()))
 
-    rows.append(NumericRow("triangles: isodynamic pair lies on the center axis",
-                           worst_line, 1e-9))
-    rows.append(NumericRow("triangles: harmonic range (O, J1, K, J2)",
-                           worst_cross, 1e-7))
+    rows.append(_numeric_row("triangles: isodynamic pair lies on the center axis",
+                             worst_line, 1e-9))
+    rows.append(_numeric_row("triangles: harmonic range (O, J1, K, J2)",
+                             worst_cross, 1e-7))
     rows.append(_bool_row("triangles: exactly one isodynamic point interior",
                           True, interior_ok))
-    rows.append(NumericRow("triangles: vertex distance times opposite side balanced",
-                           worst_product, 1e-8))
-    rows.append(NumericRow("triangles: pedal triangles of J equilateral",
-                           worst_sides[0], 1e-8))
-    rows.append(NumericRow("triangles: antipedal triangles of conjugates equilateral",
-                           worst_sides[1], 1e-8))
-    rows.append(NumericRow("triangles: interior conjugate equals distance minimizer",
-                           worst_conj, 1e-8))
+    rows.append(_numeric_row("triangles: vertex distance times opposite side balanced",
+                             worst_product, 1e-8))
+    rows.append(_numeric_row("triangles: pedal triangles of J equilateral",
+                             worst_sides[0], 1e-8))
+    rows.append(_numeric_row("triangles: antipedal triangles of conjugates equilateral",
+                             worst_sides[1], 1e-8))
+    rows.append(_numeric_row("triangles: interior conjugate equals distance minimizer",
+                             worst_conj, 1e-8))
     return rows
 
 
 def _circles_meet_brute(model: SimplexModel, weights: np.ndarray) -> bool:
     """Direct pairwise intersection of the three weighted Apollonian circles."""
-    circles = []
+    proper = []   # the circles that are no bisector line
     for i, j in itertools.combinations(range(3), 2):
         wi, wj = weights[i], weights[j]
-        if abs(wi - wj) <= 1e-12 * max(wi, wj):
-            circles.append(None)
-            continue
-        e = np.zeros(3)
-        inner = e.copy(); inner[i] = wi; inner[j] = wj
-        outer = e.copy(); outer[i] = -wi; outer[j] = wj
-        c1 = model.bary_to_cart(BarycentricPoint(inner))
-        c2 = model.bary_to_cart(BarycentricPoint(outer))
-        circles.append((0.5 * (c1 + c2), 0.5 * float(np.linalg.norm(c1 - c2))))
-    proper = [c for c in circles if c is not None]
+        if abs(wi - wj) > 1e-12 * max(wi, wj):
+            inner = np.zeros(3); inner[i] = wi; inner[j] = wj
+            outer = np.zeros(3); outer[i] = -wi; outer[j] = wj
+            c1 = model.bary_to_cart(BarycentricPoint(inner))
+            c2 = model.bary_to_cart(BarycentricPoint(outer))
+            proper.append((0.5 * (c1 + c2), 0.5 * float(np.linalg.norm(c1 - c2))))
     if len(proper) < 2:
         return True  # two bisector lines always meet (at the circumcenter)
     (c1, r1), (c2, r2) = proper[0], proper[1]
-    gap = c2 - c1
-    dist = float(np.linalg.norm(gap))
+    dist = float(np.linalg.norm(c2 - c1))
     return abs(r1 - r2) <= dist <= r1 + r2
 
 
-def invariant_suite_checks() -> list[CheckRow | NumericRow]:
+def invariant_suite_checks() -> list[CheckRow]:
     rows = []
     rng = np.random.default_rng(20242)
-    worst_harmonic = 0.0
-    worst_orth = 0.0
-    worst_orthology = 0.0
-    worst_corr = 0.0
-    worst_inverse = 0.0
-    worst_step = 0.0
+    worst_harmonic = worst_orth = worst_orthology = worst_corr = worst_inverse = worst_step = 0.0
     for trial in range(100):
         n = 2 + trial % 3
         model = _random_simplex(rng, n)
@@ -437,15 +411,11 @@ def invariant_suite_checks() -> list[CheckRow | NumericRow]:
 
         center, radius = circumcenter_cart(model)
         for sph in sphere_family(point, model):
-            ends = sph.diameter_ends
             if sph.is_degenerate:
                 continue
-            a_i = model.vertices[sph.i]
-            a_j = model.vertices[sph.j]
-            p_in = model.bary_to_cart(ends[0])
-            p_out = model.bary_to_cart(ends[1])
-            worst_harmonic = max(worst_harmonic, abs(
-                collinear_cross_ratio(a_i, a_j, p_in, p_out) + 1.0))
+            p_in, p_out = (model.bary_to_cart(end) for end in sph.diameter_ends)
+            worst_harmonic = max(worst_harmonic, abs(collinear_cross_ratio(
+                model.vertices[sph.i], model.vertices[sph.j], p_in, p_out) + 1.0))
             center_gap = float(np.linalg.norm(center - sph.cart_center))
             worst_orth = max(worst_orth, abs(
                 center_gap ** 2 - radius ** 2 - sph.radius ** 2) / radius ** 2)
@@ -474,17 +444,17 @@ def invariant_suite_checks() -> list[CheckRow | NumericRow]:
         worst_inverse = max(worst_inverse, float(
             np.abs(feet - model.vertices).max() / model.diameter))
 
-    rows.append(NumericRow("invariants: diameter endpoints harmonic with the edge",
-                           worst_harmonic, 1e-12))
-    rows.append(NumericRow("invariants: spheres orthogonal to the circumsphere",
-                           worst_orth, 1e-8))
-    rows.append(NumericRow("invariants: polar-simplex coordinates agree",
-                           worst_orthology, 1e-10))
-    rows.append(NumericRow("invariants: correspondent identities", worst_corr, 1e-12))
-    rows.append(NumericRow("invariants: q-step is the correspondent of the polar incenter",
-                           worst_step, 1e-9, quantity="relative error"))
-    rows.append(NumericRow("invariants: pedal of antipedal restores the simplex",
-                           worst_inverse, 1e-8))
+    rows.append(_numeric_row("invariants: diameter endpoints harmonic with the edge",
+                             worst_harmonic, 1e-12))
+    rows.append(_numeric_row("invariants: spheres orthogonal to the circumsphere",
+                             worst_orth, 1e-8))
+    rows.append(_numeric_row("invariants: polar-simplex coordinates agree",
+                             worst_orthology, 1e-10))
+    rows.append(_numeric_row("invariants: correspondent identities", worst_corr, 1e-12))
+    rows.append(_numeric_row("invariants: q-step is the correspondent of the polar incenter",
+                             worst_step, 1e-9, quantity="relative error"))
+    rows.append(_numeric_row("invariants: pedal of antipedal restores the simplex",
+                             worst_inverse, 1e-8))
 
     agreement = 0
     for _ in range(50):
@@ -499,11 +469,6 @@ def invariant_suite_checks() -> list[CheckRow | NumericRow]:
     return rows
 
 
-def run_reference_checks() -> list[CheckRow | NumericRow]:
-    rows = []
-    rows.extend(gap_checks())
-    rows.extend(five_isogonic_checks())
-    rows.extend(solver_suite_checks())
-    rows.extend(triangle_suite_checks())
-    rows.extend(invariant_suite_checks())
-    return rows
+def run_reference_checks() -> list[CheckRow]:
+    return [*gap_checks(), *five_isogonic_checks(), *solver_suite_checks(),
+            *triangle_suite_checks(), *invariant_suite_checks()]

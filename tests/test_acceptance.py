@@ -239,7 +239,7 @@ def test_criterion_6_structural_invariants():
 
 @pytest.mark.usefixtures("cached_reference_checks")
 def test_criterion_7_verify_command():
-    report, code = cmd_verify({})
+    report, code = cmd_verify()
     assert code == 0
     assert report["results"]["failed"] == 0
     assert report["results"]["total"] >= 30

@@ -122,6 +122,37 @@ class TestApollonianSphere:
                                        inner, outer)
             assert abs(cr + 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("exponent, offset", [(-1070, 0.0), (-500, 0.0), (0, 3.0),
+                                                  (500, 0.0), (1021, 0.0)])
+    def test_cross_ratio_at_every_scale(self, exponent, offset):
+        # the harmonic range a, c, b, d at t = 0, 3/4, 1, 3/2 on a line, every
+        # coordinate exact: the offsets are measured scaled, so none overflows
+        # and no square underflows
+        points = [np.ldexp(np.array([t, -2.0 * t]), exponent) + offset
+                  for t in (0.0, 1.0, 0.75, 1.5)]
+        assert collinear_cross_ratio(*points) == -1.0
+
+    @pytest.mark.parametrize("c, d", [(1.0, 2.0), (2.0, 0.0), (1.0, 0.0)])
+    def test_cross_ratio_at_infinity(self, c, d):
+        # c = b or d = a: the ratio is the line's point at infinity
+        with pytest.raises(PointAtInfinity, match="denominator"):
+            collinear_cross_ratio([0.0], [1.0], [c], [d])
+
+    def test_cross_ratio_at_infinity_where_c_rounds_off_b(self):
+        # c = b, whose line parameter rounds to 1 - 2^-53 on this line
+        with pytest.raises(PointAtInfinity, match="denominator"):
+            collinear_cross_ratio([0.0, 0.0], [0.3, 0.7], [0.3, 0.7], [0.9, 2.1])
+
+    @pytest.mark.parametrize("points", [
+        ([0.0, 0.0], [0.0, 0.0], [1.0, 0.0], [2.0, 0.0]),   # a = b: no line
+        ([0.0], [1.0], [math.nan], [2.0]),
+        ([0.0], [1.0], [2.0], [math.inf]),
+        ([0.0, 0.0], [1.0], [2.0], [3.0]),
+    ])
+    def test_cross_ratio_malformed_points(self, points):
+        with pytest.raises(ValueError):
+            collinear_cross_ratio(*points)
+
     def test_circumsphere_orthogonality(self):
         rng = np.random.default_rng(11)
         for trial in range(100):
@@ -414,6 +445,16 @@ class TestYiuTriangleTest:
             warnings.simplefilter("error")
             got = yiu_triangle_test(5, 3.1623, 4, weight, 1, 1).point.normalized_coords
         assert np.abs(got - want).max() <= 1e-12
+
+
+    def test_weights_whose_normalized_least_underflows(self):
+        # [1e-200 : 1 : 1e200] normalized puts 1e-400 first, below float
+        # range; the pole reads the weights' ratios, and rounds to that of
+        # [1e-100 : 1 : 1e100]: in both, two squared ratios vanish beside the third
+        want = yiu_triangle_test(3, 4, 5, 1e-100, 1, 1e100)
+        got = yiu_triangle_test(3, 4, 5, 1e-200, 1, 1e200)
+        assert got.point.coords.tobytes() == want.point.coords.tobytes()
+        assert got.outside == want.outside
 
 
 class TestRestrictToFacet:

@@ -23,6 +23,7 @@ from simplexcenters import (
     pedal_simplex,
     yiu_triangle_test,
 )
+from simplexcenters import barycentric
 
 
 class TestEdgeLengthTable:
@@ -66,6 +67,15 @@ class TestEdgeLengthTable:
     def test_wrong_count(self):
         with pytest.raises(ValueError):
             EdgeLengthTable.from_flat(3, [1, 1, 1])
+
+    def test_a_wrong_count_is_refused_before_any_table_is_indexed(self, monkeypatch):
+        # counted in integers: a huge dimension given three lengths allocates nothing
+        def indexed(m):
+            raise AssertionError(f"indexed the pairs of {m} vertices")
+        monkeypatch.setattr(barycentric, "_pairs", indexed)
+        with pytest.raises(ValueError,
+                           match="dimension 1000000 needs 500000500000 edge lengths, got 3"):
+            EdgeLengthTable.from_flat(10 ** 6, [3, 4, 5])
 
     def test_rejects_one_vertex(self):
         # a point has no edges, so the count check passes and the size check decides
@@ -130,8 +140,16 @@ class TestEmbedding:
     @pytest.mark.parametrize("validate", [True, False])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_vertices_degenerate(self, bad, validate):
-        with pytest.raises(Degenerate, match="finite"):
+        # malformed input, not a flat simplex: ValueError at either setting
+        with pytest.raises(ValueError, match="vertex coordinates must be finite"):
             SimplexModel([[bad, 0], [1, 0], [0, 1]], validate=validate)
+
+    def test_a_factorial_beyond_float_range_reads_zero(self):
+        # 171! is past float range: the model's volume reads 0, as a measure
+        # beyond float range does, while its facets (170!) keep their values
+        model = SimplexModel(np.random.default_rng(171).standard_normal((172, 171)))
+        assert model.total_volume == 0.0
+        assert np.isfinite(model.facet_volumes).all() and (model.facet_volumes > 0).all()
 
     def test_accepts_every_dimension_scale_and_pose(self):
         # 45 Gaussian simplices, n = 2..16, each scaled and rotated: all are
@@ -315,6 +333,32 @@ class TestFacetVolumes:
             assert (stacked[0, 1] == (1.0 if n == 1 else 0.0)).all()
             for k, j in itertools.product(range(2), range(3)):
                 assert stacked[k, j].tobytes() == facet_volumes_of_points(sets[k, j]).tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 2), (2,), (), (3, 1, 4)])
+    def test_fewer_than_two_points_rejected(self, shape):
+        with pytest.raises(ValueError, match="m >= 2"):
+            facet_volumes_of_points(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_points_rejected(self, bad):
+        points = np.eye(3)[:, :2]
+        points[1, 0] = bad
+        with pytest.raises(ValueError, match="point coordinates must be finite"):
+            facet_volumes_of_points(points)
+
+    @pytest.mark.parametrize("exponent", [-1000, -500, 500, 1000])
+    def test_huge_and_tiny_point_sets(self, exponent):
+        # measured scaled into range: a triangle's side lengths scale by
+        # 2 ** exponent, a tetrahedron's facet areas by 2 ** (2 exponent)
+        for corner in (np.vstack([np.zeros(2), np.eye(2)]), np.vstack([np.zeros(3), np.eye(3)])):
+            power = len(corner) - 2
+            want = facet_volumes_of_points(corner)
+            got = facet_volumes_of_points(np.ldexp(corner, exponent // power))
+            assert np.ldexp(got, -exponent) == pytest.approx(want, rel=1e-15)
+
+    def test_a_factorial_beyond_float_range_reads_zero(self):
+        # facets of 172 points divide by 171!, past float range
+        assert (facet_volumes_of_points(np.eye(173)[:, :172]) == 0.0).all()
 
 
 class TestClassicalCenters:

@@ -657,16 +657,30 @@ class TestVerifyCommand:
         assert "failed" in out.splitlines()[-1]
         assert " 0 failed" in out.splitlines()[-1]
 
-    def test_tolerance_override_shows_failures(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--tolerance", "1e-15")
+    def test_a_failing_row_shows_in_the_report(self, monkeypatch, capsys):
+        rows = [verify._numeric_row("a bound met", 1e-16, 1e-12),
+                verify._numeric_row("a bound missed", 2e-9, 1e-12, quantity="max increase")]
+        monkeypatch.setattr(cli, "run_reference_checks", lambda: rows)
+        code, out, _ = run_cli(capsys, "verify")
         assert code == 1
-        assert "[FAIL]" in out
-        # each row is three lines: verdict and name, expected, computed
-        lines = out.splitlines()
-        numeric = [expected for expected, computed in zip(lines[1::3], lines[2::3])
-                   if computed.endswith("(tolerance 1.0e-15)")]
-        assert len(numeric) >= 40
-        assert all(expected.endswith(" <= 1.0e-15") for expected in numeric)
+        assert out.splitlines() == [
+            "[PASS] a bound met",
+            "       expected  error <= 1.0e-12",
+            "       computed  error 1.000e-16   (tolerance 1.0e-12)",
+            "[FAIL] a bound missed",
+            "       expected  max increase <= 1.0e-12",
+            "       computed  error 2.000e-09   (tolerance 1.0e-12)",
+            "2 checks: 1 passed, 1 failed",
+        ]
+
+    def test_no_tolerance_override(self, capsys):
+        # every row keeps the bound it was judged by
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--tolerance", "1"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --tolerance 1" in captured.err
 
     def test_json_output(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--json")

@@ -7,6 +7,8 @@ arrays or points compare and hash by identity, as ``SimplexModel`` does.
 """
 
 import functools
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -23,9 +25,12 @@ from simplexcenters import (
     apollonian_sphere,
     circumcenter_cart,
     classical_centers,
+    collinear_cross_ratio,
     default_seeds,
+    embed_from_edge_lengths,
     enumerate_isogonic,
     equiareal_deviation,
+    facet_volumes_of_points,
     fermat_point,
     inversive_image,
     is_isogonic,
@@ -145,6 +150,77 @@ def test_every_valid_model_has_a_catalog(name):
     assert not model.degenerate
     catalog = enumerate_isogonic(model)
     assert all(is_isogonic(p, model)[0] for p in catalog.isogonic_points)
+
+
+def _awkward_numbers() -> list[float]:
+    return [math.nan, math.inf, -math.inf, 0.0, -1.0, 1.0, 2.0,
+            1e308, -1e308, 1e200, 1e-200, 1e-320]
+
+
+def _cross_ratio_calls():
+    # four points on one line, one awkward number as a coordinate at a time,
+    # in every slot; and a point of another length
+    base = [np.array([0.0, 0.0]), np.array([1.0, 2.0]), np.array([2.0, 4.0]),
+            np.array([-1.0, -2.0])]
+    for slot, value, axis in itertools.product(range(4), _awkward_numbers(), range(2)):
+        points = [p.copy() for p in base]
+        points[slot][axis] = value
+        yield f"{slot}:{value!r}@{axis}", lambda points=points: collinear_cross_ratio(*points)
+    for slot in range(4):
+        points = [*base[:slot], np.zeros(3), *base[slot + 1:]]
+        yield f"{slot}:3d", lambda points=points: collinear_cross_ratio(*points)
+    for i, j in itertools.combinations(range(4), 2):   # two points coincide
+        points = [*base]
+        points[j] = base[i]
+        yield f"{i}={j}", lambda points=points: collinear_cross_ratio(*points)
+
+
+def _facet_volume_calls():
+    shapes = [(), (2,), (1, 2), (0, 2), (2, 0), (3, 0), (1, 0), (2, 1), (3, 2), (4, 3),
+              (5, 2), (2, 3, 3)]
+    for shape, value in itertools.product(shapes, _awkward_numbers()):
+        points = np.zeros(shape)
+        if points.size:   # the value at one entry, small distinct integers elsewhere
+            points.flat = np.arange(points.size) % 3
+            points.flat[-1] = value
+        yield f"{shape}:{value!r}", lambda points=points: facet_volumes_of_points(points)
+
+
+def _yiu_calls():
+    sides = [(3, 4, 5), (1, 1, 1), (1, 1, 2), (1, 1, 3), (math.nan, 1, 1),
+             (math.inf, 1, 1), (0, 1, 1), (1e-300,) * 3, (1e300,) * 3, (1e308,) * 3,
+             (1e-320,) * 3, (1, 1, 1e-320), (1e308, 1e308, 1e-308)]
+    weights = [math.nan, math.inf, 0.0, -1.0, 1.0, 1e200, 1e-200, 1e308, 1e-320]
+    for side, weight in itertools.product(sides, itertools.product(weights, repeat=3)):
+        yield f"{side}:{weight}", lambda s=side, w=weight: yiu_triangle_test(*s, *w)
+
+
+def _edge_table_calls():
+    dims = [-1, 0, 1, 2, 3, True, 1.5, np.int64(2)]
+    values = [[], [1.0], [3, 4, 5], [1] * 6, [[1, 2], [3]], [math.nan] * 3, [math.inf] * 3,
+              [0, 0, 0], [-1, 1, 1], [1, 1, 2], [1, 1, 3], [1, 1, 1.9999999999999],
+              [1e308] * 3, [1e-320] * 3, [1e308, 1e-320, 1e308], [1e-310, 1, 1],
+              [1e308] * 6, [1e-320] * 6, [1, 1, 1, 1, 1, 1e-320], [1, 2, 3, 4, 5, 6]]
+    for n, v in itertools.product(dims, values):
+        yield f"from_flat({n!r}, {v})", lambda n=n, v=v: EdgeLengthTable.from_flat(n, v)
+        yield (f"embed({n!r}, {v})",
+               lambda n=n, v=v: embed_from_edge_lengths(EdgeLengthTable.from_flat(n, v)))
+
+
+# the public functions that take no (point, model) pair, each over awkward arguments
+FREE_CALLS = {
+    "collinear_cross_ratio": _cross_ratio_calls,
+    "facet_volumes_of_points": _facet_volume_calls,
+    "yiu_triangle_test": _yiu_calls,
+    "edge tables": _edge_table_calls,
+}
+
+
+@pytest.mark.parametrize("name", FREE_CALLS)
+def test_only_typed_errors_escape_free_calls(name):
+    escaped = [(label, what) for label, call in FREE_CALLS[name]()
+               if (what := _escapes(call))]
+    assert not escaped
 
 
 def _records() -> dict:

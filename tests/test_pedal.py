@@ -456,3 +456,11 @@ class TestEquiarealDeviation:
         expected = (areas.max() - areas.min()) / areas.mean()
         assert abs(expected - 4 * math.sqrt(10) / (6 * math.sqrt(10) + 6)) < 1e-12
         assert abs(equiareal_deviation(five_model) - expected) < 1e-12
+
+
+def test_a_figure_beyond_float_range_is_degenerate():
+    # the centroid's antipedal simplex of a tetrahedron near the largest scale
+    # leaves float range: a geometric failure, not the ValueError of bad input
+    model = SimplexModel(np.array(golden.FIVE_VERTICES, dtype=float) * 1.25e307)
+    with pytest.raises(Degenerate, match="vertex coordinates must be finite"):
+        antipedal_simplex([1, 1, 1, 1], model)
