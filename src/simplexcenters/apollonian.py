@@ -47,7 +47,6 @@ from .barycentric import (
     _gram_defect,
     _lapack,
     _nonzero,
-    _norms,
     _vertex_index,
     _zero_entries,
     as_point,
@@ -152,7 +151,7 @@ def _frame_residual(p, y: np.ndarray, model: SimplexModel) -> float:
     """Worst relative violation of the distance-ratio conditions at a point
     of the model's frame: zero exactly on the common locus
     d(A_i, y) |p_i| = d(A_j, y) |p_j|."""
-    w = _norms(model._local - y, 1) * np.abs(as_point(p, model.n).coords)
+    w = model._rays(y)[1] * np.abs(as_point(p, model.n).coords)
     hi = w.max()
     return float((hi - w.min()) / hi) if hi > 0 else 0.0
 

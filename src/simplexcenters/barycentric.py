@@ -486,11 +486,15 @@ class SimplexModel:
         """Orthogonal projections of a Cartesian point onto all sideplanes."""
         return self._from_frame(self._feet(self._to_frame(x)))
 
+    def _heights(self, y: np.ndarray) -> np.ndarray:
+        """Signed distances of a frame point from the sideplanes, positive
+        on each one's vertex side."""
+        _, normals, offsets = self._affine
+        return normals @ y - offsets
+
     def _feet(self, y: np.ndarray) -> np.ndarray:
         """``pedal_feet`` of a frame point, in the frame."""
-        _, normals, offsets = self._affine
-        resid = normals @ y - offsets
-        return y[None, :] - resid[:, None] * normals
+        return y[None, :] - self._heights(y)[:, None] * self._affine[1]
 
     def __repr__(self):
         return f"SimplexModel(n={self.n}, volume={self.total_volume:.6g})"

@@ -56,6 +56,8 @@ _ARMIJO = _frozen(1.0 - 1e-4 * _FRACTIONS)
 _TOL = 1e-12
 _RESIDUAL = 1e-10
 _MAX_ITER = 10000
+# halvings of a diameter that place a stalled Fermat solve's restart
+_HALVINGS = 40
 
 
 @cache
@@ -328,12 +330,49 @@ def weiszfeld_step_r(p, model: SimplexModel) -> BarycentricPoint:
     return BarycentricPoint(_step(pt.coords, dv, "r"))
 
 
+def _ray_point(vertex: np.ndarray, pull: np.ndarray, length: float, t: float) -> np.ndarray:
+    """The point t along -c/|c| from a vertex whose pull is c, |c| = ``length``:
+    g_sigma's roots leave a vertex with |c| < 1 along this ray, and the
+    distance sum falls along it from a vertex with |c| > 1."""
+    return vertex - t * pull / length
+
+
 def _fermat_solve(model: SimplexModel, start: BarycentricPoint, method: str = "q",
                   tol: float = _TOL, max_iter: int = _MAX_ITER) -> tuple:
-    """:func:`fermat_point`'s solve, unchecked: its approach step's homogeneous
-    coordinates, then :func:`_newton`'s returns on the distance sum from there."""
+    """:func:`fermat_point`'s solve, unchecked (no vertex may pass Kuhn's test):
+    its approach step's homogeneous coordinates, then :func:`_newton`'s
+    returns on the distance sum from there.
+
+    A run that stalls, always near a vertex k whose pull only just fails
+    Kuhn's test, restarts once from the vertex nearest its last point: on
+    the ray from A_k along -c_k/|c_k|, the derivative 1 + sum_{i != k} e.u_i
+    of the distance sum rises from 1 - |c_k| < 0 and is positive one
+    diameter out, so halving finds the line minimum, where Newton runs
+    again with the budget left.  The restart point joins the path as a
+    step, and the returns add up (H. W. Kuhn, 1973; Y. Vardi & C.-H. Zhang,
+    Math. Programming 90, 2001).
+    """
+    sigma, local = _positive(model.n + 1), model._local
     h = _step(np.abs(start.coords), model._distances(start), method)
-    return h, *_newton(model, _positive(model.n + 1), h / np.add.reduce(h), tol, max_iter - 1)
+    coords = h / np.add.reduce(h)
+    path, evaluations, reason, jac = _newton(model, sigma, coords, tol, max_iter - 1)
+    if reason == "stalled":
+        k = int(model._rays(path[-1] if path else local.T @ coords)[1].argmin())
+        pull = model._pulls(sigma)[k]
+        length = math.sqrt(pull @ pull)
+        low, high = 0.0, model._local_diameter
+        for _ in range(_HALVINGS):
+            t = 0.5 * (low + high)
+            if _signed_gradient(local, sigma, _ray_point(local[k], pull, length, t))[0] @ pull > 0.0:
+                low = t   # the derivative along -c_k is still negative
+            else:
+                high = t
+        y = _ray_point(local[k], pull, length, high)
+        restart, more, reason, jac = _newton(model, sigma, model._coords(y), tol,
+                                             max_iter - 2 - len(path))
+        path = [*path, y, *restart]
+        evaluations += _HALVINGS + more
+    return h, path, evaluations, reason, jac
 
 
 def fermat_point(model: SimplexModel, start=None, method: str = "q",
@@ -351,8 +390,8 @@ def fermat_point(model: SimplexModel, start=None, method: str = "q",
     ``ValueError`` unless ``tol`` is finite and positive and ``max_iter`` an
     integer >= 0 (not a bool), and :class:`MaxIterationsExceeded` with the
     trace attached if the budget runs out or Newton stalls (a singular
-    Jacobian or any other failed line search); the trace's ``reason`` tells
-    these apart.
+    Jacobian or any other failed line search) again after its one restart
+    (see :func:`_fermat_solve`); the trace's ``reason`` tells these apart.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")

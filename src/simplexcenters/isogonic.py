@@ -64,7 +64,7 @@ from .barycentric import (
     facet_volumes_of_points,
 )
 from .errors import AtVertex, Degenerate, PointAtInfinity, ZeroCoordinate
-from .fermat import _TOL, SolverTrace, _fermat_solve, _newton, _positive
+from .fermat import _TOL, SolverTrace, _fermat_solve, _newton, _positive, _ray_point
 from .pedal import _antipedal_points
 
 # distance from vertex 0, in diameters, past which a root has escaped
@@ -268,7 +268,8 @@ def _further_seeds(model: SimplexModel, sigma: np.ndarray, indices: list[float])
             return
         # -c_k has a component along every edge at vertex k, so no
         # sideplane through vertex k holds this point
-        near = model._local[k] - radius * model._local_diameter * signs[k] * pulls[k] / lengths[k]
+        near = _ray_point(model._local[k], signs[k] * pulls[k], lengths[k],
+                          radius * model._local_diameter)
         yield isogonal_conjugate(model._coords(near), model)
 
 

@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tests/probe.py [--triangles N] [--tetrahedra N]
                                          [--four N] [--five N] [--expect HEX]
-                                         [--dump FILE] [--against FILE]
+                                         [--dump FILE] [--against FILE] [--starts N]
 
 The probe set is the 41 ``isogonic-catalog`` inputs of the benchmark at
 seed 1, then Gaussian simplices drawn as ``standard_normal((n + 1, n))``
@@ -27,7 +27,11 @@ is ``HEX``.  ``--dump FILE``
 saves each simplex's catalog points, by label, as JSON; ``--against FILE``
 compares the run's points with such a dump, matching each point to one
 within 1e-9 in normalized coordinates, and prints "lost L, gained G" and
-then each simplex that lost a point.  ``bench/workloads.py`` is
+then each simplex that lost a point.  ``--starts N`` runs none of this: it
+solves each simplex by :func:`fermat_point` from N Dirichlet starts drawn
+from ``default_rng((79, k))``, k its index, by both methods, and prints how
+many solves raised, by reason; ``--triangles 2000 --tetrahedra 2000 --four
+500 --five 200 --starts 4`` is the 37,928-solve draw.  ``bench/workloads.py`` is
 loaded from its file, by the loader of ``tests/abtime.py``, and not
 changed.  Pytest does not collect this file; ``tests/test_probe.py`` runs a
 slice of it.
@@ -146,6 +150,29 @@ def probe(counts: dict[str, int]) -> tuple[str, str, dict[str, list[list[float]]
     return summary, dump.sha.hexdigest(), catalogs
 
 
+def fermat_draw(counts: dict[str, int], starts: int) -> str:
+    """Solve each simplex of the probe set by :func:`fermat_point` from
+    ``starts`` Dirichlet starts drawn from ``default_rng((79, k))``, k its
+    index, by both methods; a summary of the solves without an answer."""
+    unsolved: Counter = Counter()
+    solves = 0
+    begin = time.perf_counter()
+    simplices = probe_set(counts)
+    for k, (label, verts) in enumerate(simplices):
+        model = SimplexModel(verts)
+        for start in np.random.default_rng((79, k)).dirichlet(np.ones(model.n + 1), starts):
+            for method in ("q", "r"):
+                try:
+                    fermat_point(model, start, method)
+                except MaxIterationsExceeded as error:
+                    unsolved[error.trace.reason] += 1
+                solves += 1
+    reasons = ", ".join(f"{unsolved[r]} {r}" for r in REASONS if unsolved[r])
+    return (f"{len(simplices)} simplices, {solves} Fermat solves, "
+            f"{unsolved.total()} without an answer ({reasons or 'none'}) "
+            f"({time.perf_counter() - begin:.1f} s)")
+
+
 def compare(saved: dict[str, list[list[float]]], catalogs: dict[str, list[list[float]]],
             ) -> tuple[int, int, dict[str, int]]:
     """Points of ``saved`` with no match in ``catalogs`` (lost), points of
@@ -170,6 +197,9 @@ def main(argv=None) -> int:
     for name, _, _, default in GROUPS:
         parser.add_argument(f"--{name}", type=int, default=default, metavar="N",
                             help=f"Gaussian {name} to add (default {default})")
+    parser.add_argument("--starts", type=int, metavar="N",
+                        help="only solve each simplex by fermat_point from N "
+                             "Dirichlet starts and count the failures")
     parser.add_argument("--expect", metavar="HEX",
                         help="exit 1 unless the dump's digest is HEX")
     parser.add_argument("--dump", metavar="FILE",
@@ -177,7 +207,11 @@ def main(argv=None) -> int:
     parser.add_argument("--against", metavar="FILE",
                         help="compare the catalog points with those saved in FILE")
     args = parser.parse_args(argv)
-    summary, digest, catalogs = probe({name: getattr(args, name) for name, *_ in GROUPS})
+    counts = {name: getattr(args, name) for name, *_ in GROUPS}
+    if args.starts is not None:
+        print(fermat_draw(counts, args.starts))
+        return 0
+    summary, digest, catalogs = probe(counts)
     print(summary)
     print(digest)
     if args.dump is not None:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -401,6 +402,15 @@ def test_bad_flag_value_exit_2(doc_path, capsys, args):
     assert flag in captured.err
 
 
+@pytest.mark.parametrize("flag", ["isodynamic --point", "fermat --start", "isogonic --seeds"])
+def test_a_zero_point_is_an_input_error(doc_path, capsys, flag):
+    # the library refuses an all-zero vector with a ValueError: a malformed argument
+    command, option = flag.split()
+    code, out, err = run_cli(capsys, command, doc_path(FIVE_DOC), option, "0:0:0:0")
+    assert (code, out) == (2, "")
+    assert err == "input error: coordinate vector must not be zero\n"
+
+
 TRIANGLE = [[0, 0], [1, 0], [0, 1]]
 
 
@@ -640,7 +650,7 @@ def test_json_reports_gradient_evaluations(doc_path, capsys):
 
 
 # SHA-256 of ``simplexcenters verify --json``'s output, NumPy 2.4.6 on x86-64
-VERIFY_DIGEST = "14da1f29d5c69171439c87c9bf00a790d6701ca3baf8cc76bd5a9523db079431"
+VERIFY_DIGEST = "f86975dfeb484d6e6a5b27981ac344710422817a08ae6abcb967d23b206c8062"
 
 
 @pytest.mark.usefixtures("cached_reference_checks")
@@ -734,6 +744,19 @@ class TestReportContracts:
         assert code == 0
         assert json.loads(out)["results"]["total_volume"] == pytest.approx(48.0)
 
+    @pytest.mark.usefixtures("cached_reference_checks")
+    @pytest.mark.parametrize("command", ["centers", "isodynamic", "fermat", "isogonic",
+                                         "verify"])
+    def test_a_request_echoes_only_real_flags(self, doc_path, capsys, command):
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        flags = {a.dest for a in subparsers.choices[command]._actions if a.option_strings}
+        document = [] if command == "verify" else [doc_path(FIVE_DOC)]
+        code, out, _ = run_cli(capsys, command, *document, "--json")
+        assert code == 0
+        assert set(json.loads(out)["request"]["options"]) <= flags - {"help", "json"}
+
 
 @pytest.mark.parametrize("command, vertices, key, line", [
     ("centers", [[0, 0], [1e200, 0], [0, 1e200]], "total_volume", "total volume   inf"),
@@ -772,7 +795,7 @@ def _seeded_edge_document(n: int) -> dict:
     return {"name": f"gauss-{n}", **_edges(values, dimension=n)}
 
 
-REPORT_DIGEST = "5e9259d0de6df65b21bac2d9e70b3c67236267888d392eeee6183ba2a54bed11"
+REPORT_DIGEST = "c86d47b772d51769935db2dbb5fb3b0ad83c3e7697ed884bdccd0d0013dbb3ee"
 REPORT_DOCUMENTS = [*verify.BUILTIN_DOCUMENTS.values(),
                     *(_seeded_edge_document(n) for n in range(2, 13))]
 

@@ -8,6 +8,7 @@ arrays or points compare and hash by identity, as ``SimplexModel`` does.
 
 import functools
 import itertools
+import json
 import math
 
 import numpy as np
@@ -47,6 +48,7 @@ from simplexcenters import (
     yiu_triangle_test,
     z_correspondent,
 )
+from simplexcenters.cli import main
 
 FIVE = np.array(golden.FIVE_VERTICES, dtype=float)
 
@@ -142,6 +144,34 @@ def test_only_typed_errors_escape(name):
         escaped += [(call, label, what) for call, f in POINT_CALLS.items()
                     if (what := _escapes(lambda: f(p, model)))]
     assert not escaped
+
+
+# the points that are malformed arguments: not finite, or all zero
+MALFORMED = ("nan", "inf", "-inf", "zero")
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_the_command_line_exits_2_or_3(name, tmp_path, capsys):
+    # each model as a vertex document, each awkward point as the command's
+    # point flag: a document that is no simplex exits 3, a malformed point 2,
+    # any other geometric failure 3, and nothing raises
+    model = MODELS[name]()
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"vertices": model.vertices.tolist()}))
+    runs = [([command], None) for command in ("centers", "isodynamic", "fermat", "isogonic")]
+    for label, p in points(model.n + 1).items():
+        value = ":".join(map(repr, p.tolist()))
+        runs += [([command, f"{flag}={value}"], label) for command, flag in (
+            ("isodynamic", "--point"), ("fermat", "--start"), ("isogonic", "--seeds"))]
+    wrong = []
+    for (command, *flags), label in runs:
+        code = main([command, str(path), *flags])
+        err = capsys.readouterr().err
+        expected = (3,) if model.degenerate else (2,) if label in MALFORMED else (0, 3, 4)
+        prefix = {2: "input error: ", 3: "geometric error: "}.get(code, "")
+        if code not in expected or not err.startswith(prefix):
+            wrong.append((command, label, code, err))
+    assert not wrong
 
 
 @pytest.mark.parametrize("name", [name for name in MODELS if name != "collapsed"])

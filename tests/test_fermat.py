@@ -264,15 +264,18 @@ class TestFermatPoint:
         assert len(trace.iterates) == len(trace.objective_values) == 1
 
     def test_newton_stall_raises_with_trace(self, five_model, monkeypatch):
-        # Newton ends unaccepted before the budget: a singular Jacobian or a
-        # line search that cannot lower the gradient
+        # Newton ends unaccepted before the budget, a singular Jacobian or a
+        # line search that cannot lower the gradient, and so does its one
+        # restart: the approach step and the restart point are the steps,
+        # and the halvings that placed it count as evaluations
         monkeypatch.setattr(fermat, "_newton", lambda *args: ([], 1, "stalled", None))
         with pytest.raises(MaxIterationsExceeded,
-                           match="Newton stalled after 1 iterations") as info:
+                           match="Newton stalled after 2 iterations") as info:
             fermat_point(five_model)
         trace = info.value.trace
         assert trace.reason == "stalled" and not trace.converged
-        assert trace.iterations_used == 1 and trace.gradient_evaluations == 1
+        assert trace.iterations_used == 2
+        assert trace.gradient_evaluations == 2 + fermat._HALVINGS
 
     def test_one_distance_evaluation_per_iteration(self, count_calls):
         # the approach step reads the frame distances once and Newton reads
@@ -358,10 +361,10 @@ class TestFermatPoint:
         assert bits[0] == bits[1]
 
 
-def _assert_lazy_trace(model, trace, point=None, tol=1e-12, max_iter=10000):
+def _assert_lazy_trace(model, trace, point=None, tol=1e-12, max_iter=10000, method="q"):
     """The trace formed on first read equals the eager formula: the seed,
-    the next point, then Newton's frame path in barycentric coordinates,
-    each with its ``total_distance``."""
+    the approach step's point, then the solve's frame path in barycentric
+    coordinates, each with its ``total_distance``."""
     assert "iterates" not in vars(trace) and "objective_values" not in vars(trace)
     iterates = trace.iterates
     assert iterates[0] is trace.seed
@@ -369,8 +372,8 @@ def _assert_lazy_trace(model, trace, point=None, tol=1e-12, max_iter=10000):
     if point is not None:
         assert iterates[-1].coords.tobytes() == point.coords.tobytes()
     if len(iterates) > 1 and not trace.vertex_optimum:
-        path, *_ = fermat._newton(model, np.ones(model.n + 1),
-                                  iterates[1].normalized_coords, tol, max_iter - 1)
+        h, path, *_ = fermat._fermat_solve(model, trace.seed, method, tol, max_iter)
+        assert iterates[1].coords.tobytes() == BarycentricPoint(h).coords.tobytes()
         assert [p.coords.tobytes() for p in iterates[2:]] == [
             BarycentricPoint(model._coords(y)).coords.tobytes() for y in path]
     assert trace.objective_values == [total_distance(p, model) for p in iterates]
@@ -382,14 +385,14 @@ class TestLazyTrace:
     @pytest.mark.parametrize("method", ["q", "r"])
     def test_reference_and_random_simplices(self, five_model, method):
         point, trace = fermat_point(five_model, method=method)
-        _assert_lazy_trace(five_model, trace, point)
+        _assert_lazy_trace(five_model, trace, point, method=method)
         rng = np.random.default_rng(77)
         for k in range(20):
             n = 2 + k % 7
             model = SimplexModel(rng.standard_normal((n + 1, n)))
             start = random_interior_point(rng, n)
             point, trace = fermat_point(model, start=start, method=method)
-            _assert_lazy_trace(model, trace, point)
+            _assert_lazy_trace(model, trace, point, method=method)
 
     @pytest.mark.parametrize("max_iter", [0, 1, 3])
     @pytest.mark.parametrize("method", ["q", "r"])
@@ -397,13 +400,14 @@ class TestLazyTrace:
         with pytest.raises(MaxIterationsExceeded) as info:
             fermat_point(five_model, method=method, max_iter=max_iter)
         assert info.value.trace.reason == "out of budget"
-        _assert_lazy_trace(five_model, info.value.trace, max_iter=max_iter)
+        _assert_lazy_trace(five_model, info.value.trace, max_iter=max_iter, method=method)
 
     def test_stall_exit(self, five_model, monkeypatch):
+        # the restart stalls too: its point ends the trace
         monkeypatch.setattr(fermat, "_newton", lambda *args: ([], 1, "stalled", None))
         with pytest.raises(MaxIterationsExceeded) as info:
             fermat_point(five_model)
-        assert info.value.trace.reason == "stalled"
+        assert (info.value.trace.reason, info.value.trace.iterations_used) == ("stalled", 2)
         _assert_lazy_trace(five_model, info.value.trace)
 
     def test_vertex_optimum(self):
@@ -417,6 +421,50 @@ class TestLazyTrace:
         assert catalog.traces
         for trace in catalog.traces + catalog.failed_seeds:
             assert trace.iterates == [] and trace.objective_values == []
+
+
+# two runs of tests/probe.py's default set that stalled near a vertex whose
+# pull only just fails Kuhn's test: (vertices, probe index k, whose
+# default_rng((78, k)) draws the Dirichlet start, method, steps before the
+# stall, and the steps and evaluations of the whole solve)
+STALLS = {
+    "tetrahedra-73": ([[0.061025420582712334, 0.4804076135378379, 1.1917261875157645],
+                       [0.45960070996772645, -1.0229479385930738, -0.2701487698644386],
+                       [0.7593773989000225, -0.18366983287237906, 1.2888462218693157],
+                       [0.27956309751922287, 0.24646248326792497, 1.2623425159323896]],
+                      314, "q", 8, (15, 113)),
+    "tetrahedra-168": ([[0.14831615920516072, -0.11638366726570919, -0.5734873035821089],
+                        [-0.4081021846515626, -0.695078239050226, -1.545727407708353],
+                        [0.37138716354097184, -0.952340230297456, -0.08043102921999797],
+                        [0.3326815738848308, 0.10357040907326022, -0.7252267610453408]],
+                       409, "r", 4, (9, 90)),
+}
+
+
+class TestStallRestart:
+    @pytest.mark.parametrize("name", STALLS)
+    def test_a_stall_near_a_vertex_restarts(self, name):
+        vertices, k, method, before, counts = STALLS[name]
+        model = SimplexModel(vertices)
+        start = np.random.default_rng((78, k)).dirichlet(np.ones(4))
+        point, trace = fermat_point(model, start, method)
+        assert trace.converged
+        assert (trace.iterations_used, trace.gradient_evaluations) == counts
+        _assert_lazy_trace(model, trace, point, method=method)
+        # the first Newton run stalls, and the solve restarts on the ray out
+        # of the nearest vertex, where the distance sum stops falling
+        first = fermat._newton(model, np.ones(4), trace.iterates[1].normalized_coords,
+                               fermat._TOL, fermat._MAX_ITER - 1)
+        assert (len(first[0]), first[2]) == (before, "stalled")
+        y = trace._path[before]
+        vertex = int(model._rays(first[0][-1])[1].argmin())
+        pull = model._pulls(np.ones(4))[vertex]
+        ray = (model._local[vertex] - y) @ pull / np.linalg.norm(pull)
+        assert np.linalg.norm(model._local[vertex] - y) == pytest.approx(ray, rel=1e-12)
+        assert fermat._signed_gradient(model._local, np.ones(4), y)[0] @ pull <= 0.0
+        # to the bits of the solve from the centroid, or within rounding
+        gap = model._frame(point) - model._frame(fermat_point(model)[0])
+        assert np.linalg.norm(gap) <= 1e-15 * model._local_diameter
 
 
 class TestModelConstants:

@@ -62,3 +62,11 @@ def test_expect_checks_the_digest(capsys, monkeypatch):
     assert capsys.readouterr().out.splitlines() == [
         "a summary", SLICE_DIGEST,
         f"digest mismatch: expected {other}, got {SLICE_DIGEST}"]
+
+
+def test_starts_counts_the_fermat_solves_without_an_answer(capsys):
+    # the 41 bench inputs and four Gaussian simplices, one start each, by q and r
+    assert probe.main(["--triangles=2", "--tetrahedra=2", "--four=0", "--five=0",
+                       "--starts=1"]) == 0
+    line, = capsys.readouterr().out.splitlines()
+    assert line.rsplit(" (", 1)[0] == "45 simplices, 90 Fermat solves, 0 without an answer (none)"
