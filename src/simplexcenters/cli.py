@@ -330,12 +330,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("isodynamic", help="common points of the Apollonian spheres")
     add_doc(p)
-    p.add_argument("--point", help="weight point (default: incenter), e.g. '1:2:3:4'")
+    p.add_argument("--point", help="weight point (default: incenter), e.g. '1:2:3:4' "
+                                   "or '-1:2:2:2'")
 
     p = sub.add_parser("fermat", help="minimize the distance sum to the vertices")
     add_doc(p)
     p.add_argument("--method", choices=METHODS, default="q")
-    p.add_argument("--start", help="start point, e.g. '1:1:1:1'")
+    p.add_argument("--start", help="start point, e.g. '1:1:1:1' or '-1,2,2,2'")
     p.add_argument("--tolerance", type=_positive(float),
                    help=f"default: the document's tolerance, else {_TOL:g}")
     p.add_argument("--max-iter", type=_positive(int), help=f"default: {_MAX_ITER}")
@@ -343,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("isogonic", help="enumerate points with equiareal antipedal simplex")
     add_doc(p)
-    p.add_argument("--seeds", help="extra seeds: 'p1,p2,...;q1,q2,...' or a JSON file")
+    p.add_argument("--seeds", help="extra seeds: 'p1,p2,...;q1,q2,...' or a JSON file; "
+                                   "a seed may start with a minus sign")
 
     p = sub.add_parser("verify", help="recompute the built-in reference tables")
     p.add_argument("--json", action="store_true")
@@ -361,7 +363,13 @@ def _emit(report: dict, as_json: bool) -> None:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # a point flag takes the next argument whole, as in --point=-1:2:2:2:
+    # argparse alone reads a separate -1:2:2:2 as an option
+    words, joined = iter(sys.argv[1:] if argv is None else argv), []
+    for word in words:
+        value = next(words, None) if word in ("--point", "--start", "--seeds") else None
+        joined.append(word if value is None else f"{word}={value}")
+    args = parser.parse_args(joined)
 
     try:
         if args.command == "verify":

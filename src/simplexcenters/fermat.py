@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 
@@ -81,13 +80,19 @@ def _signed_gradient(vertices: np.ndarray, sigma: np.ndarray, x: np.ndarray,
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """g_sigma(x) = sum_i sigma_i (x - A_i)/|x - A_i|, and the unit vectors
     and weights sigma_i/d_i whose ``_jacobian`` is its Jacobian; vertices at
-    zero distance from x are left out of all three."""
-    gaps = x - vertices
-    dist = np.sqrt(_einsum("ij,ij->i", gaps, gaps))
-    if np.count_nonzero(dist) < len(dist):
+    zero distance from x are left out of all three.  A stack of points gives
+    a stack of each, every row rounded as that point alone; one with a row at
+    a vertex is evaluated row by row, its J terms as tuples of rows."""
+    point = x.ndim == 1
+    gaps = x - vertices if point else x[:, None] - vertices
+    dist = np.sqrt(_einsum("ij,ij->i" if point else "kij,kij->ki", gaps, gaps))
+    if np.count_nonzero(dist) < dist.size:
+        if not point:
+            g, units, weights = zip(*(_signed_gradient(vertices, sigma, y) for y in x))
+            return np.array(g), units, weights
         keep = dist > 0
         gaps, dist, sigma = gaps[keep], dist[keep], sigma[keep]
-    units = gaps / dist[:, None]
+    units = gaps / dist[..., None]
     return sigma @ units, units, sigma / dist
 
 
@@ -149,43 +154,16 @@ class SolverTrace:
         return self.reason == "vertex optimum"
 
 
-def _deflation(x: np.ndarray, known: np.ndarray, d2: float) -> tuple[float, np.ndarray]:
+def _deflation(x: np.ndarray, known: np.ndarray, d2: float) -> tuple:
     """M(x) = prod_k (d2/|x - r_k|^2 + 1) and grad ln M over one or more
-    known roots; inf and nan at a known root, under the errstate of
+    known roots, at a point or at each row of a stack of points, rounded as
+    that point alone; inf and nan at a known root, under the errstate of
     :func:`_newton`."""
-    gaps = x - known
-    q = _einsum("ij,ij->i", gaps, gaps)
-    return float(np.multiply.reduce(d2 / q + 1.0)), (-2.0 * d2 / (q * (q + d2))) @ gaps
-
-
-def _trial_merits(vertices: np.ndarray, sigma: np.ndarray, ys: np.ndarray,
-                  known: np.ndarray, d2: float) -> tuple[np.ndarray, Callable]:
-    """M |g_sigma| at each row of ``ys`` in one pass, and a function of k
-    that gives (row k, g_sigma, J's u_i and weights, grad ln M or None,
-    M |g_sigma|) there from the pass's unit vectors, weights sigma_i/d_i and
-    deflation gaps; each rounded as :func:`_signed_gradient` and :func:`_deflation`
-    round it, and M is inf at a known root, under :func:`_newton`'s errstate."""
-    gaps = ys[:, None] - vertices
-    dist = np.sqrt(_einsum("kij,kij->ki", gaps, gaps))
-    zero = dist == 0.0
-    if np.count_nonzero(zero):   # leaves out a vertex at zero distance
-        dist[zero] = np.inf
-    units = gaps / dist[..., None]
-    g = sigma @ units
-    if np.count_nonzero(zero):   # a vertex left in as a zero row can round g apart
-        for k in zero.any(axis=1).nonzero()[0]:
-            g[k] = _signed_gradient(vertices, sigma, ys[k])[0]
-    merits = np.sqrt((g[:, None] @ g[..., None])[:, 0, 0])   # a dot per row, as g @ g
-    if len(known):   # else M = 1
-        offsets = ys[:, None] - known
-        q = _einsum("kij,kij->ki", offsets, offsets)
-        merits *= np.multiply.reduce(d2 / q + 1.0, axis=1)
-
-    def at(k: int) -> tuple:
-        dlog = (-2.0 * d2 / (q[k] * (q[k] + d2))) @ offsets[k] if len(known) else None
-        return ys[k], g[k], units[k], sigma / dist[k], dlog, float(merits[k])
-
-    return merits, at
+    point = x.ndim == 1
+    gaps = x - known if point else x[:, None] - known
+    q = _einsum("ij,ij->i" if point else "kij,kij->ki", gaps, gaps)
+    weight, dlog = np.multiply.reduce(d2 / q + 1.0, axis=-1), -2.0 * d2 / (q * (q + d2))
+    return (float(weight), dlog @ gaps) if point else (weight, (dlog[:, None] @ gaps)[:, 0])
 
 
 def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: float,
@@ -200,11 +178,12 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
     scales s by 1/(1 - grad ln M . s) (forming |s|^2 again only then),
     which turns it around near a known root, and takes the first fraction
     t of 1, 1/2, ..., 1/2^11 at which M |g_sigma| falls by the Armijo factor
-    1 - t/1e4: t = 1 alone, then the rest in one pass of :func:`_trial_merits`,
-    which also gives g_sigma, J's terms and M at the one taken (J is formed
-    at points taken only); after a step that took t <= 1/8, all twelve in
-    that pass.  A step no longer than ``tol`` diameters is taken whole and
-    ends the run, which succeeds if its scale was positive.
+    1 - t/1e4: t = 1 alone, then the rest in one pass, which calls
+    :func:`_signed_gradient` and :func:`_deflation` on the stack of those
+    points and so also gives g_sigma, J's terms and M at the one taken (J is
+    formed at points taken only); after a step that took t <= 1/8, all
+    twelve in that pass.  A step no longer than ``tol`` diameters is taken
+    whole and ends the run, which succeeds if its scale was positive.
     A singular J solves to a NaN step, which ends the run; so does a line
     search that cannot lower M |g_sigma|, which succeeds if M |g_sigma| <=
     1e-10 there, at the level of rounding.  Each point is evaluated once,
@@ -256,7 +235,9 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
                 # the rest (all twelve after a crawl) in one pass, counted to the first passing
                 first = 0 if crawled else 1
                 ys = x + _FRACTIONS[first:, None] * step
-                merits, at = _trial_merits(local, sigma, ys, known, d2)
+                gs, units, weights = _signed_gradient(local, sigma, ys)
+                wys, dys = _deflation(ys, known, d2) if len(known) else (1.0, None)
+                merits = np.sqrt((gs[:, None] @ gs[..., None])[:, 0, 0]) * wys   # g @ g per row
                 passed = (merits <= _ARMIJO[first:] * merit).nonzero()[0]
                 if not passed.size:
                     evaluations += len(ys)
@@ -269,7 +250,8 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
                 k = int(passed[0])
                 evaluations += k + 1
                 crawled = _FRACTIONS[first + k] <= 0.125
-                y, gy, units, weights, dy, merit_y = at(k)
+                y, gy, units, weights = ys[k], gs[k], units[k], weights[k]
+                dy, merit_y = None if dys is None else dys[k], float(merits[k])
             x, g, jac, dlog, merit = y, gy, _jacobian(units, weights), dy, merit_y
             path.append(x)
     reason = "converged" if ok else "out of budget" if len(path) == max_steps else "stalled"

@@ -411,6 +411,18 @@ def test_a_zero_point_is_an_input_error(doc_path, capsys, flag):
     assert err == "input error: coordinate vector must not be zero\n"
 
 
+@pytest.mark.parametrize("flag, point", [
+    ("isodynamic --point", "-1:2:2:2"), ("fermat --start", "-1,2,2,2"),
+    ("isogonic --seeds", "-1,2,2,2")])
+def test_a_point_flag_takes_a_separate_value_with_a_minus_sign(doc_path, capsys, flag, point):
+    # argparse alone reads a separate -1:2:2:2 as an option and exits 2
+    command, option = flag.split()
+    path = doc_path(FIVE_DOC)
+    separate = run_cli(capsys, command, path, option, point, "--json")
+    assert separate == run_cli(capsys, command, path, f"{option}={point}", "--json")
+    assert separate[0] == 0 and json.loads(separate[1])["request"]["options"][option[2:]] == point
+
+
 TRIANGLE = [[0, 0], [1, 0], [0, 1]]
 
 

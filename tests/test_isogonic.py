@@ -237,9 +237,9 @@ class TestEnumerateIsogonic:
     def test_stall_tetrahedron_counts(self, count_calls):
         # the batched halvings run here, and each start reads (reason,
         # Newton steps, evaluations) as the one-at-a-time search counts them
-        calls = count_calls(fermat, "_trial_merits")
+        calls = count_calls(fermat, "_signed_gradient")
         catalog = enumerate_isogonic(SimplexModel(STALL_TETRAHEDRON))
-        assert calls
+        assert [args for args in calls if args[2].ndim == 2]
         assert [(t.reason, t.iterations_used, t.gradient_evaluations)
                 for t in catalog.failed_seeds] == [
             ("stalled", 9, 63), ("stalled", 14, 77), ("stalled", 13, 77),
@@ -252,11 +252,11 @@ class TestEnumerateIsogonic:
         # that measured it, and a step after one that took t <= 1/8 tries
         # all twelve fractions in one pass; the one-point gradient runs 33
         # times here, 68 if each such point were evaluated anew
-        gradients = count_calls(fermat, "_signed_gradient")
-        passes = count_calls(fermat, "_trial_merits")
+        calls = count_calls(fermat, "_signed_gradient")
         enumerate_isogonic(SimplexModel(STALL_TETRAHEDRON))
-        assert len(gradients) <= 40
-        assert 12 in [len(args[2]) for args in passes]
+        points = [args[2] for args in calls]
+        assert len([x for x in points if x.ndim == 1]) <= 40
+        assert 12 in [len(x) for x in points if x.ndim == 2]
 
     def test_deflated_starts_evaluation_budget(self, probe_simplices, monkeypatch, count_calls):
         # class (1, 1, 1, -1) of gauss-n3-2 has two roots, so its later
@@ -275,15 +275,18 @@ class TestEnumerateIsogonic:
         monkeypatch.setattr(isogonic, "_newton", recorded)
         deflations = count_calls(fermat, "_deflation")
         enumerate_isogonic(SimplexModel(probe_simplices["gauss-n3-2"]))
+        points = [args[0] for args in deflations]
         assert len(deflated) >= 10
-        assert 0 < len(deflations) <= sum(steps + 2 for steps in deflated)
+        assert 0 < len([x for x in points if x.ndim == 1]) <= sum(steps + 2 for steps in deflated)
+        assert [x for x in points if x.ndim == 2]
 
     @pytest.mark.parametrize("vertices, evaluations", [
         (golden.FIVE_VERTICES, 29), (STALL_TETRAHEDRON, 33)], ids=["reference", "stall"])
     def test_one_point_evaluations_of_a_catalog(self, monkeypatch, vertices, evaluations):
         # each root's index sign det J comes from Newton's last Jacobian, so
         # the degree balance evaluates nothing; counted through isogonic's
-        # name too, should it import the one-point kernel
+        # name too, should it import the kernel, and a line-search pass's
+        # stack of points apart from the one-point calls
         calls = []
         original = fermat._signed_gradient
 
@@ -294,7 +297,8 @@ class TestEnumerateIsogonic:
         monkeypatch.setattr(fermat, "_signed_gradient", counted)
         monkeypatch.setattr(isogonic, "_signed_gradient", counted, raising=False)
         enumerate_isogonic(SimplexModel(vertices))
-        assert len(calls) == evaluations
+        assert len([args for args in calls if args[2].ndim == 1]) == evaluations
+        assert [args for args in calls if args[2].ndim == 2]
 
     def test_each_antipedal_figure_is_measured_once(self, five_model, count_calls):
         # a root is accepted on its antipedal facet volumes, and the
@@ -774,8 +778,8 @@ def test_batched_line_search_matches_the_sequential_one(five_model, monkeypatch)
 @pytest.mark.parametrize("negative", [False, True], ids=["all-positive", "one-negative"])
 @pytest.mark.parametrize("roots", [0, 1, 3])
 def test_a_line_search_pass_evaluates_each_row_as_one_point(n, negative, roots):
-    # every row of a pass, one of them exactly at a vertex, reads what the
-    # one-point kernels give there, bit for bit
+    # every row of a pass, one of them exactly at a vertex, reads from the
+    # kernels' stack form what their one-point form gives there, bit for bit
     rng = np.random.default_rng([n, negative, roots])
     vertices = rng.standard_normal((n + 1, n))
     sigma = np.ones(n + 1)
@@ -784,19 +788,21 @@ def test_a_line_search_pass_evaluates_each_row_as_one_point(n, negative, roots):
     d2 = float(np.ptp(vertices, axis=0) @ np.ptp(vertices, axis=0))
     ys = rng.standard_normal(n) + fermat._FRACTIONS[:, None] * rng.standard_normal(n)
     ys[5] = vertices[1]
-    merits, at = fermat._trial_merits(vertices, sigma, ys, known, d2)
-    assert len(merits) == len(ys) == 12
+    gs, units, weights = fermat._signed_gradient(vertices, sigma, ys)
+    weights_ys, dlogs = fermat._deflation(ys, known, d2) if roots else (np.ones(12), None)
+    # M |g_sigma| per row as _newton forms it, a dot per row
+    merits = np.sqrt((gs[:, None] @ gs[..., None])[:, 0, 0]) * weights_ys
+    assert len(gs) == len(units) == len(weights) == len(merits) == len(ys) == 12
     for k, y in enumerate(ys):
         g, *terms = fermat._signed_gradient(vertices, sigma, y)
         jac = fermat._jacobian(*terms)
         weight, dlog = fermat._deflation(y, known, d2) if roots else (1.0, None)
         merit = weight * math.sqrt(g @ g)
-        row, gk, *terms, dk, mk = at(k)
-        assert row.tobytes() == y.tobytes()
-        assert (gk.tobytes(), fermat._jacobian(*terms).tobytes()) == (g.tobytes(), jac.tobytes())
-        assert (dk is None) == (dlog is None) == (roots == 0)
-        assert dlog is None or dk.tobytes() == dlog.tobytes()
-        assert mk == merits[k] == merit
+        assert (gs[k].tobytes(), fermat._jacobian(units[k], weights[k]).tobytes()) == (
+            g.tobytes(), jac.tobytes())
+        assert (dlogs is None) == (dlog is None) == (roots == 0)
+        assert dlog is None or dlogs[k].tobytes() == dlog.tobytes()
+        assert weights_ys[k] == weight and merits[k] == merit
 
 
 def _catalog_trace(model: SimplexModel, seed) -> fermat.SolverTrace:

@@ -11,7 +11,8 @@ cached per-dimension constants are read-only.
 The catalog's lean forms around the kernel are compared the same way with
 the forms they replaced: the sign-pattern test of a root, the degree
 balance target in integers, the Armijo factors and fraction rows of a
-line-search pass, the pass's zero-distance guard, the canonical sort key,
+line-search pass, the kernels on the pass's stack of points with its
+zero-distance guard, the canonical sort key,
 ``_all_equal``, a model's absolute measures under one errstate, and the
 volume kernel's facets gathered by ``take``.
 """
@@ -22,11 +23,11 @@ import math
 import numpy as np
 import pytest
 
-from simplexcenters import BarycentricPoint, SimplexModel, facet_volumes_of_points
+from simplexcenters import BarycentricPoint, SimplexModel, facet_volumes_of_points, fermat
 from simplexcenters.barycentric import (_REL_EPS, _all_equal, _einsum, _lapack, _leave_one_out,
                                         _zero_entries)
-from simplexcenters.fermat import (_ARMIJO, _FRACTIONS, _eye, _jacobian, _positive,
-                                   _signed_gradient, _trial_merits)
+from simplexcenters.fermat import (_ARMIJO, _FRACTIONS, _deflation, _eye, _jacobian, _positive,
+                                   _signed_gradient)
 from simplexcenters.isogonic import _balance_target, _canonical_key, _claimed, _has_pattern
 
 
@@ -134,12 +135,34 @@ def test_einsum_is_np_einsum_on_the_library_shapes(n):
     for a, b in row_dots:
         assert _einsum("ij,ij->i", a, b).tobytes() == np.einsum("ij,ij->i", a, b).tobytes()
         assert _einsum("ij,ij->i", a, a).tobytes() == np.einsum("ij,ij->i", a, a).tobytes()
-    # _trial_merits: a pass of 11 or 12 points against the vertices, and
-    # against one or more known roots
+    # _signed_gradient and _deflation on a line-search pass: a stack of 11
+    # or 12 points against the vertices, and against one or more known roots
     for rows, k in itertools.product((len(_FRACTIONS) - 1, len(_FRACTIONS)), (m, 1, 3)):
         gaps = rng.standard_normal((rows, k, n))
         assert (_einsum("kij,kij->ki", gaps, gaps).tobytes()
                 == np.einsum("kij,kij->ki", gaps, gaps).tobytes())
+
+
+def test_einsum_call_forms_of_a_point_and_a_stack(monkeypatch):
+    # a point keeps its two-index row dot and a stack its three-index one,
+    # the forms whose bits and cost were measured; a shape-generic
+    # "...ij,...ij->...i" would be a new form, to be measured anew
+    subscripts = []
+
+    def recorded(spec, *operands):
+        subscripts.append(spec)
+        return _einsum(spec, *operands)
+
+    monkeypatch.setattr(fermat, "_einsum", recorded)
+    rng = np.random.default_rng(47)
+    vertices, sigma, known = rng.standard_normal((4, 3)), np.ones(4), rng.standard_normal((2, 3))
+    x, ys = rng.standard_normal(3), rng.standard_normal((12, 3))
+    for kernel in (lambda at: _signed_gradient(vertices, sigma, at),
+                   lambda at: _deflation(at, known, 4.0)):
+        for at, spec in ((x, "ij,ij->i"), (ys, "kij,kij->ki")):
+            subscripts.clear()
+            kernel(at)
+            assert subscripts == [spec]
 
 
 @pytest.mark.parametrize("m", range(2, 10))
@@ -182,7 +205,7 @@ def _old_trial_merits(vertices, sigma, ys, known, d2):
 
     def at(k):
         dlog = (-2.0 * d2 / (q[k] * (q[k] + d2))) @ offsets[k] if len(known) else None
-        return ys[k], g[k], _old_jacobian(units[k], sigma / dist[k]), dlog, float(merits[k])
+        return g[k], _old_jacobian(units[k], sigma / dist[k]), dlog, float(merits[k])
 
     return merits, at
 
@@ -241,7 +264,8 @@ def test_armijo_factors_and_fraction_rows_keep_their_bits():
 @pytest.mark.parametrize("roots", [0, 1, 3])
 def test_trial_merits_zero_guard_keeps_its_bits(n, roots):
     # passes with no row at a vertex, one, and several, some at a known
-    # root, against the pass that guarded every pass
+    # root, through the kernels' stack forms and M |g_sigma| per row as
+    # _newton forms it, against the pass that guarded every pass
     rng = np.random.default_rng((46, n, roots))
     for hits in (0, 1, 3):
         vertices = rng.standard_normal((n + 1, n))
@@ -253,17 +277,18 @@ def test_trial_merits_zero_guard_keeps_its_bits(n, roots):
         if roots:
             ys[rng.integers(12)] = known[0]
         with np.errstate(all="ignore"):   # M is inf at a known root, as in _newton
-            merits, at = _trial_merits(vertices, sigma, ys.copy(), known, 4.0)
+            g, units, weights = _signed_gradient(vertices, sigma, ys.copy())
+            weight, dlog = _deflation(ys.copy(), known, 4.0) if roots else (1.0, None)
+            merits = np.sqrt((g[:, None] @ g[..., None])[:, 0, 0]) * weight
             old_merits, old_at = _old_trial_merits(vertices, sigma, ys.copy(), known, 4.0)
             assert merits.tobytes() == old_merits.tobytes()
             for k in range(12):
-                row, g, units, weights, dlog, merit = at(k)
-                old_row, old_g, old_jac, old_dlog, old_merit = old_at(k)
-                assert (row.tobytes(), g.tobytes(), _jacobian(units, weights).tobytes()) == (
-                    old_row.tobytes(), old_g.tobytes(), old_jac.tobytes())
+                old_g, old_jac, old_dlog, old_merit = old_at(k)
+                assert (g[k].tobytes(), _jacobian(units[k], weights[k]).tobytes()) == (
+                    old_g.tobytes(), old_jac.tobytes())
                 assert (dlog is None) == (old_dlog is None) == (roots == 0)
-                assert dlog is None or dlog.tobytes() == old_dlog.tobytes()
-                assert np.float64(merit).tobytes() == np.float64(old_merit).tobytes()
+                assert dlog is None or dlog[k].tobytes() == old_dlog.tobytes()
+                assert np.float64(merits[k]).tobytes() == np.float64(old_merit).tobytes()
 
 
 def _old_canonical_key(point):
