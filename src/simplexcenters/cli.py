@@ -64,6 +64,13 @@ def _center_residual(key: str, centers: dict[str, BarycentricPoint], model) -> f
     return _spread(model._rays(y)[1])
 
 
+def _report(command: str, doc: SimplexDocument, options: dict, results: dict,
+            warnings=()) -> dict:
+    """A document command's report: its request echoed, its results, its warnings."""
+    return {"command": command, "request": {"document": doc.raw, "options": options},
+            "results": results, "warnings": list(warnings)}
+
+
 def cmd_centers(doc: SimplexDocument, options: dict) -> dict:
     model = doc.build_model()
     centers = classical_centers(model)
@@ -79,8 +86,7 @@ def cmd_centers(doc: SimplexDocument, options: dict) -> dict:
             centers[key], residual=_center_residual(key, centers, model),
             fractions=True)
         results["points"][key]["label"] = _CENTER_LABELS[key]
-    return {"command": "centers", "request": {"document": doc.raw, "options": options},
-            "results": results, "warnings": []}
+    return _report("centers", doc, options, results)
 
 
 def cmd_isodynamic(doc: SimplexDocument, options: dict) -> dict:
@@ -91,7 +97,6 @@ def cmd_isodynamic(doc: SimplexDocument, options: dict) -> dict:
         point = BarycentricPoint(model._facets)   # the incenter
     result = isodynamic_points(point, model)
 
-    warnings: list[str] = []
     results: dict = {
         "dimension": model.n,
         "weights": point_payload(point),
@@ -100,8 +105,6 @@ def cmd_isodynamic(doc: SimplexDocument, options: dict) -> dict:
     }
     for pt, res in zip(result.points, result.residuals):
         results["points"].append(point_payload(pt, residual=res))
-    if result.note is not None:
-        warnings.append(result.note)
     if not result.points:
         results["verdict"] = "none exist"
         if model.n >= 3:
@@ -113,9 +116,8 @@ def cmd_isodynamic(doc: SimplexDocument, options: dict) -> dict:
             results["witness"]["distance"] = round12(verdict.distance)
             results["witness"]["circumradius"] = round12(verdict.circumradius)
             results["witness"]["conclusive"] = bool(verdict.outside)
-    return {"command": "isodynamic",
-            "request": {"document": doc.raw, "options": options},
-            "results": results, "warnings": warnings}
+    return _report("isodynamic", doc, options, results,
+                   [] if result.note is None else [result.note])
 
 
 def _resolved(*values):
@@ -157,8 +159,7 @@ def cmd_fermat(doc: SimplexDocument, options: dict) -> dict:
                          for p in trace.iterates],
             "objective_values": [round12(v) for v in trace.objective_values],
         }
-    return {"command": "fermat", "request": {"document": doc.raw, "options": options},
-            "results": results, "warnings": warnings}
+    return _report("fermat", doc, options, results, warnings)
 
 
 def cmd_isogonic(doc: SimplexDocument, options: dict) -> dict:
@@ -166,16 +167,16 @@ def cmd_isogonic(doc: SimplexDocument, options: dict) -> dict:
     seeds = _parse_seeds(options["seeds"], model.n) if options.get("seeds") else None
     catalog = enumerate_isogonic(model, seeds=seeds)
 
-    entries = []
-    for k in range(len(catalog)):
-        entries.append({
-            "conjugate": point_payload(catalog.conjugate_points[k]),
-            "isogonic": point_payload(catalog.isogonic_points[k]),
-            "pedal_area": round12(catalog.pedal_areas[k]),
-            "antipedal_area": round12(catalog.antipedal_areas[k]),
-            "iterations": catalog.traces[k].iterations_used,
-            "gradient_evaluations": catalog.traces[k].gradient_evaluations,
-        })
+    entries = [{
+        "conjugate": point_payload(conjugate),
+        "isogonic": point_payload(point),
+        "pedal_area": round12(pedal),
+        "antipedal_area": round12(antipedal),
+        "iterations": trace.iterations_used,
+        "gradient_evaluations": trace.gradient_evaluations,
+    } for conjugate, point, pedal, antipedal, trace in zip(
+        catalog.conjugate_points, catalog.isogonic_points,
+        catalog.pedal_areas, catalog.antipedal_areas, catalog.traces)]
     seed_summary = [{
         "seed": [round12(v) for v in t.seed.coords],
         "converged": t.converged,
@@ -187,9 +188,7 @@ def cmd_isogonic(doc: SimplexDocument, options: dict) -> dict:
                 for t in catalog.failed_seeds]
     results = {"dimension": model.n, "count": len(catalog),
                "entries": entries, "seed_summary": seed_summary}
-    return {"command": "isogonic",
-            "request": {"document": doc.raw, "options": options},
-            "results": results, "warnings": warnings}
+    return _report("isogonic", doc, options, results, warnings)
 
 
 def _parse_seeds(spec: str, n: int) -> list[BarycentricPoint]:
@@ -361,42 +360,40 @@ def _emit(report: dict, as_json: bool) -> None:
         print(render_report(report))
 
 
+_DOCUMENT_COMMANDS = {"centers": cmd_centers, "isodynamic": cmd_isodynamic,
+                      "fermat": cmd_fermat, "isogonic": cmd_isogonic}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    # a point flag takes the next argument whole, as in --point=-1:2:2:2:
-    # argparse alone reads a separate -1:2:2:2 as an option
+    # a point flag, or a prefix argparse takes for one, takes the next argument
+    # whole, as in --point=-1:2:2:2: argparse alone reads a separate -1:2:2:2
+    # as an option
     words, joined = iter(sys.argv[1:] if argv is None else argv), []
     for word in words:
-        value = next(words, None) if word in ("--point", "--start", "--seeds") else None
+        point_flag = len(word) > 2 and any(
+            flag.startswith(word) for flag in ("--point", "--start", "--seeds"))
+        value = next(words, None) if point_flag else None
         joined.append(word if value is None else f"{word}={value}")
     args = parser.parse_args(joined)
+    # a request echoes exactly the flags its command defines
+    options = {key: value for key, value in vars(args).items()
+               if key not in ("command", "document", "json")}
 
     try:
         if args.command == "verify":
             report, code = cmd_verify()
-            _emit(report, args.json)
-            return code
-
-        doc = load_document(args.document)
-        if args.command == "centers":
-            report = cmd_centers(doc, {})
-        elif args.command == "isodynamic":
-            report = cmd_isodynamic(doc, {"point": args.point})
-        elif args.command == "fermat":
-            report = cmd_fermat(doc, {
-                "method": args.method, "start": args.start,
-                "tolerance": args.tolerance, "max_iter": args.max_iter,
-                "trace": bool(args.trace)})
         else:
-            report = cmd_isogonic(doc, {"seeds": args.seeds})
+            report, code = _DOCUMENT_COMMANDS[args.command](
+                load_document(args.document), options), 0
         _emit(report, args.json)
-        return 0
+        return code
     except ValueError as exc:   # a DocumentError, or an argument the library refuses
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except MaxIterationsExceeded as exc:
         print(f"did not converge: {exc}", file=sys.stderr)
-        if getattr(exc, "trace", None) is not None and getattr(args, "trace", False):
+        if exc.trace is not None and options.get("trace"):
             for p, obj in zip(exc.trace.iterates, exc.trace.objective_values):
                 print("  " + fmt_list(p.normalized_coords) + "  " + fmt(obj),
                       file=sys.stderr)

@@ -30,8 +30,8 @@ within 1e-9 in normalized coordinates, and prints "lost L, gained G" and
 then each simplex that lost a point.  ``--starts N`` runs none of this: it
 solves each simplex by :func:`fermat_point` from N Dirichlet starts drawn
 from ``default_rng((79, k))``, k its index, by both methods, and prints how
-many solves raised, by reason; ``--triangles 2000 --tetrahedra 2000 --four
-500 --five 200 --starts 4`` is the 37,928-solve draw.  ``bench/workloads.py`` is
+many solves raised, by reason; it exits 1 if any did.  ``--triangles 2000
+--tetrahedra 2000 --four 500 --five 200 --starts 4`` is the 37,928-solve draw.  ``bench/workloads.py`` is
 loaded from its file, by the loader of ``tests/abtime.py``, and not
 changed.  Pytest does not collect this file; ``tests/test_probe.py`` runs a
 slice of it.
@@ -150,10 +150,11 @@ def probe(counts: dict[str, int]) -> tuple[str, str, dict[str, list[list[float]]
     return summary, dump.sha.hexdigest(), catalogs
 
 
-def fermat_draw(counts: dict[str, int], starts: int) -> str:
+def fermat_draw(counts: dict[str, int], starts: int) -> tuple[str, int]:
     """Solve each simplex of the probe set by :func:`fermat_point` from
     ``starts`` Dirichlet starts drawn from ``default_rng((79, k))``, k its
-    index, by both methods; a summary of the solves without an answer."""
+    index, by both methods; a summary of the solves without an answer, and
+    their number."""
     unsolved: Counter = Counter()
     solves = 0
     begin = time.perf_counter()
@@ -170,7 +171,7 @@ def fermat_draw(counts: dict[str, int], starts: int) -> str:
     reasons = ", ".join(f"{unsolved[r]} {r}" for r in REASONS if unsolved[r])
     return (f"{len(simplices)} simplices, {solves} Fermat solves, "
             f"{unsolved.total()} without an answer ({reasons or 'none'}) "
-            f"({time.perf_counter() - begin:.1f} s)")
+            f"({time.perf_counter() - begin:.1f} s)"), unsolved.total()
 
 
 def compare(saved: dict[str, list[list[float]]], catalogs: dict[str, list[list[float]]],
@@ -199,7 +200,8 @@ def main(argv=None) -> int:
                             help=f"Gaussian {name} to add (default {default})")
     parser.add_argument("--starts", type=int, metavar="N",
                         help="only solve each simplex by fermat_point from N "
-                             "Dirichlet starts and count the failures")
+                             "Dirichlet starts and count the failures; "
+                             "exit 1 if any")
     parser.add_argument("--expect", metavar="HEX",
                         help="exit 1 unless the dump's digest is HEX")
     parser.add_argument("--dump", metavar="FILE",
@@ -209,8 +211,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     counts = {name: getattr(args, name) for name, *_ in GROUPS}
     if args.starts is not None:
-        print(fermat_draw(counts, args.starts))
-        return 0
+        summary, unsolved = fermat_draw(counts, args.starts)
+        print(summary)
+        return 1 if unsolved else 0
     summary, digest, catalogs = probe(counts)
     print(summary)
     print(digest)

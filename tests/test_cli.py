@@ -415,11 +415,13 @@ def test_a_zero_point_is_an_input_error(doc_path, capsys, flag):
     ("isodynamic --point", "-1:2:2:2"), ("fermat --start", "-1,2,2,2"),
     ("isogonic --seeds", "-1,2,2,2")])
 def test_a_point_flag_takes_a_separate_value_with_a_minus_sign(doc_path, capsys, flag, point):
-    # argparse alone reads a separate -1:2:2:2 as an option and exits 2
+    # argparse alone reads a separate -1:2:2:2 as an option and exits 2, after
+    # the flag or after a prefix it takes for the flag, like --poi
     command, option = flag.split()
     path = doc_path(FIVE_DOC)
     separate = run_cli(capsys, command, path, option, point, "--json")
     assert separate == run_cli(capsys, command, path, f"{option}={point}", "--json")
+    assert separate == run_cli(capsys, command, path, option[:5], point, "--json")
     assert separate[0] == 0 and json.loads(separate[1])["request"]["options"][option[2:]] == point
 
 
@@ -767,7 +769,7 @@ class TestReportContracts:
         document = [] if command == "verify" else [doc_path(FIVE_DOC)]
         code, out, _ = run_cli(capsys, command, *document, "--json")
         assert code == 0
-        assert set(json.loads(out)["request"]["options"]) <= flags - {"help", "json"}
+        assert set(json.loads(out)["request"]["options"]) == flags - {"help", "json"}
 
 
 @pytest.mark.parametrize("command, vertices, key, line", [
@@ -828,3 +830,26 @@ def test_reports_keep_their_bytes():
             digest.update(render_report(report).encode())
             digest.update(json.dumps(report, sort_keys=True).encode())
     assert digest.hexdigest() == REPORT_DIGEST
+
+
+# SHA-256 of ``main``'s stdout for each argument list below over the built-in
+# documents, NumPy 2.4.6 on x86-64
+COMMAND_DIGEST = "91d8593feca257346b68ea6948412ad6f518cabdb6eb256205b8bd7e895e2802"
+COMMAND_ARGS = [("fermat",), ("fermat", "--json"), ("fermat", "--trace", "--json"),
+                ("fermat", "--method", "r"), ("isogonic",), ("isogonic", "--json")]
+
+
+def test_commands_keep_their_bytes(doc_path, capsys):
+    """The fermat and isogonic reports that ``main`` prints for each of
+    ``verify.BUILTIN_DOCUMENTS``, as text and as JSON, hash to
+    ``COMMAND_DIGEST``.  Any change to a printed byte fails here, the request
+    echo's included; if the change is intended, recompute and re-pin.
+    """
+    digest = hashlib.sha256()
+    for name, raw in verify.BUILTIN_DOCUMENTS.items():
+        path = doc_path(raw, f"{name}.json")
+        for command, *flags in COMMAND_ARGS:
+            code, out, _ = run_cli(capsys, command, path, *flags)
+            assert code == 0
+            digest.update(out.encode())
+    assert digest.hexdigest() == COMMAND_DIGEST

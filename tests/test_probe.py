@@ -13,6 +13,7 @@ import json
 import re
 
 import probe
+from simplexcenters import BarycentricPoint, MaxIterationsExceeded, SolverTrace
 
 SLICE = {"triangles": 40, "tetrahedra": 20, "four": 4, "five": 2}
 SLICE_DIGEST = "4e7ba6f79473e59d00337f32a0bac7aacc2690bffb0cc3ddf64fe2ed71d38a5b"
@@ -70,3 +71,22 @@ def test_starts_counts_the_fermat_solves_without_an_answer(capsys):
                        "--starts=1"]) == 0
     line, = capsys.readouterr().out.splitlines()
     assert line.rsplit(" (", 1)[0] == "45 simplices, 90 Fermat solves, 0 without an answer (none)"
+
+
+def test_starts_exits_1_on_a_solve_without_an_answer(capsys, monkeypatch):
+    # the first solve raises as a stalled run does; the draw counts it and fails
+    solve, calls = probe.fermat_point, []
+
+    def fail_once(model, start, method):
+        calls.append(method)
+        if len(calls) == 1:
+            trace = SolverTrace(BarycentricPoint(start), reason="stalled")
+            raise MaxIterationsExceeded("stalled", trace)
+        return solve(model, start, method)
+
+    monkeypatch.setattr(probe, "fermat_point", fail_once)
+    assert probe.main(["--triangles=0", "--tetrahedra=0", "--four=0", "--five=0",
+                       "--starts=1"]) == 1
+    line, = capsys.readouterr().out.splitlines()
+    assert line.rsplit(" (", 1)[0] == (
+        "41 simplices, 82 Fermat solves, 1 without an answer (1 stalled)")
