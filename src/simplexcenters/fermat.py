@@ -20,7 +20,9 @@ root for sigma = +1 (M. L. Overton, Math. Programming 27, 1983); every
 isogonic point is a root for its own sign pattern, which
 :mod:`simplexcenters.isogonic` finds with the same kernel, deflated.
 Each step solves J s = -g through LAPACK's gufunc, so a singular J gives
-a NaN step, and a NaN step ends the run as "stalled".
+a NaN step, and a NaN step ends the run as "stalled".  ``_newton_rows``
+runs several undeflated starts in lockstep, each row's bits those of its
+start run alone.
 Kuhn's test decides before the first step whether a vertex is the
 minimizer: vertex k is iff the gradient over the other vertices has norm
 <= 1 there (H. W. Kuhn, Math. Programming 4, 1973).  It is decided once
@@ -80,27 +82,48 @@ def _signed_gradient(vertices: np.ndarray, sigma: np.ndarray, x: np.ndarray,
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """g_sigma(x) = sum_i sigma_i (x - A_i)/|x - A_i|, and the unit vectors
     and weights sigma_i/d_i whose ``_jacobian`` is its Jacobian; vertices at
-    zero distance from x are left out of all three.  A stack of points gives
-    a stack of each, every row rounded as that point alone; one with a row at
-    a vertex is evaluated row by row, its J terms as tuples of rows."""
+    zero distance from x are left out of all three.  A stack of points, with
+    one sigma for all or one per row, gives a stack of each, every row
+    rounded as that point alone; one with a row at a vertex is evaluated
+    row by row, its J terms as tuples of rows."""
     point = x.ndim == 1
     gaps = x - vertices if point else x[:, None] - vertices
     dist = np.sqrt(_einsum("ij,ij->i" if point else "kij,kij->ki", gaps, gaps))
     if np.count_nonzero(dist) < dist.size:
         if not point:
-            g, units, weights = zip(*(_signed_gradient(vertices, sigma, y) for y in x))
+            rows = zip(np.broadcast_to(sigma, dist.shape), x)
+            g, units, weights = zip(*(_signed_gradient(vertices, s, y) for s, y in rows))
             return np.array(g), units, weights
         keep = dist > 0
         gaps, dist, sigma = gaps[keep], dist[keep], sigma[keep]
     units = gaps / dist[..., None]
+    if sigma.ndim == 2:
+        return (sigma[:, None] @ units)[:, 0], units, sigma / dist
     return sigma @ units, units, sigma / dist
 
 
 def _jacobian(units: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """J = sum_i w_i (I - u_i u_i^T), u_i the rows of ``units``.  Off the
-    diagonal, sum_i w_i times the cached identity adds a signed zero to an
-    entry that a matmul never leaves at -0.0, so it changes no bit there."""
+    """J = sum_i w_i (I - u_i u_i^T), u_i the rows of ``units``; a stack of
+    terms gives a stack of J, each rounded as alone.  Off the diagonal,
+    sum_i w_i times the cached identity adds a signed zero to an entry that
+    a matmul never leaves at -0.0, so it changes no bit there."""
+    if units.ndim == 3:
+        return (-(units.swapaxes(1, 2) * w[:, None]) @ units
+                + np.add.reduce(w, axis=1)[:, None, None] * _eye(units.shape[2]))
     return -(units.T * w) @ units + np.add.reduce(w) * _eye(units.shape[1])
+
+
+def _jacobians(units, weights, picks) -> np.ndarray:
+    """J at the rows ``picks`` of a stack's terms from :func:`_signed_gradient`:
+    one stack, or row by row where it returned tuples of rows."""
+    if isinstance(units, np.ndarray):
+        return _jacobian(units[picks], weights[picks])
+    return np.array([_jacobian(units[i], weights[i]) for i in picks])
+
+
+def _squares(a: np.ndarray) -> np.ndarray:
+    """a_k @ a_k for each row of a stack, each a dot as for that row alone."""
+    return (a[:, None] @ a[..., None])[:, 0, 0]
 
 
 # why a solver run stopped: only the first two give an answer, "escaped" and
@@ -195,6 +218,13 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
     else "stalled"), and J at the last point it evaluated: the start if it
     took no step, the one before a closing short step; ``roots`` are frame
     points too.
+
+    :func:`_newton_rows` runs undeflated starts side by side and returns for
+    each what this function returns for it: the catalog stacks the first
+    Newton start of every sign class when there are three or more, as the
+    one-negative classes for n >= 3 are.  The Fermat solve, deflated
+    starts, a triangle's two seeds and :func:`fermat_point` run here, one
+    start at a time.
     """
     local = model._local
     known = np.array(roots) if len(roots) else roots
@@ -237,7 +267,7 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
                 ys = x + _FRACTIONS[first:, None] * step
                 gs, units, weights = _signed_gradient(local, sigma, ys)
                 wys, dys = _deflation(ys, known, d2) if len(known) else (1.0, None)
-                merits = np.sqrt((gs[:, None] @ gs[..., None])[:, 0, 0]) * wys   # g @ g per row
+                merits = np.sqrt(_squares(gs)) * wys
                 passed = (merits <= _ARMIJO[first:] * merit).nonzero()[0]
                 if not passed.size:
                     evaluations += len(ys)
@@ -256,6 +286,69 @@ def _newton(model: SimplexModel, sigma: np.ndarray, coords: np.ndarray, tol: flo
             path.append(x)
     reason = "converged" if ok else "out of budget" if len(path) == max_steps else "stalled"
     return path, evaluations, reason, jac
+
+
+def _newton_rows(model: SimplexModel, sigmas: np.ndarray, starts: np.ndarray, tol: float,
+                 max_steps: int) -> list[tuple[list[np.ndarray], int, str, np.ndarray]]:
+    """:func:`_newton` without roots from k starts at once, in lockstep: row r
+    of ``starts`` holds normalized barycentric coordinates, row r of
+    ``sigmas`` its sign pattern, and the r-th return is what :func:`_newton`
+    returns for that start alone, bit for bit.
+
+    Each step solves every row's J s = -g in one call and tries all twelve
+    fractions of every row in one pass of the kernels' stack forms, each
+    point rounded as alone; the first fraction that passes, and the
+    evaluations counted up to it, are those of :func:`_newton`, which tries
+    t = 1 alone first.  A finished row stays in the stack, unread, with its
+    J kept as it finished.
+    """
+    local = model._local
+    tol = tol * model._local_diameter
+    k, fractions = len(starts), len(_FRACTIONS)
+    paths: list[list[np.ndarray]] = [[] for _ in starts]
+    evaluations, ok, jacs = [1] * k, [False] * k, [None] * k
+    live = list(range(k))
+    offsets = np.arange(0, k * fractions, fractions)   # each row's t = 1 in a pass
+    with np.errstate(all="ignore"):
+        x = (local.T @ starts[..., None])[..., 0]
+        g, units, weights = _signed_gradient(local, sigmas, x)
+        jac = _jacobians(units, weights, range(k))
+        merit = np.sqrt(_squares(g))
+        sigmas = sigmas.repeat(fractions, axis=0)
+        for _ in range(max_steps):
+            step = -_lapack.solve1(jac, g, signature="dd->d")
+            ys = (x[:, None] + _FRACTIONS[:, None] * step[:, None]).reshape(k * fractions, -1)
+            gs, units, weights = _signed_gradient(local, sigmas, ys)
+            merits = np.sqrt(_squares(gs))
+            passed = merits.reshape(k, fractions) <= _ARMIJO * merit[:, None]
+            first = passed.argmax(axis=1)
+            picks = offsets + first
+            lengths = np.sqrt(_squares(step)).tolist()
+            found, first = passed.any(axis=1).tolist(), first.tolist()
+            for r in [r for r in live if not (lengths[r] > tol and found[r])]:
+                if lengths[r] <= tol:   # a short step, taken whole
+                    paths[r].append(ys[offsets[r]])
+                    ok[r] = True
+                elif not math.isnan(lengths[r]):   # no fraction passes, as in _newton
+                    evaluations[r] += fractions
+                    ok[r] = bool(merit[r] <= _RESIDUAL)
+                    if ok[r] and not paths[r]:
+                        paths[r].append(x[r])
+                # else a NaN step: J is singular
+                jacs[r] = jac[r]
+                live.remove(r)
+            if not live:
+                break
+            x, g, merit = ys[picks], gs[picks], merits[picks]
+            jac = _jacobians(units, weights, picks)
+            for r in live:
+                evaluations[r] += first[r] + 1
+                paths[r].append(x[r])
+    for r in live:
+        jacs[r] = jac[r]
+    return [(path, count, "converged" if success else
+             "out of budget" if len(path) == max_steps else "stalled", j)
+            for path, count, success, j in zip(paths, evaluations, ok, jacs)]
 
 
 def distance_sum_gradient(model: SimplexModel, x: np.ndarray) -> np.ndarray:

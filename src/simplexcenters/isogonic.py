@@ -8,14 +8,18 @@ by the facet volumes.  The conjugate of F has an equiareal pedal simplex;
 the catalog reports both points with their facet volumes.
 
 The catalog finds the roots with the Newton kernel of
-:mod:`simplexcenters.fermat`, one sign class {sigma, -sigma} at a time,
-deflating each start against the roots found before in its class.  It
-claims the n+1 one-negative classes, started at the symmedian point's
-reflections, and the all-positive class, which for n >= 3 runs the solve
-of :func:`~simplexcenters.fermat.fermat_point` from the centroid (none
-where Kuhn's test names a vertex); for n >= 3 a claimed class takes
-further starts until its roots satisfy the degree balance (Poincare-Hopf;
-J. Milnor, *Topology from the Differentiable Viewpoint*, 1965)
+:mod:`simplexcenters.fermat` in each sign class {sigma, -sigma}, deflating
+each start against the roots found before in its class.  A class's first
+start has none to deflate, so when three or more classes begin with a
+Newton start (the one-negative classes for n >= 3) those starts run as
+one stack, each to the bits it has alone; the rest run one at a time, in
+class order.  It claims the n+1 one-negative classes, started at the
+symmedian point's reflections, and the all-positive class, which for
+n >= 3 runs the solve of :func:`~simplexcenters.fermat.fermat_point` from
+the centroid (none where Kuhn's test names a vertex); for n >= 3 a
+claimed class takes further starts until its roots satisfy the degree
+balance (Poincare-Hopf; J. Milnor, *Topology from the Differentiable
+Viewpoint*, 1965)
 
     sum_{roots r} sign det J_sigma(r) + sum_{k: |c_k| < 1} sigma_k^n = sign(S)^n,
 
@@ -64,7 +68,8 @@ from .barycentric import (
     facet_volumes_of_points,
 )
 from .errors import AtVertex, Degenerate, PointAtInfinity, ZeroCoordinate
-from .fermat import _TOL, SolverTrace, _fermat_solve, _newton, _positive, _ray_point
+from .fermat import (_TOL, SolverTrace, _fermat_solve, _newton, _newton_rows, _positive,
+                     _ray_point)
 from .pedal import _antipedal_points
 
 # distance from vertex 0, in diameters, past which a root has escaped
@@ -136,22 +141,23 @@ def _start(seed: BarycentricPoint, model: SimplexModel) -> np.ndarray | None:
 
 def _run(model: SimplexModel, sigma: np.ndarray, seed: BarycentricPoint,
          start: np.ndarray | BarycentricPoint | None, roots: list[np.ndarray],
-         indices: list[float],
+         indices: list[float], row: tuple | None = None,
          ) -> tuple[tuple[BarycentricPoint, BarycentricPoint, np.ndarray] | None, SolverTrace]:
     """Newton on g_sigma from ``start``, the ``_start`` of ``seed``, deflated
-    against ``roots``, or the Fermat solve if ``start`` is ``seed``: the
-    accepted isogonic point, whose frame position joins ``roots`` and whose
-    index, sign det J_sigma from Newton's last Jacobian, joins ``indices``,
-    with its conjugate and the mean facet volumes of its antipedal and of
-    the conjugate's pedal simplex in the frame (the pedal one nan if the
-    conjugate is a direction), or None; and the start's trace and reason."""
+    against ``roots`` (its ``row`` of a stacked run if given), or the Fermat
+    solve if ``start`` is ``seed``: the accepted isogonic point, whose frame
+    position joins ``roots`` and whose index, sign det J_sigma from Newton's
+    last Jacobian, joins ``indices``, with its conjugate and the mean facet
+    volumes of its antipedal and of the conjugate's pedal simplex in the
+    frame (the pedal one nan if the conjugate is a direction), or None; and
+    the start's trace and reason."""
     trace = SolverTrace(seed=seed, reason="rejected")
     if start is None:
         return None, trace
     if start is seed:   # its approach step counts as a step, as in fermat_point
         _, path, trace.gradient_evaluations, reason, jac = _fermat_solve(model, seed)
     else:
-        path, trace.gradient_evaluations, reason, jac = _newton(
+        path, trace.gradient_evaluations, reason, jac = row or _newton(
             model, sigma, start, _TOL, _POLISH_STEPS, roots)
     trace.iterations_used = len(path) + (start is seed)
     if reason != "converged":
@@ -295,6 +301,15 @@ def enumerate_isogonic(model: SimplexModel, seeds=None) -> IsogonicCatalog:
         sigma = np.ones(m) if start is None or start is seed else np.sign(start)
         classes.setdefault((sigma * sigma[0]).tobytes(), (sigma, []))[1].append((seed, start))
 
+    # a class's first start, if Newton's, has no root to deflate: three or more
+    # such starts (never a triangle's two seeds alone) run as one stack
+    rows = {}
+    if model.n > 2 or extra:
+        firsts = {c: (sigma, starts[0][1]) for c, (sigma, starts) in enumerate(classes.values())
+                  if starts and starts[0][1] is not None and starts[0][1] is not starts[0][0]}
+        if len(firsts) >= 3:
+            sigmas, coords = map(np.array, zip(*firsts.values()))
+            rows = dict(zip(firsts, _newton_rows(model, sigmas, coords, _TOL, _POLISH_STEPS)))
     runs = []
     for c, (sigma, starts) in enumerate(classes.values()):
         roots: list[np.ndarray] = []
@@ -302,7 +317,9 @@ def enumerate_isogonic(model: SimplexModel, seeds=None) -> IsogonicCatalog:
         if c <= m and model.n > 2:
             further = _further_seeds(model, sigma, indices)
             starts = itertools.chain(starts, ((s, _start(s, model)) for s in further))
-        runs += [_run(model, sigma, seed, start, roots, indices) for seed, start in starts]
+        # the first start reads its stacked row, if it has one
+        runs += [_run(model, sigma, seed, start, roots, indices, rows.pop(c, None))
+                 for seed, start in starts]
 
     found = sorted(((*result, trace) for result, trace in runs if result is not None),
                    key=lambda run: _canonical_key(run[0]))

@@ -249,14 +249,22 @@ class TestEnumerateIsogonic:
 
     def test_stall_tetrahedron_evaluation_budget(self, count_calls):
         # a halving step reads g_sigma, J and M at its point from the pass
-        # that measured it, and a step after one that took t <= 1/8 tries
-        # all twelve fractions in one pass; the one-point gradient runs 33
-        # times here, 68 if each such point were evaluated anew
+        # that measured it: the four stalling first starts try every step's
+        # twelve fractions in one stacked pass of 48 points, and one start
+        # run alone tries all twelve in one pass after a step that took
+        # t <= 1/8; the one-point gradient runs 8 times in the catalog, 33
+        # with the starts run alone, 68 if each point were evaluated anew
         calls = count_calls(fermat, "_signed_gradient")
-        enumerate_isogonic(SimplexModel(STALL_TETRAHEDRON))
+        model = SimplexModel(STALL_TETRAHEDRON)
+        enumerate_isogonic(model)
         points = [args[2] for args in calls]
         assert len([x for x in points if x.ndim == 1]) <= 40
-        assert 12 in [len(x) for x in points if x.ndim == 2]
+        assert 4 * 12 in [len(x) for x in points if x.ndim == 2]
+        calls.clear()
+        for seed in default_seeds(model)[1:]:
+            start = isogonic._start(seed, model)
+            fermat._newton(model, np.sign(start), start, 1e-12, isogonic._POLISH_STEPS)
+        assert 12 in [len(args[2]) for args in calls if args[2].ndim == 2]
 
     def test_deflated_starts_evaluation_budget(self, probe_simplices, monkeypatch, count_calls):
         # class (1, 1, 1, -1) of gauss-n3-2 has two roots, so its later
@@ -281,12 +289,13 @@ class TestEnumerateIsogonic:
         assert [x for x in points if x.ndim == 2]
 
     @pytest.mark.parametrize("vertices, evaluations", [
-        (golden.FIVE_VERTICES, 29), (STALL_TETRAHEDRON, 33)], ids=["reference", "stall"])
+        (golden.FIVE_VERTICES, 4), (STALL_TETRAHEDRON, 8)], ids=["reference", "stall"])
     def test_one_point_evaluations_of_a_catalog(self, monkeypatch, vertices, evaluations):
         # each root's index sign det J comes from Newton's last Jacobian, so
         # the degree balance evaluates nothing; counted through isogonic's
         # name too, should it import the kernel, and a line-search pass's
-        # stack of points apart from the one-point calls
+        # stack of points apart from the one-point calls: the first starts
+        # run stacked, and only the Fermat solve evaluates one point at a time
         calls = []
         original = fermat._signed_gradient
 
@@ -317,14 +326,17 @@ class TestEnumerateIsogonic:
         # conjugate that starts Newton, and each root with its conjugate: a
         # triangle's seeds come from the incenter's coordinates, and a
         # tetrahedron's seeds, the sign patterns, are formed once per
-        # dimension, by the first call; its Fermat solve starts at the centroid
+        # dimension, by the first call; its Fermat solve starts at the centroid;
+        # each row of a stacked run counts as a Newton run
         cases = _workloads().WORKLOADS["isogonic-catalog"](simplexcenters, 1, "tiny").cases
         [model] = [case.args[0] for case in cases if case.label == label]
         enumerate_isogonic(model)
         formed = count_calls(BarycentricPoint, "__post_init__")
         newton = count_calls(isogonic, "_newton"), count_calls(fermat, "_newton")
+        stacked = count_calls(isogonic, "_newton_rows")
         catalog = enumerate_isogonic(model)
-        assert (len(formed), sum(map(len, newton))) == (points, runs)
+        assert (len(formed), sum(map(len, newton)) + sum(len(args[2]) for args in stacked)) \
+            == (points, runs)
         assert len(catalog) == runs and not catalog.failed_seeds
 
     def test_canonical_ordering(self, five_model):
@@ -765,11 +777,15 @@ def _fermat_bits(model: SimplexModel) -> tuple:
 
 def test_batched_line_search_matches_the_sequential_one(five_model, monkeypatch):
     # the batched trials accept the halving that the sequential search
-    # accepts, so catalogs and Fermat runs agree bit for bit
+    # accepts, so catalogs and Fermat runs agree bit for bit, the stacked
+    # first starts of the catalogs included
     models = [five_model, SimplexModel(STALL_TETRAHEDRON)] + _probe_models()
     batched = [(_catalog_bits(enumerate_isogonic(m)), _fermat_bits(m)) for m in models]
     monkeypatch.setattr(isogonic, "_newton", _sequential_newton)
     monkeypatch.setattr(fermat, "_newton", _sequential_newton)
+    monkeypatch.setattr(isogonic, "_newton_rows", lambda model, sigmas, starts, tol, steps: [
+        _sequential_newton(model, sigma, start, tol, steps)
+        for sigma, start in zip(sigmas, starts)])
     assert [(_catalog_bits(enumerate_isogonic(m)), _fermat_bits(m)) for m in models] \
         == batched
 
@@ -803,6 +819,110 @@ def test_a_line_search_pass_evaluates_each_row_as_one_point(n, negative, roots):
         assert (dlogs is None) == (dlog is None) == (roots == 0)
         assert dlog is None or dlogs[k].tobytes() == dlog.tobytes()
         assert weights_ys[k] == weight and merits[k] == merit
+
+
+def _row_bits(run: tuple) -> tuple:
+    """A Newton run's path, evaluations, reason and last J, as bytes where arrays."""
+    path, evaluations, reason, jac = run
+    return [x.tobytes() for x in path], evaluations, reason, jac.tobytes()
+
+
+def _alone(model, sigmas, starts, tol, steps) -> list:
+    return [_row_bits(fermat._newton(model, sigma, start, tol, steps))
+            for sigma, start in zip(sigmas, starts)]
+
+
+def test_stacked_rows_are_newton_runs_alone(five_model, count_calls):
+    # the stacked first round of every n >= 3 probe simplex and of the
+    # benchmark's tetrahedra and 4-simplices, row for row
+    cases = _workloads().WORKLOADS["isogonic-catalog"](simplexcenters, 1, "full").cases
+    models = [five_model, *_probe_models(), *(case.args[0] for case in cases if case.n >= 3)]
+    stacks = count_calls(isogonic, "_newton_rows")
+    for model in models:
+        enumerate_isogonic(model)
+    assert [args[0] for args in stacks] == models
+    for args in stacks:
+        assert [_row_bits(row) for row in fermat._newton_rows(*args)] == _alone(*args)
+
+
+def test_stacked_rows_end_at_different_steps(count_calls):
+    # one stack whose rows end in every way, each at its own step, row for
+    # row as run alone: a short step (a start near the Fermat point), a NaN
+    # step (a start so far out that every distance overflows, so J = 0), a
+    # failed line search, the budget, and starts at vertices 0 and 2, which
+    # send the first evaluation row by row
+    model = SimplexModel(STALL_TETRAHEDRON)
+    near = fermat_point(model)[0].normalized_coords + [1e-3, -1e-3, 0.0, 0.0]
+    stalls = [isogonic._start(seed, model) for seed in default_seeds(model)[1:]]
+    starts = np.array([near, [1e200, -1e200, 1.0, 0.0], *stalls, np.eye(4)[0], np.eye(4)[2]])
+    sigmas = np.array([np.ones(4), np.ones(4), *np.sign(stalls), *np.sign(stalls[:2])])
+    calls = count_calls(fermat, "_signed_gradient")
+    rows = fermat._newton_rows(model, sigmas, starts, 1e-12, 6)
+    assert len([args for args in calls if args[2].ndim == 1]) == len(starts)
+    assert [_row_bits(row) for row in rows] == _alone(model, sigmas, starts, 1e-12, 6)
+    assert [(len(path), evaluations, reason) for path, evaluations, reason, _ in rows] == [
+        (5, 5, "converged"), (0, 1, "stalled"), (6, 23, "out of budget"),
+        (6, 11, "out of budget"), (6, 12, "out of budget"), (2, 32, "stalled"),
+        (6, 26, "out of budget"), (0, 13, "stalled")]
+    short = rows[0][0][-1] - rows[0][0][-2]
+    assert math.sqrt(short @ short) <= 1e-12 * model._local_diameter
+
+
+class TestStackedFirstStarts:
+    # the catalog stacks the first Newton start of every class when there
+    # are three or more; a triangle's ops, which set the benchmark's median,
+    # keep the one-start kernel
+
+    def test_a_triangle_and_a_fermat_point_run_no_stack(self, gap_triangle, count_calls):
+        stacks = count_calls(isogonic, "_newton_rows"), count_calls(fermat, "_newton_rows")
+        runs = count_calls(isogonic, "_newton")
+        assert len(enumerate_isogonic(gap_triangle)) == 2
+        fermat_point(gap_triangle)
+        fermat_point(SimplexModel(golden.FIVE_VERTICES))
+        assert not any(stacks) and len(runs) == 2
+
+    @pytest.mark.parametrize("vertices, rows", [
+        (golden.FIVE_VERTICES, 4), ([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]], 3)],
+        ids=["reference", "corner"])
+    def test_a_tetrahedron_stacks_its_one_negative_starts(self, vertices, rows, count_calls):
+        # the corner tetrahedron's seed of vertex 0 has its conjugate at
+        # infinity, so only three starts run
+        model = SimplexModel(vertices)
+        stacks = count_calls(isogonic, "_newton_rows")
+        enumerate_isogonic(model)
+        [(_, sigmas, starts, tol, steps)] = stacks
+        expected = [start for seed in default_seeds(model)[1:]
+                    if (start := isogonic._start(seed, model)) is not None]
+        assert len(starts) == rows and starts.tobytes() == np.array(expected).tobytes()
+        assert sigmas.tobytes() == np.sign(expected).tobytes()
+        assert (tol, steps) == (fermat._TOL, isogonic._POLISH_STEPS)
+
+    def test_a_callers_seed_first_in_its_class_joins_the_stack(self, five_model, count_calls):
+        seed = BarycentricPoint([1.0, 2.0, -1.5, -0.5])
+        stacks = count_calls(isogonic, "_newton_rows")
+        enumerate_isogonic(five_model, seeds=[seed])
+        [(_, _, starts, _, _)] = stacks
+        assert len(starts) == 5
+        assert starts[-1].tobytes() == isogonic._start(seed, five_model).tobytes()
+
+    def test_a_callers_seed_after_a_root_runs_alone(self, five_model, count_calls,
+                                                     monkeypatch):
+        # class (-1, 1, 1, 1) holds one root when the caller's seed runs
+        seed = BarycentricPoint([-0.5, 1.0, 2.0, 1.5])
+        start = isogonic._start(seed, five_model)
+        stacks = count_calls(isogonic, "_newton_rows")
+        newton, deflated = isogonic._newton, []
+
+        def recorded(model, sigma, coords, tol, steps, roots):
+            if coords.tobytes() == start.tobytes():
+                deflated.append(len(roots))
+            return newton(model, sigma, coords, tol, steps, roots)
+
+        monkeypatch.setattr(isogonic, "_newton", recorded)
+        enumerate_isogonic(five_model, seeds=[seed])
+        [(_, _, starts, _, _)] = stacks
+        assert len(starts) == 4 and start.tobytes() not in [x.tobytes() for x in starts]
+        assert deflated == [1]
 
 
 def _catalog_trace(model: SimplexModel, seed) -> fermat.SolverTrace:
@@ -866,8 +986,8 @@ class TestStopReason:
         run = isogonic._run
         added = []
 
-        def recorded(model, sigma, seed, start, roots, indices):
-            result, trace = run(model, sigma, seed, start, roots, indices)
+        def recorded(model, sigma, seed, start, roots, indices, row):
+            result, trace = run(model, sigma, seed, start, roots, indices, row)
             if result is not None:
                 added.append((model, sigma, roots[-1], indices[-1]))
             return result, trace

@@ -12,9 +12,9 @@ The catalog's lean forms around the kernel are compared the same way with
 the forms they replaced: the sign-pattern test of a root, the degree
 balance target in integers, the Armijo factors and fraction rows of a
 line-search pass, the kernels on the pass's stack of points with its
-zero-distance guard, the canonical sort key,
-``_all_equal``, a model's absolute measures under one errstate, and the
-volume kernel's facets gathered by ``take``.
+zero-distance guard and on a stack with one sign pattern per row, the
+canonical sort key, ``_all_equal``, a model's absolute measures under one
+errstate, and the volume kernel's facets gathered by ``take``.
 """
 
 import itertools
@@ -26,8 +26,8 @@ import pytest
 from simplexcenters import BarycentricPoint, SimplexModel, facet_volumes_of_points, fermat
 from simplexcenters.barycentric import (_REL_EPS, _all_equal, _einsum, _lapack, _leave_one_out,
                                         _zero_entries)
-from simplexcenters.fermat import (_ARMIJO, _FRACTIONS, _deflation, _eye, _jacobian, _positive,
-                                   _signed_gradient)
+from simplexcenters.fermat import (_ARMIJO, _FRACTIONS, _deflation, _eye, _jacobian, _jacobians,
+                                   _positive, _signed_gradient, _squares)
 from simplexcenters.isogonic import _balance_target, _canonical_key, _claimed, _has_pattern
 
 
@@ -71,6 +71,26 @@ def test_gradient_and_jacobian_keep_their_bits(n):
         units = rng.standard_normal((n + 1, n))
         w = rng.standard_normal(n + 1)
         assert _jacobian(units, w).tobytes() == _old_jacobian(units, w).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_a_stack_with_a_pattern_per_row_keeps_each_rows_bits(n):
+    # the stacked Newton run's kernels: g_sigma with one sigma per row, J
+    # of a stack, and g @ g per row, each row as its one-point form gives
+    # it; with rows at vertices, which the gradient evaluates row by row
+    rng = np.random.default_rng((51, n))
+    for hits in (0, 1, 3):
+        vertices = rng.standard_normal((n + 1, n))
+        sigmas = rng.choice([-1.0, 1.0], (24, n + 1))
+        xs = rng.standard_normal((24, n))
+        for row in rng.choice(24, hits, replace=False):
+            xs[row] = vertices[rng.integers(n + 1)]
+        g, units, weights = _signed_gradient(vertices, sigmas, xs)
+        jac, squares = _jacobians(units, weights, range(24)), _squares(g)
+        for k in range(24):
+            gk, *terms = _signed_gradient(vertices, sigmas[k], xs[k])
+            assert (g[k].tobytes(), jac[k].tobytes(), squares[k].tobytes()) == (
+                gk.tobytes(), _jacobian(*terms).tobytes(), np.float64(gk @ gk).tobytes())
 
 
 def test_symmetric_points_keep_their_bits():
