@@ -47,6 +47,7 @@ from .barycentric import (
     _gram_defect,
     _lapack,
     _nonzero,
+    _stored,
     _vertex_index,
     _zero_entries,
     as_point,
@@ -242,9 +243,10 @@ def yiu_triangle_test(d23: float, d13: float, d12: float,
     radius = math.hypot(ox, oy)
 
     squares = np.array([a * a, b * b, c * c])   # d23^2, d13^2, d12^2
-    weights = BarycentricPoint([a1, a2, a3]).coords
+    given = np.array([a1, a2, a3], float)
+    weights = _stored(given)[0]   # normalized as a point stores them
     if weights.min() < sys.float_info.min:   # normalized, the least weight underflows
-        weights = np.array([a1, a2, a3], float)
+        weights = given
     # the reciprocal weights over their largest, squared: no square overflows
     t = squares * (weights.min() / weights) ** 2
     point = BarycentricPoint(squares * (2.0 * t - t.sum()))   # d_i^2 (t_i - t_j - t_k)

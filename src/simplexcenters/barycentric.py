@@ -4,7 +4,8 @@ A simplex is described either by vertex coordinates or by its table of
 pairwise edge lengths, which is embedded first; every model is measured
 from its vertices.  A point has one form, ``BarycentricPoint(coords)``: a
 finite point is stored normalized, so its ``coords`` sum to 1; a
-direction (coordinate sum zero) is kept as given.
+direction (coordinate sum zero) is kept as given.  ``_stored`` is that rule,
+for a caller that needs the coordinates and not the point.
 
 Near-zero policy: one tolerance, eps = 1e-13 relative to each input's own
 scale, decides where a construction stops being defined, in four tests:
@@ -16,7 +17,8 @@ refusal with their caller's message, ``_rays`` ``AtVertex`` and ``_nonzero``
 Volume policy: one kernel, ``facet_volumes_of_points``, measures facets by
 Gram determinants of edge vectors from vertex coordinates, of one point set
 or of a stack of them in one call; a model's total volume comes from the
-Gram matrix that its validity test reads.
+Gram matrix that its validity test reads.  Both divide by the dimension's
+factorial, past 170! through ``_factorial``'s mantissa and exponent.
 
 Frame policy: a model computes in one frame, vertex 0 at the origin, scaled
 by the power of two that brings the largest coordinate difference into
@@ -128,9 +130,15 @@ def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
     return _frozen(rows), _frozen(cols)
 
 
-def _factorial(k: int) -> float:
-    """k! as a float; inf past 170!, beyond float range, so a volume over it reads 0."""
-    return float(math.factorial(k)) if k <= 170 else math.inf
+def _factorial(k: int) -> tuple[float, int]:
+    """k! as f * 2 ** e: through 170! f = float(k!) and e = 0; past it, beyond
+    float range, f is k! / 2 ** e rounded to its leading 53 bits, so that a
+    volume over k! divides by f and shifts by -e once."""
+    if k <= 170:
+        return float(math.factorial(k)), 0
+    exact = math.factorial(k)
+    e = exact.bit_length() - 53
+    return exact / (1 << e), e
 
 
 def facet_volumes_of_points(points: np.ndarray) -> np.ndarray:
@@ -150,7 +158,9 @@ def facet_volumes_of_points(points: np.ndarray) -> np.ndarray:
     m = points.shape[-2]
     # a Gram determinant scales as 2 ** (2 (m-2) e), e the largest coordinate's
     # exponent, which the sum of squares (BLAS, no warning) estimates: within 2 ** 64
-    # of float range, the points are measured scaled into [1/2, 1) and scaled back
+    # of float range, the points are measured scaled into [1/2, 1) and scaled
+    # back, in one shift with the exponent of a factorial past 170!
+    shift = 0
     square = float(np.vdot(points, points))
     if not (0.0 < square < math.inf and abs(math.frexp(square)[1] // 2) * (m - 2) <= 480):
         top = float(np.abs(points).max(initial=0.0))
@@ -158,14 +168,18 @@ def facet_volumes_of_points(points: np.ndarray) -> np.ndarray:
             raise ValueError("point coordinates must be finite")
         exponent = math.frexp(top)[1]
         if abs(exponent) * (m - 2) > 480:
-            volumes = facet_volumes_of_points(np.ldexp(points, -exponent))
-            with np.errstate(over="ignore", under="ignore"):
-                return np.ldexp(volumes, (m - 2) * exponent)
+            points = np.ldexp(points, -exponent)
+            shift = (m - 2) * exponent
     facets = points.take(_leave_one_out(m), axis=-2)      # (..., m, m-1, dim)
     edges = facets[..., 1:, :] - facets[..., :1, :]      # (..., m, m-2, dim)
     gram = edges @ edges.swapaxes(-1, -2)
     dets = _lapack.det(gram, signature="d->d")
-    return np.sqrt(np.maximum(dets, 0.0)) / _factorial(m - 2)
+    factorial, e = _factorial(m - 2)
+    volumes = np.sqrt(np.maximum(dets, 0.0)) / factorial
+    if shift == e:
+        return volumes
+    with np.errstate(over="ignore", under="ignore"):
+        return np.ldexp(volumes, shift - e)
 
 
 def _gram_defect(gram: np.ndarray) -> NotEmbeddable | Degenerate | None:
@@ -242,6 +256,28 @@ def _vertex_index(i, n: int, name: str = "vertex index") -> int:
     return k
 
 
+def _stored(coords: np.ndarray) -> tuple[np.ndarray, bool]:
+    """The member of a coordinate vector's class that a point stores, a new
+    array, and whether the point is finite: ``BarycentricPoint``'s rule, for
+    a caller that reads the coordinates without forming the point.  A
+    non-finite or zero vector raises ``ValueError``."""
+    try:
+        norm = math.fsum(map(abs, coords.tolist()))
+    except OverflowError:
+        # finite magnitudes whose sum is not: an exact power of two brings
+        # the largest finite one into [1/2, 1), and an inf or NaN stays
+        mags = np.abs(coords)
+        coords = np.ldexp(coords, -math.frexp(mags[np.isfinite(mags)].max())[1])
+        norm = math.fsum(map(abs, coords.tolist()))
+    if not math.isfinite(norm):
+        raise ValueError("coordinates must be finite")
+    total = float(np.add.reduce(coords))
+    if norm == 0.0:
+        raise ValueError("coordinate vector must not be zero")
+    finite = not _zero_sum(total, norm)
+    return (coords / total if finite else coords.copy()), finite
+
+
 @dataclass(frozen=True, eq=False)
 class BarycentricPoint:
     """Homogeneous coordinates [p_1 : ... : p_{n+1}] relative to a simplex.
@@ -262,21 +298,7 @@ class BarycentricPoint:
         coords = np.asarray(self.coords, dtype=float)
         if coords.ndim != 1 or coords.size < 2:
             raise ValueError("coordinates must be a vector of length >= 2")
-        try:
-            norm = math.fsum(map(abs, coords.tolist()))
-        except OverflowError:
-            # finite magnitudes whose sum is not: an exact power of two brings
-            # the largest finite one into [1/2, 1), and an inf or NaN stays
-            mags = np.abs(coords)
-            coords = np.ldexp(coords, -math.frexp(mags[np.isfinite(mags)].max())[1])
-            norm = math.fsum(map(abs, coords.tolist()))
-        if not math.isfinite(norm):
-            raise ValueError("coordinates must be finite")
-        total = float(np.add.reduce(coords))
-        if norm == 0.0:
-            raise ValueError("coordinate vector must not be zero")
-        finite = not _zero_sum(total, norm)
-        coords = coords / total if finite else coords.copy()
+        coords, finite = _stored(coords)
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "_finite", finite)
@@ -369,12 +391,13 @@ class SimplexModel:
         if validate and self._defect is not None:
             raise self._defect
         det = float(_lapack.det(gram, signature="d->d"))
-        volume = math.sqrt(max(det, 0.0)) / _factorial(self.n)
+        factorial, e = _factorial(self.n)
+        volume = math.sqrt(max(det, 0.0)) / factorial
         self._facets = _frozen(facet_volumes_of_points(local))
         # the three absolute measures as _absolute forms them, in one errstate
         with np.errstate(over="ignore", under="ignore"):
             self.edges = EdgeLengthTable(n=self.n, d=_frozen(np.ldexp(lengths, self._exponent)))
-            self.total_volume = float(np.ldexp(volume, self.n * self._exponent))
+            self.total_volume = float(np.ldexp(volume, self.n * self._exponent - e))
             self.facet_volumes = _frozen(np.ldexp(self._facets, (self.n - 1) * self._exponent))
         self.diameter = float(self.edges.d.max())
 

@@ -8,15 +8,13 @@ by the facet volumes.  The conjugate of F has an equiareal pedal simplex;
 the catalog reports both points with their facet volumes.
 
 The catalog finds the roots with the Newton kernel of
-:mod:`simplexcenters.fermat` in each sign class {sigma, -sigma}, deflating
-each start against the roots found before in its class.  A class's first
-start has none to deflate, so when three or more classes begin with a
-Newton start (the one-negative classes for n >= 3) those starts run as
-one stack, each to the bits it has alone; the rest run one at a time, in
-class order.  It claims the n+1 one-negative classes, started at the
-symmedian point's reflections, and the all-positive class, which for
-n >= 3 runs the solve of :func:`~simplexcenters.fermat.fermat_point` from
-the centroid (none where Kuhn's test names a vertex); for n >= 3 a
+:mod:`simplexcenters.fermat`, one sign class {sigma, -sigma} after another,
+deflating each start against its class's roots found before; three or
+more classes' first Newton starts, with none to deflate, run first as one
+stack, each to the bits it has alone.  It claims the n+1 one-negative
+classes, started at the symmedian point's reflections, and the all-positive
+class, which for n >= 3 runs :func:`~simplexcenters.fermat.fermat_point`'s
+solve from the centroid (none where Kuhn's test names a vertex); for n >= 3 a
 claimed class takes further starts until its roots satisfy the degree
 balance (Poincare-Hopf; J. Milnor, *Topology from the Differentiable
 Viewpoint*, 1965)
@@ -64,10 +62,11 @@ from .barycentric import (
     _nonzero,
     _norms,
     _spread,
+    _stored,
     as_point,
     facet_volumes_of_points,
 )
-from .errors import AtVertex, Degenerate, PointAtInfinity, ZeroCoordinate
+from .errors import AtVertex, Degenerate, ZeroCoordinate
 from .fermat import (_TOL, SolverTrace, _fermat_solve, _newton, _newton_rows, _positive,
                      _ray_point)
 from .pedal import _antipedal_points
@@ -121,45 +120,42 @@ def isogonal_conjugate(p, model: SimplexModel) -> BarycentricPoint:
     over coordinates); the centroid maps to the symmedian point and the
     incenter is fixed.
     """
-    point = as_point(p, model.n)
+    return BarycentricPoint(_conjugate(as_point(p, model.n), model))
+
+
+def _conjugate(point: BarycentricPoint, model: SimplexModel) -> np.ndarray:
+    """The coordinates a_i^2 / p_i from which ``isogonal_conjugate`` forms its point."""
     coords = point.coords
     _nonzero(coords, "isogonal conjugate needs all coordinates nonzero")
     if not point.is_finite():
         # a direction is kept as given, so a_i^2 / p_i may overflow; the map is
         # homogeneous, and a power of two keeps a finite conjugate's bits
         coords = np.ldexp(coords, 1 - math.frexp(np.maximum.reduce(np.abs(coords)))[1])
-    return BarycentricPoint(model._facets ** 2 / coords)
+    return model._facets ** 2 / coords
 
 
 def _start(seed: BarycentricPoint, model: SimplexModel) -> np.ndarray | None:
-    """Normalized coordinates of the conjugate of a seed, if it is finite."""
+    """Normalized coordinates of a seed's conjugate, if finite, as a point stores them."""
     try:
-        return isogonal_conjugate(seed, model).normalized_coords
-    except (ZeroCoordinate, PointAtInfinity):
+        coords, finite = _stored(_conjugate(seed, model))
+    except ZeroCoordinate:
         return None
+    return coords if finite else None
 
 
-def _run(model: SimplexModel, sigma: np.ndarray, seed: BarycentricPoint,
-         start: np.ndarray | BarycentricPoint | None, roots: list[np.ndarray],
-         indices: list[float], row: tuple | None = None,
+def _run(model: SimplexModel, sigma: np.ndarray, seed: BarycentricPoint, outcome: tuple | None,
+         roots: list[np.ndarray], indices: list[float],
          ) -> tuple[tuple[BarycentricPoint, BarycentricPoint, np.ndarray] | None, SolverTrace]:
-    """Newton on g_sigma from ``start``, the ``_start`` of ``seed``, deflated
-    against ``roots`` (its ``row`` of a stacked run if given), or the Fermat
-    solve if ``start`` is ``seed``: the accepted isogonic point, whose frame
-    position joins ``roots`` and whose index, sign det J_sigma from Newton's
-    last Jacobian, joins ``indices``, with its conjugate and the mean facet
-    volumes of its antipedal and of the conjugate's pedal simplex in the
-    frame (the pedal one nan if the conjugate is a direction), or None; and
-    the start's trace and reason."""
+    """Judge a start's solver ``outcome`` in the class of ``sigma``: path,
+    evaluations, stop reason, last J and steps counted before the path, or
+    None for no start.  Returns the accepted point (its frame position joins
+    ``roots``, its sign det J ``indices``), its conjugate and the frame's mean
+    antipedal and pedal facet volumes (nan for a direction) or None, and the trace."""
     trace = SolverTrace(seed=seed, reason="rejected")
-    if start is None:
+    if outcome is None:
         return None, trace
-    if start is seed:   # its approach step counts as a step, as in fermat_point
-        _, path, trace.gradient_evaluations, reason, jac = _fermat_solve(model, seed)
-    else:
-        path, trace.gradient_evaluations, reason, jac = row or _newton(
-            model, sigma, start, _TOL, _POLISH_STEPS, roots)
-    trace.iterations_used = len(path) + (start is seed)
+    path, trace.gradient_evaluations, reason, jac, before = outcome
+    trace.iterations_used = len(path) + before
     if reason != "converged":
         trace.reason = reason
         return None, trace
@@ -256,27 +252,22 @@ def _balance_target(signs: list[float], lengths: list[float], n: int) -> int:
         int(s) ** n for s, r in zip(signs, lengths) if r < 1.0)
 
 
-def _further_seeds(model: SimplexModel, sigma: np.ndarray, indices: list[float]):
-    """Yield seeds for a claimed class while the ``indices`` (sign det J_sigma)
-    of its roots, which grow as the caller runs the seeds, fail the degree
-    balance: the conjugates of the points 0.1, then 0.3, then 0.6 diameters
-    from each vertex k, by |c_k| (roots emerge from vertices with |c_k| < 1),
-    along -sigma_k c_k/|c_k|; relabeling the vertices permutes them.
-    """
+def _further_seeds(model: SimplexModel, sigma: np.ndarray):
+    """A claimed class's balance target for the sum of sign det J_sigma over
+    its roots (None if some |c_k| is within rounding of 1: balance then
+    certifies nothing), and its further seeds, each formed as it is drawn:
+    the conjugates of the points 0.1, then 0.3, then 0.6 diameters from each
+    vertex k, by |c_k|, along -sigma_k c_k/|c_k|, which no sideplane through
+    vertex k holds; relabeling the vertices permutes them."""
     pulls = model._pulls(sigma)
     norms = _norms(pulls, 1)
     signs, lengths = sigma.tolist(), norms.tolist()
     certified = not any(abs(r - 1.0) <= _ROUNDING for r in lengths)
-    target = _balance_target(signs, lengths, model.n)
     order = [k for k in norms.argsort(kind="stable").tolist() if lengths[k] > 0.0]
-    for radius, k in itertools.product(_NEAR_VERTEX, order):
-        if certified and sum(indices) == target:
-            return
-        # -c_k has a component along every edge at vertex k, so no
-        # sideplane through vertex k holds this point
-        near = _ray_point(model._local[k], signs[k] * pulls[k], lengths[k],
-                          radius * model._local_diameter)
-        yield isogonal_conjugate(model._coords(near), model)
+    seeds = (isogonal_conjugate(model._coords(_ray_point(
+        model._local[k], signs[k] * pulls[k], lengths[k], radius * model._local_diameter)), model)
+        for radius, k in itertools.product(_NEAR_VERTEX, order))
+    return (_balance_target(signs, lengths, model.n) if certified else None), seeds
 
 
 def enumerate_isogonic(model: SimplexModel, seeds=None) -> IsogonicCatalog:
@@ -292,34 +283,43 @@ def enumerate_isogonic(model: SimplexModel, seeds=None) -> IsogonicCatalog:
     extra = [] if seeds is None else [as_point(s, model.n) for s in seeds]
     m = model.n + 1
     keys, patterns, _ = _claimed(m)
-    classes = {key: (s, []) for key, s in zip(keys, patterns)}
-    for k, seed in enumerate(default_seeds(model) + extra):
-        fermat = k == 0 and model.n > 2
-        if fermat and model._fermat_vertex is not None:
-            continue   # Kuhn's test names a vertex: the class has no root to solve for
-        start = seed if fermat else _start(seed, model)
-        sigma = np.ones(m) if start is None or start is seed else np.sign(start)
+    # each class's seeds and Newton starts (None: the Fermat solve, or none);
+    # ready[c] is the outcome of class c's first start if solved before its turn
+    classes, ready = {key: (s, []) for key, s in zip(keys, patterns)}, {}
+    every = default_seeds(model) + extra
+    # for n >= 3 the centroid, every[0], runs the Fermat solve unless Kuhn's test names a vertex
+    if model.n > 2 and model._fermat_vertex is None:
+        ready[0] = (*_fermat_solve(model, every[0])[1:], 1)   # the approach step counts
+        classes[keys[0]][1].append((every[0], None))
+    for seed in every[1:] if model.n > 2 else every:
+        start = _start(seed, model)
+        sigma = np.ones(m) if start is None else np.sign(start)
         classes.setdefault((sigma * sigma[0]).tobytes(), (sigma, []))[1].append((seed, start))
 
-    # a class's first start, if Newton's, has no root to deflate: three or more
-    # such starts (never a triangle's two seeds alone) run as one stack
-    rows = {}
-    if model.n > 2 or extra:
-        firsts = {c: (sigma, starts[0][1]) for c, (sigma, starts) in enumerate(classes.values())
-                  if starts and starts[0][1] is not None and starts[0][1] is not starts[0][0]}
-        if len(firsts) >= 3:
-            sigmas, coords = map(np.array, zip(*firsts.values()))
-            rows = dict(zip(firsts, _newton_rows(model, sigmas, coords, _TOL, _POLISH_STEPS)))
+    # first Newton starts have no root to deflate: three or more run as one stack
+    firsts = {c: (sigma, starts[0][1]) for c, (sigma, starts) in enumerate(classes.values())
+              if starts and starts[0][1] is not None} if model.n > 2 or extra else {}
+    if len(firsts) >= 3:
+        sigmas, coords = map(np.array, zip(*firsts.values()))
+        rows = _newton_rows(model, sigmas, coords, _TOL, _POLISH_STEPS)
+        ready.update((c, (*row, 0)) for c, row in zip(firsts, rows))
+
+    def newton(sigma, x, roots):   # from start x, deflated against the class's roots
+        return None if x is None else (*_newton(model, sigma, x, _TOL, _POLISH_STEPS, roots), 0)
     runs = []
     for c, (sigma, starts) in enumerate(classes.values()):
-        roots: list[np.ndarray] = []
-        indices: list[float] = []
-        if c <= m and model.n > 2:
-            further = _further_seeds(model, sigma, indices)
-            starts = itertools.chain(starts, ((s, _start(s, model)) for s in further))
-        # the first start reads its stacked row, if it has one
-        runs += [_run(model, sigma, seed, start, roots, indices, rows.pop(c, None))
-                 for seed, start in starts]
+        roots, indices = [], []   # the class's frame roots and their sign det J_sigma
+        for seed, start in starts:   # the first reads its ready outcome, if it has one
+            outcome = ready.pop(c, None) or newton(sigma, start, roots)
+            runs.append(_run(model, sigma, seed, outcome, roots, indices))
+        if c <= m and model.n > 2:   # claimed: the balance is checked before each further seed
+            target, further = _further_seeds(model, sigma)
+            while target is None or sum(indices) != target:
+                seed = next(further, None)
+                if seed is None:
+                    break
+                runs.append(_run(model, sigma, seed, newton(sigma, _start(seed, model), roots),
+                                 roots, indices))
 
     found = sorted(((*result, trace) for result, trace in runs if result is not None),
                    key=lambda run: _canonical_key(run[0]))

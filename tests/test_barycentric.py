@@ -144,11 +144,13 @@ class TestEmbedding:
         with pytest.raises(ValueError, match="vertex coordinates must be finite"):
             SimplexModel([[bad, 0], [1, 0], [0, 1]], validate=validate)
 
-    def test_a_factorial_beyond_float_range_reads_zero(self):
-        # 171! is past float range: the model's volume reads 0, as a measure
-        # beyond float range does, while its facets (170!) keep their values
-        model = SimplexModel(np.random.default_rng(171).standard_normal((172, 171)))
-        assert model.total_volume == 0.0
+    def test_a_volume_over_a_factorial_beyond_float_range(self):
+        # 171! is past float range, the volume is not: it matches slogdet of
+        # the edge matrix less log 171!, and the facets (170!) keep their values
+        vertices = np.random.default_rng(171).standard_normal((172, 171))
+        model = SimplexModel(vertices)
+        log_volume = np.linalg.slogdet(vertices[1:] - vertices[0])[1] - math.lgamma(172)
+        assert model.total_volume == pytest.approx(math.exp(log_volume), rel=1e-10, abs=0.0)
         assert np.isfinite(model.facet_volumes).all() and (model.facet_volumes > 0).all()
 
     def test_accepts_every_dimension_scale_and_pose(self):
@@ -356,9 +358,15 @@ class TestFacetVolumes:
             got = facet_volumes_of_points(np.ldexp(corner, exponent // power))
             assert np.ldexp(got, -exponent) == pytest.approx(want, rel=1e-15)
 
-    def test_a_factorial_beyond_float_range_reads_zero(self):
-        # facets of 172 points divide by 171!, past float range
-        assert (facet_volumes_of_points(np.eye(173)[:, :172]) == 0.0).all()
+    def test_volumes_over_a_factorial_beyond_float_range(self):
+        # facets of 173 points divide by 171!, past float range: the corner
+        # facets at the origin read 1/171!, the far one sqrt(172)/171!, both
+        # subnormal; scaled by 8, each facet scales by 2 ** 513 in the same shift
+        corner = 1 / math.factorial(171)   # correctly rounded
+        want = np.append(np.full(172, corner), math.sqrt(172) * corner)
+        for exponent in (0, 3):
+            volumes = facet_volumes_of_points(np.ldexp(np.eye(173)[:, :172], exponent))
+            assert volumes == pytest.approx(np.ldexp(want, 171 * exponent), rel=1e-10, abs=0.0)
 
 
 class TestClassicalCenters:

@@ -103,6 +103,30 @@ class TestIsogonalConjugate:
                     plain = BarycentricPoint(model._facets ** 2 / p)
                     assert isogonal_conjugate(p, model).coords.tobytes() == plain.coords.tobytes()
 
+    def test_a_start_reads_the_conjugates_stored_bits(self):
+        # a Newton start is the conjugate's coordinates as its point would
+        # store them, without the point: finite points, directions, points
+        # whose conjugate is a direction (no start), and points with a zero
+        # coordinate, whose conjugate does not exist
+        rng = np.random.default_rng(4111)
+        for n in range(2, 6):
+            model = make_random_model(rng, n)
+            for _ in range(40):
+                p = rng.standard_normal(n + 1) * 10.0 ** rng.integers(-300, 300)
+                q = p - p.sum() / (n + 1)
+                for seed in (p, q, model._facets ** 2 / q, np.append(p[:n], 0.0)):
+                    seed = BarycentricPoint(seed)
+                    try:
+                        conjugate = isogonal_conjugate(seed, model)
+                    except ZeroCoordinate:
+                        assert isogonic._start(seed, model) is None
+                        continue
+                    start = isogonic._start(seed, model)
+                    if conjugate.is_finite():
+                        assert start.tobytes() == conjugate.normalized_coords.tobytes()
+                    else:
+                        assert start is None
+
 
 # a tetrahedron whose class (+, -, +, -) has a pseudo-root far out
 FAR_PSEUDO_ROOT = [[-0.117334, 1.194104, -0.930726],
@@ -320,14 +344,15 @@ class TestEnumerateIsogonic:
                        / golden.ANTIPEDAL_AREA_TABLE[k] - 1) < 1e-6
 
     @pytest.mark.parametrize("label, points, runs",
-                             [("five-isogonic", 14, 5), ("gauss-n2-0", 8, 2)])
+                             [("five-isogonic", 10, 5), ("gauss-n2-0", 6, 2)])
     def test_points_formed_and_newton_runs_per_catalog(self, count_calls, label, points, runs):
-        # on a benchmark input, a catalog forms as points each seed, each
-        # conjugate that starts Newton, and each root with its conjugate: a
-        # triangle's seeds come from the incenter's coordinates, and a
-        # tetrahedron's seeds, the sign patterns, are formed once per
-        # dimension, by the first call; its Fermat solve starts at the centroid;
-        # each row of a stacked run counts as a Newton run
+        # on a benchmark input, a catalog forms as points each seed and each
+        # root with its conjugate, and reads a seed's conjugate that starts
+        # Newton as coordinates only: a triangle's seeds come from the
+        # incenter's coordinates, and a tetrahedron's seeds, the sign
+        # patterns, are formed once per dimension, by the first call; its
+        # Fermat solve starts at the centroid; each row of a stacked run
+        # counts as a Newton run
         cases = _workloads().WORKLOADS["isogonic-catalog"](simplexcenters, 1, "tiny").cases
         [model] = [case.args[0] for case in cases if case.label == label]
         enumerate_isogonic(model)
@@ -986,8 +1011,8 @@ class TestStopReason:
         run = isogonic._run
         added = []
 
-        def recorded(model, sigma, seed, start, roots, indices, row):
-            result, trace = run(model, sigma, seed, start, roots, indices, row)
+        def recorded(model, sigma, seed, outcome, roots, indices):
+            result, trace = run(model, sigma, seed, outcome, roots, indices)
             if result is not None:
                 added.append((model, sigma, roots[-1], indices[-1]))
             return result, trace
@@ -1151,7 +1176,22 @@ class TestDefaultSeeds:
         assert model._fermat_vertex == 3
         assert len(runs) == len(catalog.traces) + len(catalog.failed_seeds) > 0
         assert all(np.count_nonzero(args[1] < 0) for args in runs)
+        # nor the Fermat solve, whose outcome counts its approach step
+        assert all(args[3] is not None and args[3][4] == 0 for args in runs)
         assert all(np.count_nonzero(p.coords < 0) for p in catalog.isogonic_points)
+
+    @pytest.mark.parametrize("label", ["reference", "gauss-n3-2"])
+    def test_a_balanced_class_forms_no_further_seed(self, probe_simplices, count_calls, label):
+        # the balance is checked before each further seed is formed: the
+        # reference's classes balance after their first starts and form
+        # none, and gauss-n3-2 forms one ray point per further start it runs
+        model = SimplexModel(probe_simplices[label])
+        rays = count_calls(isogonic, "_ray_point")
+        catalog = enumerate_isogonic(model)
+        firsts = default_seeds(model)
+        further = [t for t in catalog.traces + catalog.failed_seeds
+                   if not any(t.seed is s for s in firsts)]
+        assert len(rays) == len(further) == {"reference": 0, "gauss-n3-2": 12}[label]
 
     @pytest.mark.parametrize("seed, reason", [
         ([0, 1, 1, 1], "rejected"), ([1, 1, 1, 1], "stalled"), ([0.1, 0.2, 0.3, 0.4], "stalled")])
