@@ -14,11 +14,16 @@ scale, decides where a construction stops being defined, in four tests:
 refusal with their caller's message, ``_rays`` ``AtVertex`` and ``_nonzero``
 ``ZeroCoordinate``; only two subset tests in ``apollonian`` raise their own.
 
-Volume policy: one kernel, ``facet_volumes_of_points``, measures facets by
-Gram determinants of edge vectors from vertex coordinates, of one point set
-or of a stack of them in one call; a model's total volume comes from the
-Gram matrix that its validity test reads.  Both divide by the dimension's
-factorial, past 170! through ``_factorial``'s mantissa and exponent.
+Volume policy: one private kernel, ``_volumes``, turns Gram matrices of edge
+vectors into mantissas and one power-of-two exponent, splitting k! with
+``_factorial`` in integers; nothing else divides by k!.  A model's total
+volume comes from the Gram matrix of its validity test and its facets from
+``_facet_grams``; ``facet_volumes_of_points`` calls the same two after its
+range estimate.  A model keeps the facet mantissas as ``_facets`` and
+applies the exponents only in ``total_volume`` and ``facet_volumes``, so
+every barycentric read of the facets (I, K, conjugation, the equiareal
+spread), a ratio, sees mantissas: ``tests/probe.py --dims 90:130`` checks
+that K stays within 1e-12 of (a_i / max a) ** 2, with no raise or warning.
 
 Frame policy: a model computes in one frame, vertex 0 at the origin, scaled
 by the power of two that brings the largest coordinate difference into
@@ -131,14 +136,31 @@ def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _factorial(k: int) -> tuple[float, int]:
-    """k! as f * 2 ** e: through 170! f = float(k!) and e = 0; past it, beyond
-    float range, f is k! / 2 ** e rounded to its leading 53 bits, so that a
-    volume over k! divides by f and shifts by -e once."""
-    if k <= 170:
-        return float(math.factorial(k)), 0
+    """k! as f * 2 ** e, f its leading 53 bits and e the rest of its exponent
+    (k! itself and 0 through 18!): ``ldexp(f, e) == float(k!)`` through 170!,
+    and a volume over k! divides by f and shifts by -e, past 170! too."""
     exact = math.factorial(k)
-    e = exact.bit_length() - 53
+    e = max(exact.bit_length() - 53, 0)
     return exact / (1 << e), e
+
+
+def _volumes(gram: np.ndarray) -> tuple[np.ndarray, int]:
+    """The k-volumes sqrt(det G) / k! of Gram matrices G (..., k, k) of edge
+    vectors, as mantissas sqrt(det G) / f and one exponent -e, where k! =
+    f * 2 ** e (``_factorial``): a volume is ldexp(mantissa, exponent).
+    Nothing else divides a volume by k!, so a mantissa is in float range for
+    every k where the determinant is."""
+    factorial, e = _factorial(gram.shape[-1])
+    dets = _lapack.det(gram, signature="d->d")
+    return np.sqrt(np.maximum(dets, 0.0)) / factorial, -e
+
+
+def _facet_grams(points: np.ndarray) -> np.ndarray:
+    """Gram matrices (..., m, m-2, m-2) of the edge vectors from each facet's
+    first point, facet i of a set of m points (..., m, dim) dropping point i."""
+    facets = points.take(_leave_one_out(points.shape[-2]), axis=-2)   # (..., m, m-1, dim)
+    edges = facets[..., 1:, :] - facets[..., :1, :]      # (..., m, m-2, dim)
+    return edges @ edges.swapaxes(-1, -2)
 
 
 def facet_volumes_of_points(points: np.ndarray) -> np.ndarray:
@@ -159,7 +181,7 @@ def facet_volumes_of_points(points: np.ndarray) -> np.ndarray:
     # a Gram determinant scales as 2 ** (2 (m-2) e), e the largest coordinate's
     # exponent, which the sum of squares (BLAS, no warning) estimates: within 2 ** 64
     # of float range, the points are measured scaled into [1/2, 1) and scaled
-    # back, in one shift with the exponent of a factorial past 170!
+    # back, in one shift with the kernel's exponent
     shift = 0
     square = float(np.vdot(points, points))
     if not (0.0 < square < math.inf and abs(math.frexp(square)[1] // 2) * (m - 2) <= 480):
@@ -170,16 +192,11 @@ def facet_volumes_of_points(points: np.ndarray) -> np.ndarray:
         if abs(exponent) * (m - 2) > 480:
             points = np.ldexp(points, -exponent)
             shift = (m - 2) * exponent
-    facets = points.take(_leave_one_out(m), axis=-2)      # (..., m, m-1, dim)
-    edges = facets[..., 1:, :] - facets[..., :1, :]      # (..., m, m-2, dim)
-    gram = edges @ edges.swapaxes(-1, -2)
-    dets = _lapack.det(gram, signature="d->d")
-    factorial, e = _factorial(m - 2)
-    volumes = np.sqrt(np.maximum(dets, 0.0)) / factorial
-    if shift == e:
+    volumes, e = _volumes(_facet_grams(points))
+    if shift + e == 0:
         return volumes
     with np.errstate(over="ignore", under="ignore"):
-        return np.ldexp(volumes, shift - e)
+        return np.ldexp(volumes, shift + e)
 
 
 def _gram_defect(gram: np.ndarray) -> NotEmbeddable | Degenerate | None:
@@ -357,9 +374,12 @@ class SimplexModel:
     equal read-only values.  Non-finite coordinates raise ``ValueError``.
     One Gram matrix of the edge vectors from vertex 0 gives ``total_volume``
     and the one validity test, ``_gram_defect``, whose verdict is kept as
-    ``_defect``.  ``validate=True`` raises it (``Degenerate``, coincident
-    vertices included); ``validate=False`` is for figures that may collapse,
-    such as the pedal, antipedal, polar and inversive figures of ``pedal``,
+    ``_defect``; ``_facets`` holds the facet volumes as the volume kernel's
+    mantissas, the frame's volumes up to one power of two (equal to them
+    through n = 19, while (n-1)! has at most 53 bits).  ``validate=True``
+    raises the defect (``Degenerate``, coincident vertices included);
+    ``validate=False`` is for figures that may collapse, such as the pedal,
+    antipedal, polar and inversive figures of ``pedal``,
     and ``degenerate`` then says whether the figure collapsed.  A collapsed
     figure keeps its volumes but has no affine frame or circumsphere:
     ``cart_to_bary``, ``pedal_feet`` and ``circumcenter_cart`` raise
@@ -390,15 +410,14 @@ class SimplexModel:
         self._defect = _gram_defect(gram)
         if validate and self._defect is not None:
             raise self._defect
-        det = float(_lapack.det(gram, signature="d->d"))
-        factorial, e = _factorial(self.n)
-        volume = math.sqrt(max(det, 0.0)) / factorial
-        self._facets = _frozen(facet_volumes_of_points(local))
+        volume, e = _volumes(gram)
+        facets, shift = _volumes(_facet_grams(local))
+        self._facets = _frozen(facets)
         # the three absolute measures as _absolute forms them, in one errstate
         with np.errstate(over="ignore", under="ignore"):
             self.edges = EdgeLengthTable(n=self.n, d=_frozen(np.ldexp(lengths, self._exponent)))
-            self.total_volume = float(np.ldexp(volume, self.n * self._exponent - e))
-            self.facet_volumes = _frozen(np.ldexp(self._facets, (self.n - 1) * self._exponent))
+            self.total_volume = float(np.ldexp(volume, self.n * self._exponent + e))
+            self.facet_volumes = _frozen(np.ldexp(facets, (self.n - 1) * self._exponent + shift))
         self.diameter = float(self.edges.d.max())
 
     @property

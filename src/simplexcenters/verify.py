@@ -3,9 +3,10 @@
 Recomputes every number in the two reference configurations shipped with
 the package — the tetrahedron with edge lengths (13, 11, 9, 12, 5, 11)
 whose Apollonian spheres share no point, and the tetrahedron on
-(0,0,0), (6,0,0), (0,8,0), (2,2,6) with five isogonic points — and runs
-seeded random property suites for the solvers.  Every check prints one
-expected/computed/tolerance row; the harness passes only if all rows do.
+(0,0,0), (6,0,0), (0,8,0), (2,2,6) with five isogonic points of the
+claimed classes — and runs seeded random property suites for the solvers.
+Every check prints one expected/computed/tolerance row; the harness passes
+only if all rows do.
 """
 
 from __future__ import annotations
@@ -188,9 +189,9 @@ def five_isogonic_checks() -> list[CheckRow]:
         1e-10))
 
     catalog = enumerate_isogonic(model)
-    rows.append(_bool_row("five: catalog holds exactly five isogonic points",
-                          True, len(catalog) == 5,
-                          detail="5 points"))
+    rows.append(_bool_row(
+        "five: catalog holds exactly five isogonic points of the claimed classes",
+        True, len(catalog) == 5, detail="5 points"))
     if len(catalog) == 5:
         for k in range(5):
             rows.append(_numeric_row(

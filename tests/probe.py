@@ -3,6 +3,7 @@
     PYTHONPATH=src python tests/probe.py [--triangles N] [--tetrahedra N]
                                          [--four N] [--five N] [--expect HEX]
                                          [--dump FILE] [--against FILE] [--starts N]
+                                         [--dims LO:HI]
 
 The probe set is the 41 ``isogonic-catalog`` inputs of the benchmark at
 seed 1, then Gaussian simplices drawn as ``standard_normal((n + 1, n))``
@@ -33,8 +34,10 @@ from ``default_rng((79, k))``, k its index, by both methods, and prints how
 many solves raised, by reason; it exits 1 if any did.  ``--triangles 2000
 --tetrahedra 2000 --four 500 --five 200 --starts 4`` is the 37,928-solve draw.  ``bench/workloads.py`` is
 loaded from its file, by the loader of ``tests/abtime.py``, and not
-changed.  Pytest does not collect this file; ``tests/test_probe.py`` runs a
-slice of it.
+changed.  ``--dims LO:HI`` runs none of this either: it sweeps the
+dimensions n = LO..HI, one line each (see :func:`dimension_line`), and
+exits 1 if any line fails.  Pytest does not collect this file;
+``tests/test_probe.py`` runs a slice of it.
 """
 
 from __future__ import annotations
@@ -43,12 +46,15 @@ import argparse
 import hashlib
 import json
 import time
+import warnings
 from collections import Counter
 
 import numpy as np
 
 import simplexcenters
-from simplexcenters import SimplexModel, enumerate_isogonic, fermat_point
+from simplexcenters import (SimplexModel, classical_centers, enumerate_isogonic,
+                            equiareal_deviation, fermat_point, isodynamic_points,
+                            isogonal_conjugate, pedal_simplex)
 from simplexcenters import verify  # noqa: F401  read by the workloads
 from simplexcenters.errors import MaxIterationsExceeded
 from simplexcenters.fermat import REASONS
@@ -61,6 +67,8 @@ GROUPS = (("triangles", 2, (77, 2), 200), ("tetrahedra", 3, 77, 200),
 MIN_GRAM_RATIO = 1e-6
 # largest normalized-coordinate difference at which --against matches two points
 SAME_POINT = 1e-9
+# largest relative error of the symmedian point at which a --dims line passes
+K_ERROR = 1e-12
 
 
 def probe_set(counts: dict[str, int]) -> list[tuple[str, np.ndarray]]:
@@ -174,6 +182,63 @@ def fermat_draw(counts: dict[str, int], starts: int) -> tuple[str, int]:
             f"({time.perf_counter() - begin:.1f} s)"), unsolved.total()
 
 
+def _quietly(call):
+    """``call()``'s value and "ok", or None and "warns" or the name of what
+    it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = call()
+        except Exception as error:
+            return None, type(error).__name__
+    return (value, "ok") if not caught else (None, "warns")
+
+
+def dimension_line(n: int) -> tuple[str, bool]:
+    """One line of the ``--dims`` sweep for the Gaussian n-simplex
+    ``default_rng(n).standard_normal((n + 1, n))``, and whether it passes.
+
+    It shows whether ``classical_centers``, ``isodynamic_points`` at the
+    incenter, ``fermat_point`` and ``isogonal_conjugate`` of the centroid
+    return without a warning; the symmedian point's largest relative error
+    against (a_i / max a)^2 over the absolute facet volumes a_i; and the
+    ``equiareal_deviation`` of the pedal simplex of the Fermat point's
+    conjugate: "inconclusive" where that simplex's facet volumes are all
+    zero or all bit-identical, so that no spread could show, and "n/a"
+    where the Fermat point is a vertex, which has no conjugate.  The line
+    fails on a raise, a warning or a symmedian error above ``K_ERROR``.
+    """
+    begin = time.perf_counter()
+    model = SimplexModel(np.random.default_rng(n).standard_normal((n + 1, n)))
+    checks = {}
+    centers, checks["centers"] = _quietly(lambda: classical_centers(model))
+    checks["isodynamic"] = (_quietly(lambda: isodynamic_points(centers["I"], model))[1]
+                            if centers else "skipped")
+    fermat, checks["fermat"] = _quietly(lambda: fermat_point(model))
+    checks["conjugate"] = _quietly(lambda: isogonal_conjugate(np.ones(n + 1), model))[1]
+    passed = all(status == "ok" for status in checks.values())
+    k_error = spread = "n/a"
+    if centers:
+        want = (model.facet_volumes / model.facet_volumes.max()) ** 2
+        error = float(np.abs(centers["K"].normalized_coords / (want / want.sum()) - 1.0).max())
+        k_error, passed = f"{error:.1e}", passed and error <= K_ERROR
+    if fermat is not None and fermat[1].vertex_optimum:
+        spread = "n/a (vertex optimum)"
+    elif fermat is not None:
+        pedal, status = _quietly(
+            lambda: pedal_simplex(isogonal_conjugate(fermat[0], model), model))
+        if pedal is None:
+            spread, passed = status, False
+        elif np.all(pedal._facets == pedal._facets[0]):   # all zero among them
+            spread = "inconclusive"
+        else:
+            spread = f"{equiareal_deviation(pedal):.1e}"
+    line = (f"n={n}: " + ", ".join(f"{name} {status}" for name, status in checks.items())
+            + f"; K error {k_error}; Fermat conjugate's pedal spread {spread}"
+            + f" ({time.perf_counter() - begin:.2f} s)")
+    return line, passed
+
+
 def compare(saved: dict[str, list[list[float]]], catalogs: dict[str, list[list[float]]],
             ) -> tuple[int, int, dict[str, int]]:
     """Points of ``saved`` with no match in ``catalogs`` (lost), points of
@@ -193,6 +258,12 @@ def compare(saved: dict[str, list[list[float]]], catalogs: dict[str, list[list[f
     return sum(losers.values()), gained, losers
 
 
+def _span(text: str) -> tuple[int, int]:
+    """``LO:HI`` as two integers; argparse reports anything else as invalid."""
+    low, high = map(int, text.split(":"))
+    return low, high
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     for name, _, _, default in GROUPS:
@@ -208,7 +279,20 @@ def main(argv=None) -> int:
                         help="save each simplex's catalog points to FILE as JSON")
     parser.add_argument("--against", metavar="FILE",
                         help="compare the catalog points with those saved in FILE")
+    parser.add_argument("--dims", metavar="LO:HI", type=_span,
+                        help="only sweep the Gaussian n-simplices for n = LO..HI; "
+                             "exit 1 on a raise, a warning or a symmedian error "
+                             f"above {K_ERROR:g}")
     args = parser.parse_args(argv)
+    if args.dims is not None:
+        low, high = args.dims
+        failed = 0
+        for n in range(low, high + 1):
+            line, passed = dimension_line(n)
+            print(line if passed else line + "  FAIL", flush=True)
+            failed += not passed
+        print(f"n = {low}..{high}: {high - low + 1 - failed} passed, {failed} failed")
+        return 1 if failed else 0
     counts = {name: getattr(args, name) for name, *_ in GROUPS}
     if args.starts is not None:
         summary, unsolved = fermat_draw(counts, args.starts)

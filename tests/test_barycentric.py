@@ -20,6 +20,8 @@ from simplexcenters import (
     embed_from_edge_lengths,
     facet_volumes_of_points,
     fermat_point,
+    isodynamic_points,
+    isogonal_conjugate,
     pedal_simplex,
     yiu_triangle_test,
 )
@@ -358,6 +360,13 @@ class TestFacetVolumes:
             got = facet_volumes_of_points(np.ldexp(corner, exponent // power))
             assert np.ldexp(got, -exponent) == pytest.approx(want, rel=1e-15)
 
+    def test_a_factorial_is_its_leading_bits_and_exponent(self):
+        # f * 2 ** e is float(k!) through 170!, k! itself while it has 53 bits
+        for k in range(171):
+            f, e = barycentric._factorial(k)
+            assert math.ldexp(f, e) == float(math.factorial(k)), k
+            assert (e == 0) == (math.factorial(k) < 2 ** 53) and f <= 2 ** 53
+
     def test_volumes_over_a_factorial_beyond_float_range(self):
         # facets of 173 points divide by 171!, past float range: the corner
         # facets at the origin read 1/171!, the far one sqrt(172)/171!, both
@@ -389,6 +398,32 @@ class TestClassicalCenters:
         assert np.abs(k - expected).max() < 1e-12
         ratio = np.array([125, 80, 45, 72], float)
         assert np.abs(k - ratio / ratio.sum()).max() < 1e-12
+
+
+class TestHighDimensions:
+    """Gaussian n-simplices where a_i ** 2 leaves the normal range (n >= 94):
+    the centers and the conjugate read the volume kernel's mantissas."""
+
+    @staticmethod
+    def model(n: int) -> SimplexModel:
+        return SimplexModel(np.random.default_rng(n).standard_normal((n + 1, n)))
+
+    def test_symmedian_point_at_n96(self):
+        # K = [a_i ** 2] against (a_i / max a) ** 2 from the absolute volumes
+        model = self.model(96)
+        want = (model.facet_volumes / model.facet_volumes.max()) ** 2
+        got = classical_centers(model)["K"].normalized_coords
+        assert np.abs(got / (want / want.sum()) - 1.0).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [98, 120])
+    def test_centers_isodynamic_points_and_conjugate_return(self, n):
+        # where a_i ** 2 underflowed to zero, valid input raised ValueError
+        model = self.model(n)
+        centers = classical_centers(model)
+        assert all(np.isfinite(p.coords).all() for p in centers.values())
+        isodynamic_points(centers["I"], model)
+        conjugate = isogonal_conjugate(np.ones(n + 1), model)
+        assert np.abs(conjugate.coords - centers["K"].coords).max() <= 1e-15
 
 
 class TestCircumsphere:

@@ -664,7 +664,7 @@ def test_json_reports_gradient_evaluations(doc_path, capsys):
 
 
 # SHA-256 of ``simplexcenters verify --json``'s output, NumPy 2.4.6 on x86-64
-VERIFY_DIGEST = "f86975dfeb484d6e6a5b27981ac344710422817a08ae6abcb967d23b206c8062"
+VERIFY_DIGEST = "22b224245589140e1bd77694273f0a69e03019420decb29bd7de547b10826b5f"
 
 
 @pytest.mark.usefixtures("cached_reference_checks")

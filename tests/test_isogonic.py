@@ -51,6 +51,15 @@ class TestIsogonalConjugate:
         conj = isogonal_conjugate(i, five_model)
         assert np.abs(conj.normalized_coords - i.normalized_coords).max() < 1e-13
 
+    def test_fermat_conjugate_has_an_equiareal_pedal_simplex_at_n96(self):
+        # the paper's characterization, where a_i ** 2 is subnormal at n = 96
+        model = SimplexModel(np.random.default_rng(96).standard_normal((97, 96)))
+        fermat, _ = fermat_point(model)
+        pedal = pedal_simplex(isogonal_conjugate(fermat, model), model)
+        # the mantissas that the spread reads differ, so a spread can show
+        assert len(set(pedal._facets.tolist())) > 1
+        assert equiareal_deviation(pedal) <= 1e-7
+
     def test_involution(self):
         rng = np.random.default_rng(3)
         for trial in range(100):

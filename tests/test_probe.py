@@ -11,6 +11,7 @@ is intended, or a platform rounds differently, rerun the probe and re-pin.
 
 import json
 import re
+import warnings
 
 import probe
 from simplexcenters import BarycentricPoint, MaxIterationsExceeded, SolverTrace
@@ -90,3 +91,32 @@ def test_starts_exits_1_on_a_solve_without_an_answer(capsys, monkeypatch):
     line, = capsys.readouterr().out.splitlines()
     assert line.rsplit(" (", 1)[0] == (
         "41 simplices, 82 Fermat solves, 1 without an answer (1 stalled)")
+
+
+def test_dims_prints_one_line_per_dimension(capsys):
+    # n = 92's pedal simplex has bit-identical facet volumes: no spread can show
+    assert probe.main(["--dims", "92:93"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.rsplit(" (", 1)[0] for line in lines[:2]] == [
+        f"n={n}: centers ok, isodynamic ok, fermat ok, conjugate ok; "
+        f"K error {error}; Fermat conjugate's pedal spread {spread}"
+        for n, error, spread in ((92, "5.6e-16", "inconclusive"), (93, "4.4e-16", "1.2e-11"))]
+    assert lines[2] == "n = 92..93: 2 passed, 0 failed"
+
+
+def test_dims_exits_1_on_a_warning_or_a_raise(capsys, monkeypatch):
+    def warn(p, model):
+        warnings.warn("a warning", RuntimeWarning)
+        return conjugate(p, model)
+
+    def fail(model):
+        raise ValueError("coordinate vector must not be zero")
+
+    conjugate = probe.isogonal_conjugate
+    monkeypatch.setattr(probe, "isogonal_conjugate", warn)
+    monkeypatch.setattr(probe, "classical_centers", fail)
+    assert probe.main(["--dims", "4:4"]) == 1
+    line, summary = capsys.readouterr().out.splitlines()
+    assert line.startswith("n=4: centers ValueError, isodynamic skipped, fermat ok, "
+                           "conjugate warns; K error n/a; Fermat conjugate's pedal spread warns")
+    assert line.endswith("  FAIL") and summary == "n = 4..4: 0 passed, 1 failed"
